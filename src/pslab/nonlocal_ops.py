@@ -8,8 +8,9 @@ exactly: sum_k 1/(alpha+2pik) = (1/2)cot(alpha/2), sum_k 1/(alpha+2pik)^2
 = 1/(4 sin^2(alpha/2)), and for the interface drift kernel the fold is
 evaluated in closed form through the complex cotangent (see the comment in
 muskat_st_rhs). Only the |alpha|^{1+a} kernel has no closed fold; there the
-far periods are summed via the Hurwitz zeta function plus a short explicit
-correction series.
+far periods are summed as a Hurwitz-zeta series in the increment (DLMF
+25.11), or explicitly where that series converges slowly. The O(N^2) shift
+sums run blockwise from one cached per-N _ShiftPlan.
 """
 
 from __future__ import annotations
@@ -44,26 +45,9 @@ _GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 @lru_cache(maxsize=None)
 def lemz0_constant(d: int, tol: float = 1e-12) -> float:
-    """c_d = (int (1-cos alpha_1)/|alpha|^{d+1} d alpha)^{-1} over R^d.
-
-    d=1 evaluates the line integral by splitting off the oscillatory tail;
-    d=2 reduces the radial integral with int_0^inf (1-cos(c r))/r^2 dr =
-    pi|c|/2 and quadratures the remaining angle.
-    """
-    if d == 1:
-        total = 2.0 * _one_minus_cos_over_square(1.0, tol)
-    elif d == 2:
-        val, err = integrate.quad(
-            lambda th: 0.5 * np.pi * abs(np.cos(th)), 0.0, TWO_PI,
-            points=[0.5 * np.pi, 1.5 * np.pi], limit=200,
-            epsabs=tol, epsrel=tol,
-        )
-        if err > 1e-8:
-            raise RuntimeError(f"angular quadrature error {err:.2e}")
-        total = val
-    else:
-        raise ValueError("d must be 1 or 2")
-    return 1.0 / total
+    """c_d = (int (1-cos alpha_1)/|alpha|^{d+1} d alpha)^{-1} over R^d, the
+    contc_integral at b = 0 and e the first unit vector."""
+    return 1.0 / contc_integral(d, np.zeros(d), np.eye(d)[0], tol)
 
 
 def _one_minus_cos_over_square(c: float, tol: float = 1e-12) -> float:
@@ -71,10 +55,8 @@ def _one_minus_cos_over_square(c: float, tol: float = 1e-12) -> float:
     c = abs(float(c))
     if c == 0.0:
         return 0.0
-    head, e1 = integrate.quad(
-        lambda a: (1.0 - np.cos(c * a)) / a**2, 0.0, 1.0,
-        epsabs=tol, epsrel=tol, limit=200,
-    )
+    head, e1 = integrate.quad(lambda a: (1.0 - np.cos(c * a)) / a**2, 0.0, 1.0,
+                              epsabs=tol, epsrel=tol, limit=200)
     # tail: int_1^inf 1/a^2 - int_1^inf cos(c a)/a^2, the latter by the
     # oscillatory-weight rule
     osc, e2 = integrate.quad(lambda a: 1.0 / a**2, 1.0, np.inf,
@@ -130,8 +112,7 @@ class DriftedSqrtSymbol:
     sign: int
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, dtype=float)))
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -178,8 +159,7 @@ class SingularQuadrature:
             raise ValueError("alpha = 0 is not a quadrature node")
         if np.any(w <= 0.0):
             raise ValueError("weights must be positive")
-        order = np.argsort(a)
-        srt = a[order]
+        srt = np.sort(a)
         if not np.allclose(srt, -srt[::-1], rtol=0, atol=1e-14):
             raise ValueError("nodes must come in +/- pairs")
         object.__setattr__(self, "alpha_nodes", a)
@@ -190,8 +170,7 @@ class SingularQuadrature:
         h = domain_length / n
         j = np.concatenate([np.arange(-n // 2, 0), np.arange(1, n // 2 + 1)])
         w = np.full(j.shape, h)
-        w[j == -n // 2] = 0.5 * h
-        w[j == n // 2] = 0.5 * h
+        w[np.abs(j) == n // 2] = 0.5 * h
         return cls(alpha_nodes=j * h, weights=w, truncation_radius=0.5 * domain_length)
 
     def roll_steps(self, spacing: float) -> np.ndarray:
@@ -201,16 +180,36 @@ class SingularQuadrature:
         return steps
 
 
+# Entries per (shifts x N) block temporary: 256 KB of float64 stays in L2 at every N.
+_BLOCK_PAIRS = 1 << 15
+
+
+class _ShiftPlan:
+    """Per-N shift-sum tables on the 2pi-torus, shared read-only through the
+    cache: the quadrature, the gather index whose row s is np.roll(u, j_s),
+    per-node trig columns, and blocks of at most _BLOCK_PAIRS // N rows."""
+
+    def __init__(self, n: int):
+        self.quad = SingularQuadrature.from_grid(n)
+        alpha = self.quad.alpha_nodes
+        self.index = (np.arange(n) - self.quad.roll_steps(TWO_PI / n)[:, None]) % n
+        self.half_cot = 0.5 / np.tan(0.5 * alpha)
+        self.sin = np.sin(alpha)
+        self.two_sin2 = 2.0 * np.sin(0.5 * alpha) ** 2
+        self.inv_four_sin2 = 0.5 / self.two_sin2
+        rows = max(1, _BLOCK_PAIRS // n)
+        self.blocks = [slice(i, i + rows) for i in range(0, n, rows)]
+
+
+_shift_plan = lru_cache(maxsize=4)(_ShiftPlan)
+
+
 class BackendMismatchError(RuntimeError):
     """Raised when the multiplier and quadrature routes disagree."""
 
     def __init__(self, gap, fourier_field, quadrature_field):
-        self.gap = gap
-        self.fourier_field = fourier_field
-        self.quadrature_field = quadrature_field
-        super().__init__(
-            f"backend disagreement {gap:.3e} exceeds {10 * BACKEND_TOL:.0e}"
-        )
+        self.gap, self.fourier_field, self.quadrature_field = gap, fourier_field, quadrature_field
+        super().__init__(f"backend disagreement {gap:.3e} exceeds {10 * BACKEND_TOL:.0e}")
 
 
 def _lambda_quadrature(field: PeriodicField) -> np.ndarray:
@@ -220,17 +219,13 @@ def _lambda_quadrature(field: PeriodicField) -> np.ndarray:
     the analytic pair limit -f''(x)/2. Skipping that node instead would
     leave an O(h) hole in the integral.
     """
-    quad = SingularQuadrature.from_grid(field.n, field.domain_length)
-    steps = quad.roll_steps(field.spacing)
+    plan = _shift_plan(field.n)
     u = field.samples
-    scale = TWO_PI / field.domain_length  # fold identities live on the 2pi-torus
-    acc = np.zeros_like(u)
-    for alpha, w, j in zip(quad.alpha_nodes, quad.weights, steps):
-        kern = scale**2 / (4.0 * np.sin(0.5 * alpha * scale) ** 2)
-        acc += w * kern * (u - np.roll(u, j))
+    # on length L the 2pi-torus weights scale by L/2pi, the kernel by (2pi/L)^2
+    wk = (TWO_PI / field.domain_length) * plan.quad.weights * plan.inv_four_sin2
+    acc = sum(wk[rows] @ (u - u[plan.index[rows]]) for rows in plan.blocks)
     fpp = spectral_derivative(field, 2).samples
-    acc += field.spacing * (-0.5 * fpp)
-    return acc / np.pi
+    return (acc + field.spacing * (-0.5 * fpp)) / np.pi
 
 
 def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
@@ -302,12 +297,10 @@ def _gcal_array(rho: np.ndarray, d: int, a: float) -> np.ndarray:
 def _gcal_remainder(rho: np.ndarray, d: int, a: float) -> np.ndarray:
     """G(rho) - 2 rho, computed without cancellation for small rho."""
     r = rho[..., None] * _GL01_NODES
-    vals = (1.0 + r * r) ** (-0.5 * (d + a)) - 1.0
-    return 2.0 * rho * (vals @ _GL01_WEIGHTS)
+    return 2.0 * rho * (((1.0 + r * r) ** (-0.5 * (d + a)) - 1.0) @ _GL01_WEIGHTS)
 
 
 def fractional_mean_curvature(u: PeriodicField, a: float, d: int = 2,
-                              fold_terms: int = 6,
                               symmetrized: bool = True) -> PeriodicField:
     """H[u](x) = P.V. int_R G(Delta_alpha u)/|alpha|^{1+a} d alpha for a 1D
     graph, with Delta_alpha u = delta_alpha u/|alpha|.
@@ -316,8 +309,9 @@ def fractional_mean_curvature(u: PeriodicField, a: float, d: int = 2,
     = 2 O_alpha u int_0^1 <...>^{-(2+a)} d tau, which is exact and free of
     cancellation; the remaining |alpha|^{-a} singularity at 0 is subtracted
     analytically and its integral added back in closed form. Periods beyond
-    |alpha| = pi enter through the Hurwitz-zeta linear fold plus fold_terms
-    explicit cubic-order corrections.
+    |alpha| = pi enter through _fmc_fold: a Hurwitz-zeta series in the
+    increment (error below 1e-10), or where the increment nears the series
+    radius 2pi - |alpha|, an explicit six-period sum (error ~4e-7 |delta|^3).
 
     symmetrized=False requests the raw truncated node sum (no pairing
     bookkeeping, no fold); it diverges as a -> 1 and is rejected for a >= 1.
@@ -335,52 +329,74 @@ def fractional_mean_curvature(u: PeriodicField, a: float, d: int = 2,
         raise ValueError("the period fold assumes the 2pi-torus")
 
     n = u.n
-    h = u.spacing
     v = u.samples
-    quad = SingularQuadrature.from_grid(n)
+    plan = _shift_plan(n)
+    alpha = np.abs(plan.quad.alpha_nodes)
+    wts = plan.quad.weights
 
     if not symmetrized:
-        acc = np.zeros(n)
-        for alpha, w in zip(quad.alpha_nodes, quad.weights):
-            j = int(round(alpha / h))
-            delta = v - np.roll(v, j)
-            acc += w * _gcal_array(delta / abs(alpha), d, a) / abs(alpha) ** (1 + a)
-        return u.with_samples(acc)
+        return u.with_samples(sum(
+            wts[r] @ (_gcal_array((v - v[plan.index[r]]) / alpha[r, None], d, a)
+                      / alpha[r, None] ** (1 + a)) for r in plan.blocks))
 
-    up = spectral_derivative(u, 1).samples
-    upp = spectral_derivative(u, 2).samples
+    up, upp = (spectral_derivative(u, m).samples for m in (1, 2))
     # pair-limit coefficient of the |alpha|^{-a} singularity
     csing = -2.0 * upp * (1.0 + up * up) ** (-0.5 * (2 + a))
 
+    # pairs j = 1..n/2: node row half-1+j holds +alpha_j, row half-j -alpha_j
+    half = n // 2
     acc = np.zeros(n)
-    for j in range(1, n // 2 + 1):
-        alpha = j * h
-        w = h if j < n // 2 else 0.5 * h
-        back = v - np.roll(v, j)        # delta_alpha u
-        fwd = np.roll(v, -j) - v        # -delta_{-alpha} u
-        amu = back / alpha
-        bmu = fwd / alpha
-        omu = amu - bmu
+    rows = max(1, _BLOCK_PAIRS // (n * len(_GL01_NODES)))
+    for j0 in range(1, half + 1, rows):
+        j = np.arange(j0, min(j0 + rows, half + 1))
+        al = alpha[half - 1 + j, None]
+        back = v - v[plan.index[half - 1 + j]]   # delta_alpha u
+        fwd = v[plan.index[half - j]] - v        # -delta_{-alpha} u
+        bmu = fwd / al
+        omu = back / al - bmu
         # int_0^1 <b + tau(a-b)>^{-(2+a)} d tau on Gauss-Legendre nodes
-        args = bmu[:, None] + _GL01_NODES * omu[:, None]
+        args = bmu[..., None] + _GL01_NODES * omu[..., None]
         qint = ((1.0 + args * args) ** (-0.5 * (2 + a))) @ _GL01_WEIGHTS
-        pair = 2.0 * omu * qint / alpha ** (1 + a)
-        # far periods, evaluated at +alpha and -alpha separately
-        fold = _fmc_fold(back, alpha, a, fold_terms) + _fmc_fold(-fwd, -alpha, a, fold_terms)
-        acc += w * (pair + fold - csing * alpha ** (-a))
-    acc += csing * np.pi ** (1 - a) / (1 - a)
+        pair = 2.0 * omu * qint / al ** (1 + a)
+        # far periods; the fold is even in alpha, so -alpha shares the row
+        fold = _fmc_fold(back, j, n, a) + _fmc_fold(-fwd, j, n, a)
+        acc += wts[half - 1 + j] @ (pair + fold)
+    acc += csing * (np.pi ** (1 - a) / (1 - a) - wts[half:] @ alpha[half:] ** (-a))
     return u.with_samples(acc)
 
 
-def _fmc_fold(delta: np.ndarray, alpha: float, a: float, fold_terms: int) -> np.ndarray:
-    """sum_{k != 0} G(delta/|alpha+2pik|)/|alpha+2pik|^{1+a}: linear part by
-    Hurwitz zeta, cubic-and-higher part by an explicit short sum."""
-    q = alpha / TWO_PI
-    zsum = TWO_PI ** (-(2 + a)) * (special.zeta(2 + a, 1 + q) + special.zeta(2 + a, 1 - q))
-    out = 2.0 * delta * zsum
-    for k in range(1, fold_terms + 1):
-        for amod in (abs(alpha + TWO_PI * k), abs(alpha - TWO_PI * k)):
-            out += _gcal_remainder(delta / amod, 2, a) / amod ** (1 + a)
+# Far-period fold: terms kept in the Hurwitz series, and the largest
+# |delta| / (2pi - |alpha|) it serves (dropped terms below 1e-10 there).
+_SERIES_TERMS = 14
+_SERIES_RATIO = 0.5
+
+
+@lru_cache(maxsize=8)
+def _fold_series(n: int, a: float) -> np.ndarray:
+    """(terms, n/2, 1) coefficients 2 binom(-(2+a)/2, m)/(2m+1) (2pi)^{-s}
+    [zeta(s, 1+q) + zeta(s, 1-q)], s = 2m+2+a, of delta^{2m+1} in the fold at
+    alpha_j = 2pi q, q = j/n, j = 1..n/2; even in alpha, so -alpha_j shares them."""
+    m = np.arange(_SERIES_TERMS)[:, None]
+    s = 2 * m + 2 + a
+    q = np.arange(1, n // 2 + 1) / n
+    return (2.0 * special.binom(-0.5 * (2 + a), m) / (2 * m + 1) * TWO_PI ** (-s)
+            * (special.zeta(s, 1 + q) + special.zeta(s, 1 - q)))[..., None]
+
+
+def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
+    """sum_{k != 0} G(delta/|alpha+2pik|)/|alpha+2pik|^{1+a} at alpha_j =
+    2pi j/n, one row of delta per j in 1..n/2: Horner in delta^2 on the
+    _fold_series table, and where |delta| > _SERIES_RATIO (2pi - alpha_j) the
+    linear Hurwitz term plus an explicit sum over six periods either side."""
+    coef = _fold_series(n, a)[:, j - 1]
+    out = np.polynomial.polynomial.polyval(delta * delta, coef, tensor=False) * delta
+    alpha = np.broadcast_to((TWO_PI / n) * j[:, None], delta.shape)
+    far = np.abs(delta) > _SERIES_RATIO * (TWO_PI - alpha)
+    if far.any():
+        d, al = delta[far], alpha[far]
+        out[far] = np.broadcast_to(coef[0], delta.shape)[far] * d + sum(
+            _gcal_remainder(d / r, 2, a) / r ** (1 + a)
+            for k in range(1, 7) for r in (TWO_PI * k + al, TWO_PI * k - al))
     return out
 
 
@@ -410,9 +426,7 @@ class WellStretchedError(RuntimeError):
 
     def __init__(self, theta, cap, pair):
         self.theta, self.cap, self.pair = theta, cap, pair
-        super().__init__(
-            f"stretch ratio {theta:.3e} exceeds cap {cap:.3e} at node pair {pair}"
-        )
+        super().__init__(f"stretch ratio {theta:.3e} exceeds cap {cap:.3e} at node pair {pair}")
 
 
 def stretch_ratio(X: PeriodicField):
@@ -453,8 +467,7 @@ def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None,
     if not np.isfinite(theta) or theta > theta_cap:
         raise WellStretchedError(theta, theta_cap, pair)
 
-    xp = np.stack([spectral_derivative(PeriodicField(c, domain_length=X.domain_length), 1).samples
-                   for c in X.samples])
+    xp = spectral_derivative(X, 1).samples
     speed = np.sqrt(xp[0] ** 2 + xp[1] ** 2)
     if float(speed.min()) <= 1e-12:
         raise WellStretchedError(np.inf, theta_cap, (int(np.argmin(speed)),) * 2)
@@ -462,29 +475,25 @@ def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None,
     tbar = np.asarray(tension.value(speed)) / speed
     V = tbar * xp
 
-    main = -0.25 * np.stack([
-        hilbert_transform(PeriodicField(c, domain_length=X.domain_length)).samples
-        for c in V
-    ])
+    main = -0.25 * np.stack([hilbert_transform(PeriodicField(c, domain_length=X.domain_length))
+                             .samples for c in V])
 
-    quad = SingularQuadrature.from_grid(X.n)
-    steps = quad.roll_steps(X.spacing)
-    acc = np.zeros_like(X.samples)
-    inv4pi = 1.0 / (4.0 * np.pi)
-    for alpha, w, j in zip(quad.alpha_nodes, quad.weights, steps):
-        c = 0.5 / np.tan(0.5 * alpha)
-        dX = X.samples - np.roll(X.samples, j, axis=1)
-        dV = V - np.roll(V, j, axis=1)
-        E = np.roll(xp, j, axis=1) - c * dX
+    plan = _shift_plan(X.n)
+    Xs = X.samples
+    acc = np.zeros_like(Xs)
+    for rows in plan.blocks:
+        ib = plan.index[rows]
+        c = plan.half_cot[rows, None]
+        dX = Xs[:, None, :] - Xs[:, ib]
+        dV = V[:, None, :] - V[:, ib]
+        E = xp[:, ib] - c * dX
         r2 = dX[0] ** 2 + dX[1] ** 2
         dXdE = dX[0] * E[0] + dX[1] * E[1]
         dXdV = dX[0] * dV[0] + dX[1] * dV[1]
         EdV = E[0] * dV[0] + E[1] * dV[1]
-        term = inv4pi * (dXdE / r2) * dV
-        term -= inv4pi * (E * dXdV + dX * EdV) / r2
-        term += 2.0 * inv4pi * dX * (dXdE * dXdV) / r2**2
-        acc += w * term
-    return X.with_samples(main + acc)
+        term = (dXdE * dV - E * dXdV - dX * EdV + 2.0 * dX * (dXdE * dXdV) / r2) / r2
+        acc += plan.quad.weights[rows] @ term
+    return X.with_samples(main + acc / (4.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -505,49 +514,39 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
         raise ValueError("muskat_st_rhs takes scalar 1D fields")
     if abs(f.domain_length - TWO_PI) > 1e-12:
         raise ValueError("the period fold assumes the 2pi-torus")
-    n = f.n
     h = f.spacing
     v = f.samples
 
-    fp = spectral_derivative(f, 1).samples
-    fpp = spectral_derivative(f, 2).samples
-    fppp = spectral_derivative(f, 3).samples
+    fp, fpp, fppp = (spectral_derivative(f, m).samples for m in (1, 2, 3))
     w = (1.0 + fp * fp) ** -1.5
     wf = PeriodicField(w, domain_length=f.domain_length)
-    wp = spectral_derivative(wf, 1).samples
-    wpp = spectral_derivative(wf, 2).samples
+    wp, wpp = (spectral_derivative(wf, m).samples for m in (1, 2))
     q = spectral_derivative(PeriodicField(fpp * w, domain_length=f.domain_length), 1).samples
 
-    lam3 = fractional_laplacian(f, 3.0).samples
+    main = -fractional_laplacian(f, 3.0).samples * w
     lam1 = fractional_laplacian(f, 1.0).samples
-    main = -lam3 * w
 
-    quad = SingularQuadrature.from_grid(n)
-    steps = quad.roll_steps(h)
-    idx = (np.arange(n)[None, :] - steps[:, None]) % n
-    rolled_v = v[idx]
-    rolled_q = q[idx]
-    rolled_fp = fp[idx]
-    rolled_fpp = fpp[idx]
-    rolled_w = w[idx]
-
-    alpha = quad.alpha_nodes[:, None]
-    wts = quad.weights[:, None]
-    deltaf = v[None, :] - rolled_v
-    s1_real = 0.5 / np.tan(0.5 * alpha)
-    with np.errstate(invalid="ignore"):
-        s1_cplx = 0.5 / np.tan(0.5 * (alpha + 1j * deltaf))
-    G = -fp[None, :] * s1_cplx.imag - s1_real + s1_cplx.real
+    # the alpha = 0 node carries the pair limits G0 and limit2
     G0 = fp * fpp / (2.0 * (1.0 + fp * fp))
+    sum_q = h * G0 * q
+    sum_fp = h * G0 * fp
+    sum_2 = h * (0.5 * fpp * wpp + fppp * wp)
+    plan = _shift_plan(f.n)
+    wts = plan.quad.weights
+    wk2 = wts * plan.inv_four_sin2
+    for rows in plan.blocks:
+        ib = plan.index[rows]
+        deltaf = v - v[ib]
+        # S(alpha + i deltaf) = (sin alpha - i sinh deltaf) / den with the
+        # cancellation-free den = 2 (cosh deltaf - cos alpha)
+        sh = np.sinh(0.5 * deltaf)
+        den = 2.0 * (2.0 * sh * sh + plan.two_sin2[rows, None])
+        G = (fp * np.sinh(deltaf) + plan.sin[rows, None]) / den - plan.half_cot[rows, None]
+        sum_q += wts[rows] @ (G * q[ib])
+        sum_fp += wts[rows] @ (G * fp[ib])
+        sum_2 += wk2[rows] @ (fpp[ib] * (w[ib] - w))
 
-    n1 = (np.sum(wts * G * rolled_q, axis=0) + h * G0 * q) / np.pi
-    n3 = -(np.sum(wts * G * rolled_fp, axis=0) + h * G0 * fp) / np.pi - lam1
-
-    k2 = 1.0 / (4.0 * np.sin(0.5 * alpha) ** 2)
-    h2 = rolled_fpp * (rolled_w - w[None, :])
-    limit2 = 0.5 * fpp * wpp + fppp * wp
-    n2 = -(np.sum(wts * k2 * h2, axis=0) + h * limit2) / np.pi
-
-    rhs = main + n1 + n2 + rho0 * n3
+    # N1 + N2 + rho0 N3
+    rhs = main + (sum_q - sum_2) / np.pi - rho0 * (sum_fp / np.pi + lam1)
     rhs = rhs - rhs.mean()
     return f.with_samples(rhs)

@@ -210,6 +210,18 @@ class TestNonlocalMcf:
         f = PeriodicField(np.full(128, 0.7))
         assert np.max(np.abs(NonlocalMcfModel(a=0.5).rhs(f).samples)) < 1e-12
 
+    def test_evolution_sup_decay_and_roll_equivariance(self):
+        model = NonlocalMcfModel(a=0.5)
+        u0 = triangle(128, 0.5)
+        config, spec = StepperConfig(dt=1e-3), LedgerSpec(stride=1)
+        traj = evolve(model, u0, 1e-2, config, spec)
+        assert len(traj.snapshots) == 11
+        linf = traj.series("linf")
+        assert np.all(np.diff(linf) <= 0.0)
+        rolled = evolve(model, u0.with_samples(np.roll(u0.samples, 7)), 1e-2, config, spec)
+        gap = rolled.final().samples - np.roll(traj.final().samples, 7)
+        assert np.max(np.abs(gap)) < 1e-11
+
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
             NonlocalMcfModel(a=1.0)

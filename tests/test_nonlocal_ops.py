@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import gamma
+from scipy.special import binom, gamma, zeta
 
-from pslab.grid import PeriodicField, spectral_derivative
+from pslab.grid import PeriodicField, fractional_laplacian, hilbert_transform, spectral_derivative
 from pslab.nonlocal_ops import (
     BackendMismatchError,
     DriftedSqrtSymbol,
@@ -328,6 +328,82 @@ class TestFractionalMeanCurvature:
             fractional_mean_curvature(u, 0.5, d=3)
 
 
+_GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def explicit_fold(delta, alpha, a, periods, cubic_tail=False):
+    """sum_{k != 0} G(delta/|alpha+2pik|)/|alpha+2pik|^{1+a} for 0 < alpha <= pi.
+
+    The linear part of G is summed over all periods in closed form (Hurwitz
+    zeta); the rest over `periods` periods on either side. cubic_tail adds
+    the cubic term of the periods beyond, also in closed form.
+    """
+    s_nodes = 0.5 * (_GL32_NODES + 1.0)
+    s_weights = 0.5 * _GL32_WEIGHTS
+    q = alpha / TWO_PI
+
+    def hurwitz_pair(s, start):
+        return TWO_PI ** (-s) * (zeta(s, start + q) + zeta(s, start - q))
+
+    out = 2.0 * hurwitz_pair(2 + a, 1) * delta
+    for k in range(1, periods + 1):
+        for r in (TWO_PI * k + alpha, TWO_PI * k - alpha):
+            rho = delta / r
+            t = rho[..., None] * s_nodes
+            rem = 2.0 * rho * (((1.0 + t * t) ** (-0.5 * (2 + a)) - 1.0) @ s_weights)
+            out = out + rem / r ** (1 + a)
+    if cubic_tail:
+        lead = 2.0 * binom(-0.5 * (2 + a), 1) / 3.0
+        out = out + lead * hurwitz_pair(4 + a, periods + 1) * delta**3
+    return out
+
+
+class TestFarPeriodFold:
+    """The Hurwitz-series fold against explicit period sums, on both sides of
+    its switch to the explicit six-period sum."""
+
+    N = 128
+
+    def cases(self, fractions):
+        # every shift j = 1..N/2 (alpha = pi included), increments of both
+        # signs at the given fractions of the series radius 2pi - alpha
+        j = np.arange(1, self.N // 2 + 1)
+        alpha = (TWO_PI * j / self.N)[:, None]
+        frac = np.asarray(fractions)
+        return j, alpha, (TWO_PI - alpha) * np.concatenate([-frac, frac])
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_series_branch_matches_forty_periods(self, a):
+        r = nonlocal_ops._SERIES_RATIO
+        j, alpha, delta = self.cases([0.01, 0.3 * r, 0.7 * r, 0.999 * r])
+        got = nonlocal_ops._fmc_fold(delta, j, self.N, a)
+        ref = explicit_fold(delta, alpha, a, 40, cubic_tail=True)
+        assert np.max(np.abs(got - ref)) < 1e-9
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_fallback_branch_is_the_six_period_sum(self, a):
+        r = nonlocal_ops._SERIES_RATIO
+        j, alpha, delta = self.cases([1.001 * r, 0.5 * (1.0 + r), 0.999])
+        got = nonlocal_ops._fmc_fold(delta, j, self.N, a)
+        six = explicit_fold(delta, alpha, a, 6)
+        assert np.max(np.abs(got - six)) < 1e-14 * np.max(np.abs(six))
+        # and it carries the six-period truncation error, cubic in delta
+        ref = explicit_fold(delta, alpha, a, 40, cubic_tail=True)
+        assert np.max(np.abs(got - ref) / np.abs(delta) ** 3) < 1e-6
+
+    def test_curvature_matches_forty_period_fold(self, monkeypatch):
+        # increments up to 1 stay in the series branch, where the whole
+        # operator agrees with the 40-period fold far below the six-period
+        # truncation (about 1e-8 relative here)
+        x = grid_1d(self.N)
+        u = PeriodicField(0.5 * (1.0 - (2.0 / np.pi) * np.abs(x - np.pi)) + 0.1 * np.sin(3 * x))
+        got = fractional_mean_curvature(u, 0.5).samples
+        monkeypatch.setattr(nonlocal_ops, "_fmc_fold", lambda delta, j, n, a: explicit_fold(
+            delta, (TWO_PI * j / n)[:, None], a, 40, cubic_tail=True))
+        ref = fractional_mean_curvature(u, 0.5).samples
+        assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
+
+
 class TestStretchRatio:
     def test_unit_circle_value_and_pair(self):
         theta, pair = stretch_ratio(circle(256))
@@ -493,3 +569,97 @@ class TestMuskatStRhs:
             muskat_st_rhs(PeriodicField(np.zeros((2, 64))))
         with pytest.raises(ValueError):
             muskat_st_rhs(PeriodicField(np.zeros(64), domain_length=4.0 * np.pi))
+
+
+# ---------------------------------------------------------------------------
+# the cached shift plan against the per-shift loops it replaced
+
+def shift_nodes(n, h):
+    """(j, weight) of the trapezoid nodes j h, 0 < |j| <= n/2; the two
+    +/-pi nodes carry half weight each."""
+    for j in (*range(-n // 2, 0), *range(1, n // 2 + 1)):
+        yield j, (0.5 * h if abs(j) == n // 2 else h)
+
+
+def muskat_loop(f, rho0):
+    n, h, v = f.n, f.spacing, f.samples
+    fp, fpp, fppp = (spectral_derivative(f, m).samples for m in (1, 2, 3))
+    w = (1.0 + fp * fp) ** -1.5
+    wp, wpp = (spectral_derivative(PeriodicField(w), m).samples for m in (1, 2))
+    q = spectral_derivative(PeriodicField(fpp * w), 1).samples
+    g0 = fp * fpp / (2.0 * (1.0 + fp * fp))
+    n1, n3 = h * g0 * q, h * g0 * fp
+    n2 = h * (0.5 * fpp * wpp + fppp * wp)
+    for j, wt in shift_nodes(n, h):
+        alpha = j * h
+        s = 0.5 / np.tan(0.5 * (alpha + 1j * (v - np.roll(v, j))))
+        G = -fp * s.imag - 0.5 / np.tan(0.5 * alpha) + s.real
+        n1 += wt * G * np.roll(q, j)
+        n3 += wt * G * np.roll(fp, j)
+        n2 += wt / (4.0 * np.sin(0.5 * alpha) ** 2) * np.roll(fpp, j) * (np.roll(w, j) - w)
+    rhs = (-fractional_laplacian(f, 3.0).samples * w + (n1 - n2) / np.pi
+           + rho0 * (-n3 / np.pi - fractional_laplacian(f, 1.0).samples))
+    return rhs - rhs.mean()
+
+
+def peskin_loop(X):
+    # Hookean tension: T(|X'|) X' = X'
+    xs = X.samples
+    xp = np.stack([spectral_derivative(PeriodicField(c), 1).samples for c in xs])
+    main = -0.25 * np.stack([hilbert_transform(PeriodicField(c)).samples for c in xp])
+    acc = np.zeros_like(xs)
+    for j, wt in shift_nodes(X.n, X.spacing):
+        c = 0.5 / np.tan(0.5 * j * X.spacing)
+        dX = xs - np.roll(xs, j, axis=1)
+        dV = xp - np.roll(xp, j, axis=1)
+        E = np.roll(xp, j, axis=1) - c * dX
+        r2 = dX[0] ** 2 + dX[1] ** 2
+        dXdE = dX[0] * E[0] + dX[1] * E[1]
+        dXdV = dX[0] * dV[0] + dX[1] * dV[1]
+        EdV = E[0] * dV[0] + E[1] * dV[1]
+        term = (dXdE / r2) * dV - (E * dXdV + dX * EdV) / r2 + 2.0 * dX * (dXdE * dXdV) / r2**2
+        acc += wt * term / (4.0 * np.pi)
+    return main + acc
+
+
+def lambda_loop(field):
+    u, h = field.samples, field.spacing
+    scale = TWO_PI / field.domain_length
+    acc = np.zeros_like(u)
+    for j, wt in shift_nodes(field.n, h):
+        acc += wt * scale**2 / (4.0 * np.sin(0.5 * j * h * scale) ** 2) * (u - np.roll(u, j))
+    return (acc - 0.5 * h * spectral_derivative(field, 2).samples) / np.pi
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestShiftPlanAgainstLoops:
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_muskat(self, n):
+        rng = np.random.default_rng(n)
+        f = PeriodicField(0.3 * band_limited(n, rng))
+        for rho0 in (0.0, 1.0):
+            got = muskat_st_rhs(f, rho0=rho0).samples
+            assert relative_gap(got, muskat_loop(f, rho0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_peskin(self, n):
+        rng = np.random.default_rng(n + 1)
+        x = grid_1d(n)
+        X = PeriodicField(np.stack([1.1 * np.cos(x) + 0.05 * band_limited(n, rng),
+                                    0.9 * np.sin(x) + 0.05 * band_limited(n, rng)]))
+        assert relative_gap(peskin_rhs(X).samples, peskin_loop(X)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_dirichlet_neumann_quadrature(self, n):
+        rng = np.random.default_rng(n + 2)
+        for length in (TWO_PI, 3.0):
+            f = PeriodicField(band_limited(n, rng), domain_length=length)
+            fp = spectral_derivative(f, 1).samples
+            for b, sign in ((0.0, +1), (1.5, -1)):
+                got = dirichlet_neumann_op(f, b, sign, backend="quadrature").samples
+                lam = lemz0_constant(1) * np.pi * lambda_loop(f)
+                want = (b * fp + sign * lam) / (1.0 + b * b)
+                assert relative_gap(got, want) <= 1e-12
