@@ -87,15 +87,23 @@ def _as_matrix(a, dim):
     return m
 
 
-def ellipticity_probe(symbol: FrozenSymbol, ts, xis):
-    """Check A(t, xi) >= c0 |xi|^s Id at every probe pair; raise on failure."""
+def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> float:
+    """Check A(t, xi) >= c0 |xi|^s Id at every probe pair, t outer and xi
+    inner; raise at the first failure.
+
+    Returns the largest probed eigenvalue, floored at 0.
+    """
+    lam_max = 0.0
     for t in ts:
         for xi in xis:
             m = _as_matrix(symbol.eval(t, xi), symbol.dim_N)
             floor = symbol.c0 * abs(xi) ** symbol.s
-            min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+            eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+            min_eig = float(eigs[0])
             if min_eig < floor - 1e-10 * max(1.0, floor):
                 raise EllipticityError(t, xi, min_eig, floor)
+            lam_max = max(lam_max, float(eigs[-1]))
+    return lam_max
 
 
 @dataclass(frozen=True)
@@ -131,36 +139,61 @@ class FrozenKernelHat:
         return float(np.max(ratio))
 
 
-def _integrate_khat(symbol: FrozenSymbol, t: float, xis: np.ndarray,
-                    tau_grid: np.ndarray, n_steps: int) -> np.ndarray:
-    """RK4 for dm/dw = -m A(t - w, xi) from w=0 (m=Id) to w=t, batched over
-    xi; returns snapshots on tau_grid (tau = t - w)."""
+def _refine_nodes(symbol: FrozenSymbol, t: float, xis: np.ndarray,
+                  a_nodes: np.ndarray | None, n_steps: int) -> np.ndarray:
+    """Symbol values A(t - w, xi) at the 2 n_steps + 1 RK4 nodes
+    w = j t / (2 n_steps), shaped (2 n_steps + 1, n_xi, dim_N, dim_N).
+
+    The nodes of the previous level (n_steps / 2 steps) are the even nodes
+    of this one, so only the odd nodes call the symbol; a_nodes=None
+    evaluates every node.
+    """
     dim = symbol.dim_N
-    n_xi = len(xis)
-    m = np.broadcast_to(np.eye(dim), (n_xi, dim, dim)).copy()
+    out = np.empty((2 * n_steps + 1, len(xis), dim, dim))
+    fresh = slice(None) if a_nodes is None else slice(1, None, 2)
+    if a_nodes is not None:
+        out[0::2] = a_nodes
+    ws = np.arange(2 * n_steps + 1)[fresh] * t / (2 * n_steps)
+    xi_list = xis.tolist()
+    for row, w in zip(out[fresh], ws.tolist()):
+        for k, xi in enumerate(xi_list):
+            row[k] = _as_matrix(symbol.eval(t - w, xi), dim)
+    return out
+
+
+def _integrate_khat(a_nodes: np.ndarray, t: float, tau_grid: np.ndarray) -> np.ndarray:
+    """RK4 for dm/dw = -m A(t - w, xi) from w=0 (m=Id) to w=t, batched over
+    xi; returns snapshots on tau_grid (tau = t - w).
+
+    a_nodes[j] holds A at w = j t / (2 n) for n steps: step i reads nodes
+    2i, 2i+1 and 2i+2, so no node is evaluated twice. The ODE is linear, so
+    a step is m <- m R_i with the propagator
+    R = I + (h/6)(K1 + 2 K2 + 2 K3 + K4), K1 = -a1, K2 = -(I + h/2 K1) a2,
+    K3 = -(I + h/2 K2) a2, K4 = -(I + h K3) a3; every R_i is built in one
+    batched product and only m @ R_i runs step by step.
+    """
+    n_steps = (len(a_nodes) - 1) // 2
+    dim = a_nodes.shape[-1]
+    eye = np.eye(dim)
     h = t / n_steps
+    a1, a2, a3 = a_nodes[0:-1:2], a_nodes[1::2], a_nodes[2::2]
+    k1 = -a1
+    k2 = -(eye + 0.5 * h * k1) @ a2
+    k3 = -(eye + 0.5 * h * k2) @ a2
+    k4 = -(eye + h * k3) @ a3
+    prop = eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
     # snapshots wanted at w = t - tau; tau_grid ascending => w targets descending
     w_targets = t - tau_grid
-    out = np.empty((len(tau_grid), n_xi, dim, dim))
-
-    def stack_a(w):
-        return np.stack([_as_matrix(symbol.eval(t - w, xi), dim) for xi in xis])
-
+    out = np.empty((len(tau_grid),) + a_nodes.shape[1:])
     snap = {}
     for i, w in enumerate(w_targets):
         snap.setdefault(int(round(w / h)), []).append(i)
+    m = np.broadcast_to(eye, a_nodes.shape[1:]).copy()
     for idx in snap.get(0, []):
         out[idx] = m
     for step in range(n_steps):
-        w = step * h
-        a1 = stack_a(w)
-        a2 = stack_a(w + 0.5 * h)
-        a3 = stack_a(w + h)
-        k1 = -np.einsum("bij,bjk->bik", m, a1)
-        k2 = -np.einsum("bij,bjk->bik", m + 0.5 * h * k1, a2)
-        k3 = -np.einsum("bij,bjk->bik", m + 0.5 * h * k2, a2)
-        k4 = -np.einsum("bij,bjk->bik", m + h * k3, a3)
-        m = m + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        m = m @ prop[step]
         for idx in snap.get(step + 1, []):
             out[idx] = m
     return out
@@ -175,6 +208,13 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid, tau_steps: int = 
     larger of tau_steps and a stability estimate from the symbol's largest
     probed eigenvalue, then doubles until the tabulated values move by less
     than RK4_REFINE_TOL.
+
+    The ellipticity probe runs before any integration node is evaluated.
+    Each doubling keeps the symbol values of the previous level as its even
+    nodes, so every distinct node is evaluated once: the symbol is called
+    (tau_steps + 1) n_xi times by the probe and (2 n_final + 1) n_xi times
+    by the integration, and the node table takes O(n_final n_xi dim_N^2)
+    memory for the final step count n_final.
     """
     if tau_steps < 16:
         raise ValueError("tau_steps must be >= 16")
@@ -182,21 +222,17 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid, tau_steps: int = 
         raise ValueError("t must be positive")
     xis = np.asarray(xi_grid, dtype=float)
     tau_grid = np.linspace(0.0, t, tau_steps + 1)
-    ellipticity_probe(symbol, tau_grid, xis)
-
-    lam_max = 0.0
-    for tau in tau_grid:
-        for xi in xis:
-            m = _as_matrix(symbol.eval(tau, xi), symbol.dim_N)
-            lam_max = max(lam_max, float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1]))
+    lam_max = ellipticity_probe(symbol, tau_grid, xis)
     n_steps = max(tau_steps, int(np.ceil(4.0 * t * lam_max)))
     # keep the tau grid embedded in the step grid
     n_steps = int(np.ceil(n_steps / tau_steps)) * tau_steps
 
-    prev = _integrate_khat(symbol, t, xis, tau_grid, n_steps)
+    a_nodes = _refine_nodes(symbol, t, xis, None, n_steps)
+    prev = _integrate_khat(a_nodes, t, tau_grid)
     for _ in range(24):
         n_steps *= 2
-        cur = _integrate_khat(symbol, t, xis, tau_grid, n_steps)
+        a_nodes = _refine_nodes(symbol, t, xis, a_nodes, n_steps)
+        cur = _integrate_khat(a_nodes, t, tau_grid)
         if float(np.max(np.abs(cur - prev))) < RK4_REFINE_TOL:
             prev = cur
             break

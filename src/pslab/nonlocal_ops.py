@@ -524,8 +524,6 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     q = spectral_derivative(PeriodicField(fpp * w, domain_length=f.domain_length), 1).samples
 
     main = -fractional_laplacian(f, 3.0).samples * w
-    lam1 = fractional_laplacian(f, 1.0).samples
-
     # the alpha = 0 node carries the pair limits G0 and limit2
     G0 = fp * fpp / (2.0 * (1.0 + fp * fp))
     sum_q = h * G0 * q
@@ -543,10 +541,12 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
         den = 2.0 * (2.0 * sh * sh + plan.two_sin2[rows, None])
         G = (fp * np.sinh(deltaf) + plan.sin[rows, None]) / den - plan.half_cot[rows, None]
         sum_q += wts[rows] @ (G * q[ib])
-        sum_fp += wts[rows] @ (G * fp[ib])
+        if rho0:
+            sum_fp += wts[rows] @ (G * fp[ib])
         sum_2 += wk2[rows] @ (fpp[ib] * (w[ib] - w))
 
-    # N1 + N2 + rho0 N3
-    rhs = main + (sum_q - sum_2) / np.pi - rho0 * (sum_fp / np.pi + lam1)
+    # N1 + N2 + rho0 N3; without gravity N3 is neither gathered nor added
+    gravity = rho0 * (sum_fp / np.pi + fractional_laplacian(f, 1.0).samples) if rho0 else 0.0
+    rhs = main + (sum_q - sum_2) / np.pi - gravity
     rhs = rhs - rhs.mean()
     return f.with_samples(rhs)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pslab.grid import PeriodicField, norms, spectral_derivative, to_spectral
 from pslab.kernels import (
+    RK4_REFINE_TOL,
     EllipticityError,
     FrozenSymbol,
     PoissonAnisoKernel,
@@ -118,6 +119,12 @@ class TestFrozenSymbol:
     def test_probe_passes_elliptic(self):
         ellipticity_probe(scalar_symbol(2.0, 0.3, rate=0.5), [0.0, 1.0], [1.0, 4.0])
 
+    def test_probe_returns_largest_eigenvalue(self):
+        # the step-count estimate reads the top of the spectrum, not the floor
+        sym = FrozenSymbol(s=1.0, c0=0.25, dim_N=2,
+                           eval=lambda t, xi: np.diag([0.3, 0.7 + t]) * abs(xi))
+        assert ellipticity_probe(sym, [0.0, 0.5], [1.0, -4.0]) == pytest.approx(4.8)
+
     def test_probe_raises_with_location(self):
         sym = FrozenSymbol(
             s=2.0, c0=0.5, dim_N=1,
@@ -211,6 +218,133 @@ class TestFrozenKernelHat:
         tau = khat.tau_grid[mid]
         exact = np.exp(-0.5 * (t - tau) * 64.0)
         assert khat.values[mid, 0, 0, 0] == pytest.approx(exact, rel=1e-6)
+
+
+def _reference_integrate(symbol, t, xis, tau_grid, n_steps):
+    """The per-step RK4 the node memo replaced: every step evaluates A at
+    w, w + h/2 and w + h and advances m with four einsum products."""
+    dim = symbol.dim_N
+    m = np.broadcast_to(np.eye(dim), (len(xis), dim, dim)).copy()
+    h = t / n_steps
+    out = np.empty((len(tau_grid), len(xis), dim, dim))
+
+    def stack_a(w):
+        return np.stack([np.asarray(symbol.eval(t - w, xi), dtype=float).reshape(dim, dim)
+                         for xi in xis])
+
+    snap = {}
+    for i, w in enumerate(t - tau_grid):
+        snap.setdefault(int(round(w / h)), []).append(i)
+    for idx in snap.get(0, []):
+        out[idx] = m
+    for step in range(n_steps):
+        w = step * h
+        a1, a2, a3 = stack_a(w), stack_a(w + 0.5 * h), stack_a(w + h)
+        k1 = -np.einsum("bij,bjk->bik", m, a1)
+        k2 = -np.einsum("bij,bjk->bik", m + 0.5 * h * k1, a2)
+        k3 = -np.einsum("bij,bjk->bik", m + 0.5 * h * k2, a2)
+        k4 = -np.einsum("bij,bjk->bik", m + h * k3, a3)
+        m = m + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        for idx in snap.get(step + 1, []):
+            out[idx] = m
+    return out
+
+
+def _reference_frozen_kernel_hat(symbol, t, xi_grid, tau_steps=16):
+    """The re-evaluating doubling loop the node memo replaced; returns the
+    tabulated values and the final step count."""
+    xis = np.asarray(xi_grid, dtype=float)
+    tau_grid = np.linspace(0.0, t, tau_steps + 1)
+    lam_max = 0.0
+    for tau in tau_grid:
+        for xi in xis:
+            m = np.asarray(symbol.eval(tau, xi), dtype=float).reshape(symbol.dim_N, -1)
+            lam_max = max(lam_max, float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1]))
+    n_steps = max(tau_steps, int(np.ceil(4.0 * t * lam_max)))
+    n_steps = int(np.ceil(n_steps / tau_steps)) * tau_steps
+    prev = _reference_integrate(symbol, t, xis, tau_grid, n_steps)
+    for _ in range(24):
+        n_steps *= 2
+        cur = _reference_integrate(symbol, t, xis, tau_grid, n_steps)
+        if float(np.max(np.abs(cur - prev))) < RK4_REFINE_TOL:
+            prev = cur
+            break
+        prev = cur
+    return prev, n_steps
+
+
+def _plane_rotation(dim, i, j, angle):
+    q = np.eye(dim)
+    c, s = np.cos(angle), np.sin(angle)
+    q[i, i] = q[j, j] = c
+    q[i, j], q[j, i] = -s, s
+    return q
+
+
+class CountingRotatingSymbol:
+    """A(t, xi) = Q(t) diag(c0 + spread (1 + sin(freq t + k))) Q(t)^T |xi|^s
+    with an eigenbasis Q(t) that turns in two planes, so A at different
+    times does not commute; records every (t, xi) it is asked for."""
+
+    def __init__(self, dim, s=1.5, c0=0.3, spread=1.2, freq=2.0):
+        self.dim, self.s, self.c0, self.spread, self.freq = dim, s, c0, spread, freq
+        self.calls = []
+
+    def __call__(self, t, xi):
+        self.calls.append((float(t), float(xi)))
+        eigs = self.c0 + self.spread * (1.0 + np.sin(self.freq * t + np.arange(self.dim)))
+        q = np.eye(self.dim)
+        if self.dim > 1:
+            q = q @ _plane_rotation(self.dim, 0, 1, 1.3 * t)
+        if self.dim > 2:
+            q = q @ _plane_rotation(self.dim, 1, 2, -0.7 * t + 0.4)
+        return (q * (eigs * abs(xi) ** self.s)) @ q.T
+
+    def symbol(self):
+        return FrozenSymbol(s=self.s, c0=self.c0, dim_N=self.dim, eval=self)
+
+
+class TestFrozenKernelNodeMemo:
+    CASES = [(1, 16), (2, 24), (3, 16)]
+    T, XIS = 0.5, [0.5, 1.0, 3.0]
+
+    @pytest.mark.parametrize("dim,tau_steps", CASES)
+    def test_matches_reference_loop(self, dim, tau_steps):
+        sym = CountingRotatingSymbol(dim).symbol()
+        ref, _ = _reference_frozen_kernel_hat(sym, self.T, self.XIS, tau_steps)
+        khat = frozen_kernel_hat(sym, self.T, self.XIS, tau_steps=tau_steps)
+        assert khat.values.shape == ref.shape
+        assert np.max(np.abs(khat.values - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("dim,tau_steps", CASES)
+    def test_each_node_evaluated_once(self, dim, tau_steps):
+        counter = CountingRotatingSymbol(dim)
+        _, n_final = _reference_frozen_kernel_hat(counter.symbol(), self.T, self.XIS,
+                                                  tau_steps)
+        counter.calls.clear()
+        frozen_kernel_hat(counter.symbol(), self.T, self.XIS, tau_steps=tau_steps)
+        n_xi = len(self.XIS)
+        assert len(counter.calls) == (tau_steps + 1) * n_xi + (2 * n_final + 1) * n_xi
+        # the probe pairs come first, t outer and xi inner
+        tau_grid = np.linspace(0.0, self.T, tau_steps + 1)
+        probe = [(float(t), xi) for t in tau_grid for xi in self.XIS]
+        assert counter.calls[:len(probe)] == probe
+
+    def test_non_elliptic_raises_before_integration(self):
+        counter = CountingRotatingSymbol(2)
+
+        def degenerate(t, xi):
+            a = counter(t, xi)
+            return 0.01 * a if t > 0.3 and xi > 2.0 else a
+
+        sym = FrozenSymbol(s=counter.s, c0=counter.c0, dim_N=2, eval=degenerate)
+        with pytest.raises(EllipticityError) as exc:
+            frozen_kernel_hat(sym, self.T, self.XIS)
+        tau_grid = np.linspace(0.0, self.T, 17)
+        first_bad = int(np.argmax(tau_grid > 0.3))
+        assert exc.value.t == tau_grid[first_bad] and exc.value.xi == 3.0
+        probe = [(float(t), xi) for t in tau_grid for xi in self.XIS]
+        assert counter.calls == probe[:3 * first_bad + 3]
 
 
 class TestPoissonAnisoKernel:
