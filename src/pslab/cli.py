@@ -69,7 +69,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels, models, nonlocal_ops
-from .grid import TWO_PI, PeriodicField
+from .grid import TWO_PI, PeriodicField, apply_multiplier, wavenumbers
 from .ratefit import fit_exponential, fit_power_law
 from .stepper import (
     SCHEMES,
@@ -234,7 +234,7 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
         value = _pop_float(pairs, f"model.{name}")
         if value is not None:
             params[name] = value
-    spec = models.ModelSpec(tag, params, models._expected_order(tag, params))
+    spec = models.ModelSpec(tag, params)
 
     n = _pop_int(pairs, "grid.N", required=True)
     if n < 16 or n & (n - 1):
@@ -704,12 +704,10 @@ def _verify_models() -> List[dict]:
         ("nonlocal_mcf", bumpy),
         ("thinfilm_exp", PeriodicField(0.01 * np.cos(x))),
     ):
-        spec = models.ModelSpec(tag, {}, models._expected_order(tag, {}))
-        model = models.make_model(spec)
+        model = models.make_model(models.ModelSpec(tag, {}))
         lhs = model.rhs(field).samples
-        mult = model.linear_multiplier(
-            np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / field.domain_length))
-        linear = np.fft.ifft(mult * np.fft.fft(field.samples)).real
+        mult = model.linear_multiplier(wavenumbers(n, field.domain_length))
+        linear = apply_multiplier(field, mult).samples
         gap = float(np.max(np.abs(lhs + linear
                                   - model.remainder(field).samples)))
         checks.append(_check(f"splitting_identity_{tag}", gap, 0.0, 1e-10))

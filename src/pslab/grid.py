@@ -28,16 +28,15 @@ def _is_power_of_two(n):
 
 @dataclass(frozen=True)
 class PeriodicField:
-    """Uniformly sampled real field on a 1D or 2D torus.
+    """Uniformly sampled real field on the 1D torus.
 
     Parameters
     ----------
     samples : ndarray
-        Shape (N,) for a scalar 1D field, (c, N) with small c for a
-        multi-component 1D field (e.g. a planar curve with c=2), or
-        (N, N) for a scalar 2D field.
+        Shape (N,) for a scalar field, or (c, N) with small c for a
+        multi-component field (e.g. a planar curve with c=2).
     domain_length : float
-        Side length L of the torus, default 2*pi.
+        Period L of the torus, default 2*pi.
 
     Invariants: N is a power of two with N >= 16, and every sample is
     finite. Both are checked at construction; operations in this module
@@ -50,18 +49,11 @@ class PeriodicField:
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", arr)
-        if arr.ndim == 1:
-            n_set = {arr.shape[0]}
-        elif arr.ndim == 2:
-            if arr.shape[0] == arr.shape[1] and arr.shape[0] >= 16:
-                n_set = {arr.shape[0]}  # (N, N) scalar 2D field
-            else:
-                n_set = {arr.shape[1]}  # (c, N) components
-                if arr.shape[0] >= 16:
-                    raise ValueError("component count must be small")
-        else:
-            raise ValueError("samples must be 1D or 2D")
-        n = n_set.pop()
+        if arr.ndim not in (1, 2):
+            raise ValueError("samples must have shape (N,) or (c, N)")
+        if arr.ndim == 2 and arr.shape[0] >= 16:
+            raise ValueError("component count must be small")
+        n = arr.shape[-1]
         if not _is_power_of_two(n) or n < 16:
             raise ValueError(f"N must be a power of two >= 16, got {n}")
         if not np.all(np.isfinite(arr)):
@@ -71,23 +63,11 @@ class PeriodicField:
 
     @property
     def n(self) -> int:
-        if self.samples.ndim == 1:
-            return self.samples.shape[0]
-        if self.samples.shape[0] == self.samples.shape[1] and self.samples.shape[0] >= 16:
-            return self.samples.shape[0]
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
 
     @property
     def components(self) -> int:
-        if self.samples.ndim == 1:
-            return 1
-        if self.samples.shape[0] == self.samples.shape[1] and self.samples.shape[0] >= 16:
-            return 1
-        return self.samples.shape[0]
-
-    @property
-    def is_2d(self) -> bool:
-        return self.samples.ndim == 2 and self.components == 1
+        return 1 if self.samples.ndim == 1 else self.samples.shape[0]
 
     @property
     def spacing(self) -> float:
@@ -116,39 +96,29 @@ class SpectralCoeffs:
     def n(self) -> int:
         return self.modes.shape[-1]
 
-    def freqs(self) -> np.ndarray:
-        """Integer frequencies in FFT order."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
 
-    def wavenumbers(self) -> np.ndarray:
-        """Physical wavenumbers k_n = 2*pi*n/L in FFT order."""
-        return self.freqs() * (TWO_PI / self.domain_length)
+def wavenumbers(n: int, L: float = TWO_PI) -> np.ndarray:
+    """Physical wavenumbers k_n = 2*pi*n/L in FFT order; on the default
+    2pi-torus these are the integer frequencies themselves."""
+    return np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / L)
 
 
 def to_spectral(field: PeriodicField) -> SpectralCoeffs:
-    """Forward DFT of a field (unnormalized; inverse divides by N).
-
-    2D scalar fields transform with fft2; multi-component fields
-    transform along the last axis, componentwise.
-    """
-    if field.is_2d:
-        modes = np.fft.fft2(field.samples)
-    else:
-        modes = np.fft.fft(field.samples, axis=-1)
+    """Forward DFT along the last axis (unnormalized; inverse divides by N);
+    multi-component fields transform componentwise."""
+    modes = np.fft.fft(field.samples, axis=-1)
     return SpectralCoeffs(modes=modes, domain_length=field.domain_length)
 
 
 def to_physical(coeffs: SpectralCoeffs) -> PeriodicField:
     """Inverse DFT; discards the imaginary round-off of real fields."""
-    if coeffs.modes.ndim == 2 and coeffs.modes.shape[0] == coeffs.modes.shape[1] \
-            and coeffs.modes.shape[0] >= 16:
-        samples = np.fft.ifft2(coeffs.modes)
-    else:
-        samples = np.fft.ifft(coeffs.modes, axis=-1)
+    samples = np.fft.ifft(coeffs.modes, axis=-1)
     return PeriodicField(samples=samples.real, domain_length=coeffs.domain_length)
 
 
-def _apply_multiplier_1d(field: PeriodicField, mult: np.ndarray) -> PeriodicField:
+def apply_multiplier(field: PeriodicField, mult: np.ndarray) -> PeriodicField:
+    """Multiply every component's modes by mult (FFT order) and transform
+    back, keeping the real part."""
     modes = np.fft.fft(field.samples, axis=-1)
     out = np.fft.ifft(modes * mult, axis=-1).real
     return field.with_samples(out)
@@ -162,36 +132,29 @@ def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
     Parameters
     ----------
     field : PeriodicField
-        1D (possibly multi-component) or 2D scalar field.
+        Scalar or multi-component field; components transform separately.
     a : float
         Positive order. a <= 0 is rejected.
     """
     if a <= 0:
         raise ValueError("order a must be positive")
-    if field.is_2d:
-        k1 = np.fft.fftfreq(field.n, d=1.0 / field.n) * (TWO_PI / field.domain_length)
-        kk = np.sqrt(k1[:, None] ** 2 + k1[None, :] ** 2)
-        modes = np.fft.fft2(field.samples)
-        return field.with_samples(np.fft.ifft2(modes * kk**a).real)
-    k = np.fft.fftfreq(field.n, d=1.0 / field.n) * (TWO_PI / field.domain_length)
-    return _apply_multiplier_1d(field, np.abs(k) ** a)
+    k = wavenumbers(field.n, field.domain_length)
+    return apply_multiplier(field, np.abs(k) ** a)
 
 
 def spectral_derivative(field: PeriodicField, order: int = 1) -> PeriodicField:
-    """d^order/dx^order via the multiplier (i k)^order (1D only).
+    """d^order/dx^order via the multiplier (i k)^order.
 
     For odd orders the Nyquist mode is zeroed, the usual convention that
     keeps odd derivatives of real fields real.
     """
-    if field.is_2d:
-        raise ValueError("spectral_derivative is 1D only")
     if order < 0:
         raise ValueError("order must be >= 0")
-    k = np.fft.fftfreq(field.n, d=1.0 / field.n) * (TWO_PI / field.domain_length)
+    k = wavenumbers(field.n, field.domain_length)
     mult = (1j * k) ** order
     if order % 2 == 1:
         mult[field.n // 2] = 0.0
-    return _apply_multiplier_1d(field, mult)
+    return apply_multiplier(field, mult)
 
 
 def hilbert_transform(field: PeriodicField) -> PeriodicField:
@@ -202,13 +165,12 @@ def hilbert_transform(field: PeriodicField) -> PeriodicField:
     is a permanent regression test. Under it, H(sin) = -cos and the
     composition H o d/dx equals Lambda. Mode 0 is annihilated.
     """
-    if field.is_2d or field.components != 1:
+    if field.components != 1:
         raise ValueError("hilbert_transform takes a scalar 1D field")
     n = field.n
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    mult = -1j * np.sign(freqs)
+    mult = -1j * np.sign(wavenumbers(n))
     mult[n // 2] = 0.0  # unpaired Nyquist mode, keep output real
-    return _apply_multiplier_1d(field, mult)
+    return apply_multiplier(field, mult)
 
 
 def shift(field: PeriodicField, alpha: float) -> PeriodicField:
@@ -221,8 +183,8 @@ def shift(field: PeriodicField, alpha: float) -> PeriodicField:
     j_round = int(np.round(j))
     if abs(j - j_round) < 1e-12:
         return field.with_samples(np.roll(field.samples, j_round, axis=-1))
-    k = np.fft.fftfreq(field.n, d=1.0 / field.n) * (TWO_PI / field.domain_length)
-    return _apply_multiplier_1d(field, np.exp(-1j * k * alpha))
+    k = wavenumbers(field.n, field.domain_length)
+    return apply_multiplier(field, np.exp(-1j * k * alpha))
 
 
 def finite_difference(field: PeriodicField, alpha: float, flavor: str = "delta") -> PeriodicField:
@@ -236,8 +198,6 @@ def finite_difference(field: PeriodicField, alpha: float, flavor: str = "delta")
     alpha must be a multiple of the grid spacing (no interpolation); zero
     alpha is rejected for the divided flavors.
     """
-    if field.is_2d:
-        raise ValueError("finite_difference is 1D only")
     h = field.spacing
     j = alpha / h
     j_round = int(np.round(j))
@@ -283,7 +243,7 @@ def holder_seminorm(field: PeriodicField, k: int, kappa: float) -> HolderEstimat
     exceeds TAIL_ENERGY_THRESHOLD the estimate is flagged under_resolved in
     the returned record, not rejected.
     """
-    if field.is_2d or field.components != 1:
+    if field.components != 1:
         raise ValueError("holder_seminorm takes a scalar 1D field")
     if not 0 < kappa < 1:
         raise ValueError("kappa must lie in (0,1)")
@@ -295,7 +255,7 @@ def holder_seminorm(field: PeriodicField, k: int, kappa: float) -> HolderEstimat
     deriv = spectral_derivative(field, k) if k > 0 else field
 
     modes = np.abs(np.fft.fft(deriv.samples))
-    freqs = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    freqs = np.abs(wavenumbers(n))
     total = float(np.sum(modes[1:] ** 2))
     tail = float(np.sum(modes[freqs >= n // 4] ** 2))
     flagged = total > 0 and tail / total > TAIL_ENERGY_THRESHOLD
@@ -317,7 +277,7 @@ def norms(field: PeriodicField) -> dict:
     sup norm, and mean. Multi-component fields use the pointwise Euclidean
     magnitude for l2/linf and the componentwise mean stacked into a vector.
     """
-    w = field.spacing if not field.is_2d else field.spacing**2
+    w = field.spacing
     s = field.samples
     if field.components > 1:
         mag2 = np.sum(s**2, axis=0)
@@ -336,11 +296,4 @@ def norms(field: PeriodicField) -> dict:
 def dealias(field: PeriodicField) -> PeriodicField:
     """2/3-rule filter: zero all modes with |n| > N/3."""
     n = field.n
-    freqs = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    keep = freqs <= n / 3.0
-    if field.is_2d:
-        modes = np.fft.fft2(field.samples)
-        mask = np.outer(keep, keep)
-        return field.with_samples(np.fft.ifft2(modes * mask).real)
-    modes = np.fft.fft(field.samples, axis=-1)
-    return field.with_samples(np.fft.ifft(modes * keep, axis=-1).real)
+    return apply_multiplier(field, np.abs(wavenumbers(n)) <= n / 3.0)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .grid import PeriodicField, TWO_PI
+from .grid import PeriodicField, TWO_PI, wavenumbers
 
 # Fixed-step RK4 refinement target: doubling the steps must move the stored
 # kernel values by less than this.
@@ -37,7 +37,7 @@ def fractional_heat_kernel(t: float, s: float, n: int, domain_length: float = TW
         raise ValueError("t must be positive")
     if s <= 0:
         raise ValueError("s must be positive")
-    k = np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / domain_length)
+    k = wavenumbers(n, domain_length)
     modes = (n / domain_length) * np.exp(-t * np.abs(k) ** s)
     samples = np.fft.ifft(modes).real
     return PeriodicField(samples, domain_length=domain_length)
@@ -365,7 +365,6 @@ def periodic_sd_kernel(t: float, hbar0: float, n: int) -> PeriodicField:
         raise ValueError("hbar0 must exceed 1 (A(n) > 0 for all n != 0)")
     if t <= 0:
         raise ValueError("t must be positive")
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    modes = (n / TWO_PI) * np.exp(-sd_symbol(freqs, hbar0) * t)
+    modes = (n / TWO_PI) * np.exp(-sd_symbol(wavenumbers(n), hbar0) * t)
     modes[0] = 0.0
     return PeriodicField(np.fft.ifft(modes).real, domain_length=TWO_PI)

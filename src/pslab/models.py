@@ -19,8 +19,10 @@ from scipy.special import gamma
 from .grid import (
     PeriodicField,
     TWO_PI,
+    apply_multiplier,
     dealias as dealias_filter,
     spectral_derivative,
+    wavenumbers,
 )
 from .kernels import sd_symbol
 from .nonlocal_ops import (
@@ -29,7 +31,6 @@ from .nonlocal_ops import (
     hookean_tension,
     muskat_st_rhs,
     peskin_rhs,
-    stretch_ratio,
 )
 
 MODEL_TAGS = (
@@ -56,39 +57,29 @@ class PositivityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Tag, parameter record, and linear order of one evolution equation."""
+    """Tag and parameter record of one evolution equation."""
 
     tag: str
     params: dict = dc_field(default_factory=dict)
-    order_s: float = 0.0
 
     def __post_init__(self):
         if self.tag not in MODEL_TAGS:
             raise ValueError(f"unknown model tag {self.tag!r}")
-        expected = _expected_order(self.tag, self.params)
-        if abs(self.order_s - expected) > 1e-12:
-            raise ValueError(
-                f"order_s for {self.tag} must be {expected}, got {self.order_s}"
-            )
 
-
-def _expected_order(tag, params):
-    if tag == "nonlocal_mcf":
-        return 1.0 + float(params.get("a", 0.5))
-    return {
-        "mcf_graph": 2.0,
-        "peskin2d": 1.0,
-        "muskat_st": 3.0,
-        "surface_diffusion_axi": 4.0,
-        "thinfilm_exp": 4.0,
-        "heat": 2.0,
-        "varcoef_heat": 2.0,
-    }[tag]
-
-
-def _multiplier_apply(field: PeriodicField, mult: np.ndarray) -> np.ndarray:
-    modes = np.fft.fft(field.samples, axis=-1)
-    return np.fft.ifft(modes * mult, axis=-1).real
+    @property
+    def order_s(self) -> float:
+        """Order s of the linear multiplier, which grows like |k|^s."""
+        if self.tag == "nonlocal_mcf":
+            return 1.0 + float(self.params.get("a", 0.5))
+        return {
+            "mcf_graph": 2.0,
+            "peskin2d": 1.0,
+            "muskat_st": 3.0,
+            "surface_diffusion_axi": 4.0,
+            "thinfilm_exp": 4.0,
+            "heat": 2.0,
+            "varcoef_heat": 2.0,
+        }[self.tag]
 
 
 class _ModelBase:
@@ -99,8 +90,7 @@ class _ModelBase:
 
     @property
     def spec(self) -> ModelSpec:
-        return ModelSpec(tag=self.tag, params=self._params(),
-                         order_s=_expected_order(self.tag, self._params()))
+        return ModelSpec(tag=self.tag, params=self._params())
 
     def _params(self) -> dict:
         return {}
@@ -108,7 +98,9 @@ class _ModelBase:
     def rhs(self, field: PeriodicField) -> PeriodicField:
         raise NotImplementedError
 
-    def _base_multiplier(self, k: np.ndarray) -> np.ndarray:
+    def base_multiplier(self, k: np.ndarray) -> np.ndarray:
+        """Symbol base(k) at physical wavenumbers k, before any
+        frozen-coefficient scaling."""
         raise NotImplementedError
 
     def coefficient_profile(self, field: PeriodicField):
@@ -123,26 +115,19 @@ class _ModelBase:
             if prof is None:
                 raise ValueError(f"{self.tag} has no frozen-coefficient profile")
             c = float(np.mean(prof))
-        return c * self._base_multiplier(np.asarray(k, dtype=float))
+        return c * self.base_multiplier(np.asarray(k, dtype=float))
 
     def remainder(self, field: PeriodicField, phi: Optional[PeriodicField] = None) -> PeriodicField:
-        k = np.fft.fftfreq(field.n, d=1.0 / field.n) * (TWO_PI / field.domain_length)
-        mult = self.linear_multiplier(k, phi)
-        lin = _multiplier_apply(field, mult)
+        k = wavenumbers(field.n, field.domain_length)
+        lin = apply_multiplier(field, self.linear_multiplier(k, phi)).samples
         return field.with_samples(self.rhs(field).samples + lin)
 
-    def pointwise_coefficient(self, field: PeriodicField):
-        return self.coefficient_profile(field)
-
-    def pointwise_base(self, k: np.ndarray) -> np.ndarray:
-        return self._base_multiplier(np.asarray(k, dtype=float))
-
     def pointwise_remainder(self, field: PeriodicField) -> PeriodicField:
-        a = self.pointwise_coefficient(field)
+        a = self.coefficient_profile(field)
         if a is None:
             raise ValueError(f"{self.tag} does not expose a pointwise symbol")
-        k = np.fft.fftfreq(field.n, d=1.0 / field.n) * (TWO_PI / field.domain_length)
-        lin = a * _multiplier_apply(field, self.pointwise_base(k))
+        k = wavenumbers(field.n, field.domain_length)
+        lin = a * apply_multiplier(field, self.base_multiplier(k)).samples
         return field.with_samples(self.rhs(field).samples + lin)
 
     def conserved(self, field: PeriodicField):
@@ -158,7 +143,7 @@ class HeatModel(_ModelBase):
     def rhs(self, field):
         return spectral_derivative(field, 2)
 
-    def _base_multiplier(self, k):
+    def base_multiplier(self, k):
         return k**2
 
     def coefficient_profile(self, field):
@@ -182,9 +167,6 @@ class VarCoefHeatModel(_ModelBase):
         self.profile = profile if profile is not None else (
             lambda x: 1.25 + 0.75 * np.cos(x))
 
-    def _params(self):
-        return {}
-
     def _profile_samples(self, field):
         a = np.asarray(self.profile(field.nodes()), dtype=float)
         if np.any(a <= 0):
@@ -195,7 +177,7 @@ class VarCoefHeatModel(_ModelBase):
         a = self._profile_samples(field)
         return field.with_samples(a * spectral_derivative(field, 2).samples)
 
-    def _base_multiplier(self, k):
+    def base_multiplier(self, k):
         return k**2
 
     def linear_multiplier(self, k, phi=None):
@@ -219,7 +201,7 @@ class McfGraphModel(_ModelBase):
         fxx = spectral_derivative(field, 2).samples
         return field.with_samples(fxx / (1.0 + fx * fx))
 
-    def _base_multiplier(self, k):
+    def base_multiplier(self, k):
         return k**2
 
     def coefficient_profile(self, field):
@@ -259,7 +241,7 @@ class NonlocalMcfModel(_ModelBase):
         H = fractional_mean_curvature(field, self.a).samples
         return field.with_samples(-np.sqrt(1.0 + ux * ux) * H)
 
-    def _base_multiplier(self, k):
+    def base_multiplier(self, k):
         return self.multiplier_constant * np.abs(k) ** (1.0 + self.a)
 
 
@@ -281,7 +263,7 @@ class Peskin2dModel(_ModelBase):
     def rhs(self, field):
         return peskin_rhs(field, tension=self.tension, theta_cap=self.theta_cap)
 
-    def _base_multiplier(self, k):
+    def base_multiplier(self, k):
         return 0.25 * np.abs(k)
 
     def conserved(self, field):
@@ -302,7 +284,7 @@ class MuskatStModel(_ModelBase):
     def rhs(self, field):
         return muskat_st_rhs(field, rho0=self.rho0)
 
-    def _base_multiplier(self, k):
+    def base_multiplier(self, k):
         return np.abs(k) ** 3
 
     def coefficient_profile(self, field):
@@ -349,7 +331,7 @@ class SurfaceDiffusionModel(_ModelBase):
         flux_x = spectral_derivative(flux, 1).samples
         return field.with_samples(flux_x / h)
 
-    def _base_multiplier(self, k):
+    def base_multiplier(self, k):
         # sd_symbol(n, hbar0) = n^4 - n^2/hbar0^2 in integer frequencies;
         # k here is physical, identical on the 2pi-torus
         return sd_symbol(k, self.hbar0)
@@ -369,7 +351,7 @@ class ThinfilmExpModel(_ModelBase):
         w = field.with_samples(np.exp(-v))
         return spectral_derivative(w, 2)
 
-    def _base_multiplier(self, k):
+    def base_multiplier(self, k):
         return k**4
 
     def remainder(self, field, phi=None):
@@ -408,14 +390,9 @@ def make_model(spec: ModelSpec) -> _ModelBase:
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def theta_monitor(X: PeriodicField) -> float:
-    """Contour stretch ratio over all node pairs (torus metric)."""
-    return stretch_ratio(X)[0]
-
-
 def enclosed_area(X: PeriodicField) -> float:
     """Signed area (1/2) closed-integral (x dy - y dx), spectral tangents."""
-    if X.components != 2 or X.is_2d:
+    if X.components != 2:
         raise ValueError("enclosed_area takes a 2-component contour")
     xs, ys = X.samples
     xp = spectral_derivative(PeriodicField(xs, domain_length=X.domain_length), 1).samples
@@ -434,32 +411,3 @@ def mode1_rate(model: _ModelBase, base: Optional[PeriodicField] = None,
     r = model.rhs(pert).samples - model.rhs(base).samples
     return float(2.0 * np.mean(r * np.cos(x)) / eps)
 
-
-# spec-facing functional aliases: one call per model, no instance plumbing
-
-def mcf_rhs(f: PeriodicField) -> PeriodicField:
-    return McfGraphModel().rhs(f)
-
-
-def mcf_symbol(k, phi: Optional[PeriodicField] = None) -> np.ndarray:
-    return McfGraphModel().linear_multiplier(np.asarray(k, dtype=float), phi)
-
-
-def nonlocal_mcf_rhs(u: PeriodicField, a: float) -> PeriodicField:
-    return NonlocalMcfModel(a=a).rhs(u)
-
-
-def peskin_model(X: PeriodicField, tension: Optional[TensionLaw] = None) -> PeriodicField:
-    return Peskin2dModel(tension=tension).rhs(X)
-
-
-def muskat_st_model(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
-    return MuskatStModel(rho0=rho0).rhs(f)
-
-
-def surface_diffusion_model(h: PeriodicField, hbar0: float) -> PeriodicField:
-    return SurfaceDiffusionModel(hbar0=hbar0).rhs(h)
-
-
-def thinfilm_model(u: PeriodicField) -> PeriodicField:
-    return ThinfilmExpModel().rhs(u)

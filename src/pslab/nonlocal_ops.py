@@ -25,9 +25,11 @@ from scipy import integrate, special
 from .grid import (
     PeriodicField,
     TWO_PI,
+    apply_multiplier,
     fractional_laplacian,
     hilbert_transform,
     spectral_derivative,
+    wavenumbers,
 )
 
 # Dual-backend agreement target for the drifted half-Laplacian; the checked
@@ -237,7 +239,7 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
     /<b>^2 d alpha/alpha^2 with the quadrature-computed c_1;
     "checked" runs both and raises BackendMismatchError on disagreement.
     """
-    if field.is_2d or field.components != 1:
+    if field.components != 1:
         raise ValueError("dirichlet_neumann_op takes scalar 1D fields")
     sgn = _normalize_sign(sign)
     b = float(b)
@@ -251,9 +253,7 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
         return four
     if backend == "fourier":
         sym = DriftedSqrtSymbol(b=b, sign=sgn)
-        k = np.fft.fftfreq(field.n, d=1.0 / field.n) * (TWO_PI / field.domain_length)
-        modes = np.fft.fft(field.samples) * sym.lam(k)
-        return field.with_samples(np.fft.ifft(modes).real)
+        return apply_multiplier(field, sym.lam(wavenumbers(field.n, field.domain_length)))
     if backend == "quadrature":
         g2 = 1.0 + b * b
         fp = spectral_derivative(field, 1).samples
@@ -316,7 +316,7 @@ def fractional_mean_curvature(u: PeriodicField, a: float, d: int = 2,
     symmetrized=False requests the raw truncated node sum (no pairing
     bookkeeping, no fold); it diverges as a -> 1 and is rejected for a >= 1.
     """
-    if u.is_2d or u.components != 1:
+    if u.components != 1:
         raise ValueError("fractional_mean_curvature takes scalar 1D graphs")
     if d != 2:
         raise ValueError("only ambient dimension d = 2 (1D graphs) is supported")
@@ -432,7 +432,7 @@ class WellStretchedError(RuntimeError):
 def stretch_ratio(X: PeriodicField):
     """Theta = max over node pairs of torus distance / chord length, with the
     offending pair; coincident nodes give inf."""
-    if X.components != 2 or X.is_2d:
+    if X.components != 2:
         raise ValueError("stretch_ratio takes a 2-component contour")
     n = X.n
     x = np.arange(n) * X.spacing
@@ -457,7 +457,7 @@ def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None,
     E = X'(x-alpha) - c*deltaX. The integrand extends by 0 at alpha = 0 and
     is regular at alpha = pi where c vanishes.
     """
-    if X.components != 2 or X.is_2d:
+    if X.components != 2:
         raise ValueError("peskin_rhs takes a 2-component contour")
     if abs(X.domain_length - TWO_PI) > 1e-12:
         raise ValueError("the cotangent reformulation assumes the 2pi-torus")
@@ -510,7 +510,7 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     S(z) = (1/2)cot(z/2). The assembled right side is projected onto mean
     zero, matching the perfect-derivative form of the original equation.
     """
-    if f.is_2d or f.components != 1:
+    if f.components != 1:
         raise ValueError("muskat_st_rhs takes scalar 1D fields")
     if abs(f.domain_length - TWO_PI) > 1e-12:
         raise ValueError("the period fold assumes the 2pi-torus")

@@ -29,11 +29,12 @@ import numpy as np
 
 from .grid import (
     PeriodicField,
-    TWO_PI,
+    apply_multiplier,
     dealias as dealias_filter,
     holder_seminorm,
     norms,
     spectral_derivative,
+    wavenumbers,
 )
 
 SCHEMES = ("imex_frozen_phi", "etd_rk2", "frozen_pointwise")
@@ -162,10 +163,6 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _wavenumbers(field: PeriodicField) -> np.ndarray:
-    return np.fft.fftfreq(field.n, d=1.0 / field.n) * (TWO_PI / field.domain_length)
-
-
 def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
                          phi: Optional[PeriodicField] = None,
                          scheme: str = "etd_rk2",
@@ -176,7 +173,7 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
         raise ValueError("dt must be positive")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
-    k = _wavenumbers(u)
+    k = wavenumbers(u.n, u.domain_length)
     m = model.linear_multiplier(k, phi)
     z = -dt * m
     E = np.exp(z)
@@ -205,16 +202,16 @@ def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
     fields up to N = 1024 only."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if u.is_2d or u.components != 1:
+    if u.components != 1:
         raise ValueError("pointwise freezing is implemented for scalar 1D fields")
     if u.n > POINTWISE_MAX_N:
         raise ValueError(f"pointwise freezing is dense; N must be <= {POINTWISE_MAX_N}")
-    a = model.pointwise_coefficient(u)
+    a = model.coefficient_profile(u)
     if a is None:
         raise ValueError(f"{model.tag} does not expose a pointwise symbol")
     a = np.asarray(a, dtype=float)
-    k = _wavenumbers(u)
-    base = model.pointwise_base(k)
+    k = wavenumbers(u.n, u.domain_length)
+    base = model.base_multiplier(k)
     E = np.exp(-dt * np.outer(a, base))
     phase = np.exp(1j * np.outer(u.nodes(), k))
     uh = np.fft.fft(u.samples)
@@ -231,10 +228,8 @@ def mollified_reference(field: PeriodicField, width_cells: float = 4.0) -> Perio
     if width_cells == 0.0:
         return field
     w = width_cells * field.spacing
-    k = _wavenumbers(field)
-    modes = np.fft.fft(field.samples, axis=-1)
-    return field.with_samples(np.fft.ifft(modes * np.exp(-0.5 * (k * w) ** 2),
-                                          axis=-1).real)
+    k = wavenumbers(field.n, field.domain_length)
+    return apply_multiplier(field, np.exp(-0.5 * (k * w) ** 2))
 
 
 def _stability_bound(model, u0: PeriodicField, dt: float,
@@ -251,7 +246,7 @@ def _stability_bound(model, u0: PeriodicField, dt: float,
     diff_hat = np.fft.fft(r1 - r0, axis=-1)
     if float(np.max(np.abs(r1 - r0))) == 0.0:
         return np.inf
-    k = _wavenumbers(u0)
+    k = wavenumbers(u0.n, u0.domain_length)
     m = model.linear_multiplier(k, phi)
     dv_sup = float(np.max(np.abs(dv)))
     bound = 0.0
@@ -339,7 +334,7 @@ def _picard_apply(model, g_snaps, config: StepperConfig, phi):
     d/dt f = -A f + R(g(t)) with the same exponential weights as evolve."""
     dt = config.dt
     u0 = g_snaps[0][1]
-    k = _wavenumbers(u0)
+    k = wavenumbers(u0.n, u0.domain_length)
     m = model.linear_multiplier(k, phi)
     z = -dt * m
     E, p1, p2 = np.exp(z), _phi1(z), _phi2(z)

@@ -18,6 +18,7 @@ from pslab.grid import (
     spectral_derivative,
     to_physical,
     to_spectral,
+    wavenumbers,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -55,8 +56,21 @@ class TestFieldInvariants:
     def test_components(self):
         f = PeriodicField(np.zeros((2, 32)))
         assert f.components == 2 and f.n == 32
-        g = PeriodicField(np.zeros((32, 32)))
-        assert g.is_2d and g.components == 1
+
+    def test_rejects_square_array(self):
+        # an (N, N) array is not a field on the line; it must not pass as
+        # N components or as a 2D grid
+        with pytest.raises(ValueError):
+            PeriodicField(np.zeros((32, 32)))
+
+
+class TestWavenumbers:
+    @pytest.mark.parametrize("length", [TWO_PI, 3.0])
+    def test_matches_inline_formula_bitwise(self, length):
+        for n in (16, 64, 256, 1024):
+            inline = np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / length)
+            assert np.array_equal(wavenumbers(n, length), inline)
+        assert np.array_equal(wavenumbers(64), np.fft.fftfreq(64, d=1.0 / 64))
 
 
 class TestTransforms:
@@ -77,12 +91,6 @@ class TestTransforms:
     def test_round_trip_random(self):
         rng = np.random.default_rng(0)
         f = PeriodicField(rng.standard_normal(128))
-        g = to_physical(to_spectral(f))
-        assert np.max(np.abs(g.samples - f.samples)) <= 1e-12
-
-    def test_round_trip_2d(self):
-        rng = np.random.default_rng(1)
-        f = PeriodicField(rng.standard_normal((32, 32)))
         g = to_physical(to_spectral(f))
         assert np.max(np.abs(g.samples - f.samples)) <= 1e-12
 
@@ -150,7 +158,7 @@ class TestHilbert:
         assert norms(hilbert_transform(f))["linf"] < 1e-14
 
     def test_rejects_2d(self):
-        f = PeriodicField(np.zeros((32, 32)))
+        f = PeriodicField(np.zeros((2, 32)))
         with pytest.raises(ValueError):
             hilbert_transform(f)
 

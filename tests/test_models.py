@@ -20,16 +20,9 @@ from pslab.models import (
     VarCoefHeatModel,
     enclosed_area,
     make_model,
-    mcf_rhs,
-    mcf_symbol,
     mode1_rate,
-    muskat_st_model,
-    nonlocal_mcf_rhs,
-    peskin_model,
-    surface_diffusion_model,
-    theta_monitor,
-    thinfilm_model,
 )
+from pslab.nonlocal_ops import stretch_ratio
 from pslab.stepper import LedgerSpec, StepperConfig, evolve
 
 
@@ -67,32 +60,28 @@ class TestModelSpec:
             ("surface_diffusion_axi", {"hbar0": 2.0}, 4.0),
             ("thinfilm_exp", {}, 4.0),
             ("heat", {}, 2.0),
+            ("varcoef_heat", {}, 2.0),
         ]
         for tag, params, order in good:
-            spec = ModelSpec(tag=tag, params=params, order_s=order)
-            assert spec.order_s == order
-
-    def test_wrong_order_rejected(self):
-        with pytest.raises(ValueError):
-            ModelSpec(tag="muskat_st", params={}, order_s=2.0)
-        with pytest.raises(ValueError):
-            ModelSpec(tag="nonlocal_mcf", params={"a": 0.5}, order_s=1.25)
+            assert ModelSpec(tag=tag, params=params).order_s == order
+        assert ModelSpec("nonlocal_mcf").order_s == 1.5
+        assert NonlocalMcfModel(a=0.75).spec.order_s == 1.75
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
-            ModelSpec(tag="advection", params={}, order_s=1.0)
+            ModelSpec(tag="advection", params={})
 
     def test_make_model_round_trip(self):
-        m = make_model(ModelSpec("nonlocal_mcf", {"a": 0.75}, 1.75))
+        m = make_model(ModelSpec("nonlocal_mcf", {"a": 0.75}))
         assert isinstance(m, NonlocalMcfModel) and m.a == 0.75
-        m = make_model(ModelSpec("muskat_st", {"rho0": 2.0}, 3.0))
+        m = make_model(ModelSpec("muskat_st", {"rho0": 2.0}))
         assert isinstance(m, MuskatStModel) and m.rho0 == 2.0
-        m = make_model(ModelSpec("surface_diffusion_axi", {"hbar0": 3.0}, 4.0))
+        m = make_model(ModelSpec("surface_diffusion_axi", {"hbar0": 3.0}))
         assert isinstance(m, SurfaceDiffusionModel) and m.hbar0 == 3.0
 
     def test_make_model_missing_radius(self):
         with pytest.raises(ValueError, match="hbar0"):
-            make_model(ModelSpec("surface_diffusion_axi", {}, 4.0))
+            make_model(ModelSpec("surface_diffusion_axi", {}))
 
 
 class TestSplittingIdentity:
@@ -300,8 +289,8 @@ class TestThinfilm:
 
 class TestDiagnostics:
     def test_theta_monitor_circle(self):
-        assert theta_monitor(circle(128)) == pytest.approx(np.pi / 2, abs=1e-6)
-        assert theta_monitor(circle(128, radius=3.0)) == pytest.approx(
+        assert stretch_ratio(circle(128))[0] == pytest.approx(np.pi / 2, abs=1e-6)
+        assert stretch_ratio(circle(128, radius=3.0))[0] == pytest.approx(
             np.pi / 6, abs=1e-6)
 
     def test_enclosed_area(self):
@@ -321,24 +310,6 @@ class TestDiagnostics:
 
 
 class TestFunctionalAliases:
-    def test_aliases_match_class_routes(self):
-        n = 128
-        x = grid_x(n)
-        f = PeriodicField(0.05 * np.sin(x))
-        assert np.array_equal(mcf_rhs(f).samples, McfGraphModel().rhs(f).samples)
-        assert np.array_equal(nonlocal_mcf_rhs(f, 0.5).samples,
-                              NonlocalMcfModel(a=0.5).rhs(f).samples)
-        assert np.array_equal(muskat_st_model(f, rho0=0.5).samples,
-                              MuskatStModel(rho0=0.5).rhs(f).samples)
-        assert np.array_equal(thinfilm_model(f).samples,
-                              ThinfilmExpModel().rhs(f).samples)
-        h = PeriodicField(2.0 + 0.01 * np.cos(x))
-        assert np.array_equal(surface_diffusion_model(h, 2.0).samples,
-                              SurfaceDiffusionModel(hbar0=2.0).rhs(h).samples)
-        X = circle(n, radius=1.1)
-        assert np.array_equal(peskin_model(X).samples,
-                              Peskin2dModel().rhs(X).samples)
-
     def test_mcf_symbol_flat_reference(self):
         k = np.array([0.0, 1.0, -2.0, 3.0])
-        assert np.allclose(mcf_symbol(k), k**2)
+        assert np.allclose(McfGraphModel().linear_multiplier(k), k**2)

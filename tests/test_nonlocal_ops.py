@@ -222,7 +222,7 @@ class TestDirichletNeumannOp:
 
     def test_rejects_2d_and_unknown_backend(self):
         with pytest.raises(ValueError):
-            dirichlet_neumann_op(PeriodicField(np.zeros((32, 32))), 1.0, +1)
+            dirichlet_neumann_op(PeriodicField(np.zeros((2, 32))), 1.0, +1)
         f = PeriodicField(np.cos(grid_1d(64)))
         with pytest.raises(ValueError):
             dirichlet_neumann_op(f, 1.0, +1, backend="exact")
