@@ -51,8 +51,12 @@ Outputs of ``run``: initial.bin and final.bin (64-byte header: magic
 then little-endian float64 samples), ledger.csv with a fixed column order
 (t, l2, linf, mean columns, derivative sups, Holder seminorms, theta), and
 manifest.txt, itself a loadable config that reproduces the run. Exit codes:
-0 success, 2 config or file errors, 3 numerical abort (diagnostics.txt
-written next to the other outputs).
+0 success, 1 failed check or missed expectation, 2 config or file errors,
+3 numerical abort or a dt refused by the stability guard. An exit-3 run
+also writes diagnostics.txt (aborted_at, reason), with initial.bin,
+final.bin and ledger.csv holding the march up to its last kept row; when
+the initial state already breaks the stretch cap no row is kept, so only
+manifest.txt and diagnostics.txt are written.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ from . import kernels, models, nonlocal_ops
 from .grid import TWO_PI, PeriodicField, apply_multiplier, wavenumbers
 from .ratefit import fit_exponential, fit_power_law
 from .stepper import (
-    SCHEMES,
     EvolutionAbort,
     LedgerSpec,
     StepperConfig,
@@ -254,8 +257,6 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if stepper_config.scheme not in SCHEMES:
-        raise ConfigError(f"stepper.scheme must be one of {SCHEMES}")
 
     horizon = _pop_float(pairs, "run.T", required=True)
     if horizon <= 0:
@@ -543,13 +544,7 @@ def cmd_run(config_path: str) -> int:
               file=sys.stderr)
         return 3
     except ValueError as exc:
-        if "stability" not in str(exc):
-            raise ConfigError(str(exc))
-        with open(os.path.join(out_dir, "diagnostics.txt"), "w") as fh:
-            fh.write("aborted_at = 0\n")
-            fh.write(f"reason = {exc}\n")
-        print(f"pslab: run refused: {exc}", file=sys.stderr)
-        return 3
+        raise ConfigError(str(exc))
 
     _write_run_outputs(out_dir, traj)
     print(f"run complete: {len(traj.ledger)} ledger rows -> {out_dir}")

@@ -26,6 +26,10 @@ def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
+class NonFiniteError(ValueError):
+    """A field was built from samples holding NaN or Inf."""
+
+
 @dataclass(frozen=True)
 class PeriodicField:
     """Uniformly sampled real field on the 1D torus.
@@ -39,8 +43,9 @@ class PeriodicField:
         Period L of the torus, default 2*pi.
 
     Invariants: N is a power of two with N >= 16, and every sample is
-    finite. Both are checked at construction; operations in this module
-    return new fields, never mutate.
+    finite. Both are checked at construction (a non-finite sample raises
+    NonFiniteError); operations in this module return new fields, never
+    mutate.
     """
 
     samples: np.ndarray
@@ -57,7 +62,7 @@ class PeriodicField:
         if not _is_power_of_two(n) or n < 16:
             raise ValueError(f"N must be a power of two >= 16, got {n}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("samples contain NaN/Inf")
+            raise NonFiniteError("samples contain NaN/Inf")
         if self.domain_length <= 0:
             raise ValueError("domain_length must be positive")
 

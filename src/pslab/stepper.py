@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import (
+    NonFiniteError,
     PeriodicField,
     apply_multiplier,
     dealias as dealias_filter,
@@ -50,6 +51,11 @@ class EvolutionAbort(RuntimeError):
         self.reason = reason
         self.time = time
         super().__init__(f"evolution aborted at t={time:.6g}: {reason}")
+
+
+class StepSizeRefused(EvolutionAbort, ValueError):
+    """dt exceeds half the measured stability bound of the explicit
+    remainder; raised before the first step, with the initial row attached."""
 
 
 class PicardDivergenceError(RuntimeError):
@@ -163,6 +169,23 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
+def _etd_weights(model, u: PeriodicField, dt: float,
+                 phi: Optional[PeriodicField], scheme: str):
+    """exp(z), dt phi1(z) and, for etd_rk2 only, dt phi2(z) at the frozen
+    multiplier z = -dt m(k); the third weight is None otherwise."""
+    z = -dt * model.linear_multiplier(wavenumbers(u.n, u.domain_length), phi)
+    w2 = dt * _phi2(z) if scheme == "etd_rk2" else None
+    return np.exp(z), dt * _phi1(z), w2
+
+
+def _remainder_hat(model, w: PeriodicField, phi: Optional[PeriodicField],
+                   dealias: bool) -> np.ndarray:
+    r = model.remainder(w, phi)
+    if dealias:
+        r = dealias_filter(r)
+    return np.fft.fft(r.samples, axis=-1)
+
+
 def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
                          phi: Optional[PeriodicField] = None,
                          scheme: str = "etd_rk2",
@@ -173,27 +196,14 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
         raise ValueError("dt must be positive")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
-    k = wavenumbers(u.n, u.domain_length)
-    m = model.linear_multiplier(k, phi)
-    z = -dt * m
-    E = np.exp(z)
-    p1 = _phi1(z)
-
-    def remainder_hat(w):
-        r = model.remainder(w, phi)
-        if dealias:
-            r = dealias_filter(r)
-        return np.fft.fft(r.samples, axis=-1)
-
-    uh = np.fft.fft(u.samples, axis=-1)
-    r1 = remainder_hat(u)
-    ah = E * uh + dt * p1 * r1
-    if scheme == "imex_frozen_phi":
-        return u.with_samples(np.fft.ifft(ah, axis=-1).real)
+    E, w1, w2 = _etd_weights(model, u, dt, phi, scheme)
+    r1 = _remainder_hat(model, u, phi, dealias)
+    ah = E * np.fft.fft(u.samples, axis=-1) + w1 * r1
     a = u.with_samples(np.fft.ifft(ah, axis=-1).real)
-    r2 = remainder_hat(a)
-    out = ah + dt * _phi2(z) * (r2 - r1)
-    return u.with_samples(np.fft.ifft(out, axis=-1).real)
+    if w2 is None:
+        return a
+    r2 = _remainder_hat(model, a, phi, dealias)
+    return u.with_samples(np.fft.ifft(ah + w2 * (r2 - r1), axis=-1).real)
 
 
 def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
@@ -263,99 +273,96 @@ def _stability_bound(model, u0: PeriodicField, dt: float,
     return bound
 
 
-def _check_dt_guard(model, u0, config: StepperConfig, phi):
-    bound = _stability_bound(model, u0, config.dt, phi)
-    if config.dt > 0.5 * bound:
-        raise ValueError(
-            f"dt={config.dt:.3e} exceeds half the measured stability bound "
-            f"{bound:.3e} for the explicit remainder")
-
-
-def _step(u, model, config: StepperConfig, phi):
-    if config.scheme == "frozen_pointwise":
-        return frozen_pointwise_step(u, model, config.dt)
-    return imex_frozen_phi_step(u, model, config.dt, phi=phi,
-                                scheme=config.scheme, dealias=config.dealias)
+def _n_steps(T: float, dt: float) -> int:
+    if T <= 0:
+        raise ValueError("T must be positive")
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError("T must be an integer number of steps")
+    return n_steps
 
 
 def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
            ledger_spec: Optional[LedgerSpec] = None,
            phi: Optional[PeriodicField] = None) -> Trajectory:
-    """Uniform-dt march to time T. Deterministic; aborts (with the partial
-    trajectory attached) on non-finite values, contour stretch beyond the
-    model's cap, or a model-level positivity failure."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    n_steps = int(round(T / config.dt))
-    if n_steps < 1 or abs(n_steps * config.dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError("T must be an integer number of steps")
+    """Uniform-dt march to time T. Deterministic; raises EvolutionAbort
+    (with the partial trajectory attached) on non-finite values, contour
+    stretch beyond the model's cap, or a model-level positivity failure,
+    and its subclass StepSizeRefused when dt fails the stability guard."""
+    n_steps = _n_steps(T, config.dt)
     spec = ledger_spec if ledger_spec is not None else LedgerSpec()
     is_contour = bool(getattr(model, "is_contour", False))
 
-    def record(t, w, snaps, rows):
+    snaps, rows = [], []
+
+    def kept():
+        return Trajectory(tuple(snaps), tuple(rows))
+
+    def record(t, w):
         row = ledger_entry(t, w, spec, is_contour)
         cap = getattr(model, "theta_cap", None)
         if "theta" in row and cap is not None and row["theta"] >= cap:
-            raise EvolutionAbort(
-                Trajectory(tuple(snaps), tuple(rows)),
-                f"stretch ratio {row['theta']:.3g} reached the cap {cap:.3g}", t)
+            raise EvolutionAbort(kept(), f"stretch ratio {row['theta']:.3g} "
+                                 f"reached the cap {cap:.3g}", t)
         snaps.append((t, w))
         rows.append(row)
 
-    snaps, rows = [], []
-    record(0.0, u0, snaps, rows)
+    record(0.0, u0)
     try:
-        _check_dt_guard(model, u0, config, phi)
-    except RuntimeError as exc:
-        raise EvolutionAbort(Trajectory(tuple(snaps), tuple(rows)),
-                             str(exc), 0.0) from exc
+        bound = _stability_bound(model, u0, config.dt, phi)
+    except (RuntimeError, NonFiniteError) as exc:
+        raise EvolutionAbort(kept(), str(exc), 0.0) from exc
+    if config.dt > 0.5 * bound:
+        raise StepSizeRefused(
+            kept(),
+            f"dt={config.dt:.3e} exceeds half the measured stability bound "
+            f"{bound:.3e} for the explicit remainder", 0.0)
     u = u0
     for j in range(1, n_steps + 1):
         t = j * config.dt
         try:
-            u = _step(u, model, config, phi)
+            if config.scheme == "frozen_pointwise":
+                u = frozen_pointwise_step(u, model, config.dt)
+            else:
+                u = imex_frozen_phi_step(u, model, config.dt, phi=phi,
+                                         scheme=config.scheme,
+                                         dealias=config.dealias)
         except (RuntimeError, FloatingPointError) as exc:
-            raise EvolutionAbort(Trajectory(tuple(snaps), tuple(rows)),
-                                 str(exc), t) from exc
-        except ValueError as exc:
+            raise EvolutionAbort(kept(), str(exc), t) from exc
+        except NonFiniteError as exc:
             # field construction rejects NaN/Inf, so numeric blowup inside
             # a step or a model evaluation surfaces here
-            if "NaN/Inf" not in str(exc):
-                raise
-            raise EvolutionAbort(Trajectory(tuple(snaps), tuple(rows)),
-                                 "non-finite values in the state", t) from exc
+            raise EvolutionAbort(kept(), "non-finite values in the state",
+                                 t) from exc
         if j % spec.stride == 0 or j == n_steps:
-            record(t, u, snaps, rows)
-    return Trajectory(tuple(snaps), tuple(rows))
+            record(t, u)
+    return kept()
 
 
 def _picard_apply(model, g_snaps, config: StepperConfig, phi):
     """One application of the whole-window map: solve the linear problem
     d/dt f = -A f + R(g(t)) with the same exponential weights as evolve."""
-    dt = config.dt
     u0 = g_snaps[0][1]
-    k = wavenumbers(u0.n, u0.domain_length)
-    m = model.linear_multiplier(k, phi)
-    z = -dt * m
-    E, p1, p2 = np.exp(z), _phi1(z), _phi2(z)
-
-    def rem_hat(w):
-        r = model.remainder(w, phi)
-        if config.dealias:
-            r = dealias_filter(r)
-        return np.fft.fft(r.samples, axis=-1)
-
-    r_hats = [rem_hat(w) for _, w in g_snaps]
+    E, w1, w2 = _etd_weights(model, u0, config.dt, phi, config.scheme)
+    r_hats = [_remainder_hat(model, w, phi, config.dealias) for _, w in g_snaps]
     source_free = all(float(np.max(np.abs(r))) == 0.0 for r in r_hats)
     out = [g_snaps[0]]
     fh = np.fft.fft(u0.samples, axis=-1)
     for j in range(len(g_snaps) - 1):
-        fh = E * fh + dt * p1 * r_hats[j]
-        if config.scheme == "etd_rk2":
-            fh = fh + dt * p2 * (r_hats[j + 1] - r_hats[j])
+        fh = E * fh + w1 * r_hats[j]
+        if w2 is not None:
+            fh = fh + w2 * (r_hats[j + 1] - r_hats[j])
         t = g_snaps[j + 1][0]
         out.append((t, u0.with_samples(np.fft.ifft(fh, axis=-1).real)))
     return out, source_free
+
+
+def _ledger_trajectory(model, snaps) -> Trajectory:
+    """Trajectory of snaps with a default-spec ledger row for each."""
+    is_contour = bool(getattr(model, "is_contour", False))
+    return Trajectory(tuple(snaps),
+                      tuple(ledger_entry(t, w, LedgerSpec(), is_contour)
+                            for t, w in snaps))
 
 
 def _trajectory_distance(a_snaps, b_snaps) -> float:
@@ -367,9 +374,7 @@ def picard_apply(model, traj: Trajectory, config: StepperConfig,
                  phi: Optional[PeriodicField] = None) -> Trajectory:
     """Public single application of the window map to a trajectory."""
     snaps, _ = _picard_apply(model, list(traj.snapshots), config, phi)
-    is_contour = bool(getattr(model, "is_contour", False))
-    rows = tuple(ledger_entry(t, w, LedgerSpec(), is_contour) for t, w in snaps)
-    return Trajectory(tuple(snaps), rows)
+    return _ledger_trajectory(model, snaps)
 
 
 def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig,
@@ -382,12 +387,7 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig,
     budget runs out; contraction is a property of the window length, so
     the caller should retry on a shorter window.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    n_steps = int(round(T / config.dt))
-    if n_steps < 1 or abs(n_steps * config.dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError("T must be an integer number of steps")
-    g = [(j * config.dt, u0) for j in range(n_steps + 1)]
+    g = [(j * config.dt, u0) for j in range(_n_steps(T, config.dt) + 1)]
     log = []
     prev = None
     rising = 0
@@ -399,10 +399,7 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig,
         # a remainder that vanishes identically on the window makes the map
         # constant, so its first output is already the fixed point
         if d < config.picard_tol or source_free:
-            is_contour = bool(getattr(model, "is_contour", False))
-            rows = tuple(ledger_entry(t, w, LedgerSpec(), is_contour)
-                         for t, w in g)
-            return Trajectory(tuple(g), rows), log
+            return _ledger_trajectory(model, g), log
         if prev is not None and prev > 0 and d / prev >= 1.0:
             rising += 1
             if rising >= 3:

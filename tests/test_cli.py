@@ -319,6 +319,45 @@ class TestRunCommand:
         assert "stability" in capsys.readouterr().err
         assert "stability" in (out / "diagnostics.txt").read_text()
 
+    def test_value_error_from_march_exits_2(self, tmp_path, monkeypatch,
+                                            capsys):
+        def fake_evolve(*args, **kwargs):
+            raise ValueError("not a stability refusal, despite the word")
+
+        monkeypatch.setattr("pslab.cli.evolve", fake_evolve)
+        cfg = write_config(tmp_path,
+                           overrides={"output.dir": str(tmp_path / "out")})
+        assert main(["run", cfg]) == 2
+        assert "stability" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "diagnostics.txt").exists()
+
+    def test_refused_and_aborted_runs_leave_same_artifacts(self, tmp_path):
+        refused, aborted = tmp_path / "refused", tmp_path / "aborted"
+        cfg = write_config(tmp_path, "refused.cfg", overrides={
+            "model.tag": "mcf_graph", "grid.N": "256",
+            "initial.amplitude": "1.5", "stepper.dt": "1.0",
+            "run.T": "4.0", "output.dir": str(refused)})
+        assert main(["run", cfg]) == 3
+        # h < 0 somewhere at t = 0: the guard's remainder call raises
+        # PositivityError before the first step
+        cfg = write_config(tmp_path, "aborted.cfg", overrides={
+            "model.tag": "surface_diffusion_axi", "model.hbar0": "2.0",
+            "initial.preset": "sd_cylinder", "initial.mean": "1.0",
+            "initial.amplitude": "1.5", "output.dir": str(aborted)},
+            drop=["ledger.derivative_sup"])
+        assert main(["run", cfg]) == 3
+        expected = {"manifest.txt", "diagnostics.txt", "initial.bin",
+                    "final.bin", "ledger.csv"}
+        assert set(os.listdir(refused)) == expected
+        assert set(os.listdir(aborted)) == expected
+
+        def keys(run):
+            text = (run / "diagnostics.txt").read_text()
+            return [line.partition(" = ")[0] for line in text.splitlines()]
+
+        assert keys(refused) == keys(aborted) == ["aborted_at", "reason"]
+        assert "positive" in (aborted / "diagnostics.txt").read_text()
+
     def test_surface_diffusion_run_records_theta_never(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, overrides={

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pslab.grid import (
+    NonFiniteError,
     PeriodicField,
     SpectralCoeffs,
     dealias,
@@ -48,10 +49,11 @@ class TestFieldInvariants:
             PeriodicField(np.zeros(8))
 
     def test_rejects_nan(self):
-        u = np.zeros(32)
-        u[3] = np.nan
-        with pytest.raises(ValueError):
-            PeriodicField(u)
+        for bad in (np.nan, np.inf):
+            u = np.zeros(32)
+            u[3] = bad
+            with pytest.raises(NonFiniteError):
+                PeriodicField(u)
 
     def test_components(self):
         f = PeriodicField(np.zeros((2, 32)))

@@ -17,6 +17,7 @@ from pslab.stepper import (
     EvolutionAbort,
     LedgerSpec,
     PicardDivergenceError,
+    StepSizeRefused,
     StepperConfig,
     Trajectory,
     evolve,
@@ -80,6 +81,21 @@ class QuadraticGrowthModel:
 
     def remainder(self, field, phi=None):
         return self.rhs(field)
+
+
+class LateValueErrorModel(QuadraticGrowthModel):
+    """Zero remainder whose fifth call raises a ValueError naming NaN/Inf:
+    the guard makes two calls and each ETD-RK2 step two more, so it fails
+    inside the second step."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def remainder(self, field, phi=None):
+        self.calls += 1
+        if self.calls == 5:
+            raise ValueError("toy remainder rejects NaN/Inf by itself")
+        return field.with_samples(np.zeros_like(field.samples))
 
 
 def richardson_order(model, u0, T, scheme, base):
@@ -286,6 +302,40 @@ class TestEvolve:
         u0 = PeriodicField(np.full(32, 5.0))
         with pytest.raises(ValueError, match="stability"):
             evolve(QuadraticGrowthModel(), u0, 10.0, StepperConfig(dt=1.0))
+
+    def test_refusal_is_typed_with_initial_row(self):
+        u0 = PeriodicField(np.full(32, 5.0))
+        with pytest.raises(StepSizeRefused) as err:
+            evolve(QuadraticGrowthModel(), u0, 10.0, StepperConfig(dt=1.0))
+        refusal = err.value
+        assert isinstance(refusal, EvolutionAbort)
+        assert isinstance(refusal, ValueError)
+        assert refusal.time == 0
+        assert "stability" in refusal.reason
+        assert refusal.trajectory.times().tolist() == [0.0]
+        assert len(refusal.trajectory.ledger) == 1
+        assert refusal.trajectory.final() is u0
+
+    def test_non_finite_guard_probe_aborts_at_start(self):
+        # u^2 overflows in the guard's remainder probe, before any step
+        u0 = PeriodicField(np.full(32, 1e200))
+        with pytest.raises(EvolutionAbort) as err:
+            with np.errstate(over="ignore", invalid="ignore"):
+                evolve(QuadraticGrowthModel(), u0, 1.0, StepperConfig(dt=0.1))
+        assert not isinstance(err.value, StepSizeRefused)
+        assert err.value.time == 0.0
+        assert "NaN/Inf" in err.value.reason
+        assert err.value.trajectory.times().tolist() == [0.0]
+
+    def test_model_value_error_is_not_an_abort(self):
+        # only NonFiniteError from field construction counts as blowup; a
+        # model's own ValueError propagates whatever its message says
+        model = LateValueErrorModel()
+        u0 = PeriodicField(np.cos(grid_x(32)))
+        with pytest.raises(ValueError, match="NaN/Inf") as err:
+            evolve(model, u0, 0.5, StepperConfig(dt=0.1))
+        assert not isinstance(err.value, EvolutionAbort)
+        assert model.calls == 5
 
     def test_blowup_aborts_with_partial_trajectory(self):
         u0 = PeriodicField(np.full(32, 5.0))
