@@ -55,7 +55,8 @@ manifest.txt, itself a loadable config that reproduces the run. Exit codes:
 3 numerical abort or a dt refused by the stability guard. An exit-3 run
 also writes diagnostics.txt (aborted_at, reason), with initial.bin,
 final.bin and ledger.csv holding the march up to its last kept row; when
-the initial state already breaks the stretch cap no row is kept, so only
+the initial state already breaks the stretch cap, or its ledger row cannot
+be built (a derivative that overflows), no row is kept, so only
 manifest.txt and diagnostics.txt are written.
 """
 

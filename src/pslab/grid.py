@@ -11,7 +11,7 @@ Wavenumbers are the physical ones, k_n = 2*pi*n/L for integer n in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,40 +85,10 @@ class PeriodicField:
         return replace(self, samples=samples)
 
 
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Fourier modes of a real field, unnormalized forward convention.
-
-    ``modes[n]`` multiplies e^{i k_n x} / N after the inverse transform,
-    with integer frequencies in FFT order (0, 1, ..., N/2-1, -N/2, ..., -1).
-    Conjugate symmetry mode(-n) = conj(mode(n)) holds for real fields.
-    """
-
-    modes: np.ndarray
-    domain_length: float = TWO_PI
-
-    @property
-    def n(self) -> int:
-        return self.modes.shape[-1]
-
-
 def wavenumbers(n: int, L: float = TWO_PI) -> np.ndarray:
     """Physical wavenumbers k_n = 2*pi*n/L in FFT order; on the default
     2pi-torus these are the integer frequencies themselves."""
     return np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / L)
-
-
-def to_spectral(field: PeriodicField) -> SpectralCoeffs:
-    """Forward DFT along the last axis (unnormalized; inverse divides by N);
-    multi-component fields transform componentwise."""
-    modes = np.fft.fft(field.samples, axis=-1)
-    return SpectralCoeffs(modes=modes, domain_length=field.domain_length)
-
-
-def to_physical(coeffs: SpectralCoeffs) -> PeriodicField:
-    """Inverse DFT; discards the imaginary round-off of real fields."""
-    samples = np.fft.ifft(coeffs.modes, axis=-1)
-    return PeriodicField(samples=samples.real, domain_length=coeffs.domain_length)
 
 
 def apply_multiplier(field: PeriodicField, mult: np.ndarray) -> PeriodicField:
@@ -147,19 +117,22 @@ def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
     return apply_multiplier(field, np.abs(k) ** a)
 
 
-def spectral_derivative(field: PeriodicField, order: int = 1) -> PeriodicField:
-    """d^order/dx^order via the multiplier (i k)^order.
+def _derivative_multiplier(n: int, L: float, order: int) -> np.ndarray:
+    """(i k)^order in FFT order, with the Nyquist mode zeroed for odd orders,
+    the usual convention that keeps odd derivatives of real fields real."""
+    mult = (1j * wavenumbers(n, L)) ** order
+    if order % 2 == 1:
+        mult[n // 2] = 0.0
+    return mult
 
-    For odd orders the Nyquist mode is zeroed, the usual convention that
-    keeps odd derivatives of real fields real.
-    """
+
+def spectral_derivative(field: PeriodicField, order: int = 1) -> PeriodicField:
+    """d^order/dx^order via the multiplier (i k)^order (Nyquist mode zeroed
+    for odd orders)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    k = wavenumbers(field.n, field.domain_length)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[field.n // 2] = 0.0
-    return apply_multiplier(field, mult)
+    return apply_multiplier(
+        field, _derivative_multiplier(field.n, field.domain_length, order))
 
 
 def hilbert_transform(field: PeriodicField) -> PeriodicField:
@@ -178,51 +151,6 @@ def hilbert_transform(field: PeriodicField) -> PeriodicField:
     return apply_multiplier(field, mult)
 
 
-def shift(field: PeriodicField, alpha: float) -> PeriodicField:
-    """Band-limited evaluation of x -> field(x - alpha) for arbitrary alpha.
-
-    Grid multiples reduce to an exact roll; other shifts use the Fourier
-    phase e^{-i k alpha}, exact for band-limited data.
-    """
-    j = alpha / field.spacing
-    j_round = int(np.round(j))
-    if abs(j - j_round) < 1e-12:
-        return field.with_samples(np.roll(field.samples, j_round, axis=-1))
-    k = wavenumbers(field.n, field.domain_length)
-    return apply_multiplier(field, np.exp(-1j * k * alpha))
-
-
-def finite_difference(field: PeriodicField, alpha: float, flavor: str = "delta") -> PeriodicField:
-    """Finite differences with periodic wraparound.
-
-    flavor:
-      "delta"  delta_alpha f(x) = f(x) - f(x - alpha)
-      "Delta"  delta_alpha f(x) / alpha            (signed slope, 1D)
-      "O"      (2 f(x) - f(x+alpha) - f(x-alpha)) / |alpha|
-
-    alpha must be a multiple of the grid spacing (no interpolation); zero
-    alpha is rejected for the divided flavors.
-    """
-    h = field.spacing
-    j = alpha / h
-    j_round = int(np.round(j))
-    if abs(j - j_round) > 1e-9:
-        raise ValueError("alpha must be a multiple of the grid spacing")
-    if flavor == "delta":
-        back = np.roll(field.samples, j_round, axis=-1)
-        return field.with_samples(field.samples - back)
-    if j_round == 0:
-        raise ValueError(f"alpha=0 invalid for flavor {flavor!r}")
-    if flavor == "Delta":
-        back = np.roll(field.samples, j_round, axis=-1)
-        return field.with_samples((field.samples - back) / (j_round * h))
-    if flavor == "O":
-        back = np.roll(field.samples, j_round, axis=-1)
-        fwd = np.roll(field.samples, -j_round, axis=-1)
-        return field.with_samples((2.0 * field.samples - fwd - back) / abs(j_round * h))
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
 @dataclass(frozen=True)
 class HolderEstimate:
     """Discrete Holder seminorm surrogate.
@@ -236,7 +164,6 @@ class HolderEstimate:
     k: int
     kappa: float
     value: float
-    scales_used: tuple = dc_field(default_factory=tuple)
     under_resolved: bool = False
 
 
@@ -257,24 +184,26 @@ def holder_seminorm(field: PeriodicField, k: int, kappa: float) -> HolderEstimat
     n = field.n
     if k + 2 > n // 4:
         raise ValueError("derivative order not resolvable at this N")
-    deriv = spectral_derivative(field, k) if k > 0 else field
+    modes = np.fft.fft(field.samples)
+    d = field.samples
+    if k > 0:
+        modes = modes * _derivative_multiplier(n, field.domain_length, k)
+        d = field.with_samples(np.fft.ifft(modes).real).samples
 
-    modes = np.abs(np.fft.fft(deriv.samples))
+    power = np.abs(modes) ** 2
     freqs = np.abs(wavenumbers(n))
-    total = float(np.sum(modes[1:] ** 2))
-    tail = float(np.sum(modes[freqs >= n // 4] ** 2))
+    total = float(np.sum(power[1:]))
+    tail = float(np.sum(power[freqs >= n // 4]))
     flagged = total > 0 and tail / total > TAIL_ENERGY_THRESHOLD
 
-    value = 0.0
-    scales = []
+    # row r holds d(x) - d(x - j h) for j = 2^r = 1, 2, ..., N/4
+    shifts = 2 ** np.arange(n.bit_length() - 2)
+    sups = np.max(np.abs(d - d[(np.arange(n) - shifts[:, None]) % n]), axis=1)
+    if not np.all(np.isfinite(sups)):
+        raise NonFiniteError("samples contain NaN/Inf")
     h = field.spacing
-    while h <= field.domain_length / 4 + 1e-15:
-        d = finite_difference(deriv, h, "delta")
-        value = max(value, float(np.max(np.abs(d.samples))) / h**kappa)
-        scales.append(h)
-        h *= 2.0
-    return HolderEstimate(k=k, kappa=kappa, value=value,
-                          scales_used=tuple(scales), under_resolved=flagged)
+    value = max(float(s) / (h * int(j)) ** kappa for j, s in zip(shifts, sups))
+    return HolderEstimate(k=k, kappa=kappa, value=value, under_resolved=flagged)
 
 
 def norms(field: PeriodicField) -> dict:

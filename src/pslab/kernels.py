@@ -1,11 +1,10 @@
 """Closed-form and ODE-defined fundamental solutions with checkable bounds.
 
-Four kernel families live here: the periodic fractional heat kernel
-e^{-t|k|^s}, the frozen-symbol kernel solving a per-frequency matrix ODE,
-the anisotropic Poisson kernel of the flat-interface elliptic problem, and
-the Dirichlet half-space heat kernel by the method of images, plus the
-fourth-order periodic kernel of the linearized axisymmetric surface
-diffusion model.
+Three kernel families live here: the periodic fractional heat kernel
+e^{-t|k|^s}, the frozen-symbol kernel solving a per-frequency matrix ODE
+and the anisotropic Poisson kernel of the flat-interface elliptic problem,
+plus the fourth-order periodic kernel of the linearized axisymmetric
+surface diffusion model.
 """
 
 from __future__ import annotations
@@ -314,32 +313,6 @@ def poisson_aniso_mass(kernel: PoissonAnisoKernel, z: float) -> float:
     if err > 1e-6:
         raise RuntimeError(f"mass quadrature did not converge: error estimate {err:.2e}")
     return float(val)
-
-
-# ---------------------------------------------------------------------------
-# half-space heat kernel (method of images)
-
-def _free_heat_kernel(t: float, r2, d: int):
-    return (4.0 * np.pi * t) ** (-d / 2.0) * np.exp(-r2 / (4.0 * t))
-
-
-def halfspace_heat_kernel(t: float, x_parallel, x_d: float, y_d: float):
-    """Dirichlet heat kernel on the half space {x_d >= 0}.
-
-    H(t, x'-y', x_d, y_d) = K(t, x'-y', x_d - y_d) - K(t, x'-y', x_d + y_d)
-    with K the free Gaussian kernel; the dimension is len(x_parallel) + 1.
-    Vanishes when x_d = 0 and is nonnegative for x_d, y_d > 0.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if x_d < 0 or y_d < 0:
-        raise ValueError("x_d and y_d must be >= 0")
-    xp = np.atleast_1d(np.asarray(x_parallel, dtype=float))
-    d = xp.shape[0] + 1
-    rho2 = float(np.sum(xp * xp))
-    direct = _free_heat_kernel(t, rho2 + (x_d - y_d) ** 2, d)
-    image = _free_heat_kernel(t, rho2 + (x_d + y_d) ** 2, d)
-    return direct - image
 
 
 # ---------------------------------------------------------------------------

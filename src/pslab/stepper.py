@@ -30,7 +30,6 @@ import numpy as np
 from .grid import (
     NonFiniteError,
     PeriodicField,
-    apply_multiplier,
     dealias as dealias_filter,
     holder_seminorm,
     norms,
@@ -230,18 +229,6 @@ def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
     return u.with_samples(prop + dt * rem.samples)
 
 
-def mollified_reference(field: PeriodicField, width_cells: float = 4.0) -> PeriodicField:
-    """Gaussian low-pass of a field, width measured in grid cells; a
-    smooth reference state for coefficient freezing."""
-    if width_cells < 0:
-        raise ValueError("width must be nonnegative")
-    if width_cells == 0.0:
-        return field
-    w = width_cells * field.spacing
-    k = wavenumbers(field.n, field.domain_length)
-    return apply_multiplier(field, np.exp(-0.5 * (k * w) ** 2))
-
-
 def _stability_bound(model, u0: PeriodicField, dt: float,
                      phi: Optional[PeriodicField]) -> float:
     """Largest probed step tau for which the phi1-damped remainder response
@@ -286,9 +273,10 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
            ledger_spec: Optional[LedgerSpec] = None,
            phi: Optional[PeriodicField] = None) -> Trajectory:
     """Uniform-dt march to time T. Deterministic; raises EvolutionAbort
-    (with the partial trajectory attached) on non-finite values, contour
-    stretch beyond the model's cap, or a model-level positivity failure,
-    and its subclass StepSizeRefused when dt fails the stability guard."""
+    (with the partial trajectory attached) on non-finite values in the
+    state or in a ledger row, contour stretch beyond the model's cap, or a
+    model-level positivity failure, and its subclass StepSizeRefused when
+    dt fails the stability guard."""
     n_steps = _n_steps(T, config.dt)
     spec = ledger_spec if ledger_spec is not None else LedgerSpec()
     is_contour = bool(getattr(model, "is_contour", False))
@@ -299,7 +287,13 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
         return Trajectory(tuple(snaps), tuple(rows))
 
     def record(t, w):
-        row = ledger_entry(t, w, spec, is_contour)
+        try:
+            row = ledger_entry(t, w, spec, is_contour)
+        except NonFiniteError as exc:
+            # a finite state whose derivatives overflow is a numerical
+            # abort, not a config error
+            raise EvolutionAbort(kept(), "non-finite values in a ledger row",
+                                 t) from exc
         cap = getattr(model, "theta_cap", None)
         if "theta" in row and cap is not None and row["theta"] >= cap:
             raise EvolutionAbort(kept(), f"stretch ratio {row['theta']:.3g} "

@@ -309,6 +309,19 @@ class TestRunCommand:
         assert "stretch" in diagnostics
         assert (out / "manifest.txt").exists()
 
+    def test_non_finite_ledger_row_exits_3(self, tmp_path, capsys):
+        # a finite triangle whose second derivative overflows: the first
+        # ledger row cannot be built, so no row is kept
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={
+            "grid.N": "256", "initial.amplitude": "1e305",
+            "ledger.derivative_sup": "2", "output.dir": str(out)})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", cfg]) == 3
+        assert "ledger row" in capsys.readouterr().err
+        assert set(os.listdir(out)) == {"manifest.txt", "diagnostics.txt"}
+        assert "ledger row" in (out / "diagnostics.txt").read_text()
+
     def test_stability_refusal_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, overrides={

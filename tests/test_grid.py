@@ -1,24 +1,21 @@
-"""Grid module: transform round trips, multiplier actions, difference
-operators, Holder estimator, and the quadrature-derived Hilbert convention."""
+"""Grid module: field invariants, Parseval, multiplier actions, the Holder
+estimator against the per-shift loop it replaced, and the
+quadrature-derived Hilbert convention."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pslab.grid import (
+    TAIL_ENERGY_THRESHOLD,
     NonFiniteError,
     PeriodicField,
-    SpectralCoeffs,
     dealias,
-    finite_difference,
     fractional_laplacian,
     hilbert_transform,
     holder_seminorm,
     norms,
-    shift,
     spectral_derivative,
-    to_physical,
-    to_spectral,
     wavenumbers,
 )
 
@@ -76,35 +73,15 @@ class TestWavenumbers:
 
 
 class TestTransforms:
-    def test_constant_is_dc_only(self):
-        f = make_field(lambda x: np.full_like(x, 3.5), n=32)
-        c = to_spectral(f)
-        assert c.modes[0] == pytest.approx(3.5 * 32)
-        assert np.max(np.abs(c.modes[1:])) < 1e-12
-
-    def test_cosine_single_harmonic(self):
-        f = make_field(np.cos, n=64)
-        c = to_spectral(f)
-        mask = np.ones(64, dtype=bool)
-        mask[[1, -1]] = False
-        assert np.max(np.abs(c.modes[mask])) < 1e-10
-        assert c.modes[1] == pytest.approx(32.0)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(0)
-        f = PeriodicField(rng.standard_normal(128))
-        g = to_physical(to_spectral(f))
-        assert np.max(np.abs(g.samples - f.samples)) <= 1e-12
-
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_parseval(self, seed):
         rng = np.random.default_rng(seed)
         f = PeriodicField(rng.standard_normal(64), domain_length=5.0)
-        c = to_spectral(f)
+        modes = np.fft.fft(f.samples)
         # l2^2 = (L/N) sum u^2 = (L/N^2) sum |modes|^2 under this convention
         lhs = norms(f)["l2"] ** 2
-        rhs = f.domain_length / f.n**2 * np.sum(np.abs(c.modes) ** 2)
+        rhs = f.domain_length / f.n**2 * np.sum(np.abs(modes) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -203,59 +180,9 @@ class TestHilbert:
     def test_commutes_with_grid_translation(self, j):
         rng = np.random.default_rng(5)
         f = random_band_limited(rng)
-        a = j * f.spacing
-        lhs = hilbert_transform(shift(f, a)).samples
-        rhs = shift(hilbert_transform(f), a).samples
+        lhs = hilbert_transform(f.with_samples(np.roll(f.samples, j))).samples
+        rhs = np.roll(hilbert_transform(f).samples, j)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-class TestFiniteDifference:
-    def test_delta_constant_zero(self):
-        f = make_field(lambda x: np.full_like(x, 1.7))
-        d = finite_difference(f, f.spacing, "delta")
-        assert norms(d)["linf"] == 0.0
-
-    def test_rejects_zero_alpha_divided(self):
-        f = make_field(np.cos)
-        for flavor in ("Delta", "O"):
-            with pytest.raises(ValueError):
-                finite_difference(f, 0.0, flavor)
-
-    def test_rejects_offgrid_alpha(self):
-        f = make_field(np.cos)
-        with pytest.raises(ValueError):
-            finite_difference(f, 1.5 * f.spacing, "delta")
-
-    def test_Delta_converges_to_derivative(self):
-        f = make_field(np.sin, n=512)
-        errs = []
-        for mult in (8, 4, 2, 1):
-            a = mult * f.spacing
-            d = finite_difference(f, a, "Delta")
-            errs.append(np.max(np.abs(d.samples - np.cos(np.arange(512) * f.spacing))))
-        # first-order one-sided difference: error ratio ~ 2 per halving
-        assert errs[-1] < errs[0] / 4
-        ratios = [errs[i] / errs[i + 1] for i in range(3)]
-        assert all(1.5 < r < 2.5 for r in ratios)
-
-    def test_O_of_cosine_pointwise_oracle(self):
-        n = 64
-        f = make_field(np.cos, n=n)
-        a = 3 * f.spacing
-        got = finite_difference(f, a, "O")
-        x = np.arange(n) * f.spacing
-        expect = (2.0 * (1.0 - np.cos(a)) / a) * np.cos(x)
-        assert np.max(np.abs(got.samples - expect)) <= 1e-12
-
-    def test_delta_signed_vs_O(self):
-        # O_alpha = (delta_alpha + delta_{-alpha}) / |alpha| by definition
-        rng = np.random.default_rng(6)
-        f = random_band_limited(rng)
-        a = 5 * f.spacing
-        d1 = finite_difference(f, a, "delta").samples
-        d2 = finite_difference(f, -a, "delta").samples
-        o = finite_difference(f, a, "O").samples
-        assert np.max(np.abs((d1 + d2) / a - o)) <= 1e-12
 
 
 class TestHolderSeminorm:
@@ -295,6 +222,71 @@ class TestHolderSeminorm:
         base = holder_seminorm(f, 1, 0.3).value
         g = f.with_samples(sign * np.roll(f.samples, j))
         assert holder_seminorm(g, 1, 0.3).value == pytest.approx(base, rel=1e-10)
+
+
+def holder_by_shift_loop(field, k, kappa):
+    """The per-shift np.roll loop holder_seminorm used before its single
+    gather: a second FFT of the derivative for the tail flag, one roll per
+    dyadic shift. Returns (value, under_resolved)."""
+    deriv = spectral_derivative(field, k) if k > 0 else field
+    modes = np.abs(np.fft.fft(deriv.samples))
+    freqs = np.abs(wavenumbers(field.n))
+    total = float(np.sum(modes[1:] ** 2))
+    tail = float(np.sum(modes[freqs >= field.n // 4] ** 2))
+    flagged = total > 0 and tail / total > TAIL_ENERGY_THRESHOLD
+    value = 0.0
+    h = field.spacing
+    while h <= field.domain_length / 4 + 1e-15:
+        back = np.roll(deriv.samples, int(np.round(h / field.spacing)))
+        d = field.with_samples(deriv.samples - back)
+        value = max(value, float(np.max(np.abs(d.samples))) / h**kappa)
+        h *= 2.0
+    return value, flagged
+
+
+class TestHolderAgainstShiftLoop:
+    @pytest.mark.parametrize("length", [TWO_PI, 3.0])
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_bit_identical_value_and_flag(self, n, length):
+        rng = np.random.default_rng(n)
+        x = np.arange(n) * (length / n)
+        data = {
+            "rough": rng.standard_normal(n),
+            "smooth": random_band_limited(rng, n, max_mode=n // 8, length=length).samples,
+            "abs_sin": np.abs(np.sin(TWO_PI * x / length)),
+        }
+        for name, samples in data.items():
+            f = PeriodicField(samples, domain_length=length)
+            for k in (0, 1, 2, 3):
+                for kappa in (0.3, 0.5, 0.99):
+                    if k + 2 > n // 4:
+                        with pytest.raises(ValueError):
+                            holder_seminorm(f, k, kappa)
+                        continue
+                    est = holder_seminorm(f, k, kappa)
+                    value, flagged = holder_by_shift_loop(f, k, kappa)
+                    assert est.value == value, (name, k, kappa)
+                    assert est.under_resolved == flagged, (name, k, kappa)
+
+    def test_overflowing_derivative_raises_non_finite(self):
+        # the ledger-row reproducer: a finite triangle whose second
+        # derivative overflows
+        n = 256
+        x = np.arange(n) * (TWO_PI / n)
+        f = PeriodicField(1e305 * (1.0 - (4.0 / TWO_PI) * np.abs(x - np.pi)))
+        with pytest.raises(NonFiniteError):
+            holder_seminorm(f, 2, 0.5)
+        with pytest.raises(NonFiniteError):
+            holder_by_shift_loop(f, 2, 0.5)
+
+    def test_overflowing_increment_raises_non_finite(self):
+        # finite samples of opposite sign near the float limit: the loop's
+        # increment field was rejected, so the gather must reject it too
+        f = PeriodicField(np.tile([1.5e308, -1.5e308], 32))
+        with pytest.raises(NonFiniteError):
+            holder_by_shift_loop(f, 0, 0.5)
+        with pytest.raises(NonFiniteError):
+            holder_seminorm(f, 0, 0.5)
 
 
 class TestNorms:

@@ -1,6 +1,6 @@
-"""Kernel module: closed-form oracles (wrapped Gaussian, Poisson kernel on R,
-erf half-space mass), ODE kernels against exact exponentials, and frozen
-decay-statistic regressions."""
+"""Kernel module: closed-form oracles (wrapped Gaussian, Poisson kernel on R),
+ODE kernels against exact exponentials, and frozen decay-statistic
+regressions."""
 
 import math
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pslab.grid import PeriodicField, norms, spectral_derivative, to_spectral
+from pslab.grid import PeriodicField, norms, spectral_derivative
 from pslab.kernels import (
     RK4_REFINE_TOL,
     EllipticityError,
@@ -17,7 +17,6 @@ from pslab.kernels import (
     ellipticity_probe,
     fractional_heat_kernel,
     frozen_kernel_hat,
-    halfspace_heat_kernel,
     periodic_sd_kernel,
     poisson_aniso_eval,
     poisson_aniso_mass,
@@ -51,10 +50,10 @@ class TestFractionalHeatKernel:
     def test_mode_weights(self):
         t, s, n = 0.37, 1.5, 128
         K = fractional_heat_kernel(t, s, n)
-        c = to_spectral(K)
+        modes = np.fft.fft(K.samples)
         k = np.fft.fftfreq(n, d=1.0 / n)
         expected = (n / TWO_PI) * np.exp(-t * np.abs(k) ** s)
-        assert np.max(np.abs(c.modes - expected)) < 1e-10 * n
+        assert np.max(np.abs(modes - expected)) < 1e-10 * n
 
     def test_wrapped_gaussian_oracle(self):
         # s = 2 on the torus is the periodized heat kernel: sum the images
@@ -403,43 +402,6 @@ class TestPoissonAnisoKernel:
         assert np.all(poisson_aniso_eval(k, pts, 0.7) >= 0.0)
 
 
-class TestHalfspaceHeatKernel:
-    def test_vanishes_on_boundary(self):
-        assert halfspace_heat_kernel(0.3, (0.5,), 0.0, 1.2) == pytest.approx(0.0, abs=1e-15)
-        assert halfspace_heat_kernel(0.3, (), 0.0, 0.7) == pytest.approx(0.0, abs=1e-15)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            halfspace_heat_kernel(0.0, (), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            halfspace_heat_kernel(0.1, (), -1.0, 1.0)
-
-    def test_positive_in_interior(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            t = float(rng.uniform(0.05, 2.0))
-            xd, yd = rng.uniform(0.1, 3.0, size=2)
-            val = halfspace_heat_kernel(t, (float(rng.normal()),), float(xd), float(yd))
-            assert val > 0.0
-
-    def test_matches_free_kernel_far_from_boundary(self):
-        # image term is e^{-(x_d+y_d)^2/4t} smaller; negligible here
-        t, xd, yd = 0.01, 3.0, 3.0
-        free = (4.0 * np.pi * t) ** -0.5 * np.exp(-((xd - yd) ** 2) / (4.0 * t))
-        assert halfspace_heat_kernel(t, (), xd, yd) == pytest.approx(free, rel=1e-12)
-
-    def test_mass_is_erf(self):
-        # d=1: int_0^inf H dx_d = erf(y_d / (2 sqrt t))
-        from scipy import integrate
-
-        for t, yd in [(0.2, 0.5), (1.0, 2.0), (0.05, 0.1)]:
-            val, err = integrate.quad(
-                lambda x: halfspace_heat_kernel(t, (), x, yd), 0.0, np.inf
-            )
-            assert err < 1e-7
-            assert val == pytest.approx(math.erf(yd / (2.0 * np.sqrt(t))), abs=1e-8)
-
-
 class TestSurfaceDiffusionKernel:
     def test_symbol_values(self):
         assert sd_symbol(1, 2.0) == pytest.approx(0.75)
@@ -453,10 +415,10 @@ class TestSurfaceDiffusionKernel:
     def test_mode_weights_and_mean(self):
         t, n = 0.4, 128
         K = periodic_sd_kernel(t, 2.0, n)
-        c = to_spectral(K)
-        assert abs(c.modes[0]) < 1e-11
+        modes = np.fft.fft(K.samples)
+        assert abs(modes[0]) < 1e-11
         expected = (n / TWO_PI) * np.exp(-0.75 * t)
-        assert c.modes[1] == pytest.approx(expected, rel=1e-10)
+        assert modes[1] == pytest.approx(expected, rel=1e-10)
         assert grid_mass(K) == pytest.approx(0.0, abs=1e-12)
 
     def test_l1_decay_rate_exceeds_floor(self):

@@ -5,7 +5,7 @@ ledger reproducibility, and the abort paths."""
 import numpy as np
 import pytest
 
-from pslab.grid import PeriodicField, spectral_derivative
+from pslab.grid import PeriodicField
 from pslab.models import (
     HeatModel,
     McfGraphModel,
@@ -24,7 +24,6 @@ from pslab.stepper import (
     frozen_pointwise_step,
     imex_frozen_phi_step,
     ledger_entry,
-    mollified_reference,
     picard_apply,
     picard_solve,
     _phi1,
@@ -81,6 +80,20 @@ class QuadraticGrowthModel:
 
     def remainder(self, field, phi=None):
         return self.rhs(field)
+
+
+class ExponentialGrowthModel(QuadraticGrowthModel):
+    """d/dt u = 5 u, propagated exactly with zero remainder: a finite state
+    grows past the range in which its derivatives stay finite."""
+
+    def linear_multiplier(self, k, phi=None):
+        return np.full(np.shape(k), -5.0)
+
+    def rhs(self, field):
+        return field.with_samples(5.0 * field.samples)
+
+    def remainder(self, field, phi=None):
+        return field.with_samples(np.zeros_like(field.samples))
 
 
 class LateValueErrorModel(QuadraticGrowthModel):
@@ -327,6 +340,20 @@ class TestEvolve:
         assert "NaN/Inf" in err.value.reason
         assert err.value.trajectory.times().tolist() == [0.0]
 
+    def test_non_finite_ledger_row_aborts_with_rows_so_far(self):
+        # the state stays finite; its second derivative overflows after a
+        # few steps of growth, so the march stops with the rows before it
+        spec = LedgerSpec(derivative_sup=(2,))
+        with pytest.raises(EvolutionAbort) as err:
+            with np.errstate(over="ignore", invalid="ignore"):
+                evolve(ExponentialGrowthModel(), triangle(256, 1e303), 1.0,
+                       StepperConfig(dt=0.1), spec)
+        traj = err.value.trajectory
+        assert not isinstance(err.value, StepSizeRefused)
+        assert "ledger row" in err.value.reason
+        assert err.value.time > traj.times()[-1] > 0.0
+        assert np.all(np.isfinite(traj.series("d2_linf")))
+
     def test_model_value_error_is_not_an_abort(self):
         # only NonFiniteError from field construction counts as blowup; a
         # model's own ValueError propagates whatever its message says
@@ -354,21 +381,6 @@ class TestEvolve:
             evolve(model, ellipse(64), 0.1, StepperConfig(dt=0.01))
         assert "stretch" in err.value.reason
         assert err.value.time == 0.0
-
-
-class TestMollify:
-    def test_zero_width_is_identity(self):
-        u = triangle(64, 0.3)
-        out = mollified_reference(u, width_cells=0.0)
-        assert np.array_equal(out.samples, u.samples)
-
-    def test_smooths_and_preserves_mean(self):
-        u = triangle(256, 0.3)
-        out = mollified_reference(u, width_cells=4.0)
-        assert np.mean(out.samples) == pytest.approx(np.mean(u.samples), abs=1e-14)
-        d2_in = np.max(np.abs(spectral_derivative(u, 2).samples))
-        d2_out = np.max(np.abs(spectral_derivative(out, 2).samples))
-        assert d2_out < 0.5 * d2_in
 
 
 class TestPicard:
