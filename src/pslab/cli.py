@@ -11,7 +11,9 @@ Commands
     Fit a decay rate to one ledger column; NDJSON result.
 
 Config format: one ``key = value`` per line, ``#`` starts a comment,
-unknown or duplicate keys are rejected. Keys:
+unknown or duplicate keys are rejected. Each model class declares its
+``model.*`` parameters, whether it needs grid.L = 2*pi and whether its
+state is a 2-component contour; the lines below list them. Keys:
 
     model.tag            one of the model tags (required)
     model.a              nonlocal_mcf order parameter in (0, 1)
@@ -19,15 +21,17 @@ unknown or duplicate keys are rejected. Keys:
     model.hbar0          surface_diffusion_axi reference radius (> 1)
     model.theta_cap      peskin2d stretch-ratio abort threshold
     grid.N               samples per period, power of two >= 16 (required)
-    grid.L               domain length (defaults to 2*pi; nonlocal models
-                         require the default)
+    grid.L               domain length (defaults to 2*pi; nonlocal_mcf,
+                         peskin2d and muskat_st require the default)
     stepper.dt           time step (required)
     stepper.scheme       etd_rk2 | imex_frozen_phi | frozen_pointwise
     stepper.dealias      true | false
     run.T                final time, an integer number of steps (required)
     initial.preset       cosine | triangle | random_band | sd_cylinder |
                          ellipse | circle  (required unless initial.file)
-    initial.file         snapshot file to restart from
+    initial.file         snapshot file to restart from; like a preset it
+                         must give peskin2d a contour and every other
+                         model a scalar field
     initial.amplitude    preset scale          (cosine, triangle,
                          random_band, sd_cylinder)
     initial.mode         integer wavenumber    (cosine, sd_cylinder)
@@ -139,24 +143,15 @@ def read_snapshot(path: str) -> Tuple[PeriodicField, float]:
 # ---------------------------------------------------------------------------
 # config parsing
 
-_MODEL_PARAM_KEYS = {
-    "nonlocal_mcf": ("a",),
-    "peskin2d": ("theta_cap",),
-    "muskat_st": ("rho0",),
-    "surface_diffusion_axi": ("hbar0",),
-}
-
-# presets that build two-component contours rather than scalar fields
-_CONTOUR_PRESETS = ("ellipse", "circle")
-_SCALAR_PRESETS = ("cosine", "triangle", "random_band", "sd_cylinder")
-
-_INITIAL_PARAM_KEYS = {
-    "cosine": ("amplitude", "mode", "mean"),
-    "triangle": ("amplitude",),
-    "random_band": ("amplitude", "kmin", "kmax"),
-    "sd_cylinder": ("amplitude", "mode", "mean"),
-    "ellipse": ("a", "b"),
-    "circle": ("radius",),
+# each initial preset's parameters with their defaults; ellipse and circle
+# build 2-component contours, the others scalar fields
+_PRESETS = {
+    "cosine": {"amplitude": 1.0, "mode": 1, "mean": 0.0},
+    "triangle": {"amplitude": 1.0},
+    "random_band": {"amplitude": 1.0, "kmin": 1, "kmax": 8},
+    "sd_cylinder": {"amplitude": 0.01, "mode": 1, "mean": 2.0},
+    "ellipse": {"a": 1.1, "b": 0.9},
+    "circle": {"radius": 1.0},
 }
 
 
@@ -233,8 +228,9 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
         raise ConfigError("missing required key model.tag")
     if tag not in models.MODEL_TAGS:
         raise ConfigError(f"unknown model.tag {tag!r}")
+    model_cls = models.MODELS[tag]
     params = {}
-    for name in _MODEL_PARAM_KEYS.get(tag, ()):
+    for name in model_cls.params:
         value = _pop_float(pairs, f"model.{name}")
         if value is not None:
             params[name] = value
@@ -246,8 +242,7 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     length = _pop_float(pairs, "grid.L", default=TWO_PI)
     if length <= 0:
         raise ConfigError("grid.L must be positive")
-    if tag in ("nonlocal_mcf", "peskin2d", "muskat_st") and \
-            abs(length - TWO_PI) > 1e-12 * TWO_PI:
+    if model_cls.needs_two_pi and abs(length - TWO_PI) > 1e-12 * TWO_PI:
         raise ConfigError(f"{tag} quadratures assume grid.L = 2*pi")
 
     try:
@@ -272,10 +267,10 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     if source is not None:
         initial["file"] = source
     else:
-        if preset not in _INITIAL_PARAM_KEYS:
+        if preset not in _PRESETS:
             raise ConfigError(f"unknown initial.preset {preset!r}")
         initial["preset"] = preset
-        for name in _INITIAL_PARAM_KEYS[preset]:
+        for name in _PRESETS[preset]:
             key = f"initial.{name}"
             if key in pairs:
                 initial[name] = pairs.pop(key)
@@ -367,71 +362,60 @@ def config_lines(config: RunConfig) -> List[str]:
 # ---------------------------------------------------------------------------
 # initial data presets
 
-def _preset_float(initial, name, default):
-    try:
-        return float(initial.get(name, default))
-    except ValueError:
-        raise ConfigError(f"initial.{name} must be a number")
-
-
-def build_initial_field(config: RunConfig) -> PeriodicField:
-    initial = config.initial
-    if "file" in initial:
-        field, _ = read_snapshot(initial["file"])
-        if field.n != config.n:
-            raise ConfigError(
-                f"snapshot has {field.n} samples, config asks for {config.n}")
-        return field
-
-    preset = initial["preset"]
+def _preset_field(config: RunConfig) -> PeriodicField:
+    preset = config.initial["preset"]
+    p = {}
+    for name, default in _PRESETS[preset].items():
+        try:
+            p[name] = float(config.initial.get(name, default))
+        except ValueError:
+            raise ConfigError(f"initial.{name} must be a number")
     n, length = config.n, config.domain_length
     x = np.arange(n) * (length / n)
-    if preset == "cosine":
-        amp = _preset_float(initial, "amplitude", 1.0)
-        mode = int(_preset_float(initial, "mode", 1))
-        mean = _preset_float(initial, "mean", 0.0)
-        samples = mean + amp * np.cos(mode * (TWO_PI / length) * x)
+    if preset in ("cosine", "sd_cylinder"):
+        mode = int(p["mode"])
+        samples = p["mean"] + p["amplitude"] * np.cos(
+            mode * (TWO_PI / length) * x)
     elif preset == "triangle":
-        amp = _preset_float(initial, "amplitude", 1.0)
-        samples = amp * (1.0 - (4.0 / length) * np.abs(x - length / 2.0))
+        samples = p["amplitude"] * (
+            1.0 - (4.0 / length) * np.abs(x - length / 2.0))
     elif preset == "random_band":
-        kmin = int(_preset_float(initial, "kmin", 1))
-        kmax = int(_preset_float(initial, "kmax", 8))
+        kmin, kmax = int(p["kmin"]), int(p["kmax"])
         if not 1 <= kmin <= kmax < n // 2:
             raise ConfigError("random_band needs 1 <= kmin <= kmax < N/2")
-        amp = _preset_float(initial, "amplitude", 1.0)
         rng = np.random.default_rng(config.seed)
         samples = np.zeros(n)
         for k in range(kmin, kmax + 1):
             phase = (TWO_PI / length) * k * x
             samples += rng.standard_normal() * np.cos(phase)
             samples += rng.standard_normal() * np.sin(phase)
-        samples *= amp / max(float(np.max(np.abs(samples))), 1e-300)
-    elif preset == "sd_cylinder":
-        amp = _preset_float(initial, "amplitude", 0.01)
-        mode = int(_preset_float(initial, "mode", 1))
-        mean = _preset_float(initial, "mean", 2.0)
-        samples = mean + amp * np.cos(mode * (TWO_PI / length) * x)
-    elif preset == "ellipse":
-        a = _preset_float(initial, "a", 1.1)
-        b = _preset_float(initial, "b", 0.9)
+        samples *= p["amplitude"] / max(float(np.max(np.abs(samples))), 1e-300)
+    else:
+        # a circle is the ellipse with both semi-axes equal to its radius
+        a, b = (p["a"], p["b"]) if preset == "ellipse" else (p["radius"],) * 2
         theta = TWO_PI * np.arange(n) / n
         samples = np.stack([a * np.cos(theta), b * np.sin(theta)])
-    elif preset == "circle":
-        radius = _preset_float(initial, "radius", 1.0)
-        theta = TWO_PI * np.arange(n) / n
-        samples = np.stack([radius * np.cos(theta), radius * np.sin(theta)])
-    else:
-        raise ConfigError(f"unknown initial.preset {preset!r}")
+    return PeriodicField(samples, domain_length=length)
 
-    field = PeriodicField(samples, domain_length=length)
-    is_contour = preset in _CONTOUR_PRESETS
-    model_is_contour = config.model_spec.tag == "peskin2d"
-    if is_contour != model_is_contour:
-        want = "a contour" if model_is_contour else "a scalar field"
-        raise ConfigError(
-            f"{config.model_spec.tag} needs {want}; preset {preset} does "
-            f"not provide one")
+
+def build_initial_field(config: RunConfig) -> PeriodicField:
+    """The run's initial state, from a preset or a snapshot file, with the
+    component count its model declares (2 for a contour, else 1)."""
+    if "file" in config.initial:
+        source = f"snapshot {config.initial['file']}"
+        field, _ = read_snapshot(config.initial["file"])
+        if field.n != config.n:
+            raise ConfigError(
+                f"snapshot has {field.n} samples, config asks for {config.n}")
+    else:
+        source = f"preset {config.initial['preset']}"
+        field = _preset_field(config)
+    model_cls = models.MODELS[config.model_spec.tag]
+    want = 2 if model_cls.is_contour else 1
+    if field.components != want:
+        shape = "a 2-component contour" if want == 2 else "a scalar field"
+        raise ConfigError(f"{model_cls.tag} needs {shape}; {source} has "
+                          f"{field.components} components")
     return field
 
 

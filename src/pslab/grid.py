@@ -210,21 +210,26 @@ def norms(field: PeriodicField) -> dict:
     """Grid L2 (trapezoid weights, which are uniform on a periodic grid),
     sup norm, and mean. Multi-component fields use the pointwise Euclidean
     magnitude for l2/linf and the componentwise mean stacked into a vector.
+    Samples whose squares overflow are measured in units of their largest
+    entry, so every finite field gets finite norms.
     """
     w = field.spacing
     s = field.samples
-    if field.components > 1:
+    l2, linf = _l2_linf(w, s)
+    if not np.isfinite(l2 + linf):
+        top = float(np.max(np.abs(s)))
+        l2, linf = (top * v for v in _l2_linf(w, s / top))
+    mean = np.mean(s, axis=-1)
+    return {"l2": l2, "linf": linf,
+            "mean": mean if field.components > 1 else float(mean)}
+
+
+@np.errstate(over="ignore")  # norms rescales a result that overflowed
+def _l2_linf(w: float, s: np.ndarray):
+    if s.ndim > 1:
         mag2 = np.sum(s**2, axis=0)
-        return {
-            "l2": float(np.sqrt(w * np.sum(mag2))),
-            "linf": float(np.sqrt(np.max(mag2))),
-            "mean": np.mean(s, axis=-1),
-        }
-    return {
-        "l2": float(np.sqrt(w * np.sum(s**2))),
-        "linf": float(np.max(np.abs(s))),
-        "mean": float(np.mean(s)),
-    }
+        return float(np.sqrt(w * np.sum(mag2))), float(np.sqrt(np.max(mag2)))
+    return float(np.sqrt(w * np.sum(s**2))), float(np.max(np.abs(s)))
 
 
 def dealias(field: PeriodicField) -> PeriodicField:

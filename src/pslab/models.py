@@ -25,25 +25,7 @@ from .grid import (
     wavenumbers,
 )
 from .kernels import sd_symbol
-from .nonlocal_ops import (
-    TensionLaw,
-    fractional_mean_curvature,
-    hookean_tension,
-    muskat_st_rhs,
-    peskin_rhs,
-)
-
-MODEL_TAGS = (
-    "mcf_graph",
-    "nonlocal_mcf",
-    "peskin2d",
-    "muskat_st",
-    "surface_diffusion_axi",
-    "thinfilm_exp",
-    # baseline presets used by the stepper and CLI, not part of the six
-    "heat",
-    "varcoef_heat",
-)
+from .nonlocal_ops import fractional_mean_curvature, muskat_st_rhs, peskin_rhs
 
 
 class PositivityError(RuntimeError):
@@ -69,31 +51,28 @@ class ModelSpec:
     @property
     def order_s(self) -> float:
         """Order s of the linear multiplier, which grows like |k|^s."""
-        if self.tag == "nonlocal_mcf":
-            return 1.0 + float(self.params.get("a", 0.5))
-        return {
-            "mcf_graph": 2.0,
-            "peskin2d": 1.0,
-            "muskat_st": 3.0,
-            "surface_diffusion_axi": 4.0,
-            "thinfilm_exp": 4.0,
-            "heat": 2.0,
-            "varcoef_heat": 2.0,
-        }[self.tag]
+        return make_model(self).order_s
 
 
 class _ModelBase:
-    """Shared splitting plumbing; concrete models fill in the physics."""
+    """Shared splitting plumbing; concrete models fill in the physics.
+
+    Each model declares what it is once: its config tag, the names of its
+    constructor parameters (each kept as the attribute of that name), the
+    order s of its multiplier, whether its state is a 2-component contour,
+    and whether its quadratures assume the 2pi-periodic domain.
+    """
 
     tag: str = ""
+    params: tuple = ()
+    order_s: float = 2.0
     is_contour: bool = False
+    needs_two_pi: bool = False
 
     @property
     def spec(self) -> ModelSpec:
-        return ModelSpec(tag=self.tag, params=self._params())
-
-    def _params(self) -> dict:
-        return {}
+        return ModelSpec(self.tag, {name: getattr(self, name)
+                                    for name in self.params})
 
     def rhs(self, field: PeriodicField) -> PeriodicField:
         raise NotImplementedError
@@ -108,18 +87,12 @@ class _ModelBase:
         None when the model has no such factorization."""
         return None
 
-    def linear_multiplier(self, k: np.ndarray, phi: Optional[PeriodicField] = None) -> np.ndarray:
-        c = 1.0
-        if phi is not None:
-            prof = self.coefficient_profile(phi)
-            if prof is None:
-                raise ValueError(f"{self.tag} has no frozen-coefficient profile")
-            c = float(np.mean(prof))
-        return c * self.base_multiplier(np.asarray(k, dtype=float))
+    def linear_multiplier(self, k: np.ndarray) -> np.ndarray:
+        return self.base_multiplier(np.asarray(k, dtype=float))
 
-    def remainder(self, field: PeriodicField, phi: Optional[PeriodicField] = None) -> PeriodicField:
+    def remainder(self, field: PeriodicField) -> PeriodicField:
         k = wavenumbers(field.n, field.domain_length)
-        lin = apply_multiplier(field, self.linear_multiplier(k, phi)).samples
+        lin = apply_multiplier(field, self.linear_multiplier(k)).samples
         return field.with_samples(self.rhs(field).samples + lin)
 
     def pointwise_remainder(self, field: PeriodicField) -> PeriodicField:
@@ -149,7 +122,7 @@ class HeatModel(_ModelBase):
     def coefficient_profile(self, field):
         return np.ones(field.n)
 
-    def remainder(self, field, phi=None):
+    def remainder(self, field):
         return field.with_samples(np.zeros_like(field.samples))
 
     def conserved(self, field):
@@ -180,9 +153,8 @@ class VarCoefHeatModel(_ModelBase):
     def base_multiplier(self, k):
         return k**2
 
-    def linear_multiplier(self, k, phi=None):
-        # the frozen constant coefficient is the profile mean; phi carries
-        # no extra information for a fixed-coefficient problem
+    def linear_multiplier(self, k):
+        # the frozen constant coefficient is the profile mean
         n = 4096
         x = np.arange(n) * (TWO_PI / n)
         return float(np.mean(self.profile(x))) * k**2
@@ -208,16 +180,12 @@ class McfGraphModel(_ModelBase):
         fx = spectral_derivative(field, 1).samples
         return 1.0 / (1.0 + fx * fx)
 
-    def remainder(self, field, phi=None):
-        # (A[f'] - A[phi']) f_xx, which is -f_x^2 f_xx/(1+f_x^2) at phi=0;
-        # written this way it is O(f^3) without cancellation
+    def remainder(self, field):
+        # (A[f'] - A[0]) f_xx = -f_x^2 f_xx/(1+f_x^2); written this way it
+        # is O(f^3) without cancellation
         fx = spectral_derivative(field, 1).samples
         fxx = spectral_derivative(field, 2).samples
-        if phi is None:
-            c = 1.0
-        else:
-            c = float(np.mean(self.coefficient_profile(phi)))
-        return field.with_samples((1.0 / (1.0 + fx * fx) - c) * fxx)
+        return field.with_samples((1.0 / (1.0 + fx * fx) - 1.0) * fxx)
 
 
 class NonlocalMcfModel(_ModelBase):
@@ -225,16 +193,16 @@ class NonlocalMcfModel(_ModelBase):
     with M(a) = 2 int (1-cos b)/|b|^{2+a} db = -4 Gamma(-1-a) cos(pi(1+a)/2)."""
 
     tag = "nonlocal_mcf"
+    params = ("a",)
+    needs_two_pi = True
 
     def __init__(self, a: float = 0.5):
         if not 0.0 < a < 1.0:
             raise ValueError("a must lie in (0, 1)")
         self.a = float(a)
+        self.order_s = 1.0 + self.a
         self.multiplier_constant = float(
             -4.0 * gamma(-1.0 - self.a) * np.cos(0.5 * np.pi * (1.0 + self.a)))
-
-    def _params(self):
-        return {"a": self.a}
 
     def rhs(self, field):
         ux = spectral_derivative(field, 1).samples
@@ -251,17 +219,16 @@ class Peskin2dModel(_ModelBase):
     integrals plus the tension mismatch."""
 
     tag = "peskin2d"
+    params = ("theta_cap",)
+    order_s = 1.0
     is_contour = True
+    needs_two_pi = True
 
-    def __init__(self, tension: Optional[TensionLaw] = None, theta_cap: float = 100.0):
-        self.tension = tension if tension is not None else hookean_tension()
+    def __init__(self, theta_cap: float = 100.0):
         self.theta_cap = float(theta_cap)
 
-    def _params(self):
-        return {"theta_cap": self.theta_cap}
-
     def rhs(self, field):
-        return peskin_rhs(field, tension=self.tension, theta_cap=self.theta_cap)
+        return peskin_rhs(field, theta_cap=self.theta_cap)
 
     def base_multiplier(self, k):
         return 0.25 * np.abs(k)
@@ -274,12 +241,12 @@ class MuskatStModel(_ModelBase):
     """Surface-tension Muskat interface; linear part Lambda^3."""
 
     tag = "muskat_st"
+    params = ("rho0",)
+    order_s = 3.0
+    needs_two_pi = True
 
     def __init__(self, rho0: float = 0.0):
         self.rho0 = float(rho0)
-
-    def _params(self):
-        return {"rho0": self.rho0}
 
     def rhs(self, field):
         return muskat_st_rhs(field, rho0=self.rho0)
@@ -307,27 +274,24 @@ class SurfaceDiffusionModel(_ModelBase):
     """
 
     tag = "surface_diffusion_axi"
+    params = ("hbar0",)
+    order_s = 4.0
 
-    def __init__(self, hbar0: float, dealias: bool = True):
+    def __init__(self, hbar0: float):
         if hbar0 <= 1.0:
             raise ValueError("reference radius must exceed 1")
         self.hbar0 = float(hbar0)
-        self.dealias = bool(dealias)
-
-    def _params(self):
-        return {"hbar0": self.hbar0}
 
     def rhs(self, field):
         h = field.samples
         if float(h.min()) <= 0.0:
             raise PositivityError(float(h.min()))
-        filt = dealias_filter if self.dealias else (lambda f: f)
         hx = spectral_derivative(field, 1).samples
         hxx = spectral_derivative(field, 2).samples
         br = np.sqrt(1.0 + hx * hx)
-        curv = filt(field.with_samples(1.0 / (h * br) - hxx / br**3))
+        curv = dealias_filter(field.with_samples(1.0 / (h * br) - hxx / br**3))
         curv_x = spectral_derivative(curv, 1).samples
-        flux = filt(field.with_samples((h / br) * curv_x))
+        flux = dealias_filter(field.with_samples((h / br) * curv_x))
         flux_x = spectral_derivative(flux, 1).samples
         return field.with_samples(flux_x / h)
 
@@ -345,6 +309,7 @@ class ThinfilmExpModel(_ModelBase):
     (g(u_xx))_xx with g(v) = e^{-v} - 1 + v kept cancellation-free."""
 
     tag = "thinfilm_exp"
+    order_s = 4.0
 
     def rhs(self, field):
         v = spectral_derivative(field, 2).samples
@@ -354,7 +319,7 @@ class ThinfilmExpModel(_ModelBase):
     def base_multiplier(self, k):
         return k**4
 
-    def remainder(self, field, phi=None):
+    def remainder(self, field):
         v = spectral_derivative(field, 2).samples
         g = field.with_samples(np.expm1(-v) + v)
         return spectral_derivative(g, 2)
@@ -363,28 +328,31 @@ class ThinfilmExpModel(_ModelBase):
         return ("mean", float(np.mean(field.samples)))
 
 
+MODELS = {cls.tag: cls for cls in (
+    McfGraphModel,
+    NonlocalMcfModel,
+    Peskin2dModel,
+    MuskatStModel,
+    SurfaceDiffusionModel,
+    ThinfilmExpModel,
+    # baselines used by the stepper and CLI, not part of the six
+    HeatModel,
+    VarCoefHeatModel,
+)}
+MODEL_TAGS = tuple(MODELS)
+
+
 def make_model(spec: ModelSpec) -> _ModelBase:
     """Instantiate the model named by a spec record."""
-    tag, p = spec.tag, spec.params
-    if tag == "heat":
-        return HeatModel()
-    if tag == "varcoef_heat":
-        return VarCoefHeatModel()
-    if tag == "mcf_graph":
-        return McfGraphModel()
-    if tag == "nonlocal_mcf":
-        return NonlocalMcfModel(a=float(p.get("a", 0.5)))
-    if tag == "peskin2d":
-        return Peskin2dModel(theta_cap=float(p.get("theta_cap", 100.0)))
-    if tag == "muskat_st":
-        return MuskatStModel(rho0=float(p.get("rho0", 0.0)))
-    if tag == "surface_diffusion_axi":
-        if "hbar0" not in p:
-            raise ValueError("surface_diffusion_axi needs an hbar0 parameter")
-        return SurfaceDiffusionModel(hbar0=float(p["hbar0"]))
-    if tag == "thinfilm_exp":
-        return ThinfilmExpModel()
-    raise ValueError(f"unknown model tag {tag!r}")
+    cls = MODELS[spec.tag]
+    for name in spec.params:
+        if name not in cls.params:
+            raise ValueError(f"{spec.tag} has no parameter {name!r}")
+    try:
+        return cls(**spec.params)
+    except TypeError as exc:
+        # a required parameter left out
+        raise ValueError(f"{spec.tag}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -168,25 +168,22 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _etd_weights(model, u: PeriodicField, dt: float,
-                 phi: Optional[PeriodicField], scheme: str):
+def _etd_weights(model, u: PeriodicField, dt: float, scheme: str):
     """exp(z), dt phi1(z) and, for etd_rk2 only, dt phi2(z) at the frozen
     multiplier z = -dt m(k); the third weight is None otherwise."""
-    z = -dt * model.linear_multiplier(wavenumbers(u.n, u.domain_length), phi)
+    z = -dt * model.linear_multiplier(wavenumbers(u.n, u.domain_length))
     w2 = dt * _phi2(z) if scheme == "etd_rk2" else None
     return np.exp(z), dt * _phi1(z), w2
 
 
-def _remainder_hat(model, w: PeriodicField, phi: Optional[PeriodicField],
-                   dealias: bool) -> np.ndarray:
-    r = model.remainder(w, phi)
+def _remainder_hat(model, w: PeriodicField, dealias: bool) -> np.ndarray:
+    r = model.remainder(w)
     if dealias:
         r = dealias_filter(r)
     return np.fft.fft(r.samples, axis=-1)
 
 
 def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
-                         phi: Optional[PeriodicField] = None,
                          scheme: str = "etd_rk2",
                          dealias: bool = False) -> PeriodicField:
     """One step with exact propagation of the frozen linear multiplier and
@@ -195,13 +192,13 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
         raise ValueError("dt must be positive")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
-    E, w1, w2 = _etd_weights(model, u, dt, phi, scheme)
-    r1 = _remainder_hat(model, u, phi, dealias)
+    E, w1, w2 = _etd_weights(model, u, dt, scheme)
+    r1 = _remainder_hat(model, u, dealias)
     ah = E * np.fft.fft(u.samples, axis=-1) + w1 * r1
     a = u.with_samples(np.fft.ifft(ah, axis=-1).real)
     if w2 is None:
         return a
-    r2 = _remainder_hat(model, a, phi, dealias)
+    r2 = _remainder_hat(model, a, dealias)
     return u.with_samples(np.fft.ifft(ah + w2 * (r2 - r1), axis=-1).real)
 
 
@@ -229,8 +226,7 @@ def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
     return u.with_samples(prop + dt * rem.samples)
 
 
-def _stability_bound(model, u0: PeriodicField, dt: float,
-                     phi: Optional[PeriodicField]) -> float:
+def _stability_bound(model, u0: PeriodicField, dt: float) -> float:
     """Largest probed step tau for which the phi1-damped remainder response
     tau * ||phi1(-tau A) dR|| / ||dv|| stays below 1. The damping factor is
     what the scheme actually applies, so a remainder with stiff content but
@@ -238,13 +234,13 @@ def _stability_bound(model, u0: PeriodicField, dt: float,
     rng = np.random.default_rng(0)
     scale = 1e-6 * max(float(np.max(np.abs(u0.samples))), 1.0)
     dv = rng.standard_normal(u0.samples.shape) * scale
-    r0 = model.remainder(u0, phi).samples
-    r1 = model.remainder(u0.with_samples(u0.samples + dv), phi).samples
+    r0 = model.remainder(u0).samples
+    r1 = model.remainder(u0.with_samples(u0.samples + dv)).samples
     diff_hat = np.fft.fft(r1 - r0, axis=-1)
     if float(np.max(np.abs(r1 - r0))) == 0.0:
         return np.inf
     k = wavenumbers(u0.n, u0.domain_length)
-    m = model.linear_multiplier(k, phi)
+    m = model.linear_multiplier(k)
     dv_sup = float(np.max(np.abs(dv)))
     bound = 0.0
     for j in range(-2, 16):
@@ -269,9 +265,11 @@ def _n_steps(T: float, dt: float) -> int:
     return n_steps
 
 
+# every non-finite state or ledger row below ends in a typed EvolutionAbort,
+# so numpy's overflow and invalid-value warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
-           ledger_spec: Optional[LedgerSpec] = None,
-           phi: Optional[PeriodicField] = None) -> Trajectory:
+           ledger_spec: Optional[LedgerSpec] = None) -> Trajectory:
     """Uniform-dt march to time T. Deterministic; raises EvolutionAbort
     (with the partial trajectory attached) on non-finite values in the
     state or in a ledger row, contour stretch beyond the model's cap, or a
@@ -303,7 +301,7 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
 
     record(0.0, u0)
     try:
-        bound = _stability_bound(model, u0, config.dt, phi)
+        bound = _stability_bound(model, u0, config.dt)
     except (RuntimeError, NonFiniteError) as exc:
         raise EvolutionAbort(kept(), str(exc), 0.0) from exc
     if config.dt > 0.5 * bound:
@@ -318,7 +316,7 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
             if config.scheme == "frozen_pointwise":
                 u = frozen_pointwise_step(u, model, config.dt)
             else:
-                u = imex_frozen_phi_step(u, model, config.dt, phi=phi,
+                u = imex_frozen_phi_step(u, model, config.dt,
                                          scheme=config.scheme,
                                          dealias=config.dealias)
         except (RuntimeError, FloatingPointError) as exc:
@@ -333,12 +331,12 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     return kept()
 
 
-def _picard_apply(model, g_snaps, config: StepperConfig, phi):
+def _picard_apply(model, g_snaps, config: StepperConfig):
     """One application of the whole-window map: solve the linear problem
     d/dt f = -A f + R(g(t)) with the same exponential weights as evolve."""
     u0 = g_snaps[0][1]
-    E, w1, w2 = _etd_weights(model, u0, config.dt, phi, config.scheme)
-    r_hats = [_remainder_hat(model, w, phi, config.dealias) for _, w in g_snaps]
+    E, w1, w2 = _etd_weights(model, u0, config.dt, config.scheme)
+    r_hats = [_remainder_hat(model, w, config.dealias) for _, w in g_snaps]
     source_free = all(float(np.max(np.abs(r))) == 0.0 for r in r_hats)
     out = [g_snaps[0]]
     fh = np.fft.fft(u0.samples, axis=-1)
@@ -364,15 +362,13 @@ def _trajectory_distance(a_snaps, b_snaps) -> float:
                for (_, wa), (_, wb) in zip(a_snaps, b_snaps))
 
 
-def picard_apply(model, traj: Trajectory, config: StepperConfig,
-                 phi: Optional[PeriodicField] = None) -> Trajectory:
+def picard_apply(model, traj: Trajectory, config: StepperConfig) -> Trajectory:
     """Public single application of the window map to a trajectory."""
-    snaps, _ = _picard_apply(model, list(traj.snapshots), config, phi)
+    snaps, _ = _picard_apply(model, list(traj.snapshots), config)
     return _ledger_trajectory(model, snaps)
 
 
-def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig,
-                 phi: Optional[PeriodicField] = None):
+def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
     """Iterate the whole-window map from the constant-in-time trajectory.
 
     Returns (Trajectory, contraction_log) where the log holds the
@@ -386,7 +382,7 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig,
     prev = None
     rising = 0
     for _ in range(config.max_picard_iters):
-        f, source_free = _picard_apply(model, g, config, phi)
+        f, source_free = _picard_apply(model, g, config)
         d = _trajectory_distance(f, g)
         log.append(d)
         g = f

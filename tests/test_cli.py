@@ -3,6 +3,7 @@ run/verify/ratefit commands, and their exit codes."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,25 @@ class TestRunCommand:
             drop=["initial.preset", "initial.amplitude"])
         assert main(["run", restart]) == 2
 
+    @pytest.mark.parametrize("tag, samples", [
+        ("heat", np.ones((3, 64))),
+        ("peskin2d", np.ones(64)),
+    ])
+    def test_snapshot_component_mismatch_rejected(self, tmp_path, capsys,
+                                                  tag, samples):
+        snap = str(tmp_path / "snap.bin")
+        write_snapshot(snap, PeriodicField(samples), 0.0)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, overrides={"model.tag": tag, "grid.N": "64",
+                                 "initial.file": snap, "output.dir": str(out)},
+            drop=["initial.preset", "initial.amplitude",
+                  "ledger.derivative_sup"])
+        assert main(["run", cfg]) == 2
+        want = "scalar field" if tag == "heat" else "2-component contour"
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLAB_OUTPUT_ROOT", str(tmp_path / "root"))
         cfg = write_config(tmp_path, overrides={"output.dir": "nested/run1"})
@@ -316,8 +336,10 @@ class TestRunCommand:
         cfg = write_config(tmp_path, overrides={
             "grid.N": "256", "initial.amplitude": "1e305",
             "ledger.derivative_sup": "2", "output.dir": str(out)})
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["run", cfg]) == 3
+        assert not [w for w in caught if w.category is RuntimeWarning]
         assert "ledger row" in capsys.readouterr().err
         assert set(os.listdir(out)) == {"manifest.txt", "diagnostics.txt"}
         assert "ledger row" in (out / "diagnostics.txt").read_text()

@@ -313,6 +313,21 @@ class TestNorms:
         assert r["linf"] == np.max(np.abs(u))
         assert r["mean"] == np.mean(u)
 
+    def test_scalar_beyond_square_overflow_stays_finite(self):
+        # squares of 1e200 overflow; the l2 must still scale linearly
+        unit = make_field(lambda x: 1.0 - (2.0 / np.pi) * np.abs(x - np.pi),
+                          n=256)
+        r = norms(unit.with_samples(1e200 * unit.samples))
+        assert r["l2"] == pytest.approx(1e200 * norms(unit)["l2"], rel=1e-12)
+        assert r["linf"] == 1e200
+
+    def test_contour_beyond_square_overflow_stays_finite(self):
+        theta = TWO_PI * np.arange(128) / 128
+        unit = PeriodicField(np.stack([1.1 * np.cos(theta), 0.9 * np.sin(theta)]))
+        big, ref = norms(unit.with_samples(1e200 * unit.samples)), norms(unit)
+        assert big["l2"] == pytest.approx(1e200 * ref["l2"], rel=1e-12)
+        assert big["linf"] == pytest.approx(1e200 * ref["linf"], rel=1e-12)
+
 
 class TestDealias:
     def test_low_modes_untouched(self):

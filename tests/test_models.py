@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pslab import cli
 from pslab.grid import PeriodicField, spectral_derivative
 from pslab.models import (
+    MODEL_TAGS,
+    MODELS,
     HeatModel,
     McfGraphModel,
     ModelSpec,
@@ -82,6 +85,34 @@ class TestModelSpec:
     def test_make_model_missing_radius(self):
         with pytest.raises(ValueError, match="hbar0"):
             make_model(ModelSpec("surface_diffusion_axi", {}))
+
+
+# a valid value for each declared model parameter
+PARAM_SAMPLES = {"a": 0.75, "theta_cap": 7.0, "rho0": 2.0, "hbar0": 3.0}
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+class TestModelDeclarations:
+    def test_spec_round_trips(self, tag):
+        spec = ModelSpec(tag, {name: PARAM_SAMPLES[name]
+                               for name in MODELS[tag].params})
+        assert make_model(spec).spec == spec
+
+    def test_undeclared_parameter_rejected(self, tag):
+        with pytest.raises(ValueError, match="bogus"):
+            make_model(ModelSpec(tag, {"bogus": 1.0}))
+
+    def test_config_keys_documented(self, tag):
+        # every model.<name> line of the cli docstring names a declared
+        # parameter of the models it mentions, and every one is listed
+        doc = {}
+        for line in cli.__doc__.splitlines():
+            key, _, text = line.strip().partition(" ")
+            if key.startswith("model.") and key != "model.tag":
+                doc[key[len("model."):]] = text
+        declared = [name for name in doc if tag in doc[name].split()]
+        assert sorted(declared) == sorted(MODELS[tag].params)
+        assert all(set(text.split()) & set(MODEL_TAGS) for text in doc.values())
 
 
 class TestSplittingIdentity:

@@ -54,7 +54,7 @@ class FractionalHeatModel:
     def __init__(self, s):
         self.s = float(s)
 
-    def linear_multiplier(self, k, phi=None):
+    def linear_multiplier(self, k):
         return np.abs(k) ** self.s
 
     def rhs(self, field):
@@ -62,7 +62,7 @@ class FractionalHeatModel:
         out = np.fft.ifft(-np.abs(k) ** self.s * np.fft.fft(field.samples)).real
         return field.with_samples(out)
 
-    def remainder(self, field, phi=None):
+    def remainder(self, field):
         return field.with_samples(np.zeros_like(field.samples))
 
 
@@ -72,13 +72,13 @@ class QuadraticGrowthModel:
     tag = "toy_quadratic"
     is_contour = False
 
-    def linear_multiplier(self, k, phi=None):
+    def linear_multiplier(self, k):
         return np.zeros_like(np.asarray(k, dtype=float))
 
     def rhs(self, field):
         return field.with_samples(field.samples**2)
 
-    def remainder(self, field, phi=None):
+    def remainder(self, field):
         return self.rhs(field)
 
 
@@ -86,13 +86,13 @@ class ExponentialGrowthModel(QuadraticGrowthModel):
     """d/dt u = 5 u, propagated exactly with zero remainder: a finite state
     grows past the range in which its derivatives stay finite."""
 
-    def linear_multiplier(self, k, phi=None):
+    def linear_multiplier(self, k):
         return np.full(np.shape(k), -5.0)
 
     def rhs(self, field):
         return field.with_samples(5.0 * field.samples)
 
-    def remainder(self, field, phi=None):
+    def remainder(self, field):
         return field.with_samples(np.zeros_like(field.samples))
 
 
@@ -104,7 +104,7 @@ class LateValueErrorModel(QuadraticGrowthModel):
     def __init__(self):
         self.calls = 0
 
-    def remainder(self, field, phi=None):
+    def remainder(self, field):
         self.calls += 1
         if self.calls == 5:
             raise ValueError("toy remainder rejects NaN/Inf by itself")
