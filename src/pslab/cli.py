@@ -432,7 +432,8 @@ def ledger_columns(row: Dict[str, float]) -> List[str]:
     if "mean" in row:
         cols += ["mean", "osc_linf"]
     else:
-        cols += ["mean_0", "mean_1"]
+        cols += sorted((k for k in row if k.startswith("mean_")),
+                       key=lambda name: int(name[5:]))
     cols += sorted((k for k in row if k.startswith("d") and k.endswith("_linf")),
                    key=lambda name: int(name[1:-5]))
     cols += sorted((k for k in row if k.startswith("holder_")),

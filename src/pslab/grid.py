@@ -11,7 +11,9 @@ Wavenumbers are the physical ones, k_n = 2*pi*n/L for integer n in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -61,7 +63,7 @@ class PeriodicField:
         n = arr.shape[-1]
         if not _is_power_of_two(n) or n < 16:
             raise ValueError(f"N must be a power of two >= 16, got {n}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("samples contain NaN/Inf")
         if self.domain_length <= 0:
             raise ValueError("domain_length must be positive")
@@ -82,21 +84,36 @@ class PeriodicField:
         return np.arange(self.n) * self.spacing
 
     def with_samples(self, samples) -> "PeriodicField":
-        return replace(self, samples=samples)
+        return PeriodicField(samples, self.domain_length)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=32)
 def wavenumbers(n: int, L: float = TWO_PI) -> np.ndarray:
     """Physical wavenumbers k_n = 2*pi*n/L in FFT order; on the default
-    2pi-torus these are the integer frequencies themselves."""
-    return np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / L)
+    2pi-torus these are the integer frequencies themselves.
+
+    The table is cached per (n, L) and shared by every caller, so it is
+    read-only: derive new arrays from it, never write into it.
+    """
+    return _read_only(np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / L))
 
 
-def apply_multiplier(field: PeriodicField, mult: np.ndarray) -> PeriodicField:
+# a transform or product that overflows gives a field that its construction
+# rejects with NonFiniteError, so numpy's warnings would only repeat that
+@np.errstate(over="ignore", invalid="ignore")
+def apply_multiplier(field: PeriodicField, mult: np.ndarray, *,
+                     modes: Optional[np.ndarray] = None) -> PeriodicField:
     """Multiply every component's modes by mult (FFT order) and transform
-    back, keeping the real part."""
-    modes = np.fft.fft(field.samples, axis=-1)
-    out = np.fft.ifft(modes * mult, axis=-1).real
-    return field.with_samples(out)
+    back, keeping the real part. A caller that already holds the spectrum
+    ``np.fft.fft(field.samples, axis=-1)`` passes it as ``modes``."""
+    if modes is None:
+        modes = np.fft.fft(field.samples, axis=-1)
+    return field.with_samples(np.fft.ifft(modes * mult, axis=-1).real)
 
 
 def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
@@ -117,22 +134,26 @@ def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
     return apply_multiplier(field, np.abs(k) ** a)
 
 
+@lru_cache(maxsize=32)
 def _derivative_multiplier(n: int, L: float, order: int) -> np.ndarray:
     """(i k)^order in FFT order, with the Nyquist mode zeroed for odd orders,
-    the usual convention that keeps odd derivatives of real fields real."""
+    the usual convention that keeps odd derivatives of real fields real.
+    Cached per (n, L, order) and read-only, like wavenumbers."""
     mult = (1j * wavenumbers(n, L)) ** order
     if order % 2 == 1:
         mult[n // 2] = 0.0
-    return mult
+    return _read_only(mult)
 
 
-def spectral_derivative(field: PeriodicField, order: int = 1) -> PeriodicField:
+def spectral_derivative(field: PeriodicField, order: int = 1, *,
+                        modes: Optional[np.ndarray] = None) -> PeriodicField:
     """d^order/dx^order via the multiplier (i k)^order (Nyquist mode zeroed
-    for odd orders)."""
+    for odd orders); ``modes`` as in apply_multiplier."""
     if order < 0:
         raise ValueError("order must be >= 0")
     return apply_multiplier(
-        field, _derivative_multiplier(field.n, field.domain_length, order))
+        field, _derivative_multiplier(field.n, field.domain_length, order),
+        modes=modes)
 
 
 def hilbert_transform(field: PeriodicField) -> PeriodicField:
@@ -167,13 +188,17 @@ class HolderEstimate:
     under_resolved: bool = False
 
 
-def holder_seminorm(field: PeriodicField, k: int, kappa: float) -> HolderEstimate:
+@np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
+def holder_seminorm(field: PeriodicField, k: int, kappa: float, *,
+                    modes: Optional[np.ndarray] = None) -> HolderEstimate:
     """Estimate the C^{k+kappa} seminorm over dyadic grid-aligned shifts.
 
     Shifts run over h in {L/N, 2L/N, 4L/N, ..., L/4}. The k-th derivative
     is spectral; if its relative spectral-tail energy (top quarter band)
     exceeds TAIL_ENERGY_THRESHOLD the estimate is flagged under_resolved in
-    the returned record, not rejected.
+    the returned record, not rejected. A caller that already holds the
+    field's spectrum ``np.fft.fft(field.samples)`` passes it as ``modes``
+    to skip that transform; the result is the same.
     """
     if field.components != 1:
         raise ValueError("holder_seminorm takes a scalar 1D field")
@@ -184,7 +209,8 @@ def holder_seminorm(field: PeriodicField, k: int, kappa: float) -> HolderEstimat
     n = field.n
     if k + 2 > n // 4:
         raise ValueError("derivative order not resolvable at this N")
-    modes = np.fft.fft(field.samples)
+    if modes is None:
+        modes = np.fft.fft(field.samples)
     d = field.samples
     if k > 0:
         modes = modes * _derivative_multiplier(n, field.domain_length, k)
@@ -232,7 +258,11 @@ def _l2_linf(w: float, s: np.ndarray):
     return float(np.sqrt(w * np.sum(s**2))), float(np.max(np.abs(s)))
 
 
+@lru_cache(maxsize=32)
+def _dealias_mask(n: int) -> np.ndarray:
+    return _read_only(np.abs(wavenumbers(n)) <= n / 3.0)
+
+
 def dealias(field: PeriodicField) -> PeriodicField:
     """2/3-rule filter: zero all modes with |n| > N/3."""
-    n = field.n
-    return apply_multiplier(field, np.abs(wavenumbers(n)) <= n / 3.0)
+    return apply_multiplier(field, _dealias_mask(field.n))

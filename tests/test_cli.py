@@ -179,6 +179,17 @@ class TestLedgerCsv:
             "t", "l2", "linf", "mean", "osc_linf", "d1_linf", "d2_linf",
             "holder_1_0.5", "theta"]
 
+    def test_component_means_read_from_the_row(self, tmp_path):
+        # a 3-component row keeps every mean column, in component order
+        row = {"t": 0.0, "l2": 1.0, "linf": 1.0, "theta": 1.0,
+               **{f"mean_{i}": float(i) for i in (2, 0, 1)}}
+        assert ledger_columns(row) == [
+            "t", "l2", "linf", "mean_0", "mean_1", "mean_2", "theta"]
+        path = str(tmp_path / "ledger.csv")
+        write_ledger_csv(path, [row])
+        table = read_ledger_csv(path)
+        assert [float(table[f"mean_{i}"][0]) for i in range(3)] == [0.0, 1.0, 2.0]
+
     def test_round_trip(self, tmp_path):
         rows = [{"t": 0.0, "l2": 1.0, "linf": 0.5, "mean": 0.1,
                  "osc_linf": 0.4},

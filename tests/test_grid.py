@@ -2,6 +2,8 @@
 estimator against the per-shift loop it replaced, and the
 quadrature-derived Hilbert convention."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from pslab.grid import (
     TAIL_ENERGY_THRESHOLD,
     NonFiniteError,
     PeriodicField,
+    _derivative_multiplier,
     dealias,
     fractional_laplacian,
     hilbert_transform,
@@ -18,6 +21,7 @@ from pslab.grid import (
     spectral_derivative,
     wavenumbers,
 )
+from pslab.kernels import periodic_sd_kernel, sd_symbol
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,6 +74,61 @@ class TestWavenumbers:
             inline = np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / length)
             assert np.array_equal(wavenumbers(n, length), inline)
         assert np.array_equal(wavenumbers(64), np.fft.fftfreq(64, d=1.0 / 64))
+
+
+def fresh_wavenumbers(n, length=TWO_PI):
+    """The uncached table: a new array on every call."""
+    return np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / length)
+
+
+def fresh_derivative_multiplier(n, length, order):
+    mult = (1j * fresh_wavenumbers(n, length)) ** order
+    if order % 2 == 1:
+        mult[n // 2] = 0.0
+    return mult
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPlanCache:
+    @pytest.mark.parametrize("length", [TWO_PI, 3.0])
+    @pytest.mark.parametrize("n", [16, 64, 512, 1024])
+    def test_tables_equal_fresh_computation_bitwise(self, n, length):
+        for _ in range(2):  # a miss, then a hit
+            assert same_bits(wavenumbers(n, length), fresh_wavenumbers(n, length))
+            for order in range(5):
+                assert same_bits(_derivative_multiplier(n, length, order),
+                                 fresh_derivative_multiplier(n, length, order))
+
+    def test_tables_are_shared_and_read_only(self):
+        k = wavenumbers(64, 3.0)
+        mult = _derivative_multiplier(64, 3.0, 1)
+        assert wavenumbers(64, 3.0) is k
+        for table in (k, mult):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+            with pytest.raises(ValueError):
+                table *= 2.0
+        assert same_bits(k, fresh_wavenumbers(64, 3.0))
+
+    @pytest.mark.parametrize("n", [16, 64, 512, 1024])
+    def test_cached_callers_match_inline(self, n):
+        rng = np.random.default_rng(n)
+        f = PeriodicField(rng.standard_normal(n))
+        k = fresh_wavenumbers(n)
+        modes = np.fft.fft(f.samples)
+        mult = -1j * np.sign(k)
+        mult[n // 2] = 0.0
+        assert same_bits(hilbert_transform(f).samples,
+                         np.fft.ifft(modes * mult).real)
+        assert same_bits(dealias(f).samples,
+                         np.fft.ifft(modes * (np.abs(k) <= n / 3.0)).real)
+        kernel_modes = (n / TWO_PI) * np.exp(-sd_symbol(k, 2.0) * 0.1)
+        kernel_modes[0] = 0.0
+        assert same_bits(periodic_sd_kernel(0.1, 2.0, n).samples,
+                         np.fft.ifft(kernel_modes).real)
 
 
 class TestTransforms:
@@ -224,6 +283,7 @@ class TestHolderSeminorm:
         assert holder_seminorm(g, 1, 0.3).value == pytest.approx(base, rel=1e-10)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def holder_by_shift_loop(field, k, kappa):
     """The per-shift np.roll loop holder_seminorm used before its single
     gather: a second FFT of the derivative for the tail flag, one roll per
@@ -287,6 +347,17 @@ class TestHolderAgainstShiftLoop:
             holder_by_shift_loop(f, 0, 0.5)
         with pytest.raises(NonFiniteError):
             holder_seminorm(f, 0, 0.5)
+
+    def test_overflow_raises_the_typed_error_without_warnings(self):
+        # the typed error is all a caller outside the march sees
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self.test_overflowing_derivative_raises_non_finite()
+            self.test_overflowing_increment_raises_non_finite()
+            x = np.arange(256) * (TWO_PI / 256)
+            f = PeriodicField(1e305 * (1.0 - (4.0 / TWO_PI) * np.abs(x - np.pi)))
+            with pytest.raises(NonFiniteError):
+                spectral_derivative(f, 2)
 
 
 class TestNorms:

@@ -5,12 +5,20 @@ ledger reproducibility, and the abort paths."""
 import numpy as np
 import pytest
 
-from pslab.grid import PeriodicField
+from pslab.grid import (
+    NonFiniteError,
+    PeriodicField,
+    holder_seminorm,
+    norms,
+    spectral_derivative,
+)
 from pslab.models import (
     HeatModel,
     McfGraphModel,
     NonlocalMcfModel,
     Peskin2dModel,
+    SurfaceDiffusionModel,
+    ThinfilmExpModel,
     VarCoefHeatModel,
 )
 from pslab.stepper import (
@@ -26,6 +34,7 @@ from pslab.stepper import (
     ledger_entry,
     picard_apply,
     picard_solve,
+    _etd_weights,
     _phi1,
     _phi2,
 )
@@ -202,6 +211,67 @@ class TestLedger:
                       StepperConfig(dt=0.01), LedgerSpec(stride=5))
         row = traj.ledger[0]
         assert "theta" in row and "mean_0" in row and "mean_1" in row
+
+
+def ledger_row_by_columns(t, field, spec):
+    """A scalar ledger row built column by column from the public grid
+    functions, each derivative and Holder column with its own FFT, as
+    ledger_entry built it before its columns shared one spectrum."""
+    base = norms(field)
+    row = {"t": float(t), "l2": base["l2"], "linf": base["linf"],
+           "mean": base["mean"],
+           "osc_linf": float(np.max(np.abs(field.samples - base["mean"])))}
+    for m in spec.derivative_sup:
+        d = spectral_derivative(field, int(m))
+        row[f"d{int(m)}_linf"] = float(np.max(np.abs(d.samples)))
+    for k, kappa in spec.holder_targets:
+        est = holder_seminorm(field, int(k), float(kappa))
+        row[f"holder_{int(k)}_{float(kappa):g}"] = est.value
+    return row
+
+
+REUSE_CASES = {
+    "heat": (HeatModel(), triangle(256, 0.47), 1e-4),
+    "mcf_graph": (McfGraphModel(), triangle(256, 0.47), 1e-4),
+    "thinfilm_exp": (ThinfilmExpModel(),
+                     PeriodicField(2e-3 * np.cos(grid_x(256))), 1e-5),
+    "surface_diffusion_axi": (SurfaceDiffusionModel(hbar0=2.0),
+                              PeriodicField(2.0 + 0.01 * np.cos(grid_x(256))),
+                              1e-3),
+}
+
+
+class TestReuseAgainstFreshBuilds:
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("tag", list(REUSE_CASES))
+    def test_prebuilt_weights_give_the_same_steps(self, tag, scheme):
+        model, u0, dt = REUSE_CASES[tag]
+        weights = _etd_weights(model, u0, dt, scheme)
+        fresh = shared = u0
+        for _ in range(3):  # one triple serves every step of a march
+            fresh = imex_frozen_phi_step(fresh, model, dt, scheme=scheme)
+            shared = imex_frozen_phi_step(shared, model, dt, scheme=scheme,
+                                          weights=weights)
+            assert np.array_equal(shared.samples, fresh.samples)
+
+    def test_shared_spectrum_row_equals_per_column_row(self):
+        spec = LedgerSpec(derivative_sup=(0, 1, 2, 3),
+                          holder_targets=((0, 0.5), (1, 0.5), (2, 0.99)))
+        rng = np.random.default_rng(3)
+        traj = evolve(McfGraphModel(), triangle(256, 0.47), 1e-3,
+                      StepperConfig(dt=1e-4), LedgerSpec(stride=5))
+        fields = [triangle(256, 0.47), triangle(64, 3.0),
+                  PeriodicField(rng.standard_normal(128), domain_length=3.0),
+                  *(w for _, w in traj.snapshots)]
+        for field in fields:
+            assert ledger_entry(0.5, field, spec) == \
+                ledger_row_by_columns(0.5, field, spec)
+
+    @pytest.mark.parametrize("spec", [LedgerSpec(derivative_sup=(2,)),
+                                      LedgerSpec(holder_targets=((2, 0.5),))])
+    def test_overflowing_row_raises_non_finite(self, spec):
+        with pytest.raises(NonFiniteError):
+            ledger_entry(0.0, triangle(256, 1e305), spec)
 
 
 class TestImexStep:
