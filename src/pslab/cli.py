@@ -44,6 +44,7 @@ state is a 2-component contour; the lines below list them. Keys:
     ledger.stride        record every stride-th step (default 1)
     ledger.derivative_sup   comma-separated derivative orders, e.g. 1,2
     ledger.holder        comma-separated k:kappa pairs, e.g. 1:0.5
+                         (neither is accepted for a contour model)
     ledger.theta         true | false | auto (default auto)
     output.dir           output directory, created if missing (required);
                          relative paths resolve under $PLAB_OUTPUT_ROOT
@@ -299,6 +300,9 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
             if not sep:
                 raise ConfigError("ledger.holder entries must be k:kappa")
         holder_targets = tuple(targets)
+    if model_cls.is_contour and (derivative_sup or holder_targets):
+        raise ConfigError(f"{tag} is a contour: ledger.derivative_sup and "
+                          "ledger.holder take scalar fields")
     theta_raw = pairs.pop("ledger.theta", "auto").lower()
     if theta_raw not in ("auto", "true", "false"):
         raise ConfigError("ledger.theta must be true, false, or auto")

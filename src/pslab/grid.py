@@ -11,6 +11,7 @@ Wavenumbers are the physical ones, k_n = 2*pi*n/L for integer n in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -29,7 +30,8 @@ def _is_power_of_two(n):
 
 
 class NonFiniteError(ValueError):
-    """A field was built from samples holding NaN or Inf."""
+    """A field was built from samples holding NaN or Inf, or a diagnostic of
+    a finite field overflows the float range."""
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,16 @@ class HolderEstimate:
     under_resolved: bool = False
 
 
+@lru_cache(maxsize=32)
+def _holder_tables(n: int):
+    """Dyadic shifts j = 1, 2, 4, ..., N/4, the gather index whose row r maps
+    x to x - j_r h, and the tail mask |k| >= N/4; cached read-only per n."""
+    shifts = 2 ** np.arange(n.bit_length() - 2)
+    index = (np.arange(n) - shifts[:, None]) % n
+    tail_mask = np.abs(wavenumbers(n)) >= n // 4
+    return tuple(_read_only(arr) for arr in (shifts, index, tail_mask))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
 def holder_seminorm(field: PeriodicField, k: int, kappa: float, *,
                     modes: Optional[np.ndarray] = None) -> HolderEstimate:
@@ -216,15 +228,13 @@ def holder_seminorm(field: PeriodicField, k: int, kappa: float, *,
         modes = modes * _derivative_multiplier(n, field.domain_length, k)
         d = field.with_samples(np.fft.ifft(modes).real).samples
 
+    shifts, index, tail_mask = _holder_tables(n)
     power = np.abs(modes) ** 2
-    freqs = np.abs(wavenumbers(n))
     total = float(np.sum(power[1:]))
-    tail = float(np.sum(power[freqs >= n // 4]))
+    tail = float(np.sum(power[tail_mask]))
     flagged = total > 0 and tail / total > TAIL_ENERGY_THRESHOLD
 
-    # row r holds d(x) - d(x - j h) for j = 2^r = 1, 2, ..., N/4
-    shifts = 2 ** np.arange(n.bit_length() - 2)
-    sups = np.max(np.abs(d - d[(np.arange(n) - shifts[:, None]) % n]), axis=1)
+    sups = np.max(np.abs(d - d[index]), axis=1)
     if not np.all(np.isfinite(sups)):
         raise NonFiniteError("samples contain NaN/Inf")
     h = field.spacing
@@ -236,26 +246,30 @@ def norms(field: PeriodicField) -> dict:
     """Grid L2 (trapezoid weights, which are uniform on a periodic grid),
     sup norm, and mean. Multi-component fields use the pointwise Euclidean
     magnitude for l2/linf and the componentwise mean stacked into a vector.
-    Samples whose squares overflow are measured in units of their largest
-    entry, so every finite field gets finite norms.
+    Samples whose squares or sums overflow are measured in units of their
+    largest entry; a norm that overflows even so raises NonFiniteError.
     """
     w = field.spacing
     s = field.samples
-    l2, linf = _l2_linf(w, s)
-    if not np.isfinite(l2 + linf):
+    l2, linf, mean = _l2_linf_mean(w, s)
+    # a sum of |s| can only overflow where the sum of squares already has
+    if not (math.isfinite(l2) and math.isfinite(linf)):
         top = float(np.max(np.abs(s)))
-        l2, linf = (top * v for v in _l2_linf(w, s / top))
-    mean = np.mean(s, axis=-1)
+        l2, linf, scaled_mean = (top * v for v in _l2_linf_mean(w, s / top))
+        mean = np.where(np.isfinite(mean), mean, scaled_mean)
+        if not (math.isfinite(l2) and math.isfinite(linf)):
+            raise NonFiniteError("norms overflow the float range")
     return {"l2": l2, "linf": linf,
             "mean": mean if field.components > 1 else float(mean)}
 
 
 @np.errstate(over="ignore")  # norms rescales a result that overflowed
-def _l2_linf(w: float, s: np.ndarray):
+def _l2_linf_mean(w: float, s: np.ndarray):
+    mean = np.mean(s, axis=-1)
     if s.ndim > 1:
         mag2 = np.sum(s**2, axis=0)
-        return float(np.sqrt(w * np.sum(mag2))), float(np.sqrt(np.max(mag2)))
-    return float(np.sqrt(w * np.sum(s**2))), float(np.max(np.abs(s)))
+        return float(np.sqrt(w * np.sum(mag2))), float(np.sqrt(np.max(mag2))), mean
+    return float(np.sqrt(w * np.sum(s**2))), float(np.max(np.abs(s))), mean
 
 
 @lru_cache(maxsize=32)

@@ -363,8 +363,7 @@ def enclosed_area(X: PeriodicField) -> float:
     if X.components != 2:
         raise ValueError("enclosed_area takes a 2-component contour")
     xs, ys = X.samples
-    xp = spectral_derivative(PeriodicField(xs, domain_length=X.domain_length), 1).samples
-    yp = spectral_derivative(PeriodicField(ys, domain_length=X.domain_length), 1).samples
+    xp, yp = spectral_derivative(X, 1).samples
     return 0.5 * X.spacing * float(np.sum(xs * yp - ys * xp))
 
 

@@ -139,65 +139,29 @@ def _normalize_sign(sign) -> int:
     raise ValueError("sign must be +1, -1, '+' or '-'")
 
 
-@dataclass(frozen=True)
-class SingularQuadrature:
-    """Symmetric principal-value node set on the alpha-torus.
-
-    Nodes are the grid multiples +/- j h up to the truncation radius pi,
-    in strict +/- pairs; the two half-weighted +/-pi nodes together carry
-    the single pi node of the periodic trapezoid rule.
-    """
-
-    alpha_nodes: np.ndarray
-    weights: np.ndarray
-    truncation_radius: float
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha_nodes, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if a.shape != w.shape or a.ndim != 1:
-            raise ValueError("nodes and weights must be 1D of equal length")
-        if np.any(a == 0.0):
-            raise ValueError("alpha = 0 is not a quadrature node")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be positive")
-        srt = np.sort(a)
-        if not np.allclose(srt, -srt[::-1], rtol=0, atol=1e-14):
-            raise ValueError("nodes must come in +/- pairs")
-        object.__setattr__(self, "alpha_nodes", a)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_grid(cls, n: int, domain_length: float = TWO_PI) -> "SingularQuadrature":
-        h = domain_length / n
-        j = np.concatenate([np.arange(-n // 2, 0), np.arange(1, n // 2 + 1)])
-        w = np.full(j.shape, h)
-        w[np.abs(j) == n // 2] = 0.5 * h
-        return cls(alpha_nodes=j * h, weights=w, truncation_radius=0.5 * domain_length)
-
-    def roll_steps(self, spacing: float) -> np.ndarray:
-        steps = np.rint(self.alpha_nodes / spacing).astype(int)
-        if not np.allclose(steps * spacing, self.alpha_nodes, atol=1e-12):
-            raise ValueError("quadrature nodes are not grid multiples")
-        return steps
-
-
 # Entries per (shifts x N) block temporary: 256 KB of float64 stays in L2 at every N.
 _BLOCK_PAIRS = 1 << 15
 
 
 class _ShiftPlan:
     """Per-N shift-sum tables on the 2pi-torus, shared read-only through the
-    cache: the quadrature, the gather index whose row s is np.roll(u, j_s),
-    per-node trig columns, and blocks of at most _BLOCK_PAIRS // N rows."""
+    cache. The nodes alpha_s = j_s h, j_s = -N/2..-1, 1..N/2, are the
+    punctured periodic trapezoid rule: strict +/- pairs, no alpha = 0 node
+    (each caller adds its pair limit), and two half-weighted +/-pi nodes that
+    share the rule's single pi node. The plan also holds the gather index
+    whose row s is np.roll(u, j_s), per-node trig columns, and blocks of at
+    most _BLOCK_PAIRS // N rows."""
 
     def __init__(self, n: int):
-        self.quad = SingularQuadrature.from_grid(n)
-        alpha = self.quad.alpha_nodes
-        self.index = (np.arange(n) - self.quad.roll_steps(TWO_PI / n)[:, None]) % n
-        self.half_cot = 0.5 / np.tan(0.5 * alpha)
-        self.sin = np.sin(alpha)
-        self.two_sin2 = 2.0 * np.sin(0.5 * alpha) ** 2
+        h = TWO_PI / n
+        steps = np.concatenate([np.arange(-n // 2, 0), np.arange(1, n // 2 + 1)])
+        self.alpha = steps * h
+        self.weights = np.full(n, h)
+        self.weights[np.abs(steps) == n // 2] = 0.5 * h
+        self.index = (np.arange(n) - steps[:, None]) % n
+        self.half_cot = 0.5 / np.tan(0.5 * self.alpha)
+        self.sin = np.sin(self.alpha)
+        self.two_sin2 = 2.0 * np.sin(0.5 * self.alpha) ** 2
         self.inv_four_sin2 = 0.5 / self.two_sin2
         rows = max(1, _BLOCK_PAIRS // n)
         self.blocks = [slice(i, i + rows) for i in range(0, n, rows)]
@@ -224,7 +188,7 @@ def _lambda_quadrature(field: PeriodicField) -> np.ndarray:
     plan = _shift_plan(field.n)
     u = field.samples
     # on length L the 2pi-torus weights scale by L/2pi, the kernel by (2pi/L)^2
-    wk = (TWO_PI / field.domain_length) * plan.quad.weights * plan.inv_four_sin2
+    wk = (TWO_PI / field.domain_length) * plan.weights * plan.inv_four_sin2
     acc = sum(wk[rows] @ (u - u[plan.index[rows]]) for rows in plan.blocks)
     fpp = spectral_derivative(field, 2).samples
     return (acc + field.spacing * (-0.5 * fpp)) / np.pi
@@ -287,21 +251,13 @@ def gcal(rho: float, d: int, a: float) -> float:
     return float(np.sign(rho)) * 2.0 * val
 
 
-def _gcal_array(rho: np.ndarray, d: int, a: float) -> np.ndarray:
-    """Vectorized G via Gauss-Legendre on G(rho) = 2 rho int_0^1 <rho s>^{-(d+a)} ds."""
-    r = rho[..., None] * _GL01_NODES
-    vals = (1.0 + r * r) ** (-0.5 * (d + a))
-    return 2.0 * rho * (vals @ _GL01_WEIGHTS)
-
-
 def _gcal_remainder(rho: np.ndarray, d: int, a: float) -> np.ndarray:
     """G(rho) - 2 rho, computed without cancellation for small rho."""
     r = rho[..., None] * _GL01_NODES
     return 2.0 * rho * (((1.0 + r * r) ** (-0.5 * (d + a)) - 1.0) @ _GL01_WEIGHTS)
 
 
-def fractional_mean_curvature(u: PeriodicField, a: float, d: int = 2,
-                              symmetrized: bool = True) -> PeriodicField:
+def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     """H[u](x) = P.V. int_R G(Delta_alpha u)/|alpha|^{1+a} d alpha for a 1D
     graph, with Delta_alpha u = delta_alpha u/|alpha|.
 
@@ -312,18 +268,10 @@ def fractional_mean_curvature(u: PeriodicField, a: float, d: int = 2,
     |alpha| = pi enter through _fmc_fold: a Hurwitz-zeta series in the
     increment (error below 1e-10), or where the increment nears the series
     radius 2pi - |alpha|, an explicit six-period sum (error ~4e-7 |delta|^3).
-
-    symmetrized=False requests the raw truncated node sum (no pairing
-    bookkeeping, no fold); it diverges as a -> 1 and is rejected for a >= 1.
     """
     if u.components != 1:
         raise ValueError("fractional_mean_curvature takes scalar 1D graphs")
-    if d != 2:
-        raise ValueError("only ambient dimension d = 2 (1D graphs) is supported")
-    if not symmetrized:
-        if a >= 1.0:
-            raise ValueError("raw unsymmetrized quadrature diverges for a >= 1")
-    elif not 0.0 < a < 1.0:
+    if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
     if abs(u.domain_length - TWO_PI) > 1e-12:
         raise ValueError("the period fold assumes the 2pi-torus")
@@ -331,13 +279,8 @@ def fractional_mean_curvature(u: PeriodicField, a: float, d: int = 2,
     n = u.n
     v = u.samples
     plan = _shift_plan(n)
-    alpha = np.abs(plan.quad.alpha_nodes)
-    wts = plan.quad.weights
-
-    if not symmetrized:
-        return u.with_samples(sum(
-            wts[r] @ (_gcal_array((v - v[plan.index[r]]) / alpha[r, None], d, a)
-                      / alpha[r, None] ** (1 + a)) for r in plan.blocks))
+    alpha = np.abs(plan.alpha)
+    wts = plan.weights
 
     up, upp = (spectral_derivative(u, m).samples for m in (1, 2))
     # pair-limit coefficient of the |alpha|^{-a} singularity
@@ -492,7 +435,7 @@ def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None,
         dXdV = dX[0] * dV[0] + dX[1] * dV[1]
         EdV = E[0] * dV[0] + E[1] * dV[1]
         term = (dXdE * dV - E * dXdV - dX * EdV + 2.0 * dX * (dXdE * dXdV) / r2) / r2
-        acc += plan.quad.weights[rows] @ term
+        acc += plan.weights[rows] @ term
     return X.with_samples(main + acc / (4.0 * np.pi))
 
 
@@ -530,7 +473,7 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     sum_fp = h * G0 * fp
     sum_2 = h * (0.5 * fpp * wpp + fppp * wp)
     plan = _shift_plan(f.n)
-    wts = plan.quad.weights
+    wts = plan.weights
     wk2 = wts * plan.inv_four_sin2
     for rows in plan.blocks:
         ib = plan.index[rows]

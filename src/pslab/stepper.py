@@ -127,10 +127,13 @@ class Trajectory:
         return np.array([entry[key] for entry in self.ledger])
 
 
+@np.errstate(over="ignore")  # an overflowing column raises NonFiniteError
 def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec,
                  is_contour: bool = False) -> dict:
     """Diagnostics recorded for one snapshot; a pure function of its inputs,
     so any ledger row can be recomputed bit-identically from the field."""
+    if field.components > 1 and (spec.derivative_sup or spec.holder_targets):
+        raise ValueError("derivative and Holder columns take scalar fields")
     base = norms(field)
     entry = {"t": float(t), "l2": base["l2"], "linf": base["linf"]}
     if field.components > 1:
@@ -139,6 +142,8 @@ def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec,
     else:
         entry["mean"] = base["mean"]
         entry["osc_linf"] = float(np.max(np.abs(field.samples - base["mean"])))
+        if not np.isfinite(entry["osc_linf"]):
+            raise NonFiniteError("osc_linf overflows the float range")
         # every derivative and Holder column starts from this one spectrum
         modes = (np.fft.fft(field.samples)
                  if spec.derivative_sup or spec.holder_targets else None)

@@ -355,6 +355,39 @@ class TestRunCommand:
         assert set(os.listdir(out)) == {"manifest.txt", "diagnostics.txt"}
         assert "ledger row" in (out / "diagnostics.txt").read_text()
 
+    def test_overflowing_norm_exits_3(self, tmp_path, capsys):
+        # finite samples whose l2 is beyond the float range: the first
+        # ledger row raises instead of recording inf
+        snap = str(tmp_path / "snap.bin")
+        write_snapshot(snap, PeriodicField(np.repeat([1.5e308, -1.5e308], 32)), 0.0)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, overrides={"grid.N": "64", "initial.file": snap,
+                                 "output.dir": str(out)},
+            drop=["initial.preset", "initial.amplitude",
+                  "ledger.derivative_sup"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg]) == 3
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert "ledger row" in capsys.readouterr().err
+        assert set(os.listdir(out)) == {"manifest.txt", "diagnostics.txt"}
+
+    @pytest.mark.parametrize("key, value", [("ledger.derivative_sup", "1"),
+                                            ("ledger.holder", "1:0.5")])
+    def test_contour_ledger_columns_exit_2(self, tmp_path, capsys, key, value):
+        # a contour ledger has no derivative or Holder columns to write
+        out = tmp_path / "out"
+        contour = {"model.tag": "peskin2d", "initial.preset": "ellipse",
+                   "stepper.dt": "0.01", "output.dir": str(out)}
+        drop = ["initial.amplitude", "ledger.derivative_sup"]
+        build_run_config(parse_config_text(config_text(contour, drop)))
+        cfg = write_config(tmp_path, overrides=dict(contour, **{key: value}),
+                           drop=[k for k in drop if k != key])
+        assert main(["run", cfg]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stability_refusal_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, overrides={

@@ -13,6 +13,7 @@ from pslab.grid import (
     NonFiniteError,
     PeriodicField,
     _derivative_multiplier,
+    _holder_tables,
     dealias,
     fractional_laplacian,
     hilbert_transform,
@@ -112,6 +113,17 @@ class TestPlanCache:
             with pytest.raises(ValueError):
                 table *= 2.0
         assert same_bits(k, fresh_wavenumbers(64, 3.0))
+
+    def test_holder_tables_are_shared_and_read_only(self):
+        tables = _holder_tables(64)
+        assert all(a is b for a, b in zip(_holder_tables(64), tables))
+        shifts, index, tail_mask = tables
+        assert shifts.tolist() == [1, 2, 4, 8, 16]
+        assert same_bits(index, (np.arange(64) - shifts[:, None]) % 64)
+        assert same_bits(tail_mask, np.abs(fresh_wavenumbers(64)) >= 16)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0
 
     @pytest.mark.parametrize("n", [16, 64, 512, 1024])
     def test_cached_callers_match_inline(self, n):
@@ -391,6 +403,16 @@ class TestNorms:
         r = norms(unit.with_samples(1e200 * unit.samples))
         assert r["l2"] == pytest.approx(1e200 * norms(unit)["l2"], rel=1e-12)
         assert r["linf"] == 1e200
+
+    def test_mean_beyond_sum_overflow_stays_exact(self):
+        # the sum of 32 samples of 5e307 overflows; the mean is still 0
+        f = PeriodicField(np.repeat([5e307, -5e307], 32))
+        r = norms(f)
+        assert r["mean"] == 0.0
+        assert r["linf"] == 5e307
+        assert r["l2"] == pytest.approx(5e307 * np.sqrt(TWO_PI), rel=1e-12)
+        contour = norms(PeriodicField(np.stack([f.samples, -f.samples])))
+        assert contour["mean"].tolist() == [0.0, 0.0]
 
     def test_contour_beyond_square_overflow_stays_finite(self):
         theta = TWO_PI * np.arange(128) / 128

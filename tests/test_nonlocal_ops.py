@@ -13,7 +13,6 @@ from pslab.grid import PeriodicField, fractional_laplacian, hilbert_transform, s
 from pslab.nonlocal_ops import (
     BackendMismatchError,
     DriftedSqrtSymbol,
-    SingularQuadrature,
     TensionLaw,
     WellStretchedError,
     contc_integral,
@@ -127,39 +126,18 @@ class TestDriftedSqrtSymbol:
             DriftedSqrtSymbol(b=1.0, sign=2)
 
 
-class TestSingularQuadrature:
-    def test_from_grid_structure(self):
-        q = SingularQuadrature.from_grid(64)
-        assert q.alpha_nodes.shape == (64,)
-        assert q.truncation_radius == pytest.approx(np.pi)
-        assert np.all(q.weights > 0)
-        assert not np.any(q.alpha_nodes == 0.0)
-        srt = np.sort(q.alpha_nodes)
+class TestShiftPlan:
+    def test_node_structure(self):
+        plan = nonlocal_ops._shift_plan(64)
+        assert plan.alpha.shape == (64,)
+        assert np.max(np.abs(plan.alpha)) == pytest.approx(np.pi)
+        assert np.all(plan.weights > 0)
+        assert not np.any(plan.alpha == 0.0)
+        srt = np.sort(plan.alpha)
         assert np.allclose(srt, -srt[::-1], atol=1e-15)
         # the two half-weighted endpoints add up to one trapezoid node,
         # leaving total weight 2 pi minus the origin node
-        assert q.weights.sum() == pytest.approx(TWO_PI - TWO_PI / 64)
-
-    def test_rejects_zero_node(self):
-        with pytest.raises(ValueError):
-            SingularQuadrature(alpha_nodes=np.array([-1.0, 0.0, 1.0]),
-                               weights=np.ones(3), truncation_radius=np.pi)
-
-    def test_rejects_unpaired_nodes(self):
-        with pytest.raises(ValueError):
-            SingularQuadrature(alpha_nodes=np.array([-1.0, 2.0]),
-                               weights=np.ones(2), truncation_radius=np.pi)
-
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            SingularQuadrature(alpha_nodes=np.array([-1.0, 1.0]),
-                               weights=np.array([1.0, 0.0]), truncation_radius=np.pi)
-
-    def test_roll_steps_requires_grid_multiples(self):
-        q = SingularQuadrature(alpha_nodes=np.array([-0.3, 0.3]),
-                               weights=np.array([0.1, 0.1]), truncation_radius=np.pi)
-        with pytest.raises(ValueError):
-            q.roll_steps(TWO_PI / 64)
+        assert plan.weights.sum() == pytest.approx(TWO_PI - TWO_PI / 64)
 
 
 class TestDirichletNeumannOp:
@@ -241,13 +219,6 @@ class TestGcal:
             assert gcal(50.0, 2, a) < full
             assert gcal(1e6, 2, a) == pytest.approx(full, rel=1e-6)
 
-    def test_array_route_matches_scalar(self):
-        for a in (0.25, 0.75):
-            for rho in (-3.0, -0.4, 0.7, 5.0):
-                s = gcal(rho, 2, a)
-                v = nonlocal_ops._gcal_array(np.array([rho]), 2, a)[0]
-                assert abs(s - v) <= 1e-8 * max(1.0, abs(s))
-
     def test_remainder_route_avoids_cancellation(self):
         # G(rho) - 2 rho ~ -(2+a)/3 rho^3; the subtracted form keeps full
         # relative accuracy where direct subtraction loses every digit
@@ -305,27 +276,10 @@ class TestFractionalMeanCurvature:
         Hs = fractional_mean_curvature(v.with_samples(np.roll(v.samples, 7)), 0.5).samples
         assert np.max(np.abs(Hs - np.roll(H, 7))) < 1e-11
 
-    def test_raw_form_close_but_cruder(self):
-        # the unsymmetrized sum carries the O(h^{1-a}) hole at the origin;
-        # it should track the symmetrized answer, not match it
-        x = grid_1d(256)
-        u = PeriodicField(0.1 * np.cos(x))
-        full = fractional_mean_curvature(u, 0.25).samples
-        raw = fractional_mean_curvature(u, 0.25, symmetrized=False).samples
-        rel = np.max(np.abs(raw - full)) / np.max(np.abs(full))
-        assert rel < 0.3
-
-    def test_raw_form_rejected_above_one(self):
-        u = PeriodicField(np.cos(grid_1d(64)))
-        with pytest.raises(ValueError):
-            fractional_mean_curvature(u, 1.2, symmetrized=False)
-
     def test_rejects_bad_order_and_dim(self):
         u = PeriodicField(np.cos(grid_1d(64)))
         with pytest.raises(ValueError):
             fractional_mean_curvature(u, 1.5)
-        with pytest.raises(ValueError):
-            fractional_mean_curvature(u, 0.5, d=3)
 
 
 _GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)

@@ -273,6 +273,32 @@ class TestReuseAgainstFreshBuilds:
         with pytest.raises(NonFiniteError):
             ledger_entry(0.0, triangle(256, 1e305), spec)
 
+    def test_near_limit_row_is_finite_and_exact(self):
+        row = ledger_entry(0.0, PeriodicField(np.repeat([5e307, -5e307], 32)),
+                           LedgerSpec())
+        assert row["mean"] == 0.0
+        assert row["osc_linf"] == 5e307
+
+    def test_row_beyond_float_range_raises_non_finite(self):
+        # l2 = 1.5e308 sqrt(2 pi) is not a float, whatever the rescale
+        with pytest.raises(NonFiniteError):
+            ledger_entry(0.0, PeriodicField(np.repeat([1.5e308, -1.5e308], 32)),
+                         LedgerSpec())
+        # finite norms on a short period, but |u - mean| = 2.95e308 is not
+        samples = np.r_[-1.5e308, np.full(63, 1.5e308)]
+        field = PeriodicField(samples, domain_length=0.1)
+        assert np.isfinite(norms(field)["l2"])
+        with pytest.raises(NonFiniteError):
+            ledger_entry(0.0, field, LedgerSpec())
+
+    @pytest.mark.parametrize("spec", [LedgerSpec(derivative_sup=(1,)),
+                                      LedgerSpec(holder_targets=((1, 0.5),))])
+    def test_contour_rejects_derivative_and_holder_columns(self, spec):
+        theta = 2.0 * np.pi * np.arange(64) / 64
+        X = PeriodicField(np.stack([np.cos(theta), np.sin(theta)]))
+        with pytest.raises(ValueError):
+            ledger_entry(0.0, X, spec, is_contour=True)
+
 
 class TestImexStep:
     def test_heat_single_step_exact(self):
