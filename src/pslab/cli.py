@@ -25,7 +25,6 @@ state is a 2-component contour; the lines below list them. Keys:
                          peskin2d and muskat_st require the default)
     stepper.dt           time step (required)
     stepper.scheme       etd_rk2 | imex_frozen_phi | frozen_pointwise
-    stepper.dealias      true | false
     run.T                final time, an integer number of steps (required)
     initial.preset       cosine | triangle | random_band | sd_cylinder |
                          ellipse | circle  (required unless initial.file)
@@ -45,7 +44,8 @@ state is a 2-component contour; the lines below list them. Keys:
     ledger.derivative_sup   comma-separated derivative orders, e.g. 1,2
     ledger.holder        comma-separated k:kappa pairs, e.g. 1:0.5
                          (neither is accepted for a contour model)
-    ledger.theta         true | false | auto (default auto)
+    ledger.theta         true | false | auto (default auto); a contour
+                         model's key only, like model.theta_cap
     output.dir           output directory, created if missing (required);
                          relative paths resolve under $PLAB_OUTPUT_ROOT
                          when that is set
@@ -212,15 +212,6 @@ def _pop_int(pairs, key, default=None, required=False):
         raise ConfigError(f"{key} must be an integer")
 
 
-def _pop_bool(pairs, key, default):
-    if key not in pairs:
-        return default
-    value = pairs.pop(key).lower()
-    if value not in ("true", "false"):
-        raise ConfigError(f"{key} must be true or false")
-    return value == "true"
-
-
 def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     pairs = dict(pairs)
 
@@ -250,7 +241,6 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
         stepper_config = StepperConfig(
             dt=_pop_float(pairs, "stepper.dt", required=True),
             scheme=pairs.pop("stepper.scheme", "etd_rk2"),
-            dealias=_pop_bool(pairs, "stepper.dealias", False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -303,6 +293,8 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     if model_cls.is_contour and (derivative_sup or holder_targets):
         raise ConfigError(f"{tag} is a contour: ledger.derivative_sup and "
                           "ledger.holder take scalar fields")
+    if "ledger.theta" in pairs and not model_cls.is_contour:
+        raise ConfigError(f"{tag} is a scalar field: ledger.theta takes a contour")
     theta_raw = pairs.pop("ledger.theta", "auto").lower()
     if theta_raw not in ("auto", "true", "false"):
         raise ConfigError("ledger.theta must be true, false, or auto")
@@ -343,7 +335,6 @@ def config_lines(config: RunConfig) -> List[str]:
     lines.append(f"grid.L = {config.domain_length:.17g}")
     lines.append(f"stepper.dt = {config.stepper.dt:.17g}")
     lines.append(f"stepper.scheme = {config.stepper.scheme}")
-    lines.append(f"stepper.dealias = {str(config.stepper.dealias).lower()}")
     lines.append(f"run.T = {config.horizon:.17g}")
     for name in sorted(config.initial):
         lines.append(f"initial.{name} = {config.initial[name]}")

@@ -228,7 +228,7 @@ class Peskin2dModel(_ModelBase):
         self.theta_cap = float(theta_cap)
 
     def rhs(self, field):
-        return peskin_rhs(field, theta_cap=self.theta_cap)
+        return peskin_rhs(field)
 
     def base_multiplier(self, k):
         return 0.25 * np.abs(k)

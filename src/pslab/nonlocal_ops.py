@@ -25,6 +25,7 @@ from scipy import integrate, special
 from .grid import (
     PeriodicField,
     TWO_PI,
+    _read_only,
     apply_multiplier,
     fractional_laplacian,
     hilbert_transform,
@@ -155,14 +156,13 @@ class _ShiftPlan:
     def __init__(self, n: int):
         h = TWO_PI / n
         steps = np.concatenate([np.arange(-n // 2, 0), np.arange(1, n // 2 + 1)])
-        self.alpha = steps * h
-        self.weights = np.full(n, h)
-        self.weights[np.abs(steps) == n // 2] = 0.5 * h
-        self.index = (np.arange(n) - steps[:, None]) % n
-        self.half_cot = 0.5 / np.tan(0.5 * self.alpha)
-        self.sin = np.sin(self.alpha)
-        self.two_sin2 = 2.0 * np.sin(0.5 * self.alpha) ** 2
-        self.inv_four_sin2 = 0.5 / self.two_sin2
+        self.alpha = _read_only(steps * h)
+        self.weights = _read_only(np.where(np.abs(steps) == n // 2, 0.5 * h, h))
+        self.index = _read_only((np.arange(n) - steps[:, None]) % n)
+        self.half_cot = _read_only(0.5 / np.tan(0.5 * self.alpha))
+        self.sin = _read_only(np.sin(self.alpha))
+        self.two_sin2 = _read_only(2.0 * np.sin(0.5 * self.alpha) ** 2)
+        self.inv_four_sin2 = _read_only(0.5 / self.two_sin2)
         rows = max(1, _BLOCK_PAIRS // n)
         self.blocks = [slice(i, i + rows) for i in range(0, n, rows)]
 
@@ -322,8 +322,9 @@ def _fold_series(n: int, a: float) -> np.ndarray:
     m = np.arange(_SERIES_TERMS)[:, None]
     s = 2 * m + 2 + a
     q = np.arange(1, n // 2 + 1) / n
-    return (2.0 * special.binom(-0.5 * (2 + a), m) / (2 * m + 1) * TWO_PI ** (-s)
-            * (special.zeta(s, 1 + q) + special.zeta(s, 1 - q)))[..., None]
+    table = (2.0 * special.binom(-0.5 * (2 + a), m) / (2 * m + 1) * TWO_PI ** (-s)
+             * (special.zeta(s, 1 + q) + special.zeta(s, 1 - q)))
+    return _read_only(table[..., None])
 
 
 def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
@@ -365,11 +366,11 @@ def hookean_tension() -> TensionLaw:
 
 
 class WellStretchedError(RuntimeError):
-    """Contour stretch ratio above the configured cap."""
+    """Contour tangent speed |X'| vanishes at a node."""
 
-    def __init__(self, theta, cap, pair):
-        self.theta, self.cap, self.pair = theta, cap, pair
-        super().__init__(f"stretch ratio {theta:.3e} exceeds cap {cap:.3e} at node pair {pair}")
+    def __init__(self, node):
+        self.node = node
+        super().__init__(f"contour tangent speed vanishes at node {node}")
 
 
 def stretch_ratio(X: PeriodicField):
@@ -389,8 +390,7 @@ def stretch_ratio(X: PeriodicField):
     return float(ratios[imax]), (int(iu[0][imax]), int(iu[1][imax]))
 
 
-def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None,
-               theta_cap: float = 100.0) -> PeriodicField:
+def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None) -> PeriodicField:
     """Full membrane velocity: -(1/4) H(T(|X'|) X') + the three drift
     integrals of the torus reformulation.
 
@@ -406,14 +406,10 @@ def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None,
         raise ValueError("the cotangent reformulation assumes the 2pi-torus")
     tension = tension if tension is not None else hookean_tension()
 
-    theta, pair = stretch_ratio(X)
-    if not np.isfinite(theta) or theta > theta_cap:
-        raise WellStretchedError(theta, theta_cap, pair)
-
     xp = spectral_derivative(X, 1).samples
     speed = np.sqrt(xp[0] ** 2 + xp[1] ** 2)
     if float(speed.min()) <= 1e-12:
-        raise WellStretchedError(np.inf, theta_cap, (int(np.argmin(speed)),) * 2)
+        raise WellStretchedError(int(np.argmin(speed)))
     tension.check(speed)
     tbar = np.asarray(tension.value(speed)) / speed
     V = tbar * xp

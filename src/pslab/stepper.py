@@ -30,15 +30,16 @@ import numpy as np
 from .grid import (
     NonFiniteError,
     PeriodicField,
-    dealias as dealias_filter,
     holder_seminorm,
     norms,
     spectral_derivative,
     wavenumbers,
 )
+from .nonlocal_ops import stretch_ratio
 
 SCHEMES = ("imex_frozen_phi", "etd_rk2", "frozen_pointwise")
 POINTWISE_MAX_N = 1024
+MAX_PICARD_ITERS = 25
 
 
 class EvolutionAbort(RuntimeError):
@@ -69,8 +70,6 @@ class PicardDivergenceError(RuntimeError):
 class StepperConfig:
     dt: float
     scheme: str = "etd_rk2"
-    dealias: bool = False
-    max_picard_iters: int = 25
     picard_tol: float = 1e-8
 
     def __post_init__(self):
@@ -78,8 +77,6 @@ class StepperConfig:
             raise ValueError("dt must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.max_picard_iters < 1:
-            raise ValueError("max_picard_iters must be >= 1")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
 
@@ -90,7 +87,7 @@ class LedgerSpec:
 
     derivative_sup: spectral-derivative orders m recorded as d{m}_linf.
     holder_targets: (k, kappa) pairs recorded as holder_{k}_{kappa}.
-    record_theta: None means record for contour models only.
+    record_theta: None means record theta for models with a theta_cap only.
     stride: keep every stride-th step (the initial and final states are
     always kept).
     """
@@ -128,10 +125,10 @@ class Trajectory:
 
 
 @np.errstate(over="ignore")  # an overflowing column raises NonFiniteError
-def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec,
-                 is_contour: bool = False) -> dict:
-    """Diagnostics recorded for one snapshot; a pure function of its inputs,
-    so any ledger row can be recomputed bit-identically from the field."""
+def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec) -> dict:
+    """Diagnostics recorded for one snapshot, the theta column aside; a pure
+    function of its inputs, so any ledger row can be recomputed
+    bit-identically from the field."""
     if field.components > 1 and (spec.derivative_sup or spec.holder_targets):
         raise ValueError("derivative and Holder columns take scalar fields")
     base = norms(field)
@@ -153,10 +150,6 @@ def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec,
         for k, kappa in spec.holder_targets:
             est = holder_seminorm(field, int(k), float(kappa), modes=modes)
             entry[f"holder_{int(k)}_{float(kappa):g}"] = est.value
-    want_theta = spec.record_theta if spec.record_theta is not None else is_contour
-    if want_theta:
-        from .nonlocal_ops import stretch_ratio
-        entry["theta"] = stretch_ratio(field)[0]
     return entry
 
 
@@ -184,16 +177,12 @@ def _etd_weights(model, u: PeriodicField, dt: float, scheme: str):
     return np.exp(z), dt * _phi1(z), w2
 
 
-def _remainder_hat(model, w: PeriodicField, dealias: bool) -> np.ndarray:
-    r = model.remainder(w)
-    if dealias:
-        r = dealias_filter(r)
-    return np.fft.fft(r.samples, axis=-1)
+def _remainder_hat(model, w: PeriodicField) -> np.ndarray:
+    return np.fft.fft(model.remainder(w).samples, axis=-1)
 
 
 def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
-                         scheme: str = "etd_rk2",
-                         dealias: bool = False, *,
+                         scheme: str = "etd_rk2", *,
                          weights: Optional[tuple] = None) -> PeriodicField:
     """One step with exact propagation of the frozen linear multiplier and
     an explicit phi-weighted remainder (Euler or ETD-RK2 correction).
@@ -208,12 +197,12 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
     E, w1, w2 = (weights if weights is not None
                  else _etd_weights(model, u, dt, scheme))
-    r1 = _remainder_hat(model, u, dealias)
+    r1 = _remainder_hat(model, u)
     ah = E * np.fft.fft(u.samples, axis=-1) + w1 * r1
     a = u.with_samples(np.fft.ifft(ah, axis=-1).real)
     if w2 is None:
         return a
-    r2 = _remainder_hat(model, a, dealias)
+    r2 = _remainder_hat(model, a)
     return u.with_samples(np.fft.ifft(ah + w2 * (r2 - r1), axis=-1).real)
 
 
@@ -287,34 +276,41 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
            ledger_spec: Optional[LedgerSpec] = None) -> Trajectory:
     """Uniform-dt march to time T. Deterministic; raises EvolutionAbort
     (with the partial trajectory attached) on non-finite values in the
-    state or in a ledger row, contour stretch beyond the model's cap, or a
-    model-level positivity failure, and its subclass StepSizeRefused when
-    dt fails the stability guard."""
+    state or in a ledger row, contour stretch at or beyond the model's
+    theta_cap on any accepted state, or a model-level positivity failure,
+    and its subclass StepSizeRefused when dt fails the stability guard."""
     n_steps = _n_steps(T, config.dt)
     spec = ledger_spec if ledger_spec is not None else LedgerSpec()
-    is_contour = bool(getattr(model, "is_contour", False))
+    cap = getattr(model, "theta_cap", None)
+    want_theta = spec.record_theta if spec.record_theta is not None else cap is not None
 
     snaps, rows = [], []
 
     def kept():
         return Trajectory(tuple(snaps), tuple(rows))
 
-    def record(t, w):
+    def accept(t, w, keep):
+        # the one stretch measurement of each accepted state serves both
+        # the cap and the ledger's theta column
+        theta = stretch_ratio(w)[0] if want_theta or cap is not None else None
+        if cap is not None and not theta < cap:
+            raise EvolutionAbort(kept(), f"stretch ratio {theta:.3g} "
+                                 f"reached the cap {cap:.3g}", t)
+        if not keep:
+            return
         try:
-            row = ledger_entry(t, w, spec, is_contour)
+            row = ledger_entry(t, w, spec)
         except NonFiniteError as exc:
             # a finite state whose derivatives overflow is a numerical
             # abort, not a config error
             raise EvolutionAbort(kept(), "non-finite values in a ledger row",
                                  t) from exc
-        cap = getattr(model, "theta_cap", None)
-        if "theta" in row and cap is not None and row["theta"] >= cap:
-            raise EvolutionAbort(kept(), f"stretch ratio {row['theta']:.3g} "
-                                 f"reached the cap {cap:.3g}", t)
+        if want_theta:
+            row["theta"] = theta
         snaps.append((t, w))
         rows.append(row)
 
-    record(0.0, u0)
+    accept(0.0, u0, True)
     try:
         bound = _stability_bound(model, u0, config.dt)
     except (RuntimeError, NonFiniteError) as exc:
@@ -335,7 +331,6 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
             else:
                 u = imex_frozen_phi_step(u, model, config.dt,
                                          scheme=config.scheme,
-                                         dealias=config.dealias,
                                          weights=weights)
         except (RuntimeError, FloatingPointError) as exc:
             raise EvolutionAbort(kept(), str(exc), t) from exc
@@ -344,8 +339,7 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
             # a step or a model evaluation surfaces here
             raise EvolutionAbort(kept(), "non-finite values in the state",
                                  t) from exc
-        if j % spec.stride == 0 or j == n_steps:
-            record(t, u)
+        accept(t, u, j % spec.stride == 0 or j == n_steps)
     return kept()
 
 
@@ -354,7 +348,7 @@ def _picard_apply(model, g_snaps, config: StepperConfig):
     d/dt f = -A f + R(g(t)) with the same exponential weights as evolve."""
     u0 = g_snaps[0][1]
     E, w1, w2 = _etd_weights(model, u0, config.dt, config.scheme)
-    r_hats = [_remainder_hat(model, w, config.dealias) for _, w in g_snaps]
+    r_hats = [_remainder_hat(model, w) for _, w in g_snaps]
     source_free = all(float(np.max(np.abs(r))) == 0.0 for r in r_hats)
     out = [g_snaps[0]]
     fh = np.fft.fft(u0.samples, axis=-1)
@@ -367,12 +361,10 @@ def _picard_apply(model, g_snaps, config: StepperConfig):
     return out, source_free
 
 
-def _ledger_trajectory(model, snaps) -> Trajectory:
+def _ledger_trajectory(snaps) -> Trajectory:
     """Trajectory of snaps with a default-spec ledger row for each."""
-    is_contour = bool(getattr(model, "is_contour", False))
     return Trajectory(tuple(snaps),
-                      tuple(ledger_entry(t, w, LedgerSpec(), is_contour)
-                            for t, w in snaps))
+                      tuple(ledger_entry(t, w, LedgerSpec()) for t, w in snaps))
 
 
 def _trajectory_distance(a_snaps, b_snaps) -> float:
@@ -383,7 +375,7 @@ def _trajectory_distance(a_snaps, b_snaps) -> float:
 def picard_apply(model, traj: Trajectory, config: StepperConfig) -> Trajectory:
     """Public single application of the window map to a trajectory."""
     snaps, _ = _picard_apply(model, list(traj.snapshots), config)
-    return _ledger_trajectory(model, snaps)
+    return _ledger_trajectory(snaps)
 
 
 def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
@@ -399,7 +391,7 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
     log = []
     prev = None
     rising = 0
-    for _ in range(config.max_picard_iters):
+    for _ in range(MAX_PICARD_ITERS):
         f, source_free = _picard_apply(model, g, config)
         d = _trajectory_distance(f, g)
         log.append(d)
@@ -407,7 +399,7 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
         # a remainder that vanishes identically on the window makes the map
         # constant, so its first output is already the fixed point
         if d < config.picard_tol or source_free:
-            return _ledger_trajectory(model, g), log
+            return _ledger_trajectory(g), log
         if prev is not None and prev > 0 and d / prev >= 1.0:
             rising += 1
             if rising >= 3:
@@ -418,4 +410,4 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
             rising = 0
         prev = d
     raise PicardDivergenceError(
-        log, f"no contraction to tol within {config.max_picard_iters} iterates")
+        log, f"no contraction to tol within {MAX_PICARD_ITERS} iterates")

@@ -106,9 +106,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="scheme"):
             build_run_config(parse_config_text(
                 config_text({"stepper.scheme": "rk4"})))
-        with pytest.raises(ConfigError, match="true or false"):
-            build_run_config(parse_config_text(
-                config_text({"stepper.dealias": "maybe"})))
 
     def test_bad_ledger_entries(self):
         with pytest.raises(ConfigError, match="stride"):
@@ -339,6 +336,27 @@ class TestRunCommand:
         diagnostics = (out / "diagnostics.txt").read_text()
         assert "stretch" in diagnostics
         assert (out / "manifest.txt").exists()
+
+    def test_theta_abort_without_theta_column_exits_3(self, tmp_path, capsys):
+        # the cap is checked on every accepted state, recorded or not
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={
+            "model.tag": "peskin2d", "model.theta_cap": "1.2",
+            "initial.preset": "ellipse", "stepper.dt": "0.01",
+            "run.T": "0.1", "ledger.theta": "false", "output.dir": str(out)},
+            drop=["initial.amplitude", "ledger.derivative_sup"])
+        assert main(["run", cfg]) == 3
+        assert "stretch" in capsys.readouterr().err
+        assert "stretch" in (out / "diagnostics.txt").read_text()
+
+    def test_theta_on_scalar_model_exits_2_before_output(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={
+            "grid.N": "64", "ledger.theta": "true", "output.dir": str(out)})
+        assert main(["run", cfg]) == 2
+        assert "ledger.theta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_ledger_row_exits_3(self, tmp_path, capsys):
         # a finite triangle whose second derivative overflows: the first

@@ -139,6 +139,19 @@ class TestShiftPlan:
         # leaving total weight 2 pi minus the origin node
         assert plan.weights.sum() == pytest.approx(TWO_PI - TWO_PI / 64)
 
+    def test_tables_are_shared_and_read_only(self):
+        plan = nonlocal_ops._shift_plan(64)
+        series = nonlocal_ops._fold_series(64, 0.5)
+        assert nonlocal_ops._shift_plan(64) is plan
+        assert nonlocal_ops._fold_series(64, 0.5) is series
+        tables = (plan.alpha, plan.weights, plan.index, plan.half_cot, plan.sin,
+                  plan.two_sin2, plan.inv_four_sin2, series)
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 1
+            with pytest.raises(ValueError):
+                table *= 2
+
 
 class TestDirichletNeumannOp:
     def test_pure_mode_action(self):
@@ -448,13 +461,13 @@ class TestPeskinRhs:
         acc += np.fft.ifft(np.fft.fft(W, axis=1) * mult, axis=1).real
         return acc / (4.0 * np.pi)
 
-    def test_theta_cap_enforced(self):
+    def test_zero_tangent_speed_rejected(self):
+        # the astroid (cos^3, sin^3) has cusps, |X'| = 0, at nodes 0, 32,
+        # 64 and 96 of N = 128
+        x = grid_1d(128)
         with pytest.raises(WellStretchedError) as exc:
-            peskin_rhs(circle(128), theta_cap=1.0)
-        assert exc.value.theta == pytest.approx(0.5 * np.pi, abs=1e-6)
-        assert exc.value.cap == 1.0
-        i, j = exc.value.pair
-        assert abs(abs(i - j) - 64) < 1e-9
+            peskin_rhs(PeriodicField(np.stack([np.cos(x) ** 3, np.sin(x) ** 3])))
+        assert exc.value.node in (0, 32, 64, 96)
 
     def test_tension_structure_condition_enforced(self):
         law = TensionLaw(value=lambda lam: np.ones_like(lam),

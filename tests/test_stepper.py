@@ -105,6 +105,24 @@ class ExponentialGrowthModel(QuadraticGrowthModel):
         return field.with_samples(np.zeros_like(field.samples))
 
 
+class ShrinkingContourModel:
+    """d/dt (x, y) = (-x, 0) with zero multiplier: a circle flattens into
+    ever thinner ellipses, so its stretch ratio rises every step."""
+
+    tag = "toy_contour"
+    is_contour = True
+
+    def __init__(self, theta_cap):
+        self.theta_cap = float(theta_cap)
+
+    def linear_multiplier(self, k):
+        return np.zeros_like(np.asarray(k, dtype=float))
+
+    def remainder(self, field):
+        return field.with_samples(np.stack([-field.samples[0],
+                                            np.zeros(field.n)]))
+
+
 class LateValueErrorModel(QuadraticGrowthModel):
     """Zero remainder whose fifth call raises a ValueError naming NaN/Inf:
     the guard makes two calls and each ETD-RK2 step two more, so it fails
@@ -154,8 +172,6 @@ class TestConfigValidation:
             StepperConfig(dt=0.0)
         with pytest.raises(ValueError):
             StepperConfig(dt=0.1, scheme="rk4")
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.1, max_picard_iters=0)
         with pytest.raises(ValueError):
             StepperConfig(dt=0.1, picard_tol=0.0)
         with pytest.raises(ValueError):
@@ -297,7 +313,7 @@ class TestReuseAgainstFreshBuilds:
         theta = 2.0 * np.pi * np.arange(64) / 64
         X = PeriodicField(np.stack([np.cos(theta), np.sin(theta)]))
         with pytest.raises(ValueError):
-            ledger_entry(0.0, X, spec, is_contour=True)
+            ledger_entry(0.0, X, spec)
 
 
 class TestImexStep:
@@ -477,6 +493,22 @@ class TestEvolve:
             evolve(model, ellipse(64), 0.1, StepperConfig(dt=0.01))
         assert "stretch" in err.value.reason
         assert err.value.time == 0.0
+
+    def test_theta_cap_checked_on_every_accepted_state(self):
+        # no ledger row between t = 0 and T = 0.2, yet the cap, set between
+        # theta after steps 5 and 6, stops the march at step 6
+        cfg = StepperConfig(dt=0.01)
+        free = evolve(ShrinkingContourModel(np.inf), ellipse(64, 1.0, 1.0),
+                      0.06, cfg, LedgerSpec(record_theta=True))
+        theta = free.series("theta")
+        assert np.all(np.diff(theta) > 0.0)
+        cap = 0.5 * (theta[5] + theta[6])
+        with pytest.raises(EvolutionAbort) as err:
+            evolve(ShrinkingContourModel(cap), ellipse(64, 1.0, 1.0), 0.2, cfg,
+                   LedgerSpec(stride=10**9))
+        assert "stretch" in err.value.reason
+        assert err.value.time == pytest.approx(0.06)
+        assert err.value.trajectory.times().tolist() == [0.0]
 
 
 class TestPicard:
