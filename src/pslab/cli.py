@@ -19,7 +19,7 @@ state is a 2-component contour; the lines below list them. Keys:
     model.a              nonlocal_mcf order parameter in (0, 1)
     model.rho0           muskat_st density offset
     model.hbar0          surface_diffusion_axi reference radius (> 1)
-    model.theta_cap      peskin2d stretch-ratio abort threshold
+    model.theta_cap      peskin2d stretch-ratio abort threshold (> 0)
     grid.N               samples per period, power of two >= 16 (required)
     grid.L               domain length (defaults to 2*pi; nonlocal_mcf,
                          peskin2d and muskat_st require the default)
@@ -86,6 +86,7 @@ from .stepper import (
     LedgerSpec,
     StepperConfig,
     Trajectory,
+    _n_steps,
     evolve,
 )
 
@@ -248,6 +249,10 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     horizon = _pop_float(pairs, "run.T", required=True)
     if horizon <= 0:
         raise ConfigError("run.T must be positive")
+    try:
+        _n_steps(horizon, stepper_config.dt)
+    except ValueError:
+        raise ConfigError("run.T must be an integer number of stepper.dt steps")
 
     initial: Dict[str, str] = {}
     preset = pairs.pop("initial.preset", None)

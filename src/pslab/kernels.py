@@ -18,8 +18,8 @@ from scipy import integrate
 
 from .grid import PeriodicField, TWO_PI, wavenumbers
 
-# Fixed-step RK4 refinement target: doubling the steps must move the stored
-# kernel values by less than this.
+# Fixed-step RK4 refinement target: the Richardson-extrapolated kernel values
+# of two consecutive step doublings must differ by less than this.
 RK4_REFINE_TOL = 1e-9
 
 
@@ -86,16 +86,20 @@ def _as_matrix(a, dim):
     return m
 
 
-def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> float:
+def ellipticity_probe(symbol: FrozenSymbol, ts, xis, out=None) -> float:
     """Check A(t, xi) >= c0 |xi|^s Id at every probe pair, t outer and xi
     inner; raise at the first failure.
 
-    Returns the largest probed eigenvalue, floored at 0.
+    Returns the largest probed eigenvalue, floored at 0. If out is given,
+    of shape (len(ts), len(xis), dim_N, dim_N), out[i, j] receives the
+    probed matrix A(ts[i], xis[j]).
     """
     lam_max = 0.0
-    for t in ts:
-        for xi in xis:
+    for i, t in enumerate(ts):
+        for j, xi in enumerate(xis):
             m = _as_matrix(symbol.eval(t, xi), symbol.dim_N)
+            if out is not None:
+                out[i, j] = m
             floor = symbol.c0 * abs(xi) ** symbol.s
             eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
             min_eig = float(eigs[0])
@@ -139,22 +143,23 @@ class FrozenKernelHat:
 
 
 def _refine_nodes(symbol: FrozenSymbol, t: float, xis: np.ndarray,
-                  a_nodes: np.ndarray | None, n_steps: int) -> np.ndarray:
+                  known: np.ndarray, stride: int, n_steps: int) -> np.ndarray:
     """Symbol values A(t - w, xi) at the 2 n_steps + 1 RK4 nodes
     w = j t / (2 n_steps), shaped (2 n_steps + 1, n_xi, dim_N, dim_N).
 
-    The nodes of the previous level (n_steps / 2 steps) are the even nodes
-    of this one, so only the odd nodes call the symbol; a_nodes=None
-    evaluates every node.
+    known holds the values at every stride-th node j = 0, stride, ..., so
+    only the other nodes call the symbol: after a doubling the previous
+    level's table fills the even nodes (stride 2), and on the first level
+    the ellipticity probe's matrices fill the tau-grid nodes.
     """
     dim = symbol.dim_N
     out = np.empty((2 * n_steps + 1, len(xis), dim, dim))
-    fresh = slice(None) if a_nodes is None else slice(1, None, 2)
-    if a_nodes is not None:
-        out[0::2] = a_nodes
-    ws = np.arange(2 * n_steps + 1)[fresh] * t / (2 * n_steps)
+    out[::stride] = known
+    fresh = np.flatnonzero(np.arange(2 * n_steps + 1) % stride)
+    ws = fresh * t / (2 * n_steps)
     xi_list = xis.tolist()
-    for row, w in zip(out[fresh], ws.tolist()):
+    for j, w in zip(fresh.tolist(), ws.tolist()):
+        row = out[j]
         for k, xi in enumerate(xi_list):
             row[k] = _as_matrix(symbol.eval(t - w, xi), dim)
     return out
@@ -205,15 +210,22 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid, tau_steps: int = 
     identity at w = 0, so the stored array carries the identity at
     tau = t and the decayed kernel at tau = 0. The step count starts at the
     larger of tau_steps and a stability estimate from the symbol's largest
-    probed eigenvalue, then doubles until the tabulated values move by less
-    than RK4_REFINE_TOL.
+    probed eigenvalue, then doubles. Each doubling turns the coarse table
+    K_c and the fine table K_f into the Richardson value
+    K_f + (K_f - K_c) / 15, fifth order for RK4 (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4); the doubling stops once that value moves by less
+    than RK4_REFINE_TOL from the previous level's, where the first doubling
+    compares it with the plain starting table. The last Richardson value is
+    returned.
 
-    The ellipticity probe runs before any integration node is evaluated.
-    Each doubling keeps the symbol values of the previous level as its even
-    nodes, so every distinct node is evaluated once: the symbol is called
-    (tau_steps + 1) n_xi times by the probe and (2 n_final + 1) n_xi times
-    by the integration, and the node table takes O(n_final n_xi dim_N^2)
-    memory for the final step count n_final.
+    The ellipticity probe runs before any integration node is evaluated,
+    and its matrices fill the tau-grid nodes of the first level, which the
+    step grid embeds (they are taken at tau_grid[i], which may differ from
+    the node time t - w by an ulp). Each doubling keeps the symbol values
+    of the previous level as its even nodes, so every distinct node is
+    evaluated once: the symbol is called (2 n_final + 1) n_xi times in
+    all, probe included, and the node table takes
+    O(n_final n_xi dim_N^2) memory for the final step count n_final.
     """
     if tau_steps < 16:
         raise ValueError("tau_steps must be >= 16")
@@ -221,21 +233,25 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid, tau_steps: int = 
         raise ValueError("t must be positive")
     xis = np.asarray(xi_grid, dtype=float)
     tau_grid = np.linspace(0.0, t, tau_steps + 1)
-    lam_max = ellipticity_probe(symbol, tau_grid, xis)
+    probed = np.empty((tau_steps + 1, len(xis), symbol.dim_N, symbol.dim_N))
+    lam_max = ellipticity_probe(symbol, tau_grid, xis, out=probed)
     n_steps = max(tau_steps, int(np.ceil(4.0 * t * lam_max)))
     # keep the tau grid embedded in the step grid
     n_steps = int(np.ceil(n_steps / tau_steps)) * tau_steps
 
-    a_nodes = _refine_nodes(symbol, t, xis, None, n_steps)
-    prev = _integrate_khat(a_nodes, t, tau_grid)
+    # node w = t - tau_grid[i] is j = (tau_steps - i) 2 n_steps / tau_steps
+    a_nodes = _refine_nodes(symbol, t, xis, probed[::-1],
+                            2 * n_steps // tau_steps, n_steps)
+    prev = coarse = _integrate_khat(a_nodes, t, tau_grid)
     for _ in range(24):
         n_steps *= 2
-        a_nodes = _refine_nodes(symbol, t, xis, a_nodes, n_steps)
-        cur = _integrate_khat(a_nodes, t, tau_grid)
-        if float(np.max(np.abs(cur - prev))) < RK4_REFINE_TOL:
-            prev = cur
+        a_nodes = _refine_nodes(symbol, t, xis, a_nodes, 2, n_steps)
+        fine = _integrate_khat(a_nodes, t, tau_grid)
+        extrapolated = fine + (fine - coarse) / 15.0
+        converged = float(np.max(np.abs(extrapolated - prev))) < RK4_REFINE_TOL
+        prev, coarse = extrapolated, fine
+        if converged:
             break
-        prev = cur
     return FrozenKernelHat(values=prev, tau_grid=tau_grid, xi_grid=xis,
                            t_final=t, symbol=symbol)
 

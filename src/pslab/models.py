@@ -226,6 +226,8 @@ class Peskin2dModel(_ModelBase):
 
     def __init__(self, theta_cap: float = 100.0):
         self.theta_cap = float(theta_cap)
+        if not self.theta_cap > 0.0:
+            raise ValueError("theta_cap must be positive")
 
     def rhs(self, field):
         return peskin_rhs(field)

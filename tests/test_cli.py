@@ -349,6 +349,28 @@ class TestRunCommand:
         assert "stretch" in capsys.readouterr().err
         assert "stretch" in (out / "diagnostics.txt").read_text()
 
+    def test_fractional_step_count_exits_2_before_output(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={
+            "grid.N": "64", "stepper.dt": "0.01", "run.T": "0.015",
+            "output.dir": str(out)})
+        assert main(["run", cfg]) == 2
+        assert "integer number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", ["nan", "0", "-1.5"])
+    def test_bad_theta_cap_exits_2_before_output(self, tmp_path, capsys, cap):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={
+            "model.tag": "peskin2d", "model.theta_cap": cap,
+            "grid.N": "64", "initial.preset": "ellipse", "stepper.dt": "0.01",
+            "run.T": "0.1", "output.dir": str(out)},
+            drop=["initial.amplitude", "ledger.derivative_sup"])
+        assert main(["run", cfg]) == 2
+        assert "theta_cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_theta_on_scalar_model_exits_2_before_output(self, tmp_path,
                                                          capsys):
         out = tmp_path / "out"

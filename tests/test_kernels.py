@@ -250,8 +250,9 @@ def _reference_integrate(symbol, t, xis, tau_grid, n_steps):
 
 
 def _reference_frozen_kernel_hat(symbol, t, xi_grid, tau_steps=16):
-    """The re-evaluating doubling loop the node memo replaced; returns the
-    tabulated values and the final step count."""
+    """The re-evaluating doubling loop the node memo replaced, stopping on
+    Richardson values K_f + (K_f - K_c) / 15 as frozen_kernel_hat does;
+    returns the tabulated values and the final step count."""
     xis = np.asarray(xi_grid, dtype=float)
     tau_grid = np.linspace(0.0, t, tau_steps + 1)
     lam_max = 0.0
@@ -261,14 +262,15 @@ def _reference_frozen_kernel_hat(symbol, t, xi_grid, tau_steps=16):
             lam_max = max(lam_max, float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1]))
     n_steps = max(tau_steps, int(np.ceil(4.0 * t * lam_max)))
     n_steps = int(np.ceil(n_steps / tau_steps)) * tau_steps
-    prev = _reference_integrate(symbol, t, xis, tau_grid, n_steps)
+    coarse = prev = _reference_integrate(symbol, t, xis, tau_grid, n_steps)
     for _ in range(24):
         n_steps *= 2
-        cur = _reference_integrate(symbol, t, xis, tau_grid, n_steps)
+        fine = _reference_integrate(symbol, t, xis, tau_grid, n_steps)
+        cur = fine + (fine - coarse) / 15.0
         if float(np.max(np.abs(cur - prev))) < RK4_REFINE_TOL:
             prev = cur
             break
-        prev = cur
+        prev, coarse = cur, fine
     return prev, n_steps
 
 
@@ -322,12 +324,21 @@ class TestFrozenKernelNodeMemo:
                                                   tau_steps)
         counter.calls.clear()
         frozen_kernel_hat(counter.symbol(), self.T, self.XIS, tau_steps=tau_steps)
-        n_xi = len(self.XIS)
-        assert len(counter.calls) == (tau_steps + 1) * n_xi + (2 * n_final + 1) * n_xi
+        # the probe's matrices fill the tau-grid nodes of the first level
+        assert len(counter.calls) == (2 * n_final + 1) * len(self.XIS)
         # the probe pairs come first, t outer and xi inner
         tau_grid = np.linspace(0.0, self.T, tau_steps + 1)
         probe = [(float(t), xi) for t in tau_grid for xi in self.XIS]
         assert counter.calls[:len(probe)] == probe
+
+    def test_close_to_fine_plain_rk4(self):
+        # the stop rule that compared plain levels ended this case at 768
+        # steps; plain RK4 at 4x that count is the reference
+        sym = CountingRotatingSymbol(2).symbol()
+        khat = frozen_kernel_hat(sym, self.T, self.XIS, tau_steps=24)
+        ref = _reference_integrate(sym, self.T, np.asarray(self.XIS), khat.tau_grid,
+                                   4 * 768)
+        assert np.max(np.abs(khat.values - ref)) <= 1e-10
 
     def test_non_elliptic_raises_before_integration(self):
         counter = CountingRotatingSymbol(2)

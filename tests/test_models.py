@@ -265,6 +265,11 @@ class TestPeskinModel:
     def test_theta_cap_recorded_in_params(self):
         assert Peskin2dModel(theta_cap=7.0).spec.params["theta_cap"] == 7.0
 
+    @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.5])
+    def test_theta_cap_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match="theta_cap"):
+            Peskin2dModel(theta_cap=cap)
+
 
 class TestSurfaceDiffusion:
     def test_reference_radius_validation(self):
