@@ -21,16 +21,21 @@ state is a 2-component contour; the lines below list them. Keys:
     model.hbar0          surface_diffusion_axi reference radius (> 1)
     model.theta_cap      peskin2d stretch-ratio abort threshold (> 0)
     grid.N               samples per period, power of two >= 16 (required)
-    grid.L               domain length (defaults to 2*pi; nonlocal_mcf,
-                         peskin2d and muskat_st require the default)
+    grid.L               finite domain length (defaults to 2*pi;
+                         nonlocal_mcf, peskin2d and muskat_st require the
+                         default)
     stepper.dt           time step (required)
     stepper.scheme       etd_rk2 | imex_frozen_phi | frozen_pointwise
+                         (the last for scalar models with a coefficient
+                         profile at N <= 1024)
     run.T                final time, an integer number of steps (required)
     initial.preset       cosine | triangle | random_band | sd_cylinder |
                          ellipse | circle  (required unless initial.file)
-    initial.file         snapshot file to restart from; like a preset it
-                         must give peskin2d a contour and every other
-                         model a scalar field
+    initial.file         snapshot file to restart from; its sample count
+                         must equal grid.N and its length grid.L (to a
+                         relative 1e-12), and like a preset it must give
+                         peskin2d a contour and every other model a
+                         scalar field
     initial.amplitude    preset scale          (cosine, triangle,
                          random_band, sd_cylinder)
     initial.mode         integer wavenumber    (cosine, sd_cylinder)
@@ -42,8 +47,9 @@ state is a 2-component contour; the lines below list them. Keys:
     initial.radius       circle radius         (circle)
     ledger.stride        record every stride-th step (default 1)
     ledger.derivative_sup   comma-separated derivative orders, e.g. 1,2
-    ledger.holder        comma-separated k:kappa pairs, e.g. 1:0.5
-                         (neither is accepted for a contour model)
+    ledger.holder        comma-separated k:kappa pairs, e.g. 1:0.5, with
+                         0 < kappa < 1 and 0 <= k <= N/4 - 2 (neither key
+                         is accepted for a contour model)
     ledger.theta         true | false | auto (default auto); a contour
                          model's key only, like model.theta_cap
     output.dir           output directory, created if missing (required);
@@ -56,13 +62,14 @@ Outputs of ``run``: initial.bin and final.bin (64-byte header: magic
 then little-endian float64 samples), ledger.csv with a fixed column order
 (t, l2, linf, mean columns, derivative sups, Holder seminorms, theta), and
 manifest.txt, itself a loadable config that reproduces the run. Exit codes:
-0 success, 1 failed check or missed expectation, 2 config or file errors,
-3 numerical abort or a dt refused by the stability guard. An exit-3 run
-also writes diagnostics.txt (aborted_at, reason), with initial.bin,
-final.bin and ledger.csv holding the march up to its last kept row; when
-the initial state already breaks the stretch cap, or its ledger row cannot
-be built (a derivative that overflows), no row is kept, so only
-manifest.txt and diagnostics.txt are written.
+0 success, 1 failed check or missed expectation, 2 config or file errors
+(a preset with NaN or Inf samples among them; checked before anything is
+written), 3 numerical abort or a dt refused by the stability guard. An
+exit-3 run also writes diagnostics.txt (aborted_at, reason), with
+initial.bin, final.bin and ledger.csv holding the march up to its last
+kept row; when the initial state already breaks the stretch cap, or its
+ledger row cannot be built (a derivative that overflows), no row is kept,
+so only manifest.txt and diagnostics.txt are written.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels, models, nonlocal_ops
+from . import grid, kernels, models, nonlocal_ops
 from .grid import TWO_PI, PeriodicField, apply_multiplier, wavenumbers
 from .ratefit import fit_exponential, fit_power_law
 from .stepper import (
@@ -87,6 +94,7 @@ from .stepper import (
     StepperConfig,
     Trajectory,
     _n_steps,
+    check_pointwise,
     evolve,
 )
 
@@ -145,8 +153,9 @@ def read_snapshot(path: str) -> Tuple[PeriodicField, float]:
 # ---------------------------------------------------------------------------
 # config parsing
 
-# each initial preset's parameters with their defaults; ellipse and circle
-# build 2-component contours, the others scalar fields
+# each initial preset's parameters with their defaults, an int default
+# marking an integer parameter; ellipse and circle build 2-component
+# contours, the others scalar fields
 _PRESETS = {
     "cosine": {"amplitude": 1.0, "mode": 1, "mean": 0.0},
     "triangle": {"amplitude": 1.0},
@@ -233,8 +242,8 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     if n < 16 or n & (n - 1):
         raise ConfigError("grid.N must be a power of two >= 16")
     length = _pop_float(pairs, "grid.L", default=TWO_PI)
-    if length <= 0:
-        raise ConfigError("grid.L must be positive")
+    if not 0 < length < np.inf:
+        raise ConfigError("grid.L must be positive and finite")
     if model_cls.needs_two_pi and abs(length - TWO_PI) > 1e-12 * TWO_PI:
         raise ConfigError(f"{tag} quadratures assume grid.L = 2*pi")
 
@@ -243,6 +252,8 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
             dt=_pop_float(pairs, "stepper.dt", required=True),
             scheme=pairs.pop("stepper.scheme", "etd_rk2"),
         )
+        if stepper_config.scheme == "frozen_pointwise":
+            check_pointwise(model_cls, n, 2 if model_cls.is_contour else 1)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -294,6 +305,10 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
                 sep = ""
             if not sep:
                 raise ConfigError("ledger.holder entries must be k:kappa")
+            try:
+                grid.check_holder_target(n, *targets[-1])
+            except ValueError as exc:
+                raise ConfigError(f"ledger.holder {tok.strip()}: {exc}")
         holder_targets = tuple(targets)
     if model_cls.is_contour and (derivative_sup or holder_targets):
         raise ConfigError(f"{tag} is a contour: ledger.derivative_sup and "
@@ -362,6 +377,7 @@ def config_lines(config: RunConfig) -> List[str]:
 # ---------------------------------------------------------------------------
 # initial data presets
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite: ConfigError below
 def _preset_field(config: RunConfig) -> PeriodicField:
     preset = config.initial["preset"]
     p = {}
@@ -370,6 +386,8 @@ def _preset_field(config: RunConfig) -> PeriodicField:
             p[name] = float(config.initial.get(name, default))
         except ValueError:
             raise ConfigError(f"initial.{name} must be a number")
+        if isinstance(default, int) and not p[name].is_integer():
+            raise ConfigError(f"initial.{name} must be an integer")
     n, length = config.n, config.domain_length
     x = np.arange(n) * (length / n)
     if preset in ("cosine", "sd_cylinder"):
@@ -395,7 +413,10 @@ def _preset_field(config: RunConfig) -> PeriodicField:
         a, b = (p["a"], p["b"]) if preset == "ellipse" else (p["radius"],) * 2
         theta = TWO_PI * np.arange(n) / n
         samples = np.stack([a * np.cos(theta), b * np.sin(theta)])
-    return PeriodicField(samples, domain_length=length)
+    try:
+        return PeriodicField(samples, domain_length=length)
+    except ValueError as exc:
+        raise ConfigError(f"preset {preset}: {exc}")
 
 
 def build_initial_field(config: RunConfig) -> PeriodicField:
@@ -407,6 +428,11 @@ def build_initial_field(config: RunConfig) -> PeriodicField:
         if field.n != config.n:
             raise ConfigError(
                 f"snapshot has {field.n} samples, config asks for {config.n}")
+        gap = abs(field.domain_length - config.domain_length)
+        if not gap <= 1e-12 * config.domain_length:
+            raise ConfigError(
+                f"snapshot has length {field.domain_length:.17g}, config "
+                f"asks for grid.L = {config.domain_length:.17g}")
     else:
         source = f"preset {config.initial['preset']}"
         field = _preset_field(config)

@@ -200,6 +200,17 @@ def _holder_tables(n: int):
     return tuple(_read_only(arr) for arr in (shifts, index, tail_mask))
 
 
+def check_holder_target(n: int, k: int, kappa: float) -> None:
+    """Raise ValueError unless holder_seminorm can estimate the C^{k+kappa}
+    seminorm of a field of n samples."""
+    if not 0 < kappa < 1:
+        raise ValueError("kappa must lie in (0,1)")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k + 2 > n // 4:
+        raise ValueError("derivative order not resolvable at this N")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
 def holder_seminorm(field: PeriodicField, k: int, kappa: float, *,
                     modes: Optional[np.ndarray] = None) -> HolderEstimate:
@@ -214,13 +225,8 @@ def holder_seminorm(field: PeriodicField, k: int, kappa: float, *,
     """
     if field.components != 1:
         raise ValueError("holder_seminorm takes a scalar 1D field")
-    if not 0 < kappa < 1:
-        raise ValueError("kappa must lie in (0,1)")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_holder_target(field.n, k, kappa)
     n = field.n
-    if k + 2 > n // 4:
-        raise ValueError("derivative order not resolvable at this N")
     if modes is None:
         modes = np.fft.fft(field.samples)
     d = field.samples

@@ -11,7 +11,7 @@ conditioned for small data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import gamma
@@ -48,11 +48,6 @@ class ModelSpec:
         if self.tag not in MODEL_TAGS:
             raise ValueError(f"unknown model tag {self.tag!r}")
 
-    @property
-    def order_s(self) -> float:
-        """Order s of the linear multiplier, which grows like |k|^s."""
-        return make_model(self).order_s
-
 
 class _ModelBase:
     """Shared splitting plumbing; concrete models fill in the physics.
@@ -60,7 +55,9 @@ class _ModelBase:
     Each model declares what it is once: its config tag, the names of its
     constructor parameters (each kept as the attribute of that name), the
     order s of its multiplier, whether its state is a 2-component contour,
-    and whether its quadratures assume the 2pi-periodic domain.
+    and whether its quadratures assume the 2pi-periodic domain. A model
+    whose rhs factors as ~ -a(x) * base(k) defines coefficient_profile(field)
+    returning the frozen-coefficient envelope a(x); it is None on the others.
     """
 
     tag: str = ""
@@ -68,11 +65,7 @@ class _ModelBase:
     order_s: float = 2.0
     is_contour: bool = False
     needs_two_pi: bool = False
-
-    @property
-    def spec(self) -> ModelSpec:
-        return ModelSpec(self.tag, {name: getattr(self, name)
-                                    for name in self.params})
+    coefficient_profile = None
 
     def rhs(self, field: PeriodicField) -> PeriodicField:
         raise NotImplementedError
@@ -81,11 +74,6 @@ class _ModelBase:
         """Symbol base(k) at physical wavenumbers k, before any
         frozen-coefficient scaling."""
         raise NotImplementedError
-
-    def coefficient_profile(self, field: PeriodicField):
-        """Frozen-coefficient envelope a(x) with rhs ~ -a(x) * base(k);
-        None when the model has no such factorization."""
-        return None
 
     def linear_multiplier(self, k: np.ndarray) -> np.ndarray:
         return self.base_multiplier(np.asarray(k, dtype=float))
@@ -96,9 +84,9 @@ class _ModelBase:
         return field.with_samples(self.rhs(field).samples + lin)
 
     def pointwise_remainder(self, field: PeriodicField) -> PeriodicField:
-        a = self.coefficient_profile(field)
-        if a is None:
+        if self.coefficient_profile is None:
             raise ValueError(f"{self.tag} does not expose a pointwise symbol")
+        a = self.coefficient_profile(field)
         k = wavenumbers(field.n, field.domain_length)
         lin = a * apply_multiplier(field, self.base_multiplier(k)).samples
         return field.with_samples(self.rhs(field).samples + lin)
@@ -130,24 +118,18 @@ class HeatModel(_ModelBase):
 
 
 class VarCoefHeatModel(_ModelBase):
-    """d/dt u = a(x) u_xx with smooth positive a; the exercise problem for
-    pointwise freezing (the remainder vanishes at the frozen point)."""
+    """d/dt u = a(x) u_xx with a(x) = 1.25 + 0.75 cos x, which ranges over
+    [0.5, 2]; the exercise problem for pointwise freezing (the remainder
+    vanishes at the frozen point)."""
 
     tag = "varcoef_heat"
 
-    def __init__(self, profile: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        # default ranges over [0.5, 2]
-        self.profile = profile if profile is not None else (
-            lambda x: 1.25 + 0.75 * np.cos(x))
-
-    def _profile_samples(self, field):
-        a = np.asarray(self.profile(field.nodes()), dtype=float)
-        if np.any(a <= 0):
-            raise ValueError("coefficient profile must be positive")
-        return a
+    @staticmethod
+    def profile(x):
+        return 1.25 + 0.75 * np.cos(x)
 
     def rhs(self, field):
-        a = self._profile_samples(field)
+        a = self.coefficient_profile(field)
         return field.with_samples(a * spectral_derivative(field, 2).samples)
 
     def base_multiplier(self, k):
@@ -160,7 +142,7 @@ class VarCoefHeatModel(_ModelBase):
         return float(np.mean(self.profile(x))) * k**2
 
     def coefficient_profile(self, field):
-        return self._profile_samples(field)
+        return self.profile(field.nodes())
 
 
 class McfGraphModel(_ModelBase):
@@ -214,9 +196,9 @@ class NonlocalMcfModel(_ModelBase):
 
 
 class Peskin2dModel(_ModelBase):
-    """Elastic membrane in Stokes flow; linear part (1/4) Lambda applied
-    componentwise (the Hookean frozen scalar), remainder the drift
-    integrals plus the tension mismatch."""
+    """Hookean elastic filament in Stokes flow, tension T(|X'|) = |X'|;
+    linear part (1/4) Lambda applied componentwise, remainder the three
+    drift integrals."""
 
     tag = "peskin2d"
     params = ("theta_cap",)
@@ -249,6 +231,8 @@ class MuskatStModel(_ModelBase):
 
     def __init__(self, rho0: float = 0.0):
         self.rho0 = float(rho0)
+        if not np.isfinite(self.rho0):
+            raise ValueError("rho0 must be finite")
 
     def rhs(self, field):
         return muskat_st_rhs(field, rho0=self.rho0)
@@ -280,7 +264,7 @@ class SurfaceDiffusionModel(_ModelBase):
     order_s = 4.0
 
     def __init__(self, hbar0: float):
-        if hbar0 <= 1.0:
+        if not hbar0 > 1.0:
             raise ValueError("reference radius must exceed 1")
         self.hbar0 = float(hbar0)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
@@ -347,24 +346,6 @@ def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Peskin membrane
 
-@dataclass(frozen=True)
-class TensionLaw:
-    """Elastic tension T(lambda) with its derivative; the structure condition
-    is T' > 0 on the probed stretch range."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-
-    def check(self, stretches: np.ndarray) -> None:
-        if np.any(np.asarray(self.derivative(stretches)) <= 0.0):
-            raise ValueError("tension law violates T' > 0 on the probed range")
-
-
-def hookean_tension() -> TensionLaw:
-    return TensionLaw(value=lambda lam: lam,
-                      derivative=lambda lam: np.ones_like(np.asarray(lam)))
-
-
 class WellStretchedError(RuntimeError):
     """Contour tangent speed |X'| vanishes at a node."""
 
@@ -390,9 +371,10 @@ def stretch_ratio(X: PeriodicField):
     return float(ratios[imax]), (int(iu[0][imax]), int(iu[1][imax]))
 
 
-def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None) -> PeriodicField:
-    """Full membrane velocity: -(1/4) H(T(|X'|) X') + the three drift
-    integrals of the torus reformulation.
+def peskin_rhs(X: PeriodicField) -> PeriodicField:
+    """Full membrane velocity of the Hookean filament: tension T(|X'|) = |X'|,
+    so the tension vector V = T X'/|X'| is X' itself; -(1/4) H(X') + the
+    three drift integrals of the torus reformulation.
 
     Writing c(alpha) = (1/2)cot(alpha/2), the fold of d alpha/alpha, every
     power of c cancels between the half-slope vectors c*deltaX and the
@@ -404,18 +386,14 @@ def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None) -> PeriodicF
         raise ValueError("peskin_rhs takes a 2-component contour")
     if abs(X.domain_length - TWO_PI) > 1e-12:
         raise ValueError("the cotangent reformulation assumes the 2pi-torus")
-    tension = tension if tension is not None else hookean_tension()
 
     xp = spectral_derivative(X, 1).samples
     speed = np.sqrt(xp[0] ** 2 + xp[1] ** 2)
     if float(speed.min()) <= 1e-12:
         raise WellStretchedError(int(np.argmin(speed)))
-    tension.check(speed)
-    tbar = np.asarray(tension.value(speed)) / speed
-    V = tbar * xp
 
     main = -0.25 * np.stack([hilbert_transform(PeriodicField(c, domain_length=X.domain_length))
-                             .samples for c in V])
+                             .samples for c in xp])
 
     plan = _shift_plan(X.n)
     Xs = X.samples
@@ -424,7 +402,7 @@ def peskin_rhs(X: PeriodicField, tension: TensionLaw | None = None) -> PeriodicF
         ib = plan.index[rows]
         c = plan.half_cot[rows, None]
         dX = Xs[:, None, :] - Xs[:, ib]
-        dV = V[:, None, :] - V[:, ib]
+        dV = xp[:, None, :] - xp[:, ib]
         E = xp[:, ib] - c * dX
         r2 = dX[0] ** 2 + dX[1] ** 2
         dXdE = dX[0] * E[0] + dX[1] * E[1]

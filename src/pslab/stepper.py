@@ -40,6 +40,7 @@ from .nonlocal_ops import stretch_ratio
 SCHEMES = ("imex_frozen_phi", "etd_rk2", "frozen_pointwise")
 POINTWISE_MAX_N = 1024
 MAX_PICARD_ITERS = 25
+PICARD_TOL = 1e-10
 
 
 class EvolutionAbort(RuntimeError):
@@ -70,15 +71,12 @@ class PicardDivergenceError(RuntimeError):
 class StepperConfig:
     dt: float
     scheme: str = "etd_rk2"
-    picard_tol: float = 1e-8
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,20 +204,25 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
     return u.with_samples(np.fft.ifft(ah + w2 * (r2 - r1), axis=-1).real)
 
 
+def check_pointwise(model, n: int, components: int) -> None:
+    """Raise ValueError unless frozen_pointwise_step, dense in frequency, can
+    march the model (class or instance) on fields of this shape."""
+    if components != 1:
+        raise ValueError("pointwise freezing is implemented for scalar 1D fields")
+    if n > POINTWISE_MAX_N:
+        raise ValueError(f"pointwise freezing is dense; N must be <= {POINTWISE_MAX_N}")
+    if model.coefficient_profile is None:
+        raise ValueError(f"{model.tag} does not expose a pointwise symbol")
+
+
 def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
     """One step where each grid point propagates under the exact kernel of
-    its own frozen symbol a(x_i) base(k); dense in frequency, so scalar 1D
-    fields up to N = 1024 only."""
+    its own frozen symbol a(x_i) base(k); see check_pointwise for where it
+    applies."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if u.components != 1:
-        raise ValueError("pointwise freezing is implemented for scalar 1D fields")
-    if u.n > POINTWISE_MAX_N:
-        raise ValueError(f"pointwise freezing is dense; N must be <= {POINTWISE_MAX_N}")
-    a = model.coefficient_profile(u)
-    if a is None:
-        raise ValueError(f"{model.tag} does not expose a pointwise symbol")
-    a = np.asarray(a, dtype=float)
+    check_pointwise(model, u.n, u.components)
+    a = np.asarray(model.coefficient_profile(u), dtype=float)
     k = wavenumbers(u.n, u.domain_length)
     base = model.base_multiplier(k)
     E = np.exp(-dt * np.outer(a, base))
@@ -263,7 +266,8 @@ def _stability_bound(model, u0: PeriodicField, dt: float) -> float:
 def _n_steps(T: float, dt: float) -> int:
     if T <= 0:
         raise ValueError("T must be positive")
-    n_steps = int(round(T / dt))
+    # T / dt overflows for T = inf or a subnormal dt: no step count
+    n_steps = int(round(T / dt)) if np.isfinite(T / dt) else 0
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("T must be an integer number of steps")
     return n_steps
@@ -398,7 +402,7 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
         g = f
         # a remainder that vanishes identically on the window makes the map
         # constant, so its first output is already the fixed point
-        if d < config.picard_tol or source_free:
+        if d < PICARD_TOL or source_free:
             return _ledger_trajectory(g), log
         if prev is not None and prev > 0 and d / prev >= 1.0:
             rising += 1

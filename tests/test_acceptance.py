@@ -254,8 +254,7 @@ def test_ac11_thinfilm_smoothing_and_mean():
 def test_ac12_picard_contraction():
     x = grid_x(128)
     u0 = PeriodicField(0.05 * np.sin(x))  # sup |u0'| = 0.05
-    config = StepperConfig(dt=2e-3, scheme="imex_frozen_phi",
-                           picard_tol=1e-10)
+    config = StepperConfig(dt=2e-3, scheme="imex_frozen_phi")
     _, log = picard_solve(McfGraphModel(), u0, 0.1, config)
     rep = contraction_report(log)
     ok = rep.contractive and rep.r_squared >= 0.95

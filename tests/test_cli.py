@@ -491,6 +491,105 @@ class TestRunCommand:
         assert "mean" in table
 
 
+ELLIPSE = {"model.tag": "peskin2d", "initial.preset": "ellipse",
+           "stepper.dt": "0.01", "run.T": "0.1"}
+NO_DERIVATIVES = ("initial.amplitude", "ledger.derivative_sup")
+
+
+class TestConfigErrorsBeforeOutput:
+    """Each bad config exits 2 with its reason on stderr, writes nothing
+    and raises no numpy warning."""
+
+    def run_rejected(self, tmp_path, capsys, overrides, drop=(), words=()):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides=dict(overrides,
+                                                     **{"output.dir": str(out)}),
+                           drop=drop)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg]) == 2
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        err = capsys.readouterr().err
+        for word in words:
+            assert word in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, drop", [
+        ({"initial.amplitude": "nan"}, ()),
+        (dict(ELLIPSE, **{"initial.a": "nan"}), NO_DERIVATIVES),
+        ({"initial.preset": "cosine", "initial.mean": "1e308",
+          "initial.amplitude": "1e308"}, ()),
+    ], ids=["triangle_nan_amplitude", "ellipse_nan_axis", "cosine_overflow"])
+    def test_non_finite_preset(self, tmp_path, capsys, overrides, drop):
+        self.run_rejected(tmp_path, capsys, overrides, drop, ["NaN/Inf"])
+
+    @pytest.mark.parametrize("length", ["inf", "nan"])
+    def test_non_finite_domain_length(self, tmp_path, capsys, length):
+        self.run_rejected(tmp_path, capsys, {"grid.L": length}, (),
+                          ["grid.L"])
+
+    @pytest.mark.parametrize("overrides", [
+        {"run.T": "inf"},
+        {"stepper.dt": "1e-320", "run.T": "1"},
+    ], ids=["infinite_T", "tiny_dt"])
+    def test_overflowing_step_count(self, tmp_path, capsys, overrides):
+        self.run_rejected(tmp_path, capsys, overrides, (), ["integer number"])
+
+    @pytest.mark.parametrize("target", ["1:1.5", "1:nan", "3:0.5"])
+    def test_holder_target_out_of_range(self, tmp_path, capsys, target):
+        self.run_rejected(tmp_path, capsys,
+                          {"grid.N": "16", "ledger.holder": target}, (),
+                          ["ledger.holder", target])
+
+    @pytest.mark.parametrize("overrides, drop", [
+        ({"model.tag": "thinfilm_exp"}, ()),
+        (ELLIPSE, NO_DERIVATIVES),
+        ({"grid.N": "2048"}, ()),
+    ], ids=["no_profile", "contour", "above_max_n"])
+    def test_frozen_pointwise_unsupported(self, tmp_path, capsys, overrides,
+                                          drop):
+        overrides = dict(overrides, **{"stepper.scheme": "frozen_pointwise"})
+        self.run_rejected(tmp_path, capsys, overrides, drop, ["pointwise"])
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"initial.preset": "cosine", "initial.mode": "1.5"}, "initial.mode"),
+        ({"initial.preset": "random_band", "initial.kmax": "3.9"},
+         "initial.kmax"),
+        ({"initial.preset": "random_band", "initial.kmin": "inf"},
+         "initial.kmin"),
+    ], ids=["mode", "kmax", "kmin"])
+    def test_non_integer_wavenumber(self, tmp_path, capsys, overrides, key):
+        self.run_rejected(tmp_path, capsys, overrides, (), [key, "integer"])
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"model.tag": "surface_diffusion_axi", "model.hbar0": "nan",
+          "initial.preset": "sd_cylinder"}, "radius"),
+        ({"model.tag": "muskat_st", "model.rho0": "nan"}, "rho0"),
+    ], ids=["hbar0", "rho0"])
+    def test_nan_model_parameter(self, tmp_path, capsys, overrides, key):
+        self.run_rejected(tmp_path, capsys, overrides, ("initial.amplitude",),
+                          [key])
+
+    @pytest.mark.parametrize("tag", ["heat", "muskat_st"])
+    def test_restart_length_must_match_grid(self, tmp_path, capsys, tag):
+        snap = str(tmp_path / "snap.bin")
+        write_snapshot(snap, PeriodicField(np.zeros(64), domain_length=3.0),
+                       0.0)
+        self.run_rejected(
+            tmp_path, capsys,
+            {"model.tag": tag, "grid.N": "64", "stepper.dt": "1e-6",
+             "run.T": "1e-5", "initial.file": snap},
+            ("initial.preset", "initial.amplitude"), ["grid.L"])
+
+    def test_integral_float_wavenumber_accepted(self):
+        config = build_run_config(parse_config_text(config_text(
+            {"initial.preset": "cosine", "initial.mode": "2.0"},
+            drop=["initial.amplitude"])))
+        field = build_initial_field(config)
+        x = field.nodes()
+        np.testing.assert_array_equal(field.samples, np.cos(2 * x))
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["kernels", "operators", "models"])
     def test_suite_passes_and_emits_ndjson(self, suite, capsys):

@@ -13,13 +13,11 @@ from pslab.grid import PeriodicField, fractional_laplacian, hilbert_transform, s
 from pslab.nonlocal_ops import (
     BackendMismatchError,
     DriftedSqrtSymbol,
-    TensionLaw,
     WellStretchedError,
     contc_integral,
     dirichlet_neumann_op,
     fractional_mean_curvature,
     gcal,
-    hookean_tension,
     lemz0_constant,
     muskat_st_rhs,
     peskin_rhs,
@@ -400,11 +398,6 @@ class TestPeskinRhs:
             rhs = peskin_rhs(circle(256, radius, center)).samples
             assert np.max(np.abs(rhs)) < 1e-12 * max(1.0, radius)
 
-    def test_quadratic_tension_circle_steady(self):
-        law = TensionLaw(value=lambda lam: lam**2, derivative=lambda lam: 2.0 * lam)
-        rhs = peskin_rhs(circle(128), tension=law).samples
-        assert np.max(np.abs(rhs)) < 1e-12
-
     def test_rotation_equivariance(self):
         x = grid_1d(128)
         ell = np.stack([1.1 * np.cos(x), 0.9 * np.sin(x)])
@@ -468,18 +461,6 @@ class TestPeskinRhs:
         with pytest.raises(WellStretchedError) as exc:
             peskin_rhs(PeriodicField(np.stack([np.cos(x) ** 3, np.sin(x) ** 3])))
         assert exc.value.node in (0, 32, 64, 96)
-
-    def test_tension_structure_condition_enforced(self):
-        law = TensionLaw(value=lambda lam: np.ones_like(lam),
-                         derivative=lambda lam: np.zeros_like(lam))
-        with pytest.raises(ValueError):
-            peskin_rhs(circle(128), tension=law)
-
-    def test_hookean_default(self):
-        law = hookean_tension()
-        lam = np.array([0.5, 1.0, 2.0])
-        assert np.array_equal(law.value(lam), lam)
-        assert np.array_equal(law.derivative(lam), np.ones(3))
 
     def test_rejects_scalar_field(self):
         with pytest.raises(ValueError):

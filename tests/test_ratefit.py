@@ -295,8 +295,7 @@ class TestContractionReport:
         x = grid_x(128)
         u0 = PeriodicField(0.05 * np.sin(x))
         from pslab.models import McfGraphModel
-        config = StepperConfig(dt=2e-3, scheme="imex_frozen_phi",
-                               picard_tol=1e-10)
+        config = StepperConfig(dt=2e-3, scheme="imex_frozen_phi")
         _, log = picard_solve(McfGraphModel(), u0, 2e-2, config)
         rep = contraction_report(log)
         assert rep.contractive

@@ -24,6 +24,7 @@ from pslab.models import (
 from pslab.stepper import (
     EvolutionAbort,
     LedgerSpec,
+    PICARD_TOL,
     PicardDivergenceError,
     StepSizeRefused,
     StepperConfig,
@@ -35,6 +36,7 @@ from pslab.stepper import (
     picard_apply,
     picard_solve,
     _etd_weights,
+    _n_steps,
     _phi1,
     _phi2,
 )
@@ -173,8 +175,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             StepperConfig(dt=0.1, scheme="rk4")
         with pytest.raises(ValueError):
-            StepperConfig(dt=0.1, picard_tol=0.0)
-        with pytest.raises(ValueError):
             LedgerSpec(stride=0)
 
     def test_step_argument_validation(self):
@@ -183,6 +183,11 @@ class TestConfigValidation:
             imex_frozen_phi_step(u, HeatModel(), -0.1)
         with pytest.raises(ValueError):
             imex_frozen_phi_step(u, HeatModel(), 0.1, scheme="frozen_pointwise")
+
+    @pytest.mark.parametrize("T, dt", [(float("inf"), 0.01), (1.0, 1e-320)])
+    def test_overflowing_step_count_is_a_value_error(self, T, dt):
+        with pytest.raises(ValueError, match="integer number of steps"):
+            _n_steps(T, dt)
 
 
 class TestTrajectoryType:
@@ -522,22 +527,22 @@ class TestPicard:
 
     def test_mcf_contracts(self):
         u0 = PeriodicField(0.05 * np.sin(grid_x(128)))
-        cfg = StepperConfig(dt=2e-3, scheme="imex_frozen_phi", picard_tol=1e-10)
+        cfg = StepperConfig(dt=2e-3, scheme="imex_frozen_phi")
         traj, log = picard_solve(McfGraphModel(), u0, 0.1, cfg)
         ratios = [b / a for a, b in zip(log, log[1:])]
         assert all(r < 1.0 for r in ratios)
         direct = evolve(McfGraphModel(), u0, 0.1, cfg)
         gap = np.max(np.abs(traj.final().samples - direct.final().samples))
-        assert gap <= 10 * cfg.picard_tol
+        assert gap <= 10 * PICARD_TOL
 
     def test_reapplying_map_moves_little(self):
         u0 = PeriodicField(0.05 * np.sin(grid_x(128)))
-        cfg = StepperConfig(dt=2e-3, scheme="imex_frozen_phi", picard_tol=1e-10)
+        cfg = StepperConfig(dt=2e-3, scheme="imex_frozen_phi")
         traj, _ = picard_solve(McfGraphModel(), u0, 0.1, cfg)
         again = picard_apply(McfGraphModel(), traj, cfg)
         move = max(np.max(np.abs(wa.samples - wb.samples))
                    for (_, wa), (_, wb) in zip(traj.snapshots, again.snapshots))
-        assert move <= 2 * cfg.picard_tol
+        assert move <= 2 * PICARD_TOL
 
     def test_divergence_carries_log(self):
         u0 = PeriodicField(np.full(32, 2.0))
