@@ -24,7 +24,7 @@ state is a 2-component contour; the lines below list them. Keys:
     grid.L               finite domain length (defaults to 2*pi;
                          nonlocal_mcf, peskin2d and muskat_st require the
                          default)
-    stepper.dt           time step (required)
+    stepper.dt           time step, positive and finite (required)
     stepper.scheme       etd_rk2 | imex_frozen_phi | frozen_pointwise
                          (the last for scalar models with a coefficient
                          profile at N <= 1024)
@@ -49,18 +49,20 @@ state is a 2-component contour; the lines below list them. Keys:
     ledger.derivative_sup   comma-separated derivative orders, e.g. 1,2
     ledger.holder        comma-separated k:kappa pairs, e.g. 1:0.5, with
                          0 < kappa < 1 and 0 <= k <= N/4 - 2 (neither key
-                         is accepted for a contour model)
+                         is accepted for a contour model; the run and its
+                         manifest use both sorted and without repeats)
     ledger.theta         true | false | auto (default auto); a contour
                          model's key only, like model.theta_cap
     output.dir           output directory, created if missing (required);
                          relative paths resolve under $PLAB_OUTPUT_ROOT
                          when that is set
-    seed                 integer seed for randomized presets (default 0)
+    seed                 integer seed >= 0 for randomized presets (default 0)
 
 Outputs of ``run``: initial.bin and final.bin (64-byte header: magic
 "PLAB1\\0", component count, samples per component, domain length, time;
 then little-endian float64 samples), ledger.csv with a fixed column order
-(t, l2, linf, mean columns, derivative sups, Holder seminorms, theta), and
+(t, l2, linf, mean columns, derivative sups, Holder seminorms named
+holder_{k}_{kappa} with kappa in its shortest exact form, theta), and
 manifest.txt, itself a loadable config that reproduces the run. Exit codes:
 0 success, 1 failed check or missed expectation, 2 config or file errors
 (a preset with NaN or Inf samples among them; checked before anything is
@@ -132,8 +134,11 @@ def write_snapshot(path: str, field: PeriodicField, t: float) -> None:
 
 
 def read_snapshot(path: str) -> Tuple[PeriodicField, float]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read snapshot: {exc}")
     if len(raw) < _HEADER_SIZE:
         raise ConfigError(f"{path}: truncated snapshot header")
     magic, ncomp, n, length, t = _HEADER.unpack(raw[: _HEADER.size])
@@ -247,23 +252,19 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     if model_cls.needs_two_pi and abs(length - TWO_PI) > 1e-12 * TWO_PI:
         raise ConfigError(f"{tag} quadratures assume grid.L = 2*pi")
 
+    dt = _pop_float(pairs, "stepper.dt", required=True)
     try:
-        stepper_config = StepperConfig(
-            dt=_pop_float(pairs, "stepper.dt", required=True),
-            scheme=pairs.pop("stepper.scheme", "etd_rk2"),
-        )
+        stepper_config = StepperConfig(dt, pairs.pop("stepper.scheme", "etd_rk2"))
         if stepper_config.scheme == "frozen_pointwise":
             check_pointwise(model_cls, n, 2 if model_cls.is_contour else 1)
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"stepper.{exc}")
 
     horizon = _pop_float(pairs, "run.T", required=True)
-    if horizon <= 0:
-        raise ConfigError("run.T must be positive")
     try:
         _n_steps(horizon, stepper_config.dt)
-    except ValueError:
-        raise ConfigError("run.T must be an integer number of stepper.dt steps")
+    except ValueError as exc:
+        raise ConfigError(f"run.{exc}")
 
     initial: Dict[str, str] = {}
     preset = pairs.pop("initial.preset", None)
@@ -283,8 +284,6 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
                 initial[name] = pairs.pop(key)
 
     stride = _pop_int(pairs, "ledger.stride", default=1)
-    if stride < 1:
-        raise ConfigError("ledger.stride must be >= 1")
     derivative_sup: Tuple[int, ...] = ()
     if "ledger.derivative_sup" in pairs:
         try:
@@ -294,22 +293,20 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
             raise ConfigError("ledger.derivative_sup must be integers")
         if any(m < 1 for m in derivative_sup):
             raise ConfigError("derivative orders must be >= 1")
-    holder_targets: Tuple[Tuple[int, float], ...] = ()
+    holder_targets = []
     if "ledger.holder" in pairs:
-        targets = []
         for tok in pairs.pop("ledger.holder").split(","):
             k, sep, kappa = tok.partition(":")
             try:
-                targets.append((int(k), float(kappa)))
+                holder_targets.append((int(k), float(kappa)))
             except ValueError:
                 sep = ""
             if not sep:
                 raise ConfigError("ledger.holder entries must be k:kappa")
             try:
-                grid.check_holder_target(n, *targets[-1])
+                grid.check_holder_target(n, *holder_targets[-1])
             except ValueError as exc:
                 raise ConfigError(f"ledger.holder {tok.strip()}: {exc}")
-        holder_targets = tuple(targets)
     if model_cls.is_contour and (derivative_sup or holder_targets):
         raise ConfigError(f"{tag} is a contour: ledger.derivative_sup and "
                           "ledger.holder take scalar fields")
@@ -319,14 +316,19 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     if theta_raw not in ("auto", "true", "false"):
         raise ConfigError("ledger.theta must be true, false, or auto")
     record_theta = None if theta_raw == "auto" else theta_raw == "true"
-    ledger = LedgerSpec(stride=stride, derivative_sup=derivative_sup,
-                        holder_targets=holder_targets,
-                        record_theta=record_theta)
+    try:
+        ledger = LedgerSpec(stride=stride, derivative_sup=derivative_sup,
+                            holder_targets=holder_targets,
+                            record_theta=record_theta)
+    except ValueError as exc:
+        raise ConfigError(f"ledger.{exc}")
 
     out_dir = pairs.pop("output.dir", None)
     if out_dir is None:
         raise ConfigError("missing required key output.dir")
     seed = _pop_int(pairs, "seed", default=0)
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
 
     if pairs:
         raise ConfigError(f"unknown keys: {', '.join(sorted(pairs))}")
@@ -363,7 +365,7 @@ def config_lines(config: RunConfig) -> List[str]:
         joined = ",".join(str(m) for m in config.ledger.derivative_sup)
         lines.append(f"ledger.derivative_sup = {joined}")
     if config.ledger.holder_targets:
-        joined = ",".join(f"{k}:{kappa:g}"
+        joined = ",".join(f"{k}:{kappa!r}"
                           for k, kappa in config.ledger.holder_targets)
         lines.append(f"ledger.holder = {joined}")
     if config.ledger.record_theta is not None:
@@ -448,29 +450,8 @@ def build_initial_field(config: RunConfig) -> PeriodicField:
 # ---------------------------------------------------------------------------
 # ledger CSV
 
-def _holder_sort_key(name: str):
-    _, k, kappa = name.split("_")
-    return (int(k), float(kappa))
-
-
-def ledger_columns(row: Dict[str, float]) -> List[str]:
-    cols = ["t", "l2", "linf"]
-    if "mean" in row:
-        cols += ["mean", "osc_linf"]
-    else:
-        cols += sorted((k for k in row if k.startswith("mean_")),
-                       key=lambda name: int(name[5:]))
-    cols += sorted((k for k in row if k.startswith("d") and k.endswith("_linf")),
-                   key=lambda name: int(name[1:-5]))
-    cols += sorted((k for k in row if k.startswith("holder_")),
-                   key=_holder_sort_key)
-    if "theta" in row:
-        cols.append("theta")
-    return cols
-
-
 def write_ledger_csv(path: str, rows: Sequence[Dict[str, float]]) -> None:
-    cols = ledger_columns(rows[0])
+    cols = list(rows[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:

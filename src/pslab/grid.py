@@ -46,10 +46,10 @@ class PeriodicField:
     domain_length : float
         Period L of the torus, default 2*pi.
 
-    Invariants: N is a power of two with N >= 16, and every sample is
-    finite. Both are checked at construction (a non-finite sample raises
-    NonFiniteError); operations in this module return new fields, never
-    mutate.
+    Invariants: N is a power of two with N >= 16, L is positive and
+    finite, and every sample is finite. All are checked at construction (a
+    non-finite sample raises NonFiniteError); operations in this module
+    return new fields, never mutate.
     """
 
     samples: np.ndarray
@@ -67,8 +67,8 @@ class PeriodicField:
             raise ValueError(f"N must be a power of two >= 16, got {n}")
         if not np.isfinite(arr).all():
             raise NonFiniteError("samples contain NaN/Inf")
-        if self.domain_length <= 0:
-            raise ValueError("domain_length must be positive")
+        if not 0 < self.domain_length < math.inf:
+            raise ValueError("domain_length must be positive and finite")
 
     @property
     def n(self) -> int:

@@ -14,6 +14,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .stepper import holder_column
+
 DEFAULT_KAPPA_SURROGATE = 0.05
 
 
@@ -140,7 +142,7 @@ def smoothing_report(traj, s: float, targets: Sequence[Tuple[int, float]],
         if kappa <= DEFAULT_KAPPA_SURROGATE:
             key = f"d{k + 1}_linf"
         else:
-            key = f"holder_{k}_{kappa:g}"
+            key = holder_column(k, kappa)
         if key not in traj.ledger[0]:
             raise ValueError(f"ledger does not carry {key}")
         fit = fit_power_law(times, traj.series(key), window)

@@ -73,18 +73,20 @@ class StepperConfig:
     scheme: str = "etd_rk2"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
 
 @dataclass(frozen=True)
 class LedgerSpec:
-    """What to record at each kept snapshot.
+    """What to record at each kept snapshot, in ledger column order.
 
     derivative_sup: spectral-derivative orders m recorded as d{m}_linf.
-    holder_targets: (k, kappa) pairs recorded as holder_{k}_{kappa}.
+    holder_targets: (k, kappa) pairs recorded as holder_column(k, kappa).
+    Both are stored sorted and without repeats, as ints and (int, float)
+    pairs, so ledger_entry emits its keys in the ledger CSV's order.
     record_theta: None means record theta for models with a theta_cap only.
     stride: keep every stride-th step (the initial and final states are
     always kept).
@@ -98,6 +100,15 @@ class LedgerSpec:
     def __post_init__(self):
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
+        object.__setattr__(self, "derivative_sup", tuple(
+            sorted({int(m) for m in self.derivative_sup})))
+        object.__setattr__(self, "holder_targets", tuple(sorted(
+            {(int(k), float(kappa)) for k, kappa in self.holder_targets})))
+
+
+def holder_column(k: int, kappa: float) -> str:
+    """Column of the C^{k+kappa} seminorm, kappa in shortest exact form."""
+    return f"holder_{k}_{float(kappa)!r}"
 
 
 @dataclass(frozen=True)
@@ -143,11 +154,11 @@ def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec) -> dict:
         modes = (np.fft.fft(field.samples)
                  if spec.derivative_sup or spec.holder_targets else None)
         for m in spec.derivative_sup:
-            d = spectral_derivative(field, int(m), modes=modes)
-            entry[f"d{int(m)}_linf"] = float(np.max(np.abs(d.samples)))
+            d = spectral_derivative(field, m, modes=modes)
+            entry[f"d{m}_linf"] = float(np.max(np.abs(d.samples)))
         for k, kappa in spec.holder_targets:
-            est = holder_seminorm(field, int(k), float(kappa), modes=modes)
-            entry[f"holder_{int(k)}_{float(kappa):g}"] = est.value
+            est = holder_seminorm(field, k, kappa, modes=modes)
+            entry[holder_column(k, kappa)] = est.value
     return entry
 
 
@@ -208,11 +219,11 @@ def check_pointwise(model, n: int, components: int) -> None:
     """Raise ValueError unless frozen_pointwise_step, dense in frequency, can
     march the model (class or instance) on fields of this shape."""
     if components != 1:
-        raise ValueError("pointwise freezing is implemented for scalar 1D fields")
+        raise ValueError("scheme frozen_pointwise takes scalar 1D fields")
     if n > POINTWISE_MAX_N:
-        raise ValueError(f"pointwise freezing is dense; N must be <= {POINTWISE_MAX_N}")
+        raise ValueError(f"scheme frozen_pointwise is dense: N must be <= {POINTWISE_MAX_N}")
     if model.coefficient_profile is None:
-        raise ValueError(f"{model.tag} does not expose a pointwise symbol")
+        raise ValueError(f"scheme frozen_pointwise: {model.tag} has no pointwise symbol")
 
 
 def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:

@@ -14,7 +14,6 @@ from pslab.cli import (
     build_initial_field,
     build_run_config,
     config_lines,
-    ledger_columns,
     main,
     parse_config_text,
     read_ledger_csv,
@@ -23,6 +22,8 @@ from pslab.cli import (
     write_snapshot,
 )
 from pslab.grid import PeriodicField
+from pslab.models import Peskin2dModel
+from pslab.stepper import LedgerSpec, StepperConfig, evolve, ledger_entry
 
 
 BASE_CONFIG = {
@@ -115,6 +116,14 @@ class TestConfigParsing:
             build_run_config(parse_config_text(
                 config_text({"ledger.holder": "1-0.5"})))
 
+    def test_manifest_lists_ledger_targets_sorted_once(self):
+        config = build_run_config(parse_config_text(config_text(
+            {"ledger.derivative_sup": "3,1,3",
+             "ledger.holder": "1:0.5,0:0.25,1:0.5"})))
+        lines = config_lines(config)
+        assert "ledger.derivative_sup = 1,3" in lines
+        assert "ledger.holder = 0:0.25,1:0.5" in lines
+
     def test_effective_config_round_trips(self):
         config = build_run_config(parse_config_text(config_text(
             {"ledger.holder": "1:0.5", "seed": "7"})))
@@ -166,26 +175,51 @@ class TestSnapshotFormat:
         with pytest.raises(ConfigError, match="bytes"):
             read_snapshot(str(clipped))
 
+        # the domain length sits at bytes 16-24 of the header
+        nan_length = tmp_path / "nan_length.bin"
+        nan_length.write_bytes(raw[:16] + np.float64(np.nan).tobytes()
+                               + raw[24:])
+        with pytest.raises(ConfigError, match="domain_length"):
+            read_snapshot(str(nan_length))
+
+        with pytest.raises(ConfigError, match="cannot read snapshot"):
+            read_snapshot(str(tmp_path / "nothere.bin"))
+
+
+def csv_header(tmp_path, rows):
+    path = tmp_path / "ledger.csv"
+    write_ledger_csv(str(path), rows)
+    return path.read_text().splitlines()[0].split(",")
+
 
 class TestLedgerCsv:
-    def test_column_order_fixed(self):
-        row = {"t": 0.0, "l2": 1.0, "linf": 1.0, "mean": 0.0,
-               "osc_linf": 1.0, "d2_linf": 3.0, "d1_linf": 2.0,
-               "holder_1_0.5": 4.0, "theta": 1.0}
-        assert ledger_columns(row) == [
+    def test_column_order_fixed(self, tmp_path):
+        # an unsorted spec with a repeated order still gives each column
+        # once, in the fixed order
+        spec = LedgerSpec(derivative_sup=(2, 1, 2),
+                          holder_targets=((1, 0.5), (0, 0.5)))
+        x = np.arange(64) * (2.0 * np.pi / 64)
+        row = ledger_entry(0.0, PeriodicField(np.cos(x) + 0.3), spec)
+        assert csv_header(tmp_path, [row]) == [
             "t", "l2", "linf", "mean", "osc_linf", "d1_linf", "d2_linf",
-            "holder_1_0.5", "theta"]
+            "holder_0_0.5", "holder_1_0.5"]
 
     def test_component_means_read_from_the_row(self, tmp_path):
         # a 3-component row keeps every mean column, in component order
-        row = {"t": 0.0, "l2": 1.0, "linf": 1.0, "theta": 1.0,
-               **{f"mean_{i}": float(i) for i in (2, 0, 1)}}
-        assert ledger_columns(row) == [
-            "t", "l2", "linf", "mean_0", "mean_1", "mean_2", "theta"]
-        path = str(tmp_path / "ledger.csv")
-        write_ledger_csv(path, [row])
-        table = read_ledger_csv(path)
+        field = PeriodicField(np.arange(3.0)[:, None] + np.zeros((3, 32)))
+        row = ledger_entry(0.0, field, LedgerSpec())
+        assert csv_header(tmp_path, [row]) == [
+            "t", "l2", "linf", "mean_0", "mean_1", "mean_2"]
+        table = read_ledger_csv(str(tmp_path / "ledger.csv"))
         assert [float(table[f"mean_{i}"][0]) for i in range(3)] == [0.0, 1.0, 2.0]
+        # evolve appends theta after the contour's mean columns
+        theta = 2.0 * np.pi * np.arange(32) / 32
+        ellipse = PeriodicField(np.stack([1.1 * np.cos(theta),
+                                          0.9 * np.sin(theta)]))
+        traj = evolve(Peskin2dModel(), ellipse, 0.01, StepperConfig(dt=0.01),
+                      LedgerSpec(record_theta=True))
+        assert csv_header(tmp_path, traj.ledger) == [
+            "t", "l2", "linf", "mean_0", "mean_1", "theta"]
 
     def test_round_trip(self, tmp_path):
         rows = [{"t": 0.0, "l2": 1.0, "linf": 0.5, "mean": 0.1,
@@ -246,6 +280,26 @@ class TestRunCommand:
             f"output.dir = {out}", f"output.dir = {tmp_path / 'replay'}")
         replay_cfg = tmp_path / "replay.cfg"
         replay_cfg.write_text(manifest)
+        assert main(["run", str(replay_cfg)]) == 0
+        assert (tmp_path / "replay" / "ledger.csv").read_bytes() == first
+
+    def test_manifest_reproduces_exact_holder_targets(self, tmp_path):
+        # kappa beyond 6 significant digits, and two targets that agree to
+        # 6 digits, each keep their own exact column through the manifest
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={
+            "output.dir": str(out),
+            "ledger.holder": "0:0.123456789,0:0.5,0:0.5000001"})
+        assert main(["run", cfg]) == 0
+        first = (out / "ledger.csv").read_bytes()
+        assert [c for c in first.decode().splitlines()[0].split(",")
+                if c.startswith("holder_")] == [
+            "holder_0_0.123456789", "holder_0_0.5", "holder_0_0.5000001"]
+        manifest = (out / "manifest.txt").read_text()
+        assert "ledger.holder = 0:0.123456789,0:0.5,0:0.5000001\n" in manifest
+        replay_cfg = tmp_path / "replay.cfg"
+        replay_cfg.write_text(manifest.replace(
+            f"output.dir = {out}", f"output.dir = {tmp_path / 'replay'}"))
         assert main(["run", str(replay_cfg)]) == 0
         assert (tmp_path / "replay" / "ledger.csv").read_bytes() == first
 
@@ -534,6 +588,22 @@ class TestConfigErrorsBeforeOutput:
     ], ids=["infinite_T", "tiny_dt"])
     def test_overflowing_step_count(self, tmp_path, capsys, overrides):
         self.run_rejected(tmp_path, capsys, overrides, (), ["integer number"])
+
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_non_finite_dt(self, tmp_path, capsys, dt):
+        self.run_rejected(tmp_path, capsys, {"stepper.dt": dt}, (),
+                          ["stepper.dt must be positive and finite"])
+
+    def test_missing_restart_snapshot(self, tmp_path, capsys):
+        snap = str(tmp_path / "nothere.bin")
+        self.run_rejected(tmp_path, capsys, {"initial.file": snap},
+                          ("initial.preset", "initial.amplitude"),
+                          ["nothere.bin"])
+
+    def test_negative_seed(self, tmp_path, capsys):
+        self.run_rejected(tmp_path, capsys,
+                          {"initial.preset": "random_band", "seed": "-1"},
+                          ("initial.amplitude",), ["seed"])
 
     @pytest.mark.parametrize("target", ["1:1.5", "1:nan", "3:0.5"])
     def test_holder_target_out_of_range(self, tmp_path, capsys, target):

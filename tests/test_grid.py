@@ -57,6 +57,11 @@ class TestFieldInvariants:
             with pytest.raises(NonFiniteError):
                 PeriodicField(u)
 
+    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_domain_length(self, length):
+        with pytest.raises(ValueError, match="domain_length"):
+            PeriodicField(np.zeros(16), domain_length=length)
+
     def test_components(self):
         f = PeriodicField(np.zeros((2, 32)))
         assert f.components == 2 and f.n == 32

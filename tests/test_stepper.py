@@ -31,6 +31,7 @@ from pslab.stepper import (
     Trajectory,
     evolve,
     frozen_pointwise_step,
+    holder_column,
     imex_frozen_phi_step,
     ledger_entry,
     picard_apply,
@@ -170,8 +171,9 @@ class TestPhiFunctions:
 
 class TestConfigValidation:
     def test_bad_configs(self):
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.0)
+        for dt in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                StepperConfig(dt=dt)
         with pytest.raises(ValueError):
             StepperConfig(dt=0.1, scheme="rk4")
         with pytest.raises(ValueError):
@@ -217,6 +219,24 @@ class TestLedger:
                       StepperConfig(dt=0.01), spec)
         for (t, field), row in zip(traj.snapshots, traj.ledger):
             assert ledger_entry(t, field, spec) == row
+
+    def test_spec_targets_sorted_unique_python_scalars(self):
+        spec = LedgerSpec(derivative_sup=(np.int64(3), 1, 3),
+                          holder_targets=((np.int64(1), np.float64(0.5)),
+                                          (0, 0.25), (1, 0.5)))
+        assert spec.derivative_sup == (1, 3)
+        assert spec.holder_targets == ((0, 0.25), (1, 0.5))
+        assert all(type(m) is int for m in spec.derivative_sup)
+        assert all(type(k) is int and type(kappa) is float
+                   for k, kappa in spec.holder_targets)
+
+    def test_close_kappas_get_separate_exact_columns(self):
+        spec = LedgerSpec(holder_targets=((0, 0.5), (0, 0.5000001)))
+        row = ledger_entry(0.0, triangle(128, 0.4), spec)
+        assert [c for c in row if c.startswith("holder_")] == [
+            "holder_0_0.5", "holder_0_0.5000001"]
+        assert row["holder_0_0.5"] != row["holder_0_0.5000001"]
+        assert holder_column(1, np.float64(0.5)) == "holder_1_0.5"
 
     def test_stride_keeps_endpoints(self):
         traj = evolve(HeatModel(), PeriodicField(np.cos(grid_x(32))), 0.1,
