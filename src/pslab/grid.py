@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -23,10 +22,6 @@ TWO_PI = 2.0 * np.pi
 # Relative spectral-tail energy above which a derivative is flagged as
 # under-resolved by holder_seminorm.
 TAIL_ENERGY_THRESHOLD = 1e-8
-
-
-def _is_power_of_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 class NonFiniteError(ValueError):
@@ -63,7 +58,7 @@ class PeriodicField:
         if arr.ndim == 2 and arr.shape[0] >= 16:
             raise ValueError("component count must be small")
         n = arr.shape[-1]
-        if not _is_power_of_two(n) or n < 16:
+        if n < 16 or n & (n - 1):
             raise ValueError(f"N must be a power of two >= 16, got {n}")
         if not np.isfinite(arr).all():
             raise NonFiniteError("samples contain NaN/Inf")
@@ -108,13 +103,10 @@ def wavenumbers(n: int, L: float = TWO_PI) -> np.ndarray:
 # a transform or product that overflows gives a field that its construction
 # rejects with NonFiniteError, so numpy's warnings would only repeat that
 @np.errstate(over="ignore", invalid="ignore")
-def apply_multiplier(field: PeriodicField, mult: np.ndarray, *,
-                     modes: Optional[np.ndarray] = None) -> PeriodicField:
+def apply_multiplier(field: PeriodicField, mult: np.ndarray) -> PeriodicField:
     """Multiply every component's modes by mult (FFT order) and transform
-    back, keeping the real part. A caller that already holds the spectrum
-    ``np.fft.fft(field.samples, axis=-1)`` passes it as ``modes``."""
-    if modes is None:
-        modes = np.fft.fft(field.samples, axis=-1)
+    back, keeping the real part."""
+    modes = np.fft.fft(field.samples, axis=-1)
     return field.with_samples(np.fft.ifft(modes * mult, axis=-1).real)
 
 
@@ -147,15 +139,27 @@ def _derivative_multiplier(n: int, L: float, order: int) -> np.ndarray:
     return _read_only(mult)
 
 
-def spectral_derivative(field: PeriodicField, order: int = 1, *,
-                        modes: Optional[np.ndarray] = None) -> PeriodicField:
+def spectral_derivative(field: PeriodicField, order: int = 1) -> PeriodicField:
     """d^order/dx^order via the multiplier (i k)^order (Nyquist mode zeroed
-    for odd orders); ``modes`` as in apply_multiplier."""
+    for odd orders)."""
     if order < 0:
         raise ValueError("order must be >= 0")
     return apply_multiplier(
-        field, _derivative_multiplier(field.n, field.domain_length, order),
-        modes=modes)
+        field, _derivative_multiplier(field.n, field.domain_length, order))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
+def derivatives(field: PeriodicField, orders) -> np.ndarray:
+    """Rows spectral_derivative(field, m).samples for each m in orders, bit
+    for bit, from one fft and one batched ifft; scalar fields only. Raises
+    NonFiniteError when a derivative overflows."""
+    if field.components != 1 or min(orders) < 0:
+        raise ValueError("derivatives takes a scalar 1D field and orders >= 0")
+    mults = [_derivative_multiplier(field.n, field.domain_length, m) for m in orders]
+    rows = np.fft.ifft(np.fft.fft(field.samples) * np.stack(mults)).real
+    if not np.isfinite(rows).all():
+        raise NonFiniteError("samples contain NaN/Inf")
+    return rows
 
 
 def hilbert_transform(field: PeriodicField) -> PeriodicField:
@@ -212,40 +216,40 @@ def check_holder_target(n: int, k: int, kappa: float) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
-def holder_seminorm(field: PeriodicField, k: int, kappa: float, *,
-                    modes: Optional[np.ndarray] = None) -> HolderEstimate:
+def holder_seminorm(field: PeriodicField, k: int, kappa: float) -> HolderEstimate:
     """Estimate the C^{k+kappa} seminorm over dyadic grid-aligned shifts.
 
     Shifts run over h in {L/N, 2L/N, 4L/N, ..., L/4}. The k-th derivative
     is spectral; if its relative spectral-tail energy (top quarter band)
     exceeds TAIL_ENERGY_THRESHOLD the estimate is flagged under_resolved in
-    the returned record, not rejected. A caller that already holds the
-    field's spectrum ``np.fft.fft(field.samples)`` passes it as ``modes``
-    to skip that transform; the result is the same.
+    the returned record, not rejected.
     """
     if field.components != 1:
         raise ValueError("holder_seminorm takes a scalar 1D field")
-    check_holder_target(field.n, k, kappa)
     n = field.n
-    if modes is None:
-        modes = np.fft.fft(field.samples)
+    modes = np.fft.fft(field.samples)
     d = field.samples
     if k > 0:
         modes = modes * _derivative_multiplier(n, field.domain_length, k)
         d = field.with_samples(np.fft.ifft(modes).real).samples
 
-    shifts, index, tail_mask = _holder_tables(n)
     power = np.abs(modes) ** 2
     total = float(np.sum(power[1:]))
-    tail = float(np.sum(power[tail_mask]))
+    tail = float(np.sum(power[_holder_tables(n)[2]]))
     flagged = total > 0 and tail / total > TAIL_ENERGY_THRESHOLD
+    value = _holder_value(d, k, kappa, field.spacing)
+    return HolderEstimate(k=k, kappa=kappa, value=value, under_resolved=flagged)
 
+
+def _holder_value(d: np.ndarray, k: int, kappa: float, h: float) -> float:
+    """max_j ||d - d(. - j h)||_inf / (j h)^kappa over the dyadic shifts for the
+    k-th derivative d on spacing h; run under np.errstate (overflow raises)."""
+    check_holder_target(len(d), k, kappa)
+    shifts, index, _ = _holder_tables(len(d))
     sups = np.max(np.abs(d - d[index]), axis=1)
     if not np.all(np.isfinite(sups)):
         raise NonFiniteError("samples contain NaN/Inf")
-    h = field.spacing
-    value = max(float(s) / (h * int(j)) ** kappa for j, s in zip(shifts, sups))
-    return HolderEstimate(k=k, kappa=kappa, value=value, under_resolved=flagged)
+    return max(float(s) / (h * int(j)) ** kappa for j, s in zip(shifts, sups))
 
 
 def norms(field: PeriodicField) -> dict:

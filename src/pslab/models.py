@@ -21,6 +21,7 @@ from .grid import (
     TWO_PI,
     apply_multiplier,
     dealias as dealias_filter,
+    derivatives,
     spectral_derivative,
     wavenumbers,
 )
@@ -151,8 +152,7 @@ class McfGraphModel(_ModelBase):
     tag = "mcf_graph"
 
     def rhs(self, field):
-        fx = spectral_derivative(field, 1).samples
-        fxx = spectral_derivative(field, 2).samples
+        fx, fxx = derivatives(field, (1, 2))
         return field.with_samples(fxx / (1.0 + fx * fx))
 
     def base_multiplier(self, k):
@@ -165,8 +165,7 @@ class McfGraphModel(_ModelBase):
     def remainder(self, field):
         # (A[f'] - A[0]) f_xx = -f_x^2 f_xx/(1+f_x^2); written this way it
         # is O(f^3) without cancellation
-        fx = spectral_derivative(field, 1).samples
-        fxx = spectral_derivative(field, 2).samples
+        fx, fxx = derivatives(field, (1, 2))
         return field.with_samples((1.0 / (1.0 + fx * fx) - 1.0) * fxx)
 
 
@@ -272,8 +271,7 @@ class SurfaceDiffusionModel(_ModelBase):
         h = field.samples
         if float(h.min()) <= 0.0:
             raise PositivityError(float(h.min()))
-        hx = spectral_derivative(field, 1).samples
-        hxx = spectral_derivative(field, 2).samples
+        hx, hxx = derivatives(field, (1, 2))
         br = np.sqrt(1.0 + hx * hx)
         curv = dealias_filter(field.with_samples(1.0 / (h * br) - hxx / br**3))
         curv_x = spectral_derivative(curv, 1).samples

@@ -26,6 +26,7 @@ from .grid import (
     TWO_PI,
     _read_only,
     apply_multiplier,
+    derivatives,
     fractional_laplacian,
     hilbert_transform,
     spectral_derivative,
@@ -281,7 +282,7 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     alpha = np.abs(plan.alpha)
     wts = plan.weights
 
-    up, upp = (spectral_derivative(u, m).samples for m in (1, 2))
+    up, upp = derivatives(u, (1, 2))
     # pair-limit coefficient of the |alpha|^{-a} singularity
     csing = -2.0 * upp * (1.0 + up * up) ** (-0.5 * (2 + a))
 
@@ -434,10 +435,9 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     h = f.spacing
     v = f.samples
 
-    fp, fpp, fppp = (spectral_derivative(f, m).samples for m in (1, 2, 3))
+    fp, fpp, fppp = derivatives(f, (1, 2, 3))
     w = (1.0 + fp * fp) ** -1.5
-    wf = PeriodicField(w, domain_length=f.domain_length)
-    wp, wpp = (spectral_derivative(wf, m).samples for m in (1, 2))
+    wp, wpp = derivatives(PeriodicField(w, domain_length=f.domain_length), (1, 2))
     q = spectral_derivative(PeriodicField(fpp * w, domain_length=f.domain_length), 1).samples
 
     main = -fractional_laplacian(f, 3.0).samples * w

@@ -92,6 +92,8 @@ def _select(times, values, window):
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
         raise ValueError("times and values must align")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if window is None:
         window = default_window(times)
     lo, hi = float(window[0]), float(window[1])
@@ -102,6 +104,8 @@ def _select(times, values, window):
     mask = (times >= lo) & (times <= hi)
     if int(mask.sum()) < 4:
         raise ValueError("window holds fewer than 4 points")
+    if not np.isfinite(values[mask]).all():
+        raise ValueError("window holds non-finite values")
     return times[mask], values[mask], (lo, hi)
 
 

@@ -23,6 +23,7 @@ about the time window, so the caller bisects T on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -30,9 +31,10 @@ import numpy as np
 from .grid import (
     NonFiniteError,
     PeriodicField,
-    holder_seminorm,
+    _holder_value,
+    _read_only,
+    derivatives,
     norms,
-    spectral_derivative,
     wavenumbers,
 )
 from .nonlocal_ops import stretch_ratio
@@ -133,7 +135,7 @@ class Trajectory:
         return np.array([entry[key] for entry in self.ledger])
 
 
-@np.errstate(over="ignore")  # an overflowing column raises NonFiniteError
+@np.errstate(over="ignore", invalid="ignore")  # overflows raise NonFiniteError
 def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec) -> dict:
     """Diagnostics recorded for one snapshot, the theta column aside; a pure
     function of its inputs, so any ledger row can be recomputed
@@ -150,15 +152,15 @@ def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec) -> dict:
         entry["osc_linf"] = float(np.max(np.abs(field.samples - base["mean"])))
         if not np.isfinite(entry["osc_linf"]):
             raise NonFiniteError("osc_linf overflows the float range")
-        # every derivative and Holder column starts from this one spectrum
-        modes = (np.fft.fft(field.samples)
-                 if spec.derivative_sup or spec.holder_targets else None)
+        # every derivative and Holder column comes from one batch; a C^kappa
+        # column reads the samples themselves, as holder_seminorm does
+        orders = sorted({*spec.derivative_sup, *(k for k, _ in spec.holder_targets if k)})
+        rows = dict(zip(orders, derivatives(field, orders))) if orders else {}
         for m in spec.derivative_sup:
-            d = spectral_derivative(field, m, modes=modes)
-            entry[f"d{m}_linf"] = float(np.max(np.abs(d.samples)))
+            entry[f"d{m}_linf"] = float(np.max(np.abs(rows[m])))
         for k, kappa in spec.holder_targets:
-            est = holder_seminorm(field, k, kappa, modes=modes)
-            entry[holder_column(k, kappa)] = est.value
+            d = rows[k] if k else field.samples
+            entry[holder_column(k, kappa)] = _holder_value(d, k, kappa, field.spacing)
     return entry
 
 
@@ -178,12 +180,14 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _etd_weights(model, u: PeriodicField, dt: float, scheme: str):
+@lru_cache(maxsize=32)
+def _etd_weights(model, n: int, L: float, dt: float, scheme: str):
     """exp(z), dt phi1(z) and, for etd_rk2 only, dt phi2(z) at the frozen
-    multiplier z = -dt m(k); the third weight is None otherwise."""
-    z = -dt * model.linear_multiplier(wavenumbers(u.n, u.domain_length))
-    w2 = dt * _phi2(z) if scheme == "etd_rk2" else None
-    return np.exp(z), dt * _phi1(z), w2
+    multiplier z = -dt m(k); the third weight is None otherwise. Cached per
+    (model, n, L, dt, scheme) and read-only, like grid.wavenumbers."""
+    z = -dt * model.linear_multiplier(wavenumbers(n, L))
+    w2 = _read_only(dt * _phi2(z)) if scheme == "etd_rk2" else None
+    return _read_only(np.exp(z)), _read_only(dt * _phi1(z)), w2
 
 
 def _remainder_hat(model, w: PeriodicField) -> np.ndarray:
@@ -191,21 +195,14 @@ def _remainder_hat(model, w: PeriodicField) -> np.ndarray:
 
 
 def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
-                         scheme: str = "etd_rk2", *,
-                         weights: Optional[tuple] = None) -> PeriodicField:
+                         scheme: str = "etd_rk2") -> PeriodicField:
     """One step with exact propagation of the frozen linear multiplier and
-    an explicit phi-weighted remainder (Euler or ETD-RK2 correction).
-
-    weights: the triple ``_etd_weights(model, u, dt, scheme)``, which a
-    march of fixed N, L and dt builds once and passes to every step;
-    built here when omitted.
-    """
+    an explicit phi-weighted remainder (Euler or ETD-RK2 correction)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
-    E, w1, w2 = (weights if weights is not None
-                 else _etd_weights(model, u, dt, scheme))
+    E, w1, w2 = _etd_weights(model, u.n, u.domain_length, dt, scheme)
     r1 = _remainder_hat(model, u)
     ah = E * np.fft.fft(u.samples, axis=-1) + w1 * r1
     a = u.with_samples(np.fft.ifft(ah, axis=-1).real)
@@ -275,9 +272,9 @@ def _stability_bound(model, u0: PeriodicField, dt: float) -> float:
 
 
 def _n_steps(T: float, dt: float) -> int:
-    if T <= 0:
-        raise ValueError("T must be positive")
-    # T / dt overflows for T = inf or a subnormal dt: no step count
+    if not 0 < T < np.inf:
+        raise ValueError("T must be positive and finite")
+    # T / dt overflows for a subnormal dt: no step count
     n_steps = int(round(T / dt)) if np.isfinite(T / dt) else 0
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError("T must be an integer number of steps")
@@ -336,17 +333,13 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
             f"dt={config.dt:.3e} exceeds half the measured stability bound "
             f"{bound:.3e} for the explicit remainder", 0.0)
     u = u0
-    weights = (None if config.scheme == "frozen_pointwise"
-               else _etd_weights(model, u0, config.dt, config.scheme))
     for j in range(1, n_steps + 1):
         t = j * config.dt
         try:
             if config.scheme == "frozen_pointwise":
                 u = frozen_pointwise_step(u, model, config.dt)
             else:
-                u = imex_frozen_phi_step(u, model, config.dt,
-                                         scheme=config.scheme,
-                                         weights=weights)
+                u = imex_frozen_phi_step(u, model, config.dt, config.scheme)
         except (RuntimeError, FloatingPointError) as exc:
             raise EvolutionAbort(kept(), str(exc), t) from exc
         except NonFiniteError as exc:
@@ -362,7 +355,7 @@ def _picard_apply(model, g_snaps, config: StepperConfig):
     """One application of the whole-window map: solve the linear problem
     d/dt f = -A f + R(g(t)) with the same exponential weights as evolve."""
     u0 = g_snaps[0][1]
-    E, w1, w2 = _etd_weights(model, u0, config.dt, config.scheme)
+    E, w1, w2 = _etd_weights(model, u0.n, u0.domain_length, config.dt, config.scheme)
     r_hats = [_remainder_hat(model, w) for _, w in g_snaps]
     source_free = all(float(np.max(np.abs(r))) == 0.0 for r in r_hats)
     out = [g_snaps[0]]

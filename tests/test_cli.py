@@ -583,11 +583,15 @@ class TestConfigErrorsBeforeOutput:
                           ["grid.L"])
 
     @pytest.mark.parametrize("overrides", [
-        {"run.T": "inf"},
         {"stepper.dt": "1e-320", "run.T": "1"},
-    ], ids=["infinite_T", "tiny_dt"])
+    ], ids=["tiny_dt"])
     def test_overflowing_step_count(self, tmp_path, capsys, overrides):
         self.run_rejected(tmp_path, capsys, overrides, (), ["integer number"])
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_T(self, tmp_path, capsys, horizon):
+        self.run_rejected(tmp_path, capsys, {"run.T": horizon}, (),
+                          ["run.T must be positive and finite"])
 
     @pytest.mark.parametrize("dt", ["nan", "inf"])
     def test_non_finite_dt(self, tmp_path, capsys, dt):
@@ -750,6 +754,16 @@ class TestRatefitCommand:
         assert main(["ratefit", path, "--expect", "huh"]) == 2
         assert main(["ratefit", path, "--window", "0.5"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", ["power_law", "exponential"])
+    def test_nan_in_window_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,linf\n0.1,1.0\n0.2,0.9\n0.3,nan\n0.4,0.7\n0.5,0.6\n")
+        code = main(["ratefit", str(path), "--kind", kind, "--window", "0.1:0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_heat_run_exponent_via_cli(self, tmp_path, capsys):
         out = tmp_path / "out"

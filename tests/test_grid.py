@@ -15,6 +15,7 @@ from pslab.grid import (
     _derivative_multiplier,
     _holder_tables,
     dealias,
+    derivatives,
     fractional_laplacian,
     hilbert_transform,
     holder_seminorm,
@@ -146,6 +147,35 @@ class TestPlanCache:
         kernel_modes[0] = 0.0
         assert same_bits(periodic_sd_kernel(0.1, 2.0, n).samples,
                          np.fft.ifft(kernel_modes).real)
+
+
+class TestBatchedDerivatives:
+    @pytest.mark.parametrize("length", [TWO_PI, 3.7])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+    def test_rows_equal_single_derivatives_bitwise(self, n, length):
+        rng = np.random.default_rng(n)
+        fields = [PeriodicField(rng.standard_normal(n), domain_length=length),
+                  random_band_limited(rng, n, max_mode=n // 8, length=length)]
+        for f in fields:
+            for orders in ((0, 1, 2, 3), (3, 1), (2, 0, 3, 1), (1, 2), (2,)):
+                rows = derivatives(f, orders)
+                assert rows.shape == (len(orders), n)
+                for m, row in zip(orders, rows):
+                    assert same_bits(row, spectral_derivative(f, m).samples), (orders, m)
+
+    def test_overflow_raises_non_finite_without_warnings(self):
+        x = np.arange(256) * (TWO_PI / 256)
+        f = PeriodicField(1e305 * (1.0 - (4.0 / TWO_PI) * np.abs(x - np.pi)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError):
+                derivatives(f, (1, 2))
+
+    def test_rejects_contours_and_negative_orders(self):
+        with pytest.raises(ValueError):
+            derivatives(PeriodicField(np.zeros((2, 32))), (1,))
+        with pytest.raises(ValueError):
+            derivatives(PeriodicField(np.zeros(32)), (1, -1))
 
 
 class TestTransforms:

@@ -190,6 +190,29 @@ class TestWindows:
         with pytest.raises(ValueError, match="align"):
             fit_power_law(np.ones(5), np.ones(6), window=(0.5, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fit", [fit_power_law, fit_exponential])
+    def test_non_finite_value_in_window_rejected(self, fit, bad):
+        t = np.linspace(0.1, 0.5, 5)
+        v = np.exp(-t)
+        v[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(t, v, window=(0.1, 0.5))
+
+    def test_non_finite_value_outside_window_ignored(self):
+        t = np.linspace(0.1, 0.6, 6)
+        v = t ** -0.5
+        v[-1] = np.nan
+        fit = fit_power_law(t, v, window=(0.1, 0.5))
+        assert fit.estimate == pytest.approx(-0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        t = np.linspace(0.1, 0.6, 6)
+        t[3] = bad
+        with pytest.raises(ValueError, match="times must be finite"):
+            fit_power_law(t, np.ones(6), window=(0.1, 0.5))
+
 
 class TestSmoothingReport:
     def test_sawtooth_derivative_surrogate(self, heat_sawtooth_traj):

@@ -5,6 +5,7 @@ ledger reproducibility, and the abort paths."""
 import numpy as np
 import pytest
 
+from pslab import stepper
 from pslab.grid import (
     NonFiniteError,
     PeriodicField,
@@ -186,10 +187,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             imex_frozen_phi_step(u, HeatModel(), 0.1, scheme="frozen_pointwise")
 
-    @pytest.mark.parametrize("T, dt", [(float("inf"), 0.01), (1.0, 1e-320)])
+    @pytest.mark.parametrize("T, dt", [(1.0, 1e-320)])
     def test_overflowing_step_count_is_a_value_error(self, T, dt):
         with pytest.raises(ValueError, match="integer number of steps"):
             _n_steps(T, dt)
+
+    @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            _n_steps(T, 0.01)
 
 
 class TestTrajectoryType:
@@ -285,15 +291,24 @@ REUSE_CASES = {
 class TestReuseAgainstFreshBuilds:
     @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
     @pytest.mark.parametrize("tag", list(REUSE_CASES))
-    def test_prebuilt_weights_give_the_same_steps(self, tag, scheme):
+    def test_prebuilt_weights_give_the_same_steps(self, tag, scheme, monkeypatch):
         model, u0, dt = REUSE_CASES[tag]
-        weights = _etd_weights(model, u0, dt, scheme)
-        fresh = shared = u0
-        for _ in range(3):  # one triple serves every step of a march
-            fresh = imex_frozen_phi_step(fresh, model, dt, scheme=scheme)
-            shared = imex_frozen_phi_step(shared, model, dt, scheme=scheme,
-                                          weights=weights)
-            assert np.array_equal(shared.samples, fresh.samples)
+        key = (model, u0.n, u0.domain_length, dt, scheme)
+        weights = _etd_weights(*key)
+        assert _etd_weights(*key) is weights
+        assert not any(w.flags.writeable for w in weights if w is not None)
+
+        def three_steps():
+            u, out = u0, []
+            for _ in range(3):
+                u = imex_frozen_phi_step(u, model, dt, scheme=scheme)
+                out.append(u.samples)
+            return out
+
+        shared = three_steps()  # one cached triple serves every step
+        monkeypatch.setattr(stepper, "_etd_weights", _etd_weights.__wrapped__)
+        for a, b in zip(shared, three_steps()):  # weights rebuilt per step
+            assert np.array_equal(a, b)
 
     def test_shared_spectrum_row_equals_per_column_row(self):
         spec = LedgerSpec(derivative_sup=(0, 1, 2, 3),
