@@ -148,6 +148,13 @@ def spectral_derivative(field: PeriodicField, order: int = 1) -> PeriodicField:
         field, _derivative_multiplier(field.n, field.domain_length, order))
 
 
+@lru_cache(maxsize=32)
+def _derivative_table(n: int, L: float, orders: tuple) -> np.ndarray:
+    """The _derivative_multiplier rows for orders, stacked once per
+    (n, L, orders) and read-only."""
+    return _read_only(np.stack([_derivative_multiplier(n, L, m) for m in orders]))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
 def derivatives(field: PeriodicField, orders) -> np.ndarray:
     """Rows spectral_derivative(field, m).samples for each m in orders, bit
@@ -155,8 +162,8 @@ def derivatives(field: PeriodicField, orders) -> np.ndarray:
     NonFiniteError when a derivative overflows."""
     if field.components != 1 or min(orders) < 0:
         raise ValueError("derivatives takes a scalar 1D field and orders >= 0")
-    mults = [_derivative_multiplier(field.n, field.domain_length, m) for m in orders]
-    rows = np.fft.ifft(np.fft.fft(field.samples) * np.stack(mults)).real
+    mults = _derivative_table(field.n, field.domain_length, tuple(orders))
+    rows = np.fft.ifft(np.fft.fft(field.samples) * mults).real
     if not np.isfinite(rows).all():
         raise NonFiniteError("samples contain NaN/Inf")
     return rows

@@ -10,7 +10,9 @@ evaluated in closed form through the complex cotangent (see the comment in
 muskat_st_rhs). Only the |alpha|^{1+a} kernel has no closed fold; there the
 far periods are summed as a Hurwitz-zeta series in the increment (DLMF
 25.11), or explicitly where that series converges slowly. The O(N^2) shift
-sums run blockwise from one cached per-N _ShiftPlan.
+sums run blockwise from one cached per-N _ShiftPlan; the parts of the Muskat
+sum whose kernel does not depend on the data run instead as FFT convolutions
+through the plan's kernel spectra.
 """
 
 from __future__ import annotations
@@ -150,8 +152,9 @@ class _ShiftPlan:
     punctured periodic trapezoid rule: strict +/- pairs, no alpha = 0 node
     (each caller adds its pair limit), and two half-weighted +/-pi nodes that
     share the rule's single pi node. The plan also holds the gather index
-    whose row s is np.roll(u, j_s), per-node trig columns, and blocks of at
-    most _BLOCK_PAIRS // N rows."""
+    whose row s is np.roll(u, j_s), per-node trig columns, blocks of at
+    most _BLOCK_PAIRS // N rows, and the spectra of the weighted fixed
+    kernels, so that sum_s weights_s K_s g(x - j_s h) = ifft(K_hat fft(g))."""
 
     def __init__(self, n: int):
         h = TWO_PI / n
@@ -163,6 +166,11 @@ class _ShiftPlan:
         self.sin = _read_only(np.sin(self.alpha))
         self.two_sin2 = _read_only(2.0 * np.sin(0.5 * self.alpha) ** 2)
         self.inv_four_sin2 = _read_only(0.5 / self.two_sin2)
+        # kernels laid on the shift lattice steps % n, where the two
+        # half-weighted +/-pi nodes add at index n/2
+        self.inv_four_sin2_hat, self.half_cot_hat = (
+            _read_only(np.fft.fft(np.bincount(steps % n, self.weights * kernel, minlength=n)))
+            for kernel in (self.inv_four_sin2, self.half_cot))
         rows = max(1, _BLOCK_PAIRS // n)
         self.blocks = [slice(i, i + rows) for i in range(0, n, rows)]
 
@@ -267,7 +275,8 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     analytically and its integral added back in closed form. Periods beyond
     |alpha| = pi enter through _fmc_fold: a Hurwitz-zeta series in the
     increment (error below 1e-10), or where the increment nears the series
-    radius 2pi - |alpha|, an explicit six-period sum (error ~4e-7 |delta|^3).
+    radius 2pi - |alpha|, an explicit six-period sum with the cubic term of
+    the periods beyond in closed form (error ~1e-10 |delta|^5).
     """
     if u.components != 1:
         raise ValueError("fractional_mean_curvature takes scalar 1D graphs")
@@ -331,14 +340,18 @@ def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
     """sum_{k != 0} G(delta/|alpha+2pik|)/|alpha+2pik|^{1+a} at alpha_j =
     2pi j/n, one row of delta per j in 1..n/2: Horner in delta^2 on the
     _fold_series table, and where |delta| > _SERIES_RATIO (2pi - alpha_j) the
-    linear Hurwitz term plus an explicit sum over six periods either side."""
+    linear Hurwitz term, an explicit sum over six periods either side and the
+    cubic Hurwitz term of the periods beyond."""
     coef = _fold_series(n, a)[:, j - 1]
     out = np.polynomial.polynomial.polyval(delta * delta, coef, tensor=False) * delta
     alpha = np.broadcast_to((TWO_PI / n) * j[:, None], delta.shape)
     far = np.abs(delta) > _SERIES_RATIO * (TWO_PI - alpha)
     if far.any():
         d, al = delta[far], alpha[far]
-        out[far] = np.broadcast_to(coef[0], delta.shape)[far] * d + sum(
+        q = al / TWO_PI
+        tail = (2.0 * special.binom(-0.5 * (2 + a), 1) / 3 * TWO_PI ** (-(4 + a))
+                * (special.zeta(4 + a, 7 + q) + special.zeta(4 + a, 7 - q)))
+        out[far] = np.broadcast_to(coef[0], delta.shape)[far] * d + tail * d ** 3 + sum(
             _gcal_remainder(d / r, 2, a) / r ** (1 + a)
             for k in range(1, 7) for r in (TWO_PI * k + al, TWO_PI * k - al))
     return out
@@ -361,15 +374,26 @@ def stretch_ratio(X: PeriodicField):
     if X.components != 2:
         raise ValueError("stretch_ratio takes a 2-component contour")
     n = X.n
+    # row j-1 pairs node i with node i+j, j = 1..n/2: every pair once, the
+    # antipodal ones twice
+    index = _shift_plan(n).index[n // 2 - 1::-1]
     x = np.arange(n) * X.spacing
-    dx = np.abs(x[:, None] - x[None, :])
-    dx = np.minimum(dx, X.domain_length - dx)
-    chord2 = ((X.samples[:, :, None] - X.samples[:, None, :]) ** 2).sum(axis=0)
-    iu = np.triu_indices(n, k=1)
+    dx = np.abs(x - x[index])
+    np.minimum(dx, X.domain_length - dx, out=dx)
+    d0, d1 = (c - c[index] for c in X.samples)
+    d0 *= d0
+    d1 *= d1
+    d0 += d1
+    chord = np.sqrt(d0, out=d0)
     with np.errstate(divide="ignore"):
-        ratios = dx[iu] / np.sqrt(chord2[iu])
-    imax = int(np.argmax(ratios))
-    return float(ratios[imax]), (int(iu[0][imax]), int(iu[1][imax]))
+        ratios = np.divide(dx, chord, out=dx)
+    theta = ratios.max()
+    rows, i = np.nonzero(ratios == theta)
+    k = index[rows, i]
+    lo, hi = np.minimum(i, k), np.maximum(i, k)
+    # the first maximal pair in np.triu_indices order
+    first = int(np.argmin(lo * n + hi))
+    return float(theta), (int(lo[first]), int(hi[first]))
 
 
 def peskin_rhs(X: PeriodicField) -> PeriodicField:
@@ -401,16 +425,22 @@ def peskin_rhs(X: PeriodicField) -> PeriodicField:
     acc = np.zeros_like(Xs)
     for rows in plan.blocks:
         ib = plan.index[rows]
-        c = plan.half_cot[rows, None]
         dX = Xs[:, None, :] - Xs[:, ib]
-        dV = xp[:, None, :] - xp[:, ib]
-        E = xp[:, ib] - c * dX
+        E = xp[:, ib]
+        dV = xp[:, None, :] - E
+        E -= plan.half_cot[rows, None] * dX
+        # term = a dV - b E - s dX with a = dX.E/r2, b = dX.dV/r2 and
+        # s = E.dV/r2 - 2ab, assembled in place
         r2 = dX[0] ** 2 + dX[1] ** 2
-        dXdE = dX[0] * E[0] + dX[1] * E[1]
-        dXdV = dX[0] * dV[0] + dX[1] * dV[1]
-        EdV = E[0] * dV[0] + E[1] * dV[1]
-        term = (dXdE * dV - E * dXdV - dX * EdV + 2.0 * dX * (dXdE * dXdV) / r2) / r2
-        acc += plan.weights[rows] @ term
+        a = (dX[0] * E[0] + dX[1] * E[1]) / r2
+        b = (dX[0] * dV[0] + dX[1] * dV[1]) / r2
+        s = (E[0] * dV[0] + E[1] * dV[1]) / r2 - 2.0 * a * b
+        dV *= a
+        E *= b
+        dX *= s
+        dV -= E
+        dV -= dX
+        acc += plan.weights[rows] @ dV
     return X.with_samples(main + acc / (4.0 * np.pi))
 
 
@@ -441,26 +471,44 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     q = spectral_derivative(PeriodicField(fpp * w, domain_length=f.domain_length), 1).samples
 
     main = -fractional_laplacian(f, 3.0).samples * w
+    plan = _shift_plan(f.n)
+    # the fixed-kernel sums as convolutions: the N2 commutator
+    # sum wk2 fpp(x-alpha) (w(x-alpha) - w(x)) = conv(fpp wc) - wc conv(fpp), and
+    # the -S(alpha) part of G against q, and against fp under gravity; the
+    # commutator ignores constants in w, and the centred wc = w - mean(w)
+    # keeps its two large cancelling convolutions small
+    wc = w - w.mean()
+    modes = np.fft.fft(np.stack([fpp * wc, fpp, q, fp] if rho0 else [fpp * wc, fpp, q]))
+    modes[:2] *= plan.inv_four_sin2_hat
+    modes[2:] *= plan.half_cot_hat
+    conv = np.fft.ifft(modes).real
     # the alpha = 0 node carries the pair limits G0 and limit2
     G0 = fp * fpp / (2.0 * (1.0 + fp * fp))
-    sum_q = h * G0 * q
-    sum_fp = h * G0 * fp
-    sum_2 = h * (0.5 * fpp * wpp + fppp * wp)
-    plan = _shift_plan(f.n)
+    sum_q = h * G0 * q - conv[2]
+    sum_fp = h * G0 * fp - conv[3] if rho0 else None
+    sum_2 = h * (0.5 * fpp * wpp + fppp * wp) + conv[0] - wc * conv[1]
     wts = plan.weights
-    wk2 = wts * plan.inv_four_sin2
+    hv = 0.5 * v
     for rows in plan.blocks:
         ib = plan.index[rows]
-        deltaf = v - v[ib]
-        # S(alpha + i deltaf) = (sin alpha - i sinh deltaf) / den with the
+        d = hv - hv[ib]  # deltaf / 2
+        # g = G + S(alpha) = Re S(alpha + i deltaf) - f' Im S(alpha + i deltaf),
+        # where S(alpha + i deltaf) = (sin alpha - i sinh deltaf) / den with the
         # cancellation-free den = 2 (cosh deltaf - cos alpha)
-        sh = np.sinh(0.5 * deltaf)
-        den = 2.0 * (2.0 * sh * sh + plan.two_sin2[rows, None])
-        G = (fp * np.sinh(deltaf) + plan.sin[rows, None]) / den - plan.half_cot[rows, None]
-        sum_q += wts[rows] @ (G * q[ib])
+        #                       = 4 sinh^2(deltaf/2) + 2 (2 sin^2(alpha/2))
+        g = 2.0 * d
+        np.sinh(g, out=g)
+        den = np.sinh(d, out=d)
+        den *= den
+        den *= 4.0
+        den += 2.0 * plan.two_sin2[rows, None]
+        g *= fp
+        g += plan.sin[rows, None]
+        g /= den
         if rho0:
-            sum_fp += wts[rows] @ (G * fp[ib])
-        sum_2 += wk2[rows] @ (fpp[ib] * (w[ib] - w))
+            sum_fp += wts[rows] @ (g * fp[ib])
+        g *= q[ib]
+        sum_q += wts[rows] @ g
 
     # N1 + N2 + rho0 N3; without gravity N3 is neither gathered nor added
     gravity = rho0 * (sum_fp / np.pi + fractional_laplacian(f, 1.0).samples) if rho0 else 0.0

@@ -13,6 +13,7 @@ from pslab.grid import (
     NonFiniteError,
     PeriodicField,
     _derivative_multiplier,
+    _derivative_table,
     _holder_tables,
     dealias,
     derivatives,
@@ -112,8 +113,12 @@ class TestPlanCache:
     def test_tables_are_shared_and_read_only(self):
         k = wavenumbers(64, 3.0)
         mult = _derivative_multiplier(64, 3.0, 1)
+        stacked = _derivative_table(64, 3.0, (2, 1))
         assert wavenumbers(64, 3.0) is k
-        for table in (k, mult):
+        assert _derivative_table(64, 3.0, (2, 1)) is stacked
+        assert same_bits(stacked, np.stack([fresh_derivative_multiplier(64, 3.0, m)
+                                            for m in (2, 1)]))
+        for table in (k, mult, stacked):
             with pytest.raises(ValueError):
                 table[0] = 1.0
             with pytest.raises(ValueError):

@@ -143,7 +143,8 @@ class TestShiftPlan:
         assert nonlocal_ops._shift_plan(64) is plan
         assert nonlocal_ops._fold_series(64, 0.5) is series
         tables = (plan.alpha, plan.weights, plan.index, plan.half_cot, plan.sin,
-                  plan.two_sin2, plan.inv_four_sin2, series)
+                  plan.two_sin2, plan.inv_four_sin2, plan.inv_four_sin2_hat,
+                  plan.half_cot_hat, series)
         for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 1
@@ -325,7 +326,7 @@ def explicit_fold(delta, alpha, a, periods, cubic_tail=False):
 
 class TestFarPeriodFold:
     """The Hurwitz-series fold against explicit period sums, on both sides of
-    its switch to the explicit six-period sum."""
+    its switch to the explicit six-period sum with its cubic tail."""
 
     N = 128
 
@@ -346,15 +347,14 @@ class TestFarPeriodFold:
         assert np.max(np.abs(got - ref)) < 1e-9
 
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
-    def test_fallback_branch_is_the_six_period_sum(self, a):
+    def test_fallback_branch_matches_forty_periods(self, a):
+        # six periods with the cubic tail of the rest leave a truncation
+        # error quintic in delta (about 1.1e-10 |delta|^5 at worst)
         r = nonlocal_ops._SERIES_RATIO
         j, alpha, delta = self.cases([1.001 * r, 0.5 * (1.0 + r), 0.999])
         got = nonlocal_ops._fmc_fold(delta, j, self.N, a)
-        six = explicit_fold(delta, alpha, a, 6)
-        assert np.max(np.abs(got - six)) < 1e-14 * np.max(np.abs(six))
-        # and it carries the six-period truncation error, cubic in delta
         ref = explicit_fold(delta, alpha, a, 40, cubic_tail=True)
-        assert np.max(np.abs(got - ref) / np.abs(delta) ** 3) < 1e-6
+        assert np.max(np.abs(got - ref) / np.abs(delta) ** 5) < 5e-10
 
     def test_curvature_matches_forty_period_fold(self, monkeypatch):
         # increments up to 1 stay in the series branch, where the whole
@@ -369,7 +369,35 @@ class TestFarPeriodFold:
         assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
+def stretch_ratio_triu(X):
+    """The N x N reference: every pair i < k in np.triu_indices order, the
+    first maximal one returned."""
+    n = X.n
+    x = np.arange(n) * X.spacing
+    dx = np.abs(x[:, None] - x[None, :])
+    dx = np.minimum(dx, X.domain_length - dx)
+    chord2 = ((X.samples[:, :, None] - X.samples[:, None, :]) ** 2).sum(axis=0)
+    iu = np.triu_indices(n, k=1)
+    with np.errstate(divide="ignore"):
+        ratios = dx[iu] / np.sqrt(chord2[iu])
+    imax = int(np.argmax(ratios))
+    return float(ratios[imax]), (int(iu[0][imax]), int(iu[1][imax]))
+
+
 class TestStretchRatio:
+    @pytest.mark.parametrize("n", [16, 128, 512])
+    def test_matches_all_pairs_reference(self, n):
+        x = grid_1d(n)
+        rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        coincident = circle(n).samples.copy()
+        coincident[:, n - 2] = coincident[:, 3]  # a pair across the seam
+        contours = [circle(n),  # every antipodal pair ties
+                    PeriodicField(rot @ np.stack([1.3 * np.cos(x), 0.6 * np.sin(x)])),
+                    PeriodicField(coincident)]
+        for X in contours:
+            assert stretch_ratio(X) == stretch_ratio_triu(X)
+        assert stretch_ratio(contours[2]) == (np.inf, (3, n - 2))
+
     def test_unit_circle_value_and_pair(self):
         theta, pair = stretch_ratio(circle(256))
         assert theta == pytest.approx(0.5 * np.pi, abs=1e-6)
@@ -584,7 +612,7 @@ def relative_gap(got, want):
 
 
 class TestShiftPlanAgainstLoops:
-    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
     def test_muskat(self, n):
         rng = np.random.default_rng(n)
         f = PeriodicField(0.3 * band_limited(n, rng))
@@ -592,7 +620,7 @@ class TestShiftPlanAgainstLoops:
             got = muskat_st_rhs(f, rho0=rho0).samples
             assert relative_gap(got, muskat_loop(f, rho0)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
     def test_peskin(self, n):
         rng = np.random.default_rng(n + 1)
         x = grid_1d(n)
