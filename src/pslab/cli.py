@@ -735,6 +735,8 @@ def _parse_expect(text: str) -> Tuple[float, float]:
             number = float(value)
         except ValueError:
             raise ConfigError(f"--expect {key} must be a number")
+        if not np.isfinite(number):
+            raise ConfigError(f"--expect {key} must be finite")
         if key in ("exponent", "rate"):
             target = number
         elif key == "tol":
@@ -743,6 +745,8 @@ def _parse_expect(text: str) -> Tuple[float, float]:
             raise ConfigError(f"unknown --expect key {key!r}")
     if target is None or tolerance is None:
         raise ConfigError("--expect needs exponent=<value>,tol=<value>")
+    if tolerance < 0:
+        raise ConfigError("--expect tol must be >= 0")
     return target, tolerance
 
 
@@ -768,6 +772,7 @@ def cmd_ratefit(csv_path: str, column: str, kind: str,
         raise ConfigError(f"{csv_path}: no column {column!r} "
                           f"(has {', '.join(table)})")
     window = _parse_window(window_text)
+    expect = None if expect_text is None else _parse_expect(expect_text)
     fitter = fit_power_law if kind == "power_law" else fit_exponential
     try:
         fit = fitter(table["t"], table[column], window=window)
@@ -784,10 +789,9 @@ def cmd_ratefit(csv_path: str, column: str, kind: str,
         "n_points": fit.n_points,
         "schema_version": SCHEMA_VERSION,
     }))
-    if expect_text is None:
+    if expect is None:
         return 0
-    target, tolerance = _parse_expect(expect_text)
-    record = _check("expected_estimate", fit.estimate, target, tolerance)
+    record = _check("expected_estimate", fit.estimate, *expect)
     print(json.dumps(record))
     return 0 if record["status"] == "pass" else 1
 

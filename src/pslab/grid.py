@@ -19,10 +19,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Relative spectral-tail energy above which a derivative is flagged as
-# under-resolved by holder_seminorm.
-TAIL_ENERGY_THRESHOLD = 1e-8
-
 
 class NonFiniteError(ValueError):
     """A field was built from samples holding NaN or Inf, or a diagnostic of
@@ -36,8 +32,8 @@ class PeriodicField:
     Parameters
     ----------
     samples : ndarray
-        Shape (N,) for a scalar field, or (c, N) with small c for a
-        multi-component field (e.g. a planar curve with c=2).
+        Real, shape (N,) for a scalar field or (c, N) with 2 <= c < 16 for
+        a multi-component field (e.g. a planar curve with c=2).
     domain_length : float
         Period L of the torus, default 2*pi.
 
@@ -51,12 +47,15 @@ class PeriodicField:
     domain_length: float = TWO_PI
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+        arr = np.asarray(self.samples)
+        if arr.dtype.kind == "c":
+            raise ValueError("samples must be real")
+        arr = np.asarray(arr, dtype=float)
         object.__setattr__(self, "samples", arr)
         if arr.ndim not in (1, 2):
             raise ValueError("samples must have shape (N,) or (c, N)")
-        if arr.ndim == 2 and arr.shape[0] >= 16:
-            raise ValueError("component count must be small")
+        if arr.ndim == 2 and not 2 <= arr.shape[0] < 16:
+            raise ValueError("a (c, N) field needs 2 <= c < 16 components")
         n = arr.shape[-1]
         if n < 16 or n & (n - 1):
             raise ValueError(f"N must be a power of two >= 16, got {n}")
@@ -185,35 +184,18 @@ def hilbert_transform(field: PeriodicField) -> PeriodicField:
     return apply_multiplier(field, mult)
 
 
-@dataclass(frozen=True)
-class HolderEstimate:
-    """Discrete Holder seminorm surrogate.
-
-    value = max over the tested shifts h of ||delta_h grad^k u||_inf / h^kappa.
-    The estimate is monotone nondecreasing as shifts are added, and differs
-    from the continuum seminorm by an O(1) constant; slopes of rate fits
-    are unaffected.
-    """
-
-    k: int
-    kappa: float
-    value: float
-    under_resolved: bool = False
-
-
 @lru_cache(maxsize=32)
 def _holder_tables(n: int):
-    """Dyadic shifts j = 1, 2, 4, ..., N/4, the gather index whose row r maps
-    x to x - j_r h, and the tail mask |k| >= N/4; cached read-only per n."""
+    """Dyadic shifts j = 1, 2, 4, ..., N/4 and the gather index whose row r
+    maps x to x - j_r h; cached read-only per n."""
     shifts = 2 ** np.arange(n.bit_length() - 2)
     index = (np.arange(n) - shifts[:, None]) % n
-    tail_mask = np.abs(wavenumbers(n)) >= n // 4
-    return tuple(_read_only(arr) for arr in (shifts, index, tail_mask))
+    return _read_only(shifts), _read_only(index)
 
 
 def check_holder_target(n: int, k: int, kappa: float) -> None:
-    """Raise ValueError unless holder_seminorm can estimate the C^{k+kappa}
-    seminorm of a field of n samples."""
+    """Raise ValueError unless the ledger's Holder gather can estimate the
+    C^{k+kappa} seminorm of a field of n samples."""
     if not 0 < kappa < 1:
         raise ValueError("kappa must lie in (0,1)")
     if k < 0:
@@ -222,37 +204,15 @@ def check_holder_target(n: int, k: int, kappa: float) -> None:
         raise ValueError("derivative order not resolvable at this N")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
-def holder_seminorm(field: PeriodicField, k: int, kappa: float) -> HolderEstimate:
-    """Estimate the C^{k+kappa} seminorm over dyadic grid-aligned shifts.
-
-    Shifts run over h in {L/N, 2L/N, 4L/N, ..., L/4}. The k-th derivative
-    is spectral; if its relative spectral-tail energy (top quarter band)
-    exceeds TAIL_ENERGY_THRESHOLD the estimate is flagged under_resolved in
-    the returned record, not rejected.
-    """
-    if field.components != 1:
-        raise ValueError("holder_seminorm takes a scalar 1D field")
-    n = field.n
-    modes = np.fft.fft(field.samples)
-    d = field.samples
-    if k > 0:
-        modes = modes * _derivative_multiplier(n, field.domain_length, k)
-        d = field.with_samples(np.fft.ifft(modes).real).samples
-
-    power = np.abs(modes) ** 2
-    total = float(np.sum(power[1:]))
-    tail = float(np.sum(power[_holder_tables(n)[2]]))
-    flagged = total > 0 and tail / total > TAIL_ENERGY_THRESHOLD
-    value = _holder_value(d, k, kappa, field.spacing)
-    return HolderEstimate(k=k, kappa=kappa, value=value, under_resolved=flagged)
-
-
 def _holder_value(d: np.ndarray, k: int, kappa: float, h: float) -> float:
     """max_j ||d - d(. - j h)||_inf / (j h)^kappa over the dyadic shifts for the
-    k-th derivative d on spacing h; run under np.errstate (overflow raises)."""
+    k-th derivative d on spacing h; run under np.errstate (overflow raises).
+
+    The estimate is monotone nondecreasing as shifts are added and differs
+    from the continuum C^{k+kappa} seminorm by an O(1) constant, so the
+    slopes of rate fits are unaffected."""
     check_holder_target(len(d), k, kappa)
-    shifts, index, _ = _holder_tables(len(d))
+    shifts, index = _holder_tables(len(d))
     sups = np.max(np.abs(d - d[index]), axis=1)
     if not np.all(np.isfinite(sups)):
         raise NonFiniteError("samples contain NaN/Inf")

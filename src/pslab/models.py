@@ -18,7 +18,6 @@ from scipy.special import gamma
 
 from .grid import (
     PeriodicField,
-    TWO_PI,
     apply_multiplier,
     dealias as dealias_filter,
     derivatives,
@@ -84,14 +83,6 @@ class _ModelBase:
         lin = apply_multiplier(field, self.linear_multiplier(k)).samples
         return field.with_samples(self.rhs(field).samples + lin)
 
-    def pointwise_remainder(self, field: PeriodicField) -> PeriodicField:
-        if self.coefficient_profile is None:
-            raise ValueError(f"{self.tag} does not expose a pointwise symbol")
-        a = self.coefficient_profile(field)
-        k = wavenumbers(field.n, field.domain_length)
-        lin = a * apply_multiplier(field, self.base_multiplier(k)).samples
-        return field.with_samples(self.rhs(field).samples + lin)
-
     def conserved(self, field: PeriodicField):
         """(name, value) of the model's conservation-law diagnostic, or None."""
         return None
@@ -138,9 +129,7 @@ class VarCoefHeatModel(_ModelBase):
 
     def linear_multiplier(self, k):
         # the frozen constant coefficient is the profile mean
-        n = 4096
-        x = np.arange(n) * (TWO_PI / n)
-        return float(np.mean(self.profile(x))) * k**2
+        return 1.25 * k**2
 
     def coefficient_profile(self, field):
         return self.profile(field.nodes())

@@ -237,30 +237,9 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
 # ---------------------------------------------------------------------------
 # fractional mean curvature
 
-def gcal(rho: float, d: int, a: float) -> float:
-    """G(rho) = int_{-rho}^{rho} d tau / <tau>^{d+a}, by adaptive quadrature.
-
-    Odd in rho and bounded by the full-line integral.
-    """
-    r = abs(float(rho))
-    if r == 0.0:
-        return 0.0
-    # split so the O(1) feature near the origin is never lost inside a
-    # long decaying tail
-    integrand = lambda t: (1.0 + t * t) ** (-0.5 * (d + a))
-    val, err = integrate.quad(integrand, 0.0, min(r, 8.0),
-                              epsabs=1e-13, epsrel=1e-13, limit=200)
-    if r > 8.0:
-        tail, terr = integrate.quad(integrand, 8.0, r, epsabs=1e-13,
-                                    epsrel=1e-13, limit=200)
-        val, err = val + tail, err + terr
-    if abs(err) > 1e-10:
-        raise RuntimeError(f"gcal quadrature error {err:.2e}")
-    return float(np.sign(rho)) * 2.0 * val
-
-
 def _gcal_remainder(rho: np.ndarray, d: int, a: float) -> np.ndarray:
-    """G(rho) - 2 rho, computed without cancellation for small rho."""
+    """G(rho) - 2 rho with G(rho) = int_{-rho}^{rho} d tau / <tau>^{d+a},
+    computed without cancellation for small rho."""
     r = rho[..., None] * _GL01_NODES
     return 2.0 * rho * (((1.0 + r * r) ** (-0.5 * (d + a)) - 1.0) @ _GL01_WEIGHTS)
 

@@ -153,7 +153,7 @@ def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec) -> dict:
         if not np.isfinite(entry["osc_linf"]):
             raise NonFiniteError("osc_linf overflows the float range")
         # every derivative and Holder column comes from one batch; a C^kappa
-        # column reads the samples themselves, as holder_seminorm does
+        # column (k = 0) reads the samples themselves
         orders = sorted({*spec.derivative_sup, *(k for k, _ in spec.holder_targets if k)})
         rows = dict(zip(orders, derivatives(field, orders))) if orders else {}
         for m in spec.derivative_sup:
@@ -237,8 +237,10 @@ def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
     phase = np.exp(1j * np.outer(u.nodes(), k))
     uh = np.fft.fft(u.samples)
     prop = ((E * phase) @ uh).real / u.n
-    rem = model.pointwise_remainder(u)
-    return u.with_samples(prop + dt * rem.samples)
+    # the explicit part: the full right side plus the frozen-symbol action
+    # a(x) base(k) u that prop already carries
+    rem = model.rhs(u).samples + a * np.fft.ifft(uh * base).real
+    return u.with_samples(prop + dt * rem)
 
 
 def _stability_bound(model, u0: PeriodicField, dt: float) -> float:
@@ -378,12 +380,6 @@ def _ledger_trajectory(snaps) -> Trajectory:
 def _trajectory_distance(a_snaps, b_snaps) -> float:
     return max(float(np.max(np.abs(wa.samples - wb.samples)))
                for (_, wa), (_, wb) in zip(a_snaps, b_snaps))
-
-
-def picard_apply(model, traj: Trajectory, config: StepperConfig) -> Trajectory:
-    """Public single application of the window map to a trajectory."""
-    snaps, _ = _picard_apply(model, list(traj.snapshots), config)
-    return _ledger_trajectory(snaps)
 
 
 def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):

@@ -3,12 +3,17 @@ run/verify/ratefit commands, and their exit codes."""
 
 import json
 import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pslab import models
 from pslab.cli import (
+    _PRESETS,
     ConfigError,
     RunConfig,
     build_initial_field,
@@ -23,7 +28,14 @@ from pslab.cli import (
 )
 from pslab.grid import PeriodicField
 from pslab.models import Peskin2dModel
-from pslab.stepper import LedgerSpec, StepperConfig, evolve, ledger_entry
+from pslab.stepper import (
+    SCHEMES,
+    LedgerSpec,
+    StepperConfig,
+    check_pointwise,
+    evolve,
+    ledger_entry,
+)
 
 
 BASE_CONFIG = {
@@ -51,6 +63,61 @@ def write_config(tmp_path, name="run.cfg", overrides=None, drop=()):
     path = tmp_path / name
     path.write_text(config_text(overrides, drop))
     return str(path)
+
+
+CONTOUR_PRESETS = ("ellipse", "circle")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    """A RunConfig as build_run_config would accept it: any model with any
+    subset of its parameters, a step count that divides run.T, a preset of
+    the model's shape with some of its parameters or a restart file, and
+    ledger lists in any order and with repeats."""
+    tag = draw(st.sampled_from(models.MODEL_TAGS))
+    cls = models.MODELS[tag]
+    params = {name: draw(FINITE) for name in cls.params if draw(st.booleans())}
+    n = 2 ** draw(st.integers(4, 11))
+    length = (2.0 * np.pi if cls.needs_two_pi
+              else draw(st.floats(1e-6, 1e6) | st.just(2.0 * np.pi)))
+    schemes = list(SCHEMES)
+    try:
+        check_pointwise(cls, n, 2 if cls.is_contour else 1)
+    except ValueError:
+        schemes.remove("frozen_pointwise")
+    dt = draw(st.floats(1e-9, 10.0))
+    horizon = draw(st.integers(1, 10**5)) * dt
+
+    if draw(st.booleans()):
+        initial = {"file": draw(st.text("abc_/.-0123", min_size=1, max_size=12))}
+    else:
+        preset = draw(st.sampled_from(
+            [p for p in _PRESETS if (p in CONTOUR_PRESETS) == cls.is_contour]))
+        initial = {"preset": preset}
+        for name, default in _PRESETS[preset].items():
+            if draw(st.booleans()):
+                number = st.integers(0, 64) if isinstance(default, int) else FINITE
+                initial[name] = repr(draw(number))
+
+    derivative_sup, holder, theta = [], [], None
+    if cls.is_contour:
+        theta = draw(st.sampled_from([None, True, False]))
+    else:
+        derivative_sup = draw(st.lists(st.integers(1, 8), max_size=5))
+        kappa = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        holder = draw(st.lists(st.tuples(st.integers(0, n // 4 - 2), kappa),
+                               max_size=5))
+        holder += draw(st.lists(st.sampled_from(holder), max_size=2)) if holder else []
+    ledger = LedgerSpec(stride=draw(st.integers(1, 10**6)),
+                        derivative_sup=derivative_sup, holder_targets=holder,
+                        record_theta=theta)
+    return RunConfig(
+        model_spec=models.ModelSpec(tag, params), n=n, domain_length=length,
+        stepper=StepperConfig(dt, draw(st.sampled_from(schemes))),
+        horizon=horizon, initial=initial, ledger=ledger,
+        output_dir=draw(st.text("abc_/.-0123", min_size=1, max_size=12)),
+        seed=draw(st.integers(0, 2**63)))
 
 
 class TestConfigParsing:
@@ -131,6 +198,12 @@ class TestConfigParsing:
         again = build_run_config(parse_config_text(text))
         assert again == config
 
+    @given(config=run_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_config_round_trips(self, config):
+        text = "\n".join(config_lines(config))
+        assert build_run_config(parse_config_text(text)) == config
+
 
 class TestSnapshotFormat:
     def test_scalar_round_trip(self, tmp_path):
@@ -184,6 +257,29 @@ class TestSnapshotFormat:
 
         with pytest.raises(ConfigError, match="cannot read snapshot"):
             read_snapshot(str(tmp_path / "nothere.bin"))
+
+    @given(contour=st.booleans(), n=st.sampled_from([16, 32]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_every_strict_prefix_exits_2_without_output(self, contour, n, seed):
+        rng = np.random.default_rng(seed)
+        field = PeriodicField(rng.standard_normal((2, n) if contour else n))
+        overrides = {"grid.N": str(n)}
+        if contour:
+            overrides.update(ELLIPSE)
+        with tempfile.TemporaryDirectory() as tmp:
+            snap = os.path.join(tmp, "snap.bin")
+            out = Path(tmp) / "out"
+            write_snapshot(snap, field, 0.5)
+            raw = Path(snap).read_bytes()
+            overrides.update({"initial.file": snap, "output.dir": str(out)})
+            cfg = write_config(Path(tmp), overrides=overrides,
+                               drop=("initial.preset",) + NO_DERIVATIVES)
+            assert np.array_equal(read_snapshot(snap)[0].samples, field.samples)
+            for cut in range(len(raw)):
+                Path(snap).write_bytes(raw[:cut])
+                assert main(["run", cfg]) == 2, cut
+                assert not out.exists(), cut
 
 
 def csv_header(tmp_path, rows):
@@ -754,6 +850,21 @@ class TestRatefitCommand:
         assert main(["ratefit", path, "--expect", "huh"]) == 2
         assert main(["ratefit", path, "--window", "0.5"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("spec", ["exponent=nan,tol=0.05",
+                                      "exponent=-inf,tol=0.05",
+                                      "rate=0.75,tol=nan",
+                                      "exponent=-0.5,tol=inf",
+                                      "exponent=-0.5,tol=-1"])
+    def test_unusable_expectation_exits_2_before_output(self, tmp_path, capsys,
+                                                        spec):
+        # a NaN would print an invalid-JSON verdict, tol=inf would pass
+        # every fit and a negative tol fail every fit
+        path = self.write_power_csv(tmp_path)
+        assert main(["ratefit", path, "--expect", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--expect" in captured.err
 
     @pytest.mark.parametrize("kind", ["power_law", "exponential"])
     def test_nan_in_window_exits_2(self, tmp_path, capsys, kind):

@@ -9,13 +9,15 @@ from pslab import stepper
 from pslab.grid import (
     NonFiniteError,
     PeriodicField,
-    holder_seminorm,
+    apply_multiplier,
     norms,
     spectral_derivative,
+    wavenumbers,
 )
 from pslab.models import (
     HeatModel,
     McfGraphModel,
+    MuskatStModel,
     NonlocalMcfModel,
     Peskin2dModel,
     SurfaceDiffusionModel,
@@ -35,7 +37,6 @@ from pslab.stepper import (
     holder_column,
     imex_frozen_phi_step,
     ledger_entry,
-    picard_apply,
     picard_solve,
     _etd_weights,
     _n_steps,
@@ -260,10 +261,23 @@ class TestLedger:
         assert "theta" in row and "mean_0" in row and "mean_1" in row
 
 
+def holder_by_shift_loop(field, k, kappa):
+    """max over the dyadic shifts j h <= L/4 of ||d - d(. - j h)||_inf /
+    (j h)^kappa for the k-th spectral derivative d, one np.roll per shift."""
+    d = spectral_derivative(field, k).samples if k else field.samples
+    value, j = 0.0, 1
+    while j <= field.n // 4:
+        sup = float(np.max(np.abs(d - np.roll(d, j))))
+        value = max(value, sup / (j * field.spacing) ** kappa)
+        j *= 2
+    return value
+
+
 def ledger_row_by_columns(t, field, spec):
     """A scalar ledger row built column by column from the public grid
-    functions, each derivative and Holder column with its own FFT, as
-    ledger_entry built it before its columns shared one spectrum."""
+    functions, each derivative with its own FFT and each Holder column from
+    the shift loop, as ledger_entry built it before its columns shared one
+    spectrum."""
     base = norms(field)
     row = {"t": float(t), "l2": base["l2"], "linf": base["linf"],
            "mean": base["mean"],
@@ -272,8 +286,8 @@ def ledger_row_by_columns(t, field, spec):
         d = spectral_derivative(field, int(m))
         row[f"d{int(m)}_linf"] = float(np.max(np.abs(d.samples)))
     for k, kappa in spec.holder_targets:
-        est = holder_seminorm(field, int(k), float(kappa))
-        row[f"holder_{int(k)}_{float(kappa):g}"] = est.value
+        row[f"holder_{int(k)}_{float(kappa):g}"] = \
+            holder_by_shift_loop(field, int(k), float(kappa))
     return row
 
 
@@ -378,6 +392,21 @@ class TestImexStep:
         assert np.max(np.abs(traj.final().samples - want)) < 1e-12
 
 
+def pointwise_step_by_separate_remainder(u, model, dt):
+    """The frozen pointwise step with its explicit part rhs(u) + a(x) base(k) u
+    built on its own: the profile, the base symbol and the transform of u
+    are evaluated a second time, and the product goes through a field."""
+    a = np.asarray(model.coefficient_profile(u), dtype=float)
+    k = wavenumbers(u.n, u.domain_length)
+    E = np.exp(-dt * np.outer(a, model.base_multiplier(k)))
+    phase = np.exp(1j * np.outer(u.nodes(), k))
+    prop = ((E * phase) @ np.fft.fft(u.samples)).real / u.n
+    lin = model.coefficient_profile(u) * apply_multiplier(
+        u, model.base_multiplier(k)).samples
+    rem = u.with_samples(model.rhs(u).samples + lin)
+    return u.with_samples(prop + dt * rem.samples)
+
+
 class TestFrozenPointwise:
     def test_matches_imex_for_space_independent_symbol(self):
         u = PeriodicField(np.cos(grid_x(128)) + 0.1 * np.sin(5 * grid_x(128)))
@@ -402,6 +431,18 @@ class TestFrozenPointwise:
                        LedgerSpec(stride=10**9))
             gaps.append(np.max(np.abs(a.final().samples - b.final().samples)))
         assert 1.6 < gaps[0] / gaps[1] < 2.4
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("model", [VarCoefHeatModel(), McfGraphModel(),
+                                       HeatModel(), MuskatStModel()],
+                             ids=lambda m: m.tag)
+    def test_bit_identical_to_separate_remainder(self, model, n):
+        x = grid_x(n)
+        u = PeriodicField(0.3 * np.sin(x) + 0.1 * np.cos(3 * x) + 0.02 * np.sin(7 * x))
+        for dt in (1e-3, 1e-5):
+            got = frozen_pointwise_step(u, model, dt)
+            want = pointwise_step_by_separate_remainder(u, model, dt)
+            assert np.array_equal(got.samples, want.samples)
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="scalar"):
@@ -574,7 +615,8 @@ class TestPicard:
         u0 = PeriodicField(0.05 * np.sin(grid_x(128)))
         cfg = StepperConfig(dt=2e-3, scheme="imex_frozen_phi")
         traj, _ = picard_solve(McfGraphModel(), u0, 0.1, cfg)
-        again = picard_apply(McfGraphModel(), traj, cfg)
+        snaps, _ = stepper._picard_apply(McfGraphModel(), list(traj.snapshots), cfg)
+        again = stepper._ledger_trajectory(snaps)
         move = max(np.max(np.abs(wa.samples - wb.samples))
                    for (_, wa), (_, wb) in zip(traj.snapshots, again.snapshots))
         assert move <= 2 * PICARD_TOL
