@@ -725,7 +725,7 @@ def cmd_verify(suite: str) -> int:
 # ratefit command
 
 def _parse_expect(text: str) -> Tuple[float, float]:
-    target = tolerance = None
+    entries = {}
     for token in text.split(","):
         key, sep, value = token.partition("=")
         if not sep:
@@ -737,17 +737,17 @@ def _parse_expect(text: str) -> Tuple[float, float]:
             raise ConfigError(f"--expect {key} must be a number")
         if not np.isfinite(number):
             raise ConfigError(f"--expect {key} must be finite")
-        if key in ("exponent", "rate"):
-            target = number
-        elif key == "tol":
-            tolerance = number
-        else:
+        if key not in ("exponent", "rate", "tol"):
             raise ConfigError(f"unknown --expect key {key!r}")
-    if target is None or tolerance is None:
+        if key in entries or {key, *entries} >= {"exponent", "rate"}:
+            raise ConfigError(f"--expect takes one target and one tol, got {text!r}")
+        entries[key] = number
+    target = entries.get("exponent", entries.get("rate"))
+    if target is None or "tol" not in entries:
         raise ConfigError("--expect needs exponent=<value>,tol=<value>")
-    if tolerance < 0:
+    if entries["tol"] < 0:
         raise ConfigError("--expect tol must be >= 0")
-    return target, tolerance
+    return target, entries["tol"]
 
 
 def _parse_window(text: Optional[str]):

@@ -1,11 +1,11 @@
 """Six evolution equations in a shared splitting contract: each model
 exposes the full right side, a constant-coefficient linear multiplier for
-exact exponential propagation, and the explicit remainder.
+exact exponential propagation, and the spectrum of the explicit remainder.
 
-Splitting convention: d/dt u_hat = -multiplier * u_hat + remainder_hat, so
-remainder(u) = rhs(u) + L u with (L u)^ = multiplier * u_hat. Models
-override the generic remainder where a dedicated form is better
-conditioned for small data.
+Splitting convention, in spectral form: d/dt u_hat = -multiplier * u_hat +
+remainder_hat(u, u_hat), the spectrum of rhs(u) + L u with (L u)^ =
+multiplier * u_hat, or None where it vanishes. Models override remainder_hat
+where a dedicated form is better conditioned or reads u_hat directly.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from scipy.special import gamma
 
 from .grid import (
     PeriodicField,
-    apply_multiplier,
-    dealias as dealias_filter,
+    _dealias_mask,
+    _derivative_multiplier,
+    _derivative_table,
     derivatives,
     spectral_derivative,
     wavenumbers,
@@ -78,10 +79,16 @@ class _ModelBase:
     def linear_multiplier(self, k: np.ndarray) -> np.ndarray:
         return self.base_multiplier(np.asarray(k, dtype=float))
 
+    def remainder_hat(self, field: PeriodicField, uh: np.ndarray) -> Optional[np.ndarray]:
+        """Spectrum of rhs(u) + L u given uh = fft(u); None if it vanishes."""
+        m = self.linear_multiplier(wavenumbers(field.n, field.domain_length))
+        lin = np.fft.ifft(uh * m, axis=-1).real
+        return np.fft.fft(self.rhs(field).samples + lin, axis=-1)
+
     def remainder(self, field: PeriodicField) -> PeriodicField:
-        k = wavenumbers(field.n, field.domain_length)
-        lin = apply_multiplier(field, self.linear_multiplier(k)).samples
-        return field.with_samples(self.rhs(field).samples + lin)
+        rh = self.remainder_hat(field, np.fft.fft(field.samples, axis=-1))
+        return field.with_samples(np.zeros_like(field.samples) if rh is None
+                                  else np.fft.ifft(rh, axis=-1).real)
 
     def conserved(self, field: PeriodicField):
         """(name, value) of the model's conservation-law diagnostic, or None."""
@@ -102,8 +109,8 @@ class HeatModel(_ModelBase):
     def coefficient_profile(self, field):
         return np.ones(field.n)
 
-    def remainder(self, field):
-        return field.with_samples(np.zeros_like(field.samples))
+    def remainder_hat(self, field, uh):
+        return None
 
     def conserved(self, field):
         return ("mean", float(np.mean(field.samples)))
@@ -151,11 +158,12 @@ class McfGraphModel(_ModelBase):
         fx = spectral_derivative(field, 1).samples
         return 1.0 / (1.0 + fx * fx)
 
-    def remainder(self, field):
+    def remainder_hat(self, field, uh):
         # (A[f'] - A[0]) f_xx = -f_x^2 f_xx/(1+f_x^2); written this way it
         # is O(f^3) without cancellation
-        fx, fxx = derivatives(field, (1, 2))
-        return field.with_samples((1.0 / (1.0 + fx * fx) - 1.0) * fxx)
+        mults = _derivative_table(field.n, field.domain_length, (1, 2))
+        fx, fxx = np.fft.ifft(uh * mults).real
+        return np.fft.fft((1.0 / (1.0 + fx * fx) - 1.0) * fxx)
 
 
 class NonlocalMcfModel(_ModelBase):
@@ -256,17 +264,26 @@ class SurfaceDiffusionModel(_ModelBase):
             raise ValueError("reference radius must exceed 1")
         self.hbar0 = float(hbar0)
 
-    def rhs(self, field):
+    def _velocity(self, field, uh):
+        # rhs samples from h and uh = fft(h); dealiasing then differentiating
+        # is one multiplier, mask * (i k)
         h = field.samples
         if float(h.min()) <= 0.0:
             raise PositivityError(float(h.min()))
-        hx, hxx = derivatives(field, (1, 2))
+        n, L = field.n, field.domain_length
+        hx, hxx = np.fft.ifft(uh * _derivative_table(n, L, (1, 2))).real
         br = np.sqrt(1.0 + hx * hx)
-        curv = dealias_filter(field.with_samples(1.0 / (h * br) - hxx / br**3))
-        curv_x = spectral_derivative(curv, 1).samples
-        flux = dealias_filter(field.with_samples((h / br) * curv_x))
-        flux_x = spectral_derivative(flux, 1).samples
-        return field.with_samples(flux_x / h)
+        dx = _dealias_mask(n) * _derivative_multiplier(n, L, 1)
+        curv_x = np.fft.ifft(np.fft.fft(1.0 / (h * br) - hxx / br**3) * dx).real
+        flux_x = np.fft.ifft(np.fft.fft((h / br) * curv_x) * dx).real
+        return flux_x / h
+
+    def rhs(self, field):
+        return field.with_samples(self._velocity(field, np.fft.fft(field.samples)))
+
+    def remainder_hat(self, field, uh):
+        m = self.linear_multiplier(wavenumbers(field.n, field.domain_length))
+        return np.fft.fft(self._velocity(field, uh)) + m * uh
 
     def base_multiplier(self, k):
         # sd_symbol(n, hbar0) = n^4 - n^2/hbar0^2 in integer frequencies;
@@ -292,10 +309,10 @@ class ThinfilmExpModel(_ModelBase):
     def base_multiplier(self, k):
         return k**4
 
-    def remainder(self, field):
-        v = spectral_derivative(field, 2).samples
-        g = field.with_samples(np.expm1(-v) + v)
-        return spectral_derivative(g, 2)
+    def remainder_hat(self, field, uh):
+        d2 = _derivative_multiplier(field.n, field.domain_length, 2)
+        v = np.fft.ifft(uh * d2).real
+        return np.fft.fft(np.expm1(-v) + v) * d2
 
     def conserved(self, field):
         return ("mean", float(np.mean(field.samples)))

@@ -190,10 +190,6 @@ def _etd_weights(model, n: int, L: float, dt: float, scheme: str):
     return _read_only(np.exp(z)), _read_only(dt * _phi1(z)), w2
 
 
-def _remainder_hat(model, w: PeriodicField) -> np.ndarray:
-    return np.fft.fft(model.remainder(w).samples, axis=-1)
-
-
 def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
                          scheme: str = "etd_rk2") -> PeriodicField:
     """One step with exact propagation of the frozen linear multiplier and
@@ -203,12 +199,14 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
     E, w1, w2 = _etd_weights(model, u.n, u.domain_length, dt, scheme)
-    r1 = _remainder_hat(model, u)
-    ah = E * np.fft.fft(u.samples, axis=-1) + w1 * r1
+    uh = np.fft.fft(u.samples, axis=-1)
+    r1 = model.remainder_hat(u, uh)
+    ah = E * uh if r1 is None else E * uh + w1 * r1
     a = u.with_samples(np.fft.ifft(ah, axis=-1).real)
-    if w2 is None:
+    if w2 is None or r1 is None:
         return a
-    r2 = _remainder_hat(model, a)
+    # the stage value gets its own transform: fft(ifft(ah).real) != ah
+    r2 = model.remainder_hat(a, np.fft.fft(a.samples, axis=-1))
     return u.with_samples(np.fft.ifft(ah + w2 * (r2 - r1), axis=-1).real)
 
 
@@ -358,8 +356,9 @@ def _picard_apply(model, g_snaps, config: StepperConfig):
     d/dt f = -A f + R(g(t)) with the same exponential weights as evolve."""
     u0 = g_snaps[0][1]
     E, w1, w2 = _etd_weights(model, u0.n, u0.domain_length, config.dt, config.scheme)
-    r_hats = [_remainder_hat(model, w) for _, w in g_snaps]
-    source_free = all(float(np.max(np.abs(r))) == 0.0 for r in r_hats)
+    r_hats = [model.remainder_hat(w, np.fft.fft(w.samples, axis=-1)) for _, w in g_snaps]
+    r_hats = [0.0 if r is None else r for r in r_hats]
+    source_free = not any(np.any(r) for r in r_hats)
     out = [g_snaps[0]]
     fh = np.fft.fft(u0.samples, axis=-1)
     for j in range(len(g_snaps) - 1):

@@ -866,6 +866,21 @@ class TestRatefitCommand:
         assert captured.out == ""
         assert "--expect" in captured.err
 
+    @pytest.mark.parametrize("spec", ["exponent=-0.5,rate=3,tol=0.1",
+                                      "rate=3,exponent=-0.5,tol=0.1",
+                                      "exponent=-0.5,exponent=3,tol=0.1",
+                                      "rate=0.75,rate=0.75,tol=0.1",
+                                      "exponent=-0.5,tol=0.1,tol=0.2"])
+    def test_repeated_or_mixed_expectation_exits_2(self, tmp_path, capsys,
+                                                   spec):
+        # a later entry must not silently replace an earlier one:
+        # exponent=-0.5,rate=3 would check the fit against 3
+        path = self.write_power_csv(tmp_path)
+        assert main(["ratefit", path, "--expect", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--expect" in captured.err
+
     @pytest.mark.parametrize("kind", ["power_law", "exponential"])
     def test_nan_in_window_exits_2(self, tmp_path, capsys, kind):
         path = tmp_path / "nan.csv"

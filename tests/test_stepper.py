@@ -10,6 +10,8 @@ from pslab.grid import (
     NonFiniteError,
     PeriodicField,
     apply_multiplier,
+    dealias,
+    derivatives,
     norms,
     spectral_derivative,
     wavenumbers,
@@ -23,6 +25,7 @@ from pslab.models import (
     SurfaceDiffusionModel,
     ThinfilmExpModel,
     VarCoefHeatModel,
+    _ModelBase,
 )
 from pslab.stepper import (
     EvolutionAbort,
@@ -59,11 +62,10 @@ def ellipse(n, rx=1.1, ry=0.9):
     return PeriodicField(np.stack([rx * np.cos(th), ry * np.sin(th)]))
 
 
-class FractionalHeatModel:
-    """d/dt u = -Lambda^s u with zero remainder; linear exactness probe."""
+class FractionalHeatModel(_ModelBase):
+    """d/dt u = -Lambda^s u with no remainder; linear exactness probe."""
 
     tag = "toy_symbol"
-    is_contour = False
 
     def __init__(self, s):
         self.s = float(s)
@@ -76,15 +78,14 @@ class FractionalHeatModel:
         out = np.fft.ifft(-np.abs(k) ** self.s * np.fft.fft(field.samples)).real
         return field.with_samples(out)
 
-    def remainder(self, field):
-        return field.with_samples(np.zeros_like(field.samples))
+    def remainder_hat(self, field, uh):
+        return None
 
 
-class QuadraticGrowthModel:
+class QuadraticGrowthModel(_ModelBase):
     """d/dt u = u^2: finite-time blowup exercises the abort machinery."""
 
     tag = "toy_quadratic"
-    is_contour = False
 
     def linear_multiplier(self, k):
         return np.zeros_like(np.asarray(k, dtype=float))
@@ -92,12 +93,12 @@ class QuadraticGrowthModel:
     def rhs(self, field):
         return field.with_samples(field.samples**2)
 
-    def remainder(self, field):
-        return self.rhs(field)
+    def remainder_hat(self, field, uh):
+        return np.fft.fft(self.rhs(field).samples)
 
 
 class ExponentialGrowthModel(QuadraticGrowthModel):
-    """d/dt u = 5 u, propagated exactly with zero remainder: a finite state
+    """d/dt u = 5 u, propagated exactly with no remainder: a finite state
     grows past the range in which its derivatives stay finite."""
 
     def linear_multiplier(self, k):
@@ -106,11 +107,11 @@ class ExponentialGrowthModel(QuadraticGrowthModel):
     def rhs(self, field):
         return field.with_samples(5.0 * field.samples)
 
-    def remainder(self, field):
-        return field.with_samples(np.zeros_like(field.samples))
+    def remainder_hat(self, field, uh):
+        return None
 
 
-class ShrinkingContourModel:
+class ShrinkingContourModel(_ModelBase):
     """d/dt (x, y) = (-x, 0) with zero multiplier: a circle flattens into
     ever thinner ellipses, so its stretch ratio rises every step."""
 
@@ -123,24 +124,23 @@ class ShrinkingContourModel:
     def linear_multiplier(self, k):
         return np.zeros_like(np.asarray(k, dtype=float))
 
-    def remainder(self, field):
-        return field.with_samples(np.stack([-field.samples[0],
-                                            np.zeros(field.n)]))
+    def remainder_hat(self, field, uh):
+        return uh * np.array([[-1.0], [0.0]])
 
 
 class LateValueErrorModel(QuadraticGrowthModel):
-    """Zero remainder whose fifth call raises a ValueError naming NaN/Inf:
-    the guard makes two calls and each ETD-RK2 step two more, so it fails
-    inside the second step."""
+    """Zero remainder spectrum whose fifth call raises a ValueError naming
+    NaN/Inf: the guard makes two calls (through remainder) and each
+    ETD-RK2 step two more, so it fails inside the second step."""
 
     def __init__(self):
         self.calls = 0
 
-    def remainder(self, field):
+    def remainder_hat(self, field, uh):
         self.calls += 1
         if self.calls == 5:
             raise ValueError("toy remainder rejects NaN/Inf by itself")
-        return field.with_samples(np.zeros_like(field.samples))
+        return np.zeros_like(uh)
 
 
 def richardson_order(model, u0, T, scheme, base):
@@ -390,6 +390,87 @@ class TestImexStep:
         k = np.fft.fftfreq(n, d=1.0 / n)
         want = np.fft.ifft(np.exp(-np.abs(k)**s * T) * np.fft.fft(u0.samples)).real
         assert np.max(np.abs(traj.final().samples - want)) < 1e-12
+
+
+def physical_remainder(model, u):
+    """Remainder samples formed in physical space: zero for heat, the
+    dedicated forms of mcf_graph, thinfilm_exp and surface_diffusion_axi
+    (its flux chain dealiasing and differentiating as separate transforms),
+    rhs(u) + L u for the rest."""
+    if model.tag == "heat":
+        return np.zeros_like(u.samples)
+    if model.tag == "mcf_graph":
+        fx, fxx = derivatives(u, (1, 2))
+        return (1.0 / (1.0 + fx * fx) - 1.0) * fxx
+    if model.tag == "thinfilm_exp":
+        v = spectral_derivative(u, 2).samples
+        return spectral_derivative(u.with_samples(np.expm1(-v) + v), 2).samples
+    if model.tag == "surface_diffusion_axi":
+        h = u.samples
+        hx, hxx = derivatives(u, (1, 2))
+        br = np.sqrt(1.0 + hx * hx)
+        curv = dealias(u.with_samples(1.0 / (h * br) - hxx / br**3))
+        curv_x = spectral_derivative(curv, 1).samples
+        flux = dealias(u.with_samples((h / br) * curv_x))
+        rhs = spectral_derivative(flux, 1).samples / h
+    else:
+        rhs = model.rhs(u).samples
+    k = wavenumbers(u.n, u.domain_length)
+    return rhs + apply_multiplier(u, model.linear_multiplier(k)).samples
+
+
+def etd_step_by_physical_remainder(u, model, dt, scheme):
+    """The ETD step that transforms a physical remainder at u and at the
+    stage value: the reference the spectral step must reproduce."""
+    E, w1, w2 = _etd_weights(model, u.n, u.domain_length, dt, scheme)
+    r1 = np.fft.fft(physical_remainder(model, u), axis=-1)
+    ah = E * np.fft.fft(u.samples, axis=-1) + w1 * r1
+    a = u.with_samples(np.fft.ifft(ah, axis=-1).real)
+    if w2 is None:
+        return a
+    r2 = np.fft.fft(physical_remainder(model, a), axis=-1)
+    return u.with_samples(np.fft.ifft(ah + w2 * (r2 - r1), axis=-1).real)
+
+
+class TestSpectralRemainderStep:
+    """The step reads each model's remainder_hat; it must match the
+    physical-remainder step bit for bit where the spectrum is formed the
+    same way, and to round-off where a dedicated form skips a transform."""
+
+    @staticmethod
+    def state(model, n):
+        x = grid_x(n)
+        if model.is_contour:
+            return ellipse(n)
+        if model.tag == "surface_diffusion_axi":
+            return PeriodicField(2.0 + 0.3 * np.cos(x) + 0.05 * np.sin(3 * x))
+        return PeriodicField(0.3 * np.sin(x) + 0.1 * np.cos(3 * x)
+                             + 0.02 * np.sin(7 * x))
+
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("model", [
+        HeatModel(), VarCoefHeatModel(), McfGraphModel(), MuskatStModel(),
+        NonlocalMcfModel(a=0.5), Peskin2dModel()], ids=lambda m: m.tag)
+    def test_bit_identical(self, model, n, scheme):
+        # at dt = 0.1 the remainder carries enough of the step that one
+        # extra transform pair on it changes bits for every model here
+        u = self.state(model, n)
+        for dt in (1e-4, 0.1):
+            got = imex_frozen_phi_step(u, model, dt, scheme)
+            want = etd_step_by_physical_remainder(u, model, dt, scheme)
+            assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("model", [
+        ThinfilmExpModel(), SurfaceDiffusionModel(hbar0=2.0)], ids=lambda m: m.tag)
+    def test_round_off(self, model, n, scheme):
+        u = self.state(model, n)
+        for dt in (1e-4, 0.1):
+            got = imex_frozen_phi_step(u, model, dt, scheme).samples
+            want = etd_step_by_physical_remainder(u, model, dt, scheme).samples
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def pointwise_step_by_separate_remainder(u, model, dt):
