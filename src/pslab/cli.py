@@ -22,8 +22,8 @@ state is a 2-component contour; the lines below list them. Keys:
     model.theta_cap      peskin2d stretch-ratio abort threshold (> 0)
     grid.N               samples per period, power of two >= 16 (required)
     grid.L               finite domain length (defaults to 2*pi;
-                         nonlocal_mcf, peskin2d and muskat_st require the
-                         default)
+                         nonlocal_mcf, peskin2d and muskat_st require 2*pi
+                         to an absolute 1e-12)
     stepper.dt           time step, positive and finite (required)
     stepper.scheme       etd_rk2 | imex_frozen_phi | frozen_pointwise
                          (the last for scalar models with a coefficient
@@ -33,9 +33,9 @@ state is a 2-component contour; the lines below list them. Keys:
                          ellipse | circle  (required unless initial.file)
     initial.file         snapshot file to restart from; its sample count
                          must equal grid.N and its length grid.L (to a
-                         relative 1e-12), and like a preset it must give
-                         peskin2d a contour and every other model a
-                         scalar field
+                         relative 1e-12; the run uses grid.L), and like a
+                         preset it must give peskin2d a contour and every
+                         other model a scalar field
     initial.amplitude    preset scale          (cosine, triangle,
                          random_band, sd_cylinder)
     initial.mode         integer wavenumber    (cosine, sd_cylinder)
@@ -204,27 +204,16 @@ def parse_config_text(text: str) -> Dict[str, str]:
     return pairs
 
 
-def _pop_float(pairs, key, default=None, required=False):
+def _pop_number(pairs, key, cast=float, default=None, required=False):
     if key not in pairs:
         if required:
             raise ConfigError(f"missing required key {key}")
         return default
     try:
-        return float(pairs.pop(key))
+        return cast(pairs.pop(key))
     except ValueError:
-        raise ConfigError(f"{key} must be a number")
-
-
-def _pop_int(pairs, key, default=None, required=False):
-    if key not in pairs:
-        if required:
-            raise ConfigError(f"missing required key {key}")
-        return default
-    value = pairs.pop(key)
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer")
+        kind = "a number" if cast is float else "an integer"
+        raise ConfigError(f"{key} must be {kind}")
 
 
 def build_run_config(pairs: Dict[str, str]) -> RunConfig:
@@ -233,26 +222,26 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     tag = pairs.pop("model.tag", None)
     if tag is None:
         raise ConfigError("missing required key model.tag")
-    if tag not in models.MODEL_TAGS:
+    if tag not in models.MODELS:
         raise ConfigError(f"unknown model.tag {tag!r}")
     model_cls = models.MODELS[tag]
     params = {}
     for name in model_cls.params:
-        value = _pop_float(pairs, f"model.{name}")
+        value = _pop_number(pairs, f"model.{name}")
         if value is not None:
             params[name] = value
     spec = models.ModelSpec(tag, params)
 
-    n = _pop_int(pairs, "grid.N", required=True)
+    n = _pop_number(pairs, "grid.N", int, required=True)
     if n < 16 or n & (n - 1):
         raise ConfigError("grid.N must be a power of two >= 16")
-    length = _pop_float(pairs, "grid.L", default=TWO_PI)
+    length = _pop_number(pairs, "grid.L", default=TWO_PI)
     if not 0 < length < np.inf:
         raise ConfigError("grid.L must be positive and finite")
-    if model_cls.needs_two_pi and abs(length - TWO_PI) > 1e-12 * TWO_PI:
+    if model_cls.needs_two_pi and not grid.on_two_pi_torus(length):
         raise ConfigError(f"{tag} quadratures assume grid.L = 2*pi")
 
-    dt = _pop_float(pairs, "stepper.dt", required=True)
+    dt = _pop_number(pairs, "stepper.dt", required=True)
     try:
         stepper_config = StepperConfig(dt, pairs.pop("stepper.scheme", "etd_rk2"))
         if stepper_config.scheme == "frozen_pointwise":
@@ -260,7 +249,7 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"stepper.{exc}")
 
-    horizon = _pop_float(pairs, "run.T", required=True)
+    horizon = _pop_number(pairs, "run.T", required=True)
     try:
         _n_steps(horizon, stepper_config.dt)
     except ValueError as exc:
@@ -283,7 +272,7 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
             if key in pairs:
                 initial[name] = pairs.pop(key)
 
-    stride = _pop_int(pairs, "ledger.stride", default=1)
+    stride = _pop_number(pairs, "ledger.stride", int, default=1)
     derivative_sup: Tuple[int, ...] = ()
     if "ledger.derivative_sup" in pairs:
         try:
@@ -326,7 +315,7 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
     out_dir = pairs.pop("output.dir", None)
     if out_dir is None:
         raise ConfigError("missing required key output.dir")
-    seed = _pop_int(pairs, "seed", default=0)
+    seed = _pop_number(pairs, "seed", int, default=0)
     if seed < 0:
         raise ConfigError("seed must be >= 0")
 
@@ -435,6 +424,8 @@ def build_initial_field(config: RunConfig) -> PeriodicField:
             raise ConfigError(
                 f"snapshot has length {field.domain_length:.17g}, config "
                 f"asks for grid.L = {config.domain_length:.17g}")
+        # the run, its manifest and its snapshots all carry grid.L
+        field = PeriodicField(field.samples, config.domain_length)
     else:
         source = f"preset {config.initial['preset']}"
         field = _preset_field(config)

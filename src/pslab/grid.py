@@ -20,6 +20,11 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def on_two_pi_torus(length: float) -> bool:
+    """Whether a period is 2pi to an absolute 1e-12, as torus folds assume."""
+    return abs(length - TWO_PI) <= 1e-12
+
+
 class NonFiniteError(ValueError):
     """A field was built from samples holding NaN or Inf, or a diagnostic of
     a finite field overflows the float range."""
@@ -169,15 +174,13 @@ def derivatives(field: PeriodicField, orders) -> np.ndarray:
 
 
 def hilbert_transform(field: PeriodicField) -> PeriodicField:
-    """Periodic Hilbert transform, multiplier -i*sign(n).
+    """Periodic Hilbert transform, multiplier -i*sign(n) on every component.
 
     The sign convention is the one derived from principal-value quadrature
     of the convolution against (1/2pi) cot(alpha/2); the quadrature oracle
     is a permanent regression test. Under it, H(sin) = -cos and the
     composition H o d/dx equals Lambda. Mode 0 is annihilated.
     """
-    if field.components != 1:
-        raise ValueError("hilbert_transform takes a scalar 1D field")
     n = field.n
     mult = -1j * np.sign(wavenumbers(n))
     mult[n // 2] = 0.0  # unpaired Nyquist mode, keep output real
@@ -240,7 +243,7 @@ def norms(field: PeriodicField) -> dict:
             "mean": mean if field.components > 1 else float(mean)}
 
 
-@np.errstate(over="ignore")  # norms rescales a result that overflowed
+@np.errstate(over="ignore", invalid="ignore")  # norms rescales what overflowed
 def _l2_linf_mean(w: float, s: np.ndarray):
     mean = np.mean(s, axis=-1)
     if s.ndim > 1:
@@ -252,8 +255,3 @@ def _l2_linf_mean(w: float, s: np.ndarray):
 @lru_cache(maxsize=32)
 def _dealias_mask(n: int) -> np.ndarray:
     return _read_only(np.abs(wavenumbers(n)) <= n / 3.0)
-
-
-def dealias(field: PeriodicField) -> PeriodicField:
-    """2/3-rule filter: zero all modes with |n| > N/3."""
-    return apply_multiplier(field, _dealias_mask(field.n))

@@ -46,7 +46,7 @@ class ModelSpec:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tag not in MODEL_TAGS:
+        if self.tag not in MODELS:
             raise ValueError(f"unknown model tag {self.tag!r}")
 
 
@@ -329,7 +329,6 @@ MODELS = {cls.tag: cls for cls in (
     HeatModel,
     VarCoefHeatModel,
 )}
-MODEL_TAGS = tuple(MODELS)
 
 
 def make_model(spec: ModelSpec) -> _ModelBase:

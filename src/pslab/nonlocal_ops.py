@@ -9,10 +9,10 @@ exactly: sum_k 1/(alpha+2pik) = (1/2)cot(alpha/2), sum_k 1/(alpha+2pik)^2
 evaluated in closed form through the complex cotangent (see the comment in
 muskat_st_rhs). Only the |alpha|^{1+a} kernel has no closed fold; there the
 far periods are summed as a Hurwitz-zeta series in the increment (DLMF
-25.11), or explicitly where that series converges slowly. The O(N^2) shift
-sums run blockwise from one cached per-N _ShiftPlan; the parts of the Muskat
-sum whose kernel does not depend on the data run instead as FFT convolutions
-through the plan's kernel spectra.
+25.11), or explicitly where that series converges slowly. Shift sums over
+data-dependent kernels run blockwise from one cached per-N _ShiftPlan; sums
+over fixed kernels are circulants applied through the plan's kernel spectra
+(the Muskat convolutions and the Dirichlet-Neumann quadrature symbol).
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from scipy import integrate, special
 from .grid import (
     PeriodicField,
     TWO_PI,
+    _derivative_multiplier,
     _read_only,
     apply_multiplier,
     derivatives,
     fractional_laplacian,
     hilbert_transform,
+    on_two_pi_torus,
     spectral_derivative,
     wavenumbers,
 )
@@ -186,20 +188,17 @@ class BackendMismatchError(RuntimeError):
         super().__init__(f"backend disagreement {gap:.3e} exceeds {10 * BACKEND_TOL:.0e}")
 
 
-def _lambda_quadrature(field: PeriodicField) -> np.ndarray:
-    """(1/pi) P.V. int delta_alpha f d alpha/alpha^2, folded onto the torus.
-
-    The fold of 1/alpha^2 is 1/(4 sin^2(alpha/2)); the alpha=0 node carries
-    the analytic pair limit -f''(x)/2. Skipping that node instead would
-    leave an O(h) hole in the integral.
-    """
-    plan = _shift_plan(field.n)
-    u = field.samples
+def _lambda_quadrature_symbol(n: int, L: float) -> np.ndarray:
+    """Symbol of the shift plan's rule for (1/pi) P.V. int delta_alpha f
+    d alpha/alpha^2 on the torus of length L. Against the fold
+    K = 1/(4 sin^2(alpha/2)) of 1/alpha^2, the rule's circulant sum of
+    w_s K_s (f(x) - f(x - j_s h)) is K_hat(0) - K_hat(k); the alpha=0 node's
+    analytic pair limit -h f''/2 is h k^2/2 (skipping it would leave an O(h)
+    hole in the integral)."""
+    kernel = _shift_plan(n).inv_four_sin2_hat.real
+    k = wavenumbers(n, L)
     # on length L the 2pi-torus weights scale by L/2pi, the kernel by (2pi/L)^2
-    wk = (TWO_PI / field.domain_length) * plan.weights * plan.inv_four_sin2
-    acc = sum(wk[rows] @ (u - u[plan.index[rows]]) for rows in plan.blocks)
-    fpp = spectral_derivative(field, 2).samples
-    return (acc + field.spacing * (-0.5 * fpp)) / np.pi
+    return ((TWO_PI / L) * (kernel[0] - kernel) + 0.5 * (L / n) * k * k) / np.pi
 
 
 def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
@@ -207,8 +206,8 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
     """L_{+/-,b} f = (b f' +/- Lambda f) / <b>^2 in one dimension.
 
     backend "fourier" applies the multiplier lambda^{+/-}(k, b);
-    "quadrature" assembles b f'/<b>^2 +/- c_1 P.V. int delta_alpha f
-    /<b>^2 d alpha/alpha^2 with the quadrature-computed c_1;
+    "quadrature" applies the symbol of b f'/<b>^2 +/- c_1 P.V. int delta_alpha
+    f /<b>^2 d alpha/alpha^2 under the plan's rule, c_1 computed by quadrature;
     "checked" runs both and raises BackendMismatchError on disagreement.
     """
     if field.components != 1:
@@ -223,14 +222,13 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
         if gap > 10 * BACKEND_TOL:
             raise BackendMismatchError(gap, four, quad)
         return four
+    n, L = field.n, field.domain_length
     if backend == "fourier":
-        sym = DriftedSqrtSymbol(b=b, sign=sgn)
-        return apply_multiplier(field, sym.lam(wavenumbers(field.n, field.domain_length)))
+        return apply_multiplier(field, DriftedSqrtSymbol(b=b, sign=sgn).lam(wavenumbers(n, L)))
     if backend == "quadrature":
-        g2 = 1.0 + b * b
-        fp = spectral_derivative(field, 1).samples
-        lam = lemz0_constant(1) * np.pi * _lambda_quadrature(field)
-        return field.with_samples((b * fp + sgn * lam) / g2)
+        lam = lemz0_constant(1) * np.pi * _lambda_quadrature_symbol(n, L)
+        return apply_multiplier(
+            field, (b * _derivative_multiplier(n, L, 1) + sgn * lam) / (1.0 + b * b))
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -261,7 +259,7 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
         raise ValueError("fractional_mean_curvature takes scalar 1D graphs")
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    if abs(u.domain_length - TWO_PI) > 1e-12:
+    if not on_two_pi_torus(u.domain_length):
         raise ValueError("the period fold assumes the 2pi-torus")
 
     n = u.n
@@ -388,7 +386,7 @@ def peskin_rhs(X: PeriodicField) -> PeriodicField:
     """
     if X.components != 2:
         raise ValueError("peskin_rhs takes a 2-component contour")
-    if abs(X.domain_length - TWO_PI) > 1e-12:
+    if not on_two_pi_torus(X.domain_length):
         raise ValueError("the cotangent reformulation assumes the 2pi-torus")
 
     xp = spectral_derivative(X, 1).samples
@@ -396,8 +394,7 @@ def peskin_rhs(X: PeriodicField) -> PeriodicField:
     if float(speed.min()) <= 1e-12:
         raise WellStretchedError(int(np.argmin(speed)))
 
-    main = -0.25 * np.stack([hilbert_transform(PeriodicField(c, domain_length=X.domain_length))
-                             .samples for c in xp])
+    main = -0.25 * hilbert_transform(X.with_samples(xp)).samples
 
     plan = _shift_plan(X.n)
     Xs = X.samples
@@ -439,7 +436,7 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     """
     if f.components != 1:
         raise ValueError("muskat_st_rhs takes scalar 1D fields")
-    if abs(f.domain_length - TWO_PI) > 1e-12:
+    if not on_two_pi_torus(f.domain_length):
         raise ValueError("the period fold assumes the 2pi-torus")
     h = f.spacing
     v = f.samples

@@ -75,7 +75,7 @@ def run_configs(draw):
     subset of its parameters, a step count that divides run.T, a preset of
     the model's shape with some of its parameters or a restart file, and
     ledger lists in any order and with repeats."""
-    tag = draw(st.sampled_from(models.MODEL_TAGS))
+    tag = draw(st.sampled_from(list(models.MODELS)))
     cls = models.MODELS[tag]
     params = {name: draw(FINITE) for name in cls.params if draw(st.booleans())}
     n = 2 ** draw(st.integers(4, 11))
@@ -412,6 +412,24 @@ class TestRunCommand:
         handoff, _ = read_snapshot(str(tmp_path / "out2" / "initial.bin"))
         final, _ = read_snapshot(str(out / "final.bin"))
         np.testing.assert_array_equal(handoff.samples, final.samples)
+
+    def test_restart_runs_on_grid_length(self, tmp_path):
+        # a snapshot length within the relative 1e-12 of grid.L but beyond
+        # the 2pi-torus tolerance: the run and its snapshots use grid.L
+        snap = str(tmp_path / "snap.bin")
+        x = np.arange(64) * (2.0 * np.pi / 64)
+        write_snapshot(snap, PeriodicField(0.01 * np.cos(x),
+                                           domain_length=2.0 * np.pi + 5e-12), 0.0)
+        out = tmp_path / "out"
+        restart = write_config(
+            tmp_path, "restart.cfg",
+            {"model.tag": "muskat_st", "grid.N": "64", "stepper.dt": "1e-6",
+             "run.T": "1e-5", "initial.file": snap, "output.dir": str(out)},
+            drop=["initial.preset", "initial.amplitude"])
+        assert main(["run", restart]) == 0
+        for name in ("initial.bin", "final.bin"):
+            field, _ = read_snapshot(str(out / name))
+            assert field.domain_length == 2.0 * np.pi
 
     def test_snapshot_grid_mismatch_rejected(self, tmp_path):
         out = tmp_path / "out"
@@ -750,6 +768,18 @@ class TestConfigErrorsBeforeOutput:
             {"model.tag": tag, "grid.N": "64", "stepper.dt": "1e-6",
              "run.T": "1e-5", "initial.file": snap},
             ("initial.preset", "initial.amplitude"), ["grid.L"])
+
+    @pytest.mark.parametrize("overrides, drop", [
+        ({"model.tag": "muskat_st"}, ()),
+        ({"model.tag": "nonlocal_mcf"}, ()),
+        (ELLIPSE, NO_DERIVATIVES),
+    ], ids=["muskat_st", "nonlocal_mcf", "peskin2d"])
+    def test_near_two_pi_length_rejected(self, tmp_path, capsys, overrides,
+                                         drop):
+        # 2pi + 2.4e-12: within a relative 1e-12 of 2pi, beyond the absolute
+        # 1e-12 that the quadrature folds allow
+        overrides = dict(overrides, **{"grid.L": "6.283185307182"})
+        self.run_rejected(tmp_path, capsys, overrides, drop, ["grid.L = 2*pi"])
 
     def test_integral_float_wavenumber_accepted(self):
         config = build_run_config(parse_config_text(config_text(

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from pslab.grid import (
     NonFiniteError,
     PeriodicField,
+    _dealias_mask,
     _derivative_multiplier,
     _derivative_table,
     _holder_tables,
-    dealias,
+    apply_multiplier,
     derivatives,
     fractional_laplacian,
     hilbert_transform,
@@ -159,7 +160,7 @@ class TestPlanCache:
         mult[n // 2] = 0.0
         assert same_bits(hilbert_transform(f).samples,
                          np.fft.ifft(modes * mult).real)
-        assert same_bits(dealias(f).samples,
+        assert same_bits(apply_multiplier(f, _dealias_mask(n)).samples,
                          np.fft.ifft(modes * (np.abs(k) <= n / 3.0)).real)
         kernel_modes = (n / TWO_PI) * np.exp(-sd_symbol(k, 2.0) * 0.1)
         kernel_modes[0] = 0.0
@@ -260,10 +261,14 @@ class TestHilbert:
         f = make_field(lambda x: np.full_like(x, 2.0))
         assert norms(hilbert_transform(f))["linf"] < 1e-14
 
-    def test_rejects_2d(self):
-        f = PeriodicField(np.zeros((2, 32)))
-        with pytest.raises(ValueError):
-            hilbert_transform(f)
+    def test_contour_matches_per_component(self):
+        # one multiplier for every component: the batched transform equals
+        # the per-component one bit for bit
+        rng = np.random.default_rng(17)
+        for n in (64, 128, 256, 512, 1024):
+            X = PeriodicField(rng.standard_normal((2, n)))
+            rows = [hilbert_transform(PeriodicField(c)).samples for c in X.samples]
+            assert same_bits(hilbert_transform(X).samples, np.stack(rows))
 
     def test_pv_quadrature_oracle(self):
         # Permanent regression fixing the sign convention: compare against
@@ -462,6 +467,17 @@ class TestNorms:
         contour = norms(PeriodicField(np.stack([f.samples, -f.samples])))
         assert contour["mean"].tolist() == [0.0, 0.0]
 
+    def test_overflowing_mean_sum_warns_nothing(self):
+        # the mean's sum of 32 pairs of +/-1.5e308 on a 0.1 period overflows
+        # to inf - inf; norms rescales it without a numpy warning
+        f = PeriodicField(np.tile([1.5e308, -1.5e308], 32), domain_length=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = norms(f)
+        assert r["mean"] == 0.0
+        assert r["linf"] == 1.5e308
+        assert r["l2"] == pytest.approx(1.5e308 * np.sqrt(0.1), rel=1e-12)
+
     def test_contour_beyond_square_overflow_stays_finite(self):
         theta = TWO_PI * np.arange(128) / 128
         unit = PeriodicField(np.stack([1.1 * np.cos(theta), 0.9 * np.sin(theta)]))
@@ -473,10 +489,10 @@ class TestNorms:
 class TestDealias:
     def test_low_modes_untouched(self):
         f = make_field(lambda x: np.cos(3 * x), n=64)
-        g = dealias(f)
+        g = apply_multiplier(f, _dealias_mask(64))
         assert np.max(np.abs(g.samples - f.samples)) < 1e-12
 
     def test_high_modes_zeroed(self):
         f = make_field(lambda x: np.cos(30 * x), n=64)
-        g = dealias(f)
+        g = apply_multiplier(f, _dealias_mask(64))
         assert norms(g)["linf"] < 1e-12

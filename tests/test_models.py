@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from pslab import cli
 from pslab.grid import PeriodicField, spectral_derivative
 from pslab.models import (
-    MODEL_TAGS,
     MODELS,
     HeatModel,
     McfGraphModel,
@@ -91,7 +90,7 @@ class TestModelSpec:
 PARAM_SAMPLES = {"a": 0.75, "theta_cap": 7.0, "rho0": 2.0, "hbar0": 3.0}
 
 
-@pytest.mark.parametrize("tag", MODEL_TAGS)
+@pytest.mark.parametrize("tag", list(MODELS))
 class TestModelDeclarations:
     def test_spec_round_trips(self, tag):
         spec = ModelSpec(tag, {name: PARAM_SAMPLES[name]
@@ -114,7 +113,7 @@ class TestModelDeclarations:
                 doc[key[len("model."):]] = text
         declared = [name for name in doc if tag in doc[name].split()]
         assert sorted(declared) == sorted(MODELS[tag].params)
-        assert all(set(text.split()) & set(MODEL_TAGS) for text in doc.values())
+        assert all(set(text.split()) & set(MODELS) for text in doc.values())
 
 
 class TestSplittingIdentity:

@@ -201,8 +201,8 @@ class TestDirichletNeumannOp:
     def test_checked_backend_reports_disagreement(self, monkeypatch):
         rng = np.random.default_rng(29)
         f = PeriodicField(band_limited(128, rng))
-        monkeypatch.setattr(nonlocal_ops, "_lambda_quadrature",
-                            lambda field: np.zeros(field.n))
+        monkeypatch.setattr(nonlocal_ops, "_lambda_quadrature_symbol",
+                            lambda n, L: np.zeros(n))
         with pytest.raises(BackendMismatchError) as exc:
             dirichlet_neumann_op(f, 0.0, +1, backend="checked")
         assert exc.value.gap > 10 * nonlocal_ops.BACKEND_TOL
@@ -637,6 +637,17 @@ def lambda_loop(field):
     return (acc - 0.5 * h * spectral_derivative(field, 2).samples) / np.pi
 
 
+def blocked_lambda_loop(field):
+    """The blocked gather loop over the cached shift plan that the quadrature
+    backend ran before it applied the rule's symbol."""
+    plan = nonlocal_ops._shift_plan(field.n)
+    u = field.samples
+    wk = (TWO_PI / field.domain_length) * plan.weights * plan.inv_four_sin2
+    acc = sum(wk[rows] @ (u - u[plan.index[rows]]) for rows in plan.blocks)
+    fpp = spectral_derivative(field, 2).samples
+    return (acc + field.spacing * (-0.5 * fpp)) / np.pi
+
+
 def relative_gap(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
@@ -669,3 +680,20 @@ class TestShiftPlanAgainstLoops:
                 lam = lemz0_constant(1) * np.pi * lambda_loop(f)
                 want = (b * fp + sign * lam) / (1.0 + b * b)
                 assert relative_gap(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_quadrature_symbol_matches_blocked_loop(self, n):
+        # white-noise samples weigh every mode alike, so the gap is the
+        # symbol's error relative to its largest value; the symbol is
+        # K_hat(0) - K_hat(k) with K_hat(0) ~ N/2, so at low modes its
+        # absolute error is a few ulps of N/2
+        rng = np.random.default_rng(n + 3)
+        for length in (TWO_PI, 2.0 * TWO_PI, 1.0):
+            f = PeriodicField(rng.standard_normal(n), domain_length=length)
+            fp = spectral_derivative(f, 1).samples
+            lam = lemz0_constant(1) * np.pi * blocked_lambda_loop(f)
+            for b in (0.0, 0.5, 3.0):
+                for sign in (+1, -1):
+                    got = dirichlet_neumann_op(f, b, sign, backend="quadrature").samples
+                    want = (b * fp + sign * lam) / (1.0 + b * b)
+                    assert relative_gap(got, want) <= 1e-14

@@ -9,8 +9,8 @@ from pslab import stepper
 from pslab.grid import (
     NonFiniteError,
     PeriodicField,
+    _dealias_mask,
     apply_multiplier,
-    dealias,
     derivatives,
     norms,
     spectral_derivative,
@@ -409,9 +409,10 @@ def physical_remainder(model, u):
         h = u.samples
         hx, hxx = derivatives(u, (1, 2))
         br = np.sqrt(1.0 + hx * hx)
-        curv = dealias(u.with_samples(1.0 / (h * br) - hxx / br**3))
+        curv = apply_multiplier(u.with_samples(1.0 / (h * br) - hxx / br**3),
+                                _dealias_mask(u.n))
         curv_x = spectral_derivative(curv, 1).samples
-        flux = dealias(u.with_samples((h / br) * curv_x))
+        flux = apply_multiplier(u.with_samples((h / br) * curv_x), _dealias_mask(u.n))
         rhs = spectral_derivative(flux, 1).samples / h
     else:
         rhs = model.rhs(u).samples
