@@ -1,12 +1,11 @@
 """Periodic grids, discrete Fourier calculus, and norm estimators.
 
 Fields live on a uniform grid over the torus [0, L) with N a power of two.
-The transform convention is the unnormalized forward FFT with 1/N inverse,
-so multiplier actions are normalization free: applying a symbol m(k) means
-``modes[n] *= m(2*pi*n/L)`` and nothing else.
-
-Wavenumbers are the physical ones, k_n = 2*pi*n/L for integer n in
-[-N/2, N/2), stored in FFT order.
+They are real, so a spectrum is the half spectrum ``rfft(u)`` of modes
+n = 0..N/2 (unnormalized; ``irfft(modes, N)`` inverts it with 1/N and drops
+the imaginary part of modes 0 and N/2). Applying a real operator's symbol
+m(k) means ``modes[n] *= m(k_n)`` and nothing else, at the physical
+wavenumbers k_n = 2*pi*n/L (Nyquist at +N/2) on which every table is built.
 """
 
 from __future__ import annotations
@@ -95,23 +94,23 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def wavenumbers(n: int, L: float = TWO_PI) -> np.ndarray:
-    """Physical wavenumbers k_n = 2*pi*n/L in FFT order; on the default
-    2pi-torus these are the integer frequencies themselves.
+    """Physical wavenumbers k_n = 2*pi*n/L, n = 0..N/2 (rfftfreq order); on
+    the default 2pi-torus these are the integer frequencies themselves.
 
     The table is cached per (n, L) and shared by every caller, so it is
     read-only: derive new arrays from it, never write into it.
     """
-    return _read_only(np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / L))
+    return _read_only(np.fft.rfftfreq(n, d=1.0 / n) * (TWO_PI / L))
 
 
 # a transform or product that overflows gives a field that its construction
 # rejects with NonFiniteError, so numpy's warnings would only repeat that
 @np.errstate(over="ignore", invalid="ignore")
 def apply_multiplier(field: PeriodicField, mult: np.ndarray) -> PeriodicField:
-    """Multiply every component's modes by mult (FFT order) and transform
-    back, keeping the real part."""
-    modes = np.fft.fft(field.samples, axis=-1)
-    return field.with_samples(np.fft.ifft(modes * mult, axis=-1).real)
+    """Multiply every component's half spectrum by mult (on the wavenumbers
+    table) and transform back."""
+    modes = np.fft.rfft(field.samples, axis=-1)
+    return field.with_samples(np.fft.irfft(modes * mult, field.n, axis=-1))
 
 
 def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
@@ -134,12 +133,12 @@ def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
 
 @lru_cache(maxsize=32)
 def _derivative_multiplier(n: int, L: float, order: int) -> np.ndarray:
-    """(i k)^order in FFT order, with the Nyquist mode zeroed for odd orders,
+    """(i k)^order on the wavenumbers, the Nyquist mode zeroed for odd orders,
     the usual convention that keeps odd derivatives of real fields real.
     Cached per (n, L, order) and read-only, like wavenumbers."""
     mult = (1j * wavenumbers(n, L)) ** order
     if order % 2 == 1:
-        mult[n // 2] = 0.0
+        mult[-1] = 0.0
     return _read_only(mult)
 
 
@@ -162,12 +161,12 @@ def _derivative_table(n: int, L: float, orders: tuple) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
 def derivatives(field: PeriodicField, orders) -> np.ndarray:
     """Rows spectral_derivative(field, m).samples for each m in orders, bit
-    for bit, from one fft and one batched ifft; scalar fields only. Raises
+    for bit, from one rfft and one batched irfft; scalar fields only. Raises
     NonFiniteError when a derivative overflows."""
     if field.components != 1 or min(orders) < 0:
         raise ValueError("derivatives takes a scalar 1D field and orders >= 0")
     mults = _derivative_table(field.n, field.domain_length, tuple(orders))
-    rows = np.fft.ifft(np.fft.fft(field.samples) * mults).real
+    rows = np.fft.irfft(np.fft.rfft(field.samples) * mults, field.n)
     if not np.isfinite(rows).all():
         raise NonFiniteError("samples contain NaN/Inf")
     return rows
@@ -181,10 +180,15 @@ def hilbert_transform(field: PeriodicField) -> PeriodicField:
     is a permanent regression test. Under it, H(sin) = -cos and the
     composition H o d/dx equals Lambda. Mode 0 is annihilated.
     """
-    n = field.n
+    return apply_multiplier(field, _hilbert_multiplier(field.n))
+
+
+@lru_cache(maxsize=32)
+def _hilbert_multiplier(n: int) -> np.ndarray:
+    """-i sign(k), zero at modes 0 and N/2; cached read-only per n."""
     mult = -1j * np.sign(wavenumbers(n))
-    mult[n // 2] = 0.0  # unpaired Nyquist mode, keep output real
-    return apply_multiplier(field, mult)
+    mult[-1] = 0.0
+    return _read_only(mult)
 
 
 @lru_cache(maxsize=32)

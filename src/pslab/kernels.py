@@ -38,8 +38,7 @@ def fractional_heat_kernel(t: float, s: float, n: int, domain_length: float = TW
         raise ValueError("s must be positive")
     k = wavenumbers(n, domain_length)
     modes = (n / domain_length) * np.exp(-t * np.abs(k) ** s)
-    samples = np.fft.ifft(modes).real
-    return PeriodicField(samples, domain_length=domain_length)
+    return PeriodicField(np.fft.irfft(modes, n), domain_length=domain_length)
 
 
 # ---------------------------------------------------------------------------
@@ -356,4 +355,4 @@ def periodic_sd_kernel(t: float, hbar0: float, n: int) -> PeriodicField:
         raise ValueError("t must be positive")
     modes = (n / TWO_PI) * np.exp(-sd_symbol(wavenumbers(n), hbar0) * t)
     modes[0] = 0.0
-    return PeriodicField(np.fft.ifft(modes).real, domain_length=TWO_PI)
+    return PeriodicField(np.fft.irfft(modes, n), domain_length=TWO_PI)

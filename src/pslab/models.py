@@ -2,10 +2,11 @@
 exposes the full right side, a constant-coefficient linear multiplier for
 exact exponential propagation, and the spectrum of the explicit remainder.
 
-Splitting convention, in spectral form: d/dt u_hat = -multiplier * u_hat +
-remainder_hat(u, u_hat), the spectrum of rhs(u) + L u with (L u)^ =
-multiplier * u_hat, or None where it vanishes. Models override remainder_hat
-where a dedicated form is better conditioned or reads u_hat directly.
+Splitting convention on half spectra u_hat = rfft(u) (grid.wavenumbers):
+d/dt u_hat = -multiplier * u_hat + remainder_hat(u, u_hat), the rfft of
+rhs(u) + L u with (L u)^ = multiplier * u_hat, or None where it vanishes.
+Models override remainder_hat where a dedicated form is better conditioned
+or reads u_hat directly.
 """
 
 from __future__ import annotations
@@ -80,15 +81,15 @@ class _ModelBase:
         return self.base_multiplier(np.asarray(k, dtype=float))
 
     def remainder_hat(self, field: PeriodicField, uh: np.ndarray) -> Optional[np.ndarray]:
-        """Spectrum of rhs(u) + L u given uh = fft(u); None if it vanishes."""
+        """Half spectrum of rhs(u) + L u given uh = rfft(u); None if zero."""
         m = self.linear_multiplier(wavenumbers(field.n, field.domain_length))
-        lin = np.fft.ifft(uh * m, axis=-1).real
-        return np.fft.fft(self.rhs(field).samples + lin, axis=-1)
+        lin = np.fft.irfft(uh * m, field.n, axis=-1)
+        return np.fft.rfft(self.rhs(field).samples + lin, axis=-1)
 
     def remainder(self, field: PeriodicField) -> PeriodicField:
-        rh = self.remainder_hat(field, np.fft.fft(field.samples, axis=-1))
+        rh = self.remainder_hat(field, np.fft.rfft(field.samples, axis=-1))
         return field.with_samples(np.zeros_like(field.samples) if rh is None
-                                  else np.fft.ifft(rh, axis=-1).real)
+                                  else np.fft.irfft(rh, field.n, axis=-1))
 
     def conserved(self, field: PeriodicField):
         """(name, value) of the model's conservation-law diagnostic, or None."""
@@ -162,8 +163,8 @@ class McfGraphModel(_ModelBase):
         # (A[f'] - A[0]) f_xx = -f_x^2 f_xx/(1+f_x^2); written this way it
         # is O(f^3) without cancellation
         mults = _derivative_table(field.n, field.domain_length, (1, 2))
-        fx, fxx = np.fft.ifft(uh * mults).real
-        return np.fft.fft((1.0 / (1.0 + fx * fx) - 1.0) * fxx)
+        fx, fxx = np.fft.irfft(uh * mults, field.n)
+        return np.fft.rfft((1.0 / (1.0 + fx * fx) - 1.0) * fxx)
 
 
 class NonlocalMcfModel(_ModelBase):
@@ -265,25 +266,25 @@ class SurfaceDiffusionModel(_ModelBase):
         self.hbar0 = float(hbar0)
 
     def _velocity(self, field, uh):
-        # rhs samples from h and uh = fft(h); dealiasing then differentiating
+        # rhs samples from h and uh = rfft(h); dealiasing then differentiating
         # is one multiplier, mask * (i k)
         h = field.samples
         if float(h.min()) <= 0.0:
             raise PositivityError(float(h.min()))
         n, L = field.n, field.domain_length
-        hx, hxx = np.fft.ifft(uh * _derivative_table(n, L, (1, 2))).real
+        hx, hxx = np.fft.irfft(uh * _derivative_table(n, L, (1, 2)), n)
         br = np.sqrt(1.0 + hx * hx)
         dx = _dealias_mask(n) * _derivative_multiplier(n, L, 1)
-        curv_x = np.fft.ifft(np.fft.fft(1.0 / (h * br) - hxx / br**3) * dx).real
-        flux_x = np.fft.ifft(np.fft.fft((h / br) * curv_x) * dx).real
+        curv_x = np.fft.irfft(np.fft.rfft(1.0 / (h * br) - hxx / br**3) * dx, n)
+        flux_x = np.fft.irfft(np.fft.rfft((h / br) * curv_x) * dx, n)
         return flux_x / h
 
     def rhs(self, field):
-        return field.with_samples(self._velocity(field, np.fft.fft(field.samples)))
+        return field.with_samples(self._velocity(field, np.fft.rfft(field.samples)))
 
     def remainder_hat(self, field, uh):
         m = self.linear_multiplier(wavenumbers(field.n, field.domain_length))
-        return np.fft.fft(self._velocity(field, uh)) + m * uh
+        return np.fft.rfft(self._velocity(field, uh)) + m * uh
 
     def base_multiplier(self, k):
         # sd_symbol(n, hbar0) = n^4 - n^2/hbar0^2 in integer frequencies;
@@ -311,8 +312,8 @@ class ThinfilmExpModel(_ModelBase):
 
     def remainder_hat(self, field, uh):
         d2 = _derivative_multiplier(field.n, field.domain_length, 2)
-        v = np.fft.ifft(uh * d2).real
-        return np.fft.fft(np.expm1(-v) + v) * d2
+        v = np.fft.irfft(uh * d2, field.n)
+        return np.fft.rfft(np.expm1(-v) + v) * d2
 
     def conserved(self, field):
         return ("mean", float(np.mean(field.samples)))

@@ -156,7 +156,7 @@ class _ShiftPlan:
     share the rule's single pi node. The plan also holds the gather index
     whose row s is np.roll(u, j_s), per-node trig columns, blocks of at
     most _BLOCK_PAIRS // N rows, and the spectra of the weighted fixed
-    kernels, so that sum_s weights_s K_s g(x - j_s h) = ifft(K_hat fft(g))."""
+    kernels, so that sum_s weights_s K_s g(x - j_s h) = irfft(K_hat rfft(g))."""
 
     def __init__(self, n: int):
         h = TWO_PI / n
@@ -171,7 +171,7 @@ class _ShiftPlan:
         # kernels laid on the shift lattice steps % n, where the two
         # half-weighted +/-pi nodes add at index n/2
         self.inv_four_sin2_hat, self.half_cot_hat = (
-            _read_only(np.fft.fft(np.bincount(steps % n, self.weights * kernel, minlength=n)))
+            _read_only(np.fft.rfft(np.bincount(steps % n, self.weights * kernel, minlength=n)))
             for kernel in (self.inv_four_sin2, self.half_cot))
         rows = max(1, _BLOCK_PAIRS // n)
         self.blocks = [slice(i, i + rows) for i in range(0, n, rows)]
@@ -208,7 +208,9 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
     backend "fourier" applies the multiplier lambda^{+/-}(k, b);
     "quadrature" applies the symbol of b f'/<b>^2 +/- c_1 P.V. int delta_alpha
     f /<b>^2 d alpha/alpha^2 under the plan's rule, c_1 computed by quadrature;
-    "checked" runs both and raises BackendMismatchError on disagreement.
+    the rule's symbol is |k| to rounding, so AC-03 and the verify check
+    dirichlet_neumann_backend_gap measure only |pi c_1 - 1|. "checked" runs
+    both and raises BackendMismatchError on disagreement.
     """
     if field.components != 1:
         raise ValueError("dirichlet_neumann_op takes scalar 1D fields")
@@ -454,10 +456,10 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     # commutator ignores constants in w, and the centred wc = w - mean(w)
     # keeps its two large cancelling convolutions small
     wc = w - w.mean()
-    modes = np.fft.fft(np.stack([fpp * wc, fpp, q, fp] if rho0 else [fpp * wc, fpp, q]))
+    modes = np.fft.rfft(np.stack([fpp * wc, fpp, q, fp] if rho0 else [fpp * wc, fpp, q]))
     modes[:2] *= plan.inv_four_sin2_hat
     modes[2:] *= plan.half_cot_hat
-    conv = np.fft.ifft(modes).real
+    conv = np.fft.irfft(modes, f.n)
     # the alpha = 0 node carries the pair limits G0 and limit2
     G0 = fp * fpp / (2.0 * (1.0 + fp * fp))
     sum_q = h * G0 * q - conv[2]

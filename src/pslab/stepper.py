@@ -199,15 +199,15 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
     E, w1, w2 = _etd_weights(model, u.n, u.domain_length, dt, scheme)
-    uh = np.fft.fft(u.samples, axis=-1)
+    uh = np.fft.rfft(u.samples, axis=-1)
     r1 = model.remainder_hat(u, uh)
     ah = E * uh if r1 is None else E * uh + w1 * r1
-    a = u.with_samples(np.fft.ifft(ah, axis=-1).real)
+    a = u.with_samples(np.fft.irfft(ah, u.n, axis=-1))
     if w2 is None or r1 is None:
         return a
-    # the stage value gets its own transform: fft(ifft(ah).real) != ah
-    r2 = model.remainder_hat(a, np.fft.fft(a.samples, axis=-1))
-    return u.with_samples(np.fft.ifft(ah + w2 * (r2 - r1), axis=-1).real)
+    # the stage value gets its own transform: rfft(irfft(ah)) != ah
+    r2 = model.remainder_hat(a, np.fft.rfft(a.samples, axis=-1))
+    return u.with_samples(np.fft.irfft(ah + w2 * (r2 - r1), u.n, axis=-1))
 
 
 def check_pointwise(model, n: int, components: int) -> None:
@@ -233,11 +233,12 @@ def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
     base = model.base_multiplier(k)
     E = np.exp(-dt * np.outer(a, base))
     phase = np.exp(1j * np.outer(u.nodes(), k))
-    uh = np.fft.fft(u.samples)
-    prop = ((E * phase) @ uh).real / u.n
+    uh = np.fft.rfft(u.samples)
     # the explicit part: the full right side plus the frozen-symbol action
     # a(x) base(k) u that prop already carries
-    rem = model.rhs(u).samples + a * np.fft.ifft(uh * base).real
+    rem = model.rhs(u).samples + a * np.fft.irfft(uh * base, u.n)
+    uh[1:-1] *= 2.0  # the symbol is even: an interior mode stands for n and -n
+    prop = ((E * phase) @ uh).real / u.n
     return u.with_samples(prop + dt * rem)
 
 
@@ -249,10 +250,9 @@ def _stability_bound(model, u0: PeriodicField, dt: float) -> float:
     rng = np.random.default_rng(0)
     scale = 1e-6 * max(float(np.max(np.abs(u0.samples))), 1.0)
     dv = rng.standard_normal(u0.samples.shape) * scale
-    r0 = model.remainder(u0).samples
-    r1 = model.remainder(u0.with_samples(u0.samples + dv)).samples
-    diff_hat = np.fft.fft(r1 - r0, axis=-1)
-    if float(np.max(np.abs(r1 - r0))) == 0.0:
+    rh0, rh1 = (model.remainder_hat(w, np.fft.rfft(w.samples, axis=-1))
+                for w in (u0, u0.with_samples(u0.samples + dv)))
+    if rh0 is None or not np.any(diff_hat := rh1 - rh0):
         return np.inf
     k = wavenumbers(u0.n, u0.domain_length)
     m = model.linear_multiplier(k)
@@ -260,15 +260,13 @@ def _stability_bound(model, u0: PeriodicField, dt: float) -> float:
     bound = 0.0
     for j in range(-2, 16):
         tau = dt * 2.0**j
-        resp = np.fft.ifft(_phi1(-tau * m) * diff_hat, axis=-1).real
+        resp = np.fft.irfft(_phi1(-tau * m) * diff_hat, u0.n, axis=-1)
         q = tau * float(np.max(np.abs(resp))) / dv_sup
         if q <= 1.0:
             bound = tau
         elif bound > 0.0:
             break
-    if bound == dt * 2.0**15:
-        return np.inf
-    return bound
+    return np.inf if bound == dt * 2.0**15 else bound
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -356,17 +354,17 @@ def _picard_apply(model, g_snaps, config: StepperConfig):
     d/dt f = -A f + R(g(t)) with the same exponential weights as evolve."""
     u0 = g_snaps[0][1]
     E, w1, w2 = _etd_weights(model, u0.n, u0.domain_length, config.dt, config.scheme)
-    r_hats = [model.remainder_hat(w, np.fft.fft(w.samples, axis=-1)) for _, w in g_snaps]
+    r_hats = [model.remainder_hat(w, np.fft.rfft(w.samples, axis=-1)) for _, w in g_snaps]
     r_hats = [0.0 if r is None else r for r in r_hats]
     source_free = not any(np.any(r) for r in r_hats)
     out = [g_snaps[0]]
-    fh = np.fft.fft(u0.samples, axis=-1)
+    fh = np.fft.rfft(u0.samples, axis=-1)
     for j in range(len(g_snaps) - 1):
         fh = E * fh + w1 * r_hats[j]
         if w2 is not None:
             fh = fh + w2 * (r_hats[j + 1] - r_hats[j])
         t = g_snaps[j + 1][0]
-        out.append((t, u0.with_samples(np.fft.ifft(fh, axis=-1).real)))
+        out.append((t, u0.with_samples(np.fft.irfft(fh, u0.n, axis=-1))))
     return out, source_free
 
 
@@ -374,11 +372,6 @@ def _ledger_trajectory(snaps) -> Trajectory:
     """Trajectory of snaps with a default-spec ledger row for each."""
     return Trajectory(tuple(snaps),
                       tuple(ledger_entry(t, w, LedgerSpec()) for t, w in snaps))
-
-
-def _trajectory_distance(a_snaps, b_snaps) -> float:
-    return max(float(np.max(np.abs(wa.samples - wb.samples)))
-               for (_, wa), (_, wb) in zip(a_snaps, b_snaps))
 
 
 def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
@@ -396,7 +389,8 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
     rising = 0
     for _ in range(MAX_PICARD_ITERS):
         f, source_free = _picard_apply(model, g, config)
-        d = _trajectory_distance(f, g)
+        d = max(float(np.max(np.abs(wf.samples - wg.samples)))
+                for (_, wf), (_, wg) in zip(f, g))
         log.append(d)
         g = f
         # a remainder that vanishes identically on the window makes the map

@@ -1,4 +1,4 @@
-"""Acceptance gate: the thirteen quantitative checks the library promises,
+"""Acceptance gate: the fourteen quantitative checks the library promises,
 one test per criterion, each printing a single pass/fail line.
 
 Each check pins tolerances up front and computes everything it asserts;
@@ -13,6 +13,7 @@ from pslab.grid import PeriodicField
 from pslab.models import (
     McfGraphModel,
     MuskatStModel,
+    NonlocalMcfModel,
     Peskin2dModel,
     SurfaceDiffusionModel,
     ThinfilmExpModel,
@@ -284,3 +285,20 @@ def test_ac13_freezing_consistency():
     assert _line(13, "freezing consistency", ok,
                  f"gap orders in dt = {orders[0]:.3f}, {orders[1]:.3f} "
                  f"(target 1.0 +/- 0.2)")
+
+
+def test_ac14_fractional_mcf_smoothing_rate():
+    # s = 1 + a: the first derivative's Lipschitz constant smooths at
+    # t^{-1/(1+a)} from a Lipschitz triangle
+    u0 = triangle(256, 0.15 * np.pi)
+    exponents, ok = [], True
+    for a in (0.25, 0.5, 0.75):
+        traj = evolve(NonlocalMcfModel(a=a), u0, 2e-2, StepperConfig(dt=1e-4),
+                      LedgerSpec(stride=1, derivative_sup=(2,)))
+        rep = smoothing_report(traj, s=1.0 + a, targets=[(1, 0.0)],
+                               window=(1e-3, 2e-2))[0]
+        exponents.append(rep.fit.estimate)
+        ok = ok and abs(rep.fit.estimate - rep.expected_exponent) <= 0.05
+    assert _line(14, "fractional MCF smoothing rate", ok,
+                 "fitted exponents = " + ", ".join(f"{e:.4f}" for e in exponents)
+                 + " for a = 0.25, 0.5, 0.75 (targets -1/(1+a) +/- 0.05)")

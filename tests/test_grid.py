@@ -14,6 +14,7 @@ from pslab.grid import (
     _dealias_mask,
     _derivative_multiplier,
     _derivative_table,
+    _hilbert_multiplier,
     _holder_tables,
     apply_multiplier,
     derivatives,
@@ -94,14 +95,14 @@ class TestWavenumbers:
     @pytest.mark.parametrize("length", [TWO_PI, 3.0])
     def test_matches_inline_formula_bitwise(self, length):
         for n in (16, 64, 256, 1024):
-            inline = np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / length)
+            inline = np.fft.rfftfreq(n, d=1.0 / n) * (TWO_PI / length)
             assert np.array_equal(wavenumbers(n, length), inline)
-        assert np.array_equal(wavenumbers(64), np.fft.fftfreq(64, d=1.0 / 64))
+        assert np.array_equal(wavenumbers(64), np.arange(33.0))  # Nyquist at +N/2
 
 
 def fresh_wavenumbers(n, length=TWO_PI):
     """The uncached table: a new array on every call."""
-    return np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / length)
+    return np.fft.rfftfreq(n, d=1.0 / n) * (TWO_PI / length)
 
 
 def fresh_derivative_multiplier(n, length, order):
@@ -129,11 +130,13 @@ class TestPlanCache:
         k = wavenumbers(64, 3.0)
         mult = _derivative_multiplier(64, 3.0, 1)
         stacked = _derivative_table(64, 3.0, (2, 1))
+        hilbert = _hilbert_multiplier(64)
         assert wavenumbers(64, 3.0) is k
         assert _derivative_table(64, 3.0, (2, 1)) is stacked
+        assert _hilbert_multiplier(64) is hilbert
         assert same_bits(stacked, np.stack([fresh_derivative_multiplier(64, 3.0, m)
                                             for m in (2, 1)]))
-        for table in (k, mult, stacked):
+        for table in (k, mult, stacked, hilbert):
             with pytest.raises(ValueError):
                 table[0] = 1.0
             with pytest.raises(ValueError):
@@ -155,17 +158,60 @@ class TestPlanCache:
         rng = np.random.default_rng(n)
         f = PeriodicField(rng.standard_normal(n))
         k = fresh_wavenumbers(n)
-        modes = np.fft.fft(f.samples)
+        modes = np.fft.rfft(f.samples)
         mult = -1j * np.sign(k)
         mult[n // 2] = 0.0
         assert same_bits(hilbert_transform(f).samples,
-                         np.fft.ifft(modes * mult).real)
+                         np.fft.irfft(modes * mult, n))
         assert same_bits(apply_multiplier(f, _dealias_mask(n)).samples,
-                         np.fft.ifft(modes * (np.abs(k) <= n / 3.0)).real)
+                         np.fft.irfft(modes * (np.abs(k) <= n / 3.0), n))
         kernel_modes = (n / TWO_PI) * np.exp(-sd_symbol(k, 2.0) * 0.1)
         kernel_modes[0] = 0.0
         assert same_bits(periodic_sd_kernel(0.1, 2.0, n).samples,
-                         np.fft.ifft(kernel_modes).real)
+                         np.fft.irfft(kernel_modes, n))
+
+
+def full_spectrum(samples, length, symbol):
+    """The route every multiplier took before pslab kept half spectra: the
+    full complex fft, the symbol on fftfreq wavenumbers (Nyquist at -N/2),
+    and the real part of the full ifft."""
+    n = samples.shape[-1]
+    k = np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / length)
+    return np.fft.ifft(np.fft.fft(samples, axis=-1) * symbol(k), axis=-1).real
+
+
+class TestHalfSpectrumAgainstFullSpectrum:
+    @given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(4, 10),
+           components=st.sampled_from([1, 2]), length=st.floats(0.1, 100.0),
+           scale=st.floats(-3.0, 3.0), a=st.floats(0.1, 4.0), b=st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_multipliers_derivatives_and_hilbert(self, seed, log2n, components,
+                                                 length, scale, a, b):
+        rng = np.random.default_rng(seed)
+        n = 2**log2n
+        shape = (n,) if components == 1 else (components, n)
+        f = PeriodicField(10.0**scale * rng.standard_normal(shape), domain_length=length)
+        k = wavenumbers(n, length)
+
+        def nyquist_zeroed(mult):
+            mult[n // 2] = 0.0  # mode N/2 sits at index N/2 on both tables
+            return mult
+
+        def check(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+        for symbol in (lambda k: np.abs(k) ** a,
+                       lambda k: (1j * b * k + np.abs(k)) / (1.0 + b * b),
+                       lambda k: nyquist_zeroed((1j * k) ** 3)):
+            check(apply_multiplier(f, symbol(k)).samples,
+                  full_spectrum(f.samples, length, symbol))
+        check(hilbert_transform(f).samples,
+              full_spectrum(f.samples, length, lambda k: nyquist_zeroed(-1j * np.sign(k))))
+        if components == 1:
+            orders = (0, 1, 2, 3, 4)
+            for m, row in zip(orders, derivatives(f, orders)):
+                check(row, full_spectrum(f.samples, length, lambda k: (
+                    nyquist_zeroed((1j * k) ** m) if m % 2 else (1j * k) ** m)))
 
 
 class TestBatchedDerivatives:

@@ -44,9 +44,9 @@ def circle(n, radius=1.0, center=(0.0, 0.0)):
 
 
 def splitting_gap(model, field):
-    k = np.fft.fftfreq(field.n, d=1.0 / field.n)
+    k = np.fft.rfftfreq(field.n, d=1.0 / field.n)
     mult = model.linear_multiplier(k)
-    lin = np.fft.ifft(mult * np.fft.fft(field.samples, axis=-1), axis=-1).real
+    lin = np.fft.irfft(mult * np.fft.rfft(field.samples, axis=-1), field.n, axis=-1)
     full = model.rhs(field).samples
     split = -lin + model.remainder(field).samples
     return float(np.max(np.abs(full - split)))

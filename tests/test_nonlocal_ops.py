@@ -165,6 +165,17 @@ class TestDirichletNeumannOp:
                 got = dirichlet_neumann_op(f, b, sign, backend=backend).samples
                 assert np.max(np.abs(got - want[sign])) < 1e-9
 
+    @pytest.mark.parametrize("length", [TWO_PI, 1.0])
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_quadrature_symbol_is_abs_k(self, n, length):
+        # the punctured trapezoid sum with its pair limit is exactly pi |m|:
+        # sum_{j=1}^{n-1} sin^2(pi m j/n) / sin^2(pi j/n) = m (n - m), so the
+        # backends differ only by the factor pi c_1 of the quadrature route
+        k = np.abs(np.fft.rfftfreq(n, d=1.0 / n) * (TWO_PI / length))
+        q = nonlocal_ops._lambda_quadrature_symbol(n, length)
+        assert q.shape == k.shape
+        assert np.max(np.abs(q - k)) <= 4e-16 * np.max(k)
+
     def test_b_zero_is_half_laplacian(self):
         n = 128
         x = grid_1d(n)
@@ -202,7 +213,7 @@ class TestDirichletNeumannOp:
         rng = np.random.default_rng(29)
         f = PeriodicField(band_limited(128, rng))
         monkeypatch.setattr(nonlocal_ops, "_lambda_quadrature_symbol",
-                            lambda n, L: np.zeros(n))
+                            lambda n, L: np.zeros(n // 2 + 1))
         with pytest.raises(BackendMismatchError) as exc:
             dirichlet_neumann_op(f, 0.0, +1, backend="checked")
         assert exc.value.gap > 10 * nonlocal_ops.BACKEND_TOL

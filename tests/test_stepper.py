@@ -94,7 +94,7 @@ class QuadraticGrowthModel(_ModelBase):
         return field.with_samples(field.samples**2)
 
     def remainder_hat(self, field, uh):
-        return np.fft.fft(self.rhs(field).samples)
+        return np.fft.rfft(self.rhs(field).samples)
 
 
 class ExponentialGrowthModel(QuadraticGrowthModel):
@@ -130,8 +130,8 @@ class ShrinkingContourModel(_ModelBase):
 
 class LateValueErrorModel(QuadraticGrowthModel):
     """Zero remainder spectrum whose fifth call raises a ValueError naming
-    NaN/Inf: the guard makes two calls (through remainder) and each
-    ETD-RK2 step two more, so it fails inside the second step."""
+    NaN/Inf: the guard makes two calls and each ETD-RK2 step two more,
+    so it fails inside the second step."""
 
     def __init__(self):
         self.calls = 0
@@ -424,12 +424,40 @@ def etd_step_by_physical_remainder(u, model, dt, scheme):
     """The ETD step that transforms a physical remainder at u and at the
     stage value: the reference the spectral step must reproduce."""
     E, w1, w2 = _etd_weights(model, u.n, u.domain_length, dt, scheme)
-    r1 = np.fft.fft(physical_remainder(model, u), axis=-1)
-    ah = E * np.fft.fft(u.samples, axis=-1) + w1 * r1
-    a = u.with_samples(np.fft.ifft(ah, axis=-1).real)
+    r1 = np.fft.rfft(physical_remainder(model, u), axis=-1)
+    ah = E * np.fft.rfft(u.samples, axis=-1) + w1 * r1
+    a = u.with_samples(np.fft.irfft(ah, u.n, axis=-1))
     if w2 is None:
         return a
-    r2 = np.fft.fft(physical_remainder(model, a), axis=-1)
+    r2 = np.fft.rfft(physical_remainder(model, a), axis=-1)
+    return u.with_samples(np.fft.irfft(ah + w2 * (r2 - r1), u.n, axis=-1))
+
+
+def full_spectrum_step(u, model, dt, scheme):
+    """imex_frozen_phi_step as it ran on full complex spectra before the
+    stepper kept half spectra: fft/ifft over fftfreq wavenumbers (Nyquist at
+    -N/2), weights built per call, and the remainder spectrum
+    fft(rhs(u) + ifft(m fft(u)).real), none for heat. The oracle of the
+    switch to rfft/irfft."""
+    k = np.fft.fftfreq(u.n, d=1.0 / u.n) * (2 * np.pi / u.domain_length)
+    m = model.linear_multiplier(k)
+    z = -dt * m
+    E, w1 = np.exp(z), dt * _phi1(z)
+    w2 = dt * _phi2(z) if scheme == "etd_rk2" else None
+
+    def remainder_hat(w, wh):
+        if model.tag == "heat":
+            return None
+        lin = np.fft.ifft(wh * m, axis=-1).real
+        return np.fft.fft(model.rhs(w).samples + lin, axis=-1)
+
+    uh = np.fft.fft(u.samples, axis=-1)
+    r1 = remainder_hat(u, uh)
+    ah = E * uh if r1 is None else E * uh + w1 * r1
+    a = u.with_samples(np.fft.ifft(ah, axis=-1).real)
+    if w2 is None or r1 is None:
+        return a
+    r2 = remainder_hat(a, np.fft.fft(a.samples, axis=-1))
     return u.with_samples(np.fft.ifft(ah + w2 * (r2 - r1), axis=-1).real)
 
 
@@ -462,6 +490,19 @@ class TestSpectralRemainderStep:
             want = etd_step_by_physical_remainder(u, model, dt, scheme)
             assert np.array_equal(got.samples, want.samples)
 
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("model", [
+        HeatModel(), VarCoefHeatModel(), McfGraphModel(), MuskatStModel(),
+        NonlocalMcfModel(a=0.5), Peskin2dModel(), ThinfilmExpModel(),
+        SurfaceDiffusionModel(hbar0=2.0)], ids=lambda m: m.tag)
+    def test_round_off_to_full_spectrum_step(self, model, n):
+        u = self.state(model, n)
+        for scheme in ("imex_frozen_phi", "etd_rk2"):
+            for dt in (1e-4, 0.1):
+                got = imex_frozen_phi_step(u, model, dt, scheme).samples
+                want = full_spectrum_step(u, model, dt, scheme).samples
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("model", [
@@ -482,7 +523,8 @@ def pointwise_step_by_separate_remainder(u, model, dt):
     k = wavenumbers(u.n, u.domain_length)
     E = np.exp(-dt * np.outer(a, model.base_multiplier(k)))
     phase = np.exp(1j * np.outer(u.nodes(), k))
-    prop = ((E * phase) @ np.fft.fft(u.samples)).real / u.n
+    pairs = np.where((k == 0) | (k == k[-1]), 1.0, 2.0)  # modes n and -n
+    prop = ((E * phase) @ (pairs * np.fft.rfft(u.samples))).real / u.n
     lin = model.coefficient_profile(u) * apply_multiplier(
         u, model.base_multiplier(k)).samples
     rem = u.with_samples(model.rhs(u).samples + lin)
