@@ -21,6 +21,8 @@ from .grid import PeriodicField, TWO_PI, wavenumbers
 # Fixed-step RK4 refinement target: the Richardson-extrapolated kernel values
 # of two consecutive step doublings must differ by less than this.
 RK4_REFINE_TOL = 1e-9
+# Intervals of the tabulated tau grid, and the fewest RK4 steps per tabulation.
+TAU_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +204,13 @@ def _integrate_khat(a_nodes: np.ndarray, t: float, tau_grid: np.ndarray) -> np.n
     return out
 
 
-def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid, tau_steps: int = 16) -> FrozenKernelHat:
+def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHat:
     """Integrate the frozen-kernel ODE per frequency and tabulate it.
 
     The matrix ODE runs in the time-reversed variable w = t - tau from the
     identity at w = 0, so the stored array carries the identity at
     tau = t and the decayed kernel at tau = 0. The step count starts at the
-    larger of tau_steps and a stability estimate from the symbol's largest
+    larger of TAU_STEPS and a stability estimate from the symbol's largest
     probed eigenvalue, then doubles. Each doubling turns the coarse table
     K_c and the fine table K_f into the Richardson value
     K_f + (K_f - K_c) / 15, fifth order for RK4 (Hairer, Norsett & Wanner,
@@ -226,21 +228,19 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid, tau_steps: int = 
     all, probe included, and the node table takes
     O(n_final n_xi dim_N^2) memory for the final step count n_final.
     """
-    if tau_steps < 16:
-        raise ValueError("tau_steps must be >= 16")
     if t <= 0:
         raise ValueError("t must be positive")
     xis = np.asarray(xi_grid, dtype=float)
-    tau_grid = np.linspace(0.0, t, tau_steps + 1)
-    probed = np.empty((tau_steps + 1, len(xis), symbol.dim_N, symbol.dim_N))
+    tau_grid = np.linspace(0.0, t, TAU_STEPS + 1)
+    probed = np.empty((TAU_STEPS + 1, len(xis), symbol.dim_N, symbol.dim_N))
     lam_max = ellipticity_probe(symbol, tau_grid, xis, out=probed)
-    n_steps = max(tau_steps, int(np.ceil(4.0 * t * lam_max)))
+    n_steps = max(TAU_STEPS, int(np.ceil(4.0 * t * lam_max)))
     # keep the tau grid embedded in the step grid
-    n_steps = int(np.ceil(n_steps / tau_steps)) * tau_steps
+    n_steps = int(np.ceil(n_steps / TAU_STEPS)) * TAU_STEPS
 
-    # node w = t - tau_grid[i] is j = (tau_steps - i) 2 n_steps / tau_steps
+    # node w = t - tau_grid[i] is j = (TAU_STEPS - i) 2 n_steps / TAU_STEPS
     a_nodes = _refine_nodes(symbol, t, xis, probed[::-1],
-                            2 * n_steps // tau_steps, n_steps)
+                            2 * n_steps // TAU_STEPS, n_steps)
     prev = coarse = _integrate_khat(a_nodes, t, tau_grid)
     for _ in range(24):
         n_steps *= 2

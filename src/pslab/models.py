@@ -1,5 +1,5 @@
 """Six evolution equations in a shared splitting contract: each model
-exposes the full right side, a constant-coefficient linear multiplier for
+exposes the full right side, its symbol once as the linear multiplier for
 exact exponential propagation, and the spectrum of the explicit remainder.
 
 Splitting convention on half spectra u_hat = rfft(u) (grid.wavenumbers):
@@ -55,16 +55,17 @@ class _ModelBase:
     """Shared splitting plumbing; concrete models fill in the physics.
 
     Each model declares what it is once: its config tag, the names of its
-    constructor parameters (each kept as the attribute of that name), the
-    order s of its multiplier, whether its state is a 2-component contour,
-    and whether its quadratures assume the 2pi-periodic domain. A model
-    whose rhs factors as ~ -a(x) * base(k) defines coefficient_profile(field)
-    returning the frozen-coefficient envelope a(x); it is None on the others.
+    constructor parameters (each kept as the attribute of that name),
+    whether its state is a 2-component contour, whether its quadratures
+    assume the 2pi-periodic domain, and its symbol linear_multiplier(k) at
+    physical wavenumbers k. A model whose rhs factors as
+    ~ -a(x) * linear_multiplier(k) defines coefficient_profile(field)
+    returning a(x), the ratio of the symbol frozen at x to
+    linear_multiplier; it is None on the others.
     """
 
     tag: str = ""
     params: tuple = ()
-    order_s: float = 2.0
     is_contour: bool = False
     needs_two_pi: bool = False
     coefficient_profile = None
@@ -72,13 +73,8 @@ class _ModelBase:
     def rhs(self, field: PeriodicField) -> PeriodicField:
         raise NotImplementedError
 
-    def base_multiplier(self, k: np.ndarray) -> np.ndarray:
-        """Symbol base(k) at physical wavenumbers k, before any
-        frozen-coefficient scaling."""
-        raise NotImplementedError
-
     def linear_multiplier(self, k: np.ndarray) -> np.ndarray:
-        return self.base_multiplier(np.asarray(k, dtype=float))
+        raise NotImplementedError
 
     def remainder_hat(self, field: PeriodicField, uh: np.ndarray) -> Optional[np.ndarray]:
         """Half spectrum of rhs(u) + L u given uh = rfft(u); None if zero."""
@@ -104,7 +100,7 @@ class HeatModel(_ModelBase):
     def rhs(self, field):
         return spectral_derivative(field, 2)
 
-    def base_multiplier(self, k):
+    def linear_multiplier(self, k):
         return k**2
 
     def coefficient_profile(self, field):
@@ -129,18 +125,15 @@ class VarCoefHeatModel(_ModelBase):
         return 1.25 + 0.75 * np.cos(x)
 
     def rhs(self, field):
-        a = self.coefficient_profile(field)
+        a = self.profile(field.nodes())
         return field.with_samples(a * spectral_derivative(field, 2).samples)
-
-    def base_multiplier(self, k):
-        return k**2
 
     def linear_multiplier(self, k):
         # the frozen constant coefficient is the profile mean
         return 1.25 * k**2
 
     def coefficient_profile(self, field):
-        return self.profile(field.nodes())
+        return self.profile(field.nodes()) / 1.25
 
 
 class McfGraphModel(_ModelBase):
@@ -152,7 +145,7 @@ class McfGraphModel(_ModelBase):
         fx, fxx = derivatives(field, (1, 2))
         return field.with_samples(fxx / (1.0 + fx * fx))
 
-    def base_multiplier(self, k):
+    def linear_multiplier(self, k):
         return k**2
 
     def coefficient_profile(self, field):
@@ -179,7 +172,6 @@ class NonlocalMcfModel(_ModelBase):
         if not 0.0 < a < 1.0:
             raise ValueError("a must lie in (0, 1)")
         self.a = float(a)
-        self.order_s = 1.0 + self.a
         self.multiplier_constant = float(
             -4.0 * gamma(-1.0 - self.a) * np.cos(0.5 * np.pi * (1.0 + self.a)))
 
@@ -188,7 +180,7 @@ class NonlocalMcfModel(_ModelBase):
         H = fractional_mean_curvature(field, self.a).samples
         return field.with_samples(-np.sqrt(1.0 + ux * ux) * H)
 
-    def base_multiplier(self, k):
+    def linear_multiplier(self, k):
         return self.multiplier_constant * np.abs(k) ** (1.0 + self.a)
 
 
@@ -199,7 +191,6 @@ class Peskin2dModel(_ModelBase):
 
     tag = "peskin2d"
     params = ("theta_cap",)
-    order_s = 1.0
     is_contour = True
     needs_two_pi = True
 
@@ -211,7 +202,7 @@ class Peskin2dModel(_ModelBase):
     def rhs(self, field):
         return peskin_rhs(field)
 
-    def base_multiplier(self, k):
+    def linear_multiplier(self, k):
         return 0.25 * np.abs(k)
 
     def conserved(self, field):
@@ -223,7 +214,6 @@ class MuskatStModel(_ModelBase):
 
     tag = "muskat_st"
     params = ("rho0",)
-    order_s = 3.0
     needs_two_pi = True
 
     def __init__(self, rho0: float = 0.0):
@@ -234,7 +224,7 @@ class MuskatStModel(_ModelBase):
     def rhs(self, field):
         return muskat_st_rhs(field, rho0=self.rho0)
 
-    def base_multiplier(self, k):
+    def linear_multiplier(self, k):
         return np.abs(k) ** 3
 
     def coefficient_profile(self, field):
@@ -258,7 +248,6 @@ class SurfaceDiffusionModel(_ModelBase):
 
     tag = "surface_diffusion_axi"
     params = ("hbar0",)
-    order_s = 4.0
 
     def __init__(self, hbar0: float):
         if not hbar0 > 1.0:
@@ -286,7 +275,7 @@ class SurfaceDiffusionModel(_ModelBase):
         m = self.linear_multiplier(wavenumbers(field.n, field.domain_length))
         return np.fft.rfft(self._velocity(field, uh)) + m * uh
 
-    def base_multiplier(self, k):
+    def linear_multiplier(self, k):
         # sd_symbol(n, hbar0) = n^4 - n^2/hbar0^2 in integer frequencies;
         # k here is physical, identical on the 2pi-torus
         return sd_symbol(k, self.hbar0)
@@ -300,14 +289,13 @@ class ThinfilmExpModel(_ModelBase):
     (g(u_xx))_xx with g(v) = e^{-v} - 1 + v kept cancellation-free."""
 
     tag = "thinfilm_exp"
-    order_s = 4.0
 
     def rhs(self, field):
         v = spectral_derivative(field, 2).samples
         w = field.with_samples(np.exp(-v))
         return spectral_derivative(w, 2)
 
-    def base_multiplier(self, k):
+    def linear_multiplier(self, k):
         return k**4
 
     def remainder_hat(self, field, uh):

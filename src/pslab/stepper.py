@@ -6,8 +6,8 @@ Schemes
 -------
 imex_frozen_phi   exponential Euler: u+ = E u + dt phi1(-dt A) R(u)
 etd_rk2           adds the standard second-order correction through phi2
-frozen_pointwise  per-point exact kernel of the space-dependent symbol
-                  a(x) base(k), nonlinear remainder added explicitly
+frozen_pointwise  row i propagates u under the symbol frozen at x_i,
+                  a(x_i) m(k), and is read at x_i; remainder explicit
 
 Because the linear part is integrated exactly, explicit treatment of the
 remainder stays stable as long as its damped response remains below the
@@ -194,8 +194,8 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
                          scheme: str = "etd_rk2") -> PeriodicField:
     """One step with exact propagation of the frozen linear multiplier and
     an explicit phi-weighted remainder (Euler or ETD-RK2 correction)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
     E, w1, w2 = _etd_weights(model, u.n, u.domain_length, dt, scheme)
@@ -211,8 +211,8 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
 
 
 def check_pointwise(model, n: int, components: int) -> None:
-    """Raise ValueError unless frozen_pointwise_step, dense in frequency, can
-    march the model (class or instance) on fields of this shape."""
+    """Raise ValueError unless frozen_pointwise_step, one row per grid point,
+    can march the model (class or instance) on fields of this shape."""
     if components != 1:
         raise ValueError("scheme frozen_pointwise takes scalar 1D fields")
     if n > POINTWISE_MAX_N:
@@ -222,24 +222,20 @@ def check_pointwise(model, n: int, components: int) -> None:
 
 
 def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
-    """One step where each grid point propagates under the exact kernel of
-    its own frozen symbol a(x_i) base(k); see check_pointwise for where it
-    applies."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """One step of the frozen-coefficient method: row i propagates u exactly
+    under the symbol frozen at x_i, a(x_i) m(k), and the step reads row i
+    at x_i; see check_pointwise for where it applies."""
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     check_pointwise(model, u.n, u.components)
     a = np.asarray(model.coefficient_profile(u), dtype=float)
-    k = wavenumbers(u.n, u.domain_length)
-    base = model.base_multiplier(k)
-    E = np.exp(-dt * np.outer(a, base))
-    phase = np.exp(1j * np.outer(u.nodes(), k))
+    m = model.linear_multiplier(wavenumbers(u.n, u.domain_length))
     uh = np.fft.rfft(u.samples)
+    rows = np.fft.irfft(np.exp(-dt * np.outer(a, m)) * uh, u.n)
     # the explicit part: the full right side plus the frozen-symbol action
-    # a(x) base(k) u that prop already carries
-    rem = model.rhs(u).samples + a * np.fft.irfft(uh * base, u.n)
-    uh[1:-1] *= 2.0  # the symbol is even: an interior mode stands for n and -n
-    prop = ((E * phase) @ uh).real / u.n
-    return u.with_samples(prop + dt * rem)
+    # a(x) m(k) u that the rows already carry
+    rem = model.rhs(u).samples + a * np.fft.irfft(uh * m, u.n)
+    return u.with_samples(np.diagonal(rows) + dt * rem)
 
 
 def _stability_bound(model, u0: PeriodicField, dt: float) -> float:
@@ -274,7 +270,7 @@ def _n_steps(T: float, dt: float) -> int:
         raise ValueError("T must be positive and finite")
     # T / dt overflows for a subnormal dt: no step count
     n_steps = int(round(T / dt)) if np.isfinite(T / dt) else 0
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+    if n_steps < 1 or abs(T / dt - n_steps) > 1e-9 * n_steps:
         raise ValueError("T must be an integer number of steps")
     return n_steps
 

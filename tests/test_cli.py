@@ -702,6 +702,11 @@ class TestConfigErrorsBeforeOutput:
     def test_overflowing_step_count(self, tmp_path, capsys, overrides):
         self.run_rejected(tmp_path, capsys, overrides, (), ["integer number"])
 
+    @pytest.mark.parametrize("dt, horizon", [("1e-10", "1.5e-10"), ("1e-9", "2.4e-9")])
+    def test_fractional_step_count_at_small_dt(self, tmp_path, capsys, dt, horizon):
+        self.run_rejected(tmp_path, capsys, {"stepper.dt": dt, "run.T": horizon}, (),
+                          ["run.T must be an integer number of steps"])
+
     @pytest.mark.parametrize("horizon", ["nan", "inf"])
     def test_non_finite_T(self, tmp_path, capsys, horizon):
         self.run_rejected(tmp_path, capsys, {"run.T": horizon}, (),

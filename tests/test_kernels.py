@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pslab import kernels
 from pslab.grid import PeriodicField, norms, spectral_derivative
 from pslab.kernels import (
     RK4_REFINE_TOL,
@@ -204,10 +205,6 @@ class TestFrozenKernelHat:
         assert khat.frobenius_excess() <= 1.0 + 1e-6
         assert np.allclose(khat.values[-1], np.eye(2), atol=1e-14)
 
-    def test_rejects_small_tau_steps(self):
-        with pytest.raises(ValueError):
-            frozen_kernel_hat(scalar_symbol(1.0, 0.4), 0.5, [1.0], tau_steps=8)
-
     def test_stiff_symbol_converges(self):
         # large t |xi|^s: stability-derived step count must keep RK4 sane
         sym = scalar_symbol(2.0, 0.5)
@@ -249,7 +246,7 @@ def _reference_integrate(symbol, t, xis, tau_grid, n_steps):
     return out
 
 
-def _reference_frozen_kernel_hat(symbol, t, xi_grid, tau_steps=16):
+def _reference_frozen_kernel_hat(symbol, t, xi_grid, tau_steps):
     """The re-evaluating doubling loop the node memo replaced, stopping on
     Richardson values K_f + (K_f - K_c) / 15 as frozen_kernel_hat does;
     returns the tabulated values and the final step count."""
@@ -306,24 +303,28 @@ class CountingRotatingSymbol:
 
 
 class TestFrozenKernelNodeMemo:
+    # the tau grid is the module constant TAU_STEPS; a case with another
+    # value patches it, to check the step grid embeds any tau grid
     CASES = [(1, 16), (2, 24), (3, 16)]
     T, XIS = 0.5, [0.5, 1.0, 3.0]
 
     @pytest.mark.parametrize("dim,tau_steps", CASES)
-    def test_matches_reference_loop(self, dim, tau_steps):
+    def test_matches_reference_loop(self, dim, tau_steps, monkeypatch):
+        monkeypatch.setattr(kernels, "TAU_STEPS", tau_steps)
         sym = CountingRotatingSymbol(dim).symbol()
         ref, _ = _reference_frozen_kernel_hat(sym, self.T, self.XIS, tau_steps)
-        khat = frozen_kernel_hat(sym, self.T, self.XIS, tau_steps=tau_steps)
+        khat = frozen_kernel_hat(sym, self.T, self.XIS)
         assert khat.values.shape == ref.shape
         assert np.max(np.abs(khat.values - ref)) <= 1e-13
 
     @pytest.mark.parametrize("dim,tau_steps", CASES)
-    def test_each_node_evaluated_once(self, dim, tau_steps):
+    def test_each_node_evaluated_once(self, dim, tau_steps, monkeypatch):
+        monkeypatch.setattr(kernels, "TAU_STEPS", tau_steps)
         counter = CountingRotatingSymbol(dim)
         _, n_final = _reference_frozen_kernel_hat(counter.symbol(), self.T, self.XIS,
                                                   tau_steps)
         counter.calls.clear()
-        frozen_kernel_hat(counter.symbol(), self.T, self.XIS, tau_steps=tau_steps)
+        frozen_kernel_hat(counter.symbol(), self.T, self.XIS)
         # the probe's matrices fill the tau-grid nodes of the first level
         assert len(counter.calls) == (2 * n_final + 1) * len(self.XIS)
         # the probe pairs come first, t outer and xi inner
@@ -331,11 +332,12 @@ class TestFrozenKernelNodeMemo:
         probe = [(float(t), xi) for t in tau_grid for xi in self.XIS]
         assert counter.calls[:len(probe)] == probe
 
-    def test_close_to_fine_plain_rk4(self):
+    def test_close_to_fine_plain_rk4(self, monkeypatch):
         # the stop rule that compared plain levels ended this case at 768
         # steps; plain RK4 at 4x that count is the reference
+        monkeypatch.setattr(kernels, "TAU_STEPS", 24)
         sym = CountingRotatingSymbol(2).symbol()
-        khat = frozen_kernel_hat(sym, self.T, self.XIS, tau_steps=24)
+        khat = frozen_kernel_hat(sym, self.T, self.XIS)
         ref = _reference_integrate(sym, self.T, np.asarray(self.XIS), khat.tau_grid,
                                    4 * 768)
         assert np.max(np.abs(khat.values - ref)) <= 1e-10

@@ -53,22 +53,6 @@ def splitting_gap(model, field):
 
 
 class TestModelSpec:
-    def test_orders_per_tag(self):
-        good = [
-            ("mcf_graph", {}, 2.0),
-            ("nonlocal_mcf", {"a": 0.25}, 1.25),
-            ("peskin2d", {}, 1.0),
-            ("muskat_st", {"rho0": 1.0}, 3.0),
-            ("surface_diffusion_axi", {"hbar0": 2.0}, 4.0),
-            ("thinfilm_exp", {}, 4.0),
-            ("heat", {}, 2.0),
-            ("varcoef_heat", {}, 2.0),
-        ]
-        for tag, params, order in good:
-            assert make_model(ModelSpec(tag=tag, params=params)).order_s == order
-        assert make_model(ModelSpec("nonlocal_mcf")).order_s == 1.5
-        assert NonlocalMcfModel(a=0.75).order_s == 1.75
-
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec(tag="advection", params={})
@@ -168,6 +152,18 @@ class TestVarCoefHeat:
         got = VarCoefHeatModel().rhs(f).samples
         want = (1.25 + 0.75 * np.cos(x)) * (-4.0 * np.sin(2 * x))
         assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_frozen_symbol_is_rhs_symbol(self):
+        # the profile is the symbol frozen at x over linear_multiplier, so
+        # their product is the rhs symbol (1.25 + 0.75 cos x) k^2
+        n = 128
+        x = grid_x(n)
+        model = VarCoefHeatModel()
+        k = np.fft.rfftfreq(n, d=1.0 / n)
+        frozen = np.outer(model.coefficient_profile(PeriodicField(np.zeros(n))),
+                          model.linear_multiplier(k))
+        want = np.outer(1.25 + 0.75 * np.cos(x), k**2)
+        assert np.max(np.abs(frozen - want)) <= 1e-15 * np.max(want)
 
     def test_pointwise_remainder_vanishes(self):
         # freezing at the evaluation point is exact for a(x) u_xx, so the
