@@ -4,7 +4,10 @@ Three kernel families live here: the periodic fractional heat kernel
 e^{-t|k|^s}, the frozen-symbol kernel solving a per-frequency matrix ODE
 and the anisotropic Poisson kernel of the flat-interface elliptic problem,
 plus the fourth-order periodic kernel of the linearized axisymmetric
-surface diffusion model.
+surface diffusion model. The frozen-symbol ODE is integrated by the
+fourth-order Magnus step on two Gauss nodes (Iserles & Norsett 1999;
+Blanes, Casas, Oteo & Ros 2009), whose batched matrix exponentials are
+built here in numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from scipy import integrate
 
 from .grid import PeriodicField, TWO_PI, wavenumbers
 
-# Fixed-step RK4 refinement target: the Richardson-extrapolated kernel values
+# Frozen-kernel refinement target: the Richardson-extrapolated kernel values
 # of two consecutive step doublings must differ by less than this.
-RK4_REFINE_TOL = 1e-9
-# Intervals of the tabulated tau grid, and the fewest RK4 steps per tabulation.
+REFINE_TOL = 1e-9
+# Intervals of the tabulated tau grid, and the Magnus steps of the first level.
 TAU_STEPS = 16
+# Gauss-Legendre nodes of the fourth-order Magnus step, as fractions of a step.
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (np.sqrt(3.0) / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,27 +92,16 @@ def _as_matrix(a, dim):
     return m
 
 
-def ellipticity_probe(symbol: FrozenSymbol, ts, xis, out=None) -> float:
+def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> None:
     """Check A(t, xi) >= c0 |xi|^s Id at every probe pair, t outer and xi
-    inner; raise at the first failure.
-
-    Returns the largest probed eigenvalue, floored at 0. If out is given,
-    of shape (len(ts), len(xis), dim_N, dim_N), out[i, j] receives the
-    probed matrix A(ts[i], xis[j]).
-    """
-    lam_max = 0.0
-    for i, t in enumerate(ts):
-        for j, xi in enumerate(xis):
+    inner; raise at the first failure."""
+    for t in ts:
+        for xi in xis:
             m = _as_matrix(symbol.eval(t, xi), symbol.dim_N)
-            if out is not None:
-                out[i, j] = m
             floor = symbol.c0 * abs(xi) ** symbol.s
-            eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-            min_eig = float(eigs[0])
+            min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
             if min_eig < floor - 1e-10 * max(1.0, floor):
                 raise EllipticityError(t, xi, min_eig, floor)
-            lam_max = max(lam_max, float(eigs[-1]))
-    return lam_max
 
 
 @dataclass(frozen=True)
@@ -143,64 +137,54 @@ class FrozenKernelHat:
         return float(np.max(ratio))
 
 
-def _refine_nodes(symbol: FrozenSymbol, t: float, xis: np.ndarray,
-                  known: np.ndarray, stride: int, n_steps: int) -> np.ndarray:
-    """Symbol values A(t - w, xi) at the 2 n_steps + 1 RK4 nodes
-    w = j t / (2 n_steps), shaped (2 n_steps + 1, n_xi, dim_N, dim_N).
+def _expm(x: np.ndarray) -> np.ndarray:
+    """exp of every matrix in the batch x (..., d, d): scaling and squaring
+    over the degree-12 Taylor sum, one scaling for the whole batch. The
+    scaled 1-norms are at most 1/4, where the first dropped term is below
+    1e-17 relative."""
+    norm = float(np.max(np.sum(np.abs(x), axis=-2), initial=0.0))
+    squarings = max(0, int(np.frexp(4.0 * norm)[1]))
+    x = x / 2.0**squarings
+    eye = np.eye(x.shape[-1])
+    e = eye + x / 12.0
+    for k in range(11, 0, -1):
+        e = eye + (x @ e) / k
+    for _ in range(squarings):
+        e = e @ e
+    return e
 
-    known holds the values at every stride-th node j = 0, stride, ..., so
-    only the other nodes call the symbol: after a doubling the previous
-    level's table fills the even nodes (stride 2), and on the first level
-    the ellipticity probe's matrices fill the tau-grid nodes.
+
+def _magnus_table(symbol: FrozenSymbol, t: float, xis: np.ndarray,
+                  n_steps: int) -> np.ndarray:
+    """Fourth-order Magnus steps for dm/dw = -m A(t - w, xi) from w=0 (m=Id)
+    to w=t, batched over xi, with n_steps a multiple of TAU_STEPS; returns
+    the snapshots on the tau grid, row i at tau = i t / TAU_STEPS.
+
+    Step j reads B = -A(t - w) at the Gauss nodes w = (j + 1/2 -+ sqrt3/6) h
+    and is m <- m exp(Omega_j), Omega = (h/2)(B1 + B2) + (sqrt3 h^2/12)[B1, B2]
+    (the commutator in this order because B multiplies m from the right);
+    every exp(Omega_j) is built in one batch and only m @ exp(Omega_j) runs
+    step by step.
     """
     dim = symbol.dim_N
-    out = np.empty((2 * n_steps + 1, len(xis), dim, dim))
-    out[::stride] = known
-    fresh = np.flatnonzero(np.arange(2 * n_steps + 1) % stride)
-    ws = fresh * t / (2 * n_steps)
+    h = t / n_steps
+    ws = (np.arange(n_steps)[:, None] + _GAUSS_NODES) * h
+    a = np.empty((n_steps, 2, len(xis), dim, dim))
     xi_list = xis.tolist()
-    for j, w in zip(fresh.tolist(), ws.tolist()):
-        row = out[j]
+    for row, w in zip(a.reshape(-1, len(xis), dim, dim), ws.ravel().tolist()):
         for k, xi in enumerate(xi_list):
             row[k] = _as_matrix(symbol.eval(t - w, xi), dim)
-    return out
+    a1, a2 = a[:, 0], a[:, 1]
+    omega = -0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0 * h * h) * (a1 @ a2 - a2 @ a1)
+    prop = _expm(omega)
 
-
-def _integrate_khat(a_nodes: np.ndarray, t: float, tau_grid: np.ndarray) -> np.ndarray:
-    """RK4 for dm/dw = -m A(t - w, xi) from w=0 (m=Id) to w=t, batched over
-    xi; returns snapshots on tau_grid (tau = t - w).
-
-    a_nodes[j] holds A at w = j t / (2 n) for n steps: step i reads nodes
-    2i, 2i+1 and 2i+2, so no node is evaluated twice. The ODE is linear, so
-    a step is m <- m R_i with the propagator
-    R = I + (h/6)(K1 + 2 K2 + 2 K3 + K4), K1 = -a1, K2 = -(I + h/2 K1) a2,
-    K3 = -(I + h/2 K2) a2, K4 = -(I + h K3) a3; every R_i is built in one
-    batched product and only m @ R_i runs step by step.
-    """
-    n_steps = (len(a_nodes) - 1) // 2
-    dim = a_nodes.shape[-1]
-    eye = np.eye(dim)
-    h = t / n_steps
-    a1, a2, a3 = a_nodes[0:-1:2], a_nodes[1::2], a_nodes[2::2]
-    k1 = -a1
-    k2 = -(eye + 0.5 * h * k1) @ a2
-    k3 = -(eye + 0.5 * h * k2) @ a2
-    k4 = -(eye + h * k3) @ a3
-    prop = eye + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    # snapshots wanted at w = t - tau; tau_grid ascending => w targets descending
-    w_targets = t - tau_grid
-    out = np.empty((len(tau_grid),) + a_nodes.shape[1:])
-    snap = {}
-    for i, w in enumerate(w_targets):
-        snap.setdefault(int(round(w / h)), []).append(i)
-    m = np.broadcast_to(eye, a_nodes.shape[1:]).copy()
-    for idx in snap.get(0, []):
-        out[idx] = m
+    out = np.empty((TAU_STEPS + 1, len(xis), dim, dim))
+    m = out[TAU_STEPS] = np.eye(dim)
+    stride = n_steps // TAU_STEPS
     for step in range(n_steps):
         m = m @ prop[step]
-        for idx in snap.get(step + 1, []):
-            out[idx] = m
+        if (step + 1) % stride == 0:
+            out[TAU_STEPS - (step + 1) // stride] = m
     return out
 
 
@@ -209,45 +193,38 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
 
     The matrix ODE runs in the time-reversed variable w = t - tau from the
     identity at w = 0, so the stored array carries the identity at
-    tau = t and the decayed kernel at tau = 0. The step count starts at the
-    larger of TAU_STEPS and a stability estimate from the symbol's largest
-    probed eigenvalue, then doubles. Each doubling turns the coarse table
-    K_c and the fine table K_f into the Richardson value
-    K_f + (K_f - K_c) / 15, fifth order for RK4 (Hairer, Norsett & Wanner,
-    Solving ODEs I, II.4); the doubling stops once that value moves by less
-    than RK4_REFINE_TOL from the previous level's, where the first doubling
-    compares it with the plain starting table. The last Richardson value is
-    returned.
+    tau = t and the decayed kernel at tau = 0. Each step is the
+    fourth-order Magnus step on the two Gauss nodes (Iserles & Norsett,
+    Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas, Oteo & Ros, Phys.
+    Rep. 470, 2009). For a symmetric symbol Omega is a negative definite
+    symmetric part plus an antisymmetric commutator, so every step
+    contracts at any step size and the step count starts at TAU_STEPS,
+    then doubles. Each doubling turns the coarse table K_c and the fine
+    table K_f into the Richardson value K_f + (K_f - K_c) / 15, which
+    cancels the step's h^4 error term; the doubling stops once that value
+    moves by less than REFINE_TOL from the previous level's, where the
+    first doubling compares it with the plain starting table. The last
+    Richardson value is returned.
 
-    The ellipticity probe runs before any integration node is evaluated,
-    and its matrices fill the tau-grid nodes of the first level, which the
-    step grid embeds (they are taken at tau_grid[i], which may differ from
-    the node time t - w by an ulp). Each doubling keeps the symbol values
-    of the previous level as its even nodes, so every distinct node is
-    evaluated once: the symbol is called (2 n_final + 1) n_xi times in
-    all, probe included, and the node table takes
-    O(n_final n_xi dim_N^2) memory for the final step count n_final.
+    The ellipticity probe on the tau grid runs before any integration node
+    is evaluated. Gauss nodes do not nest under doubling, so each level
+    evaluates its own: the symbol is called (TAU_STEPS + 1) n_xi times by
+    the probe and 2 n n_xi times by the level of n steps, for
+    n = TAU_STEPS, 2 TAU_STEPS, ..., n_final, and the node table takes
+    O(n_final n_xi dim_N^2) memory.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     xis = np.asarray(xi_grid, dtype=float)
     tau_grid = np.linspace(0.0, t, TAU_STEPS + 1)
-    probed = np.empty((TAU_STEPS + 1, len(xis), symbol.dim_N, symbol.dim_N))
-    lam_max = ellipticity_probe(symbol, tau_grid, xis, out=probed)
-    n_steps = max(TAU_STEPS, int(np.ceil(4.0 * t * lam_max)))
-    # keep the tau grid embedded in the step grid
-    n_steps = int(np.ceil(n_steps / TAU_STEPS)) * TAU_STEPS
-
-    # node w = t - tau_grid[i] is j = (TAU_STEPS - i) 2 n_steps / TAU_STEPS
-    a_nodes = _refine_nodes(symbol, t, xis, probed[::-1],
-                            2 * n_steps // TAU_STEPS, n_steps)
-    prev = coarse = _integrate_khat(a_nodes, t, tau_grid)
+    ellipticity_probe(symbol, tau_grid, xis)
+    n_steps = TAU_STEPS
+    prev = coarse = _magnus_table(symbol, t, xis, n_steps)
     for _ in range(24):
         n_steps *= 2
-        a_nodes = _refine_nodes(symbol, t, xis, a_nodes, 2, n_steps)
-        fine = _integrate_khat(a_nodes, t, tau_grid)
+        fine = _magnus_table(symbol, t, xis, n_steps)
         extrapolated = fine + (fine - coarse) / 15.0
-        converged = float(np.max(np.abs(extrapolated - prev))) < RK4_REFINE_TOL
+        converged = float(np.max(np.abs(extrapolated - prev))) < REFINE_TOL
         prev, coarse = extrapolated, fine
         if converged:
             break

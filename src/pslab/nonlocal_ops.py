@@ -190,15 +190,14 @@ class BackendMismatchError(RuntimeError):
 
 def _lambda_quadrature_symbol(n: int, L: float) -> np.ndarray:
     """Symbol of the shift plan's rule for (1/pi) P.V. int delta_alpha f
-    d alpha/alpha^2 on the torus of length L. Against the fold
-    K = 1/(4 sin^2(alpha/2)) of 1/alpha^2, the rule's circulant sum of
-    w_s K_s (f(x) - f(x - j_s h)) is K_hat(0) - K_hat(k); the alpha=0 node's
-    analytic pair limit -h f''/2 is h k^2/2 (skipping it would leave an O(h)
-    hole in the integral)."""
-    kernel = _shift_plan(n).inv_four_sin2_hat.real
-    k = wavenumbers(n, L)
-    # on length L the 2pi-torus weights scale by L/2pi, the kernel by (2pi/L)^2
-    return ((TWO_PI / L) * (kernel[0] - kernel) + 0.5 * (L / n) * k * k) / np.pi
+    d alpha/alpha^2 on the torus of length L, which is |k| exactly. Against
+    the fold K = 1/(4 sin^2(alpha/2)) of 1/alpha^2, the rule's sum of
+    w_s K_s (f(x) - f(x - j_s h)) on the 2pi-torus has the symbol
+    (h/2) sum_{j=1}^{n-1} sin^2(pi m j/n) / sin^2(pi j/n) = (h/2) m (n - m)
+    at the mode m, and the alpha=0 node's analytic pair limit -h f''/2 adds
+    h m^2/2 (skipping it would leave an O(h) hole in the integral); the two
+    make pi |m|, and length L scales m to k = 2 pi m / L."""
+    return np.abs(wavenumbers(n, L))
 
 
 def dirichlet_neumann_op(field: PeriodicField, b: float, sign,

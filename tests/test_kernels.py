@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from pslab import kernels
 from pslab.grid import PeriodicField, norms, spectral_derivative
 from pslab.kernels import (
-    RK4_REFINE_TOL,
+    REFINE_TOL,
     EllipticityError,
     FrozenSymbol,
     PoissonAnisoKernel,
@@ -119,11 +120,10 @@ class TestFrozenSymbol:
     def test_probe_passes_elliptic(self):
         ellipticity_probe(scalar_symbol(2.0, 0.3, rate=0.5), [0.0, 1.0], [1.0, 4.0])
 
-    def test_probe_returns_largest_eigenvalue(self):
-        # the step-count estimate reads the top of the spectrum, not the floor
+    def test_probe_passes_time_dependent_matrix(self):
         sym = FrozenSymbol(s=1.0, c0=0.25, dim_N=2,
                            eval=lambda t, xi: np.diag([0.3, 0.7 + t]) * abs(xi))
-        assert ellipticity_probe(sym, [0.0, 0.5], [1.0, -4.0]) == pytest.approx(4.8)
+        assert ellipticity_probe(sym, [0.0, 0.5], [1.0, -4.0]) is None
 
     def test_probe_raises_with_location(self):
         sym = FrozenSymbol(
@@ -217,8 +217,9 @@ class TestFrozenKernelHat:
 
 
 def _reference_integrate(symbol, t, xis, tau_grid, n_steps):
-    """The per-step RK4 the node memo replaced: every step evaluates A at
-    w, w + h/2 and w + h and advances m with four einsum products."""
+    """Plain per-step RK4, the oracle of the Magnus tables: every step
+    evaluates A at w, w + h/2 and w + h and advances m with four einsum
+    products."""
     dim = symbol.dim_N
     m = np.broadcast_to(np.eye(dim), (len(xis), dim, dim)).copy()
     h = t / n_steps
@@ -247,9 +248,9 @@ def _reference_integrate(symbol, t, xis, tau_grid, n_steps):
 
 
 def _reference_frozen_kernel_hat(symbol, t, xi_grid, tau_steps):
-    """The re-evaluating doubling loop the node memo replaced, stopping on
-    Richardson values K_f + (K_f - K_c) / 15 as frozen_kernel_hat does;
-    returns the tabulated values and the final step count."""
+    """RK4 doubling from a stability-derived start of 4 t lambda_max steps,
+    stopping on Richardson values K_f + (K_f - K_c) / 15 as
+    frozen_kernel_hat does; returns the tabulated values."""
     xis = np.asarray(xi_grid, dtype=float)
     tau_grid = np.linspace(0.0, t, tau_steps + 1)
     lam_max = 0.0
@@ -264,11 +265,11 @@ def _reference_frozen_kernel_hat(symbol, t, xi_grid, tau_steps):
         n_steps *= 2
         fine = _reference_integrate(symbol, t, xis, tau_grid, n_steps)
         cur = fine + (fine - coarse) / 15.0
-        if float(np.max(np.abs(cur - prev))) < RK4_REFINE_TOL:
+        if float(np.max(np.abs(cur - prev))) < REFINE_TOL:
             prev = cur
             break
         prev, coarse = cur, fine
-    return prev, n_steps
+    return prev
 
 
 def _plane_rotation(dim, i, j, angle):
@@ -312,25 +313,38 @@ class TestFrozenKernelNodeMemo:
     def test_matches_reference_loop(self, dim, tau_steps, monkeypatch):
         monkeypatch.setattr(kernels, "TAU_STEPS", tau_steps)
         sym = CountingRotatingSymbol(dim).symbol()
-        ref, _ = _reference_frozen_kernel_hat(sym, self.T, self.XIS, tau_steps)
+        ref = _reference_frozen_kernel_hat(sym, self.T, self.XIS, tau_steps)
         khat = frozen_kernel_hat(sym, self.T, self.XIS)
         assert khat.values.shape == ref.shape
-        assert np.max(np.abs(khat.values - ref)) <= 1e-13
+        assert np.max(np.abs(khat.values - ref)) <= 1e-10
 
     @pytest.mark.parametrize("dim,tau_steps", CASES)
     def test_each_node_evaluated_once(self, dim, tau_steps, monkeypatch):
         monkeypatch.setattr(kernels, "TAU_STEPS", tau_steps)
         counter = CountingRotatingSymbol(dim)
-        _, n_final = _reference_frozen_kernel_hat(counter.symbol(), self.T, self.XIS,
-                                                  tau_steps)
-        counter.calls.clear()
         frozen_kernel_hat(counter.symbol(), self.T, self.XIS)
-        # the probe's matrices fill the tau-grid nodes of the first level
-        assert len(counter.calls) == (2 * n_final + 1) * len(self.XIS)
         # the probe pairs come first, t outer and xi inner
         tau_grid = np.linspace(0.0, self.T, tau_steps + 1)
         probe = [(float(t), xi) for t in tau_grid for xi in self.XIS]
         assert counter.calls[:len(probe)] == probe
+        # then the level of n steps asks for its 2 n Gauss nodes at every xi,
+        # for n = tau_steps, 2 tau_steps, ..., at least two levels
+        nodes = counter.calls[len(probe):]
+        n_xi = len(self.XIS)
+        levels = [tau_steps, 2 * tau_steps]
+        while 2 * n_xi * sum(levels) < len(nodes):
+            levels.append(2 * levels[-1])
+        assert len(nodes) == 2 * n_xi * sum(levels)
+        assert len(set(nodes)) == len(nodes)
+        gauss = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+        start = 0
+        for n in levels:
+            level = nodes[start:start + 2 * n * n_xi]
+            start += len(level)
+            want = np.sort((self.T - (np.arange(n)[:, None] + gauss) * self.T / n).ravel())
+            for xi in self.XIS:
+                got = np.sort([t for t, x in level if x == xi])
+                assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_close_to_fine_plain_rk4(self, monkeypatch):
         # the stop rule that compared plain levels ended this case at 768
@@ -357,6 +371,37 @@ class TestFrozenKernelNodeMemo:
         assert exc.value.t == tau_grid[first_bad] and exc.value.xi == 3.0
         probe = [(float(t), xi) for t in tau_grid for xi in self.XIS]
         assert counter.calls == probe[:3 * first_bad + 3]
+
+
+class TestMagnusStep:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_exponential_matches_scipy(self, dim):
+        # Omega-shaped matrices: a negative semi-definite symmetric part plus
+        # an antisymmetric commutator part, 1-norms 1e-3..50 in one batch, so
+        # the small ones take the squarings the large ones need
+        rng = np.random.default_rng(dim)
+        batch = []
+        for norm in np.geomspace(1e-3, 50.0, 12):
+            g, k = rng.standard_normal((2, dim, dim))
+            x = -(g @ g.T) + 0.3 * (k - k.T)
+            batch.append(x * (norm / np.linalg.norm(x, 1)))
+        for x, got in zip(batch, kernels._expm(np.array(batch))):
+            want = expm(x)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(kernels._expm(np.zeros((1, dim, dim))), np.eye(dim)[None])
+
+    @pytest.mark.parametrize("dim,s,t,xis", [(2, 1.5, 0.5, [8.0, 16.0]),
+                                             (3, 2.0, 1.0, [4.0, 10.0])])
+    def test_stiff_rotating_symbol(self, dim, s, t, xis):
+        # t lambda_max 86 and 270 with an eigenbasis that turns: with no
+        # stability floor the first level takes steps of h lambda_max 5.4 and
+        # 17, and the Richardson values of such levels must not agree on a
+        # wrong table
+        sym = CountingRotatingSymbol(dim, s=s).symbol()
+        khat = frozen_kernel_hat(sym, t, xis)
+        ref = _reference_integrate(sym, t, np.asarray(xis), khat.tau_grid, 8192)
+        assert np.max(np.abs(khat.values - ref)) <= 1e-10
+        assert khat.frobenius_excess() <= 1.0 + 1e-6
 
 
 class TestPoissonAnisoKernel:
