@@ -553,13 +553,13 @@ def _check(name, measured, expected, tolerance, lower_bound=False):
     }
 
 
-def _random_band_field(rng, n=256, kmax=20) -> PeriodicField:
-    x = np.arange(n) * (TWO_PI / n)
-    samples = np.zeros(n)
-    for k in range(1, kmax + 1):
+def _random_band_field(rng) -> PeriodicField:
+    x = np.arange(256) * (TWO_PI / 256)
+    samples = np.zeros(256)
+    for k in range(1, 21):
         samples += rng.standard_normal() * np.cos(k * x)
         samples += rng.standard_normal() * np.sin(k * x)
-    return PeriodicField(samples / np.sqrt(kmax))
+    return PeriodicField(samples / np.sqrt(20))
 
 
 def _verify_kernels() -> List[dict]:

@@ -131,31 +131,24 @@ def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
     return apply_multiplier(field, np.abs(k) ** a)
 
 
-@lru_cache(maxsize=32)
-def _derivative_multiplier(n: int, L: float, order: int) -> np.ndarray:
-    """(i k)^order on the wavenumbers, the Nyquist mode zeroed for odd orders,
-    the usual convention that keeps odd derivatives of real fields real.
-    Cached per (n, L, order) and read-only, like wavenumbers."""
-    mult = (1j * wavenumbers(n, L)) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0
-    return _read_only(mult)
-
-
 def spectral_derivative(field: PeriodicField, order: int = 1) -> PeriodicField:
     """d^order/dx^order via the multiplier (i k)^order (Nyquist mode zeroed
     for odd orders)."""
     if order < 0:
         raise ValueError("order must be >= 0")
     return apply_multiplier(
-        field, _derivative_multiplier(field.n, field.domain_length, order))
+        field, _derivative_table(field.n, field.domain_length, (order,))[0])
 
 
 @lru_cache(maxsize=32)
 def _derivative_table(n: int, L: float, orders: tuple) -> np.ndarray:
-    """The _derivative_multiplier rows for orders, stacked once per
-    (n, L, orders) and read-only."""
-    return _read_only(np.stack([_derivative_multiplier(n, L, m) for m in orders]))
+    """Rows (i k)^m on the wavenumbers for m in orders, the Nyquist mode
+    zeroed for odd m, the usual convention that keeps odd derivatives of
+    real fields real. Cached per (n, L, orders) and read-only, like
+    wavenumbers."""
+    table = np.stack([(1j * wavenumbers(n, L)) ** m for m in orders])
+    table[np.array(orders) % 2 == 1, -1] = 0.0
+    return _read_only(table)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier

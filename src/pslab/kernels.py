@@ -68,8 +68,8 @@ class FrozenSymbol:
     def __post_init__(self):
         if not 0 < self.c0 < 1:
             raise ValueError("c0 must lie in (0,1)")
-        if self.s <= 0:
-            raise ValueError("s must be positive")
+        if not 0 < self.s < np.inf:
+            raise ValueError("s must be positive and finite")
         if self.dim_N < 1:
             raise ValueError("dim_N must be >= 1")
 
@@ -100,7 +100,8 @@ def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> None:
             m = _as_matrix(symbol.eval(t, xi), symbol.dim_N)
             floor = symbol.c0 * abs(xi) ** symbol.s
             min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
-            if min_eig < floor - 1e-10 * max(1.0, floor):
+            # written so that a NaN eigenvalue or floor fails too
+            if not min_eig >= floor - 1e-10 * max(1.0, floor):
                 raise EllipticityError(t, xi, min_eig, floor)
 
 
@@ -174,6 +175,8 @@ def _magnus_table(symbol: FrozenSymbol, t: float, xis: np.ndarray,
     for row, w in zip(a.reshape(-1, len(xis), dim, dim), ws.ravel().tolist()):
         for k, xi in enumerate(xi_list):
             row[k] = _as_matrix(symbol.eval(t - w, xi), dim)
+    if not np.isfinite(a).all():
+        raise ValueError("symbol returned a non-finite value at an integration node")
     a1, a2 = a[:, 0], a[:, 1]
     omega = -0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0 * h * h) * (a1 @ a2 - a2 @ a1)
     prop = _expm(omega)
@@ -213,8 +216,8 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
     n = TAU_STEPS, 2 TAU_STEPS, ..., n_final, and the node table takes
     O(n_final n_xi dim_N^2) memory.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
     xis = np.asarray(xi_grid, dtype=float)
     tau_grid = np.linspace(0.0, t, TAU_STEPS + 1)
     ellipticity_probe(symbol, tau_grid, xis)

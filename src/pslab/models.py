@@ -20,7 +20,6 @@ from scipy.special import gamma
 from .grid import (
     PeriodicField,
     _dealias_mask,
-    _derivative_multiplier,
     _derivative_table,
     derivatives,
     spectral_derivative,
@@ -263,7 +262,7 @@ class SurfaceDiffusionModel(_ModelBase):
         n, L = field.n, field.domain_length
         hx, hxx = np.fft.irfft(uh * _derivative_table(n, L, (1, 2)), n)
         br = np.sqrt(1.0 + hx * hx)
-        dx = _dealias_mask(n) * _derivative_multiplier(n, L, 1)
+        dx = _dealias_mask(n) * _derivative_table(n, L, (1,))[0]
         curv_x = np.fft.irfft(np.fft.rfft(1.0 / (h * br) - hxx / br**3) * dx, n)
         flux_x = np.fft.irfft(np.fft.rfft((h / br) * curv_x) * dx, n)
         return flux_x / h
@@ -299,7 +298,7 @@ class ThinfilmExpModel(_ModelBase):
         return k**4
 
     def remainder_hat(self, field, uh):
-        d2 = _derivative_multiplier(field.n, field.domain_length, 2)
+        d2 = _derivative_table(field.n, field.domain_length, (2,))[0]
         v = np.fft.irfft(uh * d2, field.n)
         return np.fft.rfft(np.expm1(-v) + v) * d2
 
@@ -345,12 +344,13 @@ def enclosed_area(X: PeriodicField) -> float:
     return 0.5 * X.spacing * float(np.sum(xs * yp - ys * xp))
 
 
-def mode1_rate(model: _ModelBase, base: Optional[PeriodicField] = None,
-               eps: float = 1e-6, n: int = 256) -> float:
+def mode1_rate(model: _ModelBase, base: Optional[PeriodicField] = None) -> float:
     """Linearized growth rate at mode 1, measured from the right side:
-    project rhs(base + eps cos) - rhs(base) onto cos(x)."""
+    project rhs(base + eps cos) - rhs(base) onto cos(x), eps = 1e-6, with
+    base the zero field of 256 samples by default."""
+    eps = 1e-6
     if base is None:
-        base = PeriodicField(np.zeros(n))
+        base = PeriodicField(np.zeros(256))
     x = base.nodes()
     pert = base.with_samples(base.samples + eps * np.cos(x))
     r = model.rhs(pert).samples - model.rhs(base).samples

@@ -12,12 +12,12 @@ far periods are summed as a Hurwitz-zeta series in the increment (DLMF
 25.11), or explicitly where that series converges slowly. Shift sums over
 data-dependent kernels run blockwise from one cached per-N _ShiftPlan; sums
 over fixed kernels are circulants applied through the plan's kernel spectra
-(the Muskat convolutions and the Dirichlet-Neumann quadrature symbol).
+(the Muskat convolutions), or in closed form where the rule's symbol has one
+(the Dirichlet-Neumann quadrature).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +26,7 @@ from scipy import integrate, special
 from .grid import (
     PeriodicField,
     TWO_PI,
-    _derivative_multiplier,
+    _derivative_table,
     _read_only,
     apply_multiplier,
     derivatives,
@@ -51,10 +51,10 @@ _GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 # dimensional constants of the flat-interface operator
 
 @lru_cache(maxsize=None)
-def lemz0_constant(d: int, tol: float = 1e-12) -> float:
+def lemz0_constant(d: int) -> float:
     """c_d = (int (1-cos alpha_1)/|alpha|^{d+1} d alpha)^{-1} over R^d, the
     contc_integral at b = 0 and e the first unit vector."""
-    return 1.0 / contc_integral(d, np.zeros(d), np.eye(d)[0], tol)
+    return 1.0 / contc_integral(d, np.zeros(d), np.eye(d)[0], 1e-12)
 
 
 def _one_minus_cos_over_square(c: float, tol: float = 1e-12) -> float:
@@ -107,33 +107,16 @@ def contc_integral(d: int, b, e, tol: float = 1e-10) -> float:
 # ---------------------------------------------------------------------------
 # drifted half-Laplacian
 
-@dataclass(frozen=True)
-class DriftedSqrtSymbol:
-    """lambda^{+/-}(xi, b) = (i b.xi +/- sqrt(<b>^2|xi|^2 - (b.xi)^2)) / <b>^2.
+def _drifted_sqrt_symbol(k: np.ndarray, b: float, sign: int) -> np.ndarray:
+    """lambda^{+/-}(k, b) = (i b k +/- sqrt(<b>^2 k^2 - (b k)^2)) / <b>^2.
 
-    The square root is real: (b.xi)^2 <= |b|^2|xi|^2 < <b>^2|xi|^2. Hence
+    The square root is real: (b k)^2 < <b>^2 k^2 for k != 0. Hence
     Re lambda^- <= 0 <= Re lambda^+ and lambda^{+/-}(0, b) = 0.
     """
-
-    b: np.ndarray
-    sign: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, dtype=float)))
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def lam(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if xi.ndim <= 1 and self.b.shape == (1,):
-            bxi = self.b[0] * xi
-            xi2 = xi * xi
-        else:
-            bxi = xi @ self.b
-            xi2 = np.sum(xi * xi, axis=-1)
-        g2 = 1.0 + float(self.b @ self.b)
-        root = np.sqrt(g2 * xi2 - bxi * bxi)
-        return (1j * bxi + self.sign * root) / g2
+    bk = b * k
+    g2 = 1.0 + b * b
+    root = np.sqrt(g2 * (k * k) - bk * bk)
+    return (1j * bk + sign * root) / g2
 
 
 def _normalize_sign(sign) -> int:
@@ -188,28 +171,20 @@ class BackendMismatchError(RuntimeError):
         super().__init__(f"backend disagreement {gap:.3e} exceeds {10 * BACKEND_TOL:.0e}")
 
 
-def _lambda_quadrature_symbol(n: int, L: float) -> np.ndarray:
-    """Symbol of the shift plan's rule for (1/pi) P.V. int delta_alpha f
-    d alpha/alpha^2 on the torus of length L, which is |k| exactly. Against
-    the fold K = 1/(4 sin^2(alpha/2)) of 1/alpha^2, the rule's sum of
-    w_s K_s (f(x) - f(x - j_s h)) on the 2pi-torus has the symbol
-    (h/2) sum_{j=1}^{n-1} sin^2(pi m j/n) / sin^2(pi j/n) = (h/2) m (n - m)
-    at the mode m, and the alpha=0 node's analytic pair limit -h f''/2 adds
-    h m^2/2 (skipping it would leave an O(h) hole in the integral); the two
-    make pi |m|, and length L scales m to k = 2 pi m / L."""
-    return np.abs(wavenumbers(n, L))
-
-
 def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
                          backend: str = "fourier") -> PeriodicField:
     """L_{+/-,b} f = (b f' +/- Lambda f) / <b>^2 in one dimension.
 
     backend "fourier" applies the multiplier lambda^{+/-}(k, b);
     "quadrature" applies the symbol of b f'/<b>^2 +/- c_1 P.V. int delta_alpha
-    f /<b>^2 d alpha/alpha^2 under the plan's rule, c_1 computed by quadrature;
-    the rule's symbol is |k| to rounding, so AC-03 and the verify check
-    dirichlet_neumann_backend_gap measure only |pi c_1 - 1|. "checked" runs
-    both and raises BackendMismatchError on disagreement.
+    f /<b>^2 d alpha/alpha^2 under the shift plan's rule, c_1 computed by
+    quadrature. On the 2pi-torus the rule's sum of w_s K_s (f(x) - f(x - j_s h))
+    against the fold K = 1/(4 sin^2(alpha/2)) of 1/alpha^2 has at mode m the
+    symbol (h/2) sum_{j=1}^{n-1} sin^2(pi m j/n) / sin^2(pi j/n) = (h/2) m (n - m),
+    and the alpha = 0 pair limit -h f''/2 (without which an O(h) hole is left)
+    adds h m^2/2: pi |m| exactly, pi |k| on length L. So AC-03 and the verify
+    check dirichlet_neumann_backend_gap measure only |pi c_1 - 1|. "checked"
+    runs both and raises BackendMismatchError on disagreement.
     """
     if field.components != 1:
         raise ValueError("dirichlet_neumann_op takes scalar 1D fields")
@@ -224,23 +199,24 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
             raise BackendMismatchError(gap, four, quad)
         return four
     n, L = field.n, field.domain_length
+    k = wavenumbers(n, L)
     if backend == "fourier":
-        return apply_multiplier(field, DriftedSqrtSymbol(b=b, sign=sgn).lam(wavenumbers(n, L)))
+        return apply_multiplier(field, _drifted_sqrt_symbol(k, b, sgn))
     if backend == "quadrature":
-        lam = lemz0_constant(1) * np.pi * _lambda_quadrature_symbol(n, L)
+        lam = lemz0_constant(1) * np.pi * np.abs(k)
         return apply_multiplier(
-            field, (b * _derivative_multiplier(n, L, 1) + sgn * lam) / (1.0 + b * b))
+            field, (b * _derivative_table(n, L, (1,))[0] + sgn * lam) / (1.0 + b * b))
     raise ValueError(f"unknown backend {backend!r}")
 
 
 # ---------------------------------------------------------------------------
 # fractional mean curvature
 
-def _gcal_remainder(rho: np.ndarray, d: int, a: float) -> np.ndarray:
-    """G(rho) - 2 rho with G(rho) = int_{-rho}^{rho} d tau / <tau>^{d+a},
+def _gcal_remainder(rho: np.ndarray, a: float) -> np.ndarray:
+    """G(rho) - 2 rho with G(rho) = int_{-rho}^{rho} d tau / <tau>^{2+a},
     computed without cancellation for small rho."""
     r = rho[..., None] * _GL01_NODES
-    return 2.0 * rho * (((1.0 + r * r) ** (-0.5 * (d + a)) - 1.0) @ _GL01_WEIGHTS)
+    return 2.0 * rho * (((1.0 + r * r) ** (-0.5 * (2 + a)) - 1.0) @ _GL01_WEIGHTS)
 
 
 def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
@@ -330,7 +306,7 @@ def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
         tail = (2.0 * special.binom(-0.5 * (2 + a), 1) / 3 * TWO_PI ** (-(4 + a))
                 * (special.zeta(4 + a, 7 + q) + special.zeta(4 + a, 7 - q)))
         out[far] = np.broadcast_to(coef[0], delta.shape)[far] * d + tail * d ** 3 + sum(
-            _gcal_remainder(d / r, 2, a) / r ** (1 + a)
+            _gcal_remainder(d / r, a) / r ** (1 + a)
             for k in range(1, 7) for r in (TWO_PI * k + al, TWO_PI * k - al))
     return out
 

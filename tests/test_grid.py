@@ -12,7 +12,6 @@ from pslab.grid import (
     NonFiniteError,
     PeriodicField,
     _dealias_mask,
-    _derivative_multiplier,
     _derivative_table,
     _hilbert_multiplier,
     _holder_tables,
@@ -123,15 +122,16 @@ class TestPlanCache:
         for _ in range(2):  # a miss, then a hit
             assert same_bits(wavenumbers(n, length), fresh_wavenumbers(n, length))
             for order in range(5):
-                assert same_bits(_derivative_multiplier(n, length, order),
+                assert same_bits(_derivative_table(n, length, (order,))[0],
                                  fresh_derivative_multiplier(n, length, order))
 
     def test_tables_are_shared_and_read_only(self):
         k = wavenumbers(64, 3.0)
-        mult = _derivative_multiplier(64, 3.0, 1)
+        mult = _derivative_table(64, 3.0, (1,))
         stacked = _derivative_table(64, 3.0, (2, 1))
         hilbert = _hilbert_multiplier(64)
         assert wavenumbers(64, 3.0) is k
+        assert _derivative_table(64, 3.0, (1,)) is mult
         assert _derivative_table(64, 3.0, (2, 1)) is stacked
         assert _hilbert_multiplier(64) is hilbert
         assert same_bits(stacked, np.stack([fresh_derivative_multiplier(64, 3.0, m)

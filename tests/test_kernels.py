@@ -135,8 +135,44 @@ class TestFrozenSymbol:
         assert exc.value.t == 1.0 and exc.value.xi == 2.0
         assert exc.value.min_eig < exc.value.floor
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_order_rejected(self, s):
+        # a NaN order made the decay bound NaN, which frobenius_excess skipped
+        with pytest.raises(ValueError, match="finite"):
+            FrozenSymbol(s=s, c0=0.5, dim_N=1, eval=lambda t, xi: abs(xi))
+
+    def test_probe_rejects_nan_eigenvalue(self):
+        sym = FrozenSymbol(s=1.0, c0=0.5, dim_N=2,
+                           eval=lambda t, xi: np.full((2, 2), np.nan))
+        with pytest.raises(EllipticityError) as exc:
+            ellipticity_probe(sym, [0.0], [1.0])
+        assert math.isnan(exc.value.min_eig)
+
 
 class TestFrozenKernelHat:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_bad_time_rejected_before_any_symbol_call(self, t):
+        calls = []
+        sym = FrozenSymbol(s=1.0, c0=0.5, dim_N=1,
+                           eval=lambda u, xi: calls.append(u) or abs(xi))
+        with pytest.raises(ValueError, match="positive and finite"):
+            frozen_kernel_hat(sym, t, [1.0])
+        assert calls == []
+
+    def test_non_finite_node_value_raises_at_first_level(self):
+        # finite on the probe's tau grid (multiples of 0.1), NaN at every
+        # Gauss node between, so only the first level's nodes are evaluated
+        calls = []
+
+        def ev(u, xi):
+            calls.append(u)
+            return abs(xi) if abs(10.0 * u - round(10.0 * u)) < 1e-9 else math.nan
+
+        sym = FrozenSymbol(s=1.0, c0=0.5, dim_N=1, eval=ev)
+        with pytest.raises(ValueError, match="non-finite"):
+            frozen_kernel_hat(sym, 1.6, [1.0, 2.0])
+        assert len(calls) == (kernels.TAU_STEPS + 1) * 2 + 2 * kernels.TAU_STEPS * 2
+
     def test_identity_at_t_final(self):
         sym = scalar_symbol(1.0, 0.4)
         khat = frozen_kernel_hat(sym, 0.8, [1.0, 3.0])
@@ -206,7 +242,8 @@ class TestFrozenKernelHat:
         assert np.allclose(khat.values[-1], np.eye(2), atol=1e-14)
 
     def test_stiff_symbol_converges(self):
-        # large t |xi|^s: stability-derived step count must keep RK4 sane
+        # large t |xi|^s: the Magnus step contracts at any step size, so the
+        # first level needs no stability-derived step count
         sym = scalar_symbol(2.0, 0.5)
         t = 2.0
         khat = frozen_kernel_hat(sym, t, [8.0])
@@ -347,8 +384,8 @@ class TestFrozenKernelNodeMemo:
                 assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_close_to_fine_plain_rk4(self, monkeypatch):
-        # the stop rule that compared plain levels ended this case at 768
-        # steps; plain RK4 at 4x that count is the reference
+        # plain RK4 at 3072 steps, far past the 96 where the Magnus
+        # doubling stops, is the reference
         monkeypatch.setattr(kernels, "TAU_STEPS", 24)
         sym = CountingRotatingSymbol(2).symbol()
         khat = frozen_kernel_hat(sym, self.T, self.XIS)

@@ -222,7 +222,7 @@ class TestNonlocalMcf:
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
     def test_mode1_rate_matches_multiplier(self, a):
         model = NonlocalMcfModel(a=a)
-        rate = mode1_rate(model, eps=1e-6, n=256)
+        rate = mode1_rate(model)
         assert rate == pytest.approx(-model.multiplier_constant, rel=1e-3)
 
     def test_constant_state_stationary(self):

@@ -9,11 +9,17 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import binom, gamma, zeta
 
-from pslab.grid import PeriodicField, fractional_laplacian, hilbert_transform, spectral_derivative
+from pslab.grid import (
+    PeriodicField,
+    apply_multiplier,
+    fractional_laplacian,
+    hilbert_transform,
+    spectral_derivative,
+)
 from pslab.nonlocal_ops import (
     BackendMismatchError,
-    DriftedSqrtSymbol,
     WellStretchedError,
+    _drifted_sqrt_symbol,
     contc_integral,
     dirichlet_neumann_op,
     fractional_mean_curvature,
@@ -97,30 +103,23 @@ class TestDriftedSqrtSymbol:
             b = rng.uniform(-5.0, 5.0)
             xi = rng.uniform(-40.0, 40.0)
             g2 = 1.0 + b * b
-            lp = DriftedSqrtSymbol(b=b, sign=+1).lam(xi)
-            lm = DriftedSqrtSymbol(b=b, sign=-1).lam(xi)
+            lp = _drifted_sqrt_symbol(xi, b, +1)
+            lm = _drifted_sqrt_symbol(xi, b, -1)
             assert abs(lp + lm - 2j * b * xi / g2) < 1e-12 * max(1.0, abs(xi))
             assert abs(lp * lm + xi * xi / g2) < 1e-12 * max(1.0, xi * xi)
             assert lm.real <= 1e-15 <= lp.real + 1e-15
 
-    def test_vector_case(self):
-        b = np.array([0.4, -1.2])
-        xi = np.array([[3.0, -2.0], [0.0, 5.0], [1.0, 1.0]])
-        g2 = 1.0 + float(b @ b)
-        lp = DriftedSqrtSymbol(b=b, sign=+1).lam(xi)
-        lm = DriftedSqrtSymbol(b=b, sign=-1).lam(xi)
-        xi2 = np.sum(xi * xi, axis=-1)
-        assert np.allclose(lp + lm, 2j * (xi @ b) / g2, atol=1e-13)
-        assert np.allclose(lp * lm, -xi2 / g2, atol=1e-12)
-
     @given(b=st.floats(-5, 5), sign=st.sampled_from([+1, -1]))
     @settings(max_examples=50, deadline=None)
     def test_zero_frequency_annihilated(self, b, sign):
-        assert DriftedSqrtSymbol(b=b, sign=sign).lam(0.0) == 0.0
+        assert _drifted_sqrt_symbol(0.0, b, sign) == 0.0
 
     def test_rejects_bad_sign(self):
-        with pytest.raises(ValueError):
-            DriftedSqrtSymbol(b=1.0, sign=2)
+        f = PeriodicField(np.cos(grid_1d(64)))
+        for backend in ("fourier", "quadrature", "checked"):
+            for sign in (2, 0, "plus"):
+                with pytest.raises(ValueError, match="sign"):
+                    dirichlet_neumann_op(f, 1.0, sign, backend=backend)
 
 
 class TestShiftPlan:
@@ -183,10 +182,12 @@ class TestDirichletNeumannOp:
         # sum_{j=1}^{n-1} sin^2(pi m j/n) / sin^2(pi j/n) = m (n - m), so the
         # backends differ only by the factor pi c_1 of the quadrature route
         k = np.abs(np.fft.rfftfreq(n, d=1.0 / n) * (TWO_PI / length))
-        q = nonlocal_ops._lambda_quadrature_symbol(n, length)
-        assert q.shape == k.shape
-        assert np.array_equal(q, k)
-        assert np.max(np.abs(quadrature_symbol_from_kernel(n, length) - k)) <= 4e-16 * np.max(k)
+        symbol = quadrature_symbol_from_kernel(n, length)
+        assert np.max(np.abs(symbol - k)) <= 4e-16 * np.max(k)
+        f = PeriodicField(np.random.default_rng(n).standard_normal(n), domain_length=length)
+        got = dirichlet_neumann_op(f, 0.0, +1, backend="quadrature").samples
+        want = apply_multiplier(f, np.pi * lemz0_constant(1) * symbol).samples
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_b_zero_is_half_laplacian(self):
         n = 128
@@ -224,8 +225,7 @@ class TestDirichletNeumannOp:
     def test_checked_backend_reports_disagreement(self, monkeypatch):
         rng = np.random.default_rng(29)
         f = PeriodicField(band_limited(128, rng))
-        monkeypatch.setattr(nonlocal_ops, "_lambda_quadrature_symbol",
-                            lambda n, L: np.zeros(n // 2 + 1))
+        monkeypatch.setattr(nonlocal_ops, "lemz0_constant", lambda d: 0.0)
         with pytest.raises(BackendMismatchError) as exc:
             dirichlet_neumann_op(f, 0.0, +1, backend="checked")
         assert exc.value.gap > 10 * nonlocal_ops.BACKEND_TOL
@@ -279,7 +279,7 @@ class TestGcal:
         # G(rho) - 2 rho ~ -(2+a)/3 rho^3; the subtracted form keeps full
         # relative accuracy where direct subtraction loses every digit
         a, rho = 0.5, 1e-8
-        rem = nonlocal_ops._gcal_remainder(np.array([rho]), 2, a)[0]
+        rem = nonlocal_ops._gcal_remainder(np.array([rho]), a)[0]
         lead = -(2 + a) / 3.0 * rho**3
         assert rem == pytest.approx(lead, rel=1e-3)
 
@@ -288,7 +288,7 @@ class TestGcal:
         # at moderate slopes the 16-node Gauss-Legendre remainder and the
         # adaptive quadrature of G agree to round-off
         rho = np.array([-3.0, -1.7, -0.3, 0.3, 1.0, 1.7, 2.5, 3.0])
-        rem = nonlocal_ops._gcal_remainder(rho, 2, a)
+        rem = nonlocal_ops._gcal_remainder(rho, a)
         oracle = np.array([gcal(r, 2, a) for r in rho]) - 2.0 * rho
         assert np.all(np.abs(rem - oracle) <= 1e-11 * np.abs(oracle))
 

@@ -305,6 +305,11 @@ class TestContractionReport:
         with pytest.raises(ValueError, match="nonnegative"):
             contraction_report([1.0, -0.5, 0.25])
 
+    def test_nan_distance_rejected(self):
+        # a NaN passes d < 0 and min(1.0, nan) once read as r_squared 1.0
+        with pytest.raises(ValueError, match="NaN"):
+            contraction_report([1.0, np.nan, 0.25, 0.125])
+
     @settings(max_examples=25, deadline=None)
     @given(factor=st.floats(min_value=0.05, max_value=0.9))
     def test_geometric_sequences_recovered(self, factor):
