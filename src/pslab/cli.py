@@ -71,12 +71,15 @@ exit-3 run also writes diagnostics.txt (aborted_at, reason), with
 initial.bin, final.bin and ledger.csv holding the march up to its last
 kept row; when the initial state already breaks the stretch cap, or its
 ledger row cannot be built (a derivative that overflows), no row is kept,
-so only manifest.txt and diagnostics.txt are written.
+so only manifest.txt and diagnostics.txt are written. A run first removes
+initial.bin, final.bin, ledger.csv and diagnostics.txt, nothing else, from a
+reused output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -512,6 +515,10 @@ def cmd_run(config_path: str) -> int:
     out_dir = _resolve_output_dir(config.output_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
+        # a reused directory must not keep an earlier run's artifacts
+        for name in ("initial.bin", "final.bin", "ledger.csv", "diagnostics.txt"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
         _write_manifest(os.path.join(out_dir, "manifest.txt"), config)
     except OSError as exc:
         raise ConfigError(f"cannot write to output dir: {exc}")

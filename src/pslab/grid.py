@@ -6,6 +6,7 @@ n = 0..N/2 (unnormalized; ``irfft(modes, N)`` inverts it with 1/N and drops
 the imaginary part of modes 0 and N/2). Applying a real operator's symbol
 m(k) means ``modes[n] *= m(k_n)`` and nothing else, at the physical
 wavenumbers k_n = 2*pi*n/L (Nyquist at +N/2) on which every table is built.
+Every field derivative, scalar or contour, is a row of ``derivatives``.
 """
 
 from __future__ import annotations
@@ -131,15 +132,6 @@ def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
     return apply_multiplier(field, np.abs(k) ** a)
 
 
-def spectral_derivative(field: PeriodicField, order: int = 1) -> PeriodicField:
-    """d^order/dx^order via the multiplier (i k)^order (Nyquist mode zeroed
-    for odd orders)."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return apply_multiplier(
-        field, _derivative_table(field.n, field.domain_length, (order,))[0])
-
-
 @lru_cache(maxsize=32)
 def _derivative_table(n: int, L: float, orders: tuple) -> np.ndarray:
     """Rows (i k)^m on the wavenumbers for m in orders, the Nyquist mode
@@ -153,13 +145,16 @@ def _derivative_table(n: int, L: float, orders: tuple) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
 def derivatives(field: PeriodicField, orders) -> np.ndarray:
-    """Rows spectral_derivative(field, m).samples for each m in orders, bit
-    for bit, from one rfft and one batched irfft; scalar fields only. Raises
+    """d^m/dx^m of every component for each m in orders, shape
+    (len(orders), *field.samples.shape): the multipliers (i k)^m of
+    _derivative_table on one rfft, inverted by one batched irfft. Raises
     NonFiniteError when a derivative overflows."""
-    if field.components != 1 or min(orders) < 0:
-        raise ValueError("derivatives takes a scalar 1D field and orders >= 0")
+    if min(orders) < 0:
+        raise ValueError("derivative orders must be >= 0")
     mults = _derivative_table(field.n, field.domain_length, tuple(orders))
-    rows = np.fft.irfft(np.fft.rfft(field.samples) * mults, field.n)
+    if field.components > 1:
+        mults = mults[:, None]  # each order's row serves every component
+    rows = np.fft.irfft(np.fft.rfft(field.samples, axis=-1) * mults, field.n, axis=-1)
     if not np.isfinite(rows).all():
         raise NonFiniteError("samples contain NaN/Inf")
     return rows

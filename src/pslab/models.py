@@ -22,7 +22,6 @@ from .grid import (
     _dealias_mask,
     _derivative_table,
     derivatives,
-    spectral_derivative,
     wavenumbers,
 )
 from .kernels import sd_symbol
@@ -97,7 +96,7 @@ class HeatModel(_ModelBase):
     tag = "heat"
 
     def rhs(self, field):
-        return spectral_derivative(field, 2)
+        return field.with_samples(derivatives(field, (2,))[0])
 
     def linear_multiplier(self, k):
         return k**2
@@ -125,7 +124,7 @@ class VarCoefHeatModel(_ModelBase):
 
     def rhs(self, field):
         a = self.profile(field.nodes())
-        return field.with_samples(a * spectral_derivative(field, 2).samples)
+        return field.with_samples(a * derivatives(field, (2,))[0])
 
     def linear_multiplier(self, k):
         # the frozen constant coefficient is the profile mean
@@ -148,7 +147,7 @@ class McfGraphModel(_ModelBase):
         return k**2
 
     def coefficient_profile(self, field):
-        fx = spectral_derivative(field, 1).samples
+        fx = derivatives(field, (1,))[0]
         return 1.0 / (1.0 + fx * fx)
 
     def remainder_hat(self, field, uh):
@@ -175,7 +174,7 @@ class NonlocalMcfModel(_ModelBase):
             -4.0 * gamma(-1.0 - self.a) * np.cos(0.5 * np.pi * (1.0 + self.a)))
 
     def rhs(self, field):
-        ux = spectral_derivative(field, 1).samples
+        ux = derivatives(field, (1,))[0]
         H = fractional_mean_curvature(field, self.a).samples
         return field.with_samples(-np.sqrt(1.0 + ux * ux) * H)
 
@@ -227,7 +226,7 @@ class MuskatStModel(_ModelBase):
         return np.abs(k) ** 3
 
     def coefficient_profile(self, field):
-        fp = spectral_derivative(field, 1).samples
+        fp = derivatives(field, (1,))[0]
         return (1.0 + fp * fp) ** -1.5
 
     def conserved(self, field):
@@ -290,9 +289,8 @@ class ThinfilmExpModel(_ModelBase):
     tag = "thinfilm_exp"
 
     def rhs(self, field):
-        v = spectral_derivative(field, 2).samples
-        w = field.with_samples(np.exp(-v))
-        return spectral_derivative(w, 2)
+        w = field.with_samples(np.exp(-derivatives(field, (2,))[0]))
+        return w.with_samples(derivatives(w, (2,))[0])
 
     def linear_multiplier(self, k):
         return k**4
@@ -340,7 +338,7 @@ def enclosed_area(X: PeriodicField) -> float:
     if X.components != 2:
         raise ValueError("enclosed_area takes a 2-component contour")
     xs, ys = X.samples
-    xp, yp = spectral_derivative(X, 1).samples
+    xp, yp = derivatives(X, (1,))[0]
     return 0.5 * X.spacing * float(np.sum(xs * yp - ys * xp))
 
 

@@ -12,8 +12,8 @@ far periods are summed as a Hurwitz-zeta series in the increment (DLMF
 25.11), or explicitly where that series converges slowly. Shift sums over
 data-dependent kernels run blockwise from one cached per-N _ShiftPlan; sums
 over fixed kernels are circulants applied through the plan's kernel spectra
-(the Muskat convolutions), or in closed form where the rule's symbol has one
-(the Dirichlet-Neumann quadrature).
+(the Muskat convolutions), or by the closed-form symbol pi c_1 |k| of the
+Dirichlet-Neumann rule, whose two backends are thus one multiplier.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .grid import (
     fractional_laplacian,
     hilbert_transform,
     on_two_pi_torus,
-    spectral_derivative,
     wavenumbers,
 )
 
@@ -107,18 +106,6 @@ def contc_integral(d: int, b, e, tol: float = 1e-10) -> float:
 # ---------------------------------------------------------------------------
 # drifted half-Laplacian
 
-def _drifted_sqrt_symbol(k: np.ndarray, b: float, sign: int) -> np.ndarray:
-    """lambda^{+/-}(k, b) = (i b k +/- sqrt(<b>^2 k^2 - (b k)^2)) / <b>^2.
-
-    The square root is real: (b k)^2 < <b>^2 k^2 for k != 0. Hence
-    Re lambda^- <= 0 <= Re lambda^+ and lambda^{+/-}(0, b) = 0.
-    """
-    bk = b * k
-    g2 = 1.0 + b * b
-    root = np.sqrt(g2 * (k * k) - bk * bk)
-    return (1j * bk + sign * root) / g2
-
-
 def _normalize_sign(sign) -> int:
     if sign in (+1, -1):
         return int(sign)
@@ -175,12 +162,14 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
                          backend: str = "fourier") -> PeriodicField:
     """L_{+/-,b} f = (b f' +/- Lambda f) / <b>^2 in one dimension.
 
-    backend "fourier" applies the multiplier lambda^{+/-}(k, b);
-    "quadrature" applies the symbol of b f'/<b>^2 +/- c_1 P.V. int delta_alpha
-    f /<b>^2 d alpha/alpha^2 under the shift plan's rule, c_1 computed by
-    quadrature. On the 2pi-torus the rule's sum of w_s K_s (f(x) - f(x - j_s h))
-    against the fold K = 1/(4 sin^2(alpha/2)) of 1/alpha^2 has at mode m the
-    symbol (h/2) sum_{j=1}^{n-1} sin^2(pi m j/n) / sin^2(pi j/n) = (h/2) m (n - m),
+    Both backends apply one symbol, (i b k +/- c |k|) / <b>^2, and differ
+    only in c. "fourier" takes the exact c = 1: in one dimension the drifted
+    root sqrt(<b>^2 k^2 - (b k)^2) is |k|. "quadrature" takes c = pi c_1,
+    c_1 = lemz0_constant(1) by quadrature, the symbol of b f'/<b>^2 +/- c_1
+    P.V. int delta_alpha f /<b>^2 d alpha/alpha^2 under the shift plan's rule.
+    On the 2pi-torus the rule's sum of w_s K_s (f(x) - f(x - j_s h)) against
+    the fold K = 1/(4 sin^2(alpha/2)) of 1/alpha^2 has at mode m the symbol
+    (h/2) sum_{j=1}^{n-1} sin^2(pi m j/n) / sin^2(pi j/n) = (h/2) m (n - m),
     and the alpha = 0 pair limit -h f''/2 (without which an O(h) hole is left)
     adds h m^2/2: pi |m| exactly, pi |k| on length L. So AC-03 and the verify
     check dirichlet_neumann_backend_gap measure only |pi c_1 - 1|. "checked"
@@ -198,15 +187,13 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
         if gap > 10 * BACKEND_TOL:
             raise BackendMismatchError(gap, four, quad)
         return four
+    if backend not in ("fourier", "quadrature"):
+        raise ValueError(f"unknown backend {backend!r}")
+    c = 1.0 if backend == "fourier" else np.pi * lemz0_constant(1)
     n, L = field.n, field.domain_length
-    k = wavenumbers(n, L)
-    if backend == "fourier":
-        return apply_multiplier(field, _drifted_sqrt_symbol(k, b, sgn))
-    if backend == "quadrature":
-        lam = lemz0_constant(1) * np.pi * np.abs(k)
-        return apply_multiplier(
-            field, (b * _derivative_table(n, L, (1,))[0] + sgn * lam) / (1.0 + b * b))
-    raise ValueError(f"unknown backend {backend!r}")
+    lam = c * np.abs(wavenumbers(n, L))
+    return apply_multiplier(
+        field, (b * _derivative_table(n, L, (1,))[0] + sgn * lam) / (1.0 + b * b))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +353,7 @@ def peskin_rhs(X: PeriodicField) -> PeriodicField:
     if not on_two_pi_torus(X.domain_length):
         raise ValueError("the cotangent reformulation assumes the 2pi-torus")
 
-    xp = spectral_derivative(X, 1).samples
+    xp = derivatives(X, (1,))[0]
     speed = np.sqrt(xp[0] ** 2 + xp[1] ** 2)
     if float(speed.min()) <= 1e-12:
         raise WellStretchedError(int(np.argmin(speed)))
@@ -421,7 +408,7 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     fp, fpp, fppp = derivatives(f, (1, 2, 3))
     w = (1.0 + fp * fp) ** -1.5
     wp, wpp = derivatives(PeriodicField(w, domain_length=f.domain_length), (1, 2))
-    q = spectral_derivative(PeriodicField(fpp * w, domain_length=f.domain_length), 1).samples
+    q = derivatives(PeriodicField(fpp * w, domain_length=f.domain_length), (1,))[0]
 
     main = -fractional_laplacian(f, 3.0).samples * w
     plan = _shift_plan(f.n)

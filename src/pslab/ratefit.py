@@ -166,8 +166,8 @@ def contraction_report(contraction_log: Sequence[float]) -> ContractionReport:
     d = np.asarray(list(contraction_log), dtype=float)
     if len(d) < 3:
         raise ValueError("need at least 3 iterate distances")
-    if not np.all(d >= 0):
-        raise ValueError("distances must be nonnegative, not NaN")
+    if not np.all(np.isfinite(d) & (d >= 0)):
+        raise ValueError("distances must be finite and nonnegative, not NaN or inf")
     while len(d) > 0 and d[-1] == 0.0:
         d = d[:-1]
     if len(d) < 3:

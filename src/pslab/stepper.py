@@ -228,41 +228,51 @@ def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     check_pointwise(model, u.n, u.components)
-    a = np.asarray(model.coefficient_profile(u), dtype=float)
-    m = model.linear_multiplier(wavenumbers(u.n, u.domain_length))
-    uh = np.fft.rfft(u.samples)
+    a, m, uh, rem = _pointwise_parts(model, u)
     rows = np.fft.irfft(np.exp(-dt * np.outer(a, m)) * uh, u.n)
-    # the explicit part: the full right side plus the frozen-symbol action
-    # a(x) m(k) u that the rows already carry
-    rem = model.rhs(u).samples + a * np.fft.irfft(uh * m, u.n)
     return u.with_samples(np.diagonal(rows) + dt * rem)
 
 
-def _stability_bound(model, u0: PeriodicField, dt: float) -> float:
-    """Largest probed step tau for which the phi1-damped remainder response
-    tau * ||phi1(-tau A) dR|| / ||dv|| stays below 1. The damping factor is
-    what the scheme actually applies, so a remainder with stiff content but
-    coefficient ratio < 1 correctly reports an unbounded window."""
+def _pointwise_parts(model, u: PeriodicField):
+    """Profile a(x), symbol m(k), uh = rfft(u) and the explicit part of a
+    frozen_pointwise step: the full right side plus the frozen-symbol action
+    a(x) m(k) u that the rows already carry."""
+    a = np.asarray(model.coefficient_profile(u), dtype=float)
+    m = model.linear_multiplier(wavenumbers(u.n, u.domain_length))
+    uh = np.fft.rfft(u.samples)
+    return a, m, uh, model.rhs(u).samples + a * np.fft.irfft(uh * m, u.n)
+
+
+def _stability_bound(model, u0: PeriodicField, config: StepperConfig) -> float:
+    """Largest step tau for which the remainder's response to a probe dv,
+    tau ||dR|| / ||dv||, stays below 1 under the scheme's damping. The ETD
+    schemes damp dR by phi1(-tau A) (probed over a dyadic tau window), so a
+    stiff remainder with coefficient ratio < 1 reports an unbounded window;
+    frozen_pointwise adds dR undamped, so its bound is ||dv|| / ||dR||."""
     rng = np.random.default_rng(0)
     scale = 1e-6 * max(float(np.max(np.abs(u0.samples))), 1.0)
     dv = rng.standard_normal(u0.samples.shape) * scale
+    probe = u0.with_samples(u0.samples + dv)
+    dv_sup = float(np.max(np.abs(dv)))
+    if config.scheme == "frozen_pointwise":
+        dr_sup = float(np.max(np.abs(
+            _pointwise_parts(model, probe)[3] - _pointwise_parts(model, u0)[3])))
+        return np.inf if dr_sup == 0.0 else dv_sup / dr_sup
     rh0, rh1 = (model.remainder_hat(w, np.fft.rfft(w.samples, axis=-1))
-                for w in (u0, u0.with_samples(u0.samples + dv)))
+                for w in (u0, probe))
     if rh0 is None or not np.any(diff_hat := rh1 - rh0):
         return np.inf
-    k = wavenumbers(u0.n, u0.domain_length)
-    m = model.linear_multiplier(k)
-    dv_sup = float(np.max(np.abs(dv)))
+    m = model.linear_multiplier(wavenumbers(u0.n, u0.domain_length))
     bound = 0.0
     for j in range(-2, 16):
-        tau = dt * 2.0**j
+        tau = config.dt * 2.0**j
         resp = np.fft.irfft(_phi1(-tau * m) * diff_hat, u0.n, axis=-1)
         q = tau * float(np.max(np.abs(resp))) / dv_sup
         if q <= 1.0:
             bound = tau
         elif bound > 0.0:
             break
-    return np.inf if bound == dt * 2.0**15 else bound
+    return np.inf if bound == config.dt * 2.0**15 else bound
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -286,6 +296,8 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     theta_cap on any accepted state, or a model-level positivity failure,
     and its subclass StepSizeRefused when dt fails the stability guard."""
     n_steps = _n_steps(T, config.dt)
+    if config.scheme == "frozen_pointwise":
+        check_pointwise(model, u0.n, u0.components)
     spec = ledger_spec if ledger_spec is not None else LedgerSpec()
     cap = getattr(model, "theta_cap", None)
     want_theta = spec.record_theta if spec.record_theta is not None else cap is not None
@@ -318,10 +330,10 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
 
     accept(0.0, u0, True)
     try:
-        bound = _stability_bound(model, u0, config.dt)
+        bound = _stability_bound(model, u0, config)
     except (RuntimeError, NonFiniteError) as exc:
         raise EvolutionAbort(kept(), str(exc), 0.0) from exc
-    if config.dt > 0.5 * bound:
+    if not config.dt <= 0.5 * bound:
         raise StepSizeRefused(
             kept(),
             f"dt={config.dt:.3e} exceeds half the measured stability bound "

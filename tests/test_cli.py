@@ -645,6 +645,38 @@ class TestRunCommand:
         assert keys(refused) == keys(aborted) == ["aborted_at", "reason"]
         assert "positive" in (aborted / "diagnostics.txt").read_text()
 
+    def test_reused_dir_after_abort_keeps_no_stale_diagnostics(self, tmp_path):
+        # an exit-3 run that keeps no row, then a complete run into its
+        # directory: the old diagnostics.txt (aborted_at = 0) goes
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        overflow = write_config(tmp_path, "overflow.cfg", overrides={
+            "grid.N": "256", "initial.amplitude": "1e305", "output.dir": str(out)})
+        assert main(["run", overflow]) == 3
+        assert "aborted_at = 0" in (out / "diagnostics.txt").read_text()
+        assert main(["run", write_config(tmp_path, overrides={"output.dir": str(out)})]) == 0
+        assert set(os.listdir(out)) == {"manifest.txt", "initial.bin", "final.bin",
+                                        "ledger.csv", "notes.txt"}
+
+    def test_reused_dir_after_success_keeps_no_stale_outputs(self, tmp_path):
+        # the reverse order: only manifest.txt and diagnostics.txt are left
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, overrides={"output.dir": str(out)})]) == 0
+        overflow = write_config(tmp_path, "overflow.cfg", overrides={
+            "grid.N": "256", "initial.amplitude": "1e305", "output.dir": str(out)})
+        assert main(["run", overflow]) == 3
+        assert set(os.listdir(out)) == {"manifest.txt", "diagnostics.txt"}
+        assert "initial.amplitude = 1e305" in (out / "manifest.txt").read_text()
+
+    def test_unremovable_stale_artifact_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "ledger.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, overrides={"output.dir": str(out)})
+        assert main(["run", cfg]) == 2
+        assert "output dir" in capsys.readouterr().err
+        assert set(os.listdir(out)) == {"ledger.csv"}
+
     def test_surface_diffusion_run_records_theta_never(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, overrides={

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pslab import cli
-from pslab.grid import PeriodicField, spectral_derivative
+from pslab.grid import PeriodicField
 from pslab.models import (
     MODELS,
     HeatModel,

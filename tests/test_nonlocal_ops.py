@@ -12,14 +12,13 @@ from scipy.special import binom, gamma, zeta
 from pslab.grid import (
     PeriodicField,
     apply_multiplier,
+    derivatives,
     fractional_laplacian,
     hilbert_transform,
-    spectral_derivative,
 )
 from pslab.nonlocal_ops import (
     BackendMismatchError,
     WellStretchedError,
-    _drifted_sqrt_symbol,
     contc_integral,
     dirichlet_neumann_op,
     fractional_mean_curvature,
@@ -96,23 +95,54 @@ class TestContcIdentity:
             contc_integral(2, [1.0], [1.0, 0.0])
 
 
-class TestDriftedSqrtSymbol:
-    def test_sum_and_product_identities(self):
-        rng = np.random.default_rng(7)
-        for _ in range(1000):
-            b = rng.uniform(-5.0, 5.0)
-            xi = rng.uniform(-40.0, 40.0)
-            g2 = 1.0 + b * b
-            lp = _drifted_sqrt_symbol(xi, b, +1)
-            lm = _drifted_sqrt_symbol(xi, b, -1)
-            assert abs(lp + lm - 2j * b * xi / g2) < 1e-12 * max(1.0, abs(xi))
-            assert abs(lp * lm + xi * xi / g2) < 1e-12 * max(1.0, xi * xi)
-            assert lm.real <= 1e-15 <= lp.real + 1e-15
+def drifted_sqrt_symbol(k, b, sign):
+    """lambda^{+/-}(k, b) = (i b k +/- sqrt(<b>^2 k^2 - (b k)^2)) / <b>^2, the
+    drifted root written out; in one dimension it is |k|."""
+    bk = b * k
+    g2 = 1.0 + b * b
+    return (1j * bk + sign * np.sqrt(g2 * (k * k) - bk * bk)) / g2
 
-    @given(b=st.floats(-5, 5), sign=st.sampled_from([+1, -1]))
+
+class TestDriftedSqrtSymbol:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_fourier_backend_matches_sqrt_oracle(self, n):
+        rng = np.random.default_rng(n + 11)
+        for length in (TWO_PI, 2.0 * TWO_PI, 1.0):
+            f = PeriodicField(rng.standard_normal(n), domain_length=length)
+            k = np.fft.rfftfreq(n, d=1.0 / n) * (TWO_PI / length)
+            for b in (0.0, 0.5, 3.0, -1.7):
+                for sign in (+1, -1):
+                    got = dirichlet_neumann_op(f, b, sign, backend="fourier").samples
+                    want = apply_multiplier(f, drifted_sqrt_symbol(k, b, sign)).samples
+                    assert relative_gap(got, want) <= 1e-15, (length, b, sign)
+
+    def test_sum_and_product_identities(self):
+        # with c = 1 (fourier) or pi c_1 (quadrature): L+ f + L- f = 2 b f'/<b>^2,
+        # L+ f - L- f = 2 c Lambda f/<b>^2, L+ L- f = (b^2 + c^2) f''/<b>^4
+        rng = np.random.default_rng(7)
+        for backend, c in (("fourier", 1.0), ("quadrature", np.pi * lemz0_constant(1))):
+            for length in (TWO_PI, 3.0):
+                f = PeriodicField(band_limited(256, rng), domain_length=length)
+                fp, fpp = derivatives(f, (1, 2))
+                lam = fractional_laplacian(f, 1.0).samples
+                for b in (0.0, 0.5, -2.5):
+                    g2 = 1.0 + b * b
+                    lp = dirichlet_neumann_op(f, b, +1, backend=backend)
+                    lm = dirichlet_neumann_op(f, b, "-", backend=backend)
+                    drift = lp.samples + lm.samples - 2.0 * b * fp / g2
+                    assert np.max(np.abs(drift)) <= 1e-13 * np.max(np.abs(fp))
+                    assert relative_gap(lp.samples - lm.samples, 2.0 * c * lam / g2) <= 1e-13
+                    # (i b k)^2 - c^2 k^2 = (b^2 + c^2) (i k)^2
+                    lpm = dirichlet_neumann_op(lm, b, +1, backend=backend).samples
+                    assert relative_gap(lpm, (b * b + c * c) * fpp / g2**2) <= 1e-12
+
+    @given(b=st.floats(-5, 5), sign=st.sampled_from([+1, -1, "+", "-"]),
+           level=st.floats(-1e3, 1e3), backend=st.sampled_from(["fourier", "quadrature"]))
     @settings(max_examples=50, deadline=None)
-    def test_zero_frequency_annihilated(self, b, sign):
-        assert _drifted_sqrt_symbol(0.0, b, sign) == 0.0
+    def test_zero_frequency_annihilated(self, b, sign, level, backend):
+        f = PeriodicField(np.full(64, level))
+        got = dirichlet_neumann_op(f, b, sign, backend=backend).samples
+        assert np.max(np.abs(got)) <= 1e-14 * max(1.0, abs(level))
 
     def test_rejects_bad_sign(self):
         f = PeriodicField(np.cos(grid_1d(64)))
@@ -515,9 +545,9 @@ class TestPeskinRhs:
     def _stokes_single_layer(X):
         n, h = X.n, X.spacing
         xs = X.samples
-        xp = np.stack([spectral_derivative(PeriodicField(c), 1).samples for c in xs])
+        xp = derivatives(X, (1,))[0]
         speed = np.sqrt(xp[0] ** 2 + xp[1] ** 2)
-        W = np.stack([spectral_derivative(PeriodicField(c), 1).samples for c in xp])
+        W = derivatives(PeriodicField(xp), (1,))[0]
         acc = np.zeros_like(xs)
         for j in range(1, n):
             alpha = j * h
@@ -612,10 +642,10 @@ def shift_nodes(n, h):
 
 def muskat_loop(f, rho0):
     n, h, v = f.n, f.spacing, f.samples
-    fp, fpp, fppp = (spectral_derivative(f, m).samples for m in (1, 2, 3))
+    fp, fpp, fppp = derivatives(f, (1, 2, 3))
     w = (1.0 + fp * fp) ** -1.5
-    wp, wpp = (spectral_derivative(PeriodicField(w), m).samples for m in (1, 2))
-    q = spectral_derivative(PeriodicField(fpp * w), 1).samples
+    wp, wpp = derivatives(PeriodicField(w), (1, 2))
+    q = derivatives(PeriodicField(fpp * w), (1,))[0]
     g0 = fp * fpp / (2.0 * (1.0 + fp * fp))
     n1, n3 = h * g0 * q, h * g0 * fp
     n2 = h * (0.5 * fpp * wpp + fppp * wp)
@@ -634,7 +664,7 @@ def muskat_loop(f, rho0):
 def peskin_loop(X):
     # Hookean tension: T(|X'|) X' = X'
     xs = X.samples
-    xp = np.stack([spectral_derivative(PeriodicField(c), 1).samples for c in xs])
+    xp = derivatives(X, (1,))[0]
     main = -0.25 * np.stack([hilbert_transform(PeriodicField(c)).samples for c in xp])
     acc = np.zeros_like(xs)
     for j, wt in shift_nodes(X.n, X.spacing):
@@ -657,7 +687,7 @@ def lambda_loop(field):
     acc = np.zeros_like(u)
     for j, wt in shift_nodes(field.n, h):
         acc += wt * scale**2 / (4.0 * np.sin(0.5 * j * h * scale) ** 2) * (u - np.roll(u, j))
-    return (acc - 0.5 * h * spectral_derivative(field, 2).samples) / np.pi
+    return (acc - 0.5 * h * derivatives(field, (2,))[0]) / np.pi
 
 
 def blocked_lambda_loop(field):
@@ -667,7 +697,7 @@ def blocked_lambda_loop(field):
     u = field.samples
     wk = (TWO_PI / field.domain_length) * plan.weights * plan.inv_four_sin2
     acc = sum(wk[rows] @ (u - u[plan.index[rows]]) for rows in plan.blocks)
-    fpp = spectral_derivative(field, 2).samples
+    fpp = derivatives(field, (2,))[0]
     return (acc + field.spacing * (-0.5 * fpp)) / np.pi
 
 
@@ -697,7 +727,7 @@ class TestShiftPlanAgainstLoops:
         rng = np.random.default_rng(n + 2)
         for length in (TWO_PI, 3.0):
             f = PeriodicField(band_limited(n, rng), domain_length=length)
-            fp = spectral_derivative(f, 1).samples
+            fp = derivatives(f, (1,))[0]
             for b, sign in ((0.0, +1), (1.5, -1)):
                 got = dirichlet_neumann_op(f, b, sign, backend="quadrature").samples
                 lam = lemz0_constant(1) * np.pi * lambda_loop(f)
@@ -713,7 +743,7 @@ class TestShiftPlanAgainstLoops:
         rng = np.random.default_rng(n + 3)
         for length in (TWO_PI, 2.0 * TWO_PI, 1.0):
             f = PeriodicField(rng.standard_normal(n), domain_length=length)
-            fp = spectral_derivative(f, 1).samples
+            fp = derivatives(f, (1,))[0]
             lam = lemz0_constant(1) * np.pi * blocked_lambda_loop(f)
             for b in (0.0, 0.5, 3.0):
                 for sign in (+1, -1):

@@ -310,6 +310,12 @@ class TestContractionReport:
         with pytest.raises(ValueError, match="NaN"):
             contraction_report([1.0, np.nan, 0.25, 0.125])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_distance_rejected(self, bad):
+        # an inf passed d >= 0 and its NaN residuals read as r_squared 1.0
+        with pytest.raises(ValueError, match="inf"):
+            contraction_report([1.0, bad, 0.25, 0.125])
+
     @settings(max_examples=25, deadline=None)
     @given(factor=st.floats(min_value=0.05, max_value=0.9))
     def test_geometric_sequences_recovered(self, factor):

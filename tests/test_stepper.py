@@ -13,7 +13,6 @@ from pslab.grid import (
     apply_multiplier,
     derivatives,
     norms,
-    spectral_derivative,
     wavenumbers,
 )
 from pslab.models import (
@@ -45,6 +44,7 @@ from pslab.stepper import (
     _n_steps,
     _phi1,
     _phi2,
+    _stability_bound,
 )
 
 
@@ -284,7 +284,7 @@ class TestLedger:
 def holder_by_shift_loop(field, k, kappa):
     """max over the dyadic shifts j h <= L/4 of ||d - d(. - j h)||_inf /
     (j h)^kappa for the k-th spectral derivative d, one np.roll per shift."""
-    d = spectral_derivative(field, k).samples if k else field.samples
+    d = derivatives(field, (k,))[0] if k else field.samples
     value, j = 0.0, 1
     while j <= field.n // 4:
         sup = float(np.max(np.abs(d - np.roll(d, j))))
@@ -303,8 +303,8 @@ def ledger_row_by_columns(t, field, spec):
            "mean": base["mean"],
            "osc_linf": float(np.max(np.abs(field.samples - base["mean"])))}
     for m in spec.derivative_sup:
-        d = spectral_derivative(field, int(m))
-        row[f"d{int(m)}_linf"] = float(np.max(np.abs(d.samples)))
+        d = derivatives(field, (int(m),))[0]
+        row[f"d{int(m)}_linf"] = float(np.max(np.abs(d)))
     for k, kappa in spec.holder_targets:
         row[f"holder_{int(k)}_{float(kappa):g}"] = \
             holder_by_shift_loop(field, int(k), float(kappa))
@@ -423,17 +423,17 @@ def physical_remainder(model, u):
         fx, fxx = derivatives(u, (1, 2))
         return (1.0 / (1.0 + fx * fx) - 1.0) * fxx
     if model.tag == "thinfilm_exp":
-        v = spectral_derivative(u, 2).samples
-        return spectral_derivative(u.with_samples(np.expm1(-v) + v), 2).samples
+        v = derivatives(u, (2,))[0]
+        return derivatives(u.with_samples(np.expm1(-v) + v), (2,))[0]
     if model.tag == "surface_diffusion_axi":
         h = u.samples
         hx, hxx = derivatives(u, (1, 2))
         br = np.sqrt(1.0 + hx * hx)
         curv = apply_multiplier(u.with_samples(1.0 / (h * br) - hxx / br**3),
                                 _dealias_mask(u.n))
-        curv_x = spectral_derivative(curv, 1).samples
+        curv_x = derivatives(curv, (1,))[0]
         flux = apply_multiplier(u.with_samples((h / br) * curv_x), _dealias_mask(u.n))
-        rhs = spectral_derivative(flux, 1).samples / h
+        rhs = derivatives(flux, (1,))[0] / h
     else:
         rhs = model.rhs(u).samples
     k = wavenumbers(u.n, u.domain_length)
@@ -591,6 +591,40 @@ class TestFrozenPointwise:
             got = frozen_pointwise_step(u, model, dt).samples
             want = pointwise_step_by_dense_sum(u, model, dt).samples
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_guard_refuses_a_dt_the_undamped_remainder_cannot_take(self):
+        # the step adds dt * rem undamped; the guard's bound ||dv|| / ||dR||
+        # is 3.32e-4 here, and dt = 1e-3 would overflow the state by t = 0.02
+        u0 = PeriodicField(0.5 * np.cos(grid_x(256)))
+        config = StepperConfig(dt=1e-3, scheme="frozen_pointwise")
+        with pytest.raises(StepSizeRefused, match="stability bound 3.320e-04") as err:
+            evolve(MuskatStModel(), u0, 0.05, config)
+        assert err.value.time == 0.0
+        assert err.value.trajectory.times().tolist() == [0.0]
+        assert _stability_bound(MuskatStModel(), u0, config) == pytest.approx(3.32e-4, rel=1e-3)
+
+    def test_guard_accepts_a_dt_below_half_the_bound(self):
+        u0 = PeriodicField(0.5 * np.cos(grid_x(256)))
+        traj = evolve(MuskatStModel(), u0, 2e-3,
+                      StepperConfig(dt=1e-4, scheme="frozen_pointwise"))
+        assert len(traj.snapshots) == 21
+        assert np.all(np.isfinite(traj.final().samples))
+
+    def test_guard_bound_is_unlimited_without_a_remainder(self):
+        # heat's explicit part is rhs(u) + u_xx-symbol action = 0 exactly
+        u0 = triangle(128, 0.4)
+        config = StepperConfig(dt=1.0, scheme="frozen_pointwise")
+        assert _stability_bound(HeatModel(), u0, config) == np.inf
+
+    @pytest.mark.parametrize("model, u0, match", [
+        (NonlocalMcfModel(a=0.5), PeriodicField(np.cos(grid_x(64))), "pointwise"),
+        (Peskin2dModel(), ellipse(32), "scalar"),
+        (HeatModel(), PeriodicField(np.zeros(2048)), "1024"),
+    ], ids=["no_profile", "contour", "above_max_n"])
+    def test_evolve_rejects_before_the_guard(self, model, u0, match):
+        with pytest.raises(ValueError, match=match) as err:
+            evolve(model, u0, 1e-3, StepperConfig(dt=1e-3, scheme="frozen_pointwise"))
+        assert not isinstance(err.value, EvolutionAbort)
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="scalar"):
