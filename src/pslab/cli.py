@@ -178,7 +178,8 @@ _PRESETS = {
 class RunConfig:
     """Fully validated run description; serializes back to config text."""
 
-    model_spec: models.ModelSpec
+    tag: str
+    params: Dict[str, float]
     n: int
     domain_length: float
     stepper: StepperConfig
@@ -233,7 +234,6 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
         value = _pop_number(pairs, f"model.{name}")
         if value is not None:
             params[name] = value
-    spec = models.ModelSpec(tag, params)
 
     n = _pop_number(pairs, "grid.N", int, required=True)
     if n < 16 or n & (n - 1):
@@ -324,7 +324,7 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
 
     if pairs:
         raise ConfigError(f"unknown keys: {', '.join(sorted(pairs))}")
-    return RunConfig(model_spec=spec, n=n, domain_length=length,
+    return RunConfig(tag=tag, params=params, n=n, domain_length=length,
                      stepper=stepper_config, horizon=horizon,
                      initial=initial, ledger=ledger, output_dir=out_dir,
                      seed=seed)
@@ -341,10 +341,9 @@ def load_config(path: str) -> RunConfig:
 
 def config_lines(config: RunConfig) -> List[str]:
     """The effective config, defaults included, as loadable text lines."""
-    spec = config.model_spec
-    lines = [f"model.tag = {spec.tag}"]
-    for name in sorted(spec.params):
-        lines.append(f"model.{name} = {spec.params[name]:.17g}")
+    lines = [f"model.tag = {config.tag}"]
+    for name in sorted(config.params):
+        lines.append(f"model.{name} = {config.params[name]:.17g}")
     lines.append(f"grid.N = {config.n}")
     lines.append(f"grid.L = {config.domain_length:.17g}")
     lines.append(f"stepper.dt = {config.stepper.dt:.17g}")
@@ -371,6 +370,17 @@ def config_lines(config: RunConfig) -> List[str]:
 # ---------------------------------------------------------------------------
 # initial data presets
 
+def _band_samples(rng, x, scale, kmin, kmax):
+    """sum over kmin <= k <= kmax of c_k cos(scale k x) + s_k sin(scale k x),
+    with c_k then s_k drawn standard normal from rng in order of k."""
+    samples = np.zeros(x.size)
+    for k in range(kmin, kmax + 1):
+        phase = scale * k * x
+        samples += rng.standard_normal() * np.cos(phase)
+        samples += rng.standard_normal() * np.sin(phase)
+    return samples
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite: ConfigError below
 def _preset_field(config: RunConfig) -> PeriodicField:
     preset = config.initial["preset"]
@@ -395,12 +405,8 @@ def _preset_field(config: RunConfig) -> PeriodicField:
         kmin, kmax = int(p["kmin"]), int(p["kmax"])
         if not 1 <= kmin <= kmax < n // 2:
             raise ConfigError("random_band needs 1 <= kmin <= kmax < N/2")
-        rng = np.random.default_rng(config.seed)
-        samples = np.zeros(n)
-        for k in range(kmin, kmax + 1):
-            phase = (TWO_PI / length) * k * x
-            samples += rng.standard_normal() * np.cos(phase)
-            samples += rng.standard_normal() * np.sin(phase)
+        samples = _band_samples(np.random.default_rng(config.seed), x,
+                                TWO_PI / length, kmin, kmax)
         samples *= p["amplitude"] / max(float(np.max(np.abs(samples))), 1e-300)
     else:
         # a circle is the ellipse with both semi-axes equal to its radius
@@ -432,7 +438,7 @@ def build_initial_field(config: RunConfig) -> PeriodicField:
     else:
         source = f"preset {config.initial['preset']}"
         field = _preset_field(config)
-    model_cls = models.MODELS[config.model_spec.tag]
+    model_cls = models.MODELS[config.tag]
     want = 2 if model_cls.is_contour else 1
     if field.components != want:
         shape = "a 2-component contour" if want == 2 else "a scalar field"
@@ -507,7 +513,7 @@ def _write_run_outputs(out_dir: str, traj: Trajectory) -> None:
 def cmd_run(config_path: str) -> int:
     config = load_config(config_path)
     try:
-        model = models.make_model(config.model_spec)
+        model = models.make_model(config.tag, config.params)
     except ValueError as exc:
         raise ConfigError(str(exc))
     u0 = build_initial_field(config)
@@ -558,15 +564,6 @@ def _check(name, measured, expected, tolerance, lower_bound=False):
         "tolerance": float(tolerance),
         "schema_version": SCHEMA_VERSION,
     }
-
-
-def _random_band_field(rng) -> PeriodicField:
-    x = np.arange(256) * (TWO_PI / 256)
-    samples = np.zeros(256)
-    for k in range(1, 21):
-        samples += rng.standard_normal() * np.cos(k * x)
-        samples += rng.standard_normal() * np.sin(k * x)
-    return PeriodicField(samples / np.sqrt(20))
 
 
 def _verify_kernels() -> List[dict]:
@@ -635,11 +632,12 @@ def _verify_operators() -> List[dict]:
         checks.append(_check(f"lemz0_identity_d{d}_b{label}", measured,
                              expected, 1e-4))
 
+    x = np.arange(256) * (TWO_PI / 256)
     rng = np.random.default_rng(1)
     worst = 0.0
     for b in (0.0, 0.5, 1.0, 3.0):
         for _ in range(2):
-            field = _random_band_field(rng)
+            field = PeriodicField(_band_samples(rng, x, 1.0, 1, 20) / np.sqrt(20))
             four = nonlocal_ops.dirichlet_neumann_op(field, b, "+",
                                                      backend="fourier")
             quad = nonlocal_ops.dirichlet_neumann_op(field, b, "+",
@@ -649,7 +647,6 @@ def _verify_operators() -> List[dict]:
             worst = max(worst, gap)
     checks.append(_check("dirichlet_neumann_backend_gap", worst, 0.0, 1e-3))
 
-    x = np.arange(256) * (TWO_PI / 256)
     h = nonlocal_ops.hilbert_transform(PeriodicField(np.cos(x)))
     gap = float(np.max(np.abs(h.samples - np.sin(x))))
     checks.append(_check("hilbert_transform_cosine", gap, 0.0, 1e-12))
@@ -690,7 +687,7 @@ def _verify_models() -> List[dict]:
         ("nonlocal_mcf", bumpy),
         ("thinfilm_exp", PeriodicField(0.01 * np.cos(x))),
     ):
-        model = models.make_model(models.ModelSpec(tag, {}))
+        model = models.MODELS[tag]()
         lhs = model.rhs(field).samples
         mult = model.linear_multiplier(wavenumbers(n, field.domain_length))
         linear = apply_multiplier(field, mult).samples

@@ -39,10 +39,10 @@ def fractional_heat_kernel(t: float, s: float, n: int, domain_length: float = TW
     Built in frequency space as e^{-t|k|^s} with the mode-0 weight chosen
     so the grid mass (L/N) sum K equals 1 exactly.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
+    if not 0 < s < np.inf:
+        raise ValueError("s must be positive and finite")
     k = wavenumbers(n, domain_length)
     modes = (n / domain_length) * np.exp(-t * np.abs(k) ** s)
     return PeriodicField(np.fft.irfft(modes, n), domain_length=domain_length)
@@ -255,6 +255,8 @@ class PoissonAnisoKernel:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if b.shape != (self.d,):
             raise ValueError(f"b must have shape ({self.d},)")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b must be finite")
         object.__setattr__(self, "b", b)
 
     @property
@@ -264,8 +266,8 @@ class PoissonAnisoKernel:
 
 def poisson_aniso_eval(kernel: PoissonAnisoKernel, x, z: float):
     """Pointwise kernel value; z = 0 is rejected (the limit is delta(x))."""
-    if z == 0:
-        raise ValueError("z must be nonzero")
+    if not (z != 0 and np.isfinite(z)):
+        raise ValueError("z must be finite and nonzero")
     x = np.asarray(x, dtype=float)
     if kernel.d == 1:
         xb = x * kernel.b[0]
@@ -283,8 +285,8 @@ def poisson_aniso_mass(kernel: PoissonAnisoKernel, z: float) -> float:
     coordinate in closed form (int dv / (A v^2 + D)^{3/2} = 2/(D sqrt(A)))
     and quadratures the remaining 1D integral adaptively.
     """
-    if z == 0:
-        raise ValueError("z must be nonzero")
+    if not (z != 0 and np.isfinite(z)):
+        raise ValueError("z must be finite and nonzero")
     if kernel.d == 1:
         val, err = integrate.quad(
             lambda x: poisson_aniso_eval(kernel, x, z), -np.inf, np.inf,
@@ -305,7 +307,7 @@ def poisson_aniso_mass(kernel: PoissonAnisoKernel, z: float) -> float:
         val, err = integrate.quad(inner, -np.inf, np.inf,
                                   limit=400, epsabs=1e-10, epsrel=1e-10)
         val *= kernel.c_d * abs(z)
-    if err > 1e-6:
+    if not err <= 1e-6:
         raise RuntimeError(f"mass quadrature did not converge: error estimate {err:.2e}")
     return float(val)
 
@@ -329,10 +331,10 @@ def periodic_sd_kernel(t: float, hbar0: float, n: int) -> PeriodicField:
 
     Requires hbar0 > 1 so A(n) > 0 for every n != 0 (stable regime).
     """
-    if hbar0 <= 1:
+    if not hbar0 > 1:
         raise ValueError("hbar0 must exceed 1 (A(n) > 0 for all n != 0)")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
     modes = (n / TWO_PI) * np.exp(-sd_symbol(wavenumbers(n), hbar0) * t)
     modes[0] = 0.0
     return PeriodicField(np.fft.irfft(modes, n), domain_length=TWO_PI)

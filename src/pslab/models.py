@@ -11,7 +11,6 @@ or reads u_hat directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -35,18 +34,6 @@ class PositivityError(RuntimeError):
     def __init__(self, min_value):
         self.min_value = min_value
         super().__init__(f"state minimum {min_value:.3e} is not positive")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Tag and parameter record of one evolution equation."""
-
-    tag: str
-    params: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tag not in MODELS:
-            raise ValueError(f"unknown model tag {self.tag!r}")
 
 
 class _ModelBase:
@@ -317,17 +304,20 @@ MODELS = {cls.tag: cls for cls in (
 )}
 
 
-def make_model(spec: ModelSpec) -> _ModelBase:
-    """Instantiate the model named by a spec record."""
-    cls = MODELS[spec.tag]
-    for name in spec.params:
+def make_model(tag: str, params: dict) -> _ModelBase:
+    """Instantiate MODELS[tag] from its declared parameters; ValueError for
+    an unknown tag, an undeclared parameter or a missing required one."""
+    if tag not in MODELS:
+        raise ValueError(f"unknown model tag {tag!r}")
+    cls = MODELS[tag]
+    for name in params:
         if name not in cls.params:
-            raise ValueError(f"{spec.tag} has no parameter {name!r}")
+            raise ValueError(f"{tag} has no parameter {name!r}")
     try:
-        return cls(**spec.params)
+        return cls(**params)
     except TypeError as exc:
         # a required parameter left out
-        raise ValueError(f"{spec.tag}: {exc}") from exc
+        raise ValueError(f"{tag}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def _one_minus_cos_over_square(c: float, tol: float = 1e-12) -> float:
     # oscillatory-weight rule
     osc, e2 = integrate.quad(lambda a: 1.0 / a**2, 1.0, np.inf,
                              weight="cos", wvar=c, limit=200)
-    if max(e1, abs(e2)) > 1e-7:
+    if not (e1 <= 1e-7 and abs(e2) <= 1e-7):
         raise RuntimeError("oscillatory tail quadrature did not converge")
     return head + 1.0 - osc
 
@@ -82,6 +82,9 @@ def contc_integral(d: int, b, e, tol: float = 1e-10) -> float:
     e = np.atleast_1d(np.asarray(e, dtype=float))
     if b.shape != (d,) or e.shape != (d,):
         raise ValueError(f"b and e must have shape ({d},)")
+    for name, v in (("b", b), ("e", e)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     if d == 1:
         return _one_minus_cos_over_square(e[0], tol) * 2.0 / (1.0 + b[0] ** 2)
     if d != 2:
@@ -98,7 +101,7 @@ def contc_integral(d: int, b, e, tol: float = 1e-10) -> float:
     pts = sorted(((th_e + 0.5 * np.pi * k) % TWO_PI) for k in range(1, 4, 2))
     val, err = integrate.quad(angular, 0.0, TWO_PI, points=pts, limit=200,
                               epsabs=tol, epsrel=tol)
-    if err > 1e-7:
+    if not err <= 1e-7:
         raise RuntimeError(f"angular quadrature error {err:.2e}")
     return val
 
@@ -309,9 +312,9 @@ class WellStretchedError(RuntimeError):
         super().__init__(f"contour tangent speed vanishes at node {node}")
 
 
-def stretch_ratio(X: PeriodicField):
-    """Theta = max over node pairs of torus distance / chord length, with the
-    offending pair; coincident nodes give inf."""
+def stretch_ratio(X: PeriodicField) -> float:
+    """Theta = max over node pairs of torus distance / chord length;
+    coincident nodes give inf."""
     if X.components != 2:
         raise ValueError("stretch_ratio takes a 2-component contour")
     n = X.n
@@ -328,13 +331,7 @@ def stretch_ratio(X: PeriodicField):
     chord = np.sqrt(d0, out=d0)
     with np.errstate(divide="ignore"):
         ratios = np.divide(dx, chord, out=dx)
-    theta = ratios.max()
-    rows, i = np.nonzero(ratios == theta)
-    k = index[rows, i]
-    lo, hi = np.minimum(i, k), np.maximum(i, k)
-    # the first maximal pair in np.triu_indices order
-    first = int(np.argmin(lo * n + hi))
-    return float(theta), (int(lo[first]), int(hi[first]))
+    return float(ratios.max())
 
 
 def peskin_rhs(X: PeriodicField) -> PeriodicField:

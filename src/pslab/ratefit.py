@@ -137,8 +137,8 @@ def smoothing_report(traj, s: float, targets: Sequence[Tuple[int, float]],
     -(k+kappa)/s (the instant-smoothing scale for data with one bounded
     derivative). A kappa at or below 0.05 selects the d{k+1}_linf
     derivative-sup column as the seminorm surrogate."""
-    if s <= 0:
-        raise ValueError("order s must be positive")
+    if not 0 < s < np.inf:
+        raise ValueError("order s must be positive and finite")
     times = traj.times()
     out = []
     for k, kappa in targets:

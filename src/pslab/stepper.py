@@ -310,7 +310,7 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     def accept(t, w, keep):
         # the one stretch measurement of each accepted state serves both
         # the cap and the ledger's theta column
-        theta = stretch_ratio(w)[0] if want_theta or cap is not None else None
+        theta = stretch_ratio(w) if want_theta or cap is not None else None
         if cap is not None and not theta < cap:
             raise EvolutionAbort(kept(), f"stretch ratio {theta:.3g} "
                                  f"reached the cap {cap:.3g}", t)
@@ -389,8 +389,11 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
     successive-iterate sup distances. Raises PicardDivergenceError (log
     attached) when the ratio is >= 1 three times in a row or the iteration
     budget runs out; contraction is a property of the window length, so
-    the caller should retry on a shorter window.
+    the caller should retry on a shorter window. Only the ETD schemes have
+    a whole-window map; frozen_pointwise raises ValueError.
     """
+    if config.scheme not in ("imex_frozen_phi", "etd_rk2"):
+        raise ValueError("picard_solve takes scheme imex_frozen_phi or etd_rk2")
     g = [(j * config.dt, u0) for j in range(_n_steps(T, config.dt) + 1)]
     log = []
     prev = None

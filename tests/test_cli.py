@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pslab import models
+from pslab import models, nonlocal_ops
 from pslab.cli import (
     _PRESETS,
     ConfigError,
@@ -113,7 +113,7 @@ def run_configs(draw):
                         derivative_sup=derivative_sup, holder_targets=holder,
                         record_theta=theta)
     return RunConfig(
-        model_spec=models.ModelSpec(tag, params), n=n, domain_length=length,
+        tag=tag, params=params, n=n, domain_length=length,
         stepper=StepperConfig(dt, draw(st.sampled_from(schemes))),
         horizon=horizon, initial=initial, ledger=ledger,
         output_dir=draw(st.text("abc_/.-0123", min_size=1, max_size=12)),
@@ -825,6 +825,60 @@ class TestConfigErrorsBeforeOutput:
         field = build_initial_field(config)
         x = field.nodes()
         np.testing.assert_array_equal(field.samples, np.cos(2 * x))
+
+
+def old_random_band_field(rng):
+    """The band field the operators suite built before it shared the preset's
+    band builder: modes 1..20 at 256 nodes, divided by sqrt(20)."""
+    x = np.arange(256) * (2 * np.pi / 256)
+    samples = np.zeros(256)
+    for k in range(1, 21):
+        samples += rng.standard_normal() * np.cos(k * x)
+        samples += rng.standard_normal() * np.sin(k * x)
+    return PeriodicField(samples / np.sqrt(20))
+
+
+def old_random_band_preset(n, length, seed, kmin, kmax, amplitude):
+    """The random_band preset as its own loop wrote it, phase (2pi/L) k x."""
+    x = np.arange(n) * (length / n)
+    rng = np.random.default_rng(seed)
+    samples = np.zeros(n)
+    for k in range(kmin, kmax + 1):
+        phase = (2 * np.pi / length) * k * x
+        samples += rng.standard_normal() * np.cos(phase)
+        samples += rng.standard_normal() * np.sin(phase)
+    samples *= amplitude / max(float(np.max(np.abs(samples))), 1e-300)
+    return samples
+
+
+class TestBandFields:
+    def test_verify_band_fields_match_the_old_loop(self, monkeypatch, capsys):
+        seen = []
+        dn = nonlocal_ops.dirichlet_neumann_op
+
+        def spy(field, b, sign, backend="fourier"):
+            if backend == "fourier":
+                seen.append(field.samples.tobytes())
+            return dn(field, b, sign, backend=backend)
+
+        monkeypatch.setattr(nonlocal_ops, "dirichlet_neumann_op", spy)
+        assert main(["verify", "operators"]) == 0
+        rng = np.random.default_rng(1)
+        assert seen == [old_random_band_field(rng).samples.tobytes()
+                        for _ in range(8)]
+
+    @pytest.mark.parametrize("length", [2 * np.pi, 3.7])
+    @pytest.mark.parametrize("n, seed, kmin, kmax, amplitude", [
+        (64, 0, 1, 8, 1.0), (256, 42, 3, 20, 0.3), (1024, 7, 1, 511, 2.5)])
+    def test_preset_matches_the_old_loop(self, length, n, seed, kmin, kmax,
+                                         amplitude):
+        config = build_run_config(parse_config_text(config_text({
+            "grid.N": str(n), "grid.L": repr(length), "seed": str(seed),
+            "initial.preset": "random_band", "initial.kmin": str(kmin),
+            "initial.kmax": str(kmax), "initial.amplitude": repr(amplitude)})))
+        got = build_initial_field(config)
+        want = old_random_band_preset(n, length, seed, kmin, kmax, amplitude)
+        assert got.samples.tobytes() == want.tobytes()
 
 
 class TestVerifyCommand:

@@ -44,6 +44,14 @@ class TestFractionalHeatKernel:
         with pytest.raises(ValueError):
             fractional_heat_kernel(0.1, -1.0, 64)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_or_order_rejected(self, bad):
+        # a bad t or s must be named, not left to the samples' NaN/Inf check
+        with pytest.raises(ValueError, match="^t must"):
+            fractional_heat_kernel(bad, 1.0, 64)
+        with pytest.raises(ValueError, match="^s must"):
+            fractional_heat_kernel(0.1, bad, 64)
+
     def test_grid_mass_exact(self):
         for t, s, n in [(0.3, 1.0, 64), (0.01, 2.0, 256), (2.0, 3.0, 128)]:
             K = fractional_heat_kernel(t, s, n)
@@ -450,6 +458,26 @@ class TestPoissonAnisoKernel:
         with pytest.raises(ValueError):
             poisson_aniso_eval(PoissonAnisoKernel(b=0.0, d=1), 0.3, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_drift_or_height_rejected(self, bad):
+        # unchecked, a nan drift or z gives a nan mass and b = inf a mass of 0
+        for b, d in ((bad, 1), ((0.5, bad), 2)):
+            with pytest.raises(ValueError, match="^b must be finite"):
+                PoissonAnisoKernel(b=b, d=d)
+        for k in (PoissonAnisoKernel(b=0.5, d=1),
+                  PoissonAnisoKernel(b=(0.5, 0.5), d=2)):
+            with pytest.raises(ValueError, match="^z must"):
+                poisson_aniso_mass(k, bad)
+            with pytest.raises(ValueError, match="^z must"):
+                poisson_aniso_eval(k, np.zeros(k.d), bad)
+
+    def test_nan_error_estimate_fails_convergence(self, monkeypatch):
+        # err > tol is false for a nan estimate; the test must not pass it
+        monkeypatch.setattr(kernels.integrate, "quad",
+                            lambda *args, **kw: (1.0, float("nan")))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            poisson_aniso_mass(PoissonAnisoKernel(b=0.5, d=1), 1.0)
+
     def test_d1_drift_free_is_cauchy_kernel(self):
         k = PoissonAnisoKernel(b=0.0, d=1)
         for x in (-2.0, 0.0, 0.7):
@@ -506,6 +534,21 @@ class TestSurfaceDiffusionKernel:
     def test_rejects_unstable_hbar0(self):
         with pytest.raises(ValueError):
             periodic_sd_kernel(0.5, 1.0, 64)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="^t must"):
+            periodic_sd_kernel(bad, 2.0, 64)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="^hbar0 must"):
+            periodic_sd_kernel(0.5, float("nan"), 64)
+
+    def test_infinite_radius_is_the_planar_kernel(self):
+        K = periodic_sd_kernel(0.1, float("inf"), 64)
+        want = np.fft.irfft(np.r_[0.0, (64 / (2 * np.pi)) * np.exp(
+            -0.1 * np.arange(1, 33) ** 4.0)], 64)
+        assert np.allclose(K.samples, want, rtol=0, atol=1e-14)
 
     def test_mode_weights_and_mean(self):
         t, n = 0.4, 128

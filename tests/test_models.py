@@ -1,6 +1,6 @@
 """Model-level checks: splitting identities, stationary states, linearized
 mode-1 rates against their analytic values, conservation diagnostics, and
-the spec records that name each equation."""
+the tag and parameters that make each equation."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from pslab.models import (
     MODELS,
     HeatModel,
     McfGraphModel,
-    ModelSpec,
     MuskatStModel,
     NonlocalMcfModel,
     Peskin2dModel,
@@ -54,20 +53,20 @@ def splitting_gap(model, field):
 
 class TestModelSpec:
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            ModelSpec(tag="advection", params={})
+        with pytest.raises(ValueError, match="advection"):
+            make_model("advection", {})
 
     def test_make_model_round_trip(self):
-        m = make_model(ModelSpec("nonlocal_mcf", {"a": 0.75}))
+        m = make_model("nonlocal_mcf", {"a": 0.75})
         assert isinstance(m, NonlocalMcfModel) and m.a == 0.75
-        m = make_model(ModelSpec("muskat_st", {"rho0": 2.0}))
+        m = make_model("muskat_st", {"rho0": 2.0})
         assert isinstance(m, MuskatStModel) and m.rho0 == 2.0
-        m = make_model(ModelSpec("surface_diffusion_axi", {"hbar0": 3.0}))
+        m = make_model("surface_diffusion_axi", {"hbar0": 3.0})
         assert isinstance(m, SurfaceDiffusionModel) and m.hbar0 == 3.0
 
     def test_make_model_missing_radius(self):
         with pytest.raises(ValueError, match="hbar0"):
-            make_model(ModelSpec("surface_diffusion_axi", {}))
+            make_model("surface_diffusion_axi", {})
 
 
 # a valid value for each declared model parameter
@@ -77,15 +76,14 @@ PARAM_SAMPLES = {"a": 0.75, "theta_cap": 7.0, "rho0": 2.0, "hbar0": 3.0}
 @pytest.mark.parametrize("tag", list(MODELS))
 class TestModelDeclarations:
     def test_spec_round_trips(self, tag):
-        spec = ModelSpec(tag, {name: PARAM_SAMPLES[name]
-                               for name in MODELS[tag].params})
-        model = make_model(spec)
-        for name, value in spec.params.items():
+        params = {name: PARAM_SAMPLES[name] for name in MODELS[tag].params}
+        model = make_model(tag, params)
+        for name, value in params.items():
             assert getattr(model, name) == value
 
     def test_undeclared_parameter_rejected(self, tag):
         with pytest.raises(ValueError, match="bogus"):
-            make_model(ModelSpec(tag, {"bogus": 1.0}))
+            make_model(tag, {"bogus": 1.0})
 
     def test_config_keys_documented(self, tag):
         # every model.<name> line of the cli docstring names a declared
@@ -262,8 +260,7 @@ class TestPeskinModel:
         assert np.max(np.abs(traj.final().samples - X0.samples)) < 1e-10
 
     def test_theta_cap_recorded_in_params(self):
-        spec = ModelSpec("peskin2d", {"theta_cap": 7.0})
-        assert getattr(make_model(spec), "theta_cap") == 7.0
+        assert make_model("peskin2d", {"theta_cap": 7.0}).theta_cap == 7.0
 
     @pytest.mark.parametrize("cap", [float("nan"), 0.0, -1.5])
     def test_theta_cap_must_be_positive(self, cap):
@@ -336,8 +333,8 @@ class TestThinfilm:
 
 class TestDiagnostics:
     def test_theta_monitor_circle(self):
-        assert stretch_ratio(circle(128))[0] == pytest.approx(np.pi / 2, abs=1e-6)
-        assert stretch_ratio(circle(128, radius=3.0))[0] == pytest.approx(
+        assert stretch_ratio(circle(128)) == pytest.approx(np.pi / 2, abs=1e-6)
+        assert stretch_ratio(circle(128, radius=3.0)) == pytest.approx(
             np.pi / 6, abs=1e-6)
 
     def test_enclosed_area(self):

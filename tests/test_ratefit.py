@@ -271,6 +271,12 @@ class TestSmoothingReport:
         with pytest.raises(ValueError, match="positive"):
             smoothing_report(heat_sawtooth_traj, s=0.0, targets=[(1, 0.0)])
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
+    def test_non_finite_order_rejected(self, heat_sawtooth_traj, s):
+        # unchecked, nan gives a nan expected exponent and inf gives -0.0
+        with pytest.raises(ValueError, match="order s"):
+            smoothing_report(heat_sawtooth_traj, s=s, targets=[(1, 0.0)])
+
 
 class TestContractionReport:
     def test_halving_distances(self):

@@ -815,3 +815,15 @@ class TestPicard:
         u0 = PeriodicField(np.zeros(32))
         with pytest.raises(ValueError):
             picard_solve(HeatModel(), u0, -1.0, StepperConfig(dt=0.01))
+
+    def test_pointwise_scheme_rejected_before_any_iterate(self, monkeypatch):
+        # the pointwise scheme has no whole-window map, and the ETD weights
+        # would silently give it the exponential-Euler one
+        def no_iterate(*args):
+            raise AssertionError("iterated")
+
+        monkeypatch.setattr(stepper, "_picard_apply", no_iterate)
+        u0 = PeriodicField(0.2 * np.cos(grid_x(128)))
+        with pytest.raises(ValueError, match="scheme imex_frozen_phi or etd_rk2"):
+            picard_solve(McfGraphModel(), u0, 0.05,
+                         StepperConfig(dt=1e-3, scheme="frozen_pointwise"))
