@@ -6,7 +6,8 @@ n = 0..N/2 (unnormalized; ``irfft(modes, N)`` inverts it with 1/N and drops
 the imaginary part of modes 0 and N/2). Applying a real operator's symbol
 m(k) means ``modes[n] *= m(k_n)`` and nothing else, at the physical
 wavenumbers k_n = 2*pi*n/L (Nyquist at +N/2) on which every table is built.
-Every field derivative, scalar or contour, is a row of ``derivatives``.
+Every field derivative, scalar or contour, is a row of ``derivatives``, or
+of ``derivative_rows`` for a stack of fields.
 """
 
 from __future__ import annotations
@@ -124,10 +125,10 @@ def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
     field : PeriodicField
         Scalar or multi-component field; components transform separately.
     a : float
-        Positive order. a <= 0 is rejected.
+        Positive, finite order; anything else is rejected.
     """
-    if a <= 0:
-        raise ValueError("order a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError(f"order a must satisfy 0 < a < inf, got {a!r}")
     k = wavenumbers(field.n, field.domain_length)
     return apply_multiplier(field, np.abs(k) ** a)
 
@@ -146,18 +147,27 @@ def _derivative_table(n: int, L: float, orders: tuple) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
 def derivatives(field: PeriodicField, orders) -> np.ndarray:
     """d^m/dx^m of every component for each m in orders, shape
-    (len(orders), *field.samples.shape): the multipliers (i k)^m of
-    _derivative_table on one rfft, inverted by one batched irfft. Raises
+    (len(orders), *field.samples.shape): see derivative_rows. Raises
     NonFiniteError when a derivative overflows."""
     if min(orders) < 0:
         raise ValueError("derivative orders must be >= 0")
-    mults = _derivative_table(field.n, field.domain_length, tuple(orders))
-    if field.components > 1:
-        mults = mults[:, None]  # each order's row serves every component
-    rows = np.fft.irfft(np.fft.rfft(field.samples, axis=-1) * mults, field.n, axis=-1)
+    rows = derivative_rows(field.samples, field.domain_length, orders)
     if not np.isfinite(rows).all():
         raise NonFiniteError("samples contain NaN/Inf")
     return rows
+
+
+def derivative_rows(samples: np.ndarray, L: float, orders) -> np.ndarray:
+    """d^m/dx^m along the last axis of samples on period L for each m in
+    orders, shape (len(orders), *samples.shape): the multipliers (i k)^m of
+    _derivative_table on one rfft, inverted by one batched irfft. Every row
+    is bit-identical to the transform of that row alone. Run under
+    np.errstate: overflows are left in place for the caller to find."""
+    n = samples.shape[-1]
+    mults = _derivative_table(n, L, tuple(orders))
+    # each order's row serves every leading index of samples
+    mults = mults.reshape(len(mults), *(1,) * (samples.ndim - 1), -1)
+    return np.fft.irfft(np.fft.rfft(samples, axis=-1) * mults, n, axis=-1)
 
 
 def hilbert_transform(field: PeriodicField) -> PeriodicField:
@@ -199,19 +209,26 @@ def check_holder_target(n: int, k: int, kappa: float) -> None:
         raise ValueError("derivative order not resolvable at this N")
 
 
-def _holder_value(d: np.ndarray, k: int, kappa: float, h: float) -> float:
-    """max_j ||d - d(. - j h)||_inf / (j h)^kappa over the dyadic shifts for the
-    k-th derivative d on spacing h; run under np.errstate (overflow raises).
+def holder_rows(d: np.ndarray, kappa: float, h: float) -> np.ndarray:
+    """max_j ||d - d(. - j h)||_inf / (j h)^kappa over the dyadic shifts for
+    each row of d, shape (B, N), on spacing h; NaN where a difference
+    overflows. Run under np.errstate.
 
     The estimate is monotone nondecreasing as shifts are added and differs
     from the continuum C^{k+kappa} seminorm by an O(1) constant, so the
     slopes of rate fits are unaffected."""
-    check_holder_target(len(d), k, kappa)
-    shifts, index = _holder_tables(len(d))
-    sups = np.max(np.abs(d - d[index]), axis=1)
-    if not np.all(np.isfinite(sups)):
-        raise NonFiniteError("samples contain NaN/Inf")
-    return max(float(s) / (h * int(j)) ** kappa for j, s in zip(shifts, sups))
+    shifts, index = _holder_tables(d.shape[-1])
+    sups = []
+    for row in index:
+        # one (B, N) gather per shift keeps no (B, shifts, N) temporary
+        diff = np.take(d, row, axis=-1)
+        sups.append(np.abs(np.subtract(d, diff, out=diff), out=diff).max(axis=-1))
+    sups = np.array(sups)
+    # (j h)^kappa by Python's pow: np.power rounds some of them differently
+    divisors = np.array([(h * int(j)) ** kappa for j in shifts])
+    values = np.max(sups / divisors[:, None], axis=0)
+    values[~np.isfinite(sups).all(axis=0)] = np.nan
+    return values
 
 
 def norms(field: PeriodicField) -> dict:
@@ -221,27 +238,35 @@ def norms(field: PeriodicField) -> dict:
     Samples whose squares or sums overflow are measured in units of their
     largest entry; a norm that overflows even so raises NonFiniteError.
     """
-    w = field.spacing
-    s = field.samples
+    l2, linf, mean = norm_rows(field.spacing, field.samples[None])
+    if not (math.isfinite(l2[0]) and math.isfinite(linf[0])):
+        raise NonFiniteError("norms overflow the float range")
+    return {"l2": float(l2[0]), "linf": float(linf[0]),
+            "mean": mean[0] if field.components > 1 else float(mean[0])}
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflows are left non-finite
+def norm_rows(w: float, s: np.ndarray):
+    """l2, linf and mean, as in norms, of each field in a stack s of shape
+    (B, N) or (B, c, N) on spacing w: arrays of shape (B,), (B,) and (B,)
+    or (B, c). A row whose norms overflow is measured again in units of its
+    largest entry and left non-finite if they overflow even so."""
     l2, linf, mean = _l2_linf_mean(w, s)
     # a sum of |s| can only overflow where the sum of squares already has
-    if not (math.isfinite(l2) and math.isfinite(linf)):
-        top = float(np.max(np.abs(s)))
-        l2, linf, scaled_mean = (top * v for v in _l2_linf_mean(w, s / top))
-        mean = np.where(np.isfinite(mean), mean, scaled_mean)
-        if not (math.isfinite(l2) and math.isfinite(linf)):
-            raise NonFiniteError("norms overflow the float range")
-    return {"l2": l2, "linf": linf,
-            "mean": mean if field.components > 1 else float(mean)}
+    for b in np.flatnonzero(~(np.isfinite(l2) & np.isfinite(linf))):
+        top = np.max(np.abs(s[b]))
+        scaled = _l2_linf_mean(w, s[b:b + 1] / top)
+        l2[b], linf[b] = top * scaled[0][0], top * scaled[1][0]
+        mean[b] = np.where(np.isfinite(mean[b]), mean[b], top * scaled[2][0])
+    return l2, linf, mean
 
 
-@np.errstate(over="ignore", invalid="ignore")  # norms rescales what overflowed
 def _l2_linf_mean(w: float, s: np.ndarray):
     mean = np.mean(s, axis=-1)
-    if s.ndim > 1:
-        mag2 = np.sum(s**2, axis=0)
-        return float(np.sqrt(w * np.sum(mag2))), float(np.sqrt(np.max(mag2))), mean
-    return float(np.sqrt(w * np.sum(s**2))), float(np.max(np.abs(s))), mean
+    if s.ndim > 2:
+        mag2 = np.sum(s**2, axis=1)
+        return np.sqrt(w * np.sum(mag2, axis=-1)), np.sqrt(np.max(mag2, axis=-1)), mean
+    return np.sqrt(w * np.sum(s**2, axis=-1)), np.max(np.abs(s), axis=-1), mean
 
 
 @lru_cache(maxsize=32)

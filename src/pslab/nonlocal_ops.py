@@ -182,6 +182,8 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
         raise ValueError("dirichlet_neumann_op takes scalar 1D fields")
     sgn = _normalize_sign(sign)
     b = float(b)
+    if not np.isfinite(b):
+        raise ValueError(f"drift b must be finite, got {b!r}")
     if backend == "checked":
         four = dirichlet_neumann_op(field, b, sgn, backend="fourier")
         quad = dirichlet_neumann_op(field, b, sgn, backend="quadrature")

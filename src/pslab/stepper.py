@@ -31,10 +31,11 @@ import numpy as np
 from .grid import (
     NonFiniteError,
     PeriodicField,
-    _holder_value,
     _read_only,
-    derivatives,
-    norms,
+    check_holder_target,
+    derivative_rows,
+    holder_rows,
+    norm_rows,
     wavenumbers,
 )
 from .nonlocal_ops import stretch_ratio
@@ -43,6 +44,7 @@ SCHEMES = ("imex_frozen_phi", "etd_rk2", "frozen_pointwise")
 POINTWISE_MAX_N = 1024
 MAX_PICARD_ITERS = 25
 PICARD_TOL = 1e-10
+LEDGER_BLOCK = 16  # kept states whose ledger rows evolve builds in one call
 
 
 class EvolutionAbort(RuntimeError):
@@ -135,33 +137,73 @@ class Trajectory:
         return np.array([entry[key] for entry in self.ledger])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflows raise NonFiniteError
-def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec) -> dict:
-    """Diagnostics recorded for one snapshot, the theta column aside; a pure
-    function of its inputs, so any ledger row can be recomputed
-    bit-identically from the field."""
-    if field.components > 1 and (spec.derivative_sup or spec.holder_targets):
+@np.errstate(over="ignore", invalid="ignore")  # overflows end in NonFiniteError
+def ledger_rows(snaps, spec: LedgerSpec):
+    """Diagnostics recorded for a block of snapshots (t, field) on one grid,
+    the theta column aside, built together: one rfft and one batched irfft
+    give every derivative row, the norms are reductions along each row, and
+    the Holder gather runs one dyadic shift at a time over the block.
+
+    Returns (rows, error): the rows of the leading run of snapshots whose
+    rows can be built, and the NonFiniteError of the first that cannot
+    (None when every row is built). A row is a pure function of its own
+    snapshot, the same bits in any block, so any ledger row can be
+    recomputed bit-identically from its field."""
+    if not snaps:
+        return [], None
+    first = snaps[0][1]
+    if first.components > 1 and (spec.derivative_sup or spec.holder_targets):
         raise ValueError("derivative and Holder columns take scalar fields")
-    base = norms(field)
-    entry = {"t": float(t), "l2": base["l2"], "linf": base["linf"]}
-    if field.components > 1:
-        for i, m in enumerate(np.atleast_1d(base["mean"])):
-            entry[f"mean_{i}"] = float(m)
+    for k, kappa in spec.holder_targets:
+        check_holder_target(first.n, k, kappa)
+    s = np.stack([w.samples for _, w in snaps])
+    h = first.spacing
+    l2, linf, mean = norm_rows(h, s)
+    cols = {"t": np.array([t for t, _ in snaps], dtype=float), "l2": l2, "linf": linf}
+    # (failed rows, message) in the order a row's columns are built, so a
+    # row's error is the first of its failures
+    failures = [(~(np.isfinite(l2) & np.isfinite(linf)), "norms overflow the float range")]
+    if first.components > 1:
+        cols.update((f"mean_{i}", mean[:, i]) for i in range(first.components))
     else:
-        entry["mean"] = base["mean"]
-        entry["osc_linf"] = float(np.max(np.abs(field.samples - base["mean"])))
-        if not np.isfinite(entry["osc_linf"]):
-            raise NonFiniteError("osc_linf overflows the float range")
+        cols["mean"] = mean
+        cols["osc_linf"] = np.max(np.abs(s - mean[:, None]), axis=-1)
+        failures.append((~np.isfinite(cols["osc_linf"]),
+                         "osc_linf overflows the float range"))
         # every derivative and Holder column comes from one batch; a C^kappa
-        # column (k = 0) reads the samples themselves
+        # column (k = 0) reads the samples themselves; a derivative or a
+        # shift difference that overflows fails its row
+        overflow = np.zeros(len(snaps), dtype=bool)
         orders = sorted({*spec.derivative_sup, *(k for k, _ in spec.holder_targets if k)})
-        rows = dict(zip(orders, derivatives(field, orders))) if orders else {}
+        d = {}
+        if orders:
+            batch = derivative_rows(s, first.domain_length, orders)
+            overflow |= ~np.isfinite(batch).all(axis=(0, 2))
+            d = dict(zip(orders, batch))
         for m in spec.derivative_sup:
-            entry[f"d{m}_linf"] = float(np.max(np.abs(rows[m])))
+            cols[f"d{m}_linf"] = np.max(np.abs(d[m]), axis=-1)
         for k, kappa in spec.holder_targets:
-            d = rows[k] if k else field.samples
-            entry[holder_column(k, kappa)] = _holder_value(d, k, kappa, field.spacing)
-    return entry
+            col = cols[holder_column(k, kappa)] = holder_rows(d[k] if k else s, kappa, h)
+            overflow |= np.isnan(col)
+        failures.append((overflow, "samples contain NaN/Inf"))
+    failed = np.logical_or.reduce([mask for mask, _ in failures])
+    built = int(np.argmax(failed)) if failed.any() else len(snaps)
+    error = None
+    if built < len(snaps):
+        error = NonFiniteError(next(msg for mask, msg in failures if mask[built]))
+    values = zip(*(col[:built].tolist() for col in cols.values()))
+    return [dict(zip(cols, row)) for row in values], error
+
+
+def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec) -> dict:
+    """The ledger row of one snapshot, the theta column aside: ledger_rows
+    of the block (t, field), raising NonFiniteError when the row cannot be
+    built. Every ledger row evolve writes equals ledger_entry of its
+    snapshot, whichever block built it."""
+    rows, error = ledger_rows([(t, field)], spec)
+    if error is not None:
+        raise error
+    return rows[0]
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -294,7 +336,14 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     (with the partial trajectory attached) on non-finite values in the
     state or in a ledger row, contour stretch at or beyond the model's
     theta_cap on any accepted state, or a model-level positivity failure,
-    and its subclass StepSizeRefused when dt fails the stability guard."""
+    and its subclass StepSizeRefused when dt fails the stability guard.
+
+    Kept states wait for their ledger rows, which ledger_rows builds in
+    blocks: right after the t = 0 row, every LEDGER_BLOCK kept states, at
+    the end, and before any exception leaves the march. A pending row that
+    cannot be built predates whatever stopped the march, so its abort wins:
+    the march ends with the same time, reason and kept rows as if every row
+    had been built when its state was accepted."""
     n_steps = _n_steps(T, config.dt)
     if config.scheme == "frozen_pointwise":
         check_pointwise(model, u0.n, u0.components)
@@ -302,33 +351,43 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     cap = getattr(model, "theta_cap", None)
     want_theta = spec.record_theta if spec.record_theta is not None else cap is not None
 
-    snaps, rows = [], []
+    snaps, rows, pending = [], [], []  # pending: (t, state, theta) awaiting rows
 
     def kept():
         return Trajectory(tuple(snaps), tuple(rows))
+
+    def flush():
+        block = pending[:]
+        pending.clear()
+        built, error = ledger_rows([(t, w) for t, w, _ in block], spec)
+        for (t, w, theta), row in zip(block, built):
+            if want_theta:
+                row["theta"] = theta
+            snaps.append((t, w))
+            rows.append(row)
+        if error is not None:
+            # a finite state whose derivatives overflow is a numerical
+            # abort, not a config error
+            raise EvolutionAbort(kept(), "non-finite values in a ledger row",
+                                 block[len(built)][0]) from error
+
+    def abort(reason, t):
+        flush()
+        return EvolutionAbort(kept(), reason, t)
 
     def accept(t, w, keep):
         # the one stretch measurement of each accepted state serves both
         # the cap and the ledger's theta column
         theta = stretch_ratio(w) if want_theta or cap is not None else None
         if cap is not None and not theta < cap:
-            raise EvolutionAbort(kept(), f"stretch ratio {theta:.3g} "
-                                 f"reached the cap {cap:.3g}", t)
-        if not keep:
-            return
-        try:
-            row = ledger_entry(t, w, spec)
-        except NonFiniteError as exc:
-            # a finite state whose derivatives overflow is a numerical
-            # abort, not a config error
-            raise EvolutionAbort(kept(), "non-finite values in a ledger row",
-                                 t) from exc
-        if want_theta:
-            row["theta"] = theta
-        snaps.append((t, w))
-        rows.append(row)
+            raise abort(f"stretch ratio {theta:.3g} reached the cap {cap:.3g}", t)
+        if keep:
+            pending.append((t, w, theta))
+            if len(pending) == LEDGER_BLOCK:
+                flush()
 
     accept(0.0, u0, True)
+    flush()
     try:
         bound = _stability_bound(model, u0, config)
     except (RuntimeError, NonFiniteError) as exc:
@@ -339,21 +398,26 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
             f"dt={config.dt:.3e} exceeds half the measured stability bound "
             f"{bound:.3e} for the explicit remainder", 0.0)
     u = u0
-    for j in range(1, n_steps + 1):
-        t = j * config.dt
-        try:
-            if config.scheme == "frozen_pointwise":
-                u = frozen_pointwise_step(u, model, config.dt)
-            else:
-                u = imex_frozen_phi_step(u, model, config.dt, config.scheme)
-        except (RuntimeError, FloatingPointError) as exc:
-            raise EvolutionAbort(kept(), str(exc), t) from exc
-        except NonFiniteError as exc:
-            # field construction rejects NaN/Inf, so numeric blowup inside
-            # a step or a model evaluation surfaces here
-            raise EvolutionAbort(kept(), "non-finite values in the state",
-                                 t) from exc
-        accept(t, u, j % spec.stride == 0 or j == n_steps)
+    try:
+        for j in range(1, n_steps + 1):
+            t = j * config.dt
+            try:
+                if config.scheme == "frozen_pointwise":
+                    u = frozen_pointwise_step(u, model, config.dt)
+                else:
+                    u = imex_frozen_phi_step(u, model, config.dt, config.scheme)
+            except (RuntimeError, FloatingPointError) as exc:
+                raise abort(str(exc), t) from exc
+            except NonFiniteError as exc:
+                # field construction rejects NaN/Inf, so numeric blowup inside
+                # a step or a model evaluation surfaces here
+                raise abort("non-finite values in the state", t) from exc
+            accept(t, u, j % spec.stride == 0 or j == n_steps)
+    except Exception:
+        # a model's own ValueError, say: the pending rows still come first
+        flush()
+        raise
+    flush()
     return kept()
 
 
@@ -378,8 +442,10 @@ def _picard_apply(model, g_snaps, config: StepperConfig):
 
 def _ledger_trajectory(snaps) -> Trajectory:
     """Trajectory of snaps with a default-spec ledger row for each."""
-    return Trajectory(tuple(snaps),
-                      tuple(ledger_entry(t, w, LedgerSpec()) for t, w in snaps))
+    rows, error = ledger_rows(snaps, LedgerSpec())
+    if error is not None:
+        raise error
+    return Trajectory(tuple(snaps), tuple(rows))
 
 
 def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):

@@ -268,6 +268,12 @@ class TestFractionalLaplacian:
         with pytest.raises(ValueError):
             fractional_laplacian(f, 0.0)
 
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_non_finite_order_by_name(self, a):
+        # a NaN order used to pass the a <= 0 test and fail later on the samples
+        with pytest.raises(ValueError, match=r"0 < a < inf"):
+            fractional_laplacian(make_field(np.cos), a)
+
     def test_single_mode_eigenvalue(self):
         for m in (1, 3, 5):
             f = make_field(lambda x, m=m: np.cos(m * x), n=64)

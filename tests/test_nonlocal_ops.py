@@ -3,6 +3,8 @@ dual-backend agreement for the drifted half-Laplacian, linearized-multiplier
 oracles, and a direct Stokeslet single-layer computation that re-derives the
 membrane velocity without the cotangent reformulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,16 @@ class TestDriftedSqrtSymbol:
         f = PeriodicField(np.full(64, level))
         got = dirichlet_neumann_op(f, b, sign, backend=backend).samples
         assert np.max(np.abs(got)) <= 1e-14 * max(1.0, abs(level))
+
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("backend", ["fourier", "quadrature", "checked"])
+    def test_rejects_non_finite_drift_by_name(self, b, backend):
+        # rejected before any arithmetic, so numpy has nothing to warn about
+        f = PeriodicField(np.cos(grid_1d(64)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="drift b must be finite"):
+                dirichlet_neumann_op(f, b, +1, backend=backend)
 
     def test_rejects_bad_sign(self):
         f = PeriodicField(np.cos(grid_1d(64)))

@@ -26,7 +26,9 @@ from pslab.models import (
     VarCoefHeatModel,
     _ModelBase,
 )
+from pslab.nonlocal_ops import stretch_ratio
 from pslab.stepper import (
+    LEDGER_BLOCK,
     EvolutionAbort,
     LedgerSpec,
     PICARD_TOL,
@@ -39,6 +41,7 @@ from pslab.stepper import (
     holder_column,
     imex_frozen_phi_step,
     ledger_entry,
+    ledger_rows,
     picard_solve,
     _etd_weights,
     _n_steps,
@@ -128,19 +131,66 @@ class ShrinkingContourModel(_ModelBase):
         return uh * np.array([[-1.0], [0.0]])
 
 
-class LateValueErrorModel(QuadraticGrowthModel):
-    """Zero remainder spectrum whose fifth call raises a ValueError naming
-    NaN/Inf: the guard makes two calls and each ETD-RK2 step two more,
-    so it fails inside the second step."""
+class LateValueErrorModel(ExponentialGrowthModel):
+    """Zero remainder spectrum whose call number fail_at raises a
+    ValueError naming NaN/Inf: the guard makes two calls and each ETD-RK2
+    step two more, so the fifth call fails inside the second step."""
 
-    def __init__(self):
+    def __init__(self, fail_at=5):
+        self.fail_at = fail_at
         self.calls = 0
 
     def remainder_hat(self, field, uh):
         self.calls += 1
-        if self.calls == 5:
+        if self.calls == self.fail_at:
             raise ValueError("toy remainder rejects NaN/Inf by itself")
         return np.zeros_like(uh)
+
+
+class CappedGrowthModel(ExponentialGrowthModel):
+    """ExponentialGrowthModel with a theta cap, for marches that measure
+    a stand-in stretch ratio of the scalar state."""
+
+    def __init__(self, theta_cap):
+        self.theta_cap = float(theta_cap)
+
+
+def log_sup(field):
+    """Stand-in stretch ratio that rises by 5 dt per step of the growth models."""
+    return float(np.log(np.max(np.abs(field.samples))))
+
+
+def per_row_evolve(model, u0, T, config, spec):
+    """The march of evolve under an ETD scheme with each ledger row built
+    as its state is accepted: (rows, stop), stop None or (what stopped the
+    march, time), with what one of "ledger", "state", "cap" or the plain
+    exception a step raised."""
+    cap = getattr(model, "theta_cap", None)
+    want_theta = spec.record_theta if spec.record_theta is not None else cap is not None
+    n_steps = _n_steps(T, config.dt)
+    _stability_bound(model, u0, config)  # the guard's remainder calls
+    rows, u = [], u0
+    for j in range(n_steps + 1):
+        t = j * config.dt
+        if j:
+            try:
+                u = imex_frozen_phi_step(u, model, config.dt, config.scheme)
+            except NonFiniteError:
+                return rows, ("state", t)
+            except ValueError as exc:
+                return rows, (exc, t)
+        theta = stepper.stretch_ratio(u) if want_theta or cap is not None else None
+        if cap is not None and not theta < cap:
+            return rows, ("cap", t)
+        if j % spec.stride == 0 or j == n_steps:
+            try:
+                row = ledger_entry(t, u, spec)
+            except NonFiniteError:
+                return rows, ("ledger", t)
+            if want_theta:
+                row["theta"] = theta
+            rows.append(row)
+    return rows, None
 
 
 def richardson_order(model, u0, T, scheme, base):
@@ -306,7 +356,7 @@ def ledger_row_by_columns(t, field, spec):
         d = derivatives(field, (int(m),))[0]
         row[f"d{int(m)}_linf"] = float(np.max(np.abs(d)))
     for k, kappa in spec.holder_targets:
-        row[f"holder_{int(k)}_{float(kappa):g}"] = \
+        row[holder_column(k, kappa)] = \
             holder_by_shift_loop(field, int(k), float(kappa))
     return row
 
@@ -716,17 +766,24 @@ class TestEvolve:
         assert err.value.trajectory.times().tolist() == [0.0]
 
     def test_non_finite_ledger_row_aborts_with_rows_so_far(self):
-        # the state stays finite; its second derivative overflows after a
-        # few steps of growth, so the march stops with the rows before it
+        # the state stays finite; its second derivative overflows at step
+        # 19, inside the second block of rows after t = 0, so the march
+        # stops there with the rows before it
         spec = LedgerSpec(derivative_sup=(2,))
-        with pytest.raises(EvolutionAbort) as err:
-            with np.errstate(over="ignore", invalid="ignore"):
-                evolve(ExponentialGrowthModel(), triangle(256, 1e303), 1.0,
-                       StepperConfig(dt=0.1), spec)
+        model, u0, cfg = ExponentialGrowthModel(), triangle(256, 1e300), StepperConfig(dt=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, stop = per_row_evolve(model, u0, 2.2, cfg, spec)
+            with pytest.raises(EvolutionAbort) as err:
+                evolve(model, u0, 2.2, cfg, spec)
+        assert stop == ("ledger", 19 * 0.1)
+        assert len(rows) == 19 and len(rows) % LEDGER_BLOCK
         traj = err.value.trajectory
         assert not isinstance(err.value, StepSizeRefused)
-        assert "ledger row" in err.value.reason
-        assert err.value.time > traj.times()[-1] > 0.0
+        assert err.value.reason == "non-finite values in a ledger row"
+        assert isinstance(err.value.__cause__, NonFiniteError)
+        assert err.value.time == stop[1]
+        assert traj.ledger == tuple(rows)
+        assert traj.times().tolist() == [row["t"] for row in rows]
         assert np.all(np.isfinite(traj.series("d2_linf")))
 
     def test_model_value_error_is_not_an_abort(self):
@@ -772,6 +829,93 @@ class TestEvolve:
         assert "stretch" in err.value.reason
         assert err.value.time == pytest.approx(0.06)
         assert err.value.trajectory.times().tolist() == [0.0]
+
+
+def stride_steps(kept, stride):
+    """Steps after which a march at this stride keeps exactly kept states
+    after t = 0 (the last step is always kept)."""
+    return stride * kept - (stride - 1)
+
+
+class TestLedgerBlocks:
+    """evolve builds the rows of kept states LEDGER_BLOCK at a time; each
+    row and each abort is as if every row had been built alone."""
+
+    # at h = 5/64 np.power and Python's pow can round a (j h)^kappa divisor
+    # of kappa = 0.123456789 differently; the ledger takes Python's
+    SPEC = dict(derivative_sup=(1, 2),
+                holder_targets=((0, 0.123456789), (1, 0.5), (2, 0.25)))
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("kept", [1, 14, 15, 16, 17, 36, 37])
+    def test_scalar_rows_equal_rows_built_alone(self, kept, stride):
+        spec = LedgerSpec(stride=stride, **self.SPEC)
+        rng = np.random.default_rng(kept)
+        u0 = PeriodicField(triangle(64, 0.4).samples
+                           + 1e-3 * rng.standard_normal(64), domain_length=5.0)
+        n_steps = stride_steps(kept, stride)
+        traj = evolve(McfGraphModel(), u0, n_steps * 1e-5,
+                      StepperConfig(dt=1e-5), spec)
+        assert len(traj.ledger) == kept + 1
+        for (t, field), row in zip(traj.snapshots, traj.ledger):
+            alone = ledger_entry(t, field, spec)
+            assert row == alone and list(row) == list(alone)
+            assert row == ledger_row_by_columns(t, field, spec)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("kept", [1, 15, 16, 17, 37])
+    def test_contour_rows_with_theta_equal_rows_built_alone(self, kept, stride):
+        spec = LedgerSpec(stride=stride, record_theta=True)
+        n_steps = stride_steps(kept, stride)
+        traj = evolve(Peskin2dModel(), ellipse(64), n_steps * 1e-3,
+                      StepperConfig(dt=1e-3), spec)
+        assert len(traj.ledger) == kept + 1
+        for (t, X), row in zip(traj.snapshots, traj.ledger):
+            assert row == {**ledger_entry(t, X, spec), "theta": stretch_ratio(X)}
+
+    def test_block_stops_at_its_first_unbuildable_row(self):
+        spec = LedgerSpec(derivative_sup=(2,), holder_targets=((0, 0.5),))
+        good, bad = triangle(256, 0.4), triangle(256, 1e305)
+        limit = PeriodicField(np.repeat([1.5e308, -1.5e308], 128))
+        snaps = [(0.0, good), (0.1, good), (0.2, bad), (0.3, good), (0.4, limit)]
+        rows, error = ledger_rows(snaps, spec)
+        assert rows == [ledger_entry(t, w, spec) for t, w in snaps[:2]]
+        with pytest.raises(NonFiniteError) as alone:
+            ledger_entry(0.2, bad, spec)
+        assert isinstance(error, NonFiniteError)
+        assert str(error) == str(alone.value)
+        # each failing row names its own first failure
+        assert str(ledger_rows(snaps[3:], spec)[1]) == "norms overflow the float range"
+        assert ledger_rows([], spec) == ([], None)
+
+    @pytest.mark.parametrize("make, first, later", [
+        (ExponentialGrowthModel, "ledger", "state"),
+        (lambda: LateValueErrorModel(fail_at=2 + 2 * 23 + 1), "ledger",
+         ValueError),
+        (lambda: CappedGrowthModel(np.log(1e300) + 0.5 * 23.5), "ledger", "cap"),
+        (lambda: CappedGrowthModel(np.log(1e300) + 0.5 * 17.5), "cap", "cap"),
+    ], ids=["state", "value_error", "cap", "cap_first"])
+    def test_first_stop_of_a_pending_block_wins(self, make, first, later,
+                                                monkeypatch):
+        # the d2 row of step 19 overflows while rows 17-32 are pending, and
+        # the march runs on towards a later stop in the same block: the
+        # state overflows at step 27, step 24 raises, or the cap is reached
+        # at step 24 (at step 18 in cap_first, before the row)
+        monkeypatch.setattr(stepper, "stretch_ratio", log_sup)
+        spec, u0, cfg = LedgerSpec(derivative_sup=(2,)), triangle(256, 1e300), StepperConfig(dt=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, free = per_row_evolve(make(), u0, 3.0, cfg, LedgerSpec())
+            rows, stop = per_row_evolve(make(), u0, 3.0, cfg, spec)
+            with pytest.raises(EvolutionAbort) as err:
+                evolve(make(), u0, 3.0, cfg, spec)
+        assert (free[0] if isinstance(later, str) else type(free[0])) == later
+        assert stop[0] == first
+        block = [(round(t / cfg.dt) - 1) // LEDGER_BLOCK for t in (stop[1], free[1])]
+        assert block == [1, 1]
+        reason = {"ledger": "non-finite values in a ledger row", "cap": "stretch"}
+        assert reason[first] in err.value.reason
+        assert err.value.time == stop[1]
+        assert err.value.trajectory.ledger == tuple(rows)
 
 
 class TestPicard:
