@@ -211,8 +211,8 @@ def check_holder_target(n: int, k: int, kappa: float) -> None:
 
 def holder_rows(d: np.ndarray, kappa: float, h: float) -> np.ndarray:
     """max_j ||d - d(. - j h)||_inf / (j h)^kappa over the dyadic shifts for
-    each row of d, shape (B, N), on spacing h; NaN where a difference
-    overflows. Run under np.errstate.
+    each row of d, shape (B, N), on spacing h; NaN where a difference or
+    its quotient by (j h)^kappa overflows. Run under np.errstate.
 
     The estimate is monotone nondecreasing as shifts are added and differs
     from the continuum C^{k+kappa} seminorm by an O(1) constant, so the
@@ -227,7 +227,9 @@ def holder_rows(d: np.ndarray, kappa: float, h: float) -> np.ndarray:
     # (j h)^kappa by Python's pow: np.power rounds some of them differently
     divisors = np.array([(h * int(j)) ** kappa for j in shifts])
     values = np.max(sups / divisors[:, None], axis=0)
-    values[~np.isfinite(sups).all(axis=0)] = np.nan
+    # np.max carries an overflowed difference (inf, or NaN from inf - inf)
+    # into its row, and a finite difference can overflow its quotient
+    values[~np.isfinite(values)] = np.nan
     return values
 
 

@@ -171,8 +171,8 @@ def ledger_rows(snaps, spec: LedgerSpec):
         failures.append((~np.isfinite(cols["osc_linf"]),
                          "osc_linf overflows the float range"))
         # every derivative and Holder column comes from one batch; a C^kappa
-        # column (k = 0) reads the samples themselves; a derivative or a
-        # shift difference that overflows fails its row
+        # column (k = 0) reads the samples themselves; a derivative, a shift
+        # difference or a Holder quotient that overflows fails its row
         overflow = np.zeros(len(snaps), dtype=bool)
         orders = sorted({*spec.derivative_sup, *(k for k, _ in spec.holder_targets if k)})
         d = {}
@@ -233,23 +233,32 @@ def _etd_weights(model, n: int, L: float, dt: float, scheme: str):
 
 
 def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
-                         scheme: str = "etd_rk2") -> PeriodicField:
+                         scheme: str = "etd_rk2",
+                         uh: Optional[np.ndarray] = None
+                         ) -> tuple[PeriodicField, np.ndarray]:
     """One step with exact propagation of the frozen linear multiplier and
-    an explicit phi-weighted remainder (Euler or ETD-RK2 correction)."""
+    an explicit phi-weighted remainder (Euler or ETD-RK2 correction).
+
+    uh is the half spectrum of u, rfft(u) when None. Returns the new state
+    and the spectrum it is the irfft of, which a march hands to the next
+    step as its uh; the ETD-RK2 stage likewise reads its own spectrum, so
+    neither transforms forward. That spectrum differs from rfft(state) at
+    round-off only, since remainder_hat gives the half spectrum of a real
+    field and the weights are real."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
     E, w1, w2 = _etd_weights(model, u.n, u.domain_length, dt, scheme)
-    uh = np.fft.rfft(u.samples, axis=-1)
+    if uh is None:
+        uh = np.fft.rfft(u.samples, axis=-1)
     r1 = model.remainder_hat(u, uh)
     ah = E * uh if r1 is None else E * uh + w1 * r1
     a = u.with_samples(np.fft.irfft(ah, u.n, axis=-1))
     if w2 is None or r1 is None:
-        return a
-    # the stage value gets its own transform: rfft(irfft(ah)) != ah
-    r2 = model.remainder_hat(a, np.fft.rfft(a.samples, axis=-1))
-    return u.with_samples(np.fft.irfft(ah + w2 * (r2 - r1), u.n, axis=-1))
+        return a, ah
+    fh = ah + w2 * (model.remainder_hat(a, ah) - r1)
+    return u.with_samples(np.fft.irfft(fh, u.n, axis=-1)), fh
 
 
 def check_pointwise(model, n: int, components: int) -> None:
@@ -338,6 +347,10 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     theta_cap on any accepted state, or a model-level positivity failure,
     and its subclass StepSizeRefused when dt fails the stability guard.
 
+    An ETD march hands each step the spectrum the previous one returned,
+    so only u0 is transformed forward; a one-step march ends bit for bit
+    at imex_frozen_phi_step.
+
     Kept states wait for their ledger rows, which ledger_rows builds in
     blocks: right after the t = 0 row, every LEDGER_BLOCK kept states, at
     the end, and before any exception leaves the march. A pending row that
@@ -397,7 +410,7 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
             kept(),
             f"dt={config.dt:.3e} exceeds half the measured stability bound "
             f"{bound:.3e} for the explicit remainder", 0.0)
-    u = u0
+    u, uh = u0, None
     try:
         for j in range(1, n_steps + 1):
             t = j * config.dt
@@ -405,7 +418,8 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
                 if config.scheme == "frozen_pointwise":
                     u = frozen_pointwise_step(u, model, config.dt)
                 else:
-                    u = imex_frozen_phi_step(u, model, config.dt, config.scheme)
+                    u, uh = imex_frozen_phi_step(u, model, config.dt,
+                                                 config.scheme, uh)
             except (RuntimeError, FloatingPointError) as exc:
                 raise abort(str(exc), t) from exc
             except NonFiniteError as exc:

@@ -277,7 +277,7 @@ def test_ac13_freezing_consistency():
         for _ in range(steps):
             pointwise = frozen_pointwise_step(pointwise, model, dt)
             mean_frozen = imex_frozen_phi_step(mean_frozen, model, dt,
-                                               scheme="imex_frozen_phi")
+                                               scheme="imex_frozen_phi")[0]
         gaps.append(float(np.max(np.abs(pointwise.samples
                                         - mean_frozen.samples))))
     orders = [np.log2(gaps[i] / gaps[i + 1]) for i in range(2)]

@@ -3,6 +3,8 @@ run/verify/ratefit commands, and their exit codes."""
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pslab
 from pslab import models, nonlocal_ops
 from pslab.cli import (
     _PRESETS,
@@ -694,6 +697,78 @@ class TestRunCommand:
 ELLIPSE = {"model.tag": "peskin2d", "initial.preset": "ellipse",
            "stepper.dt": "0.01", "run.T": "0.1"}
 NO_DERIVATIVES = ("initial.amplitude", "ledger.derivative_sup")
+
+
+def run_pslab(cwd, *args):
+    """The pslab console entry point in a fresh interpreter that imports
+    this pslab: (exit code, stderr)."""
+    env = dict(os.environ)
+    src = str(Path(pslab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from pslab.cli import main; sys.exit(main())",
+         *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+THINFILM_CFG = """model.tag = thinfilm_exp
+grid.N = 512
+stepper.dt = 1e-5
+run.T = 1e-3
+initial.preset = triangle
+initial.amplitude = 2e-3
+ledger.derivative_sup = 3
+"""
+
+SD_CFG = """model.tag = surface_diffusion_axi
+model.hbar0 = 2
+grid.N = 256
+stepper.dt = 1e-3
+run.T = 0.1
+initial.preset = sd_cylinder
+"""
+
+BLOCKS_CFG = """model.tag = mcf_graph
+grid.N = 512
+stepper.dt = 1e-4
+run.T = 3.6e-3
+initial.preset = triangle
+initial.amplitude = 0.4
+ledger.derivative_sup = 1,2
+ledger.holder = 0:0.5,1:0.5
+"""
+
+
+class TestRerunsInFreshInterpreters:
+    """A config run twice, each time by a new interpreter, exits 0 without
+    a RuntimeWarning and writes the same final.bin and ledger.csv bytes."""
+
+    @staticmethod
+    def run_twice(tmp_path, name, text):
+        for run in "ab":
+            cfg = tmp_path / f"{name}-{run}.cfg"
+            cfg.write_text(f"{text}output.dir = runs/{name}-{run}\n")
+            code, err = run_pslab(tmp_path, "run", cfg.name)
+            assert code == 0, err
+            assert "RuntimeWarning" not in err
+        a, b = (tmp_path / "runs" / f"{name}-{run}" for run in "ab")
+        for out in ("final.bin", "ledger.csv"):
+            assert (a / out).read_bytes() == (b / out).read_bytes()
+        return a
+
+    @pytest.mark.parametrize("name, text", [("thinfilm", THINFILM_CFG),
+                                            ("sd", SD_CFG)], ids=["thinfilm", "sd"])
+    def test_spectral_space_remainders(self, tmp_path, name, text):
+        self.run_twice(tmp_path, name, text)
+
+    def test_stride_one_ledger_rows_built_in_blocks(self, tmp_path):
+        out = self.run_twice(tmp_path, "blocks", BLOCKS_CFG)
+        assert len((out / "ledger.csv").read_text().splitlines()) - 1 == 37
+        code, err = run_pslab(tmp_path, "ratefit", str(out / "ledger.csv"),
+                              "--column", "d2_linf", "--window", "3e-4:3.6e-3",
+                              "--expect", "exponent=-0.5,tol=0.1")
+        assert code == 0, err
+        assert "RuntimeWarning" not in err
 
 
 class TestConfigErrorsBeforeOutput:
