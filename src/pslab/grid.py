@@ -31,6 +31,12 @@ class NonFiniteError(ValueError):
     a finite field overflows the float range."""
 
 
+class NumericalFailure(RuntimeError):
+    """A state the equations cannot continue from, though it is finite: the
+    model-level failures a march aborts on, as it does on NonFiniteError and
+    FloatingPointError."""
+
+
 @dataclass(frozen=True)
 class PeriodicField:
     """Uniformly sampled real field on the 1D torus.
@@ -239,6 +245,8 @@ def norms(field: PeriodicField) -> dict:
     magnitude for l2/linf and the componentwise mean stacked into a vector.
     Samples whose squares or sums overflow are measured in units of their
     largest entry; a norm that overflows even so raises NonFiniteError.
+    Public API for one field; the ledger's path is norm_rows, on a stack of
+    states.
     """
     l2, linf, mean = norm_rows(field.spacing, field.samples[None])
     if not (math.isfinite(l2[0]) and math.isfinite(linf[0])):

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .grid import (
+    NumericalFailure,
     PeriodicField,
     _dealias_mask,
     _derivative_table,
@@ -27,7 +28,7 @@ from .kernels import sd_symbol
 from .nonlocal_ops import fractional_mean_curvature, muskat_st_rhs, peskin_rhs
 
 
-class PositivityError(RuntimeError):
+class PositivityError(NumericalFailure):
     """Surface-diffusion state touched zero; the local theory needs a
     positive lower bound."""
 

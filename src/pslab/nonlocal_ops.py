@@ -24,6 +24,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .grid import (
+    NumericalFailure,
     PeriodicField,
     TWO_PI,
     _derivative_table,
@@ -211,18 +212,71 @@ def _gcal_remainder(rho: np.ndarray, a: float) -> np.ndarray:
     return 2.0 * rho * (((1.0 + r * r) ** (-0.5 * (2 + a)) - 1.0) @ _GL01_WEIGHTS)
 
 
+def _horner(x: np.ndarray, coef) -> np.ndarray:
+    """np.polynomial.polynomial.polyval(x, coef, tensor=False) bit for bit,
+    each term's product and sum taken in place."""
+    out = np.broadcast_to(coef[-1], x.shape).copy()
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+# Largest |z| the pair antiderivative's table serves; past it the table
+# would need degree 54-118, so such rows keep the Gauss-Legendre pair rule.
+_PAIR_Z_MAX = 0.5
+
+
+@lru_cache(maxsize=8)
+def _pair_antiderivative(a: float) -> np.ndarray:
+    """Monomial coefficients of g(w) = int_0^1 (1 + w t^2)^{-(2+a)/2} dt, so
+    that F(z) = z g(z^2) = int_0^z <s>^{-(2+a)} ds: 1, then those of h in
+    g = 1 + w h(w), h the degree-11 Chebyshev interpolant on
+    [0, _PAIR_Z_MAX^2] of 96-node Gauss-Legendre values summed through
+    expm1 and log1p, which keep their relative accuracy as w -> 0. Within
+    4e-16 of g there."""
+    deg, w_max = 11, _PAIR_Z_MAX ** 2
+    t, wts = np.polynomial.legendre.leggauss(96)
+    t, wts = 0.5 * (t + 1.0), 0.5 * wts
+    w = 0.5 * w_max * (1.0 - np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1)))
+    h = np.expm1(-0.5 * (2 + a) * np.log1p(w[:, None] * t * t)) @ wts / w
+    h_coef = np.polynomial.Chebyshev.fit(w, h, deg, domain=[0.0, w_max]).convert(
+        kind=np.polynomial.Polynomial).coef
+    return _read_only(np.concatenate([[1.0], h_coef]))
+
+
+def _gauss_legendre_pairs(back: np.ndarray, fwd: np.ndarray, al: np.ndarray,
+                          a: float) -> np.ndarray:
+    """2 omu int_0^1 <bmu + tau omu>^{-(2+a)} d tau / al^{1+a}, bmu = fwd/al,
+    omu = back/al - bmu, on 16 Gauss-Legendre nodes: the pair integral of
+    rows whose increments pass _PAIR_Z_MAX."""
+    bmu = fwd / al
+    omu = back / al - bmu
+    args = bmu[..., None] + _GL01_NODES * omu[..., None]
+    qint = ((1.0 + args * args) ** (-0.5 * (2 + a))) @ _GL01_WEIGHTS
+    return 2.0 * omu * qint / al ** (1 + a)
+
+
 def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     """H[u](x) = P.V. int_R G(Delta_alpha u)/|alpha|^{1+a} d alpha for a 1D
     graph, with Delta_alpha u = delta_alpha u/|alpha|.
 
-    The +/- pair sum is assembled as G(Delta_alpha u) - G(-Delta_{-alpha} u)
-    = 2 O_alpha u int_0^1 <...>^{-(2+a)} d tau, which is exact and free of
-    cancellation; the remaining |alpha|^{-a} singularity at 0 is subtracted
-    analytically and its integral added back in closed form. Periods beyond
-    |alpha| = pi enter through _fmc_fold: a Hurwitz-zeta series in the
-    increment (error below 1e-10), or where the increment nears the series
-    radius 2pi - |alpha|, an explicit six-period sum with the cubic term of
-    the periods beyond in closed form (error ~1e-10 |delta|^5).
+    The +/- pair sum G(Delta_alpha u) - G(-Delta_{-alpha} u) is the divided
+    difference 2 (F(back/alpha) - F(fwd/alpha)) of F(z) = int_0^z <s>^{-(2+a)}
+    ds, back = delta_alpha u and fwd = -delta_{-alpha} u, which is exact and
+    free of cancellation; F is z times a cached polynomial in z^2
+    (_pair_antiderivative). Since fwd_j(x) = back_j(x + j h), F is evaluated
+    once per (j, x) and its fwd term read back by one gather. Rows j where
+    some |back/alpha| passes _PAIR_Z_MAX take the pair as a 16-node
+    Gauss-Legendre integral instead. The remaining |alpha|^{-a} singularity
+    at 0 is subtracted analytically and its integral added back in closed
+    form. Periods beyond |alpha| = pi enter through _fmc_fold: a Hurwitz-zeta
+    series in the increment (error below 1e-10), or where the increment nears
+    the series radius 2pi - |alpha|, an explicit six-period sum with the
+    cubic term of the periods beyond in closed form (error ~1e-10
+    |delta|^5). The fold is odd in the increment, so it runs once, on back,
+    and the -alpha fold is the negated gather of its output, in the same
+    gather as F.
     """
     if u.components != 1:
         raise ValueError("fractional_mean_curvature takes scalar 1D graphs")
@@ -236,6 +290,7 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     plan = _shift_plan(n)
     alpha = np.abs(plan.alpha)
     wts = plan.weights
+    g_coef = _pair_antiderivative(a)
 
     up, upp = derivatives(u, (1, 2))
     # pair-limit coefficient of the |alpha|^{-a} singularity
@@ -244,21 +299,26 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     # pairs j = 1..n/2: node row half-1+j holds +alpha_j, row half-j -alpha_j
     half = n // 2
     acc = np.zeros(n)
-    rows = max(1, _BLOCK_PAIRS // (n * len(_GL01_NODES)))
+    rows = max(1, _BLOCK_PAIRS // n)
     for j0 in range(1, half + 1, rows):
         j = np.arange(j0, min(j0 + rows, half + 1))
         al = alpha[half - 1 + j, None]
+        ahead = plan.index[half - j]             # row j reads x + j h
         back = v - v[plan.index[half - 1 + j]]   # delta_alpha u
-        fwd = v[plan.index[half - j]] - v        # -delta_{-alpha} u
-        bmu = fwd / al
-        omu = back / al - bmu
-        # int_0^1 <b + tau(a-b)>^{-(2+a)} d tau on Gauss-Legendre nodes
-        args = bmu[..., None] + _GL01_NODES * omu[..., None]
-        qint = ((1.0 + args * args) ** (-0.5 * (2 + a))) @ _GL01_WEIGHTS
-        pair = 2.0 * omu * qint / al ** (1 + a)
-        # far periods; the fold is even in alpha, so -alpha shares the row
-        fold = _fmc_fold(back, j, n, a) + _fmc_fold(-fwd, j, n, a)
-        acc += wts[half - 1 + j] @ (pair + fold)
+        z = back / al
+        steep = np.max(np.abs(z), axis=1) > _PAIR_Z_MAX
+        z[steep] = 0.0
+        # F(back/al) and the +alpha fold; the same at x + j h is the F(fwd/al)
+        # and -alpha fold term
+        term = _horner(z * z, g_coef)
+        term *= z
+        term *= 2.0 / al ** (1 + a)
+        term += _fmc_fold(back, j, n, a)
+        term -= np.take_along_axis(term, ahead, axis=1)
+        if steep.any():
+            term[steep] += _gauss_legendre_pairs(back[steep], v[ahead[steep]] - v,
+                                                 al[steep], a)
+        acc += wts[half - 1 + j] @ term
     acc += csing * (np.pi ** (1 - a) / (1 - a) - wts[half:] @ alpha[half:] ** (-a))
     return u.with_samples(acc)
 
@@ -289,7 +349,8 @@ def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
     linear Hurwitz term, an explicit sum over six periods either side and the
     cubic Hurwitz term of the periods beyond."""
     coef = _fold_series(n, a)[:, j - 1]
-    out = np.polynomial.polynomial.polyval(delta * delta, coef, tensor=False) * delta
+    out = _horner(delta * delta, coef)
+    out *= delta
     alpha = np.broadcast_to((TWO_PI / n) * j[:, None], delta.shape)
     far = np.abs(delta) > _SERIES_RATIO * (TWO_PI - alpha)
     if far.any():
@@ -306,7 +367,7 @@ def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Peskin membrane
 
-class WellStretchedError(RuntimeError):
+class WellStretchedError(NumericalFailure):
     """Contour tangent speed |X'| vanishes at a node."""
 
     def __init__(self, node):

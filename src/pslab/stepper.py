@@ -30,6 +30,7 @@ import numpy as np
 
 from .grid import (
     NonFiniteError,
+    NumericalFailure,
     PeriodicField,
     _read_only,
     check_holder_target,
@@ -344,8 +345,10 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     """Uniform-dt march to time T. Deterministic; raises EvolutionAbort
     (with the partial trajectory attached) on non-finite values in the
     state or in a ledger row, contour stretch at or beyond the model's
-    theta_cap on any accepted state, or a model-level positivity failure,
-    and its subclass StepSizeRefused when dt fails the stability guard.
+    theta_cap on any accepted state, or a NumericalFailure of the model
+    (positivity, a vanishing tangent), and its subclass StepSizeRefused when
+    dt fails the stability guard. Any other exception from a step or the
+    guard, a NotImplementedError say, propagates unchanged.
 
     An ETD march hands each step the spectrum the previous one returned,
     so only u0 is transformed forward; a one-step march ends bit for bit
@@ -403,7 +406,7 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     flush()
     try:
         bound = _stability_bound(model, u0, config)
-    except (RuntimeError, NonFiniteError) as exc:
+    except (NumericalFailure, NonFiniteError, FloatingPointError) as exc:
         raise EvolutionAbort(kept(), str(exc), 0.0) from exc
     if not config.dt <= 0.5 * bound:
         raise StepSizeRefused(
@@ -420,7 +423,7 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
                 else:
                     u, uh = imex_frozen_phi_step(u, model, config.dt,
                                                  config.scheme, uh)
-            except (RuntimeError, FloatingPointError) as exc:
+            except (NumericalFailure, FloatingPointError) as exc:
                 raise abort(str(exc), t) from exc
             except NonFiniteError as exc:
                 # field construction rejects NaN/Inf, so numeric blowup inside

@@ -738,6 +738,16 @@ ledger.derivative_sup = 1,2
 ledger.holder = 0:0.5,1:0.5
 """
 
+POINTWISE_CFG = """model.tag = mcf_graph
+grid.N = 512
+stepper.dt = 1e-4
+stepper.scheme = frozen_pointwise
+run.T = 1e-2
+initial.preset = triangle
+initial.amplitude = 0.4
+ledger.derivative_sup = 2
+"""
+
 
 class TestRerunsInFreshInterpreters:
     """A config run twice, each time by a new interpreter, exits 0 without
@@ -760,6 +770,9 @@ class TestRerunsInFreshInterpreters:
                                             ("sd", SD_CFG)], ids=["thinfilm", "sd"])
     def test_spectral_space_remainders(self, tmp_path, name, text):
         self.run_twice(tmp_path, name, text)
+
+    def test_pointwise_frozen_march(self, tmp_path):
+        self.run_twice(tmp_path, "pointwise", POINTWISE_CFG)
 
     def test_stride_one_ledger_rows_built_in_blocks(self, tmp_path):
         out = self.run_twice(tmp_path, "blocks", BLOCKS_CFG)

@@ -190,11 +190,13 @@ class TestShiftPlan:
     def test_tables_are_shared_and_read_only(self):
         plan = nonlocal_ops._shift_plan(64)
         series = nonlocal_ops._fold_series(64, 0.5)
+        pair = nonlocal_ops._pair_antiderivative(0.5)
         assert nonlocal_ops._shift_plan(64) is plan
         assert nonlocal_ops._fold_series(64, 0.5) is series
+        assert nonlocal_ops._pair_antiderivative(0.5) is pair
         tables = (plan.alpha, plan.weights, plan.index, plan.half_cot, plan.sin,
                   plan.two_sin2, plan.inv_four_sin2, plan.inv_four_sin2_hat,
-                  plan.half_cot_hat, series)
+                  plan.half_cot_hat, series, pair)
         for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 1
@@ -472,6 +474,112 @@ class TestFarPeriodFold:
             delta, (TWO_PI * j / n)[:, None], a, 40, cubic_tail=True))
         ref = fractional_mean_curvature(u, 0.5).samples
         assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_fold_is_odd_bit_for_bit(self, a):
+        # the operator reads the -alpha fold as the negated gather of the
+        # +alpha one, on both sides of the switch to the explicit sum
+        r = nonlocal_ops._SERIES_RATIO
+        j, _, delta = self.cases([0.01, 0.7 * r, 1.001 * r, 0.999])
+        plus = nonlocal_ops._fmc_fold(delta, j, self.N, a)
+        minus = nonlocal_ops._fmc_fold(-delta, j, self.N, a)
+        assert np.array_equal(minus, -plus)
+
+    def test_horner_is_polyval_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, (8, 64))
+        for coef in (rng.standard_normal(13), rng.standard_normal((14, 8, 1))):
+            want = np.polynomial.polynomial.polyval(x, coef, tensor=False)
+            assert np.array_equal(nonlocal_ops._horner(x, coef), want)
+
+
+# ---------------------------------------------------------------------------
+# the pair antiderivative against the Gauss-Legendre pair rule it replaced
+
+def fractional_mean_curvature_by_gauss_legendre(u, a):
+    """The operator with every pair integral on 16 Gauss-Legendre nodes over
+    (rows, N, 16) arrays, and the fold run for +alpha and -alpha each."""
+    n = u.n
+    v = u.samples
+    plan = nonlocal_ops._shift_plan(n)
+    alpha = np.abs(plan.alpha)
+    wts = plan.weights
+    nodes, weights = nonlocal_ops._GL01_NODES, nonlocal_ops._GL01_WEIGHTS
+    up, upp = derivatives(u, (1, 2))
+    csing = -2.0 * upp * (1.0 + up * up) ** (-0.5 * (2 + a))
+    half = n // 2
+    acc = np.zeros(n)
+    rows = max(1, nonlocal_ops._BLOCK_PAIRS // (n * len(nodes)))
+    for j0 in range(1, half + 1, rows):
+        j = np.arange(j0, min(j0 + rows, half + 1))
+        al = alpha[half - 1 + j, None]
+        back = v - v[plan.index[half - 1 + j]]
+        fwd = v[plan.index[half - j]] - v
+        bmu = fwd / al
+        omu = back / al - bmu
+        args = bmu[..., None] + nodes * omu[..., None]
+        qint = ((1.0 + args * args) ** (-0.5 * (2 + a))) @ weights
+        pair = 2.0 * omu * qint / al ** (1 + a)
+        fold = (nonlocal_ops._fmc_fold(back, j, n, a)
+                + nonlocal_ops._fmc_fold(-fwd, j, n, a))
+        acc += wts[half - 1 + j] @ (pair + fold)
+    acc += csing * (np.pi ** (1 - a) / (1 - a) - wts[half:] @ alpha[half:] ** (-a))
+    return u.with_samples(acc)
+
+
+def triangle_1d(n, amplitude):
+    return amplitude * (1.0 - (2.0 / np.pi) * np.abs(grid_1d(n) - np.pi))
+
+
+def steep_rows(v):
+    """Per shift j = 1..N/2, whether some |delta_alpha v / alpha| passes the
+    pair antiderivative's range."""
+    n = v.size
+    j = np.arange(1, n // 2 + 1)
+    z = (v - np.stack([np.roll(v, k) for k in j])) / (TWO_PI * j / n)[:, None]
+    return np.max(np.abs(z), axis=1) > nonlocal_ops._PAIR_Z_MAX
+
+
+GL96_NODES, GL96_WEIGHTS = np.polynomial.legendre.leggauss(96)
+
+
+class TestPairAntiderivative:
+    @pytest.mark.parametrize("a", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_table_matches_96_node_reference(self, a):
+        z = np.linspace(-nonlocal_ops._PAIR_Z_MAX, nonlocal_ops._PAIR_Z_MAX, 2001)
+        t, w = 0.5 * (GL96_NODES + 1.0), 0.5 * GL96_WEIGHTS
+        ref = ((1.0 + (z * z)[:, None] * t * t) ** (-0.5 * (2 + a))) @ w
+        got = np.polynomial.polynomial.polyval(z * z, nonlocal_ops._pair_antiderivative(a))
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_matches_gauss_legendre_oracle(self, n, a):
+        x = grid_1d(n)
+        data = {
+            "triangle": triangle_1d(n, 0.15 * np.pi),
+            "smooth": 0.2 * np.cos(x) + 0.1 * np.sin(3 * x),
+            "band": 0.3 * band_limited(n, np.random.default_rng(n)),
+        }
+        for name, v in data.items():
+            u = PeriodicField(v)
+            got = fractional_mean_curvature(u, a).samples
+            want = fractional_mean_curvature_by_gauss_legendre(u, a).samples
+            assert relative_gap(got, want) <= 1e-14, name
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_steep_rows_match_gauss_legendre_oracle(self, n, a):
+        # the amplitude-2 triangle passes |z| = 0.5 on every row; the
+        # steep sine only on its short shifts
+        x = grid_1d(n)
+        for v, every in ((triangle_1d(n, 2.0), True), (0.4 * np.sin(3 * x), False)):
+            steep = steep_rows(v)
+            assert steep.all() if every else steep.any() and not steep.all()
+            u = PeriodicField(v)
+            got = fractional_mean_curvature(u, a).samples
+            want = fractional_mean_curvature_by_gauss_legendre(u, a).samples
+            assert relative_gap(got, want) <= 1e-14
 
 
 def stretch_ratio_triu(X):

@@ -21,12 +21,13 @@ from pslab.models import (
     MuskatStModel,
     NonlocalMcfModel,
     Peskin2dModel,
+    PositivityError,
     SurfaceDiffusionModel,
     ThinfilmExpModel,
     VarCoefHeatModel,
     _ModelBase,
 )
-from pslab.nonlocal_ops import stretch_ratio
+from pslab.nonlocal_ops import WellStretchedError, stretch_ratio
 from pslab.stepper import (
     LEDGER_BLOCK,
     EvolutionAbort,
@@ -145,6 +146,23 @@ class LateValueErrorModel(ExponentialGrowthModel):
         if self.calls == self.fail_at:
             raise ValueError("toy remainder rejects NaN/Inf by itself")
         return np.zeros_like(uh)
+
+
+class FailingRemainderModel(McfGraphModel):
+    """mcf_graph whose remainder call number fail_at raises error: the
+    guard makes calls 1 and 2, and the fifth falls inside the second
+    ETD-RK2 step."""
+
+    def __init__(self, fail_at, error):
+        self.fail_at = fail_at
+        self.error = error
+        self.calls = 0
+
+    def remainder_hat(self, field, uh):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.error
+        return super().remainder_hat(field, uh)
 
 
 class CappedGrowthModel(ExponentialGrowthModel):
@@ -890,6 +908,27 @@ class TestEvolve:
             evolve(model, u0, 0.5, StepperConfig(dt=0.1))
         assert not isinstance(err.value, EvolutionAbort)
         assert model.calls == 5
+
+    @pytest.mark.parametrize("fail_at", [1, 5], ids=["guard", "step"])
+    def test_bug_is_not_an_abort(self, fail_at):
+        # NotImplementedError is a RuntimeError, but a bug, not a numerical
+        # failure: it leaves evolve as it was raised
+        model = FailingRemainderModel(fail_at, NotImplementedError("forgot a branch"))
+        with pytest.raises(NotImplementedError, match="forgot a branch") as err:
+            evolve(model, triangle(64, 0.3), 0.01, StepperConfig(dt=1e-3))
+        assert type(err.value) is NotImplementedError
+        assert model.calls == fail_at
+
+    @pytest.mark.parametrize("error", [PositivityError(-0.5), WellStretchedError(3)],
+                             ids=["positivity", "tangent"])
+    @pytest.mark.parametrize("fail_at, time", [(1, 0.0), (5, 2e-3)], ids=["guard", "step"])
+    def test_numerical_failure_aborts(self, fail_at, time, error):
+        model = FailingRemainderModel(fail_at, error)
+        with pytest.raises(EvolutionAbort) as err:
+            evolve(model, triangle(64, 0.3), 0.01, StepperConfig(dt=1e-3))
+        assert err.value.reason == str(error)
+        assert err.value.time == time
+        assert err.value.__cause__ is error
 
     def test_blowup_aborts_with_partial_trajectory(self):
         u0 = PeriodicField(np.full(32, 5.0))
