@@ -66,12 +66,13 @@ holder_{k}_{kappa} with kappa in its shortest exact form, theta), and
 manifest.txt, itself a loadable config that reproduces the run. Exit codes:
 0 success, 1 failed check or missed expectation, 2 config or file errors
 (a preset with NaN or Inf samples among them; checked before anything is
-written), 3 numerical abort or a dt refused by the stability guard. An
-exit-3 run also writes diagnostics.txt (aborted_at, reason), with
-initial.bin, final.bin and ledger.csv holding the march up to its last
-kept row; when the initial state already breaks the stretch cap, or its
-ledger row cannot be built (a derivative that overflows), no row is kept,
-so only manifest.txt and diagnostics.txt are written. A run first removes
+written), 3 numerical abort or a dt refused by the stability guard, 4 an
+unexpected internal error (its traceback on stderr; a run then writes no
+diagnostics.txt). An exit-3 run also writes diagnostics.txt (aborted_at,
+reason), with initial.bin, final.bin and ledger.csv holding the march up
+to its last kept row; when the initial state already breaks the stretch
+cap, or its ledger row cannot be built (a derivative that overflows), no
+row is kept, so only manifest.txt and diagnostics.txt are written. A run first removes
 initial.bin, final.bin, ledger.csv and diagnostics.txt, nothing else, from a
 reused output directory.
 """
@@ -85,6 +86,7 @@ import json
 import os
 import struct
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -829,6 +831,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"pslab: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from math import gamma
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .grid import PeriodicField, TWO_PI, wavenumbers
 
@@ -287,6 +286,8 @@ def poisson_aniso_mass(kernel: PoissonAnisoKernel, z: float) -> float:
     """
     if not (z != 0 and np.isfinite(z)):
         raise ValueError("z must be finite and nonzero")
+    from scipy import integrate
+
     if kernel.d == 1:
         val, err = integrate.quad(
             lambda x: poisson_aniso_eval(kernel, x, z), -np.inf, np.inf,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma
 
 from .grid import (
     NumericalFailure,
@@ -157,6 +156,9 @@ class NonlocalMcfModel(_ModelBase):
     def __init__(self, a: float = 0.5):
         if not 0.0 < a < 1.0:
             raise ValueError("a must lie in (0, 1)")
+        # scipy's gamma, not math.gamma: they differ in the last bit at a = 0.5
+        from scipy.special import gamma
+
         self.a = float(a)
         self.multiplier_constant = float(
             -4.0 * gamma(-1.0 - self.a) * np.cos(0.5 * np.pi * (1.0 + self.a)))

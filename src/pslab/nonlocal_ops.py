@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from .grid import (
     NumericalFailure,
@@ -59,6 +58,8 @@ def lemz0_constant(d: int) -> float:
 
 def _one_minus_cos_over_square(c: float, tol: float = 1e-12) -> float:
     """int_0^inf (1 - cos(c alpha)) / alpha^2 d alpha by adaptive quadrature."""
+    from scipy import integrate
+
     c = abs(float(c))
     if c == 0.0:
         return 0.0
@@ -90,6 +91,7 @@ def contc_integral(d: int, b, e, tol: float = 1e-10) -> float:
         return _one_minus_cos_over_square(e[0], tol) * 2.0 / (1.0 + b[0] ** 2)
     if d != 2:
         raise ValueError("d must be 1 or 2")
+    from scipy import integrate
 
     def angular(th):
         w = np.array([np.cos(th), np.sin(th)])
@@ -334,6 +336,8 @@ def _fold_series(n: int, a: float) -> np.ndarray:
     """(terms, n/2, 1) coefficients 2 binom(-(2+a)/2, m)/(2m+1) (2pi)^{-s}
     [zeta(s, 1+q) + zeta(s, 1-q)], s = 2m+2+a, of delta^{2m+1} in the fold at
     alpha_j = 2pi q, q = j/n, j = 1..n/2; even in alpha, so -alpha_j shares them."""
+    from scipy import special
+
     m = np.arange(_SERIES_TERMS)[:, None]
     s = 2 * m + 2 + a
     q = np.arange(1, n // 2 + 1) / n
@@ -342,12 +346,26 @@ def _fold_series(n: int, a: float) -> np.ndarray:
     return _read_only(table[..., None])
 
 
+@lru_cache(maxsize=8)
+def _fold_tail(n: int, a: float) -> np.ndarray:
+    """(n/2, 1) coefficients 2 binom(-(2+a)/2, 1)/3 (2pi)^{-(4+a)}
+    [zeta(4+a, 7+q) + zeta(4+a, 7-q)] of delta^3 in the periods |k| >= 7 of
+    the fold at alpha_j = 2pi q, j = 1..n/2, with q = alpha_j/2pi rounded as
+    _fmc_fold's far branch rounds it."""
+    from scipy import special
+
+    q = ((TWO_PI / n) * np.arange(1, n // 2 + 1)) / TWO_PI
+    table = (2.0 * special.binom(-0.5 * (2 + a), 1) / 3 * TWO_PI ** (-(4 + a))
+             * (special.zeta(4 + a, 7 + q) + special.zeta(4 + a, 7 - q)))
+    return _read_only(table[:, None])
+
+
 def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
     """sum_{k != 0} G(delta/|alpha+2pik|)/|alpha+2pik|^{1+a} at alpha_j =
     2pi j/n, one row of delta per j in 1..n/2: Horner in delta^2 on the
     _fold_series table, and where |delta| > _SERIES_RATIO (2pi - alpha_j) the
     linear Hurwitz term, an explicit sum over six periods either side and the
-    cubic Hurwitz term of the periods beyond."""
+    cubic Hurwitz term of the periods beyond (the _fold_tail table)."""
     coef = _fold_series(n, a)[:, j - 1]
     out = _horner(delta * delta, coef)
     out *= delta
@@ -355,9 +373,7 @@ def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
     far = np.abs(delta) > _SERIES_RATIO * (TWO_PI - alpha)
     if far.any():
         d, al = delta[far], alpha[far]
-        q = al / TWO_PI
-        tail = (2.0 * special.binom(-0.5 * (2 + a), 1) / 3 * TWO_PI ** (-(4 + a))
-                * (special.zeta(4 + a, 7 + q) + special.zeta(4 + a, 7 - q)))
+        tail = np.broadcast_to(_fold_tail(n, a)[j - 1], delta.shape)[far]
         out[far] = np.broadcast_to(coef[0], delta.shape)[far] * d + tail * d ** 3 + sum(
             _gcal_remainder(d / r, a) / r ** (1 + a)
             for k in range(1, 7) for r in (TWO_PI * k + al, TWO_PI * k - al))

@@ -508,6 +508,41 @@ class TestRunCommand:
         assert "stretch" in diagnostics
         assert (out / "manifest.txt").exists()
 
+    def test_theta_column_recorded_on_request(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={
+            "model.tag": "peskin2d", "initial.preset": "ellipse",
+            "initial.a": "1.1", "initial.b": "0.9", "stepper.dt": "0.01",
+            "run.T": "0.1", "ledger.theta": "true", "output.dir": str(out)},
+            drop=["initial.amplitude", "ledger.derivative_sup"])
+        assert main(["run", cfg]) == 0
+        header = (out / "ledger.csv").read_text().splitlines()[0]
+        assert "theta" in header.split(",")
+
+    def test_internal_error_exits_4_without_diagnostics(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # a bug in a model is neither a config error nor a numerical abort:
+        # its traceback goes to stderr and the run leaves no diagnostics.txt
+        class Unfinished(models.McfGraphModel):
+            calls = 0
+
+            def remainder_hat(self, field, uh):
+                self.calls += 1
+                if self.calls == 5:
+                    raise NotImplementedError("forgot a branch")
+                return super().remainder_hat(field, uh)
+
+        monkeypatch.setitem(models.MODELS, "mcf_graph", Unfinished)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={"model.tag": "mcf_graph",
+                                                "output.dir": str(out)})
+        assert main(["run", cfg]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "NotImplementedError: forgot a branch" in err
+        assert (out / "manifest.txt").exists()
+        assert not (out / "diagnostics.txt").exists()
+
     def test_theta_abort_without_theta_column_exits_3(self, tmp_path, capsys):
         # the cap is checked on every accepted state, recorded or not
         out = tmp_path / "out"
@@ -699,16 +734,22 @@ ELLIPSE = {"model.tag": "peskin2d", "initial.preset": "ellipse",
 NO_DERIVATIVES = ("initial.amplitude", "ledger.derivative_sup")
 
 
-def run_pslab(cwd, *args):
-    """The pslab console entry point in a fresh interpreter that imports
-    this pslab: (exit code, stderr)."""
+def run_python(cwd, code, *args):
+    """`code` run with `args` as its sys.argv[1:] by a fresh interpreter
+    that imports this pslab: (exit code, stderr)."""
     env = dict(os.environ)
     src = str(Path(pslab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from pslab.cli import main; sys.exit(main())",
-         *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
     return proc.returncode, proc.stderr
+
+
+def run_pslab(cwd, *args):
+    """The pslab console entry point in a fresh interpreter that imports
+    this pslab: (exit code, stderr)."""
+    return run_python(cwd, "import sys; from pslab.cli import main; sys.exit(main())",
+                      *args)
 
 
 THINFILM_CFG = """model.tag = thinfilm_exp
@@ -782,6 +823,62 @@ class TestRerunsInFreshInterpreters:
                               "--expect", "exponent=-0.5,tol=0.1")
         assert code == 0, err
         assert "RuntimeWarning" not in err
+
+
+# `pslab run` of each config in sys.argv and a ratefit of the heat ledger in
+# one interpreter, which then fails naming every scipy module it holds
+RUNS_THEN_SCIPY_MODULES = """import sys
+from pslab.cli import main
+for cfg in sys.argv[1:]:
+    assert main(["run", cfg]) == 0, cfg
+assert main(["ratefit", "runs/heat/ledger.csv", "--column", "d2_linf",
+             "--window", "5e-3:5e-2"]) == 0
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
+"""
+
+
+class TestScipyLoadedOnDemand:
+    """scipy is imported by the operators that need it, not by importing
+    pslab: runs of the models that call no scipy leave it unloaded."""
+
+    RUNS = {
+        "heat": {},
+        "varcoef_heat": {},
+        "mcf_graph": {},
+        "thinfilm_exp": {"initial.amplitude": "2e-3", "stepper.dt": "1e-5",
+                         "run.T": "1e-4"},
+        "surface_diffusion_axi": {"model.hbar0": "2.0", "run.T": "0.01",
+                                  "initial.preset": "sd_cylinder",
+                                  "initial.amplitude": "0.01"},
+        "muskat_st": {"initial.preset": "cosine", "initial.amplitude": "0.01",
+                      "stepper.dt": "1e-4", "run.T": "1e-3"},
+    }
+
+    def write_runs(self, tmp_path):
+        names = []
+        for tag, overrides in self.RUNS.items():
+            names.append(write_config(tmp_path, f"{tag}.cfg", overrides=dict(
+                overrides, **{"model.tag": tag, "grid.N": "64",
+                              "output.dir": f"runs/{tag}"})))
+        names.append(write_config(tmp_path, "peskin2d.cfg", overrides=dict(
+            ELLIPSE, **{"grid.N": "64", "output.dir": "runs/peskin2d"}),
+            drop=NO_DERIVATIVES))
+        return names
+
+    def test_runs_and_ratefit_never_import_scipy(self, tmp_path):
+        code, err = run_python(tmp_path, RUNS_THEN_SCIPY_MODULES,
+                               *self.write_runs(tmp_path))
+        assert code == 0, err
+
+    def test_operators_that_need_scipy_still_run(self, tmp_path):
+        cfg = write_config(tmp_path, "frac.cfg", overrides={
+            "model.tag": "nonlocal_mcf", "model.a": "0.5", "grid.N": "64",
+            "run.T": "0.005", "output.dir": "runs/frac"})
+        code, err = run_pslab(tmp_path, "run", cfg)
+        assert code == 0, err
+        code, err = run_pslab(tmp_path, "verify", "operators")
+        assert code == 0, err
 
 
 class TestConfigErrorsBeforeOutput:

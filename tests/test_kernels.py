@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
@@ -473,7 +474,7 @@ class TestPoissonAnisoKernel:
 
     def test_nan_error_estimate_fails_convergence(self, monkeypatch):
         # err > tol is false for a nan estimate; the test must not pass it
-        monkeypatch.setattr(kernels.integrate, "quad",
+        monkeypatch.setattr(scipy.integrate, "quad",
                             lambda *args, **kw: (1.0, float("nan")))
         with pytest.raises(RuntimeError, match="did not converge"):
             poisson_aniso_mass(PoissonAnisoKernel(b=0.5, d=1), 1.0)

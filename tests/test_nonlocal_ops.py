@@ -190,13 +190,15 @@ class TestShiftPlan:
     def test_tables_are_shared_and_read_only(self):
         plan = nonlocal_ops._shift_plan(64)
         series = nonlocal_ops._fold_series(64, 0.5)
+        tail = nonlocal_ops._fold_tail(64, 0.5)
         pair = nonlocal_ops._pair_antiderivative(0.5)
         assert nonlocal_ops._shift_plan(64) is plan
         assert nonlocal_ops._fold_series(64, 0.5) is series
+        assert nonlocal_ops._fold_tail(64, 0.5) is tail
         assert nonlocal_ops._pair_antiderivative(0.5) is pair
         tables = (plan.alpha, plan.weights, plan.index, plan.half_cot, plan.sin,
                   plan.two_sin2, plan.inv_four_sin2, plan.inv_four_sin2_hat,
-                  plan.half_cot_hat, series, pair)
+                  plan.half_cot_hat, series, tail, pair)
         for table in tables:
             with pytest.raises(ValueError):
                 table[0] = 1
@@ -474,6 +476,21 @@ class TestFarPeriodFold:
             delta, (TWO_PI * j / n)[:, None], a, 40, cubic_tail=True))
         ref = fractional_mean_curvature(u, 0.5).samples
         assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_tail_table_is_the_per_entry_expression(self, n, a):
+        # the cubic Hurwitz coefficient of the periods beyond the sixth, as
+        # the far branch would compute it for one entry at alpha_j
+        def tail(alpha):
+            q = alpha / TWO_PI
+            return (2.0 * binom(-0.5 * (2 + a), 1) / 3 * TWO_PI ** (-(4 + a))
+                    * (zeta(4 + a, 7 + q) + zeta(4 + a, 7 - q)))
+
+        want = [tail((TWO_PI / n) * j) for j in range(1, n // 2 + 1)]
+        got = nonlocal_ops._fold_tail(n, a)
+        assert got.shape == (n // 2, 1)
+        assert np.array_equal(got[:, 0], want)
 
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
     def test_fold_is_odd_bit_for_bit(self, a):
