@@ -462,12 +462,23 @@ def write_ledger_csv(path: str, rows: Sequence[Dict[str, float]]) -> None:
 
 
 def read_ledger_csv(path: str) -> Dict[str, np.ndarray]:
+    """The columns of a ledger CSV by header name. Blank lines are skipped;
+    a row whose field count differs from the header's, or an entry that is
+    not a number, is a ConfigError."""
     try:
         with open(path, "r", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ConfigError(f"{path}: empty CSV")
-            rows = list(reader)
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ConfigError(f"{path}: line {reader.line_num} has {len(row)} "
+                                      f"fields, the header {len(header)}")
+                rows.append(row)
     except OSError as exc:
         raise ConfigError(f"cannot read CSV: {exc}")
     except csv.Error as exc:
@@ -475,10 +486,10 @@ def read_ledger_csv(path: str) -> Dict[str, np.ndarray]:
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     out = {}
-    for name in reader.fieldnames:
+    for name, column in zip(header, zip(*rows)):
         try:
-            out[name] = np.array([float(row[name]) for row in rows])
-        except (TypeError, ValueError):
+            out[name] = np.fromiter(map(float, column), float, len(column))
+        except ValueError:
             raise ConfigError(f"{path}: non-numeric entry in column {name}")
     return out
 

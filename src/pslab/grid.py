@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 TWO_PI = 2.0 * np.pi
 
@@ -195,17 +196,21 @@ def _hilbert_multiplier(n: int) -> np.ndarray:
     return _read_only(mult)
 
 
+def shift_windows(x: np.ndarray) -> np.ndarray:
+    """Read-only view w with w[..., k, i] = x[..., (i + k) % N], k = 0..N:
+    the length-N windows of x doubled along its last axis, so that a run of
+    consecutive shifts reads one strided slice and no index table."""
+    return sliding_window_view(np.concatenate([x, x], axis=-1), x.shape[-1], axis=-1)
+
+
 @lru_cache(maxsize=32)
-def _holder_tables(n: int):
-    """Dyadic shifts j = 1, 2, 4, ..., N/4 and the gather index whose row r
-    maps x to x - j_r h; cached read-only per n."""
-    shifts = 2 ** np.arange(n.bit_length() - 2)
-    index = (np.arange(n) - shifts[:, None]) % n
-    return _read_only(shifts), _read_only(index)
+def _holder_shifts(n: int) -> np.ndarray:
+    """Dyadic shifts j = 1, 2, 4, ..., N/4; cached read-only per n."""
+    return _read_only(2 ** np.arange(n.bit_length() - 2))
 
 
 def check_holder_target(n: int, k: int, kappa: float) -> None:
-    """Raise ValueError unless the ledger's Holder gather can estimate the
+    """Raise ValueError unless the ledger's Holder shifts can estimate the
     C^{k+kappa} seminorm of a field of n samples."""
     if not 0 < kappa < 1:
         raise ValueError("kappa must lie in (0,1)")
@@ -223,12 +228,15 @@ def holder_rows(d: np.ndarray, kappa: float, h: float) -> np.ndarray:
     The estimate is monotone nondecreasing as shifts are added and differs
     from the continuum C^{k+kappa} seminorm by an O(1) constant, so the
     slopes of rate fits are unaffected."""
-    shifts, index = _holder_tables(d.shape[-1])
+    n = d.shape[-1]
+    shifts = _holder_shifts(n)
+    windows = shift_windows(d)
     sups = []
-    for row in index:
-        # one (B, N) gather per shift keeps no (B, shifts, N) temporary
-        diff = np.take(d, row, axis=-1)
-        sups.append(np.abs(np.subtract(d, diff, out=diff), out=diff).max(axis=-1))
+    for j in shifts:
+        # one (B, N) difference per shift, against window N - j, which
+        # reads x - j h, keeps no (B, shifts, N) temporary
+        diff = np.subtract(d, windows[..., n - j, :])
+        sups.append(np.abs(diff, out=diff).max(axis=-1))
     sups = np.array(sups)
     # (j h)^kappa by Python's pow: np.power rounds some of them differently
     divisors = np.array([(h * int(j)) ** kappa for j in shifts])

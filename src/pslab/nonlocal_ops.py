@@ -13,7 +13,10 @@ far periods are summed as a Hurwitz-zeta series in the increment (DLMF
 data-dependent kernels run blockwise from one cached per-N _ShiftPlan; sums
 over fixed kernels are circulants applied through the plan's kernel spectra
 (the Muskat convolutions), or by the closed-form symbol pi c_1 |k| of the
-Dirichlet-Neumann rule, whose two backends are thus one multiplier.
+Dirichlet-Neumann rule, whose two backends are thus one multiplier. A
+shifted read is a strided window of the samples doubled along their last
+axis (grid.shift_windows), one view per array per call, and a plan block
+reads one slice of it: no shift sum gathers through an index table.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     NumericalFailure,
@@ -33,6 +37,7 @@ from .grid import (
     fractional_laplacian,
     hilbert_transform,
     on_two_pi_torus,
+    shift_windows,
     wavenumbers,
 )
 
@@ -120,7 +125,8 @@ def _normalize_sign(sign) -> int:
     raise ValueError("sign must be +1, -1, '+' or '-'")
 
 
-# Entries per (shifts x N) block temporary: 256 KB of float64 stays in L2 at every N.
+# Entries per (shifts x N) block temporary: 256 KB of float64 stays in L2 at
+# every N; a Peskin block's 2-component temporaries are twice 256 KB.
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -129,17 +135,20 @@ class _ShiftPlan:
     cache. The nodes alpha_s = j_s h, j_s = -N/2..-1, 1..N/2, are the
     punctured periodic trapezoid rule: strict +/- pairs, no alpha = 0 node
     (each caller adds its pair limit), and two half-weighted +/-pi nodes that
-    share the rule's single pi node. The plan also holds the gather index
-    whose row s is np.roll(u, j_s), per-node trig columns, blocks of at
-    most _BLOCK_PAIRS // N rows, and the spectra of the weighted fixed
-    kernels, so that sum_s weights_s K_s g(x - j_s h) = irfft(K_hat rfft(g))."""
+    share the rule's single pi node. The plan also holds per-node trig
+    columns, the spectra of the weighted fixed kernels, so that sum_s
+    weights_s K_s g(x - j_s h) = irfft(K_hat rfft(g)), and the blocks: runs
+    of at most _BLOCK_PAIRS // N rows of one shift sign, each paired with
+    its slice of shift_windows(g). Row s reads g(x - j_s h), window
+    (-j_s) % N, and within one sign the windows fall by one per row, so a
+    block's read is one strided slice; the first half of the blocks holds
+    the -alpha rows, the second the +alpha rows."""
 
     def __init__(self, n: int):
         h = TWO_PI / n
         steps = np.concatenate([np.arange(-n // 2, 0), np.arange(1, n // 2 + 1)])
         self.alpha = _read_only(steps * h)
         self.weights = _read_only(np.where(np.abs(steps) == n // 2, 0.5 * h, h))
-        self.index = _read_only((np.arange(n) - steps[:, None]) % n)
         self.half_cot = _read_only(0.5 / np.tan(0.5 * self.alpha))
         self.sin = _read_only(np.sin(self.alpha))
         self.two_sin2 = _read_only(2.0 * np.sin(0.5 * self.alpha) ** 2)
@@ -149,8 +158,10 @@ class _ShiftPlan:
         self.inv_four_sin2_hat, self.half_cot_hat = (
             _read_only(np.fft.rfft(np.bincount(steps % n, self.weights * kernel, minlength=n)))
             for kernel in (self.inv_four_sin2, self.half_cot))
-        rows = max(1, _BLOCK_PAIRS // n)
-        self.blocks = [slice(i, i + rows) for i in range(0, n, rows)]
+        rows = self.block_rows = max(1, min(_BLOCK_PAIRS // n, n // 2))
+        starts = np.arange(0, n, rows)
+        self.blocks = [(slice(i, i + rows), slice(k, k - rows, -1))
+                       for i, k in zip(starts.tolist(), (-steps[starts] % n).tolist())]
 
 
 _shift_plan = lru_cache(maxsize=4)(_ShiftPlan)
@@ -268,17 +279,17 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     ds, back = delta_alpha u and fwd = -delta_{-alpha} u, which is exact and
     free of cancellation; F is z times a cached polynomial in z^2
     (_pair_antiderivative). Since fwd_j(x) = back_j(x + j h), F is evaluated
-    once per (j, x) and its fwd term read back by one gather. Rows j where
-    some |back/alpha| passes _PAIR_Z_MAX take the pair as a 16-node
-    Gauss-Legendre integral instead. The remaining |alpha|^{-a} singularity
-    at 0 is subtracted analytically and its integral added back in closed
-    form. Periods beyond |alpha| = pi enter through _fmc_fold: a Hurwitz-zeta
-    series in the increment (error below 1e-10), or where the increment nears
-    the series radius 2pi - |alpha|, an explicit six-period sum with the
-    cubic term of the periods beyond in closed form (error ~1e-10
-    |delta|^5). The fold is odd in the increment, so it runs once, on back,
-    and the -alpha fold is the negated gather of its output, in the same
-    gather as F.
+    once per (j, x) and its fwd term read back by one skewed window
+    (_read_ahead). Rows j where some |back/alpha| passes _PAIR_Z_MAX take
+    the pair as a 16-node Gauss-Legendre integral instead. The remaining
+    |alpha|^{-a} singularity at 0 is subtracted analytically and its
+    integral added back in closed form. Periods beyond |alpha| = pi enter
+    through _fmc_fold: a Hurwitz-zeta series in the increment (error below
+    1e-10), or where the increment nears the series radius 2pi - |alpha|, an
+    explicit six-period sum with the cubic term of the periods beyond in
+    closed form (error ~1e-10 |delta|^5). The fold is odd in the increment,
+    so it runs once, on back, and the -alpha fold is the negated read-ahead
+    of its output, in the same read as F.
     """
     if u.components != 1:
         raise ValueError("fractional_mean_curvature takes scalar 1D graphs")
@@ -298,15 +309,15 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     # pair-limit coefficient of the |alpha|^{-a} singularity
     csing = -2.0 * upp * (1.0 + up * up) ** (-0.5 * (2 + a))
 
-    # pairs j = 1..n/2: node row half-1+j holds +alpha_j, row half-j -alpha_j
+    # pairs j = 1..n/2 in the +alpha blocks: node row half-1+j holds
+    # +alpha_j, whose window n - j reads x - j h; window j reads x + j h
     half = n // 2
+    windows = shift_windows(v)
     acc = np.zeros(n)
-    rows = max(1, _BLOCK_PAIRS // n)
-    for j0 in range(1, half + 1, rows):
-        j = np.arange(j0, min(j0 + rows, half + 1))
-        al = alpha[half - 1 + j, None]
-        ahead = plan.index[half - j]             # row j reads x + j h
-        back = v - v[plan.index[half - 1 + j]]   # delta_alpha u
+    for rows, behind in plan.blocks[len(plan.blocks) // 2:]:
+        j = np.arange(rows.start, rows.stop) - (half - 1)
+        al = alpha[rows, None]
+        back = v - windows[behind]   # delta_alpha u
         z = back / al
         steep = np.max(np.abs(z), axis=1) > _PAIR_Z_MAX
         z[steep] = 0.0
@@ -316,13 +327,23 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
         term *= z
         term *= 2.0 / al ** (1 + a)
         term += _fmc_fold(back, j, n, a)
-        term -= np.take_along_axis(term, ahead, axis=1)
+        term -= _read_ahead(term, int(j[0]))
         if steep.any():
-            term[steep] += _gauss_legendre_pairs(back[steep], v[ahead[steep]] - v,
+            term[steep] += _gauss_legendre_pairs(back[steep], windows[j[steep]] - v,
                                                  al[steep], a)
-        acc += wts[half - 1 + j] @ term
+        acc += wts[rows] @ term
     acc += csing * (np.pi ** (1 - a) / (1 - a) - wts[half:] @ alpha[half:] ** (-a))
     return u.with_samples(acc)
+
+
+def _read_ahead(t: np.ndarray, j0: int) -> np.ndarray:
+    """Read-only view of t[r, (i + j0 + r) % N] for each row r of t, shape
+    (rows, N): row r read j0 + r nodes ahead, with j0 + rows <= N + 1. Laid
+    end to end, the rows of t doubled put entry i of that read at flat
+    position r (2N + 1) + j0 + i, so it is every (2N + 1)-th length-N window."""
+    rows, n = t.shape
+    flat = np.concatenate([t, t], axis=1).ravel()
+    return sliding_window_view(flat, n)[j0::2 * n + 1][:rows]
 
 
 # Far-period fold: terms kept in the Hurwitz series, and the largest
@@ -397,13 +418,13 @@ def stretch_ratio(X: PeriodicField) -> float:
     if X.components != 2:
         raise ValueError("stretch_ratio takes a 2-component contour")
     n = X.n
-    # row j-1 pairs node i with node i+j, j = 1..n/2: every pair once, the
+    # window j pairs node i with node i+j, j = 1..n/2: every pair once, the
     # antipodal ones twice
-    index = _shift_plan(n).index[n // 2 - 1::-1]
+    ahead = slice(1, n // 2 + 1)
     x = np.arange(n) * X.spacing
-    dx = np.abs(x - x[index])
+    dx = np.abs(x - shift_windows(x)[ahead])
     np.minimum(dx, X.domain_length - dx, out=dx)
-    d0, d1 = (c - c[index] for c in X.samples)
+    d0, d1 = X.samples[:, None, :] - shift_windows(X.samples)[:, ahead]
     d0 *= d0
     d1 *= d1
     d0 += d1
@@ -438,13 +459,16 @@ def peskin_rhs(X: PeriodicField) -> PeriodicField:
 
     plan = _shift_plan(X.n)
     Xs = X.samples
+    X_windows, xp_windows = shift_windows(Xs), shift_windows(xp)
     acc = np.zeros_like(Xs)
-    for rows in plan.blocks:
-        ib = plan.index[rows]
-        dX = Xs[:, None, :] - Xs[:, ib]
-        E = xp[:, ib]
-        dV = xp[:, None, :] - E
-        E -= plan.half_cot[rows, None] * dX
+    # work arrays shared by every block: fresh block temporaries would be
+    # page-faulted in again on each block
+    dX, E, dV = np.empty((3, 2, plan.block_rows, X.n))
+    for rows, behind in plan.blocks:
+        np.subtract(Xs[:, None, :], X_windows[:, behind], out=dX)
+        np.subtract(xp[:, None, :], xp_windows[:, behind], out=dV)
+        np.multiply(plan.half_cot[rows, None], dX, out=E)
+        np.subtract(xp_windows[:, behind], E, out=E)
         # term = a dV - b E - s dX with a = dX.E/r2, b = dX.dV/r2 and
         # s = E.dV/r2 - 2ab, assembled in place
         r2 = dX[0] ** 2 + dX[1] ** 2
@@ -505,14 +529,17 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     sum_2 = h * (0.5 * fpp * wpp + fppp * wp) + conv[0] - wc * conv[1]
     wts = plan.weights
     hv = 0.5 * v
-    for rows in plan.blocks:
-        ib = plan.index[rows]
-        d = hv - hv[ib]  # deltaf / 2
+    hv_windows, q_windows = shift_windows(hv), shift_windows(q)
+    fp_windows = shift_windows(fp) if rho0 else None
+    # work arrays reused by every block, as in peskin_rhs
+    d, g = np.empty((2, plan.block_rows, f.n))
+    for rows, behind in plan.blocks:
+        np.subtract(hv, hv_windows[behind], out=d)  # deltaf / 2
         # g = G + S(alpha) = Re S(alpha + i deltaf) - f' Im S(alpha + i deltaf),
         # where S(alpha + i deltaf) = (sin alpha - i sinh deltaf) / den with the
         # cancellation-free den = 2 (cosh deltaf - cos alpha)
         #                       = 4 sinh^2(deltaf/2) + 2 (2 sin^2(alpha/2))
-        g = 2.0 * d
+        np.multiply(2.0, d, out=g)
         np.sinh(g, out=g)
         den = np.sinh(d, out=d)
         den *= den
@@ -522,11 +549,11 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
         g += plan.sin[rows, None]
         g /= den
         if rho0:
-            sum_fp += wts[rows] @ (g * fp[ib])
-        g *= q[ib]
+            sum_fp += wts[rows] @ np.multiply(g, fp_windows[behind], out=den)
+        g *= q_windows[behind]
         sum_q += wts[rows] @ g
 
-    # N1 + N2 + rho0 N3; without gravity N3 is neither gathered nor added
+    # N1 + N2 + rho0 N3; without gravity N3 is neither read nor added
     gravity = rho0 * (sum_fp / np.pi + fractional_laplacian(f, 1.0).samples) if rho0 else 0.0
     rhs = main + (sum_q - sum_2) / np.pi - gravity
     rhs = rhs - rhs.mean()

@@ -143,7 +143,7 @@ def ledger_rows(snaps, spec: LedgerSpec):
     """Diagnostics recorded for a block of snapshots (t, field) on one grid,
     the theta column aside, built together: one rfft and one batched irfft
     give every derivative row, the norms are reductions along each row, and
-    the Holder gather runs one dyadic shift at a time over the block.
+    the Holder differences run one dyadic shift at a time over the block.
 
     Returns (rows, error): the rows of the leading run of snapshots whose
     rows can be built, and the NonFiniteError of the first that cannot

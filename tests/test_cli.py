@@ -337,6 +337,29 @@ class TestLedgerCsv:
         with pytest.raises(ConfigError, match="non-numeric"):
             read_ledger_csv(str(path))
 
+    @pytest.mark.parametrize("text, line", [("t,l2\n0,1\n1,2,99\n", 3),
+                                            ("t,l2\n0,1\n1\n", 3),
+                                            ("t,l2\n\n0,1,2\n1,2\n", 3)],
+                             ids=["extra_field", "short_row", "after_blank"])
+    def test_row_with_other_field_count_rejected_by_line(self, tmp_path, capsys,
+                                                         text, line):
+        # an extra field was dropped and a short row called non-numeric
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"line {line} has"):
+            read_ledger_csv(str(path))
+        assert main(["ratefit", str(path), "--column", "l2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {line}" in captured.err
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("t,l2\n\n0,1\n\n1,2\n\n")
+        table = read_ledger_csv(str(path))
+        assert table["t"].tolist() == [0.0, 1.0]
+        assert table["l2"].tolist() == [1.0, 2.0]
+
 
 class TestRunCommand:
     def test_heat_run_l2_decreases(self, tmp_path):
@@ -734,15 +757,21 @@ ELLIPSE = {"model.tag": "peskin2d", "initial.preset": "ellipse",
 NO_DERIVATIVES = ("initial.amplitude", "ledger.derivative_sup")
 
 
-def run_python(cwd, code, *args):
+def run_python_output(cwd, code, *args):
     """`code` run with `args` as its sys.argv[1:] by a fresh interpreter
-    that imports this pslab: (exit code, stderr)."""
+    that imports this pslab: (exit code, stdout bytes, stderr)."""
     env = dict(os.environ)
     src = str(Path(pslab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
-    return proc.returncode, proc.stderr
+                          capture_output=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr.decode(errors="replace")
+
+
+def run_python(cwd, code, *args):
+    """run_python_output without the stdout: (exit code, stderr)."""
+    code, _, err = run_python_output(cwd, code, *args)
+    return code, err
 
 
 def run_pslab(cwd, *args):
@@ -792,7 +821,8 @@ ledger.derivative_sup = 2
 
 class TestRerunsInFreshInterpreters:
     """A config run twice, each time by a new interpreter, exits 0 without
-    a RuntimeWarning and writes the same final.bin and ledger.csv bytes."""
+    a RuntimeWarning and writes the same final.bin and ledger.csv bytes; a
+    verify suite run so prints the same stdout bytes."""
 
     @staticmethod
     def run_twice(tmp_path, name, text):
@@ -814,6 +844,19 @@ class TestRerunsInFreshInterpreters:
 
     def test_pointwise_frozen_march(self, tmp_path):
         self.run_twice(tmp_path, "pointwise", POINTWISE_CFG)
+
+    @pytest.mark.parametrize("suite", ["kernels", "operators", "models"])
+    def test_verify_suites(self, tmp_path, suite):
+        outs = []
+        for _ in "ab":
+            code, out, err = run_python_output(
+                tmp_path, "import sys; from pslab.cli import main; sys.exit(main())",
+                "verify", suite)
+            assert code == 0, err
+            assert "RuntimeWarning" not in err
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) >= 4
 
     def test_stride_one_ledger_rows_built_in_blocks(self, tmp_path):
         out = self.run_twice(tmp_path, "blocks", BLOCKS_CFG)

@@ -1,5 +1,5 @@
 """Grid module: field invariants, Parseval, multiplier actions, the ledger's
-Holder gather against the per-shift loop it replaced, and the
+Holder shift differences against the per-shift loops they replaced, and the
 quadrature-derived Hilbert convention."""
 
 import warnings
@@ -14,12 +14,14 @@ from pslab.grid import (
     _dealias_mask,
     _derivative_table,
     _hilbert_multiplier,
-    _holder_tables,
+    _holder_shifts,
     apply_multiplier,
     derivatives,
     fractional_laplacian,
     hilbert_transform,
+    holder_rows,
     norms,
+    shift_windows,
     wavenumbers,
 )
 from pslab.kernels import periodic_sd_kernel, sd_symbol
@@ -143,14 +145,13 @@ class TestPlanCache:
         assert same_bits(k, fresh_wavenumbers(64, 3.0))
 
     def test_holder_tables_are_shared_and_read_only(self):
-        tables = _holder_tables(64)
-        assert all(a is b for a, b in zip(_holder_tables(64), tables))
-        shifts, index = tables
+        # the shifts are the only table: each is read as a window, not
+        # through a cached gather index
+        shifts = _holder_shifts(64)
+        assert _holder_shifts(64) is shifts
         assert shifts.tolist() == [1, 2, 4, 8, 16]
-        assert same_bits(index, (np.arange(64) - shifts[:, None]) % 64)
-        for table in tables:
-            with pytest.raises(ValueError):
-                table[0] = 0
+        with pytest.raises(ValueError):
+            shifts[0] = 0
 
     @pytest.mark.parametrize("n", [16, 64, 512, 1024])
     def test_cached_callers_match_inline(self, n):
@@ -424,6 +425,57 @@ def holder_by_shift_loop(field, k, kappa):
         value = max(value, float(np.max(np.abs(d.samples))) / h**kappa)
         h *= 2.0
     return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def holder_rows_by_roll(d, kappa, h):
+    """holder_rows one row and one np.roll per dyadic shift at a time."""
+    n = d.shape[-1]
+    out = []
+    for row in d:
+        value = -np.inf
+        j = 1
+        while j <= n // 4:
+            sup = np.max(np.abs(row - np.roll(row, j)))
+            value = max(value, sup / (h * j) ** kappa)
+            j *= 2
+        out.append(value if np.isfinite(value) else np.nan)
+    return np.array(out)
+
+
+class TestHolderRowsAgainstRolls:
+    @given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(4, 10),
+           batch=st.integers(1, 5), scale=st.floats(-300.0, 300.0),
+           kappa=st.floats(0.01, 0.99), h=st.floats(1e-4, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_window_read_is_the_roll_loop_bit_for_bit(self, seed, log2n, batch,
+                                                     scale, kappa, h):
+        rng = np.random.default_rng(seed)
+        n = 2**log2n
+        d = 10.0**scale * rng.standard_normal((batch, n))
+        # a near-limit alternating row, whose quotients overflow for small h
+        d[-1] = np.tile([7e307, -7e307], n // 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = holder_rows(d, kappa, h)
+        assert got.tobytes() == holder_rows_by_roll(d, kappa, h).tobytes()
+
+    def test_overflowing_quotient_row_is_nan(self):
+        d = np.stack([np.cos(np.arange(64.0)), np.tile([7e307, -7e307], 32)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = holder_rows(d, 0.5, 0.1 / 64)
+        want = holder_rows_by_roll(d, 0.5, 0.1 / 64)
+        assert np.isfinite(got[0]) and np.isnan(got[1])
+        assert got.tobytes() == want.tobytes()
+
+    def test_windows_are_the_rolls(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 32))
+        windows = shift_windows(x)
+        assert windows.shape == (3, 33, 32)
+        for k in range(33):
+            assert windows[:, k].tobytes() == np.roll(x, -k, axis=-1).tobytes()
+        with pytest.raises(ValueError):
+            windows[0, 0, 0] = 1.0
 
 
 class TestHolderAgainstShiftLoop:

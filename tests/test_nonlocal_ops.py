@@ -17,6 +17,7 @@ from pslab.grid import (
     derivatives,
     fractional_laplacian,
     hilbert_transform,
+    shift_windows,
 )
 from pslab.nonlocal_ops import (
     BackendMismatchError,
@@ -196,7 +197,7 @@ class TestShiftPlan:
         assert nonlocal_ops._fold_series(64, 0.5) is series
         assert nonlocal_ops._fold_tail(64, 0.5) is tail
         assert nonlocal_ops._pair_antiderivative(0.5) is pair
-        tables = (plan.alpha, plan.weights, plan.index, plan.half_cot, plan.sin,
+        tables = (plan.alpha, plan.weights, plan.half_cot, plan.sin,
                   plan.two_sin2, plan.inv_four_sin2, plan.inv_four_sin2_hat,
                   plan.half_cot_hat, series, tail, pair)
         for table in tables:
@@ -204,6 +205,31 @@ class TestShiftPlan:
                 table[0] = 1
             with pytest.raises(ValueError):
                 table *= 2
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+    def test_blocks_read_one_window_each(self, n):
+        # every block is a run of one shift sign whose window read is the
+        # gather the plan's index table used to make, bit for bit
+        plan = nonlocal_ops._shift_plan(n)
+        steps = np.concatenate([np.arange(-n // 2, 0), np.arange(1, n // 2 + 1)])
+        assert np.array_equal(steps * (TWO_PI / n), plan.alpha)
+        rng = np.random.default_rng(n)
+        scalar, contour = rng.standard_normal(n), rng.standard_normal((2, n))
+        windows = [shift_windows(scalar), shift_windows(contour)]
+        covered = []
+        for rows, behind in plan.blocks:
+            signs = np.sign(steps[rows])
+            assert signs.size == plan.block_rows and np.all(signs == signs[0])
+            covered.extend(range(n)[rows])
+            index = (np.arange(n) - steps[rows, None]) % n
+            for x, w in zip((scalar, contour), windows):
+                assert w[..., behind, :].tobytes() == x[..., index].tobytes()
+        assert covered == list(range(n))
+        assert len(plan.blocks) % 2 == 0
+        # the tables are columns and spectra; the blocks hold slices only
+        tables = [v for k, v in vars(plan).items() if k not in ("blocks", "block_rows")]
+        assert all(isinstance(v, np.ndarray) and v.ndim == 1 for v in tables)
+        assert all(isinstance(s, slice) for block in plan.blocks for s in block)
 
 
 def quadrature_symbol_from_kernel(n, length):
@@ -530,8 +556,8 @@ def fractional_mean_curvature_by_gauss_legendre(u, a):
     for j0 in range(1, half + 1, rows):
         j = np.arange(j0, min(j0 + rows, half + 1))
         al = alpha[half - 1 + j, None]
-        back = v - v[plan.index[half - 1 + j]]
-        fwd = v[plan.index[half - j]] - v
+        back = v - v[(np.arange(n) - j[:, None]) % n]
+        fwd = v[(np.arange(n) + j[:, None]) % n] - v
         bmu = fwd / al
         omu = back / al - bmu
         args = bmu[..., None] + nodes * omu[..., None]
@@ -834,11 +860,14 @@ def lambda_loop(field):
 
 def blocked_lambda_loop(field):
     """The blocked gather loop over the cached shift plan that the quadrature
-    backend ran before it applied the rule's symbol."""
+    backend ran before it applied the rule's symbol, on its own gather index."""
     plan = nonlocal_ops._shift_plan(field.n)
     u = field.samples
+    n = field.n
+    steps = np.rint(plan.alpha / (TWO_PI / n)).astype(int)
+    index = (np.arange(n) - steps[:, None]) % n
     wk = (TWO_PI / field.domain_length) * plan.weights * plan.inv_four_sin2
-    acc = sum(wk[rows] @ (u - u[plan.index[rows]]) for rows in plan.blocks)
+    acc = sum(wk[rows] @ (u - u[index[rows]]) for rows, _ in plan.blocks)
     fpp = derivatives(field, (2,))[0]
     return (acc + field.spacing * (-0.5 * fpp)) / np.pi
 
