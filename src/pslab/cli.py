@@ -463,8 +463,8 @@ def write_ledger_csv(path: str, rows: Sequence[Dict[str, float]]) -> None:
 
 def read_ledger_csv(path: str) -> Dict[str, np.ndarray]:
     """The columns of a ledger CSV by header name. Blank lines are skipped;
-    a row whose field count differs from the header's, or an entry that is
-    not a number, is a ConfigError."""
+    a repeated header name, a row whose field count differs from the
+    header's, or an entry that is not a number, is a ConfigError."""
     try:
         with open(path, "r", newline="") as fh:
             reader = csv.reader(fh)
@@ -487,6 +487,8 @@ def read_ledger_csv(path: str) -> Dict[str, np.ndarray]:
         raise ConfigError(f"{path}: no data rows")
     out = {}
     for name, column in zip(header, zip(*rows)):
+        if name in out:
+            raise ConfigError(f"{path}: column {name} appears twice in the header")
         try:
             out[name] = np.fromiter(map(float, column), float, len(column))
         except ValueError:

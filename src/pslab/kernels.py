@@ -5,9 +5,10 @@ e^{-t|k|^s}, the frozen-symbol kernel solving a per-frequency matrix ODE
 and the anisotropic Poisson kernel of the flat-interface elliptic problem,
 plus the fourth-order periodic kernel of the linearized axisymmetric
 surface diffusion model. The frozen-symbol ODE is integrated by the
-fourth-order Magnus step on two Gauss nodes (Iserles & Norsett 1999;
-Blanes, Casas, Oteo & Ros 2009), whose batched matrix exponentials are
-built here in numpy.
+fourth-order Magnus step on Simpson nodes, the ends and the midpoint of
+each step (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), which
+nest under step doubling; its batched matrix exponentials are built here
+in numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .grid import PeriodicField, TWO_PI, wavenumbers
 REFINE_TOL = 1e-9
 # Intervals of the tabulated tau grid, and the Magnus steps of the first level.
 TAU_STEPS = 16
-# Gauss-Legendre nodes of the fourth-order Magnus step, as fractions of a step.
-_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (np.sqrt(3.0) / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +90,20 @@ def _as_matrix(a, dim):
     return m
 
 
-def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> None:
+def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> np.ndarray:
     """Check A(t, xi) >= c0 |xi|^s Id at every probe pair, t outer and xi
-    inner; raise at the first failure."""
-    for t in ts:
-        for xi in xis:
-            m = _as_matrix(symbol.eval(t, xi), symbol.dim_N)
+    inner; raise at the first failure. Returns the checked matrices,
+    shape (len(ts), len(xis), dim_N, dim_N)."""
+    out = np.empty((len(ts), len(xis), symbol.dim_N, symbol.dim_N))
+    for row, t in zip(out, ts):
+        for k, xi in enumerate(xis):
+            m = row[k] = _as_matrix(symbol.eval(t, xi), symbol.dim_N)
             floor = symbol.c0 * abs(xi) ** symbol.s
             min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
             # written so that a NaN eigenvalue or floor fails too
             if not min_eig >= floor - 1e-10 * max(1.0, floor):
                 raise EllipticityError(t, xi, min_eig, floor)
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,33 +156,49 @@ def _expm(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _magnus_table(symbol: FrozenSymbol, t: float, xis: np.ndarray,
-                  n_steps: int) -> np.ndarray:
-    """Fourth-order Magnus steps for dm/dw = -m A(t - w, xi) from w=0 (m=Id)
-    to w=t, batched over xi, with n_steps a multiple of TAU_STEPS; returns
-    the snapshots on the tau grid, row i at tau = i t / TAU_STEPS.
+def _halve(symbol: FrozenSymbol, t: float, xis: np.ndarray,
+           nodes: np.ndarray) -> np.ndarray:
+    """The node table at half the spacing: nodes[i] holds A(t - w_i, xi)
+    at w_i = i t / M for i = 0..M, and the result holds it at
+    w_i = i t / (2 M), the old entries copied to the even rows and the
+    symbol called only for the odd ones, w outer and xi inner."""
+    spans = 2 * (len(nodes) - 1)
+    out = np.empty((spans + 1,) + nodes.shape[1:])
+    out[::2] = nodes
+    new = out[1::2]
+    xi_list = xis.tolist()
+    taus = (np.arange(spans - 1, 0, -2) * (t / spans)).tolist()
+    for row, tau in zip(new, taus):
+        for k, xi in enumerate(xi_list):
+            row[k] = _as_matrix(symbol.eval(tau, xi), symbol.dim_N)
+    if not np.isfinite(new).all():
+        raise ValueError("symbol returned a non-finite value at an integration node")
+    return out
 
-    Step j reads B = -A(t - w) at the Gauss nodes w = (j + 1/2 -+ sqrt3/6) h
-    and is m <- m exp(Omega_j), Omega = (h/2)(B1 + B2) + (sqrt3 h^2/12)[B1, B2]
+
+def _magnus_table(nodes: np.ndarray, t: float) -> np.ndarray:
+    """Fourth-order Magnus steps for dm/dw = -m A(t - w, xi) from w=0 (m=Id)
+    to w=t, batched over xi, on a node table of 2 n + 1 rows (row i at
+    w = i h / 2, h = t / n, n a multiple of TAU_STEPS); returns the
+    snapshots on the tau grid, row i at tau = i t / TAU_STEPS.
+
+    Step j reads B = -A(t - w) at its start, midpoint and end, B0, B_half
+    and B1, and is m <- m exp(Omega_j) with
+    Omega = (h/6)(B0 + 4 B_half + B1) + (h^2/12)[B_half, B1 - B0]
     (the commutator in this order because B multiplies m from the right);
     every exp(Omega_j) is built in one batch and only m @ exp(Omega_j) runs
     step by step.
     """
-    dim = symbol.dim_N
+    n_steps = (len(nodes) - 1) // 2
     h = t / n_steps
-    ws = (np.arange(n_steps)[:, None] + _GAUSS_NODES) * h
-    a = np.empty((n_steps, 2, len(xis), dim, dim))
-    xi_list = xis.tolist()
-    for row, w in zip(a.reshape(-1, len(xis), dim, dim), ws.ravel().tolist()):
-        for k, xi in enumerate(xi_list):
-            row[k] = _as_matrix(symbol.eval(t - w, xi), dim)
-    if not np.isfinite(a).all():
-        raise ValueError("symbol returned a non-finite value at an integration node")
-    a1, a2 = a[:, 0], a[:, 1]
-    omega = -0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0 * h * h) * (a1 @ a2 - a2 @ a1)
+    a0, a_half, a1 = nodes[:-1:2], nodes[1::2], nodes[2::2]
+    da = a1 - a0
+    omega = (-h / 6.0) * (a0 + 4.0 * a_half + a1) + \
+        (h * h / 12.0) * (a_half @ da - da @ a_half)
     prop = _expm(omega)
 
-    out = np.empty((TAU_STEPS + 1, len(xis), dim, dim))
+    dim = nodes.shape[-1]
+    out = np.empty((TAU_STEPS + 1,) + nodes.shape[1:])
     m = out[TAU_STEPS] = np.eye(dim)
     stride = n_steps // TAU_STEPS
     for step in range(n_steps):
@@ -196,35 +214,38 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
     The matrix ODE runs in the time-reversed variable w = t - tau from the
     identity at w = 0, so the stored array carries the identity at
     tau = t and the decayed kernel at tau = 0. Each step is the
-    fourth-order Magnus step on the two Gauss nodes (Iserles & Norsett,
-    Phil. Trans. R. Soc. A 357, 1999; Blanes, Casas, Oteo & Ros, Phys.
-    Rep. 470, 2009). For a symmetric symbol Omega is a negative definite
-    symmetric part plus an antisymmetric commutator, so every step
-    contracts at any step size and the step count starts at TAU_STEPS,
-    then doubles. Each doubling turns the coarse table K_c and the fine
-    table K_f into the Richardson value K_f + (K_f - K_c) / 15, which
-    cancels the step's h^4 error term; the doubling stops once that value
-    moves by less than REFINE_TOL from the previous level's, where the
-    first doubling compares it with the plain starting table. The last
-    Richardson value is returned.
+    fourth-order Magnus step on the step's ends and midpoint (Simpson
+    moments; Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470, 2009). For a symmetric symbol
+    Omega is a negative definite symmetric part plus an antisymmetric
+    commutator, so every step contracts at any step size and the step
+    count starts at TAU_STEPS, then doubles. Each doubling turns the
+    coarse table K_c and the fine table K_f into the Richardson value
+    K_f + (K_f - K_c) / 15, which cancels the step's h^4 error term; the
+    doubling stops once that value moves by less than REFINE_TOL from the
+    previous level's, where the first doubling compares it with the plain
+    starting table. The last Richardson value is returned.
 
     The ellipticity probe on the tau grid runs before any integration node
-    is evaluated. Gauss nodes do not nest under doubling, so each level
-    evaluates its own: the symbol is called (TAU_STEPS + 1) n_xi times by
-    the probe and 2 n n_xi times by the level of n steps, for
-    n = TAU_STEPS, 2 TAU_STEPS, ..., n_final, and the node table takes
-    O(n_final n_xi dim_N^2) memory.
+    is evaluated, and its matrices are the first level's even nodes. The
+    nodes nest: a level of n steps holds A(t - i t / (2 n), xi) for
+    i = 0..2 n, and its doubling calls the symbol only at the odd entries
+    of the next. A tabulation that stops at n_final steps calls the symbol
+    (2 n_final + 1) n_xi times, each (tau, xi) pair once, and its node
+    table takes O(n_final n_xi dim_N^2) memory.
     """
     if not 0 < t < np.inf:
         raise ValueError("t must be positive and finite")
     xis = np.asarray(xi_grid, dtype=float)
+    if xis.ndim != 1 or xis.size == 0 or not np.isfinite(xis).all():
+        raise ValueError("xi_grid must be a non-empty 1-D array of finite values")
     tau_grid = np.linspace(0.0, t, TAU_STEPS + 1)
-    ellipticity_probe(symbol, tau_grid, xis)
-    n_steps = TAU_STEPS
-    prev = coarse = _magnus_table(symbol, t, xis, n_steps)
+    # the probe runs tau upward; the node table runs w = t - tau upward
+    nodes = _halve(symbol, t, xis, ellipticity_probe(symbol, tau_grid, xis)[::-1])
+    prev = coarse = _magnus_table(nodes, t)
     for _ in range(24):
-        n_steps *= 2
-        fine = _magnus_table(symbol, t, xis, n_steps)
+        nodes = _halve(symbol, t, xis, nodes)
+        fine = _magnus_table(nodes, t)
         extrapolated = fine + (fine - coarse) / 15.0
         converged = float(np.max(np.abs(extrapolated - prev))) < REFINE_TOL
         prev, coarse = extrapolated, fine

@@ -353,6 +353,18 @@ class TestLedgerCsv:
         assert captured.out == ""
         assert f"line {line}" in captured.err
 
+    def test_repeated_header_name_rejected(self, tmp_path, capsys):
+        # the later l2 column used to replace the earlier one, so ratefit
+        # fitted [2, 4]
+        path = tmp_path / "repeated.csv"
+        path.write_text("t,l2,l2\n0,1,2\n1,3,4\n")
+        with pytest.raises(ConfigError, match="column l2"):
+            read_ledger_csv(str(path))
+        assert main(["ratefit", str(path), "--column", "l2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "column l2" in captured.err
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("t,l2\n\n0,1\n\n1,2\n\n")
@@ -729,6 +741,31 @@ class TestRunCommand:
         assert main(["run", overflow]) == 3
         assert set(os.listdir(out)) == {"manifest.txt", "diagnostics.txt"}
         assert "initial.amplitude = 1e305" in (out / "manifest.txt").read_text()
+
+    def test_pointwise_dt_guard_then_reused_dir(self, tmp_path):
+        # muskat_st's frozen_pointwise march: dt = 1e-3 is over the guard's
+        # bound and refused before the first step, dt = 1e-4 runs to the
+        # end; an overflow abort into that run's directory then leaves only
+        # its own manifest and diagnostics
+        pointwise = {"model.tag": "muskat_st", "grid.N": "256",
+                     "stepper.scheme": "frozen_pointwise",
+                     "initial.preset": "cosine", "initial.amplitude": "0.5"}
+        defaults = ("ledger.stride", "ledger.derivative_sup")
+        refused, reused = tmp_path / "refused", tmp_path / "reused"
+        cfg = write_config(tmp_path, "refused.cfg", drop=defaults, overrides=dict(
+            pointwise, **{"stepper.dt": "1e-3", "output.dir": str(refused)}))
+        assert main(["run", cfg]) == 3
+        diagnostics = (refused / "diagnostics.txt").read_text()
+        assert "aborted_at = 0" in diagnostics.splitlines()
+        assert "stability bound" in diagnostics
+        cfg = write_config(tmp_path, "accepted.cfg", drop=defaults, overrides=dict(
+            pointwise, **{"stepper.dt": "1e-4", "output.dir": str(reused)}))
+        assert main(["run", cfg]) == 0
+        overflow = write_config(tmp_path, "overflow.cfg", drop=("ledger.stride",), overrides={
+            "grid.N": "256", "initial.amplitude": "1e305", "ledger.derivative_sup": "2",
+            "output.dir": str(reused)})
+        assert main(["run", overflow]) == 3
+        assert set(os.listdir(reused)) == {"manifest.txt", "diagnostics.txt"}
 
     def test_unremovable_stale_artifact_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -132,7 +132,9 @@ class TestFrozenSymbol:
     def test_probe_passes_time_dependent_matrix(self):
         sym = FrozenSymbol(s=1.0, c0=0.25, dim_N=2,
                            eval=lambda t, xi: np.diag([0.3, 0.7 + t]) * abs(xi))
-        assert ellipticity_probe(sym, [0.0, 0.5], [1.0, -4.0]) is None
+        got = ellipticity_probe(sym, [0.0, 0.5], [1.0, -4.0])
+        want = [[sym.eval(t, xi) for xi in (1.0, -4.0)] for t in (0.0, 0.5)]
+        assert np.array_equal(got, want)
 
     def test_probe_raises_with_location(self):
         sym = FrozenSymbol(
@@ -168,19 +170,31 @@ class TestFrozenKernelHat:
             frozen_kernel_hat(sym, t, [1.0])
         assert calls == []
 
+    @pytest.mark.parametrize("xi_grid", [[], [math.nan], [math.inf], [[1.0, 2.0]], 1.0],
+                             ids=["empty", "nan", "inf", "2-D", "scalar"])
+    def test_bad_xi_grid_rejected_before_any_symbol_call(self, xi_grid):
+        calls = []
+        sym = FrozenSymbol(s=1.0, c0=0.5, dim_N=1,
+                           eval=lambda u, xi: calls.append(u) or abs(xi))
+        with pytest.raises(ValueError, match="xi_grid"):
+            frozen_kernel_hat(sym, 1.0, xi_grid)
+        assert calls == []
+
     def test_non_finite_node_value_raises_at_first_level(self):
         # finite on the probe's tau grid (multiples of 0.1), NaN at every
-        # Gauss node between, so only the first level's nodes are evaluated
+        # node between, so the first level's odd nodes are the only ones
+        # evaluated after the probe
         calls = []
 
         def ev(u, xi):
-            calls.append(u)
+            calls.append((u, xi))
             return abs(xi) if abs(10.0 * u - round(10.0 * u)) < 1e-9 else math.nan
 
         sym = FrozenSymbol(s=1.0, c0=0.5, dim_N=1, eval=ev)
         with pytest.raises(ValueError, match="non-finite"):
             frozen_kernel_hat(sym, 1.6, [1.0, 2.0])
-        assert len(calls) == (kernels.TAU_STEPS + 1) * 2 + 2 * kernels.TAU_STEPS * 2
+        assert check_nested_calls(calls, 1.6, [1.0, 2.0], kernels.TAU_STEPS) == \
+            kernels.TAU_STEPS
 
     def test_identity_at_t_final(self):
         sym = scalar_symbol(1.0, 0.4)
@@ -318,6 +332,32 @@ def _reference_frozen_kernel_hat(symbol, t, xi_grid, tau_steps):
     return prev
 
 
+def check_nested_calls(calls, t, xis, tau_steps):
+    """Assert that the (tau, xi) symbol calls of one tabulation are the
+    probe pairs (tau upward, xi inner), then for n = tau_steps,
+    2 tau_steps, ... the odd nodes t - (2 j + 1) t / (2 n) of the level of
+    n steps at every xi, with no pair asked twice; returns n_final, the
+    step count of the last level, so that there are (2 n_final + 1) n_xi
+    calls."""
+    n_xi = len(xis)
+    probe = [(float(tau), xi) for tau in np.linspace(0.0, t, tau_steps + 1) for xi in xis]
+    assert calls[:len(probe)] == probe
+    assert len(set(calls)) == len(calls)
+    start, n = len(probe), tau_steps
+    while start < len(calls):
+        level = calls[start:start + n * n_xi]
+        start += len(level)
+        odd = np.sort(t - np.arange(1, 2 * n, 2) * t / (2 * n))
+        for xi in xis:
+            got = np.sort([tau for tau, x in level if x == xi])
+            assert got.shape == odd.shape
+            assert np.max(np.abs(got - odd)) <= 1e-15 * max(1.0, t)
+        n *= 2
+    n_final = n // 2
+    assert len(calls) == (2 * n_final + 1) * n_xi
+    return n_final
+
+
 def _plane_rotation(dim, i, j, angle):
     q = np.eye(dim)
     c, s = np.cos(angle), np.sin(angle)
@@ -369,28 +409,25 @@ class TestFrozenKernelNodeMemo:
         monkeypatch.setattr(kernels, "TAU_STEPS", tau_steps)
         counter = CountingRotatingSymbol(dim)
         frozen_kernel_hat(counter.symbol(), self.T, self.XIS)
-        # the probe pairs come first, t outer and xi inner
-        tau_grid = np.linspace(0.0, self.T, tau_steps + 1)
-        probe = [(float(t), xi) for t in tau_grid for xi in self.XIS]
-        assert counter.calls[:len(probe)] == probe
-        # then the level of n steps asks for its 2 n Gauss nodes at every xi,
-        # for n = tau_steps, 2 tau_steps, ..., at least two levels
-        nodes = counter.calls[len(probe):]
-        n_xi = len(self.XIS)
-        levels = [tau_steps, 2 * tau_steps]
-        while 2 * n_xi * sum(levels) < len(nodes):
-            levels.append(2 * levels[-1])
-        assert len(nodes) == 2 * n_xi * sum(levels)
-        assert len(set(nodes)) == len(nodes)
-        gauss = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
-        start = 0
-        for n in levels:
-            level = nodes[start:start + 2 * n * n_xi]
-            start += len(level)
-            want = np.sort((self.T - (np.arange(n)[:, None] + gauss) * self.T / n).ravel())
-            for xi in self.XIS:
-                got = np.sort([t for t, x in level if x == xi])
-                assert np.max(np.abs(got - want)) <= 1e-15
+        # at least one doubling: n_final = tau_steps 2^k with k >= 1
+        assert check_nested_calls(counter.calls, self.T, self.XIS, tau_steps) >= \
+            2 * tau_steps
+
+    @given(dim=st.integers(1, 3),
+           xis=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 4.0]),
+                        min_size=1, max_size=3, unique=True),
+           eighths=st.integers(1, 8))
+    @settings(max_examples=15, deadline=None)
+    def test_nested_nodes_property(self, dim, xis, eighths):
+        # t a multiple of 1/8, so that every node time t - i t / (2 n) with
+        # n = TAU_STEPS 2^k is exact in binary and no rounding can make two
+        # pairs equal
+        t = eighths / 8.0
+        counter = CountingRotatingSymbol(dim)
+        khat = frozen_kernel_hat(counter.symbol(), t, xis)
+        assert check_nested_calls(counter.calls, t, xis, kernels.TAU_STEPS) >= \
+            2 * kernels.TAU_STEPS
+        assert khat.frobenius_excess() <= 1.0 + 1e-6
 
     def test_close_to_fine_plain_rk4(self, monkeypatch):
         # plain RK4 at 3072 steps, far past the 96 where the Magnus
