@@ -5,22 +5,23 @@ The singular integrals here are all posed on the real line against kernels
 1/alpha, 1/alpha^2, or 1/|alpha|^{1+a}. Integrands built from periodic
 fields are periodic in alpha, so the line integrals fold onto (-pi, pi]
 exactly: sum_k 1/(alpha+2pik) = (1/2)cot(alpha/2), sum_k 1/(alpha+2pik)^2
-= 1/(4 sin^2(alpha/2)), and for the interface drift kernel the fold is
-evaluated in closed form through the complex cotangent (see the comment in
-muskat_st_rhs). Only the |alpha|^{1+a} kernel has no closed fold; there the
-far periods are summed as a Hurwitz-zeta series in the increment (DLMF
-25.11), or explicitly where that series converges slowly. Shift sums over
-data-dependent kernels run blockwise from one cached per-N _ShiftPlan; sums
-over fixed kernels are circulants applied through the plan's kernel spectra
-(the Muskat convolutions), or by the closed-form symbol pi c_1 |k| of the
-Dirichlet-Neumann rule, whose two backends are thus one multiplier. A
-shifted read is a strided window of the samples doubled along their last
-axis (grid.shift_windows), one view per array per call, and a plan block
-reads one slice of it: no shift sum gathers through an index table.
+= 1/(4 sin^2(alpha/2)), and the interface drift kernel folds in closed form
+through the complex cotangent (see muskat_st_rhs). The |alpha|^{1+a} kernel
+has no closed fold: every integral against it goes through one
+antiderivative, and its far periods are a Hurwitz-zeta series in the
+increment (DLMF 25.11) that, past a third of its radius, starts after the
+nearest three periods. Shift sums over data-dependent kernels run blockwise from one
+cached per-N _ShiftPlan; sums over fixed kernels are circulants applied
+through the plan's kernel spectra (the Muskat convolutions), or by the
+closed-form symbol pi c_1 |k| of the Dirichlet-Neumann rule, whose two
+backends are thus one multiplier. A shifted read is a strided window of the
+samples doubled along their last axis (grid.shift_windows), and a plan
+block reads one slice of it: no shift sum gathers through an index table.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -44,11 +45,6 @@ from .grid import (
 # Dual-backend agreement target for the drifted half-Laplacian; the checked
 # mode errors at 10x this.
 BACKEND_TOL = 1e-3
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# mapped to [0, 1]
-_GL01_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +214,18 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
 # ---------------------------------------------------------------------------
 # fractional mean curvature
 
-def _gcal_remainder(rho: np.ndarray, a: float) -> np.ndarray:
-    """G(rho) - 2 rho with G(rho) = int_{-rho}^{rho} d tau / <tau>^{2+a},
-    computed without cancellation for small rho."""
-    r = rho[..., None] * _GL01_NODES
-    return 2.0 * rho * (((1.0 + r * r) ** (-0.5 * (2 + a)) - 1.0) @ _GL01_WEIGHTS)
-
-
-def _horner(x: np.ndarray, coef) -> np.ndarray:
+def _horner(x: np.ndarray, coef, out: np.ndarray | None = None) -> np.ndarray:
     """np.polynomial.polynomial.polyval(x, coef, tensor=False) bit for bit,
-    each term's product and sum taken in place."""
-    out = np.broadcast_to(coef[-1], x.shape).copy()
+    each term's product and sum taken in place, in out when given."""
+    out = np.empty(x.shape) if out is None else out
+    out[...] = coef[-1]
     for c in coef[-2::-1]:
         out *= x
         out += c
     return out
 
 
-# Largest |z| the pair antiderivative's table serves; past it the table
-# would need degree 54-118, so such rows keep the Gauss-Legendre pair rule.
+# Largest |z| on which F(z) = z g(z^2); past it g would need degree 54-118.
 _PAIR_Z_MAX = 0.5
 
 
@@ -258,16 +247,48 @@ def _pair_antiderivative(a: float) -> np.ndarray:
     return _read_only(np.concatenate([[1.0], h_coef]))
 
 
-def _gauss_legendre_pairs(back: np.ndarray, fwd: np.ndarray, al: np.ndarray,
-                          a: float) -> np.ndarray:
-    """2 omu int_0^1 <bmu + tau omu>^{-(2+a)} d tau / al^{1+a}, bmu = fwd/al,
-    omu = back/al - bmu, on 16 Gauss-Legendre nodes: the pair integral of
-    rows whose increments pass _PAIR_Z_MAX."""
-    bmu = fwd / al
-    omu = back / al - bmu
-    args = bmu[..., None] + _GL01_NODES * omu[..., None]
-    qint = ((1.0 + args * args) ** (-0.5 * (2 + a))) @ _GL01_WEIGHTS
-    return 2.0 * omu * qint / al ** (1 + a)
+@lru_cache(maxsize=8)
+def _arctan_antiderivative(a: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(p, q, F(inf)) for F past _PAIR_Z_MAX. With s = tan theta, F(z) =
+    int_0^phi cos^a, phi = arctan z: F = phi p(phi^2) for |z| <= 1, and past
+    it F = sign(z) (F(inf) - psi^{1+a} q(psi^2)), psi = arctan(1/|z|), the
+    integral of sin^a over [0, psi]. p and q integrate term by term the
+    degree-12 and -10 Chebyshev interpolants on [0, (pi/4)^2] of
+    cos^a(sqrt w) and (sin(sqrt w)/sqrt w)^a. Their constant terms then take
+    up the gap between the branches at |z| = _PAIR_Z_MAX and 1, so F steps
+    across each switch to round-off."""
+    def monomials(fun, deg):
+        return np.polynomial.Chebyshev.interpolate(fun, deg, [0.0, (0.25 * np.pi) ** 2]).convert(
+            kind=np.polynomial.Polynomial).coef
+
+    m = np.arange(13)
+    p = monomials(lambda w: np.cos(np.sqrt(w)) ** a, 12) / (2 * m + 1)
+    q = monomials(lambda w: (np.sin(np.sqrt(w)) / np.sqrt(w)) ** a, 10) / (2 * m[:11] + 1 + a)
+    f_inf = 0.5 * math.sqrt(math.pi) * math.gamma(0.5 * (1 + a)) / math.gamma(1 + 0.5 * a)
+    z0, phi, psi = np.float64(_PAIR_Z_MAX), np.arctan(_PAIR_Z_MAX), np.arctan(1.0)
+    p[0] += (z0 * _horner(z0 * z0, _pair_antiderivative(a)) - phi * _horner(phi * phi, p)) / phi
+    q[0] += (f_inf - psi * _horner(psi * psi, p)) / psi ** (1 + a) - _horner(psi * psi, q)
+    return _read_only(p), _read_only(q), f_inf
+
+
+def _antiderivative(z: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
+    """F(z) = int_0^z <s>^{-(2+a)} ds for every real z, odd bit for bit:
+    z g(z^2) (_pair_antiderivative) where |z| <= _PAIR_Z_MAX, past it the
+    arctan branches of _arctan_antiderivative. Written to out when given."""
+    steep = np.abs(z) > _PAIR_Z_MAX
+    any_steep = steep.any()
+    near = np.where(steep, 0.0, z) if any_steep else z
+    out = _horner(near * near, _pair_antiderivative(a), out)
+    out *= near
+    if any_steep:
+        p, q, f_inf = _arctan_antiderivative(a)
+        zs = z[steep]
+        mid = np.abs(zs) <= 1.0
+        phi, psi = np.arctan(zs[mid]), np.arctan(1.0 / np.abs(zs[~mid]))
+        zs[mid] = phi * _horner(phi * phi, p)
+        zs[~mid] = np.copysign(f_inf - psi ** (1 + a) * _horner(psi * psi, q), zs[~mid])
+        out[steep] = zs
+    return out
 
 
 def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
@@ -276,20 +297,14 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
 
     The +/- pair sum G(Delta_alpha u) - G(-Delta_{-alpha} u) is the divided
     difference 2 (F(back/alpha) - F(fwd/alpha)) of F(z) = int_0^z <s>^{-(2+a)}
-    ds, back = delta_alpha u and fwd = -delta_{-alpha} u, which is exact and
-    free of cancellation; F is z times a cached polynomial in z^2
-    (_pair_antiderivative). Since fwd_j(x) = back_j(x + j h), F is evaluated
-    once per (j, x) and its fwd term read back by one skewed window
-    (_read_ahead). Rows j where some |back/alpha| passes _PAIR_Z_MAX take
-    the pair as a 16-node Gauss-Legendre integral instead. The remaining
-    |alpha|^{-a} singularity at 0 is subtracted analytically and its
-    integral added back in closed form. Periods beyond |alpha| = pi enter
-    through _fmc_fold: a Hurwitz-zeta series in the increment (error below
-    1e-10), or where the increment nears the series radius 2pi - |alpha|, an
-    explicit six-period sum with the cubic term of the periods beyond in
-    closed form (error ~1e-10 |delta|^5). The fold is odd in the increment,
-    so it runs once, on back, and the -alpha fold is the negated read-ahead
-    of its output, in the same read as F.
+    ds (_antiderivative), back = delta_alpha u and fwd = -delta_{-alpha} u:
+    exact and free of cancellation at every slope. Since fwd_j(x) =
+    back_j(x + j h), F is evaluated once per (j, x) and its fwd term read
+    back by one skewed window (_read_ahead). The remaining |alpha|^{-a}
+    singularity at 0 is subtracted analytically and its integral added back
+    in closed form. Periods beyond |alpha| = pi enter through _fmc_fold, which
+    is odd in the increment, so it runs once, on back, and the -alpha fold is
+    the negated read-ahead of its output, in the same read as F.
     """
     if u.components != 1:
         raise ValueError("fractional_mean_curvature takes scalar 1D graphs")
@@ -298,12 +313,9 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     if not on_two_pi_torus(u.domain_length):
         raise ValueError("the period fold assumes the 2pi-torus")
 
-    n = u.n
-    v = u.samples
+    n, v = u.n, u.samples
     plan = _shift_plan(n)
-    alpha = np.abs(plan.alpha)
-    wts = plan.weights
-    g_coef = _pair_antiderivative(a)
+    alpha, wts = np.abs(plan.alpha), plan.weights
 
     up, upp = derivatives(u, (1, 2))
     # pair-limit coefficient of the |alpha|^{-a} singularity
@@ -314,90 +326,77 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     half = n // 2
     windows = shift_windows(v)
     acc = np.zeros(n)
+    # work arrays shared by every block, as in peskin_rhs, in one allocation;
+    # each row of doubled holds the block's term twice over, for _read_ahead
+    work = np.empty((5, plan.block_rows, n))
+    back, z, term = work[:3]
+    doubled = work[3:].reshape(plan.block_rows, 2 * n)
     for rows, behind in plan.blocks[len(plan.blocks) // 2:]:
         j = np.arange(rows.start, rows.stop) - (half - 1)
         al = alpha[rows, None]
-        back = v - windows[behind]   # delta_alpha u
-        z = back / al
-        steep = np.max(np.abs(z), axis=1) > _PAIR_Z_MAX
-        z[steep] = 0.0
+        np.subtract(v, windows[behind], out=back)   # delta_alpha u
         # F(back/al) and the +alpha fold; the same at x + j h is the F(fwd/al)
         # and -alpha fold term
-        term = _horner(z * z, g_coef)
-        term *= z
+        _antiderivative(np.divide(back, al, out=z), a, out=term)
         term *= 2.0 / al ** (1 + a)
         term += _fmc_fold(back, j, n, a)
-        term -= _read_ahead(term, int(j[0]))
-        if steep.any():
-            term[steep] += _gauss_legendre_pairs(back[steep], windows[j[steep]] - v,
-                                                 al[steep], a)
-        acc += wts[rows] @ term
+        np.concatenate([term, term], axis=1, out=doubled)
+        acc += wts[rows] @ np.subtract(term, _read_ahead(doubled, int(j[0])), out=z)
     acc += csing * (np.pi ** (1 - a) / (1 - a) - wts[half:] @ alpha[half:] ** (-a))
     return u.with_samples(acc)
 
 
-def _read_ahead(t: np.ndarray, j0: int) -> np.ndarray:
+def _read_ahead(doubled: np.ndarray, j0: int) -> np.ndarray:
     """Read-only view of t[r, (i + j0 + r) % N] for each row r of t, shape
-    (rows, N): row r read j0 + r nodes ahead, with j0 + rows <= N + 1. Laid
-    end to end, the rows of t doubled put entry i of that read at flat
-    position r (2N + 1) + j0 + i, so it is every (2N + 1)-th length-N window."""
-    rows, n = t.shape
-    flat = np.concatenate([t, t], axis=1).ravel()
-    return sliding_window_view(flat, n)[j0::2 * n + 1][:rows]
+    (rows, N), from doubled = [t, t] along each row: row r read j0 + r nodes
+    ahead, with j0 + rows <= N + 1. Laid end to end, the rows of doubled put
+    entry i of that read at flat position r (2N + 1) + j0 + i, so it is
+    every (2N + 1)-th length-N window."""
+    rows, n = doubled.shape[0], doubled.shape[1] // 2
+    return sliding_window_view(doubled.ravel(), n)[j0::2 * n + 1][:rows]
 
 
-# Far-period fold: terms kept in the Hurwitz series, and the largest
-# |delta| / (2pi - |alpha|) it serves (dropped terms below 1e-10 there).
+# Far-period fold: terms kept in the Hurwitz series; the largest
+# |delta| / (2pi - |alpha|) the series over every period serves (1e-15 from
+# 400 periods there, 4e-11 at 1/2); and the periods either side that entries
+# past it take through F.
 _SERIES_TERMS = 14
-_SERIES_RATIO = 0.5
+_SERIES_RATIO = 1 / 3
+_FAR_PERIODS = 3
 
 
-@lru_cache(maxsize=8)
-def _fold_series(n: int, a: float) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _fold_series(n: int, a: float, start: int = 1) -> np.ndarray:
     """(terms, n/2, 1) coefficients 2 binom(-(2+a)/2, m)/(2m+1) (2pi)^{-s}
-    [zeta(s, 1+q) + zeta(s, 1-q)], s = 2m+2+a, of delta^{2m+1} in the fold at
-    alpha_j = 2pi q, q = j/n, j = 1..n/2; even in alpha, so -alpha_j shares them."""
+    [zeta(s, start+q) + zeta(s, start-q)], s = 2m+2+a, of delta^{2m+1} in the
+    periods |k| >= start of the fold at alpha_j = 2pi q, q = j/n, j = 1..n/2;
+    even in alpha, so -alpha_j shares them."""
     from scipy import special
 
     m = np.arange(_SERIES_TERMS)[:, None]
     s = 2 * m + 2 + a
     q = np.arange(1, n // 2 + 1) / n
     table = (2.0 * special.binom(-0.5 * (2 + a), m) / (2 * m + 1) * TWO_PI ** (-s)
-             * (special.zeta(s, 1 + q) + special.zeta(s, 1 - q)))
+             * (special.zeta(s, start + q) + special.zeta(s, start - q)))
     return _read_only(table[..., None])
 
 
-@lru_cache(maxsize=8)
-def _fold_tail(n: int, a: float) -> np.ndarray:
-    """(n/2, 1) coefficients 2 binom(-(2+a)/2, 1)/3 (2pi)^{-(4+a)}
-    [zeta(4+a, 7+q) + zeta(4+a, 7-q)] of delta^3 in the periods |k| >= 7 of
-    the fold at alpha_j = 2pi q, j = 1..n/2, with q = alpha_j/2pi rounded as
-    _fmc_fold's far branch rounds it."""
-    from scipy import special
-
-    q = ((TWO_PI / n) * np.arange(1, n // 2 + 1)) / TWO_PI
-    table = (2.0 * special.binom(-0.5 * (2 + a), 1) / 3 * TWO_PI ** (-(4 + a))
-             * (special.zeta(4 + a, 7 + q) + special.zeta(4 + a, 7 - q)))
-    return _read_only(table[:, None])
-
-
 def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
-    """sum_{k != 0} G(delta/|alpha+2pik|)/|alpha+2pik|^{1+a} at alpha_j =
-    2pi j/n, one row of delta per j in 1..n/2: Horner in delta^2 on the
-    _fold_series table, and where |delta| > _SERIES_RATIO (2pi - alpha_j) the
-    linear Hurwitz term, an explicit sum over six periods either side and the
-    cubic Hurwitz term of the periods beyond (the _fold_tail table)."""
-    coef = _fold_series(n, a)[:, j - 1]
-    out = _horner(delta * delta, coef)
+    """sum_{k != 0} G(delta/|alpha+2pik|)/|alpha+2pik|^{1+a}, G = 2F, at
+    alpha_j = 2pi j/n, one row of delta per j in 1..n/2: Horner in delta^2 on
+    the _fold_series table, and where |delta| > _SERIES_RATIO (2pi - alpha_j)
+    G of the _FAR_PERIODS nearest periods either side plus the series of the
+    rest, whose radius is 8pi - alpha_j; at N=128 within 4e-15 of 400 periods
+    for |delta| up to 1.5 (2pi - alpha_j)."""
+    out = _horner(delta * delta, _fold_series(n, a)[:, j - 1])
     out *= delta
-    alpha = np.broadcast_to((TWO_PI / n) * j[:, None], delta.shape)
-    far = np.abs(delta) > _SERIES_RATIO * (TWO_PI - alpha)
+    far = np.abs(delta) > _SERIES_RATIO * (TWO_PI - (TWO_PI / n) * j[:, None])
     if far.any():
-        d, al = delta[far], alpha[far]
-        tail = np.broadcast_to(_fold_tail(n, a)[j - 1], delta.shape)[far]
-        out[far] = np.broadcast_to(coef[0], delta.shape)[far] * d + tail * d ** 3 + sum(
-            _gcal_remainder(d / r, a) / r ** (1 + a)
-            for k in range(1, 7) for r in (TWO_PI * k + al, TWO_PI * k - al))
+        jf = j[np.nonzero(far)[0]]
+        d, al = delta[far], (TWO_PI / n) * jf
+        out[far] = d * _horner(d * d, _fold_series(n, a, _FAR_PERIODS + 1)[:, jf - 1, 0]) + sum(
+            2.0 * _antiderivative(d / r, a) / r ** (1 + a)
+            for k in range(1, _FAR_PERIODS + 1) for r in (TWO_PI * k + al, TWO_PI * k - al))
     return out
 
 
