@@ -81,28 +81,32 @@ class EllipticityError(ValueError):
         )
 
 
-def _as_matrix(a, dim):
-    m = np.asarray(a, dtype=float)
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    if m.shape != (dim, dim):
-        raise ValueError(f"symbol eval returned shape {m.shape}, expected {(dim, dim)}")
-    return m
+def _symbol_row(symbol: FrozenSymbol, t, xis, row: np.ndarray):
+    """Fill row[k] with A(t, xis[k]): a (dim_N, dim_N) matrix, or a scalar if dim_N is 1."""
+    for k, xi in enumerate(xis):
+        m = np.asarray(symbol.eval(t, xi), dtype=float)
+        if m.ndim == 0:
+            m = m.reshape(1, 1)
+        if m.shape != row.shape[1:]:
+            raise ValueError(f"symbol eval returned shape {m.shape}, expected {row.shape[1:]}")
+        row[k] = m
 
 
 def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> np.ndarray:
-    """Check A(t, xi) >= c0 |xi|^s Id at every probe pair, t outer and xi
-    inner; raise at the first failure. Returns the checked matrices,
-    shape (len(ts), len(xis), dim_N, dim_N)."""
+    """Check A(t, xi) >= c0 |xi|^s Id at every probe pair with one batched
+    eigvalsh per t row, a non-finite matrix failing with a NaN eigenvalue,
+    and raise at the first failing pair, t outer and xi inner. Returns the
+    checked matrices, shape (len(ts), len(xis), dim_N, dim_N)."""
     out = np.empty((len(ts), len(xis), symbol.dim_N, symbol.dim_N))
+    floors = np.array([symbol.c0 * abs(xi) ** symbol.s for xi in xis])
     for row, t in zip(out, ts):
-        for k, xi in enumerate(xis):
-            m = row[k] = _as_matrix(symbol.eval(t, xi), symbol.dim_N)
-            floor = symbol.c0 * abs(xi) ** symbol.s
-            min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
-            # written so that a NaN eigenvalue or floor fails too
-            if not min_eig >= floor - 1e-10 * max(1.0, floor):
-                raise EllipticityError(t, xi, min_eig, floor)
+        _symbol_row(symbol, t, xis, row)
+        min_eig = np.linalg.eigvalsh(0.5 * (row + row.swapaxes(1, 2)))[:, 0]
+        min_eig[~np.isfinite(row).all(axis=(1, 2))] = np.nan
+        ok = min_eig >= floors - 1e-10 * np.maximum(1.0, floors)  # False at a NaN
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise EllipticityError(t, xis[k], float(min_eig[k]), float(floors[k]))
     return out
 
 
@@ -165,13 +169,10 @@ def _halve(symbol: FrozenSymbol, t: float, xis: np.ndarray,
     spans = 2 * (len(nodes) - 1)
     out = np.empty((spans + 1,) + nodes.shape[1:])
     out[::2] = nodes
-    new = out[1::2]
     xi_list = xis.tolist()
-    taus = (np.arange(spans - 1, 0, -2) * (t / spans)).tolist()
-    for row, tau in zip(new, taus):
-        for k, xi in enumerate(xi_list):
-            row[k] = _as_matrix(symbol.eval(tau, xi), symbol.dim_N)
-    if not np.isfinite(new).all():
+    for row, tau in zip(out[1::2], (np.arange(spans - 1, 0, -2) * (t / spans)).tolist()):
+        _symbol_row(symbol, tau, xi_list, row)
+    if not np.isfinite(out[1::2]).all():
         raise ValueError("symbol returned a non-finite value at an integration node")
     return out
 
@@ -185,9 +186,10 @@ def _magnus_table(nodes: np.ndarray, t: float) -> np.ndarray:
     Step j reads B = -A(t - w) at its start, midpoint and end, B0, B_half
     and B1, and is m <- m exp(Omega_j) with
     Omega = (h/6)(B0 + 4 B_half + B1) + (h^2/12)[B_half, B1 - B0]
-    (the commutator in this order because B multiplies m from the right);
-    every exp(Omega_j) is built in one batch and only m @ exp(Omega_j) runs
-    step by step.
+    (the commutator in this order because B multiplies m from the right).
+    Every exp(Omega_j) is built in one batch, each tau interval's steps are
+    multiplied pairwise in step order, and only the TAU_STEPS interval
+    products run one after another.
     """
     n_steps = (len(nodes) - 1) // 2
     h = t / n_steps
@@ -196,15 +198,12 @@ def _magnus_table(nodes: np.ndarray, t: float) -> np.ndarray:
     omega = (-h / 6.0) * (a0 + 4.0 * a_half + a1) + \
         (h * h / 12.0) * (a_half @ da - da @ a_half)
     prop = _expm(omega)
-
-    dim = nodes.shape[-1]
+    while len(prop) > TAU_STEPS:
+        prop = prop[0::2] @ prop[1::2]
     out = np.empty((TAU_STEPS + 1,) + nodes.shape[1:])
-    m = out[TAU_STEPS] = np.eye(dim)
-    stride = n_steps // TAU_STEPS
-    for step in range(n_steps):
-        m = m @ prop[step]
-        if (step + 1) % stride == 0:
-            out[TAU_STEPS - (step + 1) // stride] = m
+    m = out[TAU_STEPS] = np.eye(nodes.shape[-1])
+    for i, interval in enumerate(prop):
+        m = out[TAU_STEPS - 1 - i] = m @ interval
     return out
 
 
@@ -226,13 +225,13 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
     previous level's, where the first doubling compares it with the plain
     starting table. The last Richardson value is returned.
 
-    The ellipticity probe on the tau grid runs before any integration node
-    is evaluated, and its matrices are the first level's even nodes. The
-    nodes nest: a level of n steps holds A(t - i t / (2 n), xi) for
-    i = 0..2 n, and its doubling calls the symbol only at the odd entries
-    of the next. A tabulation that stops at n_final steps calls the symbol
-    (2 n_final + 1) n_xi times, each (tau, xi) pair once, and its node
-    table takes O(n_final n_xi dim_N^2) memory.
+    The ellipticity probe checks the tau grid one row per batched eigvalsh,
+    fails on a non-finite symbol value and runs before any integration node
+    is evaluated; its matrices are the first level's even nodes. The nodes
+    nest: a level of n steps holds A(t - i t / (2 n), xi) for i = 0..2 n,
+    and its doubling calls the symbol only at the odd entries of the next.
+    A tabulation that stops at n_final steps calls the symbol (2 n_final + 1)
+    n_xi times, each (tau, xi) pair once, in O(n_final n_xi dim_N^2) memory.
     """
     if not 0 < t < np.inf:
         raise ValueError("t must be positive and finite")

@@ -2,6 +2,7 @@
 run/verify/ratefit commands, and their exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pslab
-from pslab import models, nonlocal_ops
+from pslab import kernels, models, nonlocal_ops
 from pslab.cli import (
     _PRESETS,
     ConfigError,
@@ -1165,6 +1166,23 @@ class TestVerifyCommand:
                  for line in capsys.readouterr().out.strip().splitlines()]
         assert any(name.startswith("poisson_aniso_mass") for name in names)
         assert "frozen_kernel_frobenius_excess" in names
+
+    def test_nan_frozen_kernel_excess_fails(self, monkeypatch, capsys):
+        # max(1.0, nan) is 1.0, so a worst case taken with max() passed
+        excess = kernels.FrozenKernelHat.frobenius_excess
+        calls = []
+
+        def third_is_nan(khat):
+            calls.append(None)
+            return math.nan if len(calls) == 3 else excess(khat)
+
+        monkeypatch.setattr(kernels.FrozenKernelHat, "frobenius_excess", third_is_nan)
+        assert main(["verify", "kernels"]) == 1
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        record, = [r for r in records if r["check"] == "frozen_kernel_frobenius_excess"]
+        assert len(calls) == 5
+        assert record["status"] == "fail" and math.isnan(record["measured"])
 
     def test_operators_suite_membership(self, capsys):
         main(["verify", "operators"])

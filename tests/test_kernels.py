@@ -196,6 +196,25 @@ class TestFrozenKernelHat:
         assert check_nested_calls(calls, 1.6, [1.0, 2.0], kernels.TAU_STEPS) == \
             kernels.TAU_STEPS
 
+    @pytest.mark.parametrize("dim,bad,xi_grid,at", [
+        (1, [[math.inf]], [1.0, 4.0], (0.25, 4.0)),
+        # eigvalsh gives 0 for this matrix, which would pass the floor 0 at xi = 0
+        (2, [[math.nan, 0.0], [0.0, 0.0]], [0.0, 1.0], (0.25, 0.0)),
+    ], ids=["inf", "nan-with-zero-eigenvalue"])
+    def test_non_finite_probe_value_fails_the_probe(self, dim, bad, xi_grid, at,
+                                                    monkeypatch):
+        def never(nodes, t):
+            raise AssertionError("integration reached past the probe")
+
+        monkeypatch.setattr(kernels, "_magnus_table", never)
+        sym = FrozenSymbol(s=1.0, c0=0.5, dim_N=dim,
+                           eval=lambda u, xi: np.array(bad) if (u, xi) == at
+                           else abs(xi) * np.eye(dim))
+        with pytest.raises(EllipticityError) as exc:
+            frozen_kernel_hat(sym, 1.0, xi_grid)
+        assert (exc.value.t, exc.value.xi) == at
+        assert math.isnan(exc.value.min_eig)
+
     def test_identity_at_t_final(self):
         sym = scalar_symbol(1.0, 0.4)
         khat = frozen_kernel_hat(sym, 0.8, [1.0, 3.0])
