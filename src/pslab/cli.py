@@ -93,7 +93,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import grid, kernels, models, nonlocal_ops
-from .grid import TWO_PI, PeriodicField, apply_multiplier, wavenumbers
+from .grid import TWO_PI, PeriodicField, apply_multiplier, multiplier_table
 from .ratefit import fit_exponential, fit_power_law
 from .stepper import (
     EvolutionAbort,
@@ -704,8 +704,7 @@ def _verify_models() -> List[dict]:
     ):
         model = models.MODELS[tag]()
         lhs = model.rhs(field).samples
-        mult = model.linear_multiplier(wavenumbers(n, field.domain_length))
-        linear = apply_multiplier(field, mult).samples
+        linear = apply_multiplier(field, multiplier_table(model, n, field.domain_length)).samples
         gap = float(np.max(np.abs(lhs + linear
                                   - model.remainder(field).samples)))
         checks.append(_check(f"splitting_identity_{tag}", gap, 0.0, 1e-10))

@@ -7,7 +7,8 @@ the imaginary part of modes 0 and N/2). Applying a real operator's symbol
 m(k) means ``modes[n] *= m(k_n)`` and nothing else, at the physical
 wavenumbers k_n = 2*pi*n/L (Nyquist at +N/2) on which every table is built.
 Every field derivative, scalar or contour, is a row of ``derivatives``, or
-of ``derivative_rows`` for a stack of fields.
+of ``derivative_rows`` for a stack of fields, or of ``spectral_rows`` from a
+spectrum.
 """
 
 from __future__ import annotations
@@ -166,15 +167,26 @@ def derivatives(field: PeriodicField, orders) -> np.ndarray:
 
 def derivative_rows(samples: np.ndarray, L: float, orders) -> np.ndarray:
     """d^m/dx^m along the last axis of samples on period L for each m in
-    orders, shape (len(orders), *samples.shape): the multipliers (i k)^m of
-    _derivative_table on one rfft, inverted by one batched irfft. Every row
-    is bit-identical to the transform of that row alone. Run under
-    np.errstate: overflows are left in place for the caller to find."""
-    n = samples.shape[-1]
+    orders, shape (len(orders), *samples.shape): spectral_rows of one rfft.
+    Run under np.errstate: overflows are left in place for the caller."""
+    return spectral_rows(np.fft.rfft(samples, axis=-1), samples.shape[-1], L, orders)
+
+
+def spectral_rows(wh: np.ndarray, n: int, L: float, orders) -> np.ndarray:
+    """irfft(wh * (i k)^m, n) for each m in orders on period L, shape
+    (len(orders), *wh.shape[:-1], n), from one batched irfft. Each row is
+    bit for bit the irfft of its own product; order 0 gives irfft(wh, n)."""
     mults = _derivative_table(n, L, tuple(orders))
-    # each order's row serves every leading index of samples
-    mults = mults.reshape(len(mults), *(1,) * (samples.ndim - 1), -1)
-    return np.fft.irfft(np.fft.rfft(samples, axis=-1) * mults, n, axis=-1)
+    # each order's row serves every leading index of wh
+    mults = mults.reshape(len(mults), *(1,) * (wh.ndim - 1), -1)
+    return np.fft.irfft(wh * mults, n, axis=-1)
+
+
+@lru_cache(maxsize=32)
+def multiplier_table(model, n: int, L: float) -> np.ndarray:
+    """model.linear_multiplier on wavenumbers(n, L): read-only and cached
+    per (model, n, L), like that table."""
+    return _read_only(model.linear_multiplier(wavenumbers(n, L)))
 
 
 def hilbert_transform(field: PeriodicField) -> PeriodicField:

@@ -5,8 +5,11 @@ exact exponential propagation, and the spectrum of the explicit remainder.
 Splitting convention on half spectra u_hat = rfft(u) (grid.wavenumbers):
 d/dt u_hat = -multiplier * u_hat + remainder_hat(u, u_hat), the rfft of
 rhs(u) + L u with (L u)^ = multiplier * u_hat, or None where it vanishes.
-Models override remainder_hat where a dedicated form is better conditioned
-or reads u_hat directly.
+A model with a dedicated, better conditioned form declares the derivative
+orders it reads as remainder_orders and gives that spectrum, never None,
+as remainder_from_rows(rows, u_hat, L) from rows: the state, then those
+derivatives on period L, as an ETD stage takes them from one batched
+irfft with its state.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from .grid import (
     PeriodicField,
     _dealias_mask,
     _derivative_table,
+    derivative_rows,
     derivatives,
-    wavenumbers,
+    multiplier_table,
+    spectral_rows,
 )
 from .kernels import sd_symbol
 from .nonlocal_ops import fractional_mean_curvature, muskat_st_rhs, peskin_rhs
@@ -46,7 +51,8 @@ class _ModelBase:
     physical wavenumbers k. A model whose rhs factors as
     ~ -a(x) * linear_multiplier(k) defines coefficient_profile(field)
     returning a(x), the ratio of the symbol frozen at x to
-    linear_multiplier; it is None on the others.
+    linear_multiplier; it is None on the others. So is remainder_orders
+    on the models without a remainder_from_rows.
     """
 
     tag: str = ""
@@ -54,6 +60,7 @@ class _ModelBase:
     is_contour: bool = False
     needs_two_pi: bool = False
     coefficient_profile = None
+    remainder_orders: Optional[tuple] = None
 
     def rhs(self, field: PeriodicField) -> PeriodicField:
         raise NotImplementedError
@@ -62,9 +69,13 @@ class _ModelBase:
         raise NotImplementedError
 
     def remainder_hat(self, field: PeriodicField, uh: np.ndarray) -> Optional[np.ndarray]:
-        """Half spectrum of rhs(u) + L u given uh = rfft(u); None if zero."""
-        m = self.linear_multiplier(wavenumbers(field.n, field.domain_length))
-        lin = np.fft.irfft(uh * m, field.n, axis=-1)
+        """Half spectrum of rhs(u) + L u given uh = rfft(u); None if zero.
+        A model with remainder_orders reads it from the rows of the field."""
+        n, L, orders = field.n, field.domain_length, self.remainder_orders
+        if orders is not None:
+            rows = np.vstack([field.samples, spectral_rows(uh, n, L, orders)])
+            return self.remainder_from_rows(rows, uh, L)
+        lin = np.fft.irfft(uh * multiplier_table(self, n, L), n, axis=-1)
         return np.fft.rfft(self.rhs(field).samples + lin, axis=-1)
 
     def remainder(self, field: PeriodicField) -> PeriodicField:
@@ -125,6 +136,7 @@ class McfGraphModel(_ModelBase):
     """Graph mean curvature flow d/dt f = f_xx / (1 + f_x^2)."""
 
     tag = "mcf_graph"
+    remainder_orders = (1, 2)
 
     def rhs(self, field):
         fx, fxx = derivatives(field, (1, 2))
@@ -137,11 +149,10 @@ class McfGraphModel(_ModelBase):
         fx = derivatives(field, (1,))[0]
         return 1.0 / (1.0 + fx * fx)
 
-    def remainder_hat(self, field, uh):
+    def remainder_from_rows(self, rows, uh, L):
         # (A[f'] - A[0]) f_xx = -f_x^2 f_xx/(1+f_x^2); written this way it
         # is O(f^3) without cancellation
-        mults = _derivative_table(field.n, field.domain_length, (1, 2))
-        fx, fxx = np.fft.irfft(uh * mults, field.n)
+        _, fx, fxx = rows
         return np.fft.rfft((1.0 / (1.0 + fx * fx) - 1.0) * fxx)
 
 
@@ -236,20 +247,20 @@ class SurfaceDiffusionModel(_ModelBase):
 
     tag = "surface_diffusion_axi"
     params = ("hbar0",)
+    remainder_orders = (1, 2)
 
     def __init__(self, hbar0: float):
         if not hbar0 > 1.0:
             raise ValueError("reference radius must exceed 1")
         self.hbar0 = float(hbar0)
 
-    def _velocity(self, field, uh):
-        # rhs samples from h and uh = rfft(h); dealiasing then differentiating
-        # is one multiplier, mask * (i k)
-        h = field.samples
+    def _velocity(self, rows, L):
+        # rhs samples from the rows h, h_x, h_xx; dealiasing then
+        # differentiating is one multiplier, mask * (i k)
+        h, hx, hxx = rows
         if float(h.min()) <= 0.0:
             raise PositivityError(float(h.min()))
-        n, L = field.n, field.domain_length
-        hx, hxx = np.fft.irfft(uh * _derivative_table(n, L, (1, 2)), n)
+        n = h.size
         br = np.sqrt(1.0 + hx * hx)
         dx = _dealias_mask(n) * _derivative_table(n, L, (1,))[0]
         curv_x = np.fft.irfft(np.fft.rfft(1.0 / (h * br) - hxx / br**3) * dx, n)
@@ -257,11 +268,12 @@ class SurfaceDiffusionModel(_ModelBase):
         return flux_x / h
 
     def rhs(self, field):
-        return field.with_samples(self._velocity(field, np.fft.rfft(field.samples)))
+        d = derivative_rows(field.samples, field.domain_length, (1, 2))
+        return field.with_samples(self._velocity([field.samples, *d], field.domain_length))
 
-    def remainder_hat(self, field, uh):
-        m = self.linear_multiplier(wavenumbers(field.n, field.domain_length))
-        return np.fft.rfft(self._velocity(field, uh)) + m * uh
+    def remainder_from_rows(self, rows, uh, L):
+        m = multiplier_table(self, rows.shape[-1], L)
+        return np.fft.rfft(self._velocity(rows, L)) + m * uh
 
     def linear_multiplier(self, k):
         # sd_symbol(n, hbar0) = n^4 - n^2/hbar0^2 in integer frequencies;
@@ -277,6 +289,7 @@ class ThinfilmExpModel(_ModelBase):
     (g(u_xx))_xx with g(v) = e^{-v} - 1 + v kept cancellation-free."""
 
     tag = "thinfilm_exp"
+    remainder_orders = (2,)
 
     def rhs(self, field):
         w = field.with_samples(np.exp(-derivatives(field, (2,))[0]))
@@ -285,9 +298,9 @@ class ThinfilmExpModel(_ModelBase):
     def linear_multiplier(self, k):
         return k**4
 
-    def remainder_hat(self, field, uh):
-        d2 = _derivative_table(field.n, field.domain_length, (2,))[0]
-        v = np.fft.irfft(uh * d2, field.n)
+    def remainder_from_rows(self, rows, uh, L):
+        v = rows[1]
+        d2 = _derivative_table(v.size, L, (2,))[0]
         return np.fft.rfft(np.expm1(-v) + v) * d2
 
     def conserved(self, field):

@@ -9,6 +9,10 @@ etd_rk2           adds the standard second-order correction through phi2
 frozen_pointwise  row i propagates u under the symbol frozen at x_i,
                   a(x_i) m(k), and is read at x_i; remainder explicit
 
+The ETD steps of a model with remainder_orders form each stage and the
+derivative rows its remainder reads in one batched irfft, and a march
+carries the last stage's spectrum and rows to the next step.
+
 Because the linear part is integrated exactly, explicit treatment of the
 remainder stays stable as long as its damped response remains below the
 linear damping; evolve() enforces that with a measured surrogate (see
@@ -36,8 +40,9 @@ from .grid import (
     check_holder_target,
     derivative_rows,
     holder_rows,
+    multiplier_table,
     norm_rows,
-    wavenumbers,
+    spectral_rows,
 )
 from .nonlocal_ops import stretch_ratio
 
@@ -228,7 +233,7 @@ def _etd_weights(model, n: int, L: float, dt: float, scheme: str):
     """exp(z), dt phi1(z) and, for etd_rk2 only, dt phi2(z) at the frozen
     multiplier z = -dt m(k); the third weight is None otherwise. Cached per
     (model, n, L, dt, scheme) and read-only, like grid.wavenumbers."""
-    z = -dt * model.linear_multiplier(wavenumbers(n, L))
+    z = -dt * multiplier_table(model, n, L)
     w2 = _read_only(dt * _phi2(z)) if scheme == "etd_rk2" else None
     return _read_only(np.exp(z)), _read_only(dt * _phi1(z)), w2
 
@@ -245,21 +250,45 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
     step as its uh; the ETD-RK2 stage likewise reads its own spectrum, so
     neither transforms forward. That spectrum differs from rfft(state) at
     round-off only, since remainder_hat gives the half spectrum of a real
-    field and the weights are real."""
+    field and the weights are real. For a model with remainder_orders each
+    stage is one batched irfft of its state and the rows its remainder
+    reads; a stage must be finite, and only the end state is a field."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
-    E, w1, w2 = _etd_weights(model, u.n, u.domain_length, dt, scheme)
+    return _etd_step(u, model, dt, scheme, uh, None)[:2]
+
+
+def _etd_step(u: PeriodicField, model, dt: float, scheme: str,
+              uh: Optional[np.ndarray], rows: Optional[np.ndarray]):
+    """imex_frozen_phi_step that also takes the rows of u (None: the model
+    builds them from uh) and returns the new state's, which a march hands
+    to the next step; rows are None for a model without remainder_orders."""
+    n, L, orders = u.n, u.domain_length, model.remainder_orders
+    E, w1, w2 = _etd_weights(model, n, L, dt, scheme)
     if uh is None:
         uh = np.fft.rfft(u.samples, axis=-1)
-    r1 = model.remainder_hat(u, uh)
-    ah = E * uh if r1 is None else E * uh + w1 * r1
-    a = u.with_samples(np.fft.irfft(ah, u.n, axis=-1))
-    if w2 is None or r1 is None:
-        return a, ah
-    fh = ah + w2 * (model.remainder_hat(a, ah) - r1)
-    return u.with_samples(np.fft.irfft(fh, u.n, axis=-1)), fh
+    if orders is None:
+        r1 = model.remainder_hat(u, uh)
+        ah = E * uh if r1 is None else E * uh + w1 * r1
+        a = u.with_samples(np.fft.irfft(ah, n, axis=-1))
+        if w2 is None or r1 is None:
+            return a, ah, None
+        fh = ah + w2 * (model.remainder_hat(a, ah) - r1)
+        return u.with_samples(np.fft.irfft(fh, n, axis=-1)), fh, None
+
+    r1 = (model.remainder_hat(u, uh) if rows is None
+          else model.remainder_from_rows(rows, uh, L))
+    ah = E * uh + w1 * r1
+    if w2 is not None:
+        rows = spectral_rows(ah, n, L, (0, *orders))
+        if not np.isfinite(rows[0]).all():
+            raise NonFiniteError("samples contain NaN/Inf")
+        ah = ah + w2 * (model.remainder_from_rows(rows, ah, L) - r1)
+    rows = spectral_rows(ah, n, L, (0, *orders))
+    # the end state owns its row: a view would keep the whole block alive
+    return u.with_samples(rows[0].copy()), ah, rows
 
 
 def check_pointwise(model, n: int, components: int) -> None:
@@ -290,7 +319,7 @@ def _pointwise_parts(model, u: PeriodicField):
     frozen_pointwise step: the full right side plus the frozen-symbol action
     a(x) m(k) u that the rows already carry."""
     a = np.asarray(model.coefficient_profile(u), dtype=float)
-    m = model.linear_multiplier(wavenumbers(u.n, u.domain_length))
+    m = multiplier_table(model, u.n, u.domain_length)
     uh = np.fft.rfft(u.samples)
     return a, m, uh, model.rhs(u).samples + a * np.fft.irfft(uh * m, u.n)
 
@@ -314,7 +343,7 @@ def _stability_bound(model, u0: PeriodicField, config: StepperConfig) -> float:
                 for w in (u0, probe))
     if rh0 is None or not np.any(diff_hat := rh1 - rh0):
         return np.inf
-    m = model.linear_multiplier(wavenumbers(u0.n, u0.domain_length))
+    m = multiplier_table(model, u0.n, u0.domain_length)
     bound = 0.0
     for j in range(-2, 16):
         tau = config.dt * 2.0**j
@@ -350,9 +379,9 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     dt fails the stability guard. Any other exception from a step or the
     guard, a NotImplementedError say, propagates unchanged.
 
-    An ETD march hands each step the spectrum the previous one returned,
-    so only u0 is transformed forward; a one-step march ends bit for bit
-    at imex_frozen_phi_step.
+    An ETD march hands each step the spectrum, and the rows, the previous
+    one returned (_etd_step), so only u0 is transformed forward; every
+    step ends bit for bit where imex_frozen_phi_step would.
 
     Kept states wait for their ledger rows, which ledger_rows builds in
     blocks: right after the t = 0 row, every LEDGER_BLOCK kept states, at
@@ -413,7 +442,7 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
             kept(),
             f"dt={config.dt:.3e} exceeds half the measured stability bound "
             f"{bound:.3e} for the explicit remainder", 0.0)
-    u, uh = u0, None
+    u, uh, urows = u0, None, None
     try:
         for j in range(1, n_steps + 1):
             t = j * config.dt
@@ -421,8 +450,8 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
                 if config.scheme == "frozen_pointwise":
                     u = frozen_pointwise_step(u, model, config.dt)
                 else:
-                    u, uh = imex_frozen_phi_step(u, model, config.dt,
-                                                 config.scheme, uh)
+                    u, uh, urows = _etd_step(u, model, config.dt,
+                                             config.scheme, uh, urows)
             except (NumericalFailure, FloatingPointError) as exc:
                 raise abort(str(exc), t) from exc
             except NonFiniteError as exc:

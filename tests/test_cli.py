@@ -562,11 +562,11 @@ class TestRunCommand:
         class Unfinished(models.McfGraphModel):
             calls = 0
 
-            def remainder_hat(self, field, uh):
+            def remainder_from_rows(self, rows, uh, L):
                 self.calls += 1
                 if self.calls == 5:
                     raise NotImplementedError("forgot a branch")
-                return super().remainder_hat(field, uh)
+                return super().remainder_from_rows(rows, uh, L)
 
         monkeypatch.setitem(models.MODELS, "mcf_graph", Unfinished)
         out = tmp_path / "out"

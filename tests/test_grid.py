@@ -2,12 +2,15 @@
 Holder shift differences against the per-shift loops they replaced, and the
 quadrature-derived Hilbert convention."""
 
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pslab
 from pslab.grid import (
     NonFiniteError,
     PeriodicField,
@@ -22,6 +25,7 @@ from pslab.grid import (
     holder_rows,
     norms,
     shift_windows,
+    spectral_rows,
     wavenumbers,
 )
 from pslab.kernels import periodic_sd_kernel, sd_symbol
@@ -248,6 +252,49 @@ class TestBatchedDerivatives:
     def test_rejects_contours_and_negative_orders(self):
         with pytest.raises(ValueError):
             derivatives(PeriodicField(np.zeros(32)), (1, -1))
+
+
+class TestStateRowsInOneTransform:
+    """An ETD stage takes its state and its remainder's derivative rows
+    from one batched irfft; each row must be the bits of its own
+    transform, so that no march drifts from the per-row route."""
+
+    @given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(4, 10),
+           orders=st.sampled_from([(1, 2), (2,), (1,)]),
+           length=st.sampled_from([TWO_PI, 3.7, 0.1]), scale=st.floats(-3.0, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_rows_equal_separate_transforms_bitwise(self, seed, log2n, orders,
+                                                           length, scale):
+        rng = np.random.default_rng(seed)
+        n = 2**log2n
+        # a random half spectrum, with imaginary parts at modes 0 and N/2
+        # that irfft drops
+        uh = 10.0**scale * (rng.standard_normal(n // 2 + 1)
+                            + 1j * rng.standard_normal(n // 2 + 1))
+        assert uh[0].imag != 0.0 and uh[-1].imag != 0.0
+        rows = np.fft.irfft(uh * _derivative_table(n, length, (0, *orders)), n)
+        assert np.array_equal(rows[0], np.fft.irfft(uh, n))
+        assert np.array_equal(
+            rows[1:], np.fft.irfft(uh * _derivative_table(n, length, orders), n))
+        assert np.array_equal(spectral_rows(uh, n, length, (0, *orders)), rows)
+
+
+class TestHalfSpectraOnly:
+    def test_every_transform_in_the_package_is_a_half_spectrum_one(self):
+        # fields are real, so each transform in pslab is rfft or irfft on
+        # the rfftfreq wavenumbers; an allow-list also catches fft2, fftn
+        # and the other full-spectrum names
+        sources = sorted(Path(pslab.__file__).parent.glob("*.py"))
+        used = {}
+        for path in sources:
+            text = path.read_text()
+            # no name reaches numpy.fft but through np.fft
+            assert not re.search(r"from\s+numpy\.fft\s|from\s+numpy\s+import[^\n]*\bfft\b"
+                                 r"|import\s+numpy\.fft", text), path
+            for name in re.findall(r"\b(?:np|numpy)\.fft\.(\w+)", text):
+                used.setdefault(name, []).append(path.name)
+        assert {"rfft", "irfft", "rfftfreq"} <= set(used)
+        assert set(used) <= {"rfft", "irfft", "rfftfreq"}, used
 
 
 class TestTransforms:

@@ -2,6 +2,8 @@
 the formal orders, pointwise-frozen consistency, whole-window iteration,
 ledger reproducibility, and the abort paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,11 +160,11 @@ class FailingRemainderModel(McfGraphModel):
         self.error = error
         self.calls = 0
 
-    def remainder_hat(self, field, uh):
+    def remainder_from_rows(self, rows, uh, L):
         self.calls += 1
         if self.calls == self.fail_at:
             raise self.error
-        return super().remainder_hat(field, uh)
+        return super().remainder_from_rows(rows, uh, L)
 
 
 class CappedGrowthModel(ExponentialGrowthModel):
@@ -626,14 +628,18 @@ ALL_MODELS = [HeatModel(), VarCoefHeatModel(), McfGraphModel(), MuskatStModel(),
 
 class TestCarriedSpectrum:
     """An ETD march hands each step the half spectrum the previous step
-    formed its state from, through the one public step."""
+    formed its state from, and every step ends where the public step
+    would."""
 
     @pytest.mark.parametrize("tag, per_step", [
-        ("heat", 1), ("mcf_graph", 6), ("thinfilm_exp", 6),
-        ("surface_diffusion_axi", 14)])
+        ("heat", [2, 1, 1, 1, 1]), ("mcf_graph", [6, 4, 4, 4, 4]),
+        ("thinfilm_exp", [6, 4, 4, 4, 4]),
+        ("surface_diffusion_axi", [14, 12, 12, 12, 12])],
+        ids=["heat", "mcf_graph", "thinfilm_exp", "surface_diffusion_axi"])
     def test_transforms_per_accepted_step(self, tag, per_step, monkeypatch):
         # the ledger has no derivative or Holder column; only the first
-        # step transforms its state forward
+        # step transforms its state forward, and makes the rows of u0 that
+        # later steps carry over from the last stage
         model, u0, dt = REUSE_CASES[tag]
         calls, per_call = [0], []
 
@@ -645,7 +651,7 @@ class TestCarriedSpectrum:
 
         for name in ("fft", "ifft", "fft2", "ifft2", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        step = stepper.imex_frozen_phi_step
+        step = stepper._etd_step
 
         def counted_step(*args):
             before = calls[0]
@@ -653,9 +659,9 @@ class TestCarriedSpectrum:
             per_call.append(calls[0] - before)
             return out
 
-        monkeypatch.setattr(stepper, "imex_frozen_phi_step", counted_step)
+        monkeypatch.setattr(stepper, "_etd_step", counted_step)
         evolve(model, u0, 5 * dt, StepperConfig(dt=dt), LedgerSpec())
-        assert per_call == [per_step + 1] + [per_step] * 4
+        assert per_call == per_step
 
     @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.tag)
@@ -678,6 +684,102 @@ class TestCarriedSpectrum:
             u = imex_frozen_phi_step(u, model, dt, scheme)[0]
         got, want = traj.final().samples, u.samples
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class InfiniteRemainderModel(McfGraphModel):
+    """mcf_graph whose remainder call number inf_at gives an infinite
+    spectrum: the guard makes calls 1 and 2, each ETD-RK2 step two more."""
+
+    def __init__(self, inf_at):
+        self.inf_at = inf_at
+        self.calls = 0
+
+    def remainder_from_rows(self, rows, uh, L):
+        self.calls += 1
+        if self.calls == self.inf_at:
+            return np.full_like(uh, np.inf)
+        return super().remainder_from_rows(rows, uh, L)
+
+
+class DrainedSurfaceModel(SurfaceDiffusionModel):
+    """surface diffusion whose third remainder call, the first of step 1,
+    drains twice the mean radius: step 1's stage has the mean radius
+    negated, so it touches zero while u0 and every earlier state are
+    positive."""
+
+    def __init__(self, dt):
+        super().__init__(hbar0=2.0)
+        self.dt = dt
+        self.calls = 0
+
+    def remainder_from_rows(self, rows, uh, L):
+        self.calls += 1
+        r = super().remainder_from_rows(rows, uh, L)
+        if self.calls == 3:
+            r = r.copy()
+            r[0] -= 2.0 * uh[0].real / self.dt  # dt phi1(0) = dt at mode 0
+        return r
+
+
+class TestCarriedRows:
+    """An ETD march of a model with remainder_orders forms each stage and
+    its remainder's rows in one irfft and carries the last stage's rows to
+    the next step; only the end state of a step is a field."""
+
+    @pytest.mark.parametrize("tag", ["mcf_graph", "thinfilm_exp",
+                                     "surface_diffusion_axi"])
+    def test_kept_snapshots_own_their_samples(self, tag):
+        # a state built on a view of its (1 + k, N) row block would keep
+        # the whole block alive as long as the snapshot
+        model, u0, dt = REUSE_CASES[tag]
+        traj = evolve(model, u0, 20 * dt, StepperConfig(dt=dt), LedgerSpec())
+        assert len(traj.snapshots) == 21
+        for _, w in traj.snapshots:
+            base = w.samples.base
+            assert base is None or base.size == u0.n
+
+    @pytest.mark.parametrize("inf_at, steps", [(3, 1), (4, 1), (5, 2)])
+    def test_non_finite_stage_aborts_at_its_step(self, inf_at, steps):
+        # call 3 makes step 1's stage non-finite, call 4 its end state and
+        # call 5, which reads the carried rows, step 2's stage
+        _, u0, dt = REUSE_CASES["mcf_graph"]
+        model = InfiniteRemainderModel(inf_at)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EvolutionAbort) as err:
+                evolve(model, u0, 5 * dt, StepperConfig(dt=dt), LedgerSpec())
+        assert not isinstance(err.value, StepSizeRefused)
+        assert err.value.reason == "non-finite values in the state"
+        assert isinstance(err.value.__cause__, NonFiniteError)
+        assert err.value.time == steps * dt
+        assert model.calls == inf_at
+        assert err.value.trajectory.times().tolist() == [j * dt for j in range(steps)]
+
+    def test_field_rows_start_with_the_field_itself(self):
+        # at a field (the guard, the first step) surface diffusion reads h
+        # from the samples, not from irfft(rfft(h)), which differs from h
+        # in its last bits: its remainder is rfft(rhs) + m uh bit for bit
+        model = SurfaceDiffusionModel(hbar0=2.0)
+        u = PeriodicField(2.0 + 0.3 * np.cos(grid_x(256))
+                          + 0.01 * np.random.default_rng(5).standard_normal(256))
+        uh = np.fft.rfft(u.samples)
+        assert not np.array_equal(np.fft.irfft(uh, u.n), u.samples)
+        m = model.linear_multiplier(wavenumbers(u.n, u.domain_length))
+        want = np.fft.rfft(model.rhs(u).samples) + m * uh
+        assert np.array_equal(model.remainder_hat(u, uh), want)
+
+    def test_surface_diffusion_stage_at_zero_raises_positivity(self):
+        _, u0, dt = REUSE_CASES["surface_diffusion_axi"]
+        with pytest.raises(EvolutionAbort) as err:
+            evolve(DrainedSurfaceModel(dt), u0, 5 * dt, StepperConfig(dt=dt))
+        assert isinstance(err.value.__cause__, PositivityError)
+        assert err.value.reason == str(err.value.__cause__)
+        assert err.value.reason == "state minimum -2.010e+00 is not positive"
+        assert err.value.time == dt
+        model = DrainedSurfaceModel(dt)
+        model.calls = 2  # the public step makes no guard calls
+        with pytest.raises(PositivityError):
+            imex_frozen_phi_step(u0, model, dt)
 
 
 def pointwise_step_by_dense_sum(u, model, dt):
