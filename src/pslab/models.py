@@ -3,13 +3,13 @@ exposes the full right side, its symbol once as the linear multiplier for
 exact exponential propagation, and the spectrum of the explicit remainder.
 
 Splitting convention on half spectra u_hat = rfft(u) (grid.wavenumbers):
-d/dt u_hat = -multiplier * u_hat + remainder_hat(u, u_hat), the rfft of
-rhs(u) + L u with (L u)^ = multiplier * u_hat, or None where it vanishes.
-A model with a dedicated, better conditioned form declares the derivative
-orders it reads as remainder_orders and gives that spectrum, never None,
-as remainder_from_rows(rows, u_hat, L) from rows: the state, then those
-derivatives on period L, as an ETD stage takes them from one batched
-irfft with its state.
+d/dt u_hat = -multiplier * u_hat + remainder_from_rows(rows, u_hat, L),
+the rfft of rhs(u) + L u with (L u)^ = multiplier * u_hat, or None where
+it vanishes. rows are the state, then its derivatives of the orders the
+model declares as remainder_orders on period L, as an ETD stage takes
+them from one batched irfft with its state; a model with a dedicated,
+better conditioned form reads those rows, the others build the state
+field from rows[0]. remainder_hat(u, u_hat) builds a field's rows.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ class _ModelBase:
     physical wavenumbers k. A model whose rhs factors as
     ~ -a(x) * linear_multiplier(k) defines coefficient_profile(field)
     returning a(x), the ratio of the symbol frozen at x to
-    linear_multiplier; it is None on the others. So is remainder_orders
-    on the models without a remainder_from_rows.
+    linear_multiplier; it is None on the others. remainder_from_rows is
+    rhs + L u unless a model gives a dedicated form or, with no remainder,
+    None; remainder_orders are the derivative rows it reads.
     """
 
     tag: str = ""
@@ -60,7 +61,7 @@ class _ModelBase:
     is_contour: bool = False
     needs_two_pi: bool = False
     coefficient_profile = None
-    remainder_orders: Optional[tuple] = None
+    remainder_orders: tuple = ()
 
     def rhs(self, field: PeriodicField) -> PeriodicField:
         raise NotImplementedError
@@ -69,13 +70,19 @@ class _ModelBase:
         raise NotImplementedError
 
     def remainder_hat(self, field: PeriodicField, uh: np.ndarray) -> Optional[np.ndarray]:
-        """Half spectrum of rhs(u) + L u given uh = rfft(u); None if zero.
-        A model with remainder_orders reads it from the rows of the field."""
-        n, L, orders = field.n, field.domain_length, self.remainder_orders
-        if orders is not None:
-            rows = np.vstack([field.samples, spectral_rows(uh, n, L, orders)])
-            return self.remainder_from_rows(rows, uh, L)
-        lin = np.fft.irfft(uh * multiplier_table(self, n, L), n, axis=-1)
+        """remainder_from_rows at a field, given uh = rfft(u): its rows are
+        the field's own samples over the derivatives of uh."""
+        rows, L = field.samples[None], field.domain_length
+        if self.remainder_orders:
+            rows = np.concatenate(
+                [rows, spectral_rows(uh, field.n, L, self.remainder_orders)])
+        return self.remainder_from_rows(rows, uh, L)
+
+    def remainder_from_rows(self, rows, uh, L) -> Optional[np.ndarray]:
+        """Half spectrum of rhs(u) + L u, u the field of rows[0] on period L
+        and uh its spectrum; None if zero."""
+        field = PeriodicField(rows[0], L)
+        lin = np.fft.irfft(uh * multiplier_table(self, field.n, L), field.n, axis=-1)
         return np.fft.rfft(self.rhs(field).samples + lin, axis=-1)
 
     def remainder(self, field: PeriodicField) -> PeriodicField:
@@ -102,7 +109,7 @@ class HeatModel(_ModelBase):
     def coefficient_profile(self, field):
         return np.ones(field.n)
 
-    def remainder_hat(self, field, uh):
+    def remainder_from_rows(self, rows, uh, L):
         return None
 
     def conserved(self, field):

@@ -9,9 +9,9 @@ etd_rk2           adds the standard second-order correction through phi2
 frozen_pointwise  row i propagates u under the symbol frozen at x_i,
                   a(x_i) m(k), and is read at x_i; remainder explicit
 
-The ETD steps of a model with remainder_orders form each stage and the
-derivative rows its remainder reads in one batched irfft, and a march
-carries the last stage's spectrum and rows to the next step.
+An ETD stage forms its state and the derivative rows its model's
+remainder reads in one batched irfft, and a march carries the last
+stage's spectrum and rows to the next step.
 
 Because the linear part is integrated exactly, explicit treatment of the
 remainder stays stable as long as its damped response remains below the
@@ -240,53 +240,38 @@ def _etd_weights(model, n: int, L: float, dt: float, scheme: str):
 
 def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
                          scheme: str = "etd_rk2",
-                         uh: Optional[np.ndarray] = None
-                         ) -> tuple[PeriodicField, np.ndarray]:
+                         uh: Optional[np.ndarray] = None,
+                         rows: Optional[np.ndarray] = None):
     """One step with exact propagation of the frozen linear multiplier and
     an explicit phi-weighted remainder (Euler or ETD-RK2 correction).
 
-    uh is the half spectrum of u, rfft(u) when None. Returns the new state
-    and the spectrum it is the irfft of, which a march hands to the next
-    step as its uh; the ETD-RK2 stage likewise reads its own spectrum, so
-    neither transforms forward. That spectrum differs from rfft(state) at
-    round-off only, since remainder_hat gives the half spectrum of a real
-    field and the weights are real. For a model with remainder_orders each
-    stage is one batched irfft of its state and the rows its remainder
-    reads; a stage must be finite, and only the end state is a field."""
+    uh is the half spectrum of u, rfft(u) when None, and rows are the rows
+    of u its model's remainder reads (models.remainder_from_rows), built
+    from uh when None. Returns the new state, the spectrum it is the irfft
+    of and its rows, which a march hands to the next step; the ETD-RK2
+    stage likewise reads its own spectrum and rows, so neither transforms
+    forward. That spectrum differs from rfft(state) at round-off only,
+    since the remainder is the half spectrum of a real field and the
+    weights are real. Each stage is one batched irfft of its state and
+    rows; a stage must be finite, and only the end state is a field. A
+    model whose remainder is None skips the ETD-RK2 stage."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
-    return _etd_step(u, model, dt, scheme, uh, None)[:2]
-
-
-def _etd_step(u: PeriodicField, model, dt: float, scheme: str,
-              uh: Optional[np.ndarray], rows: Optional[np.ndarray]):
-    """imex_frozen_phi_step that also takes the rows of u (None: the model
-    builds them from uh) and returns the new state's, which a march hands
-    to the next step; rows are None for a model without remainder_orders."""
-    n, L, orders = u.n, u.domain_length, model.remainder_orders
+    n, L, orders = u.n, u.domain_length, (0, *model.remainder_orders)
     E, w1, w2 = _etd_weights(model, n, L, dt, scheme)
     if uh is None:
         uh = np.fft.rfft(u.samples, axis=-1)
-    if orders is None:
-        r1 = model.remainder_hat(u, uh)
-        ah = E * uh if r1 is None else E * uh + w1 * r1
-        a = u.with_samples(np.fft.irfft(ah, n, axis=-1))
-        if w2 is None or r1 is None:
-            return a, ah, None
-        fh = ah + w2 * (model.remainder_hat(a, ah) - r1)
-        return u.with_samples(np.fft.irfft(fh, n, axis=-1)), fh, None
-
     r1 = (model.remainder_hat(u, uh) if rows is None
           else model.remainder_from_rows(rows, uh, L))
-    ah = E * uh + w1 * r1
-    if w2 is not None:
-        rows = spectral_rows(ah, n, L, (0, *orders))
+    ah = E * uh if r1 is None else E * uh + w1 * r1
+    if w2 is not None and r1 is not None:
+        rows = spectral_rows(ah, n, L, orders)
         if not np.isfinite(rows[0]).all():
             raise NonFiniteError("samples contain NaN/Inf")
         ah = ah + w2 * (model.remainder_from_rows(rows, ah, L) - r1)
-    rows = spectral_rows(ah, n, L, (0, *orders))
+    rows = spectral_rows(ah, n, L, orders)
     # the end state owns its row: a view would keep the whole block alive
     return u.with_samples(rows[0].copy()), ah, rows
 
@@ -379,9 +364,9 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     dt fails the stability guard. Any other exception from a step or the
     guard, a NotImplementedError say, propagates unchanged.
 
-    An ETD march hands each step the spectrum, and the rows, the previous
-    one returned (_etd_step), so only u0 is transformed forward; every
-    step ends bit for bit where imex_frozen_phi_step would.
+    An ETD march runs imex_frozen_phi_step and hands each step the
+    spectrum and rows the previous one returned, so only u0 is
+    transformed forward.
 
     Kept states wait for their ledger rows, which ledger_rows builds in
     blocks: right after the t = 0 row, every LEDGER_BLOCK kept states, at
@@ -450,8 +435,8 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
                 if config.scheme == "frozen_pointwise":
                     u = frozen_pointwise_step(u, model, config.dt)
                 else:
-                    u, uh, urows = _etd_step(u, model, config.dt,
-                                             config.scheme, uh, urows)
+                    u, uh, urows = imex_frozen_phi_step(
+                        u, model, config.dt, config.scheme, uh, urows)
             except (NumericalFailure, FloatingPointError) as exc:
                 raise abort(str(exc), t) from exc
             except NonFiniteError as exc:

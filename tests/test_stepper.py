@@ -14,10 +14,12 @@ from pslab.grid import (
     _dealias_mask,
     apply_multiplier,
     derivatives,
+    multiplier_table,
     norms,
     wavenumbers,
 )
 from pslab.models import (
+    MODELS,
     HeatModel,
     McfGraphModel,
     MuskatStModel,
@@ -63,6 +65,11 @@ def triangle(n, amplitude):
     return PeriodicField(amplitude * (1.0 - (2.0 / np.pi) * np.abs(x - np.pi)))
 
 
+def smooth(n):
+    x = grid_x(n)
+    return PeriodicField(0.3 * np.sin(x) + 0.1 * np.cos(3 * x) + 0.02 * np.sin(7 * x))
+
+
 def ellipse(n, rx=1.1, ry=0.9):
     th = grid_x(n)
     return PeriodicField(np.stack([rx * np.cos(th), ry * np.sin(th)]))
@@ -84,7 +91,7 @@ class FractionalHeatModel(_ModelBase):
         out = np.fft.ifft(-np.abs(k) ** self.s * np.fft.fft(field.samples)).real
         return field.with_samples(out)
 
-    def remainder_hat(self, field, uh):
+    def remainder_from_rows(self, rows, uh, L):
         return None
 
 
@@ -99,8 +106,9 @@ class QuadraticGrowthModel(_ModelBase):
     def rhs(self, field):
         return field.with_samples(field.samples**2)
 
-    def remainder_hat(self, field, uh):
-        return np.fft.rfft(self.rhs(field).samples)
+    def remainder_from_rows(self, rows, uh, L):
+        # through a field, so an overflowing square is a NonFiniteError
+        return np.fft.rfft(self.rhs(PeriodicField(rows[0], L)).samples)
 
 
 class ExponentialGrowthModel(QuadraticGrowthModel):
@@ -113,7 +121,7 @@ class ExponentialGrowthModel(QuadraticGrowthModel):
     def rhs(self, field):
         return field.with_samples(5.0 * field.samples)
 
-    def remainder_hat(self, field, uh):
+    def remainder_from_rows(self, rows, uh, L):
         return None
 
 
@@ -130,7 +138,7 @@ class ShrinkingContourModel(_ModelBase):
     def linear_multiplier(self, k):
         return np.zeros_like(np.asarray(k, dtype=float))
 
-    def remainder_hat(self, field, uh):
+    def remainder_from_rows(self, rows, uh, L):
         return uh * np.array([[-1.0], [0.0]])
 
 
@@ -143,7 +151,7 @@ class LateValueErrorModel(ExponentialGrowthModel):
         self.fail_at = fail_at
         self.calls = 0
 
-    def remainder_hat(self, field, uh):
+    def remainder_from_rows(self, rows, uh, L):
         self.calls += 1
         if self.calls == self.fail_at:
             raise ValueError("toy remainder rejects NaN/Inf by itself")
@@ -189,14 +197,14 @@ def per_row_evolve(model, u0, T, config, spec):
     want_theta = spec.record_theta if spec.record_theta is not None else cap is not None
     n_steps = _n_steps(T, config.dt)
     _stability_bound(model, u0, config)  # the guard's remainder calls
-    rows, u, uh = [], u0, None
+    rows, u, uh, urows = [], u0, None, None
     for j in range(n_steps + 1):
         t = j * config.dt
         if j:
             try:
-                # each step starts from the spectrum the last one formed
-                u, uh = imex_frozen_phi_step(u, model, config.dt,
-                                             config.scheme, uh)
+                # each step starts from the spectrum and rows the last formed
+                u, uh, urows = imex_frozen_phi_step(u, model, config.dt,
+                                                    config.scheme, uh, urows)
             except NonFiniteError:
                 return rows, ("state", t)
             except ValueError as exc:
@@ -391,6 +399,11 @@ REUSE_CASES = {
     "surface_diffusion_axi": (SurfaceDiffusionModel(hbar0=2.0),
                               PeriodicField(2.0 + 0.01 * np.cos(grid_x(256))),
                               1e-3),
+    # the rhs + L u models build their state field from the stage's row 0
+    "varcoef_heat": (VarCoefHeatModel(), triangle(256, 0.47), 1e-4),
+    "muskat_st": (MuskatStModel(), smooth(64), 1e-4),
+    "peskin2d": (Peskin2dModel(), ellipse(64), 1e-4),
+    "nonlocal_mcf": (NonlocalMcfModel(a=0.5), smooth(64), 1e-4),
 }
 
 
@@ -572,8 +585,7 @@ class TestSpectralRemainderStep:
             return ellipse(n)
         if model.tag == "surface_diffusion_axi":
             return PeriodicField(2.0 + 0.3 * np.cos(x) + 0.05 * np.sin(3 * x))
-        return PeriodicField(0.3 * np.sin(x) + 0.1 * np.cos(3 * x)
-                             + 0.02 * np.sin(7 * x))
+        return smooth(n)
 
     @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
     @pytest.mark.parametrize("n", [64, 256])
@@ -634,8 +646,13 @@ class TestCarriedSpectrum:
     @pytest.mark.parametrize("tag, per_step", [
         ("heat", [2, 1, 1, 1, 1]), ("mcf_graph", [6, 4, 4, 4, 4]),
         ("thinfilm_exp", [6, 4, 4, 4, 4]),
-        ("surface_diffusion_axi", [14, 12, 12, 12, 12])],
-        ids=["heat", "mcf_graph", "thinfilm_exp", "surface_diffusion_axi"])
+        ("surface_diffusion_axi", [14, 12, 12, 12, 12]),
+        ("varcoef_heat", [11, 10, 10, 10, 10]),
+        ("muskat_st", [27, 26, 26, 26, 26]),
+        ("peskin2d", [15, 14, 14, 14, 14]),
+        ("nonlocal_mcf", [15, 14, 14, 14, 14])],
+        ids=["heat", "mcf_graph", "thinfilm_exp", "surface_diffusion_axi",
+             "varcoef_heat", "muskat_st", "peskin2d", "nonlocal_mcf"])
     def test_transforms_per_accepted_step(self, tag, per_step, monkeypatch):
         # the ledger has no derivative or Holder column; only the first
         # step transforms its state forward, and makes the rows of u0 that
@@ -651,7 +668,7 @@ class TestCarriedSpectrum:
 
         for name in ("fft", "ifft", "fft2", "ifft2", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        step = stepper._etd_step
+        step = stepper.imex_frozen_phi_step
 
         def counted_step(*args):
             before = calls[0]
@@ -659,7 +676,7 @@ class TestCarriedSpectrum:
             per_call.append(calls[0] - before)
             return out
 
-        monkeypatch.setattr(stepper, "_etd_step", counted_step)
+        monkeypatch.setattr(stepper, "imex_frozen_phi_step", counted_step)
         evolve(model, u0, 5 * dt, StepperConfig(dt=dt), LedgerSpec())
         assert per_call == per_step
 
@@ -721,13 +738,57 @@ class DrainedSurfaceModel(SurfaceDiffusionModel):
         return r
 
 
-class TestCarriedRows:
-    """An ETD march of a model with remainder_orders forms each stage and
-    its remainder's rows in one irfft and carries the last stage's rows to
-    the next step; only the end state of a step is a field."""
+def retired_generic_step(u, model, dt, scheme, uh):
+    """The ETD step of heat and the rhs + L u models as it ran before every
+    model read its remainder from the stage rows: the remainder spectrum is
+    rfft(rhs(w) + irfft(m wh)) at a field, None for heat, and the stage is
+    a field of its own irfft. Returns (state, spectrum), as a march carried
+    them."""
+    n, L = u.n, u.domain_length
+    E, w1, w2 = _etd_weights(model, n, L, dt, scheme)
 
-    @pytest.mark.parametrize("tag", ["mcf_graph", "thinfilm_exp",
-                                     "surface_diffusion_axi"])
+    def remainder_hat(w, wh):
+        if model.tag == "heat":
+            return None
+        lin = np.fft.irfft(wh * multiplier_table(model, n, L), n, axis=-1)
+        return np.fft.rfft(model.rhs(w).samples + lin, axis=-1)
+
+    if uh is None:
+        uh = np.fft.rfft(u.samples, axis=-1)
+    r1 = remainder_hat(u, uh)
+    ah = E * uh if r1 is None else E * uh + w1 * r1
+    a = u.with_samples(np.fft.irfft(ah, n, axis=-1))
+    if w2 is None or r1 is None:
+        return a, ah
+    fh = ah + w2 * (remainder_hat(a, ah) - r1)
+    return u.with_samples(np.fft.irfft(fh, n, axis=-1)), fh
+
+
+class TestCarriedRows:
+    """Every ETD march forms each stage and the rows its model's remainder
+    reads in one irfft, row 0 the stage state, and carries the last
+    stage's rows to the next step; only the end state of a step is a
+    field. A model without a dedicated remainder builds its state field
+    from row 0."""
+
+    def test_no_model_overrides_the_field_adapter(self):
+        # remainder_hat only builds a field's rows; the physics is in
+        # remainder_from_rows, the one hook the step reads
+        assert not [tag for tag, cls in MODELS.items() if "remainder_hat" in vars(cls)]
+
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("tag", ["heat", "varcoef_heat", "muskat_st",
+                                     "peskin2d", "nonlocal_mcf"])
+    def test_generic_march_is_the_retired_step_loop(self, tag, scheme):
+        model, u0, dt = REUSE_CASES[tag]
+        traj = evolve(model, u0, 20 * dt, StepperConfig(dt=dt, scheme=scheme))
+        u, uh, want = u0, None, [u0.samples.tobytes()]
+        for _ in range(20):
+            u, uh = retired_generic_step(u, model, dt, scheme, uh)
+            want.append(u.samples.tobytes())
+        assert [w.samples.tobytes() for _, w in traj.snapshots] == want
+
+    @pytest.mark.parametrize("tag", list(REUSE_CASES))
     def test_kept_snapshots_own_their_samples(self, tag):
         # a state built on a view of its (1 + k, N) row block would keep
         # the whole block alive as long as the snapshot
