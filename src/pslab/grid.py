@@ -14,8 +14,9 @@ spectrum.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -152,6 +153,14 @@ def _derivative_table(n: int, L: float, orders: tuple) -> np.ndarray:
     return _read_only(table)
 
 
+@lru_cache(maxsize=32)
+def _dealiased_derivative_table(n: int, L: float) -> np.ndarray:
+    """The first-derivative row of _derivative_table with the modes above
+    N/3 zeroed (_dealias_mask): dealiasing then differentiating as one
+    multiplier. Cached per (n, L) and read-only, like wavenumbers."""
+    return _read_only(_dealias_mask(n) * _derivative_table(n, L, (1,))[0])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as in apply_multiplier
 def derivatives(field: PeriodicField, orders) -> np.ndarray:
     """d^m/dx^m of every component for each m in orders, shape
@@ -182,10 +191,27 @@ def spectral_rows(wh: np.ndarray, n: int, L: float, orders) -> np.ndarray:
     return np.fft.irfft(wh * mults, n, axis=-1)
 
 
-@lru_cache(maxsize=32)
+def model_cache(build):
+    """Cache build(model, *key) per model and key, in a table that dies
+    with its model: a finished model and its tables are not kept alive by
+    the cache, as an lru_cache keyed by the instance would keep them. The
+    undecorated builder is the wrapper's __wrapped__."""
+    tables = weakref.WeakKeyDictionary()
+
+    @wraps(build)
+    def cached(model, *key):
+        per_model = tables.setdefault(model, {})
+        if key not in per_model:
+            per_model[key] = build(model, *key)
+        return per_model[key]
+
+    return cached
+
+
+@model_cache
 def multiplier_table(model, n: int, L: float) -> np.ndarray:
     """model.linear_multiplier on wavenumbers(n, L): read-only and cached
-    per (model, n, L), like that table."""
+    per (model, n, L), like that table, for as long as the model lives."""
     return _read_only(model.linear_multiplier(wavenumbers(n, L)))
 
 

@@ -9,7 +9,10 @@ it vanishes. rows are the state, then its derivatives of the orders the
 model declares as remainder_orders on period L, as an ETD stage takes
 them from one batched irfft with its state; a model with a dedicated,
 better conditioned form reads those rows, the others build the state
-field from rows[0]. remainder_hat(u, u_hat) builds a field's rows.
+field from rows[0]. remainder_hat(u, u_hat) builds a field's rows. In a
+march the rows and u_hat are the step's work arrays, which the next
+stage overwrites: a remainder reads them, writes its temporaries in
+place in arrays of its own and returns a spectrum of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .grid import (
     NumericalFailure,
     PeriodicField,
-    _dealias_mask,
+    _dealiased_derivative_table,
     _derivative_table,
     derivative_rows,
     derivatives,
@@ -83,7 +86,8 @@ class _ModelBase:
         and uh its spectrum; None if zero."""
         field = PeriodicField(rows[0], L)
         lin = np.fft.irfft(uh * multiplier_table(self, field.n, L), field.n, axis=-1)
-        return np.fft.rfft(self.rhs(field).samples + lin, axis=-1)
+        lin += self.rhs(field).samples
+        return np.fft.rfft(lin, axis=-1)
 
     def remainder(self, field: PeriodicField) -> PeriodicField:
         rh = self.remainder_hat(field, np.fft.rfft(field.samples, axis=-1))
@@ -160,7 +164,12 @@ class McfGraphModel(_ModelBase):
         # (A[f'] - A[0]) f_xx = -f_x^2 f_xx/(1+f_x^2); written this way it
         # is O(f^3) without cancellation
         _, fx, fxx = rows
-        return np.fft.rfft((1.0 / (1.0 + fx * fx) - 1.0) * fxx)
+        g = fx * fx
+        g += 1.0
+        np.divide(1.0, g, out=g)
+        g -= 1.0
+        g *= fxx
+        return np.fft.rfft(g)
 
 
 class NonlocalMcfModel(_ModelBase):
@@ -262,17 +271,32 @@ class SurfaceDiffusionModel(_ModelBase):
         self.hbar0 = float(hbar0)
 
     def _velocity(self, rows, L):
-        # rhs samples from the rows h, h_x, h_xx; dealiasing then
-        # differentiating is one multiplier, mask * (i k)
+        # rhs samples from the rows h, h_x, h_xx, on three real and one
+        # spectral temporary; dealiasing then differentiating is one
+        # multiplier, mask * (i k)
         h, hx, hxx = rows
         if float(h.min()) <= 0.0:
             raise PositivityError(float(h.min()))
         n = h.size
-        br = np.sqrt(1.0 + hx * hx)
-        dx = _dealias_mask(n) * _derivative_table(n, L, (1,))[0]
-        curv_x = np.fft.irfft(np.fft.rfft(1.0 / (h * br) - hxx / br**3) * dx, n)
-        flux_x = np.fft.irfft(np.fft.rfft((h / br) * curv_x) * dx, n)
-        return flux_x / h
+        dx = _dealiased_derivative_table(n, L)
+        br = hx * hx
+        br += 1.0
+        np.sqrt(br, out=br)
+        a = h * br
+        np.divide(1.0, a, out=a)
+        b = br**3
+        np.divide(hxx, b, out=b)
+        a -= b  # the curvature 1/(h br) - h_xx/br^3
+        s = np.fft.rfft(a)
+        s *= dx
+        curv_x = np.fft.irfft(s, n, out=b)
+        np.divide(h, br, out=a)
+        a *= curv_x  # the flux (h/br) curv_x
+        np.fft.rfft(a, out=s)
+        s *= dx
+        flux_x = np.fft.irfft(s, n, out=a)
+        flux_x /= h
+        return flux_x
 
     def rhs(self, field):
         d = derivative_rows(field.samples, field.domain_length, (1, 2))
@@ -280,7 +304,9 @@ class SurfaceDiffusionModel(_ModelBase):
 
     def remainder_from_rows(self, rows, uh, L):
         m = multiplier_table(self, rows.shape[-1], L)
-        return np.fft.rfft(self._velocity(rows, L)) + m * uh
+        rh = np.fft.rfft(self._velocity(rows, L))
+        rh += m * uh
+        return rh
 
     def linear_multiplier(self, k):
         # sd_symbol(n, hbar0) = n^4 - n^2/hbar0^2 in integer frequencies;
@@ -307,8 +333,12 @@ class ThinfilmExpModel(_ModelBase):
 
     def remainder_from_rows(self, rows, uh, L):
         v = rows[1]
-        d2 = _derivative_table(v.size, L, (2,))[0]
-        return np.fft.rfft(np.expm1(-v) + v) * d2
+        g = np.negative(v)
+        np.expm1(g, out=g)
+        g += v
+        gh = np.fft.rfft(g)
+        gh *= _derivative_table(v.size, L, (2,))[0]
+        return gh
 
     def conserved(self, field):
         return ("mean", float(np.mean(field.samples)))

@@ -11,7 +11,13 @@ frozen_pointwise  row i propagates u under the symbol frozen at x_i,
 
 An ETD stage forms its state and the derivative rows its model's
 remainder reads in one batched irfft, and a march carries the last
-stage's spectrum and rows to the next step.
+stage's spectrum and rows to the next step. A march allocates the arrays
+its steps write once, in a StepWork: the stage and end spectra and rows,
+the product feeding each irfft and one spectral temporary. A step writes
+only into those, never into the spectrum, rows or remainder it is handed,
+so every step is bit for bit the one that allocates each array afresh;
+each state owns a copy of its row, and a call without work allocates and
+returns arrays of its own.
 
 Because the linear part is integrated exactly, explicit treatment of the
 remainder stays stable as long as its damped response remains below the
@@ -27,7 +33,6 @@ about the time window, so the caller bisects T on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -36,13 +41,14 @@ from .grid import (
     NonFiniteError,
     NumericalFailure,
     PeriodicField,
+    _derivative_table,
     _read_only,
     check_holder_target,
     derivative_rows,
     holder_rows,
+    model_cache,
     multiplier_table,
     norm_rows,
-    spectral_rows,
 )
 from .nonlocal_ops import stretch_ratio
 
@@ -228,20 +234,63 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-@lru_cache(maxsize=32)
+@model_cache
 def _etd_weights(model, n: int, L: float, dt: float, scheme: str):
     """exp(z), dt phi1(z) and, for etd_rk2 only, dt phi2(z) at the frozen
     multiplier z = -dt m(k); the third weight is None otherwise. Cached per
-    (model, n, L, dt, scheme) and read-only, like grid.wavenumbers."""
+    (model, n, L, dt, scheme) for as long as the model lives, and
+    read-only, like grid.wavenumbers."""
     z = -dt * multiplier_table(model, n, L)
     w2 = _read_only(dt * _phi2(z)) if scheme == "etd_rk2" else None
     return _read_only(np.exp(z)), _read_only(dt * _phi1(z)), w2
 
 
+class StepWork:
+    """What every ETD step of one march reads unchanged, the weights E, w1,
+    w2 and the derivative table (i k)^m of its rows, and the arrays it
+    writes: the stage spectrum and rows, two end slots of a spectrum and
+    rows, the product of a spectrum with the table and one spectral
+    temporary. Built for one (model, field shape, L, dt, scheme); a step
+    writes its end into the slot that holds neither the spectrum nor the
+    rows it was handed, so a march can hand each step what the last one
+    returned."""
+
+    def __init__(self, model, u: PeriodicField, dt: float, scheme: str):
+        n, L = u.n, u.domain_length
+        orders = (0, *model.remainder_orders)
+        lead = u.samples.shape[:-1]
+        self.n = n
+        self.weights = _etd_weights(model, n, L, dt, scheme)
+        # each order's row serves every component
+        self.mults = _derivative_table(n, L, orders).reshape(
+            len(orders), *(1,) * len(lead), -1)
+        spectrum, rows = (*lead, n // 2 + 1), (len(orders), *u.samples.shape)
+        self.product = np.empty((len(orders), *spectrum), dtype=complex)
+        self.temp = np.empty(spectrum, dtype=complex)
+        self.stage = np.empty(spectrum, dtype=complex), np.empty(rows)
+        self.ends = tuple((np.empty(spectrum, dtype=complex), np.empty(rows))
+                          for _ in range(2))
+
+    def rows(self, wh: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """grid.spectral_rows of wh written into out: one batched irfft."""
+        np.multiply(wh, self.mults, out=self.product)
+        return np.fft.irfft(self.product, self.n, axis=-1, out=out)
+
+    def free_end(self, uh, rows):
+        """The end slot holding neither uh nor rows: the other slot when
+        they are the last end a step on this work returned."""
+        first, second = self.ends
+        slot = second if uh is first[0] or rows is first[1] else first
+        if uh is slot[0] or rows is slot[1]:
+            raise ValueError("uh and rows must come from one step on this work")
+        return slot
+
+
 def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
                          scheme: str = "etd_rk2",
                          uh: Optional[np.ndarray] = None,
-                         rows: Optional[np.ndarray] = None):
+                         rows: Optional[np.ndarray] = None,
+                         work: Optional[StepWork] = None):
     """One step with exact propagation of the frozen linear multiplier and
     an explicit phi-weighted remainder (Euler or ETD-RK2 correction).
 
@@ -254,26 +303,42 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
     since the remainder is the half spectrum of a real field and the
     weights are real. Each stage is one batched irfft of its state and
     rows; a stage must be finite, and only the end state is a field. A
-    model whose remainder is None skips the ETD-RK2 stage."""
+    model whose remainder is None skips the ETD-RK2 stage.
+
+    work (a StepWork for this model, shape, dt and scheme) holds the
+    arrays the step writes; without it the step allocates its own, so the
+    spectrum and rows it returns are fresh. With it they are the work's
+    end slot, which the next step but one on the same work overwrites. The
+    step never writes into uh, rows or a remainder's spectrum; the state
+    owns a copy of its row."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
-    n, L, orders = u.n, u.domain_length, (0, *model.remainder_orders)
-    E, w1, w2 = _etd_weights(model, n, L, dt, scheme)
+    if work is None:
+        work = StepWork(model, u, dt, scheme)
+    L, (E, w1, w2) = u.domain_length, work.weights
+    fh, end = work.free_end(uh, rows)
     if uh is None:
         uh = np.fft.rfft(u.samples, axis=-1)
     r1 = (model.remainder_hat(u, uh) if rows is None
           else model.remainder_from_rows(rows, uh, L))
-    ah = E * uh if r1 is None else E * uh + w1 * r1
-    if w2 is not None and r1 is not None:
-        rows = spectral_rows(ah, n, L, orders)
-        if not np.isfinite(rows[0]).all():
+    # in the operation order of E * uh + w1 * r1 and ah + w2 * (r2 - r1),
+    # so every bit is that of the allocating expressions
+    two_stage = w2 is not None and r1 is not None
+    ah = work.stage[0] if two_stage else fh
+    np.multiply(E, uh, out=ah)
+    if r1 is not None:
+        ah += np.multiply(w1, r1, out=work.temp)
+    if two_stage:
+        stage = work.rows(ah, work.stage[1])
+        if not np.isfinite(stage[0]).all():
             raise NonFiniteError("samples contain NaN/Inf")
-        ah = ah + w2 * (model.remainder_from_rows(rows, ah, L) - r1)
-    rows = spectral_rows(ah, n, L, orders)
-    # the end state owns its row: a view would keep the whole block alive
-    return u.with_samples(rows[0].copy()), ah, rows
+        dr = np.subtract(model.remainder_from_rows(stage, ah, L), r1, out=work.temp)
+        np.add(ah, np.multiply(w2, dr, out=dr), out=fh)
+    end = work.rows(fh, end)
+    # the end state owns its row: the work's rows are overwritten later
+    return u.with_samples(end[0].copy()), fh, end
 
 
 def check_pointwise(model, n: int, components: int) -> None:
@@ -366,7 +431,10 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
 
     An ETD march runs imex_frozen_phi_step and hands each step the
     spectrum and rows the previous one returned, so only u0 is
-    transformed forward.
+    transformed forward. It allocates one StepWork after the guard, and
+    every step writes its stages, rows and temporaries into that; the
+    work's arrays stay inside the march, and each state it keeps owns its
+    samples.
 
     Kept states wait for their ledger rows, which ledger_rows builds in
     blocks: right after the t = 0 row, every LEDGER_BLOCK kept states, at
@@ -428,15 +496,19 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
             f"dt={config.dt:.3e} exceeds half the measured stability bound "
             f"{bound:.3e} for the explicit remainder", 0.0)
     u, uh, urows = u0, None, None
+    pointwise = config.scheme == "frozen_pointwise"
+    work = None if pointwise else StepWork(model, u0, config.dt, config.scheme)
     try:
         for j in range(1, n_steps + 1):
             t = j * config.dt
             try:
-                if config.scheme == "frozen_pointwise":
+                if pointwise:
                     u = frozen_pointwise_step(u, model, config.dt)
                 else:
+                    # through the module binding, positionally, as a
+                    # tracer or a test that wraps the step calls it
                     u, uh, urows = imex_frozen_phi_step(
-                        u, model, config.dt, config.scheme, uh, urows)
+                        u, model, config.dt, config.scheme, uh, urows, work)
             except (NumericalFailure, FloatingPointError) as exc:
                 raise abort(str(exc), t) from exc
             except NonFiniteError as exc:

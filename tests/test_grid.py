@@ -15,6 +15,7 @@ from pslab.grid import (
     NonFiniteError,
     PeriodicField,
     _dealias_mask,
+    _dealiased_derivative_table,
     _derivative_table,
     _hilbert_multiplier,
     _holder_shifts,
@@ -135,13 +136,18 @@ class TestPlanCache:
         mult = _derivative_table(64, 3.0, (1,))
         stacked = _derivative_table(64, 3.0, (2, 1))
         hilbert = _hilbert_multiplier(64)
+        dealiased = _dealiased_derivative_table(64, 3.0)
         assert wavenumbers(64, 3.0) is k
         assert _derivative_table(64, 3.0, (1,)) is mult
         assert _derivative_table(64, 3.0, (2, 1)) is stacked
         assert _hilbert_multiplier(64) is hilbert
+        assert _dealiased_derivative_table(64, 3.0) is dealiased
         assert same_bits(stacked, np.stack([fresh_derivative_multiplier(64, 3.0, m)
                                             for m in (2, 1)]))
-        for table in (k, mult, stacked, hilbert):
+        # the surface-diffusion flux's multiplier as it was built per call
+        assert same_bits(dealiased, _dealias_mask(64)
+                         * fresh_derivative_multiplier(64, 3.0, 1))
+        for table in (k, mult, stacked, hilbert, dealiased):
             with pytest.raises(ValueError):
                 table[0] = 1.0
             with pytest.raises(ValueError):

@@ -2,12 +2,15 @@
 the formal orders, pointwise-frozen consistency, whole-window iteration,
 ledger reproducibility, and the abort paths."""
 
+import copy
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from pslab import stepper
+from pslab import models, stepper
 from pslab.grid import (
     NonFiniteError,
     PeriodicField,
@@ -16,6 +19,7 @@ from pslab.grid import (
     derivatives,
     multiplier_table,
     norms,
+    spectral_rows,
     wavenumbers,
 )
 from pslab.models import (
@@ -39,6 +43,7 @@ from pslab.stepper import (
     PICARD_TOL,
     PicardDivergenceError,
     StepSizeRefused,
+    StepWork,
     StepperConfig,
     Trajectory,
     evolve,
@@ -841,6 +846,150 @@ class TestCarriedRows:
         model.calls = 2  # the public step makes no guard calls
         with pytest.raises(PositivityError):
             imex_frozen_phi_step(u0, model, dt)
+
+
+def allocating_step(u, model, dt, scheme, uh, rows):
+    """imex_frozen_phi_step as it ran before the march wrote its stages,
+    rows and temporaries into work arrays: every product, sum and row
+    block is a fresh array. Returns (state, spectrum, rows), as the step
+    does."""
+    n, L, orders = u.n, u.domain_length, (0, *model.remainder_orders)
+    E, w1, w2 = _etd_weights(model, n, L, dt, scheme)
+    if uh is None:
+        uh = np.fft.rfft(u.samples, axis=-1)
+    r1 = (model.remainder_hat(u, uh) if rows is None
+          else model.remainder_from_rows(rows, uh, L))
+    ah = E * uh if r1 is None else E * uh + w1 * r1
+    if w2 is not None and r1 is not None:
+        rows = spectral_rows(ah, n, L, orders)
+        if not np.isfinite(rows[0]).all():
+            raise NonFiniteError("samples contain NaN/Inf")
+        ah = ah + w2 * (model.remainder_from_rows(rows, ah, L) - r1)
+    rows = spectral_rows(ah, n, L, orders)
+    return u.with_samples(rows[0].copy()), ah, rows
+
+
+def read_only(arr):
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+class ReadOnlyMcfGraphModel(McfGraphModel):
+    """mcf_graph whose remainder spectrum is read-only: a step that writes
+    into what a remainder returned raises."""
+
+    def remainder_from_rows(self, rows, uh, L):
+        return read_only(super().remainder_from_rows(rows, uh, L))
+
+
+class ReadOnlyVarCoefHeatModel(VarCoefHeatModel):
+    """varcoef_heat, on the generic rhs + L u remainder, made read-only."""
+
+    def remainder_from_rows(self, rows, uh, L):
+        return read_only(super().remainder_from_rows(rows, uh, L))
+
+
+def shares_any(arrays, others):
+    return any(np.shares_memory(a, b) for a in arrays for b in others)
+
+
+class TestStepWork:
+    """An ETD march writes each step's stages, rows and temporaries into
+    work arrays it allocates once. The step never writes into an array a
+    caller passed or a remainder returned, the end state owns a copy of
+    its row, a public call without work returns fresh arrays, and no
+    buffer lives on a model or at module level; every bit is that of the
+    allocating step."""
+
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("tag", list(REUSE_CASES))
+    def test_march_is_the_allocating_step_loop(self, tag, scheme):
+        model, u0, dt = REUSE_CASES[tag]
+        traj = evolve(model, u0, 20 * dt, StepperConfig(dt=dt, scheme=scheme))
+        u, uh, rows, want = u0, None, None, [u0.samples.tobytes()]
+        for _ in range(20):
+            u, uh, rows = allocating_step(u, model, dt, scheme, uh, rows)
+            want.append(u.samples.tobytes())
+        assert [w.samples.tobytes() for _, w in traj.snapshots] == want
+
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("tag", list(REUSE_CASES))
+    def test_march_is_a_chain_of_public_steps(self, tag, scheme):
+        model, u0, dt = REUSE_CASES[tag]
+        spec = (LedgerSpec() if model.is_contour else
+                LedgerSpec(derivative_sup=(1, 2), holder_targets=((0, 0.5),)))
+        traj = evolve(model, u0, 20 * dt, StepperConfig(dt=dt, scheme=scheme), spec)
+        snaps, u, uh, rows = [(0.0, u0)], u0, None, None
+        for j in range(1, 21):  # each call allocates its own arrays
+            u, uh, rows = imex_frozen_phi_step(u, model, dt, scheme, uh, rows)
+            snaps.append((j * dt, u))
+        want, error = ledger_rows(snaps, spec)
+        assert error is None
+        if getattr(model, "theta_cap", None) is not None:
+            for (_, w), row in zip(snaps, want):
+                row["theta"] = stretch_ratio(w)
+        assert np.array_equal(traj.final().samples, u.samples)
+        assert list(traj.ledger) == want
+
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("tag", list(REUSE_CASES))
+    def test_steps_write_only_their_own_arrays(self, tag, scheme):
+        model, u0, dt = REUSE_CASES[tag]
+        # a read-only spectrum and rows: writing into them raises
+        u, uh, rows = imex_frozen_phi_step(u0, model, dt, scheme)
+        uh, rows = read_only(uh), read_only(rows)
+        fresh = [imex_frozen_phi_step(u, model, dt, scheme, uh, rows) for _ in range(2)]
+        work = StepWork(model, u0, dt, scheme)
+        worked = imex_frozen_phi_step(u, model, dt, scheme, uh, rows, work)
+        for out in (*fresh, worked):
+            assert np.array_equal(out[0].samples, fresh[0][0].samples)
+            assert not shares_any(out, (uh, rows))
+        # without work each call returns arrays of its own
+        assert not shares_any(fresh[0], fresh[1])
+        # a march hands each step what the last one returned on its work
+        state = worked
+        for _ in range(4):
+            out = imex_frozen_phi_step(*state[:1], model, dt, scheme, *state[1:], work)
+            assert not shares_any(out[1:], state[1:])
+            assert not shares_any([out[0].samples], (*out[1:], *state[1:]))
+            state = out
+
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("model, tag", [
+        (ReadOnlyMcfGraphModel(), "mcf_graph"),
+        (ReadOnlyVarCoefHeatModel(), "varcoef_heat")], ids=["dedicated", "generic"])
+    def test_read_only_remainder_marches(self, model, tag, scheme):
+        plain, u0, dt = REUSE_CASES[tag]
+        got = evolve(model, u0, 20 * dt, StepperConfig(dt=dt, scheme=scheme))
+        want = evolve(plain, u0, 20 * dt, StepperConfig(dt=dt, scheme=scheme))
+        assert [w.samples.tobytes() for _, w in got.snapshots] == \
+            [w.samples.tobytes() for _, w in want.snapshots]
+
+    def test_mixed_ends_are_refused(self):
+        model, u0, dt = REUSE_CASES["mcf_graph"]
+        work = StepWork(model, u0, dt, "etd_rk2")
+        u1, uh1, rows1 = imex_frozen_phi_step(u0, model, dt, "etd_rk2", None, None, work)
+        u2, uh2, rows2 = imex_frozen_phi_step(u1, model, dt, "etd_rk2", uh1, rows1, work)
+        with pytest.raises(ValueError, match="one step on this work"):
+            imex_frozen_phi_step(u2, model, dt, "etd_rk2", uh2, rows1, work)
+
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("tag", list(REUSE_CASES))
+    def test_model_and_its_tables_die_after_a_march(self, tag, scheme):
+        # the weights and the symbol table are cached per model only for
+        # as long as the model lives
+        model = copy.copy(REUSE_CASES[tag][0])
+        _, u0, dt = REUSE_CASES[tag]
+        attrs = dict(vars(model))
+        evolve(model, u0, 3 * dt, StepperConfig(dt=dt, scheme=scheme))
+        assert vars(model).keys() == attrs.keys()  # no buffer on the model
+        assert not [name for module in (stepper, models) for name, value
+                    in vars(module).items() if isinstance(value, (np.ndarray, StepWork))]
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
 
 
 def pointwise_step_by_dense_sum(u, model, dt):
