@@ -9,6 +9,13 @@ wavenumbers k_n = 2*pi*n/L (Nyquist at +N/2) on which every table is built.
 Every field derivative, scalar or contour, is a row of ``derivatives``, or
 of ``derivative_rows`` for a stack of fields, or of ``spectral_rows`` from a
 spectrum.
+
+``rfft`` and ``irfft`` here are the one transform route of the package:
+every forward and inverse transform calls numpy's pocketfft gufuncs
+through them, bit for bit ``np.fft.rfft``/``np.fft.irfft`` on the last axis
+without that wrapper's per-call work, and this is the only module that
+names ``numpy.fft``. The gufuncs, like the FFT ``out=`` argument the march
+writes its work arrays through, came with numpy 2.0, hence that floor.
 """
 
 from __future__ import annotations
@@ -17,11 +24,16 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from typing import Optional
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 TWO_PI = 2.0 * np.pi
+# the gufuncs' axes argument: transform the last axis of the input into the
+# last axis of the output; the normalization factor is a scalar
+_LAST_AXIS = [(-1,), (), (-1,)]
 
 
 def on_two_pi_torus(length: float) -> bool:
@@ -103,6 +115,43 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_out(out: np.ndarray, shape: tuple, dtype) -> None:
+    # the gufuncs fill an out of any length and broadcast into extra axes
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(f"out must have shape {shape} and dtype {np.dtype(dtype)}, "
+                         f"got {out.shape} and {out.dtype}")
+
+
+def rfft(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Half spectrum of x along its last axis: np.fft.rfft(x, axis=-1) bit
+    for bit, in double precision. out, when given, must have x's leading
+    shape, N/2 + 1 modes and dtype complex128, or ValueError is raised;
+    otherwise a fresh array is returned."""
+    n = x.shape[-1]
+    shape = (*x.shape[:-1], n // 2 + 1)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    else:
+        _check_out(out, shape, complex)
+    # the even-length gufunc gives wrong values on an odd length
+    gufunc = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
+    return gufunc(x, 1.0, axes=_LAST_AXIS, out=out)
+
+
+def irfft(xh: np.ndarray, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Real field of n samples whose half spectrum is xh along its last
+    axis, scaled by 1/n: np.fft.irfft(xh, n, axis=-1) bit for bit, in
+    double precision. out, when given, must have xh's leading shape, n
+    samples and dtype float64, or ValueError is raised; otherwise a fresh
+    array is returned."""
+    shape = (*xh.shape[:-1], n)
+    if out is None:
+        out = np.empty(shape)
+    else:
+        _check_out(out, shape, float)
+    return _pocketfft.irfft(xh, 1.0 / n, axes=_LAST_AXIS, out=out)
+
+
 @lru_cache(maxsize=32)
 def wavenumbers(n: int, L: float = TWO_PI) -> np.ndarray:
     """Physical wavenumbers k_n = 2*pi*n/L, n = 0..N/2 (rfftfreq order); on
@@ -120,8 +169,7 @@ def wavenumbers(n: int, L: float = TWO_PI) -> np.ndarray:
 def apply_multiplier(field: PeriodicField, mult: np.ndarray) -> PeriodicField:
     """Multiply every component's half spectrum by mult (on the wavenumbers
     table) and transform back."""
-    modes = np.fft.rfft(field.samples, axis=-1)
-    return field.with_samples(np.fft.irfft(modes * mult, field.n, axis=-1))
+    return field.with_samples(irfft(rfft(field.samples) * mult, field.n))
 
 
 def fractional_laplacian(field: PeriodicField, a: float) -> PeriodicField:
@@ -178,7 +226,7 @@ def derivative_rows(samples: np.ndarray, L: float, orders) -> np.ndarray:
     """d^m/dx^m along the last axis of samples on period L for each m in
     orders, shape (len(orders), *samples.shape): spectral_rows of one rfft.
     Run under np.errstate: overflows are left in place for the caller."""
-    return spectral_rows(np.fft.rfft(samples, axis=-1), samples.shape[-1], L, orders)
+    return spectral_rows(rfft(samples), samples.shape[-1], L, orders)
 
 
 def spectral_rows(wh: np.ndarray, n: int, L: float, orders) -> np.ndarray:
@@ -188,7 +236,7 @@ def spectral_rows(wh: np.ndarray, n: int, L: float, orders) -> np.ndarray:
     mults = _derivative_table(n, L, tuple(orders))
     # each order's row serves every leading index of wh
     mults = mults.reshape(len(mults), *(1,) * (wh.ndim - 1), -1)
-    return np.fft.irfft(wh * mults, n, axis=-1)
+    return irfft(wh * mults, n)
 
 
 def model_cache(build):

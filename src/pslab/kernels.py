@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import PeriodicField, TWO_PI, wavenumbers
+from .grid import PeriodicField, TWO_PI, irfft, wavenumbers
 
 # Frozen-kernel refinement target: the Richardson-extrapolated kernel values
 # of two consecutive step doublings must differ by less than this.
@@ -43,7 +43,7 @@ def fractional_heat_kernel(t: float, s: float, n: int, domain_length: float = TW
         raise ValueError("s must be positive and finite")
     k = wavenumbers(n, domain_length)
     modes = (n / domain_length) * np.exp(-t * np.abs(k) ** s)
-    return PeriodicField(np.fft.irfft(modes, n), domain_length=domain_length)
+    return PeriodicField(irfft(modes, n), domain_length=domain_length)
 
 
 # ---------------------------------------------------------------------------
@@ -358,4 +358,4 @@ def periodic_sd_kernel(t: float, hbar0: float, n: int) -> PeriodicField:
         raise ValueError("t must be positive and finite")
     modes = (n / TWO_PI) * np.exp(-sd_symbol(wavenumbers(n), hbar0) * t)
     modes[0] = 0.0
-    return PeriodicField(np.fft.irfft(modes, n), domain_length=TWO_PI)
+    return PeriodicField(irfft(modes, n), domain_length=TWO_PI)

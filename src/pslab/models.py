@@ -28,7 +28,9 @@ from .grid import (
     _derivative_table,
     derivative_rows,
     derivatives,
+    irfft,
     multiplier_table,
+    rfft,
     spectral_rows,
 )
 from .kernels import sd_symbol
@@ -85,14 +87,14 @@ class _ModelBase:
         """Half spectrum of rhs(u) + L u, u the field of rows[0] on period L
         and uh its spectrum; None if zero."""
         field = PeriodicField(rows[0], L)
-        lin = np.fft.irfft(uh * multiplier_table(self, field.n, L), field.n, axis=-1)
+        lin = irfft(uh * multiplier_table(self, field.n, L), field.n)
         lin += self.rhs(field).samples
-        return np.fft.rfft(lin, axis=-1)
+        return rfft(lin)
 
     def remainder(self, field: PeriodicField) -> PeriodicField:
-        rh = self.remainder_hat(field, np.fft.rfft(field.samples, axis=-1))
+        rh = self.remainder_hat(field, rfft(field.samples))
         return field.with_samples(np.zeros_like(field.samples) if rh is None
-                                  else np.fft.irfft(rh, field.n, axis=-1))
+                                  else irfft(rh, field.n))
 
     def conserved(self, field: PeriodicField):
         """(name, value) of the model's conservation-law diagnostic, or None."""
@@ -169,7 +171,7 @@ class McfGraphModel(_ModelBase):
         np.divide(1.0, g, out=g)
         g -= 1.0
         g *= fxx
-        return np.fft.rfft(g)
+        return rfft(g)
 
 
 class NonlocalMcfModel(_ModelBase):
@@ -287,14 +289,14 @@ class SurfaceDiffusionModel(_ModelBase):
         b = br**3
         np.divide(hxx, b, out=b)
         a -= b  # the curvature 1/(h br) - h_xx/br^3
-        s = np.fft.rfft(a)
+        s = rfft(a)
         s *= dx
-        curv_x = np.fft.irfft(s, n, out=b)
+        curv_x = irfft(s, n, out=b)
         np.divide(h, br, out=a)
         a *= curv_x  # the flux (h/br) curv_x
-        np.fft.rfft(a, out=s)
+        rfft(a, out=s)
         s *= dx
-        flux_x = np.fft.irfft(s, n, out=a)
+        flux_x = irfft(s, n, out=a)
         flux_x /= h
         return flux_x
 
@@ -304,7 +306,7 @@ class SurfaceDiffusionModel(_ModelBase):
 
     def remainder_from_rows(self, rows, uh, L):
         m = multiplier_table(self, rows.shape[-1], L)
-        rh = np.fft.rfft(self._velocity(rows, L))
+        rh = rfft(self._velocity(rows, L))
         rh += m * uh
         return rh
 
@@ -336,7 +338,7 @@ class ThinfilmExpModel(_ModelBase):
         g = np.negative(v)
         np.expm1(g, out=g)
         g += v
-        gh = np.fft.rfft(g)
+        gh = rfft(g)
         gh *= _derivative_table(v.size, L, (2,))[0]
         return gh
 

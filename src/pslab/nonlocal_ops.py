@@ -37,7 +37,9 @@ from .grid import (
     derivatives,
     fractional_laplacian,
     hilbert_transform,
+    irfft,
     on_two_pi_torus,
+    rfft,
     shift_windows,
     wavenumbers,
 )
@@ -152,7 +154,7 @@ class _ShiftPlan:
         # kernels laid on the shift lattice steps % n, where the two
         # half-weighted +/-pi nodes add at index n/2
         self.inv_four_sin2_hat, self.half_cot_hat = (
-            _read_only(np.fft.rfft(np.bincount(steps % n, self.weights * kernel, minlength=n)))
+            _read_only(rfft(np.bincount(steps % n, self.weights * kernel, minlength=n)))
             for kernel in (self.inv_four_sin2, self.half_cot))
         rows = self.block_rows = max(1, min(_BLOCK_PAIRS // n, n // 2))
         starts = np.arange(0, n, rows)
@@ -517,10 +519,10 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     # commutator ignores constants in w, and the centred wc = w - mean(w)
     # keeps its two large cancelling convolutions small
     wc = w - w.mean()
-    modes = np.fft.rfft(np.stack([fpp * wc, fpp, q, fp] if rho0 else [fpp * wc, fpp, q]))
+    modes = rfft(np.stack([fpp * wc, fpp, q, fp] if rho0 else [fpp * wc, fpp, q]))
     modes[:2] *= plan.inv_four_sin2_hat
     modes[2:] *= plan.half_cot_hat
-    conv = np.fft.irfft(modes, f.n)
+    conv = irfft(modes, f.n)
     # the alpha = 0 node carries the pair limits G0 and limit2
     G0 = fp * fpp / (2.0 * (1.0 + fp * fp))
     sum_q = h * G0 * q - conv[2]

@@ -46,9 +46,11 @@ from .grid import (
     check_holder_target,
     derivative_rows,
     holder_rows,
+    irfft,
     model_cache,
     multiplier_table,
     norm_rows,
+    rfft,
 )
 from .nonlocal_ops import stretch_ratio
 
@@ -250,7 +252,8 @@ class StepWork:
     w2 and the derivative table (i k)^m of its rows, and the arrays it
     writes: the stage spectrum and rows, two end slots of a spectrum and
     rows, the product of a spectrum with the table and one spectral
-    temporary. Built for one (model, field shape, L, dt, scheme); a step
+    temporary. Built for one (model, field shape, L, dt, scheme), which
+    it records, and check refuses a step asked for any other; a step
     writes its end into the slot that holds neither the spectrum nor the
     rows it was handed, so a march can hand each step what the last one
     returned."""
@@ -259,6 +262,8 @@ class StepWork:
         n, L = u.n, u.domain_length
         orders = (0, *model.remainder_orders)
         lead = u.samples.shape[:-1]
+        self.model, self.shape, self.L, self.dt, self.scheme = (
+            model, u.samples.shape, L, dt, scheme)
         self.n = n
         self.weights = _etd_weights(model, n, L, dt, scheme)
         # each order's row serves every component
@@ -271,10 +276,21 @@ class StepWork:
         self.ends = tuple((np.empty(spectrum, dtype=complex), np.empty(rows))
                           for _ in range(2))
 
+    def check(self, model, u: PeriodicField, dt: float, scheme: str) -> None:
+        """Raise ValueError naming the first setting of a step on model, u,
+        dt and scheme that differs from the one this work was built for."""
+        if model is not self.model:
+            raise ValueError(f"work was built for another model object, not this {model.tag}")
+        for name, want, got in (("samples shape", self.shape, u.samples.shape),
+                                ("L", self.L, u.domain_length), ("dt", self.dt, dt),
+                                ("scheme", self.scheme, scheme)):
+            if got != want:
+                raise ValueError(f"work was built for {name} {want!r}, not {got!r}")
+
     def rows(self, wh: np.ndarray, out: np.ndarray) -> np.ndarray:
         """grid.spectral_rows of wh written into out: one batched irfft."""
         np.multiply(wh, self.mults, out=self.product)
-        return np.fft.irfft(self.product, self.n, axis=-1, out=out)
+        return irfft(self.product, self.n, out=out)
 
     def free_end(self, uh, rows):
         """The end slot holding neither uh nor rows: the other slot when
@@ -305,22 +321,25 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
     rows; a stage must be finite, and only the end state is a field. A
     model whose remainder is None skips the ETD-RK2 stage.
 
-    work (a StepWork for this model, shape, dt and scheme) holds the
-    arrays the step writes; without it the step allocates its own, so the
-    spectrum and rows it returns are fresh. With it they are the work's
-    end slot, which the next step but one on the same work overwrites. The
-    step never writes into uh, rows or a remainder's spectrum; the state
-    owns a copy of its row."""
+    work (a StepWork for this model, shape, L, dt and scheme; one built
+    for anything else raises ValueError) holds the arrays the step writes;
+    without it the step allocates its own, so the spectrum and rows it
+    returns are fresh. With it they are the work's end slot, which the
+    next step but one on the same work overwrites. The step never writes
+    into uh, rows or a remainder's spectrum; the state owns a copy of its
+    row."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if scheme not in ("imex_frozen_phi", "etd_rk2"):
         raise ValueError("scheme must be imex_frozen_phi or etd_rk2")
     if work is None:
         work = StepWork(model, u, dt, scheme)
+    else:
+        work.check(model, u, dt, scheme)
     L, (E, w1, w2) = u.domain_length, work.weights
     fh, end = work.free_end(uh, rows)
     if uh is None:
-        uh = np.fft.rfft(u.samples, axis=-1)
+        uh = rfft(u.samples)
     r1 = (model.remainder_hat(u, uh) if rows is None
           else model.remainder_from_rows(rows, uh, L))
     # in the operation order of E * uh + w1 * r1 and ah + w2 * (r2 - r1),
@@ -360,7 +379,7 @@ def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
         raise ValueError("dt must be positive and finite")
     check_pointwise(model, u.n, u.components)
     a, m, uh, rem = _pointwise_parts(model, u)
-    rows = np.fft.irfft(np.exp(-dt * np.outer(a, m)) * uh, u.n)
+    rows = irfft(np.exp(-dt * np.outer(a, m)) * uh, u.n)
     return u.with_samples(np.diagonal(rows) + dt * rem)
 
 
@@ -370,8 +389,8 @@ def _pointwise_parts(model, u: PeriodicField):
     a(x) m(k) u that the rows already carry."""
     a = np.asarray(model.coefficient_profile(u), dtype=float)
     m = multiplier_table(model, u.n, u.domain_length)
-    uh = np.fft.rfft(u.samples)
-    return a, m, uh, model.rhs(u).samples + a * np.fft.irfft(uh * m, u.n)
+    uh = rfft(u.samples)
+    return a, m, uh, model.rhs(u).samples + a * irfft(uh * m, u.n)
 
 
 def _stability_bound(model, u0: PeriodicField, config: StepperConfig) -> float:
@@ -389,7 +408,7 @@ def _stability_bound(model, u0: PeriodicField, config: StepperConfig) -> float:
         dr_sup = float(np.max(np.abs(
             _pointwise_parts(model, probe)[3] - _pointwise_parts(model, u0)[3])))
         return np.inf if dr_sup == 0.0 else dv_sup / dr_sup
-    rh0, rh1 = (model.remainder_hat(w, np.fft.rfft(w.samples, axis=-1))
+    rh0, rh1 = (model.remainder_hat(w, rfft(w.samples))
                 for w in (u0, probe))
     if rh0 is None or not np.any(diff_hat := rh1 - rh0):
         return np.inf
@@ -397,7 +416,7 @@ def _stability_bound(model, u0: PeriodicField, config: StepperConfig) -> float:
     bound = 0.0
     for j in range(-2, 16):
         tau = config.dt * 2.0**j
-        resp = np.fft.irfft(_phi1(-tau * m) * diff_hat, u0.n, axis=-1)
+        resp = irfft(_phi1(-tau * m) * diff_hat, u0.n)
         q = tau * float(np.max(np.abs(resp))) / dv_sup
         if q <= 1.0:
             bound = tau
@@ -529,17 +548,17 @@ def _picard_apply(model, g_snaps, config: StepperConfig):
     d/dt f = -A f + R(g(t)) with the same exponential weights as evolve."""
     u0 = g_snaps[0][1]
     E, w1, w2 = _etd_weights(model, u0.n, u0.domain_length, config.dt, config.scheme)
-    r_hats = [model.remainder_hat(w, np.fft.rfft(w.samples, axis=-1)) for _, w in g_snaps]
+    r_hats = [model.remainder_hat(w, rfft(w.samples)) for _, w in g_snaps]
     r_hats = [0.0 if r is None else r for r in r_hats]
     source_free = not any(np.any(r) for r in r_hats)
     out = [g_snaps[0]]
-    fh = np.fft.rfft(u0.samples, axis=-1)
+    fh = rfft(u0.samples)
     for j in range(len(g_snaps) - 1):
         fh = E * fh + w1 * r_hats[j]
         if w2 is not None:
             fh = fh + w2 * (r_hats[j + 1] - r_hats[j])
         t = g_snaps[j + 1][0]
-        out.append((t, u0.with_samples(np.fft.irfft(fh, u0.n, axis=-1))))
+        out.append((t, u0.with_samples(irfft(fh, u0.n))))
     return out, source_free
 
 

@@ -2,6 +2,7 @@
 Holder shift differences against the per-shift loops they replaced, and the
 quadrature-derived Hilbert convention."""
 
+import ast
 import re
 import warnings
 from pathlib import Path
@@ -24,7 +25,9 @@ from pslab.grid import (
     fractional_laplacian,
     hilbert_transform,
     holder_rows,
+    irfft,
     norms,
+    rfft,
     shift_windows,
     spectral_rows,
     wavenumbers,
@@ -285,22 +288,79 @@ class TestStateRowsInOneTransform:
         assert np.array_equal(spectral_rows(uh, n, length, (0, *orders)), rows)
 
 
+class TestTransformRoute:
+    """grid.rfft and grid.irfft call numpy's pocketfft gufuncs directly.
+    Each must be np.fft's transform on the last axis bit for bit, odd
+    lengths included, and refuse an out that the gufuncs would fill
+    without complaint."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 2048),
+           lead=st.sampled_from([(), (3,), (5, 2), (3, 4)]),
+           strided=st.booleans(), with_out=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_numpy_fft_bitwise(self, seed, n, lead, strided, with_out):
+        # shapes (N,), (c, N), (B, c, N) and (orders, B, N); a strided
+        # input reads every other entry of a wider array
+        rng = np.random.default_rng(seed)
+        step = 2 if strided else 1
+        x = rng.standard_normal((*lead, step * n))[..., ::step]
+        xh = (rng.standard_normal((*lead, step * (n // 2 + 1)))
+              + 1j * rng.standard_normal((*lead, step * (n // 2 + 1))))[..., ::step]
+        for got_of, want in ((lambda out: rfft(x, out=out), np.fft.rfft(x, axis=-1)),
+                             (lambda out: irfft(xh, n, out=out),
+                              np.fft.irfft(xh, n, axis=-1))):
+            out = np.empty_like(want) if with_out else None
+            got = got_of(out)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            if with_out:
+                assert got is out
+
+    @pytest.mark.parametrize("transform, out", [
+        ("rfft", np.empty(200, dtype=complex)), ("rfft", np.empty(300, dtype=complex)),
+        ("rfft", np.empty((2, 257), dtype=complex)), ("rfft", np.empty(257)),
+        ("rfft", np.empty(257, dtype=np.complex64)), ("irfft", np.empty(511)),
+        ("irfft", np.empty((2, 512))), ("irfft", np.empty(512, dtype=complex))],
+        ids=["rfft-200-modes", "rfft-300-modes", "rfft-extra-axis", "rfft-real",
+             "rfft-single", "irfft-511-samples", "irfft-extra-axis", "irfft-complex"])
+    def test_bad_out_raises(self, transform, out):
+        # the transforms of a 512-point field into a wrong length, an extra
+        # axis or a wrong dtype
+        with pytest.raises(ValueError, match="out must have shape"):
+            if transform == "rfft":
+                rfft(np.ones(512), out=out)
+            else:
+                irfft(np.ones(257, dtype=complex), 512, out=out)
+
+
 class TestHalfSpectraOnly:
     def test_every_transform_in_the_package_is_a_half_spectrum_one(self):
         # fields are real, so each transform in pslab is rfft or irfft on
-        # the rfftfreq wavenumbers; an allow-list also catches fft2, fftn
-        # and the other full-spectrum names
+        # the rfftfreq wavenumbers, and grid.rfft/irfft are the one route to
+        # numpy's transforms: grid.py alone names numpy.fft, and uses only
+        # rfftfreq and the three half-spectrum gufuncs from it
         sources = sorted(Path(pslab.__file__).parent.glob("*.py"))
-        used = {}
+        naming = [path.name for path in sources
+                  if re.search(r"\b(?:np|numpy)\.fft\b|_pocketfft", path.read_text())]
+        assert naming == ["grid.py"]
+        tree = ast.parse((Path(pslab.__file__).parent / "grid.py").read_text())
+        imported = {(node.module, alias.name): alias.asname or alias.name
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert [key for key in imported if "fft" in str(key)] == \
+            [("numpy.fft", "_pocketfft_umath")]
+        handle = imported["numpy.fft", "_pocketfft_umath"]
+        used = {"np.fft": set(), handle: set()}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) in used:
+                used[ast.unparse(node.value)].add(node.attr)
+        assert used == {"np.fft": {"rfftfreq"},
+                        handle: {"rfft_n_even", "rfft_n_odd", "irfft"}}
+        # no full-spectrum or n-dimensional transform anywhere, in code or
+        # in prose, once the module name numpy.fft itself is set aside
         for path in sources:
-            text = path.read_text()
-            # no name reaches numpy.fft but through np.fft
-            assert not re.search(r"from\s+numpy\.fft\s|from\s+numpy\s+import[^\n]*\bfft\b"
-                                 r"|import\s+numpy\.fft", text), path
-            for name in re.findall(r"\b(?:np|numpy)\.fft\.(\w+)", text):
-                used.setdefault(name, []).append(path.name)
-        assert {"rfft", "irfft", "rfftfreq"} <= set(used)
-        assert set(used) <= {"rfft", "irfft", "rfftfreq"}, used
+            text = re.sub(r"\b(?:np|numpy)\.fft\b", "", path.read_text())
+            assert not re.findall(r"\b(?:i?fft[2n]?|i?rfft[2n]|i?hfft)\b", text), path
 
 
 class TestTransforms:

@@ -6,11 +6,12 @@ import copy
 import gc
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pslab import models, stepper
+from pslab import grid, models, stepper
 from pslab.grid import (
     NonFiniteError,
     PeriodicField,
@@ -671,8 +672,10 @@ class TestCarriedSpectrum:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("fft", "ifft", "fft2", "ifft2", "rfft", "irfft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        # every transform in the package goes through grid's gufunc handle
+        gufuncs = {name: counted(getattr(grid._pocketfft, name))
+                   for name in ("rfft_n_even", "rfft_n_odd", "irfft")}
+        monkeypatch.setattr(grid, "_pocketfft", SimpleNamespace(**gufuncs))
         step = stepper.imex_frozen_phi_step
 
         def counted_step(*args):
@@ -973,6 +976,28 @@ class TestStepWork:
         u2, uh2, rows2 = imex_frozen_phi_step(u1, model, dt, "etd_rk2", uh1, rows1, work)
         with pytest.raises(ValueError, match="one step on this work"):
             imex_frozen_phi_step(u2, model, dt, "etd_rk2", uh2, rows1, work)
+
+    @pytest.mark.parametrize("asked, match", [
+        (dict(dt=1e-3, scheme="etd_rk2"), "dt 1e-05, not 0.001"),
+        (dict(scheme="etd_rk2"), "scheme 'imex_frozen_phi', not 'etd_rk2'"),
+        (dict(model=ThinfilmExpModel()), "another model"),
+        (dict(model=McfGraphModel()), "another model"),
+        (dict(n=512), r"samples shape \(256,\), not \(512,\)"),
+        (dict(length=3.7), "L 6.28"),
+    ], ids=["dt-and-scheme", "scheme", "other-model", "other-instance", "other-n",
+            "other-length"])
+    def test_work_for_other_settings_is_refused(self, asked, match):
+        # a work's weights and arrays fit only what it was built for; used
+        # for another dt it would return that dt's step without an error
+        def state(n=256, length=2 * np.pi):
+            return PeriodicField(0.3 * np.cos(np.arange(n) * (2 * np.pi / n)), length)
+
+        built = dict(model=McfGraphModel(), dt=1e-5, scheme="imex_frozen_phi")
+        work = StepWork(built["model"], state(), built["dt"], built["scheme"])
+        asked = {**built, **asked}
+        with pytest.raises(ValueError, match=match):
+            imex_frozen_phi_step(state(asked.get("n", 256), asked.get("length", 2 * np.pi)),
+                                 asked["model"], asked["dt"], asked["scheme"], None, None, work)
 
     @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
     @pytest.mark.parametrize("tag", list(REUSE_CASES))
