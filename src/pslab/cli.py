@@ -454,11 +454,12 @@ def build_initial_field(config: RunConfig) -> PeriodicField:
 
 def write_ledger_csv(path: str, rows: Sequence[Dict[str, float]]) -> None:
     cols = list(rows[0])
+    # %.17g formats each value as format(float(v), ".17g") would
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(",".join(format(float(row[c]), ".17g") for c in cols)
-                     + "\n")
+            fh.write(line % tuple([row[c] for c in cols]))
 
 
 def read_ledger_csv(path: str) -> Dict[str, np.ndarray]:

@@ -66,8 +66,10 @@ class PeriodicField:
 
     Invariants: N is a power of two with N >= 16, L is positive and
     finite, and every sample is finite. All are checked at construction (a
-    non-finite sample raises NonFiniteError); operations in this module
-    return new fields, never mutate.
+    non-finite sample raises NonFiniteError), with one private exception:
+    the states an ETD march computes, which its step has already checked,
+    are built by _trusted_field. Operations in this module return new
+    fields, never mutate.
     """
 
     samples: np.ndarray
@@ -108,6 +110,17 @@ class PeriodicField:
 
     def with_samples(self, samples) -> "PeriodicField":
         return PeriodicField(samples, self.domain_length)
+
+
+def _trusted_field(samples: np.ndarray, L: float) -> PeriodicField:
+    """PeriodicField(samples, L) without its checks, for samples its caller
+    has already checked: float64, owned, of a valid shape and finite, on
+    the period of a field. Only the ETD step's end state and the generic
+    remainder's field of a checked row are built this way."""
+    field = object.__new__(PeriodicField)
+    object.__setattr__(field, "samples", samples)
+    object.__setattr__(field, "domain_length", L)
+    return field
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -317,13 +330,12 @@ def holder_rows(d: np.ndarray, kappa: float, h: float) -> np.ndarray:
     n = d.shape[-1]
     shifts = _holder_shifts(n)
     windows = shift_windows(d)
-    sups = []
-    for j in shifts:
-        # one (B, N) difference per shift, against window N - j, which
-        # reads x - j h, keeps no (B, shifts, N) temporary
-        diff = np.subtract(d, windows[..., n - j, :])
-        sups.append(np.abs(diff, out=diff).max(axis=-1))
-    sups = np.array(sups)
+    # one (shifts, B, N) array of the differences, shift j's against
+    # window N - j, which reads x - j h; then one abs and one max over it
+    diffs = np.empty((len(shifts), *d.shape))
+    for i, j in enumerate(shifts):
+        np.subtract(d, windows[..., n - j, :], out=diffs[i])
+    sups = np.abs(diffs, out=diffs).max(axis=-1)
     # (j h)^kappa by Python's pow: np.power rounds some of them differently
     divisors = np.array([(h * int(j)) ** kappa for j in shifts])
     values = np.max(sups / divisors[:, None], axis=0)

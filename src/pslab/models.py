@@ -26,6 +26,7 @@ from .grid import (
     PeriodicField,
     _dealiased_derivative_table,
     _derivative_table,
+    _trusted_field,
     derivative_rows,
     derivatives,
     irfft,
@@ -85,8 +86,10 @@ class _ModelBase:
 
     def remainder_from_rows(self, rows, uh, L) -> Optional[np.ndarray]:
         """Half spectrum of rhs(u) + L u, u the field of rows[0] on period L
-        and uh its spectrum; None if zero."""
-        field = PeriodicField(rows[0], L)
+        and uh its spectrum; None if zero. rows[0] is a state or stage row
+        that its step or field has checked, so the field is built from it
+        unchecked."""
+        field = _trusted_field(rows[0], L)
         lin = irfft(uh * multiplier_table(self, field.n, L), field.n)
         lin += self.rhs(field).samples
         return rfft(lin)

@@ -17,7 +17,9 @@ the product feeding each irfft and one spectral temporary. A step writes
 only into those, never into the spectrum, rows or remainder it is handed,
 so every step is bit for bit the one that allocates each array afresh;
 each state owns a copy of its row, and a call without work allocates and
-returns arrays of its own.
+returns arrays of its own. A step checks each stage row and its end row
+finite once, and that check stands in for the field's own: the end
+state is built without the public constructor's checks.
 
 Because the linear part is integrated exactly, explicit treatment of the
 remainder stays stable as long as its damped response remains below the
@@ -32,6 +34,7 @@ about the time window, so the caller bisects T on failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -43,6 +46,7 @@ from .grid import (
     PeriodicField,
     _derivative_table,
     _read_only,
+    _trusted_field,
     check_holder_target,
     derivative_rows,
     holder_rows,
@@ -156,7 +160,7 @@ def ledger_rows(snaps, spec: LedgerSpec):
     """Diagnostics recorded for a block of snapshots (t, field) on one grid,
     the theta column aside, built together: one rfft and one batched irfft
     give every derivative row, the norms are reductions along each row, and
-    the Holder differences run one dyadic shift at a time over the block.
+    the Holder differences of every dyadic shift fill one array.
 
     Returns (rows, error): the rows of the leading run of snapshots whose
     rows can be built, and the NonFiniteError of the first that cannot
@@ -170,7 +174,7 @@ def ledger_rows(snaps, spec: LedgerSpec):
         raise ValueError("derivative and Holder columns take scalar fields")
     for k, kappa in spec.holder_targets:
         check_holder_target(first.n, k, kappa)
-    s = np.stack([w.samples for _, w in snaps])
+    s = np.array([w.samples for _, w in snaps])
     h = first.spacing
     l2, linf, mean = norm_rows(h, s)
     cols = {"t": np.array([t for t, _ in snaps], dtype=float), "l2": l2, "linf": linf}
@@ -181,7 +185,8 @@ def ledger_rows(snaps, spec: LedgerSpec):
         cols.update((f"mean_{i}", mean[:, i]) for i in range(first.components))
     else:
         cols["mean"] = mean
-        cols["osc_linf"] = np.max(np.abs(s - mean[:, None]), axis=-1)
+        dev = s - mean[:, None]
+        cols["osc_linf"] = np.max(np.abs(dev, out=dev), axis=-1)
         failures.append((~np.isfinite(cols["osc_linf"]),
                          "osc_linf overflows the float range"))
         # every derivative and Holder column comes from one batch; a C^kappa
@@ -262,8 +267,7 @@ class StepWork:
         n, L = u.n, u.domain_length
         orders = (0, *model.remainder_orders)
         lead = u.samples.shape[:-1]
-        self.model, self.shape, self.L, self.dt, self.scheme = (
-            model, u.samples.shape, L, dt, scheme)
+        self.model, self.settings = model, (u.samples.shape, L, dt, scheme)
         self.n = n
         self.weights = _etd_weights(model, n, L, dt, scheme)
         # each order's row serves every component
@@ -279,11 +283,13 @@ class StepWork:
     def check(self, model, u: PeriodicField, dt: float, scheme: str) -> None:
         """Raise ValueError naming the first setting of a step on model, u,
         dt and scheme that differs from the one this work was built for."""
+        settings = (u.samples.shape, u.domain_length, dt, scheme)
+        if model is self.model and settings == self.settings:
+            return
         if model is not self.model:
             raise ValueError(f"work was built for another model object, not this {model.tag}")
-        for name, want, got in (("samples shape", self.shape, u.samples.shape),
-                                ("L", self.L, u.domain_length), ("dt", self.dt, dt),
-                                ("scheme", self.scheme, scheme)):
+        for name, want, got in zip(("samples shape", "L", "dt", "scheme"),
+                                   self.settings, settings):
             if got != want:
                 raise ValueError(f"work was built for {name} {want!r}, not {got!r}")
 
@@ -351,13 +357,24 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
         ah += np.multiply(w1, r1, out=work.temp)
     if two_stage:
         stage = work.rows(ah, work.stage[1])
-        if not np.isfinite(stage[0]).all():
+        if not _all_finite(stage[0]):
             raise NonFiniteError("samples contain NaN/Inf")
         dr = np.subtract(model.remainder_from_rows(stage, ah, L), r1, out=work.temp)
         np.add(ah, np.multiply(w2, dr, out=dr), out=fh)
     end = work.rows(fh, end)
-    # the end state owns its row: the work's rows are overwritten later
-    return u.with_samples(end[0].copy()), fh, end
+    if not _all_finite(end[0]):
+        raise NonFiniteError("samples contain NaN/Inf")
+    # the end state owns its row, as the work's rows are overwritten
+    # later, and is checked already, so its construction checks nothing
+    return _trusted_field(end[0].copy(), L), fh, end
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all(): a finite sum of squares proves every entry
+    finite, and only one that is not (an entry NaN or Inf, or an overflow)
+    looks at the entries. np.vdot reports no floating-point errors, so a
+    step called outside evolve's np.errstate warns of nothing here."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def check_pointwise(model, n: int, components: int) -> None:

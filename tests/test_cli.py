@@ -332,6 +332,27 @@ class TestLedgerCsv:
         np.testing.assert_array_equal(table["t"], [0.0, 0.1])
         np.testing.assert_array_equal(table["l2"], [1.0, 0.9])
 
+    @pytest.mark.parametrize("width", [3, 9])
+    def test_bytes_are_the_per_cell_format(self, tmp_path, width):
+        # each line is one %-format of its row: its bytes must be those of
+        # format(float(v), ".17g") cell by cell, the extremes included, and
+        # read back to the same values
+        values = [math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0]
+        cols = [f"c{i}" for i in range(width)]
+        # row r starts at value r, so every value lands in every column
+        rows = [dict(zip(cols, (values[(r + i) % len(values)] for i in range(width))))
+                for r in range(len(values))]
+        rows.append({c: np.float64(v) for c, v in rows[1].items()})
+        path = tmp_path / "ledger.csv"
+        write_ledger_csv(str(path), rows)
+        want = ",".join(cols) + "\n" + "".join(
+            ",".join(format(float(row[c]), ".17g") for c in cols) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode()
+        table = read_ledger_csv(str(path))
+        for c in cols:  # NaN reads back as NaN, -0.0 as -0.0
+            assert table[c].tobytes() == np.array([row[c] for row in rows]).tobytes()
+
     def test_non_numeric_entry_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,linf\n0.0,ouch\n")

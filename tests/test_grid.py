@@ -33,7 +33,7 @@ from pslab.grid import (
     wavenumbers,
 )
 from pslab.kernels import periodic_sd_kernel, sd_symbol
-from pslab.stepper import LedgerSpec, holder_column, ledger_entry
+from pslab.stepper import LEDGER_BLOCK, LedgerSpec, holder_column, ledger_entry
 
 TWO_PI = 2.0 * np.pi
 
@@ -363,6 +363,42 @@ class TestHalfSpectraOnly:
             assert not re.findall(r"\b(?:i?fft[2n]?|i?rfft[2n]|i?hfft)\b", text), path
 
 
+class TestTrustedFieldCallers:
+    def test_only_the_step_end_and_the_generic_remainder_build_unchecked_fields(self):
+        # grid._trusted_field skips every check of PeriodicField, so it may
+        # serve only rows checked just before: the ETD step's end state and
+        # the generic remainder's field of a stage or state row. A third
+        # caller fails here instead of building an unchecked field
+        sites = []
+
+        def visit(node, path, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = scope + (child.name,)
+                if isinstance(child, ast.Call):
+                    name = child.func.id if isinstance(child.func, ast.Name) else \
+                        getattr(child.func, "attr", None)
+                    if name == "_trusted_field":
+                        sites.append((path.name, ".".join(scope)))
+                visit(child, path, inner)
+
+        references = 0
+        for path in sorted(Path(pslab.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            visit(tree, path, ())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.alias) and node.name == "_trusted_field":
+                    assert node.asname is None, path
+                references += (isinstance(node, ast.Name) and node.id == "_trusted_field"
+                               or isinstance(node, ast.Attribute)
+                               and node.attr == "_trusted_field")
+        assert sorted(sites) == [("models.py", "_ModelBase.remainder_from_rows"),
+                                 ("stepper.py", "imex_frozen_phi_step")]
+        # and nothing hands the constructor on by name for a later call
+        assert references == len(sites)
+
+
 class TestTransforms:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -558,7 +594,7 @@ def holder_rows_by_roll(d, kappa, h):
 
 class TestHolderRowsAgainstRolls:
     @given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(4, 10),
-           batch=st.integers(1, 5), scale=st.floats(-300.0, 300.0),
+           batch=st.integers(1, LEDGER_BLOCK), scale=st.floats(-300.0, 300.0),
            kappa=st.floats(0.01, 0.99), h=st.floats(1e-4, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_window_read_is_the_roll_loop_bit_for_bit(self, seed, log2n, batch,

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pslab import grid, models, stepper
 from pslab.grid import (
@@ -1015,6 +1016,38 @@ class TestStepWork:
         del model
         gc.collect()
         assert ref() is None
+
+
+class TestTrustedStates:
+    """A march builds the states its step computes with grid._trusted_field,
+    which checks nothing, once the step's one finite check of the row,
+    stepper._all_finite, has passed: both must give what the checked
+    construction and np.isfinite give."""
+
+    @given(seed=st.integers(0, 2**32 - 1), log2n=st.integers(4, 10),
+           components=st.sampled_from([1, 2]), length=st.floats(1e-3, 1e3),
+           poison=st.sampled_from(["none", "overflow", "nan", "inf", "-inf"]),
+           spots=st.lists(st.integers(0, 2**11 - 1), min_size=1, max_size=3))
+    @settings(max_examples=120, deadline=None)
+    def test_trusted_field_and_finite_check_are_the_checked_ones(
+            self, seed, log2n, components, length, poison, spots):
+        rng = np.random.default_rng(seed)
+        n = 2**log2n
+        x = rng.standard_normal((n,) if components == 1 else (2, n))
+        if poison == "overflow":
+            # finite entries whose sum and sum of squares overflow
+            x = np.sign(x[..., :1]) * np.full_like(x, 1.5e308)
+        elif poison != "none":
+            x.flat[[i % x.size for i in spots]] = float(poison)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            finite = stepper._all_finite(x)
+        assert finite is bool(np.isfinite(x).all())
+        if finite:
+            trusted, checked = grid._trusted_field(x, length), PeriodicField(x, length)
+            assert trusted.samples.tobytes() == checked.samples.tobytes()
+            assert (trusted.domain_length, trusted.n, trusted.components) == \
+                (checked.domain_length, checked.n, checked.components)
 
 
 def pointwise_step_by_dense_sum(u, model, dt):
