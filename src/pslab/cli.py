@@ -81,13 +81,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
+import operator
 import os
 import struct
 import sys
 import traceback
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,6 +107,7 @@ from .stepper import (
 )
 
 SCHEMA_VERSION = 1
+_LINE_ENDS = ("\n", "\r\n", "\r")  # the whole of a blank ledger line
 
 _MAGIC = b"PLAB1\x00"
 _HEADER = struct.Struct("<6s2xIIdd")
@@ -116,6 +118,7 @@ class ConfigError(ValueError):
     """Unusable config or input file; maps to exit code 2."""
 
 
+@lru_cache(maxsize=None)
 def _version() -> str:
     try:
         from importlib.metadata import version
@@ -454,47 +457,72 @@ def build_initial_field(config: RunConfig) -> PeriodicField:
 
 def write_ledger_csv(path: str, rows: Sequence[Dict[str, float]]) -> None:
     cols = list(rows[0])
+    values = operator.itemgetter(*cols)
     # %.17g formats each value as format(float(v), ".17g") would
     line = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(line % tuple([row[c] for c in cols]))
+            fh.write(line % values(row))
+
+
+def _parse_rows(lines, **columns) -> np.ndarray:
+    """The float64 table of comma-separated lines, shape (rows, columns);
+    ValueError on an entry that is not a number."""
+    return np.loadtxt(lines, dtype=float, delimiter=",", comments=None,
+                      ndmin=2, **columns)
 
 
 def read_ledger_csv(path: str) -> Dict[str, np.ndarray]:
-    """The columns of a ledger CSV by header name. Blank lines are skipped;
-    a repeated header name, a row whose field count differs from the
-    header's, or an entry that is not a number, is a ConfigError."""
+    """The columns of a ledger CSV by header name. Lines end in \\n, \\r\\n
+    or \\r, and blank lines are skipped. A repeated header name, a row whose
+    field count differs from the header's (named by its line), or an entry
+    that is not a number (named by its column, the first in header order)
+    is a ConfigError.
+
+    Every comma splits a field and np.loadtxt parses the fields, so a
+    quote is no CSV quote: it stays in its field, and a quoted cell holding
+    a comma is two fields. Unlike float(), np.loadtxt takes no digits
+    grouped by underscores and no non-ASCII digits, but it does take the
+    ASCII separators 0x1c-0x1f around a number, and unlike csv it takes a
+    field of any length. pslab writes none of these."""
     try:
         with open(path, "r", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ConfigError(f"{path}: empty CSV")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ConfigError(f"{path}: line {reader.line_num} has {len(row)} "
-                                      f"fields, the header {len(header)}")
-                rows.append(row)
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read CSV: {exc}")
-    except csv.Error as exc:
-        raise ConfigError(f"{path}: {exc}")
-    if not rows:
+    if not lines:
+        raise ConfigError(f"{path}: empty CSV")
+    first = lines[0].rstrip("\r\n")
+    header = first.split(",") if first else []
+    data = []
+    for number, line in enumerate(lines[1:], 2):
+        if line in _LINE_ENDS:  # a blank line
+            continue
+        fields = line.count(",") + 1
+        if fields != len(header):
+            raise ConfigError(f"{path}: line {number} has {fields} "
+                              f"fields, the header {len(header)}")
+        data.append(line)
+    if not data:
         raise ConfigError(f"{path}: no data rows")
-    out = {}
-    for name, column in zip(header, zip(*rows)):
-        if name in out:
+    try:
+        table = _parse_rows(data)
+    except ValueError:
+        table = None
+    seen = set()
+    for i, name in enumerate(header):
+        if name in seen:
             raise ConfigError(f"{path}: column {name} appears twice in the header")
-        try:
-            out[name] = np.fromiter(map(float, column), float, len(column))
-        except ValueError:
-            raise ConfigError(f"{path}: non-numeric entry in column {name}")
-    return out
+        seen.add(name)
+        # each line is one row of the header's width, so a table that fails
+        # to parse has a column that fails alone
+        if table is None:
+            try:
+                _parse_rows(data, usecols=i)
+            except ValueError:
+                raise ConfigError(f"{path}: non-numeric entry in column {name}")
+    return dict(zip(header, table.T.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +837,7 @@ def cmd_ratefit(csv_path: str, column: str, kind: str,
 # ---------------------------------------------------------------------------
 # entry point
 
+@lru_cache(maxsize=None)  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pslab",

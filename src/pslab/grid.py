@@ -321,20 +321,26 @@ def check_holder_target(n: int, k: int, kappa: float) -> None:
 
 def holder_rows(d: np.ndarray, kappa: float, h: float) -> np.ndarray:
     """max_j ||d - d(. - j h)||_inf / (j h)^kappa over the dyadic shifts for
-    each row of d, shape (B, N), on spacing h; NaN where a difference or
-    its quotient by (j h)^kappa overflows. Run under np.errstate.
+    each row of d, shape (B, N), on spacing h; NaN where a row holds a
+    non-finite entry, or where a difference or its quotient by (j h)^kappa
+    overflows. Run under np.errstate.
+
+    The shifted rows are plain slices of one copy of d doubled along its
+    last axis; the log2(N) - 2 shifts read too few of the N + 1 windows of
+    shift_windows to pay for its view.
 
     The estimate is monotone nondecreasing as shifts are added and differs
     from the continuum C^{k+kappa} seminorm by an O(1) constant, so the
     slopes of rate fits are unaffected."""
     n = d.shape[-1]
     shifts = _holder_shifts(n)
-    windows = shift_windows(d)
+    doubled = np.concatenate([d, d], axis=-1)
     # one (shifts, B, N) array of the differences, shift j's against
-    # window N - j, which reads x - j h; then one abs and one max over it
+    # doubled[..., N - j:2N - j], which reads x - j h; then one abs and one
+    # max over it
     diffs = np.empty((len(shifts), *d.shape))
     for i, j in enumerate(shifts):
-        np.subtract(d, windows[..., n - j, :], out=diffs[i])
+        np.subtract(d, doubled[..., n - j:2 * n - j], out=diffs[i])
     sups = np.abs(diffs, out=diffs).max(axis=-1)
     # (j h)^kappa by Python's pow: np.power rounds some of them differently
     divisors = np.array([(h * int(j)) ** kappa for j in shifts])
@@ -361,13 +367,27 @@ def norms(field: PeriodicField) -> dict:
             "mean": mean[0] if field.components > 1 else float(mean[0])}
 
 
+def sup_rows(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """max |x| along the last axis of x from top = x.max(-1) and bottom =
+    x.min(-1): |max(top, -bottom)|, bit for bit np.max(np.abs(x), -1).
+    max and min pick entries and negation is exact, so no value is rounded;
+    the outer abs maps a -0.0 to 0.0 and clears the sign of a NaN, which
+    any NaN in the row gives."""
+    sup = np.negative(bottom)
+    np.maximum(top, sup, out=sup)
+    return np.abs(sup, out=sup)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflows are left non-finite
-def norm_rows(w: float, s: np.ndarray):
+def norm_rows(w: float, s: np.ndarray, extremes=None):
     """l2, linf and mean, as in norms, of each field in a stack s of shape
     (B, N) or (B, c, N) on spacing w: arrays of shape (B,), (B,) and (B,)
-    or (B, c). A row whose norms overflow is measured again in units of its
-    largest entry and left non-finite if they overflow even so."""
-    l2, linf, mean = _l2_linf_mean(w, s)
+    or (B, c). A (B, N) stack's linf is sup_rows of its row extremes,
+    which a caller that already holds them passes as extremes =
+    (s.max(-1), s.min(-1)). A row whose norms overflow is measured again
+    in units of its largest entry and left non-finite if they overflow
+    even so."""
+    l2, linf, mean = _l2_linf_mean(w, s, extremes)
     # a sum of |s| can only overflow where the sum of squares already has
     for b in np.flatnonzero(~(np.isfinite(l2) & np.isfinite(linf))):
         top = np.max(np.abs(s[b]))
@@ -377,12 +397,13 @@ def norm_rows(w: float, s: np.ndarray):
     return l2, linf, mean
 
 
-def _l2_linf_mean(w: float, s: np.ndarray):
+def _l2_linf_mean(w: float, s: np.ndarray, extremes=None):
     mean = np.mean(s, axis=-1)
     if s.ndim > 2:
         mag2 = np.sum(s**2, axis=1)
         return np.sqrt(w * np.sum(mag2, axis=-1)), np.sqrt(np.max(mag2, axis=-1)), mean
-    return np.sqrt(w * np.sum(s**2, axis=-1)), np.max(np.abs(s), axis=-1), mean
+    top, bottom = extremes or (s.max(axis=-1), s.min(axis=-1))
+    return np.sqrt(w * np.sum(s**2, axis=-1)), sup_rows(top, bottom), mean
 
 
 @lru_cache(maxsize=32)

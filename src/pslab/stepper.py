@@ -55,6 +55,7 @@ from .grid import (
     multiplier_table,
     norm_rows,
     rfft,
+    sup_rows,
 )
 from .nonlocal_ops import stretch_ratio
 
@@ -159,8 +160,9 @@ class Trajectory:
 def ledger_rows(snaps, spec: LedgerSpec):
     """Diagnostics recorded for a block of snapshots (t, field) on one grid,
     the theta column aside, built together: one rfft and one batched irfft
-    give every derivative row, the norms are reductions along each row, and
-    the Holder differences of every dyadic shift fill one array.
+    give every derivative row, the norms are reductions along each row (one
+    max and one min of a row stack give each of its sup columns), and the
+    Holder differences of every dyadic shift fill one array.
 
     Returns (rows, error): the rows of the leading run of snapshots whose
     rows can be built, and the NonFiniteError of the first that cannot
@@ -176,7 +178,9 @@ def ledger_rows(snaps, spec: LedgerSpec):
         check_holder_target(first.n, k, kappa)
     s = np.array([w.samples for _, w in snaps])
     h = first.spacing
-    l2, linf, mean = norm_rows(h, s)
+    # one max and one min of a scalar stack serve linf and osc_linf
+    extremes = (s.max(axis=-1), s.min(axis=-1)) if first.components == 1 else None
+    l2, linf, mean = norm_rows(h, s, extremes)
     cols = {"t": np.array([t for t, _ in snaps], dtype=float), "l2": l2, "linf": linf}
     # (failed rows, message) in the order a row's columns are built, so a
     # row's error is the first of its failures
@@ -185,22 +189,24 @@ def ledger_rows(snaps, spec: LedgerSpec):
         cols.update((f"mean_{i}", mean[:, i]) for i in range(first.components))
     else:
         cols["mean"] = mean
-        dev = s - mean[:, None]
-        cols["osc_linf"] = np.max(np.abs(dev, out=dev), axis=-1)
+        # max |s - mean|: the extremes of s - mean are those of s, less the
+        # mean, rounded alike
+        top, bottom = extremes
+        cols["osc_linf"] = sup_rows(top - mean, bottom - mean)
         failures.append((~np.isfinite(cols["osc_linf"]),
                          "osc_linf overflows the float range"))
         # every derivative and Holder column comes from one batch; a C^kappa
-        # column (k = 0) reads the samples themselves; a derivative, a shift
-        # difference or a Holder quotient that overflows fails its row
+        # column (k = 0) reads the samples themselves. Each derivative order
+        # feeds a d{m}_linf or a Holder column, and a non-finite entry makes
+        # that column non-finite, so the columns fail their row for a
+        # derivative that overflows, as for a shift difference or a Holder
+        # quotient that does
         overflow = np.zeros(len(snaps), dtype=bool)
         orders = sorted({*spec.derivative_sup, *(k for k, _ in spec.holder_targets if k)})
-        d = {}
-        if orders:
-            batch = derivative_rows(s, first.domain_length, orders)
-            overflow |= ~np.isfinite(batch).all(axis=(0, 2))
-            d = dict(zip(orders, batch))
+        d = dict(zip(orders, derivative_rows(s, first.domain_length, orders))) if orders else {}
         for m in spec.derivative_sup:
-            cols[f"d{m}_linf"] = np.max(np.abs(d[m]), axis=-1)
+            col = cols[f"d{m}_linf"] = sup_rows(d[m].max(axis=-1), d[m].min(axis=-1))
+            overflow |= ~np.isfinite(col)
         for k, kappa in spec.holder_targets:
             col = cols[holder_column(k, kappa)] = holder_rows(d[k] if k else s, kappa, h)
             overflow |= np.isnan(col)

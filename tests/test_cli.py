@@ -1,9 +1,11 @@
 """Command-line plumbing: config parsing, snapshot and CSV formats, the
 run/verify/ratefit commands, and their exit codes."""
 
+import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pslab
-from pslab import kernels, models, nonlocal_ops
+from pslab import cli, kernels, models, nonlocal_ops
 from pslab.cli import (
     _PRESETS,
     ConfigError,
@@ -393,6 +395,159 @@ class TestLedgerCsv:
         table = read_ledger_csv(str(path))
         assert table["t"].tolist() == [0.0, 1.0]
         assert table["l2"].tolist() == [1.0, 2.0]
+
+
+def read_ledger_csv_by_csv_module(path):
+    """read_ledger_csv as it was built on csv.reader, with one float() per
+    cell: the oracle of the np.loadtxt reader."""
+    try:
+        with open(path, "r", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ConfigError(f"{path}: empty CSV")
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ConfigError(f"{path}: line {reader.line_num} has {len(row)} "
+                                      f"fields, the header {len(header)}")
+                rows.append(row)
+    except OSError as exc:
+        raise ConfigError(f"cannot read CSV: {exc}")
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: {exc}")
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    out = {}
+    for name, column in zip(header, zip(*rows)):
+        if name in out:
+            raise ConfigError(f"{path}: column {name} appears twice in the header")
+        try:
+            out[name] = np.fromiter(map(float, column), float, len(column))
+        except ValueError:
+            raise ConfigError(f"{path}: non-numeric entry in column {name}")
+    return out
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats().map(lambda v: "%.17g" % v), st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "+nan", "Infinity", "-INF",
+                     "NaN", "1e999", "-1e-400", "5.", ".5", "+.5e-3", " 1.5",
+                     "2.5 ", "\t3", "\x0b4\x0c", "\xa05"]))
+OTHER_CELLS = st.sampled_from(["", " ", "\t", "ouch", "#", "# note", "1e", "e5",
+                               ".", "0x10", "1 2", "--1", "1d0", "nan(1)", "\x00"])
+HEADER_NAMES = st.sampled_from(["t", "l2", "linf", "d2_linf", "holder_1_0.5", "",
+                                " t", "#t"])
+
+
+@st.composite
+def ledger_texts(draw):
+    """Ledger texts as pslab writes them and as hands and tools alter them:
+    %.17g or repr cells, inf and nan, other spellings and stray spaces,
+    non-numeric cells, blank, whitespace-only and # lines, ragged rows,
+    repeated header names and mixed \\n, \\r\\n and \\r endings."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    width = draw(st.integers(1, 4))
+    lines = [",".join(draw(st.lists(HEADER_NAMES, min_size=width, max_size=width)))
+             if draw(st.integers(0, 19)) else ""]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t ", "# comment"])))
+            continue
+        cells = width if kind > 2 else draw(st.integers(1, 5))
+        lines.append(",".join(draw(OTHER_CELLS if draw(st.integers(0, 29)) == 0
+                                   else NUMBER_CELLS) for _ in range(cells)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def read_outcome(read, path):
+    """The column names and bytes a reader returns, or its ConfigError."""
+    try:
+        return [(name, column.dtype, column.tobytes())
+                for name, column in read(path).items()]
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestLedgerReader:
+    """read_ledger_csv splits each line at its commas and parses the table
+    with np.loadtxt: on every text pslab writes, and the texts below, it
+    returns what the csv.reader reader returned, or raises its ConfigError."""
+
+    @given(text=ledger_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_reader_is_the_csv_module_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "ledger.csv"
+        path.write_bytes(text.encode())
+        assert read_outcome(read_ledger_csv, str(path)) == \
+            read_outcome(read_ledger_csv_by_csv_module, str(path))
+
+    @pytest.mark.parametrize("text, csv_module, loadtxt", [
+        ('t,a\n0,"1"\n', [1.0], "non-numeric entry in column a"),
+        ('t,a\n"0,1"\n', "line 2 has 1 fields, the header 2",
+         "non-numeric entry in column t"),
+        ("t,a\n0,1_5\n", [15.0], "non-numeric entry in column a"),
+        ("t,a\n0,\u0661\n", [1.0], "non-numeric entry in column a"),
+        ("t,a\n0,\x1c1\n", "non-numeric entry in column a", [1.0]),
+        ("t,a\n0," + "1" * 131073 + "\n", "field larger than field limit (131072)",
+         [np.inf]),
+    ], ids=["quoted_cell", "quoted_comma", "underscores", "non_ascii_digit",
+            "ascii_separator", "field_over_limit"])
+    def test_inputs_pslab_never_writes(self, tmp_path, text, csv_module, loadtxt):
+        # the only texts on which the readers part: quotes, digits grouped by
+        # underscores, non-ASCII digits, the ASCII separators 0x1c-0x1f
+        # beside a number, and a field over csv's limit
+        path = tmp_path / "ledger.csv"
+        path.write_bytes(text.encode())
+        for read, want in [(read_ledger_csv_by_csv_module, csv_module),
+                           (read_ledger_csv, loadtxt)]:
+            if isinstance(want, str):
+                with pytest.raises(ConfigError, match=re.escape(want)):
+                    read(str(path))
+            else:
+                assert read(str(path))["a"].tolist() == want
+
+
+class TestMainInOneProcess:
+    def test_calls_behave_as_in_a_fresh_process(self, tmp_path, capsys):
+        # main builds its parser once per process: run, ratefit and a bad
+        # argument in turn must print, return and write what each prints,
+        # returns and writes with the parser and version built afresh
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={"output.dir": str(out)})
+        ledger = str(out / "ledger.csv")
+        calls = [["run", cfg], ["ratefit", ledger, "--column", "l2", "--window", "1e-2:5e-2"],
+                 ["ratefit", ledger, "--kind", "bogus"],
+                 ["ratefit", ledger, "--kind", "exponential", "--window", "1e-2:5e-2",
+                  "--expect", "rate=1,tol=0"],
+                 ["verify"], ["run", cfg]]
+
+        def outcome(argv):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = ("exit", exc.code)
+            printed = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            return status, printed.out, printed.err, files
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            cli._version.cache_clear()
+            fresh.append(outcome(argv))
+        assert [status for status, *_ in fresh] == [0, 0, ("exit", 2), 1, ("exit", 2), 0]
+        assert "invalid choice: 'bogus'" in fresh[2][2]
+        assert cli._build_parser() is cli._build_parser()
+        assert [outcome(argv) for argv in calls] == fresh
 
 
 class TestRunCommand:

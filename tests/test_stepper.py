@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pslab import grid, models, stepper
 from pslab.grid import (
@@ -18,10 +19,15 @@ from pslab.grid import (
     PeriodicField,
     _dealias_mask,
     apply_multiplier,
+    check_holder_target,
+    derivative_rows,
     derivatives,
+    holder_rows,
     multiplier_table,
+    norm_rows,
     norms,
     spectral_rows,
+    sup_rows,
     wavenumbers,
 )
 from pslab.models import (
@@ -1420,6 +1426,98 @@ class TestLedgerBlocks:
         assert reason[first] in err.value.reason
         assert err.value.time == stop[1]
         assert err.value.trajectory.ledger == tuple(rows)
+
+
+def ledger_rows_by_abs(snaps, spec):
+    """ledger_rows with each sup column a max of an np.abs temporary and a
+    finite pass of its own over the derivative batch, as it was built
+    before its sup columns came from one max and one min per row stack."""
+    first = snaps[0][1]
+    for k, kappa in spec.holder_targets:
+        check_holder_target(first.n, k, kappa)
+    s = np.array([w.samples for _, w in snaps])
+    h = first.spacing
+    l2, _, mean = norm_rows(h, s)
+    # finite samples: the sup is an entry, and never measured again
+    linf = np.max(np.abs(s), axis=-1)
+    cols = {"t": np.array([t for t, _ in snaps], dtype=float), "l2": l2, "linf": linf}
+    failures = [(~(np.isfinite(l2) & np.isfinite(linf)), "norms overflow the float range")]
+    cols["mean"] = mean
+    dev = s - mean[:, None]
+    cols["osc_linf"] = np.max(np.abs(dev, out=dev), axis=-1)
+    failures.append((~np.isfinite(cols["osc_linf"]),
+                     "osc_linf overflows the float range"))
+    overflow = np.zeros(len(snaps), dtype=bool)
+    orders = sorted({*spec.derivative_sup, *(k for k, _ in spec.holder_targets if k)})
+    d = {}
+    if orders:
+        batch = derivative_rows(s, first.domain_length, orders)
+        overflow |= ~np.isfinite(batch).all(axis=(0, 2))
+        d = dict(zip(orders, batch))
+    for m in spec.derivative_sup:
+        cols[f"d{m}_linf"] = np.max(np.abs(d[m]), axis=-1)
+    for k, kappa in spec.holder_targets:
+        col = cols[holder_column(k, kappa)] = holder_rows(d[k] if k else s, kappa, h)
+        overflow |= np.isnan(col)
+    failures.append((overflow, "samples contain NaN/Inf"))
+    failed = np.logical_or.reduce([mask for mask, _ in failures])
+    built = int(np.argmax(failed)) if failed.any() else len(snaps)
+    error = None
+    if built < len(snaps):
+        error = NonFiniteError(next(msg for mask, msg in failures if mask[built]))
+    values = zip(*(col[:built].tolist() for col in cols.values()))
+    return [dict(zip(cols, row)) for row in values], error
+
+
+BIG = 1.7976931348623157e308
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, BIG, -BIG, 1.0, -2.5]
+NON_FINITE = [np.inf, -np.inf, np.nan, -np.nan]
+
+
+def extreme_rows(values):
+    """(B, N) rows of the given values and of any finite double."""
+    return st.tuples(st.integers(1, 5), st.integers(4, 7)).flatmap(
+        lambda shape: arrays(np.float64, (shape[0], 2**shape[1]), elements=st.one_of(
+            st.sampled_from(values), st.floats(allow_nan=False, allow_infinity=False))))
+
+
+def row_bytes(rows):
+    return [(list(row), np.array(list(row.values())).tobytes()) for row in rows]
+
+
+class TestSupColumns:
+    """Every sup column of a ledger row is sup_rows of one max and one min
+    per row stack, and each derivative that overflows fails its row through
+    the column it feeds: rows, failures and messages are those of sup
+    columns taken as np.max(np.abs(.)) with a finite pass over the
+    derivative batch."""
+
+    @given(x=extreme_rows(EXTREMES + NON_FINITE))
+    @settings(max_examples=300, deadline=None)
+    def test_max_and_min_give_the_abs_sup(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.mean(x, axis=-1)
+            top, bottom = x.max(axis=-1), x.min(axis=-1)
+            assert sup_rows(top, bottom).tobytes() == np.max(np.abs(x), axis=-1).tobytes()
+            osc = np.max(np.abs(x - mean[:, None]), axis=-1)
+            assert sup_rows(top - mean, bottom - mean).tobytes() == osc.tobytes()
+
+    @given(x=extreme_rows(EXTREMES),
+           sups=st.sets(st.integers(1, 3)),
+           targets=st.sets(st.sampled_from([(0, 0.5), (1, 0.25), (2, 0.75)])))
+    @example(x=np.array([[0.0] * 16, [-0.0] * 16]), sups={1}, targets={(0, 0.5)})
+    @settings(max_examples=200, deadline=None)
+    def test_rows_and_failures_are_those_of_the_abs_route(self, x, sups, targets):
+        spec = LedgerSpec(derivative_sup=tuple(sups), holder_targets=tuple(targets))
+        snaps = [(0.1 * b, PeriodicField(row, 3.0)) for b, row in enumerate(x)]
+        # the block, and each row alone: its own failure and message
+        for block in [snaps] + [[snap] for snap in snaps]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want, want_error = ledger_rows_by_abs(block, spec)
+            rows, error = ledger_rows(block, spec)
+            assert row_bytes(rows) == row_bytes(want)
+            assert type(error) is type(want_error)
+            assert str(error) == str(want_error)
 
 
 class TestPicard:
