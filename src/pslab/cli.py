@@ -339,7 +339,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     return build_run_config(parse_config_text(text))
 
@@ -489,7 +489,7 @@ def read_ledger_csv(path: str) -> Dict[str, np.ndarray]:
     try:
         with open(path, "r", newline="") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read CSV: {exc}")
     if not lines:
         raise ConfigError(f"{path}: empty CSV")

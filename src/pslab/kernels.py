@@ -81,32 +81,52 @@ class EllipticityError(ValueError):
         )
 
 
-def _symbol_row(symbol: FrozenSymbol, t, xis, row: np.ndarray):
-    """Fill row[k] with A(t, xis[k]): a (dim_N, dim_N) matrix, or a scalar if dim_N is 1."""
-    for k, xi in enumerate(xis):
-        m = np.asarray(symbol.eval(t, xi), dtype=float)
+def _symbol_table(symbol: FrozenSymbol, taus, xis) -> np.ndarray:
+    """A(tau, xi) for tau in taus (outer) and xi in xis (inner), shape
+    (len(taus), len(xis), dim_N, dim_N), each pair asked once and all the
+    returns converted by one np.array; a scalar stands for a 1 x 1 matrix.
+    A return of another shape is named, the first in call order."""
+    ev, dim = symbol.eval, symbol.dim_N
+    values = [ev(t, xi) for t in taus for xi in xis]
+    shape = (len(taus), len(xis), dim, dim)
+    try:
+        table = np.array(values, dtype=float)
+    except (TypeError, ValueError):  # ragged or unconvertible returns
+        pass
+    else:
+        if table.shape[1:] == (dim, dim) or dim == 1 and table.ndim == 1:
+            return table.reshape(shape)
+    # one return at a time: a dim-1 table that mixes scalars and 1 x 1
+    # matrices is stacked, any other mix fails at its first wrong return
+    table = np.empty((len(values), dim, dim))
+    for k, value in enumerate(values):
+        m = np.asarray(value, dtype=float)
         if m.ndim == 0:
             m = m.reshape(1, 1)
-        if m.shape != row.shape[1:]:
-            raise ValueError(f"symbol eval returned shape {m.shape}, expected {row.shape[1:]}")
-        row[k] = m
+        if m.shape != (dim, dim):
+            raise ValueError(f"symbol eval returned shape {m.shape}, expected {(dim, dim)}")
+        table[k] = m
+    return table.reshape(shape)
 
 
 def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> np.ndarray:
-    """Check A(t, xi) >= c0 |xi|^s Id at every probe pair with one batched
-    eigvalsh per t row, a non-finite matrix failing with a NaN eigenvalue,
-    and raise at the first failing pair, t outer and xi inner. Returns the
-    checked matrices, shape (len(ts), len(xis), dim_N, dim_N)."""
-    out = np.empty((len(ts), len(xis), symbol.dim_N, symbol.dim_N))
+    """Check A(t, xi) >= c0 |xi|^s Id at every probe pair and return the
+    checked matrices, shape (len(ts), len(xis), dim_N, dim_N).
+
+    The symbol is asked at every pair first, t outer and xi inner. Then one
+    batched eigvalsh of the symmetric parts gives every minimum eigenvalue,
+    a non-finite matrix failing with a NaN one, and the probe raises at the
+    first failing pair in the same order."""
+    out = _symbol_table(symbol, ts, xis)
     floors = np.array([symbol.c0 * abs(xi) ** symbol.s for xi in xis])
-    for row, t in zip(out, ts):
-        _symbol_row(symbol, t, xis, row)
-        min_eig = np.linalg.eigvalsh(0.5 * (row + row.swapaxes(1, 2)))[:, 0]
-        min_eig[~np.isfinite(row).all(axis=(1, 2))] = np.nan
-        ok = min_eig >= floors - 1e-10 * np.maximum(1.0, floors)  # False at a NaN
-        if not ok.all():
-            k = int(np.argmin(ok))
-            raise EllipticityError(t, xis[k], float(min_eig[k]), float(floors[k]))
+    sym = out + out.swapaxes(-1, -2)
+    sym *= 0.5
+    min_eig = np.linalg.eigvalsh(sym)[..., 0]
+    min_eig[~np.isfinite(out).all(axis=(-2, -1))] = np.nan
+    ok = min_eig >= floors - 1e-10 * np.maximum(1.0, floors)  # False at a NaN
+    if not ok.all():
+        i, k = divmod(int(np.argmin(ok)), len(xis))
+        raise EllipticityError(ts[i], xis[k], float(min_eig[i, k]), float(floors[k]))
     return out
 
 
@@ -165,15 +185,16 @@ def _halve(symbol: FrozenSymbol, t: float, xis: np.ndarray,
     """The node table at half the spacing: nodes[i] holds A(t - w_i, xi)
     at w_i = i t / M for i = 0..M, and the result holds it at
     w_i = i t / (2 M), the old entries copied to the even rows and the
-    symbol called only for the odd ones, w outer and xi inner."""
+    symbol called only for the odd ones, all of them in one table, w outer
+    and xi inner."""
     spans = 2 * (len(nodes) - 1)
     out = np.empty((spans + 1,) + nodes.shape[1:])
     out[::2] = nodes
-    xi_list = xis.tolist()
-    for row, tau in zip(out[1::2], (np.arange(spans - 1, 0, -2) * (t / spans)).tolist()):
-        _symbol_row(symbol, tau, xi_list, row)
-    if not np.isfinite(out[1::2]).all():
+    odd = _symbol_table(
+        symbol, (np.arange(spans - 1, 0, -2) * (t / spans)).tolist(), xis.tolist())
+    if not np.isfinite(odd).all():
         raise ValueError("symbol returned a non-finite value at an integration node")
+    out[1::2] = odd
     return out
 
 
@@ -201,9 +222,9 @@ def _magnus_table(nodes: np.ndarray, t: float) -> np.ndarray:
     while len(prop) > TAU_STEPS:
         prop = prop[0::2] @ prop[1::2]
     out = np.empty((TAU_STEPS + 1,) + nodes.shape[1:])
-    m = out[TAU_STEPS] = np.eye(nodes.shape[-1])
+    out[TAU_STEPS] = np.eye(nodes.shape[-1])
     for i, interval in enumerate(prop):
-        m = out[TAU_STEPS - 1 - i] = m @ interval
+        np.matmul(out[TAU_STEPS - i], interval, out=out[TAU_STEPS - 1 - i])
     return out
 
 
@@ -225,11 +246,12 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
     previous level's, where the first doubling compares it with the plain
     starting table. The last Richardson value is returned.
 
-    The ellipticity probe checks the tau grid one row per batched eigvalsh,
-    fails on a non-finite symbol value and runs before any integration node
-    is evaluated; its matrices are the first level's even nodes. The nodes
-    nest: a level of n steps holds A(t - i t / (2 n), xi) for i = 0..2 n,
-    and its doubling calls the symbol only at the odd entries of the next.
+    The ellipticity probe asks the symbol at every tau grid pair, checks
+    them all with one batched eigvalsh, fails on a non-finite symbol value
+    and runs before any integration node is evaluated; its matrices are the
+    first level's even nodes. The nodes nest: a level of n steps holds
+    A(t - i t / (2 n), xi) for i = 0..2 n, and its doubling calls the
+    symbol only at the odd entries of the next, one array per level.
     A tabulation that stops at n_final steps calls the symbol (2 n_final + 1)
     n_xi times, each (tau, xi) pair once, in O(n_final n_xi dim_N^2) memory.
     """

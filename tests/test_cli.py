@@ -1483,3 +1483,24 @@ class TestRatefitCommand:
                      "--expect", "exponent=-0.5,tol=0.05"])
         assert code == 0
         capsys.readouterr()
+
+
+class TestNonUtf8Input:
+    """A snapshot handed to a command that reads text: the decode error was
+    an internal error, exit 4 with a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "cannot read config"),
+        (["ratefit"], "cannot read CSV"),
+    ], ids=["run", "ratefit"])
+    def test_snapshot_as_text_exits_2(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "final.bin"
+        samples = np.linspace(-1.0, 1.0, 64, endpoint=False) ** 3
+        write_snapshot(str(path), PeriodicField(samples), 0.25)
+        with pytest.raises(UnicodeDecodeError):
+            path.read_bytes().decode("utf-8")
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err

@@ -472,7 +472,204 @@ class TestFrozenKernelNodeMemo:
         first_bad = int(np.argmax(tau_grid > 0.3))
         assert exc.value.t == tau_grid[first_bad] and exc.value.xi == 3.0
         probe = [(float(t), xi) for t in tau_grid for xi in self.XIS]
-        assert counter.calls == probe[:3 * first_bad + 3]
+        assert counter.calls == probe
+
+
+# ---------------------------------------------------------------------------
+# oracle: the symbol gatherer, probe, halving and interval product one tau
+# row at a time, which the one-array-per-level code must match bit for bit
+
+
+def oracle_symbol_row(symbol, t, xis, row):
+    for k, xi in enumerate(xis):
+        m = np.asarray(symbol.eval(t, xi), dtype=float)
+        if m.ndim == 0:
+            m = m.reshape(1, 1)
+        if m.shape != row.shape[1:]:
+            raise ValueError(f"symbol eval returned shape {m.shape}, expected {row.shape[1:]}")
+        row[k] = m
+
+
+def oracle_ellipticity_probe(symbol, ts, xis):
+    out = np.empty((len(ts), len(xis), symbol.dim_N, symbol.dim_N))
+    floors = np.array([symbol.c0 * abs(xi) ** symbol.s for xi in xis])
+    for row, t in zip(out, ts):
+        oracle_symbol_row(symbol, t, xis, row)
+        min_eig = np.linalg.eigvalsh(0.5 * (row + row.swapaxes(1, 2)))[:, 0]
+        min_eig[~np.isfinite(row).all(axis=(1, 2))] = np.nan
+        ok = min_eig >= floors - 1e-10 * np.maximum(1.0, floors)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise EllipticityError(t, xis[k], float(min_eig[k]), float(floors[k]))
+    return out
+
+
+def oracle_halve(symbol, t, xis, nodes):
+    spans = 2 * (len(nodes) - 1)
+    out = np.empty((spans + 1,) + nodes.shape[1:])
+    out[::2] = nodes
+    xi_list = xis.tolist()
+    for row, tau in zip(out[1::2], (np.arange(spans - 1, 0, -2) * (t / spans)).tolist()):
+        oracle_symbol_row(symbol, tau, xi_list, row)
+    if not np.isfinite(out[1::2]).all():
+        raise ValueError("symbol returned a non-finite value at an integration node")
+    return out
+
+
+def oracle_magnus_table(nodes, t):
+    n_steps = (len(nodes) - 1) // 2
+    h = t / n_steps
+    a0, a_half, a1 = nodes[:-1:2], nodes[1::2], nodes[2::2]
+    da = a1 - a0
+    omega = (-h / 6.0) * (a0 + 4.0 * a_half + a1) + \
+        (h * h / 12.0) * (a_half @ da - da @ a_half)
+    prop = kernels._expm(omega)
+    while len(prop) > kernels.TAU_STEPS:
+        prop = prop[0::2] @ prop[1::2]
+    out = np.empty((kernels.TAU_STEPS + 1,) + nodes.shape[1:])
+    m = out[kernels.TAU_STEPS] = np.eye(nodes.shape[-1])
+    for i, interval in enumerate(prop):
+        m = out[kernels.TAU_STEPS - 1 - i] = m @ interval
+    return out
+
+
+def oracle_frozen_kernel_hat(symbol, t, xis):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "ellipticity_probe", oracle_ellipticity_probe)
+        mp.setattr(kernels, "_halve", oracle_halve)
+        mp.setattr(kernels, "_magnus_table", oracle_magnus_table)
+        return kernels.frozen_kernel_hat(symbol, t, xis)
+
+
+def outcome(run):
+    """The bytes a call returns, or the type, message and (t, xi) of what it
+    raises."""
+    try:
+        got = run()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc), getattr(exc, "t", None), getattr(exc, "xi", None)
+    return getattr(got, "values", got).tobytes()
+
+
+class DefectSymbol:
+    """CountingRotatingSymbol's elliptic matrices, with one kind of defect
+    at the pair (at_t, at_xi): none, a matrix below the floor, one entry
+    replaced by a non-finite value, or a return of the wrong shape.
+    A dim-1 symbol returns a scalar, a 1 x 1 matrix, or each by turns."""
+
+    def __init__(self, dim, kind, at, bad, returns):
+        self.base = CountingRotatingSymbol(dim)
+        self.dim, self.kind, self.at, self.bad, self.returns = dim, kind, at, bad, returns
+        self.calls = []
+
+    def __call__(self, t, xi):
+        self.calls.append((float(t), float(xi)))
+        a = self.base(t, xi)
+        if (t, xi) == self.at:
+            if self.kind == "non_elliptic":
+                # with an antisymmetric part, which only the symmetric part
+                # the probe takes hides from eigvalsh
+                a = 0.01 * a - np.eye(self.dim)
+                a[-1, 0] += 5.0
+                a[0, -1] -= 5.0
+            elif self.kind == "non_finite":
+                value, (i, j) = self.bad
+                a[i, j] = value
+            elif self.kind == "wrong_shape":
+                return self.bad
+        if self.dim == 1 and (self.returns == "scalar" or
+                              self.returns == "mixed" and len(self.calls) % 2):
+            return a[0, 0]
+        return a
+
+    def symbol(self):
+        return FrozenSymbol(s=self.base.s, c0=self.base.c0, dim_N=self.dim, eval=self)
+
+
+@st.composite
+def defect_symbol_specs(draw):
+    dim = draw(st.integers(1, 3))
+    xis = draw(st.lists(st.sampled_from([-4.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+                        min_size=1, max_size=3, unique=True))
+    # a multiple of 1/8, so every probe and first-level node time is exact
+    t = draw(st.integers(1, 8)) / 8.0
+    steps = kernels.TAU_STEPS
+    # a probe time i t / TAU_STEPS, or a first-level node (2 j + 1) t / (2 TAU_STEPS)
+    slot = draw(st.integers(0, 2 * steps))
+    kind = draw(st.sampled_from(["elliptic", "non_elliptic", "non_finite", "wrong_shape"]))
+    if kind == "non_elliptic":
+        # only the probe checks ellipticity: at a node between its times the
+        # doubling would chase the defect toward 16 2^24 steps
+        slot -= slot % 2
+    at = (slot * t / (2 * steps), draw(st.sampled_from(xis)))
+    bad = None
+    if kind == "non_finite":
+        bad = (draw(st.sampled_from([math.nan, math.inf, -math.inf])),
+               (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))))
+    elif kind == "wrong_shape":
+        shapes = [np.zeros((dim, dim + 1)), np.zeros(dim), np.zeros((1, dim, dim)),
+                  [[1.0] * dim, [1.0] * (dim + 1)]]
+        bad = draw(st.sampled_from(shapes + ([0.5] if dim > 1 else [])))
+    returns = draw(st.sampled_from(["matrix", "scalar", "mixed"])) if dim == 1 else "matrix"
+    return dim, xis, t, kind, at, bad, returns
+
+
+class TestOneArrayPerLevel:
+    """The whole-grid gatherer and the one-eigvalsh probe against the
+    row-at-a-time oracle: the same bytes, or the same exception at the same
+    pair."""
+
+    @given(spec=defect_symbol_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_oracle(self, spec):
+        dim, xis, t, kind, at, bad, returns = spec
+        xis = np.asarray(xis)
+        tau_grid = np.linspace(0.0, t, kernels.TAU_STEPS + 1)
+
+        def same(new_fn, old_fn, *args):
+            new, old = (DefectSymbol(dim, kind, at, bad, returns) for _ in range(2))
+            want = outcome(lambda: old_fn(old.symbol(), *args))
+            assert outcome(lambda: new_fn(new.symbol(), *args)) == want
+            assert len(set(new.calls)) == len(new.calls)
+            return want
+
+        same(ellipticity_probe, oracle_ellipticity_probe, tau_grid, xis)
+        # the halving meets a defect at a first-level node, and the probe's
+        # own pairs come from an elliptic copy
+        nodes = oracle_ellipticity_probe(CountingRotatingSymbol(dim).symbol(),
+                                         tau_grid, xis)[::-1].copy()
+        same(kernels._halve, oracle_halve, t, xis, nodes)
+        full = same(frozen_kernel_hat, oracle_frozen_kernel_hat, t, xis)
+        if kind == "elliptic":
+            assert isinstance(full, bytes)
+
+    def test_every_non_finite_entry_matches_oracle(self):
+        # eigvalsh gives NaN, a finite value or LinAlgError depending on the
+        # entry, so every entry of every dimension is tried at one probe pair
+        xis = np.array([0.0, 1.0, -3.0])
+        tau_grid = np.linspace(0.0, 0.5, kernels.TAU_STEPS + 1)
+        at = (tau_grid[4], xis[1])
+        for dim in (1, 2, 3):
+            for value in (math.nan, math.inf, -math.inf):
+                for entry in np.ndindex(dim, dim):
+                    new, old = (DefectSymbol(dim, "non_finite", at, (value, entry),
+                                             "matrix").symbol() for _ in range(2))
+                    want = outcome(lambda: oracle_ellipticity_probe(old, tau_grid, xis))
+                    assert outcome(lambda: ellipticity_probe(new, tau_grid, xis)) == want
+                    assert not isinstance(want, bytes)
+
+    def test_first_failing_pair_tau_outer(self):
+        # failing at (tau_3, xi_2) and at (tau_5, xi_0): the probe names the
+        # earlier tau, not the earlier xi
+        xis = np.array([0.5, 1.0, 3.0])
+        tau_grid = np.linspace(0.0, 0.5, kernels.TAU_STEPS + 1)
+        bad = {(tau_grid[3], xis[2]), (tau_grid[5], xis[0])}
+        base = CountingRotatingSymbol(2)
+        sym = FrozenSymbol(s=base.s, c0=base.c0, dim_N=2,
+                           eval=lambda t, xi: -base(t, xi) if (t, xi) in bad else base(t, xi))
+        want = outcome(lambda: oracle_ellipticity_probe(sym, tau_grid, xis))
+        assert outcome(lambda: ellipticity_probe(sym, tau_grid, xis)) == want
+        assert want[2:] == (tau_grid[3], xis[2])
 
 
 class TestMagnusStep:
