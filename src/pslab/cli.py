@@ -20,7 +20,8 @@ state is a 2-component contour; the lines below list them. Keys:
     model.rho0           muskat_st density offset
     model.hbar0          surface_diffusion_axi reference radius (> 1)
     model.theta_cap      peskin2d stretch-ratio abort threshold (> 0)
-    grid.N               samples per period, power of two >= 16 (required)
+    grid.N               samples per period, power of two from 16 to
+                         65536 (required)
     grid.L               finite domain length (defaults to 2*pi;
                          nonlocal_mcf, peskin2d and muskat_st require 2*pi
                          to an absolute 1e-12)
@@ -82,7 +83,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import operator
 import os
 import struct
 import sys
@@ -107,6 +107,7 @@ from .stepper import (
 )
 
 SCHEMA_VERSION = 1
+MAX_N = 65536  # 64 times the lab's N <= 1024; a larger grid.N is a config error
 _LINE_ENDS = ("\n", "\r\n", "\r")  # the whole of a blank ledger line
 
 _MAGIC = b"PLAB1\x00"
@@ -241,8 +242,8 @@ def build_run_config(pairs: Dict[str, str]) -> RunConfig:
             params[name] = value
 
     n = _pop_number(pairs, "grid.N", int, required=True)
-    if n < 16 or n & (n - 1):
-        raise ConfigError("grid.N must be a power of two >= 16")
+    if not 16 <= n <= MAX_N or n & (n - 1):
+        raise ConfigError(f"grid.N must be a power of two from 16 to {MAX_N}")
     length = _pop_number(pairs, "grid.L", default=TWO_PI)
     if not 0 < length < np.inf:
         raise ConfigError("grid.L must be positive and finite")
@@ -455,15 +456,14 @@ def build_initial_field(config: RunConfig) -> PeriodicField:
 # ---------------------------------------------------------------------------
 # ledger CSV
 
-def write_ledger_csv(path: str, rows: Sequence[Dict[str, float]]) -> None:
-    cols = list(rows[0])
-    values = operator.itemgetter(*cols)
-    # %.17g formats each value as format(float(v), ".17g") would
-    line = ",".join(["%.17g"] * len(cols)) + "\n"
+def write_ledger_csv(path: str, ledger: Dict[str, np.ndarray]) -> None:
+    """Write a ledger {column name: float64 array} as CSV: its names, then
+    one line per row, one %-format of its values with %.17g, the bytes of
+    format(float(v), ".17g") cell by cell, which read back bit for bit."""
+    line = ",".join(["%.17g"] * len(ledger)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(line % values(row))
+        fh.write(",".join(ledger) + "\n")
+        fh.writelines(line % row for row in zip(*(col.tolist() for col in ledger.values())))
 
 
 def _parse_rows(lines, **columns) -> np.ndarray:
@@ -522,7 +522,7 @@ def read_ledger_csv(path: str) -> Dict[str, np.ndarray]:
                 _parse_rows(data, usecols=i)
             except ValueError:
                 raise ConfigError(f"{path}: non-numeric entry in column {name}")
-    return dict(zip(header, table.T.copy()))
+    return {name: col for name, col in zip(header, table.T.copy())}
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +588,7 @@ def cmd_run(config_path: str) -> int:
         raise ConfigError(str(exc))
 
     _write_run_outputs(out_dir, traj)
-    print(f"run complete: {len(traj.ledger)} ledger rows -> {out_dir}")
+    print(f"run complete: {len(traj.snapshots)} ledger rows -> {out_dir}")
     return 0
 
 

@@ -351,22 +351,6 @@ def holder_rows(d: np.ndarray, kappa: float, h: float) -> np.ndarray:
     return values
 
 
-def norms(field: PeriodicField) -> dict:
-    """Grid L2 (trapezoid weights, which are uniform on a periodic grid),
-    sup norm, and mean. Multi-component fields use the pointwise Euclidean
-    magnitude for l2/linf and the componentwise mean stacked into a vector.
-    Samples whose squares or sums overflow are measured in units of their
-    largest entry; a norm that overflows even so raises NonFiniteError.
-    Public API for one field; the ledger's path is norm_rows, on a stack of
-    states.
-    """
-    l2, linf, mean = norm_rows(field.spacing, field.samples[None])
-    if not (math.isfinite(l2[0]) and math.isfinite(linf[0])):
-        raise NonFiniteError("norms overflow the float range")
-    return {"l2": float(l2[0]), "linf": float(linf[0]),
-            "mean": mean[0] if field.components > 1 else float(mean[0])}
-
-
 def sup_rows(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """max |x| along the last axis of x from top = x.max(-1) and bottom =
     x.min(-1): |max(top, -bottom)|, bit for bit np.max(np.abs(x), -1).
@@ -380,13 +364,14 @@ def sup_rows(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflows are left non-finite
 def norm_rows(w: float, s: np.ndarray, extremes=None):
-    """l2, linf and mean, as in norms, of each field in a stack s of shape
-    (B, N) or (B, c, N) on spacing w: arrays of shape (B,), (B,) and (B,)
-    or (B, c). A (B, N) stack's linf is sup_rows of its row extremes,
-    which a caller that already holds them passes as extremes =
-    (s.max(-1), s.min(-1)). A row whose norms overflow is measured again
-    in units of its largest entry and left non-finite if they overflow
-    even so."""
+    """Grid L2 (uniform trapezoid weights), sup norm and mean of each field
+    in a stack s of shape (B, N) or (B, c, N) on spacing w: arrays of shape
+    (B,), (B,) and (B,) or (B, c); a contour's l2 and linf take the
+    pointwise Euclidean magnitude. A (B, N) stack's linf is sup_rows of its
+    row extremes, which a caller that already holds them passes as extremes
+    = (s.max(-1), s.min(-1)). A row whose norms overflow is measured again
+    in units of its largest entry and left non-finite if they overflow even
+    so."""
     l2, linf, mean = _l2_linf_mean(w, s, extremes)
     # a sum of |s| can only overflow where the sum of squares already has
     for b in np.flatnonzero(~(np.isfinite(l2) & np.isfinite(linf))):

@@ -115,14 +115,18 @@ def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> np.ndarray:
 
     The symbol is asked at every pair first, t outer and xi inner. Then one
     batched eigvalsh of the symmetric parts gives every minimum eigenvalue,
-    a non-finite matrix failing with a NaN one, and the probe raises at the
-    first failing pair in the same order."""
+    a matrix whose symmetric part is not finite failing with a NaN one at
+    any dim_N (eigvalsh sees the identity in its place), and the probe
+    raises at the first failing pair in the same order."""
     out = _symbol_table(symbol, ts, xis)
     floors = np.array([symbol.c0 * abs(xi) ** symbol.s for xi in xis])
     sym = out + out.swapaxes(-1, -2)
     sym *= 0.5
+    finite = np.isfinite(sym).all(axis=(-2, -1))
+    if not finite.all():
+        sym[~finite] = np.eye(symbol.dim_N)
     min_eig = np.linalg.eigvalsh(sym)[..., 0]
-    min_eig[~np.isfinite(out).all(axis=(-2, -1))] = np.nan
+    min_eig[~finite] = np.nan
     ok = min_eig >= floors - 1e-10 * np.maximum(1.0, floors)  # False at a NaN
     if not ok.all():
         i, k = divmod(int(np.argmin(ok)), len(xis))

@@ -139,7 +139,6 @@ def smoothing_report(traj, s: float, targets: Sequence[Tuple[int, float]],
     derivative-sup column as the seminorm surrogate."""
     if not 0 < s < np.inf:
         raise ValueError("order s must be positive and finite")
-    times = traj.times()
     out = []
     for k, kappa in targets:
         k, kappa = int(k), float(kappa)
@@ -147,9 +146,9 @@ def smoothing_report(traj, s: float, targets: Sequence[Tuple[int, float]],
             key = f"d{k + 1}_linf"
         else:
             key = holder_column(k, kappa)
-        if key not in traj.ledger[0]:
+        if key not in traj.ledger:
             raise ValueError(f"ledger does not carry {key}")
-        fit = fit_power_law(times, traj.series(key), window)
+        fit = fit_power_law(traj.ledger["t"], traj.ledger[key], window)
         out.append(SmoothingRate(fit=fit, k=k, kappa=kappa,
                                  expected_exponent=-(k + kappa) / s,
                                  source=key))

@@ -109,7 +109,7 @@ class LedgerSpec:
     derivative_sup: spectral-derivative orders m recorded as d{m}_linf.
     holder_targets: (k, kappa) pairs recorded as holder_column(k, kappa).
     Both are stored sorted and without repeats, as ints and (int, float)
-    pairs, so ledger_entry emits its keys in the ledger CSV's order.
+    pairs, so ledger_rows emits its columns in the ledger CSV's order.
     record_theta: None means record theta for models with a theta_cap only.
     stride: keep every stride-th step (the initial and final states are
     always kept).
@@ -137,40 +137,46 @@ def holder_column(k: int, kappa: float) -> str:
 @dataclass(frozen=True)
 class Trajectory:
     snapshots: tuple  # ((t, PeriodicField), ...)
-    ledger: tuple     # one dict per snapshot
+    ledger: dict      # {column: float64 array, one entry per snapshot}, CSV order
 
     def __post_init__(self):
         times = [t for t, _ in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
-        if len(self.ledger) != len(self.snapshots):
+        if not (np.array_equal(self.ledger.get("t", ()), times)
+                and all(len(col) == len(times) for col in self.ledger.values())):
             raise ValueError("ledger and snapshots must align")
+        for col in self.ledger.values():
+            col.flags.writeable = False  # series hands out the columns themselves
 
     def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
+        return self.series("t")
 
     def final(self) -> PeriodicField:
         return self.snapshots[-1][1]
 
     def series(self, key: str) -> np.ndarray:
-        return np.array([entry[key] for entry in self.ledger])
+        # an abort before the first kept state leaves no columns
+        return self.ledger[key] if self.snapshots else np.empty(0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflows end in NonFiniteError
 def ledger_rows(snaps, spec: LedgerSpec):
     """Diagnostics recorded for a block of snapshots (t, field) on one grid,
-    the theta column aside, built together: one rfft and one batched irfft
-    give every derivative row, the norms are reductions along each row (one
-    max and one min of a row stack give each of its sup columns), and the
-    Holder differences of every dyadic shift fill one array.
+    evolve's LEDGER_BLOCK (16) kept states, the theta column aside, built
+    together: one rfft and one batched irfft give every derivative row, the
+    norms are reductions along each row (one max and one min of a row stack
+    give each of its sup columns), and the Holder differences of every
+    dyadic shift fill one array.
 
-    Returns (rows, error): the rows of the leading run of snapshots whose
-    rows can be built, and the NonFiniteError of the first that cannot
-    (None when every row is built). A row is a pure function of its own
-    snapshot, the same bits in any block, so any ledger row can be
-    recomputed bit-identically from its field."""
+    Returns (columns, error): {column name: float64 array} in ledger CSV
+    order over the leading run of snapshots whose rows can be built, and the
+    NonFiniteError of the first that cannot (None when every row is built).
+    A row is a pure function of its own snapshot, the same bits in any
+    block, so any ledger row can be recomputed bit-identically from its
+    field."""
     if not snaps:
-        return [], None
+        return {}, None
     first = snaps[0][1]
     if first.components > 1 and (spec.derivative_sup or spec.holder_targets):
         raise ValueError("derivative and Holder columns take scalar fields")
@@ -203,7 +209,8 @@ def ledger_rows(snaps, spec: LedgerSpec):
         # quotient that does
         overflow = np.zeros(len(snaps), dtype=bool)
         orders = sorted({*spec.derivative_sup, *(k for k, _ in spec.holder_targets if k)})
-        d = dict(zip(orders, derivative_rows(s, first.domain_length, orders))) if orders else {}
+        d = {m: row for m, row in zip(orders, derivative_rows(
+            s, first.domain_length, orders))} if orders else {}
         for m in spec.derivative_sup:
             col = cols[f"d{m}_linf"] = sup_rows(d[m].max(axis=-1), d[m].min(axis=-1))
             overflow |= ~np.isfinite(col)
@@ -216,19 +223,18 @@ def ledger_rows(snaps, spec: LedgerSpec):
     error = None
     if built < len(snaps):
         error = NonFiniteError(next(msg for mask, msg in failures if mask[built]))
-    values = zip(*(col[:built].tolist() for col in cols.values()))
-    return [dict(zip(cols, row)) for row in values], error
+    return {name: col[:built] for name, col in cols.items()}, error
 
 
 def ledger_entry(t: float, field: PeriodicField, spec: LedgerSpec) -> dict:
-    """The ledger row of one snapshot, the theta column aside: ledger_rows
-    of the block (t, field), raising NonFiniteError when the row cannot be
-    built. Every ledger row evolve writes equals ledger_entry of its
-    snapshot, whichever block built it."""
-    rows, error = ledger_rows([(t, field)], spec)
+    """The ledger row of one snapshot, {column name: float}, the theta
+    column aside: ledger_rows of the block (t, field), raising
+    NonFiniteError when the row cannot be built. Every ledger row evolve
+    writes equals ledger_entry of its snapshot, whichever block built it."""
+    cols, error = ledger_rows([(t, field)], spec)
     if error is not None:
         raise error
-    return rows[0]
+    return {name: float(col[0]) for name, col in cols.items()}
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -491,25 +497,27 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     cap = getattr(model, "theta_cap", None)
     want_theta = spec.record_theta if spec.record_theta is not None else cap is not None
 
-    snaps, rows, pending = [], [], []  # pending: (t, state, theta) awaiting rows
+    snaps, blocks, pending = [], [], []  # pending: (t, state, theta) awaiting rows
 
     def kept():
-        return Trajectory(tuple(snaps), tuple(rows))
+        return Trajectory(tuple(snaps), {name: np.concatenate([b[name] for b in blocks])
+                                         for name in (blocks[0] if blocks else ())})
 
     def flush():
-        block = pending[:]
+        if not pending:
+            return
+        cols, error = ledger_rows([(t, w) for t, w, _ in pending], spec)
+        built, rest = pending[:len(cols["t"])], pending[len(cols["t"]):]
         pending.clear()
-        built, error = ledger_rows([(t, w) for t, w, _ in block], spec)
-        for (t, w, theta), row in zip(block, built):
-            if want_theta:
-                row["theta"] = theta
-            snaps.append((t, w))
-            rows.append(row)
+        if want_theta:
+            cols["theta"] = np.array([theta for _, _, theta in built], dtype=float)
+        blocks.append(cols)
+        snaps.extend((t, w) for t, w, _ in built)
         if error is not None:
             # a finite state whose derivatives overflow is a numerical
             # abort, not a config error
             raise EvolutionAbort(kept(), "non-finite values in a ledger row",
-                                 block[len(built)][0]) from error
+                                 rest[0][0]) from error
 
     def abort(reason, t):
         flush()
@@ -585,14 +593,6 @@ def _picard_apply(model, g_snaps, config: StepperConfig):
     return out, source_free
 
 
-def _ledger_trajectory(snaps) -> Trajectory:
-    """Trajectory of snaps with a default-spec ledger row for each."""
-    rows, error = ledger_rows(snaps, LedgerSpec())
-    if error is not None:
-        raise error
-    return Trajectory(tuple(snaps), tuple(rows))
-
-
 def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
     """Iterate the whole-window map from the constant-in-time trajectory.
 
@@ -618,7 +618,10 @@ def picard_solve(model, u0: PeriodicField, T: float, config: StepperConfig):
         # a remainder that vanishes identically on the window makes the map
         # constant, so its first output is already the fixed point
         if d < PICARD_TOL or source_free:
-            return _ledger_trajectory(g), log
+            cols, error = ledger_rows(g, LedgerSpec())
+            if error is not None:
+                raise error
+            return Trajectory(tuple(g), cols), log
         if prev is not None and prev > 0 and d / prev >= 1.0:
             rising += 1
             if rising >= 3:

@@ -32,15 +32,16 @@ from pslab.cli import (
     write_ledger_csv,
     write_snapshot,
 )
-from pslab.grid import PeriodicField
+from pslab.grid import NumericalFailure, PeriodicField
 from pslab.models import Peskin2dModel
 from pslab.stepper import (
     SCHEMES,
+    EvolutionAbort,
     LedgerSpec,
     StepperConfig,
     check_pointwise,
     evolve,
-    ledger_entry,
+    ledger_rows,
 )
 
 
@@ -154,7 +155,7 @@ class TestConfigParsing:
             build_run_config(parse_config_text(config_text(drop=["grid.N"])))
 
     def test_bad_grid_sizes(self):
-        for n in ("100", "8", "-4"):
+        for n in ("100", "8", "-4", "131072"):
             with pytest.raises(ConfigError, match="power of two"):
                 build_run_config(parse_config_text(config_text({"grid.N": n})))
 
@@ -288,9 +289,9 @@ class TestSnapshotFormat:
                 assert not out.exists(), cut
 
 
-def csv_header(tmp_path, rows):
+def csv_header(tmp_path, ledger):
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(str(path), rows)
+    write_ledger_csv(str(path), ledger)
     return path.read_text().splitlines()[0].split(",")
 
 
@@ -301,16 +302,16 @@ class TestLedgerCsv:
         spec = LedgerSpec(derivative_sup=(2, 1, 2),
                           holder_targets=((1, 0.5), (0, 0.5)))
         x = np.arange(64) * (2.0 * np.pi / 64)
-        row = ledger_entry(0.0, PeriodicField(np.cos(x) + 0.3), spec)
-        assert csv_header(tmp_path, [row]) == [
+        ledger, _ = ledger_rows([(0.0, PeriodicField(np.cos(x) + 0.3))], spec)
+        assert csv_header(tmp_path, ledger) == [
             "t", "l2", "linf", "mean", "osc_linf", "d1_linf", "d2_linf",
             "holder_0_0.5", "holder_1_0.5"]
 
     def test_component_means_read_from_the_row(self, tmp_path):
         # a 3-component row keeps every mean column, in component order
         field = PeriodicField(np.arange(3.0)[:, None] + np.zeros((3, 32)))
-        row = ledger_entry(0.0, field, LedgerSpec())
-        assert csv_header(tmp_path, [row]) == [
+        ledger, _ = ledger_rows([(0.0, field)], LedgerSpec())
+        assert csv_header(tmp_path, ledger) == [
             "t", "l2", "linf", "mean_0", "mean_1", "mean_2"]
         table = read_ledger_csv(str(tmp_path / "ledger.csv"))
         assert [float(table[f"mean_{i}"][0]) for i in range(3)] == [0.0, 1.0, 2.0]
@@ -324,15 +325,49 @@ class TestLedgerCsv:
             "t", "l2", "linf", "mean_0", "mean_1", "theta"]
 
     def test_round_trip(self, tmp_path):
-        rows = [{"t": 0.0, "l2": 1.0, "linf": 0.5, "mean": 0.1,
-                 "osc_linf": 0.4},
-                {"t": 0.1, "l2": 0.9, "linf": 0.45, "mean": 0.1,
-                 "osc_linf": 0.35}]
+        ledger = {"t": np.array([0.0, 0.1]), "l2": np.array([1.0, 0.9]),
+                  "linf": np.array([0.5, 0.45]), "mean": np.array([0.1, 0.1]),
+                  "osc_linf": np.array([0.4, 0.35])}
         path = str(tmp_path / "ledger.csv")
-        write_ledger_csv(path, rows)
+        write_ledger_csv(path, ledger)
         table = read_ledger_csv(path)
         np.testing.assert_array_equal(table["t"], [0.0, 0.1])
         np.testing.assert_array_equal(table["l2"], [1.0, 0.9])
+
+    @pytest.mark.parametrize("case", ["scalar", "contour_theta", "abort"])
+    def test_trajectory_ledger_round_trips(self, tmp_path, case):
+        # the writer takes and the reader returns one format: the same
+        # columns, in the same order, with equal values
+        class FailsLater(models.McfGraphModel):
+            calls = 0
+
+            def remainder_from_rows(self, rows, uh, L):
+                self.calls += 1
+                if self.calls == 30:
+                    raise NumericalFailure("a state the march cannot continue from")
+                return super().remainder_from_rows(rows, uh, L)
+
+        spec = LedgerSpec(stride=2, derivative_sup=(1, 2),
+                          holder_targets=((0, 0.5), (1, 0.25)))
+        kink = PeriodicField(0.4 * np.abs(np.sin(np.arange(64) * (np.pi / 32))))
+        if case == "scalar":
+            traj = evolve(models.McfGraphModel(), kink, 0.05, StepperConfig(dt=1e-3), spec)
+        elif case == "contour_theta":
+            theta = 2.0 * np.pi * np.arange(32) / 32
+            ellipse = PeriodicField(np.stack([1.1 * np.cos(theta), 0.9 * np.sin(theta)]))
+            traj = evolve(Peskin2dModel(), ellipse, 0.1, StepperConfig(dt=0.01),
+                          LedgerSpec(record_theta=True))
+        else:
+            with pytest.raises(EvolutionAbort) as err:
+                evolve(FailsLater(), kink, 0.05, StepperConfig(dt=1e-3), spec)
+            traj = err.value.trajectory
+        assert len(traj.snapshots) > 2
+        path = str(tmp_path / "ledger.csv")
+        write_ledger_csv(path, traj.ledger)
+        table = read_ledger_csv(path)
+        assert list(table) == list(traj.ledger)
+        for name, col in traj.ledger.items():
+            assert np.array_equal(table[name], col), name
 
     @pytest.mark.parametrize("width", [3, 9])
     def test_bytes_are_the_per_cell_format(self, tmp_path, width):
@@ -341,19 +376,17 @@ class TestLedgerCsv:
         # read back to the same values
         values = [math.inf, -math.inf, math.nan, -0.0, 5e-324,
                   2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0]
-        cols = [f"c{i}" for i in range(width)]
-        # row r starts at value r, so every value lands in every column
-        rows = [dict(zip(cols, (values[(r + i) % len(values)] for i in range(width))))
-                for r in range(len(values))]
-        rows.append({c: np.float64(v) for c, v in rows[1].items()})
+        # row r of column i is value r + i, so every value lands in every column
+        ledger = {f"c{i}": np.roll(values, -i) for i in range(width)}
         path = tmp_path / "ledger.csv"
-        write_ledger_csv(str(path), rows)
-        want = ",".join(cols) + "\n" + "".join(
-            ",".join(format(float(row[c]), ".17g") for c in cols) + "\n" for row in rows)
+        write_ledger_csv(str(path), ledger)
+        want = ",".join(ledger) + "\n" + "".join(
+            ",".join(format(float(col[r]), ".17g") for col in ledger.values()) + "\n"
+            for r in range(len(values)))
         assert path.read_bytes() == want.encode()
         table = read_ledger_csv(str(path))
-        for c in cols:  # NaN reads back as NaN, -0.0 as -0.0
-            assert table[c].tobytes() == np.array([row[c] for row in rows]).tobytes()
+        for c, col in ledger.items():  # NaN reads back as NaN, -0.0 as -0.0
+            assert table[c].tobytes() == col.tobytes()
 
     def test_non_numeric_entry_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1152,9 +1185,17 @@ class TestConfigErrorsBeforeOutput:
             assert main(["run", cfg]) == 2
         assert not [w for w in caught if w.category is RuntimeWarning]
         err = capsys.readouterr().err
+        assert "Traceback" not in err
         for word in words:
             assert word in err
         assert not out.exists()
+
+    def test_grid_size_above_the_cap(self, tmp_path, capsys):
+        # 2^34 samples passed every check and then ran out of memory
+        self.run_rejected(tmp_path, capsys, {"grid.N": "17179869184"}, (),
+                          ["grid.N must be a power of two from 16 to 65536"])
+        pairs = parse_config_text(config_text({"grid.N": "65536"}))
+        assert build_run_config(pairs).n == 65536
 
     @pytest.mark.parametrize("overrides, drop", [
         ({"initial.amplitude": "nan"}, ()),

@@ -26,7 +26,7 @@ from pslab.grid import (
     hilbert_transform,
     holder_rows,
     irfft,
-    norms,
+    norm_rows,
     rfft,
     shift_windows,
     spectral_rows,
@@ -41,6 +41,12 @@ TWO_PI = 2.0 * np.pi
 def make_field(fn, n=64, length=TWO_PI):
     x = np.arange(n) * (length / n)
     return PeriodicField(fn(x), domain_length=length)
+
+
+def norms_of(field):
+    """l2, linf and mean of one field: norm_rows of its one-row stack."""
+    l2, linf, mean = norm_rows(field.spacing, field.samples[None])
+    return l2[0], linf[0], mean[0]
 
 
 def random_band_limited(rng, n=64, max_mode=8, length=TWO_PI):
@@ -407,7 +413,7 @@ class TestTransforms:
         f = PeriodicField(rng.standard_normal(64), domain_length=5.0)
         modes = np.fft.fft(f.samples)
         # l2^2 = (L/N) sum u^2 = (L/N^2) sum |modes|^2 under this convention
-        lhs = norms(f)["l2"] ** 2
+        lhs = norms_of(f)[0] ** 2
         rhs = f.domain_length / f.n**2 * np.sum(np.abs(modes) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -455,7 +461,7 @@ class TestFractionalLaplacian:
         f = random_band_limited(rng)
         g1 = fractional_laplacian(fractional_laplacian(f, 0.7), 0.8)
         g2 = fractional_laplacian(f, 1.5)
-        assert np.max(np.abs(g1.samples - g2.samples)) <= 1e-10 * norms(g2)["linf"]
+        assert np.max(np.abs(g1.samples - g2.samples)) <= 1e-10 * np.max(np.abs(g2.samples))
 
     def test_nonunit_domain_scaling(self):
         # On L = pi the first harmonic has physical wavenumber 2.
@@ -467,7 +473,7 @@ class TestFractionalLaplacian:
 class TestHilbert:
     def test_constant_maps_to_zero(self):
         f = make_field(lambda x: np.full_like(x, 2.0))
-        assert norms(hilbert_transform(f))["linf"] < 1e-14
+        assert np.max(np.abs(hilbert_transform(f).samples)) < 1e-14
 
     def test_contour_matches_per_component(self):
         # one multiplier for every component: the batched transform equals
@@ -686,63 +692,60 @@ class TestHolderAgainstShiftLoop:
 
 class TestNorms:
     def test_sine_norms(self):
-        f = make_field(np.sin, n=256)
-        r = norms(f)
-        assert r["l2"] == pytest.approx(np.sqrt(np.pi), rel=1e-12)
-        assert r["linf"] == pytest.approx(1.0, abs=1e-3)  # grid misses the max
-        assert abs(r["mean"]) < 1e-14
+        l2, linf, mean = norms_of(make_field(np.sin, n=256))
+        assert l2 == pytest.approx(np.sqrt(np.pi), rel=1e-12)
+        assert linf == pytest.approx(1.0, abs=1e-3)  # grid misses the max
+        assert abs(mean) < 1e-14
 
     def test_constant_norms(self):
-        f = PeriodicField(np.full(32, -2.0), domain_length=3.0)
-        r = norms(f)
-        assert r["l2"] == pytest.approx(2.0 * np.sqrt(3.0), rel=1e-14)
-        assert r["linf"] == 2.0
-        assert r["mean"] == -2.0
+        l2, linf, mean = norms_of(PeriodicField(np.full(32, -2.0), domain_length=3.0))
+        assert l2 == pytest.approx(2.0 * np.sqrt(3.0), rel=1e-14)
+        assert linf == 2.0
+        assert mean == -2.0
 
     def test_direct_summation_oracle(self):
         rng = np.random.default_rng(9)
         u = rng.standard_normal(64)
-        f = PeriodicField(u, domain_length=TWO_PI)
-        r = norms(f)
-        assert r["l2"] == np.sqrt(TWO_PI / 64 * np.sum(u * u))
-        assert r["linf"] == np.max(np.abs(u))
-        assert r["mean"] == np.mean(u)
+        l2, linf, mean = norms_of(PeriodicField(u, domain_length=TWO_PI))
+        assert l2 == np.sqrt(TWO_PI / 64 * np.sum(u * u))
+        assert linf == np.max(np.abs(u))
+        assert mean == np.mean(u)
 
     def test_scalar_beyond_square_overflow_stays_finite(self):
         # squares of 1e200 overflow; the l2 must still scale linearly
         unit = make_field(lambda x: 1.0 - (2.0 / np.pi) * np.abs(x - np.pi),
                           n=256)
-        r = norms(unit.with_samples(1e200 * unit.samples))
-        assert r["l2"] == pytest.approx(1e200 * norms(unit)["l2"], rel=1e-12)
-        assert r["linf"] == 1e200
+        l2, linf, _ = norms_of(unit.with_samples(1e200 * unit.samples))
+        assert l2 == pytest.approx(1e200 * norms_of(unit)[0], rel=1e-12)
+        assert linf == 1e200
 
     def test_mean_beyond_sum_overflow_stays_exact(self):
         # the sum of 32 samples of 5e307 overflows; the mean is still 0
         f = PeriodicField(np.repeat([5e307, -5e307], 32))
-        r = norms(f)
-        assert r["mean"] == 0.0
-        assert r["linf"] == 5e307
-        assert r["l2"] == pytest.approx(5e307 * np.sqrt(TWO_PI), rel=1e-12)
-        contour = norms(PeriodicField(np.stack([f.samples, -f.samples])))
-        assert contour["mean"].tolist() == [0.0, 0.0]
+        l2, linf, mean = norms_of(f)
+        assert mean == 0.0
+        assert linf == 5e307
+        assert l2 == pytest.approx(5e307 * np.sqrt(TWO_PI), rel=1e-12)
+        contour = norms_of(PeriodicField(np.stack([f.samples, -f.samples])))
+        assert contour[2].tolist() == [0.0, 0.0]
 
     def test_overflowing_mean_sum_warns_nothing(self):
         # the mean's sum of 32 pairs of +/-1.5e308 on a 0.1 period overflows
-        # to inf - inf; norms rescales it without a numpy warning
+        # to inf - inf; norm_rows rescales it without a numpy warning
         f = PeriodicField(np.tile([1.5e308, -1.5e308], 32), domain_length=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = norms(f)
-        assert r["mean"] == 0.0
-        assert r["linf"] == 1.5e308
-        assert r["l2"] == pytest.approx(1.5e308 * np.sqrt(0.1), rel=1e-12)
+            l2, linf, mean = norms_of(f)
+        assert mean == 0.0
+        assert linf == 1.5e308
+        assert l2 == pytest.approx(1.5e308 * np.sqrt(0.1), rel=1e-12)
 
     def test_contour_beyond_square_overflow_stays_finite(self):
         theta = TWO_PI * np.arange(128) / 128
         unit = PeriodicField(np.stack([1.1 * np.cos(theta), 0.9 * np.sin(theta)]))
-        big, ref = norms(unit.with_samples(1e200 * unit.samples)), norms(unit)
-        assert big["l2"] == pytest.approx(1e200 * ref["l2"], rel=1e-12)
-        assert big["linf"] == pytest.approx(1e200 * ref["linf"], rel=1e-12)
+        big, ref = norms_of(unit.with_samples(1e200 * unit.samples)), norms_of(unit)
+        assert big[0] == pytest.approx(1e200 * ref[0], rel=1e-12)
+        assert big[1] == pytest.approx(1e200 * ref[1], rel=1e-12)
 
 
 class TestDealias:
@@ -754,4 +757,4 @@ class TestDealias:
     def test_high_modes_zeroed(self):
         f = make_field(lambda x: np.cos(30 * x), n=64)
         g = apply_multiplier(f, _dealias_mask(64))
-        assert norms(g)["linf"] < 1e-12
+        assert np.max(np.abs(g.samples)) < 1e-12

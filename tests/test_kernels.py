@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from pslab import kernels
-from pslab.grid import PeriodicField, derivatives, norms
+from pslab.grid import PeriodicField, derivatives
 from pslab.kernels import (
     REFINE_TOL,
     EllipticityError,
@@ -495,8 +495,13 @@ def oracle_ellipticity_probe(symbol, ts, xis):
     floors = np.array([symbol.c0 * abs(xi) ** symbol.s for xi in xis])
     for row, t in zip(out, ts):
         oracle_symbol_row(symbol, t, xis, row)
-        min_eig = np.linalg.eigvalsh(0.5 * (row + row.swapaxes(1, 2)))[:, 0]
-        min_eig[~np.isfinite(row).all(axis=(1, 2))] = np.nan
+        sym = 0.5 * (row + row.swapaxes(1, 2))
+        # eigvalsh may not converge on a non-finite matrix: the identity
+        # stands in, and the matrix fails with a NaN eigenvalue
+        finite = np.isfinite(sym).all(axis=(1, 2))
+        sym[~finite] = np.eye(symbol.dim_N)
+        min_eig = np.linalg.eigvalsh(sym)[:, 0]
+        min_eig[~finite] = np.nan
         ok = min_eig >= floors - 1e-10 * np.maximum(1.0, floors)
         if not ok.all():
             k = int(np.argmin(ok))
@@ -633,7 +638,11 @@ class TestOneArrayPerLevel:
             assert len(set(new.calls)) == len(new.calls)
             return want
 
-        same(ellipticity_probe, oracle_ellipticity_probe, tau_grid, xis)
+        probe = same(ellipticity_probe, oracle_ellipticity_probe, tau_grid, xis)
+        if kind == "non_finite" and at[0] in tau_grid:
+            # a non-finite matrix fails the probe at its pair, at any dim
+            assert probe[0] is EllipticityError and "min eigenvalue nan" in probe[1]
+            assert probe[2:] == at
         # the halving meets a defect at a first-level node, and the probe's
         # own pairs come from an elliptic copy
         nodes = oracle_ellipticity_probe(CountingRotatingSymbol(dim).symbol(),
@@ -644,8 +653,9 @@ class TestOneArrayPerLevel:
             assert isinstance(full, bytes)
 
     def test_every_non_finite_entry_matches_oracle(self):
-        # eigvalsh gives NaN, a finite value or LinAlgError depending on the
-        # entry, so every entry of every dimension is tried at one probe pair
+        # eigvalsh alone gives NaN, a finite value or LinAlgError depending
+        # on the entry, so every entry of every dimension is tried at one
+        # probe pair: each fails there with a NaN eigenvalue
         xis = np.array([0.0, 1.0, -3.0])
         tau_grid = np.linspace(0.0, 0.5, kernels.TAU_STEPS + 1)
         at = (tau_grid[4], xis[1])
@@ -656,7 +666,8 @@ class TestOneArrayPerLevel:
                                              "matrix").symbol() for _ in range(2))
                     want = outcome(lambda: oracle_ellipticity_probe(old, tau_grid, xis))
                     assert outcome(lambda: ellipticity_probe(new, tau_grid, xis)) == want
-                    assert not isinstance(want, bytes)
+                    assert want[0] is EllipticityError and want[2:] == at
+                    assert "min eigenvalue nan" in want[1]
 
     def test_first_failing_pair_tau_outer(self):
         # failing at (tau_3, xi_2) and at (tau_5, xi_0): the probe names the

@@ -25,7 +25,6 @@ from pslab.grid import (
     holder_rows,
     multiplier_table,
     norm_rows,
-    norms,
     spectral_rows,
     sup_rows,
     wavenumbers,
@@ -236,6 +235,19 @@ def per_row_evolve(model, u0, T, config, spec):
     return rows, None
 
 
+def columns(rows):
+    """The ledger {column name: float64 array} of ledger rows {name: float}."""
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]} if rows else {}
+
+
+def assert_same_ledger(got, want):
+    """The same columns in the same order, each float64 and bit for bit."""
+    assert list(got) == list(want)
+    for name, col in want.items():
+        assert got[name].dtype == np.float64, name
+        assert got[name].tobytes() == np.asarray(col, dtype=float).tobytes(), name
+
+
 def richardson_order(model, u0, T, scheme, base):
     finals = []
     for dt in (T / base, T / (2 * base), T / (4 * base)):
@@ -317,18 +329,27 @@ class TestTrajectoryType:
         u = PeriodicField(np.zeros(16))
         row = ledger_entry(0.0, u, LedgerSpec())
         with pytest.raises(ValueError):
-            Trajectory(((0.0, u), (0.0, u)), (row, row))
+            Trajectory(((0.0, u), (0.0, u)), columns([row, row]))
 
     def test_ledger_alignment(self):
         u = PeriodicField(np.zeros(16))
-        with pytest.raises(ValueError):
-            Trajectory(((0.0, u),), ())
+        row = ledger_entry(0.0, u, LedgerSpec())
+        for ledger in ({}, columns([row, row]), {**columns([row]), "l2": np.zeros(2)},
+                       columns([{**row, "t": 0.5}])):
+            with pytest.raises(ValueError, match="align"):
+                Trajectory(((0.0, u),), ledger)
+        # an abort before the first kept state: no rows, whatever the column
+        empty = Trajectory((), {})
+        assert empty.times().tolist() == [] and empty.series("l2").tolist() == []
 
     def test_series_helper(self):
         traj = evolve(HeatModel(), PeriodicField(np.cos(grid_x(32))), 0.1,
                       StepperConfig(dt=0.02))
         assert len(traj.series("l2")) == len(traj.snapshots)
         assert traj.times()[0] == 0.0 and traj.times()[-1] == pytest.approx(0.1)
+        # a column read is the trajectory's own column, so it is read-only
+        with pytest.raises(ValueError, match="read-only"):
+            traj.series("l2")[0] = 0.0
 
 
 class TestLedger:
@@ -337,8 +358,8 @@ class TestLedger:
                           holder_targets=((1, 0.5),))
         traj = evolve(HeatModel(), triangle(128, 0.4), 0.1,
                       StepperConfig(dt=0.01), spec)
-        for (t, field), row in zip(traj.snapshots, traj.ledger):
-            assert ledger_entry(t, field, spec) == row
+        assert_same_ledger(traj.ledger, columns(
+            [ledger_entry(t, field, spec) for t, field in traj.snapshots]))
 
     def test_spec_targets_sorted_unique_python_scalars(self):
         spec = LedgerSpec(derivative_sup=(np.int64(3), 1, 3),
@@ -370,8 +391,7 @@ class TestLedger:
     def test_contour_ledger_has_theta_and_means(self):
         traj = evolve(Peskin2dModel(), ellipse(64), 0.05,
                       StepperConfig(dt=0.01), LedgerSpec(stride=5))
-        row = traj.ledger[0]
-        assert "theta" in row and "mean_0" in row and "mean_1" in row
+        assert list(traj.ledger) == ["t", "l2", "linf", "mean_0", "mean_1", "theta"]
 
 
 def holder_by_shift_loop(field, k, kappa):
@@ -391,10 +411,9 @@ def ledger_row_by_columns(t, field, spec):
     functions, each derivative with its own FFT and each Holder column from
     the shift loop, as ledger_entry built it before its columns shared one
     spectrum."""
-    base = norms(field)
-    row = {"t": float(t), "l2": base["l2"], "linf": base["linf"],
-           "mean": base["mean"],
-           "osc_linf": float(np.max(np.abs(field.samples - base["mean"])))}
+    l2, linf, mean = (float(v[0]) for v in norm_rows(field.spacing, field.samples[None]))
+    row = {"t": float(t), "l2": l2, "linf": linf, "mean": mean,
+           "osc_linf": float(np.max(np.abs(field.samples - mean)))}
     for m in spec.derivative_sup:
         d = derivatives(field, (int(m),))[0]
         row[f"d{int(m)}_linf"] = float(np.max(np.abs(d)))
@@ -482,7 +501,7 @@ class TestReuseAgainstFreshBuilds:
         # finite norms on a short period, but |u - mean| = 2.95e308 is not
         samples = np.r_[-1.5e308, np.full(63, 1.5e308)]
         field = PeriodicField(samples, domain_length=0.1)
-        assert np.isfinite(norms(field)["l2"])
+        assert np.isfinite(norm_rows(field.spacing, samples[None])[0]).all()
         with pytest.raises(NonFiniteError):
             ledger_entry(0.0, field, LedgerSpec())
 
@@ -937,10 +956,9 @@ class TestStepWork:
         want, error = ledger_rows(snaps, spec)
         assert error is None
         if getattr(model, "theta_cap", None) is not None:
-            for (_, w), row in zip(snaps, want):
-                row["theta"] = stretch_ratio(w)
+            want["theta"] = np.array([stretch_ratio(w) for _, w in snaps])
         assert np.array_equal(traj.final().samples, u.samples)
-        assert list(traj.ledger) == want
+        assert_same_ledger(traj.ledger, want)
 
     @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
     @pytest.mark.parametrize("tag", list(REUSE_CASES))
@@ -1200,7 +1218,7 @@ class TestEvolve:
                    LedgerSpec(stride=10, derivative_sup=(2,)))
         for (ta, wa), (tb, wb) in zip(a.snapshots, b.snapshots):
             assert ta == tb and np.array_equal(wa.samples, wb.samples)
-        assert a.ledger == b.ledger
+        assert_same_ledger(a.ledger, b.ledger)
 
     def test_horizon_must_be_step_multiple(self):
         u0 = PeriodicField(np.cos(grid_x(32)))
@@ -1222,7 +1240,7 @@ class TestEvolve:
         assert refusal.time == 0
         assert "stability" in refusal.reason
         assert refusal.trajectory.times().tolist() == [0.0]
-        assert len(refusal.trajectory.ledger) == 1
+        assert len(refusal.trajectory.series("l2")) == 1
         assert refusal.trajectory.final() is u0
 
     def test_non_finite_guard_probe_aborts_at_start(self):
@@ -1253,7 +1271,7 @@ class TestEvolve:
         assert err.value.reason == "non-finite values in a ledger row"
         assert isinstance(err.value.__cause__, NonFiniteError)
         assert err.value.time == stop[1]
-        assert traj.ledger == tuple(rows)
+        assert_same_ledger(traj.ledger, columns(rows))
         assert traj.times().tolist() == [row["t"] for row in rows]
         assert np.all(np.isfinite(traj.series("d2_linf")))
 
@@ -1272,7 +1290,8 @@ class TestEvolve:
         assert err.value.reason == "non-finite values in a ledger row"
         assert isinstance(err.value.__cause__, NonFiniteError)
         assert err.value.time == stop[1]
-        assert len(rows) == 12 and err.value.trajectory.ledger == tuple(rows)
+        assert len(rows) == 12
+        assert_same_ledger(err.value.trajectory.ledger, columns(rows))
         assert np.all(np.isfinite(err.value.trajectory.series("holder_0_0.5")))
 
     def test_model_value_error_is_not_an_abort(self):
@@ -1366,11 +1385,10 @@ class TestLedgerBlocks:
         n_steps = stride_steps(kept, stride)
         traj = evolve(McfGraphModel(), u0, n_steps * 1e-5,
                       StepperConfig(dt=1e-5), spec)
-        assert len(traj.ledger) == kept + 1
-        for (t, field), row in zip(traj.snapshots, traj.ledger):
-            alone = ledger_entry(t, field, spec)
-            assert row == alone and list(row) == list(alone)
-            assert row == ledger_row_by_columns(t, field, spec)
+        assert len(traj.snapshots) == kept + 1
+        for oracle in (ledger_entry, ledger_row_by_columns):
+            assert_same_ledger(traj.ledger, columns(
+                [oracle(t, field, spec) for t, field in traj.snapshots]))
 
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("kept", [1, 15, 16, 17, 37])
@@ -1379,24 +1397,25 @@ class TestLedgerBlocks:
         n_steps = stride_steps(kept, stride)
         traj = evolve(Peskin2dModel(), ellipse(64), n_steps * 1e-3,
                       StepperConfig(dt=1e-3), spec)
-        assert len(traj.ledger) == kept + 1
-        for (t, X), row in zip(traj.snapshots, traj.ledger):
-            assert row == {**ledger_entry(t, X, spec), "theta": stretch_ratio(X)}
+        assert len(traj.snapshots) == kept + 1
+        assert_same_ledger(traj.ledger, columns(
+            [{**ledger_entry(t, X, spec), "theta": stretch_ratio(X)}
+             for t, X in traj.snapshots]))
 
     def test_block_stops_at_its_first_unbuildable_row(self):
         spec = LedgerSpec(derivative_sup=(2,), holder_targets=((0, 0.5),))
         good, bad = triangle(256, 0.4), triangle(256, 1e305)
         limit = PeriodicField(np.repeat([1.5e308, -1.5e308], 128))
         snaps = [(0.0, good), (0.1, good), (0.2, bad), (0.3, good), (0.4, limit)]
-        rows, error = ledger_rows(snaps, spec)
-        assert rows == [ledger_entry(t, w, spec) for t, w in snaps[:2]]
+        cols, error = ledger_rows(snaps, spec)
+        assert_same_ledger(cols, columns([ledger_entry(t, w, spec) for t, w in snaps[:2]]))
         with pytest.raises(NonFiniteError) as alone:
             ledger_entry(0.2, bad, spec)
         assert isinstance(error, NonFiniteError)
         assert str(error) == str(alone.value)
         # each failing row names its own first failure
         assert str(ledger_rows(snaps[3:], spec)[1]) == "norms overflow the float range"
-        assert ledger_rows([], spec) == ([], None)
+        assert ledger_rows([], spec) == ({}, None)
 
     @pytest.mark.parametrize("make, first, later", [
         (ExponentialGrowthModel, "ledger", "state"),
@@ -1425,7 +1444,7 @@ class TestLedgerBlocks:
         reason = {"ledger": "non-finite values in a ledger row", "cap": "stretch"}
         assert reason[first] in err.value.reason
         assert err.value.time == stop[1]
-        assert err.value.trajectory.ledger == tuple(rows)
+        assert_same_ledger(err.value.trajectory.ledger, columns(rows))
 
 
 def ledger_rows_by_abs(snaps, spec):
@@ -1465,8 +1484,7 @@ def ledger_rows_by_abs(snaps, spec):
     error = None
     if built < len(snaps):
         error = NonFiniteError(next(msg for mask, msg in failures if mask[built]))
-    values = zip(*(col[:built].tolist() for col in cols.values()))
-    return [dict(zip(cols, row)) for row in values], error
+    return {name: col[:built] for name, col in cols.items()}, error
 
 
 BIG = 1.7976931348623157e308
@@ -1479,10 +1497,6 @@ def extreme_rows(values):
     return st.tuples(st.integers(1, 5), st.integers(4, 7)).flatmap(
         lambda shape: arrays(np.float64, (shape[0], 2**shape[1]), elements=st.one_of(
             st.sampled_from(values), st.floats(allow_nan=False, allow_infinity=False))))
-
-
-def row_bytes(rows):
-    return [(list(row), np.array(list(row.values())).tobytes()) for row in rows]
 
 
 class TestSupColumns:
@@ -1514,8 +1528,8 @@ class TestSupColumns:
         for block in [snaps] + [[snap] for snap in snaps]:
             with np.errstate(over="ignore", invalid="ignore"):
                 want, want_error = ledger_rows_by_abs(block, spec)
-            rows, error = ledger_rows(block, spec)
-            assert row_bytes(rows) == row_bytes(want)
+            cols, error = ledger_rows(block, spec)
+            assert_same_ledger(cols, want)
             assert type(error) is type(want_error)
             assert str(error) == str(want_error)
 
@@ -1544,9 +1558,8 @@ class TestPicard:
         cfg = StepperConfig(dt=2e-3, scheme="imex_frozen_phi")
         traj, _ = picard_solve(McfGraphModel(), u0, 0.1, cfg)
         snaps, _ = stepper._picard_apply(McfGraphModel(), list(traj.snapshots), cfg)
-        again = stepper._ledger_trajectory(snaps)
         move = max(np.max(np.abs(wa.samples - wb.samples))
-                   for (_, wa), (_, wb) in zip(traj.snapshots, again.snapshots))
+                   for (_, wa), (_, wb) in zip(traj.snapshots, snaps))
         assert move <= 2 * PICARD_TOL
 
     def test_divergence_carries_log(self):
