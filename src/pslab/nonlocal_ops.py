@@ -52,10 +52,20 @@ BACKEND_TOL = 1e-3
 # ---------------------------------------------------------------------------
 # dimensional constants of the flat-interface operator
 
+# 1 / contc_integral(1, [0], [1], 1e-12), the QUADPACK value of c_1 as its
+# bits: pi c_1 - 1 = 1.7e-11, where the exact c_1 is 1/pi
+_C1_QUADRATURE = float.fromhex("0x1.45f306dcb4b95p-2")
+
+
 @lru_cache(maxsize=None)
 def lemz0_constant(d: int) -> float:
     """c_d = (int (1-cos alpha_1)/|alpha|^{d+1} d alpha)^{-1} over R^d, the
-    contc_integral at b = 0 and e the first unit vector."""
+    contc_integral at b = 0 and e the first unit vector. d = 2 runs that
+    quadrature; d = 1 returns the value it gives, 1 / contc_integral(1, [0],
+    [1], 1e-12), stored bit for bit, so that the Dirichlet-Neumann backends
+    that read it need no quadrature."""
+    if d == 1:
+        return _C1_QUADRATURE
     return 1.0 / contc_integral(d, np.zeros(d), np.eye(d)[0], 1e-12)
 
 
@@ -180,7 +190,8 @@ def dirichlet_neumann_op(field: PeriodicField, b: float, sign,
     Both backends apply one symbol, (i b k +/- c |k|) / <b>^2, and differ
     only in c. "fourier" takes the exact c = 1: in one dimension the drifted
     root sqrt(<b>^2 k^2 - (b k)^2) is |k|. "quadrature" takes c = pi c_1,
-    c_1 = lemz0_constant(1) by quadrature, the symbol of b f'/<b>^2 +/- c_1
+    c_1 = lemz0_constant(1), the stored value of its adaptive quadrature
+    (pi c_1 - 1 = 1.7e-11), the symbol of b f'/<b>^2 +/- c_1
     P.V. int delta_alpha f /<b>^2 d alpha/alpha^2 under the shift plan's rule.
     On the 2pi-torus the rule's sum of w_s K_s (f(x) - f(x - j_s h)) against
     the fold K = 1/(4 sin^2(alpha/2)) of 1/alpha^2 has at mode m the symbol
@@ -367,19 +378,72 @@ _SERIES_RATIO = 1 / 3
 _FAR_PERIODS = 3
 
 
+# Cephes zeta.c: (2j)!/B_2j for j = 1..12, the Euler-Maclaurin terms of
+# the Hurwitz zeta function, and the relative size of a last term
+_ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+            -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+            1.1646782814350067249e14, -4.5979787224074726105e15,
+            1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 2.0 ** -53
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """zeta(x, q) = sum_{k>=0} (q + k)^{-x} for x > 1 and 0 < q < 1e8, by
+    Cephes' algorithm in its operation order, so scipy.special.zeta bit for
+    bit: the terms one by one until q + k > 9 with k >= 9, then the
+    Euler-Maclaurin tail, up to 12 Bernoulli terms (DLMF 25.11); either sum
+    stops at the first term below _MACHEP relative to the sum."""
+    total = math.pow(q, -x)
+    w, i, b = q, 0, 0.0
+    while i < 9 or w <= 9.0:
+        i += 1
+        w += 1.0
+        b = math.pow(w, -x)
+        total += b
+        if abs(b / total) < _MACHEP:
+            return total
+    total += b * w / (x - 1.0)
+    total -= 0.5 * b
+    rise, k = 1.0, 0.0
+    for coef in _ZETA_EM:
+        rise *= x + k
+        b /= w
+        t = rise * b / coef
+        total += t
+        if abs(t / total) < _MACHEP:
+            break
+        k += 1.0
+        rise *= x + k
+        b /= w
+        k += 1.0
+    return total
+
+
+def _binom(n: float, k: int) -> float:
+    """binom(n, k) for 0 <= k < 20 and a non-integer n as scipy.special.binom
+    takes it, bit for bit: prod (i + n - k) / prod i over i = 1..k, one
+    division (its rescaling past 1e50 never starts for |n| < 2)."""
+    num = den = 1.0
+    for i in range(1, k + 1):
+        num *= i + n - k
+        den *= i
+    return num / den
+
+
 @lru_cache(maxsize=16)
 def _fold_series(n: int, a: float, start: int = 1) -> np.ndarray:
     """(terms, n/2, 1) coefficients 2 binom(-(2+a)/2, m)/(2m+1) (2pi)^{-s}
     [zeta(s, start+q) + zeta(s, start-q)], s = 2m+2+a, of delta^{2m+1} in the
     periods |k| >= start of the fold at alpha_j = 2pi q, q = j/n, j = 1..n/2;
-    even in alpha, so -alpha_j shares them."""
-    from scipy import special
-
+    even in alpha, so -alpha_j shares them. binom and the Hurwitz zeta come
+    from _binom and _hurwitz_zeta, scipy.special's values to the bit."""
     m = np.arange(_SERIES_TERMS)[:, None]
     s = 2 * m + 2 + a
-    q = np.arange(1, n // 2 + 1) / n
-    table = (2.0 * special.binom(-0.5 * (2 + a), m) / (2 * m + 1) * TWO_PI ** (-s)
-             * (special.zeta(s, start + q) + special.zeta(s, start - q)))
+    q = (np.arange(1, n // 2 + 1) / n).tolist()
+    binom = np.array([[_binom(-0.5 * (2 + a), k)] for k in range(_SERIES_TERMS)])
+    zeta = np.array([[_hurwitz_zeta(x, start + y) + _hurwitz_zeta(x, start - y)
+                      for y in q] for x in s[:, 0].tolist()])
+    table = 2.0 * binom / (2 * m + 1) * TWO_PI ** (-s) * zeta
     return _read_only(table[..., None])
 
 

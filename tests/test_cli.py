@@ -1115,22 +1115,34 @@ class TestRerunsInFreshInterpreters:
         assert "RuntimeWarning" not in err
 
 
-# `pslab run` of each config in sys.argv and a ratefit of the heat ledger in
+# with scipy blocked, so that importing any of it fails with the importer's
+# traceback: `pslab run` of each config in sys.argv, a ratefit of the heat
+# ledger, `pslab verify models` and one Dirichlet-Neumann call per backend in
 # one interpreter, which then fails naming every scipy module it holds
 RUNS_THEN_SCIPY_MODULES = """import sys
+sys.modules["scipy"] = None
+import numpy as np
 from pslab.cli import main
+from pslab.grid import PeriodicField
+from pslab.nonlocal_ops import dirichlet_neumann_op
 for cfg in sys.argv[1:]:
     assert main(["run", cfg]) == 0, cfg
 assert main(["ratefit", "runs/heat/ledger.csv", "--column", "d2_linf",
              "--window", "5e-3:5e-2"]) == 0
-loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+assert main(["verify", "models"]) == 0
+f = PeriodicField(np.cos(np.arange(64) * (2 * np.pi / 64)))
+for backend in ("fourier", "quadrature", "checked"):
+    dirichlet_neumann_op(f, 0.5, +1, backend=backend)
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.partition(".")[0] == "scipy" and module is not None)
 sys.exit(f"scipy loaded: {loaded}" if loaded else 0)
 """
 
 
 class TestScipyLoadedOnDemand:
-    """scipy is imported by the operators that need it, not by importing
-    pslab: runs of the models that call no scipy leave it unloaded."""
+    """scipy is imported only by the quadratures of `pslab verify kernels`
+    and `verify operators`: no model run, ratefit, `verify models` or
+    Dirichlet-Neumann backend loads it."""
 
     RUNS = {
         "heat": {},
@@ -1154,6 +1166,10 @@ class TestScipyLoadedOnDemand:
         names.append(write_config(tmp_path, "peskin2d.cfg", overrides=dict(
             ELLIPSE, **{"grid.N": "64", "output.dir": "runs/peskin2d"}),
             drop=NO_DERIVATIVES))
+        for a in ("0.5", "0.25"):
+            names.append(write_config(tmp_path, f"nonlocal_mcf_{a}.cfg", overrides={
+                "model.tag": "nonlocal_mcf", "model.a": a, "grid.N": "64",
+                "run.T": "0.005", "output.dir": f"runs/nonlocal_mcf_{a}"}))
         return names
 
     def test_runs_and_ratefit_never_import_scipy(self, tmp_path):

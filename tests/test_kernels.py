@@ -17,6 +17,7 @@ from pslab.kernels import (
     EllipticityError,
     FrozenSymbol,
     PoissonAnisoKernel,
+    RefinementError,
     ellipticity_probe,
     fractional_heat_kernel,
     frozen_kernel_hat,
@@ -293,6 +294,32 @@ class TestFrozenKernelHat:
         tau = khat.tau_grid[mid]
         exact = np.exp(-0.5 * (t - tau) * 64.0)
         assert khat.values[mid, 0, 0, 0] == pytest.approx(exact, rel=1e-6)
+
+    def test_refinement_stops_at_the_node_table_cap(self, monkeypatch):
+        # a rate that turns over 80 times in t: no level within the cap
+        # resolves it, so the Richardson values never agree to REFINE_TOL
+        tables = []
+        magnus = kernels._magnus_table
+
+        def recorded(nodes, t):
+            tables.append(nodes.size)
+            return magnus(nodes, t)
+
+        monkeypatch.setattr(kernels, "_magnus_table", recorded)
+        monkeypatch.setattr(kernels, "_MAX_NODE_ENTRIES", 600)
+        sym = FrozenSymbol(s=1.0, c0=0.1, dim_N=1,
+                           eval=lambda u, xi: abs(xi) * (0.5 + 0.4 * np.sin(500.0 * u)))
+        with pytest.raises(RefinementError) as exc:
+            frozen_kernel_hat(sym, 1.0, [1.0, 2.0])
+        # levels of 16, 32, 64 and 128 steps; 256 would hold 513 x 2 entries
+        assert tables == [33 * 2, 65 * 2, 129 * 2, 257 * 2]
+        err = exc.value
+        assert isinstance(err, ValueError)
+        assert err.steps == 128
+        assert REFINE_TOL < err.gap < np.inf
+        assert err.tau in np.linspace(0.0, 1.0, kernels.TAU_STEPS + 1)
+        assert err.xi in (1.0, 2.0)
+        assert "did not converge" in str(err)
 
 
 def _reference_integrate(symbol, t, xis, tau_grid, n_steps):

@@ -217,6 +217,29 @@ class TestNonlocalMcf:
             got = NonlocalMcfModel(a=a).multiplier_constant
             assert got == pytest.approx(want, rel=1e-9)
 
+    @staticmethod
+    def scipy_multiplier(a):
+        from scipy.special import gamma
+
+        return float(-4.0 * gamma(-1.0 - a) * np.cos(0.5 * np.pi * (1.0 + a)))
+
+    def test_multiplier_constant_is_scipys_at_the_preset(self):
+        # a = 0.5, every preset's and acceptance check's value: the same bits
+        # as scipy's Gamma(-1.5), so no run at a = 0.5 moves
+        assert NonlocalMcfModel(a=0.5).multiplier_constant == self.scipy_multiplier(0.5)
+
+    def test_multiplier_constant_near_scipys_on_the_range(self):
+        # the recurrence from math.gamma(2 - a) is within 7e-16 of Gamma(-1-a)
+        # on (0, 1). scipy is handed -1 - a rounded to the 2.2e-16 spacing of
+        # [-2, -1], where Gamma's relative condition is about 1/a + 1/(1-a),
+        # the inverse distances to its poles at -1 and -2: its value moves by
+        # up to 1.1e-16 (1/a + 1/(1-a)), 1.1e-13 at a = 0.001 and 0.999
+        for a in (np.arange(1, 1000) / 1000).tolist():
+            got = NonlocalMcfModel(a=a).multiplier_constant
+            want = self.scipy_multiplier(a)
+            bound = 1.2e-16 * (1.0 / a + 1.0 / (1.0 - a)) + 2e-15
+            assert abs(got - want) <= bound * abs(want), a
+
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
     def test_mode1_rate_matches_multiplier(self, a):
         model = NonlocalMcfModel(a=a)

@@ -60,6 +60,11 @@ class TestLemz0Constant:
     def test_d2_is_inverse_two_pi(self):
         assert abs(lemz0_constant(2) - 1.0 / TWO_PI) < 1e-8
 
+    def test_d1_is_the_quadrature_value(self):
+        # stored bit for bit, so that the Dirichlet-Neumann backends need no
+        # quadrature
+        assert lemz0_constant(1) == 1.0 / contc_integral(1, np.zeros(1), np.eye(1)[0], 1e-12)
+
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError):
             lemz0_constant(3)
@@ -604,6 +609,33 @@ class TestFarPeriodFold:
         got = nonlocal_ops._fold_series(n, a, start)
         assert got.shape == (nonlocal_ops._SERIES_TERMS, n // 2, 1)
         assert np.array_equal(got[..., 0], want)
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_series_table_is_the_per_entry_expression(self, n, a):
+        # the series over every period, start = 1, against scipy's binom and
+        # zeta entry by entry
+        m = np.arange(nonlocal_ops._SERIES_TERMS)
+        s = 2 * m + 2 + a
+
+        def series(q):
+            return (2.0 * binom(-0.5 * (2 + a), m) / (2 * m + 1) * TWO_PI ** (-s)
+                    * (zeta(s, 1 + q) + zeta(s, 1 - q)))
+
+        want = np.stack([series(j / n) for j in range(1, n // 2 + 1)], axis=1)
+        assert np.array_equal(nonlocal_ops._fold_series(n, a)[..., 0], want)
+
+    def test_scalar_zeta_and_binom_are_scipys(self):
+        # off the tables too: both sums' exits and q past the direct terms
+        rng = np.random.default_rng(11)
+        x = rng.uniform(1.05, 40.0, 2000)
+        q = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), 2000))
+        got = [nonlocal_ops._hurwitz_zeta(xx, qq) for xx, qq in zip(x.tolist(), q.tolist())]
+        assert np.array_equal(got, zeta(x, q))
+        n = -rng.uniform(0.5, 1.5, 200)
+        for k in range(20):
+            got = [nonlocal_ops._binom(nn, k) for nn in n.tolist()]
+            assert np.array_equal(got, binom(n, k))
 
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
     def test_fold_is_odd_bit_for_bit(self, a):
