@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
-from numpy.lib.stride_tricks import sliding_window_view
 
 TWO_PI = 2.0 * np.pi
 # the gufuncs' axes argument: transform the last axis of the input into the
@@ -298,8 +297,16 @@ def _hilbert_multiplier(n: int) -> np.ndarray:
 def shift_windows(x: np.ndarray) -> np.ndarray:
     """Read-only view w with w[..., k, i] = x[..., (i + k) % N], k = 0..N:
     the length-N windows of x doubled along its last axis, so that a run of
-    consecutive shifts reads one strided slice and no index table."""
-    return sliding_window_view(np.concatenate([x, x], axis=-1), x.shape[-1], axis=-1)
+    consecutive shifts reads one strided slice and no index table.
+
+    The view is numpy's sliding_window_view of the doubled samples, its
+    shape and strides included, made by one ndarray call on their buffer:
+    window k starts k entries into a row, so both window axes step one
+    entry."""
+    doubled = np.concatenate([x, x], axis=-1)
+    n, step = x.shape[-1], doubled.strides[-1]
+    return _read_only(np.ndarray((*x.shape[:-1], n + 1, n), doubled.dtype, doubled,
+                                 strides=(*doubled.strides[:-1], step, step)))
 
 
 @lru_cache(maxsize=32)

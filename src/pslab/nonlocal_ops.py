@@ -21,11 +21,11 @@ block reads one slice of it: no shift sum gathers through an index table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (
     NumericalFailure,
@@ -284,24 +284,48 @@ def _arctan_antiderivative(a: float) -> tuple[np.ndarray, np.ndarray, float]:
     return _read_only(p), _read_only(q), f_inf
 
 
-def _antiderivative(z: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
+def _antiderivative(z: np.ndarray, a: float, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """F(z) = int_0^z <s>^{-(2+a)} ds for every real z, odd bit for bit:
     z g(z^2) (_pair_antiderivative) where |z| <= _PAIR_Z_MAX, past it the
-    arctan branches of _arctan_antiderivative. Written to out when given."""
-    steep = np.abs(z) > _PAIR_Z_MAX
-    any_steep = steep.any()
-    near = np.where(steep, 0.0, z) if any_steep else z
-    out = _horner(near * near, _pair_antiderivative(a), out)
-    out *= near
-    if any_steep:
-        p, q, f_inf = _arctan_antiderivative(a)
-        zs = z[steep]
-        mid = np.abs(zs) <= 1.0
-        phi, psi = np.arctan(zs[mid]), np.arctan(1.0 / np.abs(zs[~mid]))
-        zs[mid] = phi * _horner(phi * phi, p)
-        zs[~mid] = np.copysign(f_inf - psi ** (1 + a) * _horner(psi * psi, q), zs[~mid])
-        out[steep] = zs
-    return out
+    arctan branches of _arctan_antiderivative. Written to out when given.
+
+    Where some |z| passes _PAIR_Z_MAX, one stable sort by branch lays the
+    entries of each branch in one run of a copy of z, each branch runs on
+    its own run and one scatter writes them back: the same elementwise
+    operations as on the entries gathered branch by branch. The runs live
+    in work, a float64 array of 3 z.size entries, when given, so that a
+    caller's loop reuses one set of arrays whatever the mix of branches."""
+    mag = np.abs(z)
+    steep = mag > _PAIR_Z_MAX
+    if not steep.any():
+        out = _horner(z * z, _pair_antiderivative(a), out)
+        out *= z
+        return out
+    far = mag > 1.0
+    order = np.argsort(np.add(steep, far, dtype=np.int8).ravel(), kind="stable")
+    # runs [0, mid), [mid, tail) and [tail, size) hold the entries with
+    # |z| <= _PAIR_Z_MAX, <= 1 and > 1, each in its order in z; phi and psi
+    # replace their entries in zs
+    mid, tail = z.size - np.count_nonzero(steep), z.size - np.count_nonzero(far)
+    near, inner, outer = slice(0, mid), slice(mid, tail), slice(tail, None)
+    zs, x, val = np.empty((3, z.size)) if work is None else work.reshape(3, z.size)
+    np.take(z.ravel(), order, out=zs, mode="clip")
+    p, q, f_inf = _arctan_antiderivative(a)
+    _horner(np.multiply(zs[near], zs[near], out=x[near]), _pair_antiderivative(a), val[near])
+    val[near] *= zs[near]
+    phi = np.arctan(zs[inner], out=zs[inner])
+    _horner(np.multiply(phi, phi, out=x[inner]), p, val[inner])
+    val[inner] *= phi
+    psi = zs[outer]
+    np.arctan(np.divide(1.0, np.abs(psi, out=psi), out=psi), out=psi)
+    _horner(np.multiply(psi, psi, out=x[outer]), q, val[outer])
+    val[outer] *= np.power(psi, 1 + a, out=x[outer])
+    np.subtract(f_inf, val[outer], out=val[outer])
+    out = np.empty(z.shape) if out is None else out
+    np.put(out, order, val)
+    # the tail branch is F(|z|) so far: its sign is z's
+    return np.copysign(out, z, out=out, where=far)
 
 
 def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
@@ -340,17 +364,19 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     windows = shift_windows(v)
     acc = np.zeros(n)
     # work arrays shared by every block, as in peskin_rhs, in one allocation;
-    # each row of doubled holds the block's term twice over, for _read_ahead
-    work = np.empty((5, plan.block_rows, n))
+    # each row of doubled holds the block's term twice over, for _read_ahead.
+    # The steep path of _antiderivative has the last three, doubled's among
+    # them, to itself until it returns
+    work = np.empty((6, plan.block_rows, n))
     back, z, term = work[:3]
-    doubled = work[3:].reshape(plan.block_rows, 2 * n)
+    doubled = work[3:5].reshape(plan.block_rows, 2 * n)
     for rows, behind in plan.blocks[len(plan.blocks) // 2:]:
         j = np.arange(rows.start, rows.stop) - (half - 1)
         al = alpha[rows, None]
         np.subtract(v, windows[behind], out=back)   # delta_alpha u
         # F(back/al) and the +alpha fold; the same at x + j h is the F(fwd/al)
         # and -alpha fold term
-        _antiderivative(np.divide(back, al, out=z), a, out=term)
+        _antiderivative(np.divide(back, al, out=z), a, out=term, work=work[3:])
         term *= 2.0 / al ** (1 + a)
         term += _fmc_fold(back, j, n, a)
         np.concatenate([term, term], axis=1, out=doubled)
@@ -364,9 +390,13 @@ def _read_ahead(doubled: np.ndarray, j0: int) -> np.ndarray:
     (rows, N), from doubled = [t, t] along each row: row r read j0 + r nodes
     ahead, with j0 + rows <= N + 1. Laid end to end, the rows of doubled put
     entry i of that read at flat position r (2N + 1) + j0 + i, so it is
-    every (2N + 1)-th length-N window."""
+    every (2N + 1)-th length-N window: numpy's sliding_window_view of that
+    flat run, sliced so, shape and strides included, made by one ndarray
+    call on the buffer of doubled, which must be C-contiguous."""
     rows, n = doubled.shape[0], doubled.shape[1] // 2
-    return sliding_window_view(doubled.ravel(), n)[j0::2 * n + 1][:rows]
+    step = doubled.itemsize
+    return _read_only(np.ndarray((rows, n), doubled.dtype, doubled, offset=j0 * step,
+                                 strides=((2 * n + 1) * step, step)))
 
 
 # Far-period fold: terms kept in the Hurwitz series; the largest
@@ -453,16 +483,36 @@ def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
     the _fold_series table, and where |delta| > _SERIES_RATIO (2pi - alpha_j)
     G of the _FAR_PERIODS nearest periods either side plus the series of the
     rest, whose radius is 8pi - alpha_j; at N=128 within 4e-15 of 400 periods
-    for |delta| up to 1.5 (2pi - alpha_j)."""
-    out = _horner(delta * delta, _fold_series(n, a)[:, j - 1])
+    for |delta| up to 1.5 (2pi - alpha_j). The far entries, gathered row by
+    row, take their series coefficients a row's run at a time and share one
+    set of work arrays over the six periods."""
+    x = np.multiply(delta, delta)
+    out = _horner(x, _fold_series(n, a)[:, j - 1])
     out *= delta
-    far = np.abs(delta) > _SERIES_RATIO * (TWO_PI - (TWO_PI / n) * j[:, None])
+    far = np.abs(delta, out=x) > _SERIES_RATIO * (TWO_PI - (TWO_PI / n) * j[:, None])
     if far.any():
-        jf = j[np.nonzero(far)[0]]
-        d, al = delta[far], (TWO_PI / n) * jf
-        out[far] = d * _horner(d * d, _fold_series(n, a, _FAR_PERIODS + 1)[:, jf - 1, 0]) + sum(
-            2.0 * _antiderivative(d / r, a) / r ** (1 + a)
-            for k in range(1, _FAR_PERIODS + 1) for r in (TWO_PI * k + al, TWO_PI * k - al))
+        per_row = np.count_nonzero(far, axis=1)
+        d = delta[far]
+        al = np.repeat((TWO_PI / n) * j, per_row)
+        tail = _fold_series(n, a, _FAR_PERIODS + 1)[:, j - 1, 0]
+        work = np.empty((7, d.size))
+        dd, total, r, term = work[:4]
+        np.multiply(d, d, out=dd)
+        series = np.repeat(tail[-1], per_row)
+        for c in tail[-2::-1]:
+            series *= dd
+            series += np.repeat(c, per_row)
+        series *= d
+        # G(d/r)/r^{1+a} at r = 2pi k +/- alpha, summed in that order from 0
+        total[...] = 0.0
+        for k, period in itertools.product(range(1, _FAR_PERIODS + 1), (np.add, np.subtract)):
+            period(TWO_PI * k, al, out=r)
+            _antiderivative(np.divide(d, r, out=dd), a, out=term, work=work[4:])
+            term *= 2.0
+            term /= np.power(r, 1 + a, out=r)
+            total += term
+        series += total
+        out[far] = series
     return out
 
 
@@ -477,6 +527,16 @@ class WellStretchedError(NumericalFailure):
         super().__init__(f"contour tangent speed vanishes at node {node}")
 
 
+@lru_cache(maxsize=4)
+def _torus_distances(n: int, L: float) -> np.ndarray:
+    """(n/2, n) torus distances from node i to node i + j, j = 1..n/2, on
+    period L, the rows stretch_ratio divides by its chords; cached per
+    (n, L) and read-only."""
+    x = np.arange(n) * (L / n)
+    dx = np.abs(x - shift_windows(x)[1:n // 2 + 1])
+    return _read_only(np.minimum(dx, L - dx, out=dx))
+
+
 def stretch_ratio(X: PeriodicField) -> float:
     """Theta = max over node pairs of torus distance / chord length;
     coincident nodes give inf."""
@@ -485,17 +545,13 @@ def stretch_ratio(X: PeriodicField) -> float:
     n = X.n
     # window j pairs node i with node i+j, j = 1..n/2: every pair once, the
     # antipodal ones twice
-    ahead = slice(1, n // 2 + 1)
-    x = np.arange(n) * X.spacing
-    dx = np.abs(x - shift_windows(x)[ahead])
-    np.minimum(dx, X.domain_length - dx, out=dx)
-    d0, d1 = X.samples[:, None, :] - shift_windows(X.samples)[:, ahead]
+    d0, d1 = X.samples[:, None, :] - shift_windows(X.samples)[:, 1:n // 2 + 1]
     d0 *= d0
     d1 *= d1
     d0 += d1
     chord = np.sqrt(d0, out=d0)
     with np.errstate(divide="ignore"):
-        ratios = np.divide(dx, chord, out=dx)
+        ratios = np.divide(_torus_distances(n, X.domain_length), chord, out=chord)
     return float(ratios.max())
 
 
@@ -562,6 +618,19 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
         G = -f' Im S(alpha + i delta f) - S(alpha) + Re S(alpha + i delta f),
     S(z) = (1/2)cot(z/2). The assembled right side is projected onto mean
     zero, matching the perfect-derivative form of the original equation.
+
+    S(alpha + i deltaf) = (sin alpha - i sinh deltaf) / (2 (cosh deltaf -
+    cos alpha)) asks no transcendental function of a pair: with P =
+    e^{(f - c)/2} and 1/P at the nodes, c the midrange of f, a pair reads
+    p = P(x) (1/P)(x - alpha) = e^{deltaf/2} and 1/p, and then
+        2 sinh(deltaf/2) = p - 1/p,   2 sinh deltaf = (p - 1/p)(p + 1/p),
+        2 (cosh deltaf - cos alpha) = (p - 1/p)^2 + 4 sin^2(alpha/2).
+    P and 1/P lie within e^{+-range(f)/4}, so the kernel overflows only where
+    (p - 1/p)^2, that is sinh^2(deltaf/2), does: at |deltaf| ~ 710, as the
+    sinh of deltaf itself would. The rounding of the node exponentials
+    enters p - 1/p as an absolute error of a few ulps, which at the nearest
+    shifts, where deltaf is small, is a relative error ~ ulp/|deltaf|: the
+    kernel is that of f perturbed by about an ulp.
     """
     if f.components != 1:
         raise ValueError("muskat_st_rhs takes scalar 1D fields")
@@ -593,24 +662,31 @@ def muskat_st_rhs(f: PeriodicField, rho0: float = 0.0) -> PeriodicField:
     sum_fp = h * G0 * fp - conv[3] if rho0 else None
     sum_2 = h * (0.5 * fpp * wpp + fppp * wp) + conv[0] - wc * conv[1]
     wts = plan.weights
-    hv = 0.5 * v
-    hv_windows, q_windows = shift_windows(hv), shift_windows(q)
+    # e^{(f - c)/2} and e^{-(f - c)/2} about the midrange c, so that neither
+    # overflows before the kernel does: the pair (x, x - alpha) reads
+    # p = e^{deltaf/2} and 1/p as the product of one at x and the window of
+    # the other
+    half = 0.5 * (v - 0.5 * (v.max() + v.min()))
+    e = np.exp(np.stack([half, -half]))
+    e_windows, q_windows = shift_windows(e[::-1]), shift_windows(q)
     fp_windows = shift_windows(fp) if rho0 else None
+    hfp = 0.5 * fp
     # work arrays reused by every block, as in peskin_rhs
-    d, g = np.empty((2, plan.block_rows, f.n))
+    work = np.empty((3, plan.block_rows, f.n))
+    p, r, g = work
     for rows, behind in plan.blocks:
-        np.subtract(hv, hv_windows[behind], out=d)  # deltaf / 2
+        np.multiply(e[:, None, :], e_windows[:, behind], out=work[:2])  # p, 1/p
         # g = G + S(alpha) = Re S(alpha + i deltaf) - f' Im S(alpha + i deltaf),
         # where S(alpha + i deltaf) = (sin alpha - i sinh deltaf) / den with the
         # cancellation-free den = 2 (cosh deltaf - cos alpha)
-        #                       = 4 sinh^2(deltaf/2) + 2 (2 sin^2(alpha/2))
-        np.multiply(2.0, d, out=g)
-        np.sinh(g, out=g)
-        den = np.sinh(d, out=d)
-        den *= den
-        den *= 4.0
+        #                       = 4 sinh^2(deltaf/2) + 4 sin^2(alpha/2),
+        # 2 sinh(deltaf/2) = p - 1/p and 2 sinh deltaf = (p - 1/p)(p + 1/p)
+        np.subtract(p, r, out=g)
+        p += r
+        den = np.multiply(g, g, out=r)
         den += 2.0 * plan.two_sin2[rows, None]
-        g *= fp
+        g *= p
+        g *= hfp
         g += plan.sin[rows, None]
         g /= den
         if rho0:

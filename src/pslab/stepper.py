@@ -324,20 +324,23 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
                          scheme: str = "etd_rk2",
                          uh: Optional[np.ndarray] = None,
                          rows: Optional[np.ndarray] = None,
-                         work: Optional[StepWork] = None):
+                         work: Optional[StepWork] = None,
+                         r1: Optional[np.ndarray] = None):
     """One step with exact propagation of the frozen linear multiplier and
     an explicit phi-weighted remainder (Euler or ETD-RK2 correction).
 
     uh is the half spectrum of u, rfft(u) when None, and rows are the rows
     of u its model's remainder reads (models.remainder_from_rows), built
-    from uh when None. Returns the new state, the spectrum it is the irfft
-    of and its rows, which a march hands to the next step; the ETD-RK2
-    stage likewise reads its own spectrum and rows, so neither transforms
-    forward. That spectrum differs from rfft(state) at round-off only,
-    since the remainder is the half spectrum of a real field and the
-    weights are real. Each stage is one batched irfft of its state and
-    rows; a stage must be finite, and only the end state is a field. A
-    model whose remainder is None skips the ETD-RK2 stage.
+    from uh when None. r1 is the remainder's spectrum at u, which the step
+    computes when None; evolve hands its first step the one its dt guard
+    took at u0, model.remainder_hat(u0, uh). Returns the new state, the
+    spectrum it is the irfft of and its rows, which a march hands to the
+    next step; the ETD-RK2 stage likewise reads its own spectrum and rows,
+    so neither transforms forward. That spectrum differs from rfft(state)
+    at round-off only, since the remainder is the half spectrum of a real
+    field and the weights are real. Each stage is one batched irfft of its
+    state and rows; a stage must be finite, and only the end state is a
+    field. A model whose remainder is None skips the ETD-RK2 stage.
 
     work (a StepWork for this model, shape, L, dt and scheme; one built
     for anything else raises ValueError) holds the arrays the step writes;
@@ -358,8 +361,9 @@ def imex_frozen_phi_step(u: PeriodicField, model, dt: float,
     fh, end = work.free_end(uh, rows)
     if uh is None:
         uh = rfft(u.samples)
-    r1 = (model.remainder_hat(u, uh) if rows is None
-          else model.remainder_from_rows(rows, uh, L))
+    if r1 is None:
+        r1 = (model.remainder_hat(u, uh) if rows is None
+              else model.remainder_from_rows(rows, uh, L))
     # in the operation order of E * uh + w1 * r1 and ah + w2 * (r2 - r1),
     # so every bit is that of the allocating expressions
     two_stage = w2 is not None and r1 is not None
@@ -422,12 +426,16 @@ def _pointwise_parts(model, u: PeriodicField):
     return a, m, uh, model.rhs(u).samples + a * irfft(uh * m, u.n)
 
 
-def _stability_bound(model, u0: PeriodicField, config: StepperConfig) -> float:
+def _stability_bound(model, u0: PeriodicField, config: StepperConfig,
+                     r0: Optional[np.ndarray] = None) -> float:
     """Largest step tau for which the remainder's response to a probe dv,
     tau ||dR|| / ||dv||, stays below 1 under the scheme's damping. The ETD
     schemes damp dR by phi1(-tau A) (probed over a dyadic tau window), so a
     stiff remainder with coefficient ratio < 1 reports an unbounded window;
-    frozen_pointwise adds dR undamped, so its bound is ||dv|| / ||dR||."""
+    frozen_pointwise adds dR undamped, so its bound is ||dv|| / ||dR||.
+    r0 is the ETD remainder spectrum at u0, model.remainder_hat(u0,
+    rfft(u0)), which evolve hands on to its first step; it is computed
+    here when None."""
     rng = np.random.default_rng(0)
     scale = 1e-6 * max(float(np.max(np.abs(u0.samples))), 1.0)
     dv = rng.standard_normal(u0.samples.shape) * scale
@@ -437,9 +445,10 @@ def _stability_bound(model, u0: PeriodicField, config: StepperConfig) -> float:
         dr_sup = float(np.max(np.abs(
             _pointwise_parts(model, probe)[3] - _pointwise_parts(model, u0)[3])))
         return np.inf if dr_sup == 0.0 else dv_sup / dr_sup
-    rh0, rh1 = (model.remainder_hat(w, rfft(w.samples))
-                for w in (u0, probe))
-    if rh0 is None or not np.any(diff_hat := rh1 - rh0):
+    rh0 = model.remainder_hat(u0, rfft(u0.samples)) if r0 is None else r0
+    if rh0 is None:
+        return np.inf
+    if not np.any(diff_hat := model.remainder_hat(probe, rfft(probe.samples)) - rh0):
         return np.inf
     m = multiplier_table(model, u0.n, u0.domain_length)
     bound = 0.0
@@ -479,10 +488,11 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
 
     An ETD march runs imex_frozen_phi_step and hands each step the
     spectrum and rows the previous one returned, so only u0 is
-    transformed forward. It allocates one StepWork after the guard, and
-    every step writes its stages, rows and temporaries into that; the
-    work's arrays stay inside the march, and each state it keeps owns its
-    samples.
+    transformed forward, once: its spectrum and the remainder there serve
+    both the dt guard and the first step, through the step's r1. It
+    allocates one StepWork after the guard, and every step writes its
+    stages, rows and temporaries into that; the work's arrays stay inside
+    the march, and each state it keeps owns its samples.
 
     Kept states wait for their ledger rows, which ledger_rows builds in
     blocks: right after the t = 0 row, every LEDGER_BLOCK kept states, at
@@ -536,8 +546,13 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
 
     accept(0.0, u0, True)
     flush()
+    pointwise = config.scheme == "frozen_pointwise"
+    uh = r1 = None
     try:
-        bound = _stability_bound(model, u0, config)
+        if not pointwise:
+            uh = rfft(u0.samples)
+            r1 = model.remainder_hat(u0, uh)
+        bound = _stability_bound(model, u0, config, r1)
     except (NumericalFailure, NonFiniteError, FloatingPointError) as exc:
         raise EvolutionAbort(kept(), str(exc), 0.0) from exc
     if not config.dt <= 0.5 * bound:
@@ -545,8 +560,7 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
             kept(),
             f"dt={config.dt:.3e} exceeds half the measured stability bound "
             f"{bound:.3e} for the explicit remainder", 0.0)
-    u, uh, urows = u0, None, None
-    pointwise = config.scheme == "frozen_pointwise"
+    u, urows = u0, None
     work = None if pointwise else StepWork(model, u0, config.dt, config.scheme)
     try:
         for j in range(1, n_steps + 1):
@@ -558,7 +572,8 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
                     # through the module binding, positionally, as a
                     # tracer or a test that wraps the step calls it
                     u, uh, urows = imex_frozen_phi_step(
-                        u, model, config.dt, config.scheme, uh, urows, work)
+                        u, model, config.dt, config.scheme, uh, urows, work, r1)
+                    r1 = None
             except (NumericalFailure, FloatingPointError) as exc:
                 raise abort(str(exc), t) from exc
             except NonFiniteError as exc:

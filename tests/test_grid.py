@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import pslab
+from pslab import nonlocal_ops
 from pslab.grid import (
     NonFiniteError,
     PeriodicField,
@@ -403,6 +405,61 @@ class TestTrustedFieldCallers:
                                  ("stepper.py", "imex_frozen_phi_step")]
         # and nothing hands the constructor on by name for a later call
         assert references == len(sites)
+
+
+class TestStridedViews:
+    """grid.shift_windows and nonlocal_ops._read_ahead lay a strided view
+    on a buffer by hand: each is numpy's sliding_window_view, read-only."""
+
+    @staticmethod
+    def assert_same_view(got, want):
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[(0,) * got.ndim] = 1.0
+
+    @pytest.mark.parametrize("n", [16, 17, 32, 33])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["N", "2xN"])
+    def test_shift_windows_is_the_sliding_window_view(self, lead, n):
+        x = np.random.default_rng(n).standard_normal((*lead, n))
+        want = sliding_window_view(np.concatenate([x, x], axis=-1), n, axis=-1)
+        self.assert_same_view(shift_windows(x), want)
+
+    @pytest.mark.parametrize("n", [16, 17, 32, 33])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_read_ahead_is_the_sliding_window_view(self, rows, n):
+        # every start the fractional curvature's blocks can ask for:
+        # j0 + rows <= N + 1
+        doubled = np.random.default_rng(n + rows).standard_normal((rows, 2 * n))
+        for j0 in range(n + 2 - rows):
+            want = sliding_window_view(doubled.ravel(), n)[j0::2 * n + 1][:rows]
+            self.assert_same_view(nonlocal_ops._read_ahead(doubled, j0), want)
+
+    def test_only_the_two_window_builders_stride_a_buffer(self):
+        # a view laid on a buffer by hand reads whatever its shape and
+        # strides say, so only the two builders checked above may make one
+        sites = []
+
+        def visit(node, path, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = scope + (child.name,)
+                if isinstance(child, ast.Call):
+                    name = child.func.id if isinstance(child.func, ast.Name) else \
+                        getattr(child.func, "attr", None)
+                    if name in ("ndarray", "as_strided", "sliding_window_view") or any(
+                            kw.arg == "strides" for kw in child.keywords):
+                        sites.append((path.name, ".".join(scope)))
+                visit(child, path, inner)
+
+        for path in sorted(Path(pslab.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            assert "stride_tricks" not in text, path
+            visit(ast.parse(text), path, ())
+        assert sorted(sites) == [("grid.py", "shift_windows"),
+                                 ("nonlocal_ops.py", "_read_ahead")]
 
 
 class TestTransforms:

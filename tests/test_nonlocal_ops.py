@@ -393,6 +393,44 @@ def antiderivative_by_quad(z, a):
     return np.copysign(sum(pieces), z)
 
 
+def antiderivative_by_branch_gathers(z, a, out=None):
+    """_antiderivative as it ran with one boolean gather per branch: the
+    steep entries, then their |z| <= 1 and |z| > 1 parts, each a fresh
+    array."""
+    steep = np.abs(z) > nonlocal_ops._PAIR_Z_MAX
+    near = np.where(steep, 0.0, z)
+    out = nonlocal_ops._horner(near * near, nonlocal_ops._pair_antiderivative(a), out)
+    out *= near
+    if steep.any():
+        p, q, f_inf = nonlocal_ops._arctan_antiderivative(a)
+        zs = z[steep]
+        mid = np.abs(zs) <= 1.0
+        phi, psi = np.arctan(zs[mid]), np.arctan(1.0 / np.abs(zs[~mid]))
+        zs[mid] = phi * nonlocal_ops._horner(phi * phi, p)
+        zs[~mid] = np.copysign(f_inf - psi ** (1 + a) * nonlocal_ops._horner(psi * psi, q),
+                               zs[~mid])
+        out[steep] = zs
+    return out
+
+
+def fold_by_entry_gathers(delta, j, n, a):
+    """_fmc_fold as it ran with the far entries' series coefficients
+    gathered per entry, (terms, far entries) at once, and each period's
+    terms fresh arrays, summed by sum()."""
+    out = nonlocal_ops._horner(delta * delta, nonlocal_ops._fold_series(n, a)[:, j - 1])
+    out *= delta
+    far = np.abs(delta) > nonlocal_ops._SERIES_RATIO * (TWO_PI - (TWO_PI / n) * j[:, None])
+    if far.any():
+        jf = j[np.nonzero(far)[0]]
+        d, al = delta[far], (TWO_PI / n) * jf
+        tail = nonlocal_ops._fold_series(n, a, nonlocal_ops._FAR_PERIODS + 1)[:, jf - 1, 0]
+        out[far] = d * nonlocal_ops._horner(d * d, tail) + sum(
+            2.0 * antiderivative_by_branch_gathers(d / r, a) / r ** (1 + a)
+            for k in range(1, nonlocal_ops._FAR_PERIODS + 1)
+            for r in (TWO_PI * k + al, TWO_PI * k - al))
+    return out
+
+
 class TestAntiderivative:
     """F(z) = int_0^z <s>^{-(2+a)} ds on all three of its branches: z g(z^2)
     to |z| = 1/2, phi p(phi^2) with phi = arctan z to |z| = 1, and the tail
@@ -426,6 +464,21 @@ class TestAntiderivative:
             below, above = nonlocal_ops._antiderivative(z, a)
             step = (1.0 + b * b) ** (-0.5 * (2 + a)) * (z[1] - z[0])
             assert abs(above - below - step) <= 2e-16 * below, b
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_branch_runs_are_the_branch_gathers_bit_for_bit(self, a):
+        # every mix of branches, the switches, signed zeros and infinities,
+        # in one and two dimensions, into fresh arrays and into out and work
+        rng = np.random.default_rng(11)
+        z = np.concatenate([rng.standard_normal(3000) * scale for scale in (0.2, 1.0, 30.0)] + [
+            [0.0, -0.0, np.inf, -np.inf, 0.5, -0.5, 1.0, -1.0,
+             np.nextafter(0.5, 1.0), np.nextafter(1.0, 2.0)]])
+        for x in (z, z[:9000].reshape(90, 100), np.full(64, 0.3), np.full(64, 3.0)):
+            want = antiderivative_by_branch_gathers(x, a).tobytes()
+            assert nonlocal_ops._antiderivative(x, a).tobytes() == want
+            out, work = np.empty(x.shape), np.empty((3, *x.shape))
+            assert nonlocal_ops._antiderivative(x, a, out, work) is out
+            assert out.tobytes() == want
 
 
 def multiplier_on_mode_one(a):
@@ -647,6 +700,30 @@ class TestFarPeriodFold:
         minus = nonlocal_ops._fmc_fold(-delta, j, self.N, a)
         assert np.array_equal(minus, -plus)
 
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_fold_is_the_per_entry_gathers_bit_for_bit(self, a):
+        r = nonlocal_ops._SERIES_RATIO
+        j, _, delta = self.cases([0.01, 0.7 * r, 1.001 * r, 0.999, 1.5])
+        got = nonlocal_ops._fmc_fold(delta, j, self.N, a)
+        assert got.tobytes() == fold_by_entry_gathers(delta, j, self.N, a).tobytes()
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_curvature_is_the_gathering_helpers_bit_for_bit(self, n, a, monkeypatch):
+        # the steep path through the block's work arrays, which the
+        # antiderivative's runs share with the read-ahead copy, against the
+        # helpers that gathered into fresh arrays
+        x = grid_1d(n)
+        fields = [triangle_1d(n, 2.0), triangle_1d(n, 6.0), 0.4 * np.sin(3 * x),
+                  np.random.default_rng(n).standard_normal(n)]
+        got = [fractional_mean_curvature(PeriodicField(v), a).samples for v in fields]
+        monkeypatch.setattr(nonlocal_ops, "_antiderivative",
+                            lambda z, a, out=None, work=None:
+                            antiderivative_by_branch_gathers(z, a, out))
+        monkeypatch.setattr(nonlocal_ops, "_fmc_fold", fold_by_entry_gathers)
+        for v, g in zip(fields, got):
+            assert g.tobytes() == fractional_mean_curvature(PeriodicField(v), a).samples.tobytes()
+
     def test_horner_is_polyval_bit_for_bit(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1.0, 1.0, (8, 64))
@@ -800,6 +877,17 @@ class TestStretchRatio:
     def test_requires_contour(self):
         with pytest.raises(ValueError):
             stretch_ratio(PeriodicField(np.zeros(32)))
+
+    @pytest.mark.parametrize("length", [TWO_PI, 3.0])
+    def test_distance_table_is_cached_and_read_only(self, length):
+        # one table per (N, L), the torus distances of window j = 1..N/2
+        table = nonlocal_ops._torus_distances(64, length)
+        assert nonlocal_ops._torus_distances(64, length) is table
+        x = np.arange(64) * (length / 64)
+        dx = np.abs(x - np.stack([np.roll(x, -k) for k in range(1, 33)]))
+        assert table.tobytes() == np.minimum(dx, length - dx).tobytes()
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 class TestPeskinRhs:
@@ -1007,6 +1095,77 @@ def blocked_lambda_loop(field):
 
 def relative_gap(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def muskat_by_sinh_pairs(f, rho0):
+    """muskat_st_rhs as it ran with two np.sinh calls per (x, alpha) pair:
+    deltaf/2 from one window of f/2, then sinh(deltaf) for the numerator
+    and 4 sinh^2(deltaf/2) + 4 sin^2(alpha/2) for the denominator."""
+    h, v = f.spacing, f.samples
+    fp, fpp, fppp = derivatives(f, (1, 2, 3))
+    w = (1.0 + fp * fp) ** -1.5
+    wp, wpp = derivatives(PeriodicField(w), (1, 2))
+    q = derivatives(PeriodicField(fpp * w), (1,))[0]
+    main = -fractional_laplacian(f, 3.0).samples * w
+    plan = nonlocal_ops._shift_plan(f.n)
+    wc = w - w.mean()
+    modes = np.fft.rfft(np.stack([fpp * wc, fpp, q, fp]))
+    modes[:2] *= plan.inv_four_sin2_hat
+    modes[2:] *= plan.half_cot_hat
+    conv = np.fft.irfft(modes, f.n)
+    G0 = fp * fpp / (2.0 * (1.0 + fp * fp))
+    sum_q = h * G0 * q - conv[2]
+    sum_fp = h * G0 * fp - conv[3]
+    sum_2 = h * (0.5 * fpp * wpp + fppp * wp) + conv[0] - wc * conv[1]
+    hv_windows, q_windows, fp_windows = (shift_windows(g) for g in (0.5 * v, q, fp))
+    for rows, behind in plan.blocks:
+        d = 0.5 * v - hv_windows[behind]
+        den = 4.0 * np.sinh(d) ** 2 + 2.0 * plan.two_sin2[rows, None]
+        g = (np.sinh(2.0 * d) * fp + plan.sin[rows, None]) / den
+        sum_fp += plan.weights[rows] @ (g * fp_windows[behind])
+        sum_q += plan.weights[rows] @ (g * q_windows[behind])
+    gravity = rho0 * (sum_fp / np.pi + fractional_laplacian(f, 1.0).samples)
+    rhs = main + (sum_q - sum_2) / np.pi - gravity
+    return rhs - rhs.mean()
+
+
+class TestMuskatPairKernel:
+    """The pair kernel read from e^{+-(f - c)/2} at the nodes, with no
+    transcendental call per pair, against the sinh pairs it replaced."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_matches_the_sinh_pairs(self, n):
+        # the node exponentials' rounding is an absolute error of a few ulps
+        # in p - 1/p, relative ~ ulp/|deltaf| at the nearest shifts, so the
+        # gap grows with N: 2.2e-15 at N = 256 and 1.05e-14 at N = 512 on
+        # the smooth steep field, whose max|rhs| is small; against the sinh
+        # pairs summed in long double there, this kernel is 1.05e-14 off and
+        # the double sinh pairs 4.3e-16
+        bound = 1e-14 if n <= 256 else 2e-14
+        rng = np.random.default_rng(n + 7)
+        x = grid_1d(n)
+        fields = {"band": 0.3 * band_limited(n, rng),
+                  "steep": 1.2 * np.sin(x + 0.4) + 0.3 * band_limited(n, rng),
+                  "triangle": 2.0 * (1.0 - (2.0 / np.pi) * np.abs(x - np.pi))}
+        for name, v in fields.items():
+            f = PeriodicField(v)
+            if name != "band":
+                assert np.max(np.abs(derivatives(f, (1,))[0])) >= 1.0, name
+            for rho0 in (0.0, 1.0):
+                got = muskat_st_rhs(f, rho0=rho0).samples
+                assert relative_gap(got, muskat_by_sinh_pairs(f, rho0)) <= bound, (name, rho0)
+
+    def test_height_range_600_stays_finite(self):
+        # deltaf reaches 600: the sinh pairs stay finite up to |deltaf| ~ 710,
+        # and so does e^{deltaf/2}, where e^{deltaf} would overflow
+        f = PeriodicField(300.0 * np.sin(grid_1d(64)))
+        for rho0 in (0.0, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = muskat_st_rhs(f, rho0=rho0).samples
+            want = muskat_by_sinh_pairs(f, rho0)
+            assert np.all(np.isfinite(got)) and np.all(np.isfinite(want))
+            assert relative_gap(got, want) <= 1e-14
 
 
 class TestShiftPlanAgainstLoops:

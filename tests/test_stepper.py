@@ -156,8 +156,9 @@ class ShrinkingContourModel(_ModelBase):
 
 class LateValueErrorModel(ExponentialGrowthModel):
     """Zero remainder spectrum whose call number fail_at raises a
-    ValueError naming NaN/Inf: the guard makes two calls and each ETD-RK2
-    step two more, so the fifth call fails inside the second step."""
+    ValueError naming NaN/Inf: the guard makes two calls, the first of
+    which serves step 1, step 1 one more and each later ETD-RK2 step two,
+    so the fifth call fails inside the second step."""
 
     def __init__(self, fail_at=5):
         self.fail_at = fail_at
@@ -173,7 +174,7 @@ class LateValueErrorModel(ExponentialGrowthModel):
 class FailingRemainderModel(McfGraphModel):
     """mcf_graph whose remainder call number fail_at raises error: the
     guard makes calls 1 and 2, and the fifth falls inside the second
-    ETD-RK2 step."""
+    ETD-RK2 step (step 1 makes only call 3)."""
 
     def __init__(self, fail_at, error):
         self.fail_at = fail_at
@@ -208,15 +209,19 @@ def per_row_evolve(model, u0, T, config, spec):
     cap = getattr(model, "theta_cap", None)
     want_theta = spec.record_theta if spec.record_theta is not None else cap is not None
     n_steps = _n_steps(T, config.dt)
-    _stability_bound(model, u0, config)  # the guard's remainder calls
-    rows, u, uh, urows = [], u0, None, None
+    # the guard's remainder calls; its remainder at u0 serves step 1
+    uh = np.fft.rfft(u0.samples, axis=-1)
+    r1 = model.remainder_hat(u0, uh)
+    _stability_bound(model, u0, config, r1)
+    rows, u, urows = [], u0, None
     for j in range(n_steps + 1):
         t = j * config.dt
         if j:
             try:
                 # each step starts from the spectrum and rows the last formed
-                u, uh, urows = imex_frozen_phi_step(u, model, config.dt,
-                                                    config.scheme, uh, urows)
+                u, uh, urows = imex_frozen_phi_step(u, model, config.dt, config.scheme,
+                                                    uh, urows, None, r1)
+                r1 = None
             except NonFiniteError:
                 return rows, ("state", t)
             except ValueError as exc:
@@ -676,19 +681,20 @@ class TestCarriedSpectrum:
     would."""
 
     @pytest.mark.parametrize("tag, per_step", [
-        ("heat", [2, 1, 1, 1, 1]), ("mcf_graph", [6, 4, 4, 4, 4]),
-        ("thinfilm_exp", [6, 4, 4, 4, 4]),
-        ("surface_diffusion_axi", [14, 12, 12, 12, 12]),
-        ("varcoef_heat", [11, 10, 10, 10, 10]),
-        ("muskat_st", [27, 26, 26, 26, 26]),
-        ("peskin2d", [15, 14, 14, 14, 14]),
-        ("nonlocal_mcf", [15, 14, 14, 14, 14])],
+        ("heat", [1, 1, 1, 1, 1]), ("mcf_graph", [3, 4, 4, 4, 4]),
+        ("thinfilm_exp", [3, 4, 4, 4, 4]),
+        ("surface_diffusion_axi", [7, 12, 12, 12, 12]),
+        ("varcoef_heat", [6, 10, 10, 10, 10]),
+        ("muskat_st", [14, 26, 26, 26, 26]),
+        ("peskin2d", [8, 14, 14, 14, 14]),
+        ("nonlocal_mcf", [8, 14, 14, 14, 14])],
         ids=["heat", "mcf_graph", "thinfilm_exp", "surface_diffusion_axi",
              "varcoef_heat", "muskat_st", "peskin2d", "nonlocal_mcf"])
     def test_transforms_per_accepted_step(self, tag, per_step, monkeypatch):
-        # the ledger has no derivative or Holder column; only the first
-        # step transforms its state forward, and makes the rows of u0 that
-        # later steps carry over from the last stage
+        # the ledger has no derivative or Holder column; the first step
+        # takes the spectrum of u0 and the remainder there from the dt
+        # guard, so it transforms nothing forward and evaluates no remainder
+        # at u0, and later steps carry over the last stage's rows
         model, u0, dt = REUSE_CASES[tag]
         calls, per_call = [0], []
 
@@ -739,7 +745,9 @@ class TestCarriedSpectrum:
 
 class InfiniteRemainderModel(McfGraphModel):
     """mcf_graph whose remainder call number inf_at gives an infinite
-    spectrum: the guard makes calls 1 and 2, each ETD-RK2 step two more."""
+    spectrum: the guard makes calls 1 and 2, and call 1, at u0, is the
+    first of step 1 too, so step 1 makes one more and each later ETD-RK2
+    step two."""
 
     def __init__(self, inf_at):
         self.inf_at = inf_at
@@ -753,10 +761,10 @@ class InfiniteRemainderModel(McfGraphModel):
 
 
 class DrainedSurfaceModel(SurfaceDiffusionModel):
-    """surface diffusion whose third remainder call, the first of step 1,
-    drains twice the mean radius: step 1's stage has the mean radius
-    negated, so it touches zero while u0 and every earlier state are
-    positive."""
+    """surface diffusion whose fourth remainder call, the first of step 2
+    (the guard's two calls and step 1's stage come before it), drains twice
+    the mean radius: step 2's stage has the mean radius negated, so it
+    touches zero while u0 and every earlier state are positive."""
 
     def __init__(self, dt):
         super().__init__(hbar0=2.0)
@@ -766,7 +774,7 @@ class DrainedSurfaceModel(SurfaceDiffusionModel):
     def remainder_from_rows(self, rows, uh, L):
         self.calls += 1
         r = super().remainder_from_rows(rows, uh, L)
-        if self.calls == 3:
+        if self.calls == 4:
             r = r.copy()
             r[0] -= 2.0 * uh[0].real / self.dt  # dt phi1(0) = dt at mode 0
         return r
@@ -833,10 +841,10 @@ class TestCarriedRows:
             base = w.samples.base
             assert base is None or base.size == u0.n
 
-    @pytest.mark.parametrize("inf_at, steps", [(3, 1), (4, 1), (5, 2)])
+    @pytest.mark.parametrize("inf_at, steps", [(3, 1), (4, 2), (5, 2)])
     def test_non_finite_stage_aborts_at_its_step(self, inf_at, steps):
-        # call 3 makes step 1's stage non-finite, call 4 its end state and
-        # call 5, which reads the carried rows, step 2's stage
+        # call 3 makes step 1's end state non-finite, call 4, which reads
+        # the carried rows, step 2's stage and call 5 step 2's end state
         _, u0, dt = REUSE_CASES["mcf_graph"]
         model = InfiniteRemainderModel(inf_at)
         with warnings.catch_warnings():
@@ -870,11 +878,49 @@ class TestCarriedRows:
         assert isinstance(err.value.__cause__, PositivityError)
         assert err.value.reason == str(err.value.__cause__)
         assert err.value.reason == "state minimum -2.010e+00 is not positive"
-        assert err.value.time == dt
+        assert err.value.time == 2 * dt
         model = DrainedSurfaceModel(dt)
-        model.calls = 2  # the public step makes no guard calls
+        model.calls = 3  # the public step's first call is the drained one
         with pytest.raises(PositivityError):
             imex_frozen_phi_step(u0, model, dt)
+
+
+class TestGuardRemainderReused:
+    """evolve takes rfft(u0) and the remainder at u0 once, for its dt guard
+    and its first step alike."""
+
+    @pytest.mark.parametrize("scheme, per_step", [("imex_frozen_phi", 1), ("etd_rk2", 2)])
+    @pytest.mark.parametrize("tag", [tag for tag in REUSE_CASES if tag != "heat"])
+    def test_march_makes_one_remainder_call_fewer(self, tag, scheme, per_step):
+        # the guard evaluates the remainder at u0 and at its probe and each
+        # step per_step times; the first step's call at u0 was a repeat of
+        # the guard's first, and is the one saved
+        model, u0, dt = REUSE_CASES[tag]
+        model, calls = copy.copy(model), [0]
+        remainder = model.remainder_from_rows
+
+        def counted(*args):
+            calls[0] += 1
+            return remainder(*args)
+
+        model.remainder_from_rows = counted
+        evolve(model, u0, 5 * dt, StepperConfig(dt=dt, scheme=scheme), LedgerSpec())
+        assert calls[0] == (2 + 5 * per_step) - 1
+
+    @pytest.mark.parametrize("scheme", ["imex_frozen_phi", "etd_rk2"])
+    @pytest.mark.parametrize("tag", list(REUSE_CASES))
+    def test_first_step_given_the_guard_remainder_is_the_same_bytes(self, tag, scheme):
+        model, u0, dt = REUSE_CASES[tag]
+        uh0 = np.fft.rfft(u0.samples, axis=-1)
+        r0 = model.remainder_hat(u0, uh0)
+        kept = (uh0.copy(), None if r0 is None else r0.copy())
+        given = imex_frozen_phi_step(u0, model, dt, scheme, uh0, None, None, r0)
+        computed = imex_frozen_phi_step(u0, model, dt, scheme)
+        assert [a.tobytes() for a in (given[0].samples, *given[1:])] == \
+            [a.tobytes() for a in (computed[0].samples, *computed[1:])]
+        # the step read the spectrum and the remainder it was handed
+        assert uh0.tobytes() == kept[0].tobytes()
+        assert r0 is None or r0.tobytes() == kept[1].tobytes()
 
 
 def allocating_step(u, model, dt, scheme, uh, rows):
