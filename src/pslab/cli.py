@@ -625,7 +625,7 @@ def _verify_kernels() -> List[dict]:
                              mass, 1.0, 1e-5))
 
     rng = np.random.default_rng(0)
-    worst = 0.0
+    worst = gap = 0.0
     for _ in range(5):
         s = float(rng.uniform(1.0, 2.0))
         c0 = float(rng.uniform(0.2, 0.8))
@@ -641,7 +641,9 @@ def _verify_kernels() -> List[dict]:
         sym = kernels.FrozenSymbol(s=s, c0=c0, dim_N=dim, eval=symbol_eval)
         khat = kernels.frozen_kernel_hat(sym, t=0.5, xi_grid=[1.0, 2.0, 4.0])
         worst = np.maximum(worst, khat.frobenius_excess())  # keeps a NaN
+        gap = np.maximum(gap, khat.gap)
     checks.append(_check("frozen_kernel_frobenius_excess", worst, 1.0, 1e-6))
+    checks.append(_check("frozen_kernel_refine_gap", gap, 0.0, kernels.REFINE_TOL))
 
     heat = kernels.fractional_heat_kernel(t=0.1, s=1.5, n=256)
     mass = float(np.sum(heat.samples) * heat.spacing)

@@ -8,21 +8,25 @@ surface diffusion model. The frozen-symbol ODE is integrated by the
 fourth-order Magnus step on Simpson nodes, the ends and the midpoint of
 each step (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), which
 nest under step doubling; its batched matrix exponentials are built here
-in numpy.
+in numpy. The doubling stops on a Richardson error estimate: the first
+doubling on the correction it adds to the finer table, each later one on
+the move of the Richardson value since the previous level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gamma
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
 from .grid import PeriodicField, TWO_PI, irfft, wavenumbers
 
-# Frozen-kernel refinement target: the Richardson-extrapolated kernel values
-# of two consecutive step doublings must differ by less than this.
+# Frozen-kernel refinement target. The first doubling stops when its
+# Richardson correction (K_f - K_c) / 15 is below this everywhere; a later
+# one when its Richardson value differs from the previous level's by less.
 REFINE_TOL = 1e-9
 # Intervals of the tabulated tau grid, and the Magnus steps of the first level.
 TAU_STEPS = 16
@@ -71,8 +75,8 @@ class FrozenSymbol:
             raise ValueError("c0 must lie in (0,1)")
         if not 0 < self.s < np.inf:
             raise ValueError("s must be positive and finite")
-        if self.dim_N < 1:
-            raise ValueError("dim_N must be >= 1")
+        if not isinstance(self.dim_N, Integral) or self.dim_N < 1:
+            raise ValueError(f"dim_N must be an integer >= 1, got {self.dim_N!r}")
 
 
 class EllipticityError(ValueError):
@@ -138,10 +142,12 @@ def ellipticity_probe(symbol: FrozenSymbol, ts, xis) -> np.ndarray:
 
 
 class RefinementError(ValueError):
-    """The frozen-kernel step doubling reached its node-table cap before two
-    Richardson values agreed to REFINE_TOL: gap is the last level's
-    disagreement (NaN where a value was not finite), steps its Magnus step
-    count and (tau, xi) the grid pair where the gap is largest."""
+    """The frozen-kernel step doubling reached its node-table cap before its
+    test value fell below REFINE_TOL: gap is the last level's test value
+    (NaN where a value was not finite), the Richardson correction if the
+    cap stops the first doubling and the move of the Richardson value
+    since the previous level otherwise, steps its Magnus step count and
+    (tau, xi) the grid pair where the gap is largest."""
 
     def __init__(self, gap, steps, tau, xi):
         self.gap, self.steps, self.tau, self.xi = gap, steps, tau, xi
@@ -157,7 +163,10 @@ class FrozenKernelHat:
 
     values[i, j] is the dim_N x dim_N matrix at (tau_grid[i], xi_grid[j]);
     the value at tau = t_final is the identity, and the Frobenius norm obeys
-    |K(tau, xi)|_F <= sqrt(dim_N) e^{-c0 (t_final - tau)|xi|^s}.
+    |K(tau, xi)|_F <= sqrt(dim_N) e^{-c0 (t_final - tau)|xi|^s}. gap is the
+    refinement's last test value (see frozen_kernel_hat), below REFINE_TOL:
+    it estimates the largest entry error of the table one Richardson step
+    short of values, so it over-states the error of values itself.
     """
 
     values: np.ndarray          # (n_tau, n_xi, dim_N, dim_N)
@@ -165,6 +174,7 @@ class FrozenKernelHat:
     xi_grid: np.ndarray
     t_final: float
     symbol: FrozenSymbol
+    gap: float                  # the last doubling's test value, < REFINE_TOL
 
     def frobenius_excess(self) -> float:
         """Max of |K|_F / (sqrt(N) e^{-c0 (t-tau)|xi|^s}) over all probes.
@@ -262,10 +272,13 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
     commutator, so every step contracts at any step size and the step
     count starts at TAU_STEPS, then doubles. Each doubling turns the
     coarse table K_c and the fine table K_f into the Richardson value
-    K_f + (K_f - K_c) / 15, which cancels the step's h^4 error term; the
-    doubling stops once that value moves by less than REFINE_TOL from the
-    previous level's, where the first doubling compares it with the plain
-    starting table. The last Richardson value is returned.
+    K_f + (K_f - K_c) / 15, which cancels the step's h^4 error term. The
+    first doubling, from TAU_STEPS to 2 TAU_STEPS steps, stops once its
+    correction |K_f - K_c| / 15, the estimate of the fine table's own error
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4), is below REFINE_TOL
+    at every entry; each later doubling stops once the Richardson value
+    moves by less than REFINE_TOL from the previous level's. The last
+    Richardson value is returned, with that last test value as its gap.
 
     The ellipticity probe asks the symbol at every tau grid pair, checks
     them all with one batched eigvalsh, fails on a non-finite symbol value
@@ -292,12 +305,12 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
     tau_grid = np.linspace(0.0, t, TAU_STEPS + 1)
     # the probe runs tau upward; the node table runs w = t - tau upward
     nodes = _halve(symbol, t, xis, ellipticity_probe(symbol, tau_grid, xis)[::-1])
-    prev = coarse = _magnus_table(nodes, t)
+    coarse, prev = _magnus_table(nodes, t), None
     while True:
         nodes = _halve(symbol, t, xis, nodes)
         fine = _magnus_table(nodes, t)
         extrapolated = fine + (fine - coarse) / 15.0
-        gaps = np.abs(extrapolated - prev)
+        gaps = np.abs(extrapolated - (fine if prev is None else prev))
         gap = float(np.max(gaps))
         prev, coarse = extrapolated, fine
         if gap < REFINE_TOL:
@@ -307,7 +320,7 @@ def frozen_kernel_hat(symbol: FrozenSymbol, t: float, xi_grid) -> FrozenKernelHa
             raise RefinementError(gap, (len(nodes) - 1) // 2, float(tau_grid[i]),
                                   float(xis[k]))
     return FrozenKernelHat(values=prev, tau_grid=tau_grid, xi_grid=xis,
-                           t_final=t, symbol=symbol)
+                           t_final=t, symbol=symbol, gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Acceptance gate: the fourteen quantitative checks the library promises,
-one test per criterion, each printing a single pass/fail line.
+one test per criterion, each printing a single pass/fail line, and a test
+that a NaN fails the AC-04 gate.
 
 Each check pins tolerances up front and computes everything it asserts;
 nothing here depends on state from the other tests.
@@ -56,7 +57,7 @@ def test_ac01_poisson_kernel_mass():
     for d, b in cases:
         kern = kernels.PoissonAnisoKernel(b=np.array(b), d=d)
         for z in (0.1, 1.0, 10.0):
-            worst = max(worst, abs(kernels.poisson_aniso_mass(kern, z) - 1.0))
+            worst = np.maximum(worst, abs(kernels.poisson_aniso_mass(kern, z) - 1.0))
     ok = worst <= 1e-5
     assert _line(1, "poisson kernel mass", ok,
                  f"max |mass-1| = {worst:.3e}, tol 1e-05")
@@ -81,7 +82,7 @@ def test_ac02_slice_constant_identity():
         expected = np.sqrt(bb2 - be * be) / bb2
         measured = nonlocal_ops.lemz0_constant(d) * \
             nonlocal_ops.contc_integral(d, b, e)
-        worst = max(worst, abs(measured - expected))
+        worst = np.maximum(worst, abs(measured - expected))
     ok = c1_ok and worst <= 1e-4
     assert _line(2, "slice constant identity", ok,
                  f"|c1 - 1/pi| = {abs(c1 - 1.0 / np.pi):.3e}, "
@@ -109,7 +110,7 @@ def test_ac03_dual_backend_agreement():
                                                      backend="quadrature")
             gap = float(np.max(np.abs(four.samples - quad.samples))) / \
                 float(np.max(np.abs(four.samples)))
-            worst = max(worst, gap)
+            worst = np.maximum(worst, gap)
     ok = worst <= 1e-3
     assert _line(3, "dual-backend agreement", ok,
                  f"max rel gap = {worst:.3e} over 50 fields x 4 drifts")
@@ -133,7 +134,7 @@ def test_ac04_frozen_kernel_bound():
 
         sym = kernels.FrozenSymbol(s=s, c0=c0, dim_N=dim, eval=symbol_eval)
         khat = kernels.frozen_kernel_hat(sym, t=0.5, xi_grid=[1.0, 4.0])
-        worst = max(worst, khat.frobenius_excess())
+        worst = np.maximum(worst, khat.frobenius_excess())
     ok = worst <= 1.0 + 1e-6
     assert _line(4, "frozen kernel decay bound", ok,
                  f"max Frobenius excess = {worst:.9f} over 200 symbols")
@@ -302,3 +303,22 @@ def test_ac14_fractional_mcf_smoothing_rate():
     assert _line(14, "fractional MCF smoothing rate", ok,
                  "fitted exponents = " + ", ".join(f"{e:.4f}" for e in exponents)
                  + " for a = 0.25, 0.5, 0.75 (targets -1/(1+a) +/- 0.05)")
+
+
+def test_ac04_gate_fails_on_a_nan_excess(monkeypatch, capsys):
+    # max(worst, nan) is worst, so a gate folded with max() passed a NaN
+    # excess; np.maximum keeps it
+    excess = kernels.FrozenKernelHat.frobenius_excess
+    calls = []
+
+    def hundredth_is_nan(khat):
+        calls.append(None)
+        return np.nan if len(calls) == 100 else excess(khat)
+
+    monkeypatch.setattr(kernels.FrozenKernelHat, "frobenius_excess", hundredth_is_nan)
+    with pytest.raises(AssertionError):
+        test_ac04_frozen_kernel_bound()
+    assert len(calls) == 200
+    assert capsys.readouterr().out == (
+        "AC-04 frozen kernel decay bound: max Frobenius excess = nan "
+        "over 200 symbols -> FAIL\n")

@@ -2,6 +2,7 @@
 run/verify/ratefit commands, and their exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -1399,6 +1400,43 @@ class TestVerifyCommand:
                  for line in capsys.readouterr().out.strip().splitlines()]
         assert any(name.startswith("poisson_aniso_mass") for name in names)
         assert "frozen_kernel_frobenius_excess" in names
+        assert "frozen_kernel_refine_gap" in names
+
+    def test_refine_gap_is_the_largest_tabulation_gap(self, monkeypatch, capsys):
+        tabulate = kernels.frozen_kernel_hat
+        gaps = []
+
+        def recorded(*args, **kwargs):
+            khat = tabulate(*args, **kwargs)
+            gaps.append(khat.gap)
+            return khat
+
+        monkeypatch.setattr(kernels, "frozen_kernel_hat", recorded)
+        assert main(["verify", "kernels"]) == 0
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        record, = [r for r in records if r["check"] == "frozen_kernel_refine_gap"]
+        assert len(gaps) == 5 and 0.0 < max(gaps) < kernels.REFINE_TOL
+        assert record == {"check": "frozen_kernel_refine_gap", "status": "pass",
+                          "measured": max(gaps), "expected": 0.0,
+                          "tolerance": kernels.REFINE_TOL, "schema_version": 1}
+
+    def test_nan_refine_gap_fails(self, monkeypatch, capsys):
+        tabulate = kernels.frozen_kernel_hat
+        calls = []
+
+        def third_is_nan(*args, **kwargs):
+            calls.append(None)
+            khat = tabulate(*args, **kwargs)
+            return dataclasses.replace(khat, gap=math.nan) if len(calls) == 3 else khat
+
+        monkeypatch.setattr(kernels, "frozen_kernel_hat", third_is_nan)
+        assert main(["verify", "kernels"]) == 1
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.strip().splitlines()]
+        record, = [r for r in records if r["check"] == "frozen_kernel_refine_gap"]
+        assert len(calls) == 5
+        assert record["status"] == "fail" and math.isnan(record["measured"])
 
     def test_nan_frozen_kernel_excess_fails(self, monkeypatch, capsys):
         # max(1.0, nan) is 1.0, so a worst case taken with max() passed

@@ -160,6 +160,22 @@ class TestFrozenSymbol:
             ellipticity_probe(sym, [0.0], [1.0])
         assert math.isnan(exc.value.min_eig)
 
+    @pytest.mark.parametrize("dim", [1.5, 2.0, np.float64(2.0), "2"])
+    def test_non_integral_dim_rejected(self, dim):
+        # a float dim_N was accepted, then failed inside the tabulation with
+        # an untyped TypeError from the first table it sized
+        with pytest.raises(ValueError, match="dim_N must be an integer"):
+            FrozenSymbol(s=1.0, c0=0.5, dim_N=dim, eval=lambda t, xi: abs(xi) * np.eye(2))
+
+    def test_numpy_integer_dim_accepted(self):
+        def ev(t, xi):
+            return abs(xi) * np.diag([0.6, 0.8 + t])
+
+        plain = frozen_kernel_hat(FrozenSymbol(s=1.0, c0=0.5, dim_N=2, eval=ev), 0.5, [1.0])
+        numpy_dim = frozen_kernel_hat(
+            FrozenSymbol(s=1.0, c0=0.5, dim_N=np.int64(2), eval=ev), 0.5, [1.0])
+        assert numpy_dim.values.tobytes() == plain.values.tobytes()
+
 
 class TestFrozenKernelHat:
     @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
@@ -739,6 +755,160 @@ class TestMagnusStep:
         ref = _reference_integrate(sym, t, np.asarray(xis), khat.tau_grid, 8192)
         assert np.max(np.abs(khat.values - ref)) <= 1e-10
         assert khat.frobenius_excess() <= 1.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the first doubling's test: the Richardson correction of the 2 TAU_STEPS
+# table, against the earlier rule that compared the Richardson value with
+# the plain TAU_STEPS table
+
+
+def parent_refinement(symbol, t, xis):
+    """The doubling loop under the earlier rule: every doubling, the first
+    included, stops when its Richardson value moves by less than REFINE_TOL
+    from the previous one, the first comparing it with the plain
+    TAU_STEPS-step table. Returns the table and its final step count."""
+    xis = np.asarray(xis, dtype=float)
+    tau_grid = np.linspace(0.0, t, kernels.TAU_STEPS + 1)
+    nodes = kernels._halve(symbol, t, xis, ellipticity_probe(symbol, tau_grid, xis)[::-1])
+    prev = coarse = kernels._magnus_table(nodes, t)
+    while True:
+        nodes = kernels._halve(symbol, t, xis, nodes)
+        fine = kernels._magnus_table(nodes, t)
+        extrapolated = fine + (fine - coarse) / 15.0
+        gap = float(np.max(np.abs(extrapolated - prev)))
+        prev, coarse = extrapolated, fine
+        if gap < REFINE_TOL:
+            return prev, (len(nodes) - 1) // 2
+
+
+class Ac04Symbol:
+    """A(t, xi) = Q diag(c0 + spread (1 + sin(freq t + k))) Q^T |xi|^s, the
+    AC-04 family, with a fixed orthogonal Q: A at different times commutes,
+    so the kernel is Q diag(e^{-|xi|^s int_tau^t lambda_k}) Q^T. Records
+    every (t, xi) it is asked for."""
+
+    def __init__(self, s, c0, dim, spread, freq, basis):
+        self.s, self.c0, self.dim = s, c0, dim
+        self.spread, self.freq, self.basis = spread, freq, basis
+        self.calls = []
+
+    def __call__(self, t, xi):
+        self.calls.append((float(t), float(xi)))
+        eigs = self.c0 + self.spread * (1.0 + np.sin(self.freq * t + np.arange(self.dim)))
+        return (self.basis * (eigs * abs(xi) ** self.s)) @ self.basis.T
+
+    def symbol(self):
+        return FrozenSymbol(s=self.s, c0=self.c0, dim_N=self.dim, eval=self)
+
+    def exact(self, t, taus, xis):
+        k = np.arange(self.dim)
+        # int_tau^t lambda_k, tau outer
+        integral = (self.c0 + self.spread) * (t - taus)[:, None] - \
+            (self.spread / self.freq) * (np.cos(self.freq * t + k)
+                                         - np.cos(self.freq * taus[:, None] + k))
+        decay = np.exp(-(np.abs(xis)[None, :, None] ** self.s) * integral[:, None, :])
+        return np.einsum("ik,txk,jk->txij", self.basis, decay, self.basis)
+
+
+def ac04_symbols():
+    """Fresh copies of the 200 AC-04 symbols, drawn as the gate draws them;
+    the gate tabulates each at t = 0.5 on xi = 1 and 4."""
+    rng = np.random.default_rng(4)
+    out = []
+    for _ in range(200):
+        s = float(rng.uniform(0.5, 2.0))
+        c0 = float(rng.uniform(0.1, 0.9))
+        dim = int(rng.integers(1, 4))
+        spread = float(rng.uniform(0.0, 2.0))
+        freq = float(rng.uniform(0.5, 3.0))
+        basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        out.append(Ac04Symbol(s, c0, dim, spread, freq, basis))
+    return out
+
+
+class TestFirstDoublingTestsItsCorrection:
+    T, XIS = 0.5, [1.0, 4.0]
+
+    def against_parent(self, counter, twin, t, xis):
+        """Tabulate counter under the current rule and its fresh twin under
+        the earlier one; assert the current rule takes no more steps,
+        returns the same bytes at the same step count and stays within
+        REFINE_TOL of the earlier table when it stops sooner. Returns the
+        table and both step counts."""
+        khat = frozen_kernel_hat(counter.symbol(), t, xis)
+        steps = check_nested_calls(counter.calls, t, xis, kernels.TAU_STEPS)
+        old, old_steps = parent_refinement(twin.symbol(), t, xis)
+        assert steps <= old_steps
+        if steps == old_steps:
+            assert khat.values.tobytes() == old.tobytes()
+        else:
+            assert np.max(np.abs(khat.values - old)) < REFINE_TOL
+        return khat, steps, old_steps
+
+    def test_ac04_symbols_against_parent_rule(self):
+        # every one stops at 32 steps, 65 (tau, xi) pairs per xi and 26,000
+        # symbol calls in all; the earlier rule took 55 of them to 64 steps,
+        # 33,040 calls
+        calls = sooner = 0
+        for counter, twin in zip(ac04_symbols(), ac04_symbols()):
+            _, steps, old_steps = self.against_parent(counter, twin, self.T, self.XIS)
+            calls += len(counter.calls)
+            sooner += steps < old_steps
+        assert (calls, sooner) == (26_000, 55)
+
+    @pytest.mark.parametrize("dim,s,t,xis,steps", [
+        (1, 1.5, 0.5, [0.5, 1.0, 3.0], 32),
+        (2, 1.5, 0.5, [0.5, 1.0, 3.0], 64),
+        (3, 1.5, 0.5, [0.5, 1.0, 3.0], 64),
+        # stiff, the cases of TestMagnusStep.test_stiff_rotating_symbol
+        (2, 1.5, 0.5, [8.0, 16.0], 64),
+        (3, 2.0, 1.0, [4.0, 10.0], 512),
+    ])
+    def test_rotating_symbols_against_parent_rule(self, dim, s, t, xis, steps):
+        _, got, old = self.against_parent(CountingRotatingSymbol(dim, s=s),
+                                          CountingRotatingSymbol(dim, s=s), t, xis)
+        assert got == old == steps
+
+    def test_named_symbol_stops_at_32_steps(self):
+        # the earlier rule asked the plain 16-step table to be within 1e-9
+        # and took this symbol to 64 steps
+        def make():
+            return Ac04Symbol(s=1.25, c0=0.25, dim=2, spread=0.5, freq=3.0, basis=np.eye(2))
+
+        khat, steps, old_steps = self.against_parent(make(), make(), self.T, self.XIS)
+        assert (steps, old_steps) == (32, 64)
+        exact = make().exact(self.T, khat.tau_grid, khat.xi_grid)
+        assert np.max(np.abs(khat.values - exact)) <= khat.gap < REFINE_TOL
+
+    def test_tables_within_their_gap_of_the_exact_kernel(self):
+        for counter in ac04_symbols():
+            khat = frozen_kernel_hat(counter.symbol(), self.T, self.XIS)
+            exact = counter.exact(self.T, khat.tau_grid, khat.xi_grid)
+            assert 0.0 < khat.gap < REFINE_TOL
+            assert np.max(np.abs(khat.values - exact)) <= khat.gap
+
+    def test_cap_at_the_first_doubling_reports_its_correction(self, monkeypatch):
+        # the rate of test_refinement_stops_at_the_node_table_cap, with a cap
+        # that stops the first doubling: the gap is max |K_32 - K_16| / 15
+        # as the Richardson value minus the 32-step table, 1/16 of the
+        # earlier rule's first test value
+        sym = FrozenSymbol(s=1.0, c0=0.1, dim_N=1,
+                           eval=lambda u, xi: abs(xi) * (0.5 + 0.4 * np.sin(500.0 * u)))
+        xis = np.array([1.0, 2.0])
+        monkeypatch.setattr(kernels, "_MAX_NODE_ENTRIES", 1)
+        with pytest.raises(RefinementError) as exc:
+            frozen_kernel_hat(sym, 1.0, xis)
+        nodes = kernels._halve(sym, 1.0, xis, ellipticity_probe(
+            sym, np.linspace(0.0, 1.0, kernels.TAU_STEPS + 1), xis)[::-1])
+        coarse = kernels._magnus_table(nodes, 1.0)
+        fine = kernels._magnus_table(kernels._halve(sym, 1.0, xis, nodes), 1.0)
+        extrapolated = fine + (fine - coarse) / 15.0
+        assert exc.value.steps == 2 * kernels.TAU_STEPS
+        assert exc.value.gap == np.max(np.abs(extrapolated - fine))
+        assert 16.0 * exc.value.gap == pytest.approx(
+            np.max(np.abs(extrapolated - coarse)), rel=1e-12)
+        assert exc.value.gap > REFINE_TOL
 
 
 class TestPoissonAnisoKernel:
