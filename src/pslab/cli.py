@@ -109,6 +109,7 @@ from .stepper import (
 SCHEMA_VERSION = 1
 MAX_N = 65536  # 64 times the lab's N <= 1024; a larger grid.N is a config error
 _LINE_ENDS = ("\n", "\r\n", "\r")  # the whole of a blank ledger line
+LEDGER_CSV_CHUNK = 4096  # ledger rows write_ledger_csv formats at a time
 
 _MAGIC = b"PLAB1\x00"
 _HEADER = struct.Struct("<6s2xIIdd")
@@ -459,11 +460,16 @@ def build_initial_field(config: RunConfig) -> PeriodicField:
 def write_ledger_csv(path: str, ledger: Dict[str, np.ndarray]) -> None:
     """Write a ledger {column name: float64 array} as CSV: its names, then
     one line per row, one %-format of its values with %.17g, the bytes of
-    format(float(v), ".17g") cell by cell, which read back bit for bit."""
+    format(float(v), ".17g") cell by cell, which read back bit for bit.
+    The rows are formatted LEDGER_CSV_CHUNK at a time, so the write holds
+    a bounded number of Python floats however long the ledger is."""
     line = ",".join(["%.17g"] * len(ledger)) + "\n"
+    cols = list(ledger.values())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(ledger) + "\n")
-        fh.writelines(line % row for row in zip(*(col.tolist() for col in ledger.values())))
+        for start in range(0, len(cols[0]) if cols else 0, LEDGER_CSV_CHUNK):
+            chunk = (col[start:start + LEDGER_CSV_CHUNK].tolist() for col in cols)
+            fh.writelines(line % row for row in zip(*chunk))
 
 
 def _parse_rows(lines, **columns) -> np.ndarray:
@@ -573,9 +579,11 @@ def cmd_run(config_path: str) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot write to output dir: {exc}")
 
+    # a run writes only its first and last states, so the march keeps no
+    # others; T and config stay positional, where a wrapper of evolve reads them
     try:
         traj = evolve(model, u0, config.horizon, config.stepper,
-                      config.ledger)
+                      config.ledger, keep_states=False)
     except EvolutionAbort as exc:
         _write_run_outputs(out_dir, exc.trajectory)
         with open(os.path.join(out_dir, "diagnostics.txt"), "w") as fh:
@@ -588,7 +596,7 @@ def cmd_run(config_path: str) -> int:
         raise ConfigError(str(exc))
 
     _write_run_outputs(out_dir, traj)
-    print(f"run complete: {len(traj.snapshots)} ledger rows -> {out_dir}")
+    print(f"run complete: {len(traj.times())} ledger rows -> {out_dir}")
     return 0
 
 

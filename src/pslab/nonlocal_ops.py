@@ -365,10 +365,14 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     acc = np.zeros(n)
     # work arrays shared by every block, as in peskin_rhs, in one allocation;
     # each row of doubled holds the block's term twice over, for _read_ahead.
-    # The steep path of _antiderivative has the last three, doubled's among
-    # them, to itself until it returns
-    work = np.empty((6, plan.block_rows, n))
-    back, z, term = work[:3]
+    # The steep path of _antiderivative has rows 3-5, doubled's among them,
+    # to itself until it returns, and _fmc_fold rows 2 on, z's among them,
+    # for its far entries, at most a block's. An entry is far only where
+    # |delta| > _SERIES_RATIO (2pi - alpha) >= _SERIES_RATIO pi, so data of
+    # a smaller range get no rows for them
+    far_possible = np.ptp(v) > _SERIES_RATIO * np.pi
+    work = np.empty((2 + _FOLD_WORK if far_possible else 6, plan.block_rows, n))
+    back, term, z = work[:3]
     doubled = work[3:5].reshape(plan.block_rows, 2 * n)
     for rows, behind in plan.blocks[len(plan.blocks) // 2:]:
         j = np.arange(rows.start, rows.stop) - (half - 1)
@@ -376,9 +380,9 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
         np.subtract(v, windows[behind], out=back)   # delta_alpha u
         # F(back/al) and the +alpha fold; the same at x + j h is the F(fwd/al)
         # and -alpha fold term
-        _antiderivative(np.divide(back, al, out=z), a, out=term, work=work[3:])
+        _antiderivative(np.divide(back, al, out=z), a, out=term, work=work[3:6])
         term *= 2.0 / al ** (1 + a)
-        term += _fmc_fold(back, j, n, a)
+        term += _fmc_fold(back, j, n, a, work[2:].ravel() if far_possible else None)
         np.concatenate([term, term], axis=1, out=doubled)
         acc += wts[rows] @ np.subtract(term, _read_ahead(doubled, int(j[0])), out=z)
     acc += csing * (np.pi ** (1 - a) / (1 - a) - wts[half:] @ alpha[half:] ** (-a))
@@ -406,6 +410,7 @@ def _read_ahead(doubled: np.ndarray, j0: int) -> np.ndarray:
 _SERIES_TERMS = 14
 _SERIES_RATIO = 1 / 3
 _FAR_PERIODS = 3
+_FOLD_WORK = 11  # work arrays of the far entries: eight, and _antiderivative's three
 
 
 # Cephes zeta.c: (2j)!/B_2j for j = 1..12, the Euler-Maclaurin terms of
@@ -477,37 +482,41 @@ def _fold_series(n: int, a: float, start: int = 1) -> np.ndarray:
     return _read_only(table[..., None])
 
 
-def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float) -> np.ndarray:
+def _fmc_fold(delta: np.ndarray, j: np.ndarray, n: int, a: float,
+              work: np.ndarray | None = None) -> np.ndarray:
     """sum_{k != 0} G(delta/|alpha+2pik|)/|alpha+2pik|^{1+a}, G = 2F, at
     alpha_j = 2pi j/n, one row of delta per j in 1..n/2: Horner in delta^2 on
     the _fold_series table, and where |delta| > _SERIES_RATIO (2pi - alpha_j)
     G of the _FAR_PERIODS nearest periods either side plus the series of the
     rest, whose radius is 8pi - alpha_j; at N=128 within 4e-15 of 400 periods
-    for |delta| up to 1.5 (2pi - alpha_j). The far entries, gathered row by
-    row, take their series coefficients a row's run at a time and share one
-    set of work arrays over the six periods."""
+    for |delta| up to 1.5 (2pi - alpha_j). The far entries, gathered in
+    row order, take alpha and each series coefficient through one index of
+    their rows, and share one set of work arrays over the six periods. Those
+    live in work, a float64 array of _FOLD_WORK delta.size entries, when
+    given, so that a caller's loop over blocks reuses one allocation."""
     x = np.multiply(delta, delta)
     out = _horner(x, _fold_series(n, a)[:, j - 1])
     out *= delta
     far = np.abs(delta, out=x) > _SERIES_RATIO * (TWO_PI - (TWO_PI / n) * j[:, None])
     if far.any():
-        per_row = np.count_nonzero(far, axis=1)
-        d = delta[far]
-        al = np.repeat((TWO_PI / n) * j, per_row)
+        size = np.count_nonzero(far)
+        row = np.repeat(np.arange(len(j)), np.count_nonzero(far, axis=1))
+        work = np.empty(_FOLD_WORK * size) if work is None else work[:_FOLD_WORK * size]
+        d, al, series, coef, dd, total, r, term = work.reshape(_FOLD_WORK, size)[:8]
+        np.compress(far.ravel(), delta, out=d)
+        np.take((TWO_PI / n) * j, row, out=al)
         tail = _fold_series(n, a, _FAR_PERIODS + 1)[:, j - 1, 0]
-        work = np.empty((7, d.size))
-        dd, total, r, term = work[:4]
         np.multiply(d, d, out=dd)
-        series = np.repeat(tail[-1], per_row)
+        np.take(tail[-1], row, out=series)
         for c in tail[-2::-1]:
             series *= dd
-            series += np.repeat(c, per_row)
+            series += np.take(c, row, out=coef)
         series *= d
         # G(d/r)/r^{1+a} at r = 2pi k +/- alpha, summed in that order from 0
         total[...] = 0.0
         for k, period in itertools.product(range(1, _FAR_PERIODS + 1), (np.add, np.subtract)):
             period(TWO_PI * k, al, out=r)
-            _antiderivative(np.divide(d, r, out=dd), a, out=term, work=work[4:])
+            _antiderivative(np.divide(d, r, out=dd), a, out=term, work=work[8 * size:])
             term *= 2.0
             term /= np.power(r, 1 + a, out=r)
             total += term

@@ -19,7 +19,15 @@ so every step is bit for bit the one that allocates each array afresh;
 each state owns a copy of its row, and a call without work allocates and
 returns arrays of its own. A step checks each stage row and its end row
 finite once, and that check stands in for the field's own: the end
-state is built without the public constructor's checks.
+state is built without the public constructor's checks. The weights of
+a (model, N, L, dt, scheme) are one cached read-only table, read by every
+step of a march and every whole-window iterate.
+
+A march (evolve) keeps every stride-th state, the first and the last
+always, and builds their ledger rows LEDGER_BLOCK at a time (ledger_rows),
+each row the bits of ledger_entry of its state alone. It keeps each
+state in its trajectory too, or, for a caller that needs only the ends,
+as pslab run does, drops it once its row is built.
 
 Because the linear part is integrated exactly, explicit treatment of the
 remainder stays stable as long as its damped response remains below the
@@ -136,15 +144,25 @@ def holder_column(k: int, kappa: float) -> str:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """A march's kept states and its ledger. The ledger has one row per
+    kept state, in time order; snapshots hold some of those states, each
+    at its own row's time: every one of them, or, from a march that does
+    not keep its states, the first and the last."""
+
     snapshots: tuple  # ((t, PeriodicField), ...)
-    ledger: dict      # {column: float64 array, one entry per snapshot}, CSV order
+    ledger: dict      # {column: float64 array, one entry per kept state}, CSV order
 
     def __post_init__(self):
         times = [t for t, _ in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
-        if not (np.array_equal(self.ledger.get("t", ()), times)
-                and all(len(col) == len(times) for col in self.ledger.values())):
+        rows = np.asarray(self.ledger.get("t", ()), dtype=float)
+        ends = [rows[0], rows[-1]] if len(rows) else []
+        # the ledger's times increase, every snapshot is at one of them, and
+        # the first and last rows have theirs
+        if not (np.all(rows[1:] > rows[:-1])
+                and all(len(col) == len(rows) for col in self.ledger.values())
+                and np.isin(times, rows).all() and times[:1] + times[-1:] == ends):
             raise ValueError("ledger and snapshots must align")
         for col in self.ledger.values():
             col.flags.writeable = False  # series hands out the columns themselves
@@ -406,8 +424,10 @@ def check_pointwise(model, n: int, components: int) -> None:
 
 def frozen_pointwise_step(u: PeriodicField, model, dt: float) -> PeriodicField:
     """One step of the frozen-coefficient method: row i propagates u exactly
-    under the symbol frozen at x_i, a(x_i) m(k), and the step reads row i
-    at x_i; see check_pointwise for where it applies."""
+    under the symbol frozen at x_i, a(x_i) m(k), all rows in one batch of
+    inverse transforms, and the step reads row i at x_i; its explicit
+    remainder comes from the same profile, symbol and transform. See
+    check_pointwise for where it applies."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     check_pointwise(model, u.n, u.components)
@@ -477,7 +497,8 @@ def _n_steps(T: float, dt: float) -> int:
 # so numpy's overflow and invalid-value warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
-           ledger_spec: Optional[LedgerSpec] = None) -> Trajectory:
+           ledger_spec: Optional[LedgerSpec] = None, *,
+           keep_states: bool = True) -> Trajectory:
     """Uniform-dt march to time T. Deterministic; raises EvolutionAbort
     (with the partial trajectory attached) on non-finite values in the
     state or in a ledger row, contour stretch at or beyond the model's
@@ -499,7 +520,19 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     the end, and before any exception leaves the march. A pending row that
     cannot be built predates whatever stopped the march, so its abort wins:
     the march ends with the same time, reason and kept rows as if every row
-    had been built when its state was accepted."""
+    had been built when its state was accepted.
+
+    The trajectory, returned or attached to an EvolutionAbort, has one
+    ledger row per kept state whose row was built. With keep_states (the
+    default) its snapshots are all of those states; without, they are the
+    first and the last, and the march drops every other kept state once
+    its row is built, so it holds at most the first kept state, the latest
+    one and the LEDGER_BLOCK states waiting for rows: its memory is O(N)
+    plus the ledger, 8 bytes per column per row (columns that grow by
+    doubling), however many steps it takes. The ledger, those two states
+    and any abort are the same bits either way; Trajectory asks only that
+    its snapshots sit at increasing ledger times, the first and last rows'
+    among them."""
     n_steps = _n_steps(T, config.dt)
     if config.scheme == "frozen_pointwise":
         check_pointwise(model, u0.n, u0.components)
@@ -507,13 +540,17 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
     cap = getattr(model, "theta_cap", None)
     want_theta = spec.record_theta if spec.record_theta is not None else cap is not None
 
-    snaps, blocks, pending = [], [], []  # pending: (t, state, theta) awaiting rows
+    snaps, pending = [], []  # pending: (t, state, theta) awaiting rows
+    # the ledger's columns, whose first `rows` entries are built; each grows
+    # by doubling, up to the n_kept states the march keeps
+    ledger, rows = {}, 0
+    n_kept = n_steps // spec.stride + 1 + (n_steps % spec.stride > 0)
 
     def kept():
-        return Trajectory(tuple(snaps), {name: np.concatenate([b[name] for b in blocks])
-                                         for name in (blocks[0] if blocks else ())})
+        return Trajectory(tuple(snaps), {name: col[:rows] for name, col in ledger.items()})
 
     def flush():
+        nonlocal rows
         if not pending:
             return
         cols, error = ledger_rows([(t, w) for t, w, _ in pending], spec)
@@ -521,8 +558,18 @@ def evolve(model, u0: PeriodicField, T: float, config: StepperConfig,
         pending.clear()
         if want_theta:
             cols["theta"] = np.array([theta for _, _, theta in built], dtype=float)
-        blocks.append(cols)
+        end = rows + len(built)
+        for name, col in cols.items():
+            old = ledger.get(name)
+            if old is None or len(old) < end:
+                ledger[name] = np.empty(min(2 * end, n_kept))
+                if old is not None:
+                    ledger[name][:rows] = old[:rows]
+            ledger[name][rows:end] = col
+        rows = end
         snaps.extend((t, w) for t, w, _ in built)
+        if not keep_states:
+            del snaps[1:-1]
         if error is not None:
             # a finite state whose derivatives overflow is a numerical
             # abort, not a config error

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pslab
-from pslab import cli, kernels, models, nonlocal_ops
+from pslab import cli, kernels, models, nonlocal_ops, stepper
 from pslab.cli import (
     _PRESETS,
+    LEDGER_CSV_CHUNK,
     ConfigError,
     RunConfig,
     build_initial_field,
@@ -36,6 +38,7 @@ from pslab.cli import (
 from pslab.grid import NumericalFailure, PeriodicField
 from pslab.models import Peskin2dModel
 from pslab.stepper import (
+    LEDGER_BLOCK,
     SCHEMES,
     EvolutionAbort,
     LedgerSpec,
@@ -429,6 +432,45 @@ class TestLedgerCsv:
         table = read_ledger_csv(str(path))
         assert table["t"].tolist() == [0.0, 1.0]
         assert table["l2"].tolist() == [1.0, 2.0]
+
+
+def write_ledger_csv_at_once(path, ledger):
+    """write_ledger_csv as it formatted every row in one pass, each whole
+    column converted to Python floats first."""
+    line = ",".join(["%.17g"] * len(ledger)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(ledger) + "\n")
+        fh.writelines(line % row for row in zip(*(col.tolist() for col in ledger.values())))
+
+
+class TestLedgerCsvChunks:
+    """write_ledger_csv formats LEDGER_CSV_CHUNK rows at a time and writes
+    the bytes of the writer that formatted them all at once."""
+
+    SCALAR = ("t", "l2", "linf", "mean", "osc_linf", "d1_linf", "d2_linf",
+              "holder_0_0.5", "holder_1_0.25")
+    CONTOUR = ("t", "l2", "linf", "mean_0", "mean_1", "theta")
+
+    @pytest.mark.parametrize("names", [SCALAR, CONTOUR], ids=["scalar", "contour"])
+    @pytest.mark.parametrize("rows", [1, LEDGER_CSV_CHUNK - 1, LEDGER_CSV_CHUNK,
+                                      LEDGER_CSV_CHUNK + 1, 3 * LEDGER_CSV_CHUNK + 5])
+    def test_bytes_are_the_one_pass_writer(self, tmp_path, names, rows):
+        rng = np.random.default_rng(rows)
+        ledger = {name: rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+                  for name in names}
+        ledger["t"] = np.arange(rows) * 1e-5
+        got, want = tmp_path / "chunked.csv", tmp_path / "at_once.csv"
+        write_ledger_csv(str(got), ledger)
+        write_ledger_csv_at_once(str(want), ledger)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_text().splitlines()) == rows + 1
+
+    def test_empty_ledger_is_its_header(self, tmp_path):
+        for ledger in ({}, {"t": np.empty(0), "l2": np.empty(0)}):
+            got, want = tmp_path / "chunked.csv", tmp_path / "at_once.csv"
+            write_ledger_csv(str(got), ledger)
+            write_ledger_csv_at_once(str(want), ledger)
+            assert got.read_bytes() == want.read_bytes()
 
 
 def read_ledger_csv_by_csv_module(path):
@@ -998,6 +1040,36 @@ class TestRunCommand:
         table = read_ledger_csv(str(out / "ledger.csv"))
         assert "theta" not in table
         assert "mean" in table
+
+
+class TestRunMemory:
+    def test_stride_one_run_holds_a_bounded_number_of_states(self, tmp_path,
+                                                              monkeypatch):
+        # a run writes only its first and last states, so of the 400 states
+        # its steps build it holds the latest, the one before it and those
+        # waiting for ledger rows, never every kept state
+        built, most = [], 0
+        step = stepper.imex_frozen_phi_step
+
+        def counting_step(*args):
+            nonlocal most
+            result = step(*args)
+            built.append(weakref.ref(result[0]))
+            most = max(most, sum(ref() is not None for ref in built))
+            return result
+
+        monkeypatch.setattr(stepper, "imex_frozen_phi_step", counting_step)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, overrides={
+            "model.tag": "mcf_graph", "grid.N": "64", "stepper.dt": "1e-4",
+            "run.T": "0.04", "ledger.stride": "1", "output.dir": str(out)})
+        assert main(["run", cfg]) == 0
+        assert len(built) == 400
+        assert most <= LEDGER_BLOCK + 3
+        table = read_ledger_csv(str(out / "ledger.csv"))
+        assert len(table["t"]) == 401
+        _, t = read_snapshot(str(out / "final.bin"))
+        assert t == table["t"][-1]
 
 
 ELLIPSE = {"model.tag": "peskin2d", "initial.preset": "ellipse",

@@ -3,7 +3,11 @@ dual-backend agreement for the drifted half-Laplacian, linearized-multiplier
 oracles, and a direct Stokeslet single-layer computation that re-derives the
 membrane velocity without the cotangent reformulation."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,10 +417,11 @@ def antiderivative_by_branch_gathers(z, a, out=None):
     return out
 
 
-def fold_by_entry_gathers(delta, j, n, a):
+def fold_by_entry_gathers(delta, j, n, a, work=None):
     """_fmc_fold as it ran with the far entries' series coefficients
     gathered per entry, (terms, far entries) at once, and each period's
-    terms fresh arrays, summed by sum()."""
+    terms fresh arrays, summed by sum(); work, the caller's work arrays,
+    goes unused."""
     out = nonlocal_ops._horner(delta * delta, nonlocal_ops._fold_series(n, a)[:, j - 1])
     out *= delta
     far = np.abs(delta) > nonlocal_ops._SERIES_RATIO * (TWO_PI - (TWO_PI / n) * j[:, None])
@@ -640,7 +645,7 @@ class TestFarPeriodFold:
         x = grid_1d(self.N)
         u = PeriodicField(0.5 * (1.0 - (2.0 / np.pi) * np.abs(x - np.pi)) + 0.1 * np.sin(3 * x))
         got = fractional_mean_curvature(u, 0.5).samples
-        monkeypatch.setattr(nonlocal_ops, "_fmc_fold", lambda delta, j, n, a: period_sum(
+        monkeypatch.setattr(nonlocal_ops, "_fmc_fold", lambda delta, j, n, a, work: period_sum(
             delta, (TWO_PI * j / n)[:, None], a, 40))
         ref = fractional_mean_curvature(u, 0.5).samples
         assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
@@ -706,6 +711,46 @@ class TestFarPeriodFold:
         j, _, delta = self.cases([0.01, 0.7 * r, 1.001 * r, 0.999, 1.5])
         got = nonlocal_ops._fmc_fold(delta, j, self.N, a)
         assert got.tobytes() == fold_by_entry_gathers(delta, j, self.N, a).tobytes()
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024])
+    def test_fold_into_work_is_the_allocating_fold(self, n):
+        # one work array serves each block of a call, stale entries and all:
+        # a block of gentle increments, all in the series, and of steep
+        # ones, most past it, give the bits of the fold that allocates
+        a, rows = 0.5, min(n // 2, 64)
+        j = np.arange(1, n // 2 + 1)[::n // 2 // rows]
+        radius = TWO_PI - (TWO_PI / n) * j[:, None]
+        rng = np.random.default_rng(n)
+        work = np.full(nonlocal_ops._FOLD_WORK * rows * n, np.nan)
+        for scale in (0.2, 1.5, 0.2, 1.5):
+            delta = scale * radius * rng.uniform(-1.0, 1.0, (rows, n))
+            got = nonlocal_ops._fmc_fold(delta, j, n, a, work)
+            assert got.tobytes() == nonlocal_ops._fmc_fold(delta, j, n, a).tobytes()
+            assert got.tobytes() == fold_by_entry_gathers(delta, j, n, a).tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts minor faults as Linux does")
+    def test_curvature_faults_in_no_fresh_arrays_per_call(self):
+        # the far entries' arrays live in the call's one work allocation;
+        # allocated block by block, at N=512 they made every call fault
+        # about 1,000 pages in afresh (28 at N=256)
+        code = (
+            "import resource, sys; import numpy as np\n"
+            "from pslab.grid import PeriodicField\n"
+            "from pslab.nonlocal_ops import fractional_mean_curvature\n"
+            "n = int(sys.argv[1]); x = np.arange(n) * (2 * np.pi / n)\n"
+            "u = PeriodicField(2.0 * (1.0 - (2.0 / np.pi) * np.abs(x - np.pi)))\n"
+            "fractional_mean_curvature(u, 0.5)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20):\n"
+            "    fractional_mean_curvature(u, 0.5)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n")
+        env = dict(os.environ)
+        src = str(Path(nonlocal_ops.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for n in (256, 512):
+            proc = subprocess.run([sys.executable, "-c", code, str(n)], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            assert float(proc.stdout) <= 100, n
 
     @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("n", [64, 256, 512])

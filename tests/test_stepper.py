@@ -347,6 +347,20 @@ class TestTrajectoryType:
         empty = Trajectory((), {})
         assert empty.times().tolist() == [] and empty.series("l2").tolist() == []
 
+    def test_snapshots_at_some_ledger_times(self):
+        # a march that drops its states keeps the first and the last; any
+        # snapshots at ledger times, the end rows among them, align
+        u = PeriodicField(np.zeros(16))
+        ledger = columns([ledger_entry(t, u, LedgerSpec()) for t in (0.0, 0.1, 0.2)])
+        for times in ((0.0, 0.2), (0.0, 0.1, 0.2)):
+            traj = Trajectory(tuple((t, u) for t in times), ledger)
+            assert traj.times().tolist() == [0.0, 0.1, 0.2]
+        for times in ((0.0,), (0.1, 0.2), (0.0, 0.1), (0.0, 0.15, 0.2)):
+            with pytest.raises(ValueError, match="align"):
+                Trajectory(tuple((t, u) for t in times), ledger)
+        with pytest.raises(ValueError, match="align"):
+            Trajectory(((0.0, u), (0.2, u)), {**ledger, "t": np.array([0.0, 0.2, 0.2])})
+
     def test_series_helper(self):
         traj = evolve(HeatModel(), PeriodicField(np.cos(grid_x(32))), 0.1,
                       StepperConfig(dt=0.02))
@@ -1491,6 +1505,61 @@ class TestLedgerBlocks:
         assert reason[first] in err.value.reason
         assert err.value.time == stop[1]
         assert_same_ledger(err.value.trajectory.ledger, columns(rows))
+
+
+def inverse_stretch(X):
+    """A stretch measure of peskin2d that rises: the membrane's own stretch
+    ratio only falls as it relaxes, so its reciprocal does not."""
+    return 1.0 / stretch_ratio(X)
+
+
+class TestStatesDropped:
+    """evolve(..., keep_states=False) drops each kept state but the first
+    and the latest once its ledger row is built. The ledger, the first and
+    last states and any abort are those of the march that keeps them all."""
+
+    @staticmethod
+    def march(keep_states, make, u0, T, dt, spec):
+        """(trajectory, abort or None) of one march."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return evolve(make(), u0, T, StepperConfig(dt=dt), spec,
+                              keep_states=keep_states), None
+            except EvolutionAbort as exc:
+                return exc.trajectory, exc
+
+    # every march but the refusal keeps more states than a block of rows
+    @pytest.mark.parametrize("make, u0, T, dt, spec, rows, stop", [
+        (McfGraphModel, triangle(64, 0.4), 0.04, 1e-3,
+         LedgerSpec(**TestLedgerBlocks.SPEC), 41, None),
+        (QuadraticGrowthModel, PeriodicField(np.full(32, 0.5)), 3.0, 0.01,
+         LedgerSpec(), 205, "non-finite values in the state"),
+        (ExponentialGrowthModel, triangle(256, 1e300), 2.2, 0.1,
+         LedgerSpec(derivative_sup=(2,)), 19, "non-finite values in a ledger row"),
+        (QuadraticGrowthModel, PeriodicField(np.full(32, 5.0)), 10.0, 1.0,
+         LedgerSpec(), 1, "exceeds half the measured stability bound"),
+        (lambda: Peskin2dModel(theta_cap=1.0 / 2.3), ellipse(64, 1.5, 0.6), 0.8, 0.01,
+         LedgerSpec(stride=3), 24, "reached the cap"),
+    ], ids=["complete", "state", "ledger_row", "refused", "theta_cap"])
+    def test_same_ledger_ends_and_abort(self, make, u0, T, dt, spec, rows, stop,
+                                        monkeypatch):
+        monkeypatch.setattr(stepper, "stretch_ratio", inverse_stretch)
+        kept, kept_stop = self.march(True, make, u0, T, dt, spec)
+        dropped, dropped_stop = self.march(False, make, u0, T, dt, spec)
+        assert len(kept.snapshots) == len(kept.ledger["t"]) == rows
+        if stop is None:
+            assert kept_stop is None and dropped_stop is None
+        else:
+            assert stop in kept_stop.reason
+            assert type(dropped_stop) is type(kept_stop)
+            assert (dropped_stop.time, dropped_stop.reason) == (kept_stop.time, kept_stop.reason)
+        assert list(dropped.ledger) == list(kept.ledger)
+        for name, col in kept.ledger.items():
+            assert np.array_equal(dropped.ledger[name], col), name
+        ends = kept.snapshots[:1] + kept.snapshots[1:][-1:]
+        assert [t for t, _ in dropped.snapshots] == [t for t, _ in ends]
+        for (_, got), (_, want) in zip(dropped.snapshots, ends):
+            assert got.samples.tobytes() == want.samples.tobytes()
 
 
 def ledger_rows_by_abs(snaps, spec):
