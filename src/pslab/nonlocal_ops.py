@@ -367,11 +367,8 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
     # each row of doubled holds the block's term twice over, for _read_ahead.
     # The steep path of _antiderivative has rows 3-5, doubled's among them,
     # to itself until it returns, and _fmc_fold rows 2 on, z's among them,
-    # for its far entries, at most a block's. An entry is far only where
-    # |delta| > _SERIES_RATIO (2pi - alpha) >= _SERIES_RATIO pi, so data of
-    # a smaller range get no rows for them
-    far_possible = np.ptp(v) > _SERIES_RATIO * np.pi
-    work = np.empty((2 + _FOLD_WORK if far_possible else 6, plan.block_rows, n))
+    # for its far entries, at most a block's
+    work = np.empty((2 + _FOLD_WORK, plan.block_rows, n))
     back, term, z = work[:3]
     doubled = work[3:5].reshape(plan.block_rows, 2 * n)
     for rows, behind in plan.blocks[len(plan.blocks) // 2:]:
@@ -382,7 +379,7 @@ def fractional_mean_curvature(u: PeriodicField, a: float) -> PeriodicField:
         # and -alpha fold term
         _antiderivative(np.divide(back, al, out=z), a, out=term, work=work[3:6])
         term *= 2.0 / al ** (1 + a)
-        term += _fmc_fold(back, j, n, a, work[2:].ravel() if far_possible else None)
+        term += _fmc_fold(back, j, n, a, work[2:].ravel())
         np.concatenate([term, term], axis=1, out=doubled)
         acc += wts[rows] @ np.subtract(term, _read_ahead(doubled, int(j[0])), out=z)
     acc += csing * (np.pi ** (1 - a) / (1 - a) - wts[half:] @ alpha[half:] ** (-a))
